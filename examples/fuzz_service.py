@@ -18,8 +18,7 @@ Run:  python examples/fuzz_service.py
 import asyncio
 import tempfile
 
-from repro.execution import SupervisedExecutor
-from repro.experiments.campaign_runner import build_executor
+from repro.execution import build_executor
 from repro.fuzzing import Campaign, CampaignConfig
 from repro.service import FuzzService, ServiceClient, ServiceConfig
 from repro.sim_os import Kernel
@@ -34,10 +33,9 @@ JOBS = [
 
 
 def direct_digest(target: str, seed: int, budget_ns: int) -> str:
-    """The same job, run directly — the service must match this."""
-    executor = SupervisedExecutor(
-        build_executor(target, "closurex", Kernel())
-    )
+    """The same job, run directly — the service must match this.  The
+    executor comes from the builder every service job uses."""
+    executor = build_executor(target, "closurex", Kernel(), supervised=True)
     campaign = Campaign(
         executor, get_target(target).seeds,
         CampaignConfig(budget_ns=budget_ns, seed=seed),

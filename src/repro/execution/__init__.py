@@ -19,6 +19,7 @@ from repro.execution.supervised import (
     SupervisionPolicy,
     SupervisionStats,
 )
+from repro.execution.builder import MECHANISMS, build_executor
 
 __all__ = [
     "ClosureXExecutor",
@@ -28,6 +29,7 @@ __all__ = [
     "ExecutorStats",
     "ForkServerExecutor",
     "FreshProcessExecutor",
+    "MECHANISMS",
     "NaivePersistentExecutor",
     "PollutionStats",
     "QuarantineRecord",
@@ -35,6 +37,7 @@ __all__ = [
     "SupervisedExecutor",
     "SupervisionPolicy",
     "SupervisionStats",
+    "build_executor",
     "call_target",
     "classify_trap",
 ]

@@ -1,51 +1,19 @@
 """Shared campaign plumbing for the table experiments.
 
-Builds the right (module, executor) pair for a mechanism and runs a
-seeded campaign; Tables 5-7 all consume the same runs, so results are
-cached per (target, mechanism, trial, budget) within a process.
+Runs a seeded campaign on the shared executor builder
+(:func:`repro.execution.build_executor`, re-exported here); Tables 5-7
+all consume the same runs, so results are cached per (target,
+mechanism, trial, budget) within a process.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.execution import (
-    ClosureXExecutor,
-    Executor,
-    ForkServerExecutor,
-    FreshProcessExecutor,
-    NaivePersistentExecutor,
-)
+from repro.execution import MECHANISMS, build_executor  # noqa: F401
 from repro.fuzzing import Campaign, CampaignConfig, CampaignResult
 from repro.sim_os import Kernel
 from repro.targets import get_target
-
-MECHANISMS = ("closurex", "forkserver", "persistent", "fresh")
-
-
-def build_executor(target_name: str, mechanism: str, kernel: Kernel,
-                   optimize: bool = False) -> Executor:
-    """Instrument the target for *mechanism* and wrap it in an executor.
-
-    With ``optimize=True`` the instrumented module is additionally run
-    through the validated IR optimizer (:mod:`repro.analysis.opt`)
-    before wrapping — observations are proven bit-identical, only the
-    per-execution instruction count changes.
-    """
-    spec = get_target(target_name)
-    if mechanism == "closurex":
-        return ClosureXExecutor(spec.build_closurex(optimize=optimize),
-                                spec.image_bytes, kernel)
-    if mechanism == "forkserver":
-        return ForkServerExecutor(spec.build_baseline(optimize=optimize),
-                                  spec.image_bytes, kernel)
-    if mechanism == "persistent":
-        return NaivePersistentExecutor(spec.build_persistent(optimize=optimize),
-                                       spec.image_bytes, kernel)
-    if mechanism == "fresh":
-        return FreshProcessExecutor(spec.build_baseline(optimize=optimize),
-                                    spec.image_bytes, kernel)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
 @lru_cache(maxsize=None)

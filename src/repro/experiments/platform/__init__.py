@@ -25,16 +25,11 @@ the results store and report are bit-reproducible across runs, kills,
 and resumes.
 """
 
-from repro.experiments.platform.measurer import (
-    Measurer,
-    build_trial_executor,
-    executor_health,
-)
+from repro.experiments.platform.measurer import Measurer, executor_health
 from repro.experiments.platform.report import ReportError, ReportGenerator
 from repro.experiments.platform.scheduler import TrialScheduler
 from repro.experiments.platform.spec import (
     OVERRIDABLE_FIELDS,
-    SPEC_MECHANISMS,
     Arm,
     ExperimentSpec,
     SpecError,
@@ -48,7 +43,7 @@ from repro.experiments.platform.store import (
 
 __all__ = [
     "Arm", "ExperimentSpec", "Measurer", "OVERRIDABLE_FIELDS",
-    "ReportError", "ReportGenerator", "ResultsStore", "SPEC_MECHANISMS",
+    "ReportError", "ReportGenerator", "ResultsStore",
     "SpecError", "StoreError", "TrialScheduler", "TrialSpec",
-    "build_trial_executor", "canonical_line", "executor_health",
+    "canonical_line", "executor_health",
 ]

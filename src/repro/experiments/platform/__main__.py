@@ -28,14 +28,10 @@ import argparse
 import sys
 import tempfile
 
+from repro.execution import MECHANISMS
 from repro.experiments.platform.report import ReportGenerator
 from repro.experiments.platform.scheduler import TrialScheduler
-from repro.experiments.platform.spec import (
-    MS,
-    SPEC_MECHANISMS,
-    ExperimentSpec,
-    SpecError,
-)
+from repro.experiments.platform.spec import MS, ExperimentSpec, SpecError
 from repro.experiments.platform.store import ResultsStore
 from repro.targets import target_names
 
@@ -71,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated targets (ad-hoc spec)")
     parser.add_argument("--mechanisms", metavar="A,B",
                         help=f"comma-separated mechanisms from "
-                             f"{SPEC_MECHANISMS} (ad-hoc spec)")
+                             f"{MECHANISMS} (ad-hoc spec)")
     parser.add_argument("--trials", type=int, default=2,
                         help="trials per (target, arm) cell (default: 2)")
     parser.add_argument("--budget-ms", type=int, default=4,

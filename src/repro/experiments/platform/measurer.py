@@ -1,10 +1,10 @@
-"""The measurer: pause a trial on a virtual-time cadence and snapshot it.
+"""The measurer: snapshot a trial on a virtual-time cadence.
 
 fuzzbench's measurer polls corpora from outside the fuzzer process; we
-can do better because every campaign exposes a stepwise surface
-(:meth:`~repro.fuzzing.campaign.Campaign.step_until`) driven by a
-*virtual* clock.  :class:`Measurer` advances a trial one measurement
-interval at a time, and at each pause records a snapshot — coverage-map
+can do better because every campaign is driven through a
+:class:`~repro.fuzzing.CampaignSession` on a *virtual* clock.  The
+scheduler advances each trial one measurement interval at a time, and
+at each pause :class:`Measurer` records a snapshot — coverage-map
 density, corpus size, execs, crash/hang counts, and the executor
 ladder's restore/integrity counters — into the append-only results
 store.  Pauses land between queue cycles and the mutation stages always
@@ -27,44 +27,15 @@ checkpoints provide the same resume story.
 
 from __future__ import annotations
 
-from repro.execution import SupervisedExecutor
-from repro.execution.common import Executor
-from repro.experiments.campaign_runner import build_executor
+from repro.execution import build_executor
 from repro.experiments.platform.spec import TrialSpec
 from repro.experiments.platform.store import ResultsStore
-from repro.fuzzing import Campaign
-from repro.fuzzing.checkpoint import CheckpointError, load_checkpoint
-from repro.parallel import ParallelCampaign, ParallelConfig
+from repro.fuzzing import CampaignResult, CampaignSession
+from repro.fuzzing.checkpoint import CheckpointError
+from repro.integrity import EscalationPolicy
+from repro.parallel import ParallelCampaign, ParallelConfig, barrier_progress
 from repro.sim_os import Kernel
 from repro.targets import get_target
-
-
-def build_trial_executor(trial: TrialSpec) -> Executor:
-    """Construct one trial's executor ladder from its spec.
-
-    The mechanism core comes from the shared experiment builder —
-    except a ClosureX trial with an integrity sentinel, which must be
-    constructed with the sentinel in hand — and the spec's
-    ``supervised`` option wraps the result in the self-healing
-    supervisor the robustness layer provides.
-    """
-    kernel = Kernel()
-    if trial.sentinel_digest_every and trial.arm.mechanism == "closurex":
-        from repro.execution import ClosureXExecutor
-        from repro.integrity import EscalationPolicy, IntegritySentinel
-        spec = get_target(trial.target)
-        sentinel = IntegritySentinel(EscalationPolicy(
-            digest_every=trial.sentinel_digest_every,
-        ))
-        executor: Executor = ClosureXExecutor(
-            spec.build_closurex(), spec.image_bytes, kernel,
-            sentinel=sentinel,
-        )
-    else:
-        executor = build_executor(trial.target, trial.arm.mechanism, kernel)
-    if trial.supervised:
-        executor = SupervisedExecutor(executor)
-    return executor
 
 
 def executor_health(executor) -> dict:
@@ -91,36 +62,56 @@ def executor_health(executor) -> dict:
 
 
 class Measurer:
-    """Runs trials to completion under cadence sampling (see module
-    docstring); one instance is shared by a scheduler run."""
+    """Opens trials and records their snapshots (see module docstring);
+    one instance is shared by a scheduler run."""
 
     def __init__(self, store: ResultsStore):
         self.store = store
 
+    def open_session(self, trial: TrialSpec) -> tuple[CampaignSession, int]:
+        """A single-worker trial's started session, resumed from its
+        checkpoint if one loads, and the index of its next sample."""
+        store, trial_id = self.store, trial.trial_id
+        session = CampaignSession(
+            build_executor(
+                trial.target, trial.arm.mechanism, Kernel(),
+                supervised=trial.supervised,
+                sentinel_digest_every=trial.sentinel_digest_every,
+                # A trial's sentinel keeps the policy's shadow cadence.
+                sentinel_shadow_every=(EscalationPolicy.shadow_every
+                                       if trial.sentinel_digest_every
+                                       else 0),
+            ),
+            get_target(trial.target).seeds, trial.campaign_config(),
+            checkpoint_path=store.checkpoint_path(trial_id),
+        )
+        if not session.resumed:
+            store.reset_trial(trial_id)
+        session.start()
+        # Samples past the checkpoint would be recorded twice.
+        kept = (store.truncate_after(trial_id, session.now_ns)
+                if session.resumed else 0)
+        return session, kept + 1
+
     # -- snapshots ------------------------------------------------------
 
-    def sample_campaign(self, trial: TrialSpec, k: int,
-                         campaign: Campaign) -> dict:
+    def sample(self, trial: TrialSpec, k: int,
+               session: CampaignSession) -> dict:
+        """The trial's *k*-th sample, taken from its session."""
         record = {
             "kind": "sample",
             "k": k,
+            **session.progress(),
             "t_ns": min(k * trial.measure_every_ns, trial.budget_ns),
-            "clock_ns": campaign.clock.now_ns,
-            "execs": campaign.execs,
-            "edges": campaign.virgin.edges_found(),
-            "corpus": len(campaign.corpus),
-            "unique_crashes": campaign.triage.unique_count,
-            "total_crashes": campaign.triage.total_crashes,
-            "unique_hangs": campaign.triage.unique_hang_count,
-            "total_hangs": campaign.triage.total_hangs,
         }
+        campaign = session.campaign
         record.update(executor_health(campaign.executor))
         metrics = campaign.telemetry.metrics
         if metrics.enabled:
             record["metrics"] = metrics.counter_values()
         return record
 
-    def final_record(self, trial: TrialSpec, result) -> dict:
+    def final_record(self, trial: TrialSpec, result: CampaignResult) -> dict:
         return {
             "kind": "final",
             "trial_id": trial.trial_id,
@@ -142,62 +133,6 @@ class Measurer:
             "recoveries": result.recoveries,
             "quarantined": result.quarantined_inputs,
         }
-
-    # -- single-worker trials -------------------------------------------
-
-    def run_trial(self, trial: TrialSpec) -> dict:
-        """Run (or resume) one trial to completion; returns the final
-        record after appending it to the store.  A trial whose stream
-        already ends in a final record is returned as-is, so re-running
-        a finished experiment is a cheap no-op."""
-        records = self.store.read(trial.trial_id)
-        if records and records[-1].get("kind") == "final":
-            return records[-1]
-        if trial.n_workers > 1:
-            return self.run_parallel_trial(trial)
-        return self._run_campaign_trial(trial)
-
-    def open_campaign(self, trial: TrialSpec) -> tuple[Campaign, int]:
-        """A (campaign, next sample index) pair, resumed if possible."""
-        config = trial.campaign_config()
-        config.checkpoint_path = self.store.checkpoint_path(trial.trial_id)
-        # Periodic checkpointing is disabled (interval past the budget);
-        # the measurer checkpoints explicitly at every sample instead,
-        # so checkpoint instants and sample instants coincide.
-        config.checkpoint_interval_ns = trial.budget_ns * 4
-        spec = get_target(trial.target)
-        executor = build_trial_executor(trial)
-        try:
-            state = load_checkpoint(config.checkpoint_path)
-            campaign = Campaign.from_state(state, executor, config)
-            kept = self.store.truncate_after(
-                trial.trial_id, state["clock_ns"]
-            )
-            return campaign, kept + 1
-        except CheckpointError:
-            self.store.reset_trial(trial.trial_id)
-            return Campaign(executor, spec.seeds, config), 1
-
-    def _run_campaign_trial(self, trial: TrialSpec) -> dict:
-        campaign, next_k = self.open_campaign(trial)
-        campaign.start()
-        start_ns = campaign.run_start_ns
-        deadline_ns = start_ns + trial.budget_ns
-        k = next_k
-        while True:
-            pause_ns = min(start_ns + k * trial.measure_every_ns, deadline_ns)
-            campaign.step_until(pause_ns)
-            self.store.append(
-                trial.trial_id, self.sample_campaign(trial, k, campaign)
-            )
-            campaign.checkpoint()
-            if pause_ns >= deadline_ns:
-                break
-            k += 1
-        result = campaign.finish_run()
-        final = self.final_record(trial, result)
-        self.store.append(trial.trial_id, final)
-        return final
 
     # -- multi-worker trials --------------------------------------------
 
@@ -232,48 +167,15 @@ class Measurer:
             campaign = ParallelCampaign(config)
 
         def on_barrier(round_index: int, deadline_ns: int, reports, hub):
-            record = {
+            self.store.append(trial.trial_id, {
                 "kind": "sample",
                 "k": round_index,
-                "t_ns": deadline_ns,
-                "clock_ns": deadline_ns,
-                "execs": sum(r.execs for r in reports),
-                "edges": hub.virgin.edges_found(),
-                "corpus": len(hub.corpus_hashes()),
-                "unique_crashes": sum(r.unique_crashes for r in reports),
-                "total_crashes": sum(r.total_crashes for r in reports),
-                "unique_hangs": sum(r.unique_hangs for r in reports),
-                "total_hangs": 0,
-                "recoveries": 0, "respawns": 0, "degradations": 0,
-                "quarantined": 0, "integrity_checks": 0,
-                "integrity_leaks": 0, "integrity_repairs": 0,
-            }
-            self.store.append(trial.trial_id, record)
+                **barrier_progress(deadline_ns, reports, hub),
+                # No executor ladder is in reach: its counters read zero.
+                **executor_health(None),
+            })
 
         campaign.on_barrier = on_barrier
-        result = campaign.run()
-        final = {
-            "kind": "final",
-            "trial_id": trial.trial_id,
-            "target": trial.target,
-            "arm": trial.arm.label,
-            "mechanism": trial.arm.mechanism,
-            "variant": trial.arm.variant,
-            "trial_index": trial.trial_index,
-            "seed": trial.seed,
-            "budget_ns": trial.budget_ns,
-            "n_workers": trial.n_workers,
-            "execs": result.total_execs,
-            "edges": result.merged_edges,
-            "corpus": len(result.corpus_hashes),
-            "unique_crashes": result.merged_unique_crashes,
-            "total_crashes": sum(r.total_crashes for r in result.workers),
-            "unique_hangs": result.merged_unique_hangs,
-            "elapsed_ns": max(r.elapsed_ns for r in result.workers),
-            "recoveries": sum(r.recoveries for r in result.workers),
-            "quarantined": sum(
-                r.quarantined_inputs for r in result.workers
-            ),
-        }
+        final = self.final_record(trial, campaign.run().merged())
         self.store.append(trial.trial_id, final)
         return final

@@ -2,8 +2,8 @@
 
 fuzzbench's scheduler spawns one cloud instance per trial and polls;
 ours exploits the virtual clock instead.  Every single-worker trial is
-an independent simulation exposing the stepwise
-``start/step_until/finish_run`` surface, so the scheduler keeps up to
+an independent simulation driven through a
+:class:`~repro.fuzzing.CampaignSession`, so the scheduler keeps up to
 ``max_live`` trials open at once and advances them round-robin, one
 measurement interval per turn — cooperative concurrency on the virtual
 timeline.  All live trials grow their snapshot streams together (a
@@ -35,31 +35,23 @@ class _CampaignSlot:
     def __init__(self, measurer: Measurer, trial: TrialSpec):
         self.measurer = measurer
         self.trial = trial
-        self.campaign, self.k = measurer.open_campaign(trial)
-        self.campaign.start()
-        self.start_ns = self.campaign.run_start_ns
-        self.deadline_ns = self.start_ns + trial.budget_ns
+        self.session, self.k = measurer.open_session(trial)
         self.final: dict | None = None
 
     def advance(self) -> bool:
         """Run one measurement interval; True when the trial finished."""
-        trial = self.trial
-        pause_ns = min(
-            self.start_ns + self.k * trial.measure_every_ns, self.deadline_ns
-        )
-        self.campaign.step_until(pause_ns)
-        self.measurer.store.append(
-            trial.trial_id,
-            self.measurer.sample_campaign(trial, self.k, self.campaign),
-        )
-        self.campaign.checkpoint()
-        if pause_ns >= self.deadline_ns:
-            result = self.campaign.finish_run()
-            self.final = self.measurer.final_record(trial, result)
-            self.measurer.store.append(trial.trial_id, self.final)
-            return True
-        self.k += 1
-        return False
+        trial, session, store = self.trial, self.session, self.measurer.store
+        pause_ns = session.start_ns + self.k * trial.measure_every_ns
+        session.advance(pause_ns)
+        store.append(trial.trial_id,
+                     self.measurer.sample(trial, self.k, session))
+        session.checkpoint()
+        if pause_ns < session.deadline_ns:
+            self.k += 1
+            return False
+        self.final = self.measurer.final_record(trial, session.finish())
+        store.append(trial.trial_id, self.final)
+        return True
 
 
 class _ParallelSlot:

@@ -25,13 +25,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.execution import MECHANISMS
 from repro.fuzzing.campaign import CampaignConfig
 
 #: Virtual nanoseconds per virtual millisecond (CLI/spec sizing unit).
 MS = 1_000_000
-
-#: Mechanisms a spec may reference (the paper's execution spectrum).
-SPEC_MECHANISMS = ("closurex", "forkserver", "persistent", "fresh")
 
 #: CampaignConfig fields a variant may override.  Scheduling/diagnostic
 #: fields (checkpoints, halts, telemetry) belong to the platform, not
@@ -121,10 +119,10 @@ class ExperimentSpec:
         if not self.mechanisms:
             raise SpecError("spec lists no mechanisms")
         for mechanism in self.mechanisms:
-            if mechanism not in SPEC_MECHANISMS:
+            if mechanism not in MECHANISMS:
                 raise SpecError(
                     f"unknown mechanism {mechanism!r} "
-                    f"(choose from {SPEC_MECHANISMS})"
+                    f"(choose from {MECHANISMS})"
                 )
         if not self.variants:
             raise SpecError("spec lists no config variants")

@@ -15,6 +15,7 @@ from repro.fuzzing.checkpoint import (
     save_state,
 )
 from repro.fuzzing.corpus import Corpus, QueueEntry, input_hash
+from repro.fuzzing.session import CampaignSession
 from repro.fuzzing.i2s import (
     AutoDictionary,
     CmpObserver,
@@ -41,7 +42,8 @@ from repro.fuzzing.triage import (
 )
 
 __all__ = [
-    "Campaign", "CampaignConfig", "CampaignResult", "TimelinePoint",
+    "Campaign", "CampaignConfig", "CampaignResult", "CampaignSession",
+    "TimelinePoint",
     "CheckpointError", "capture_state", "load_checkpoint", "load_state",
     "save_checkpoint", "save_state",
     "Corpus", "QueueEntry", "input_hash",

@@ -9,53 +9,29 @@ Examples::
     python -m repro.fuzzing --target libpcap --i2s --budget-ms 40
 
     # checkpoint every 4 virtual ms; resume continues bit-identically
+    # (checkpoints name the mechanism, not the target program)
     python -m repro.fuzzing --target md4c --checkpoint /tmp/fuzz.ckpt
-    python -m repro.fuzzing --resume /tmp/fuzz.ckpt
+    python -m repro.fuzzing --target md4c --resume /tmp/fuzz.ckpt
 
-The final line of output is ``digest: <sha256>`` — the same
-configuration always prints the same digest, and an interrupted
-campaign resumed from its checkpoint prints the digest of the
-never-interrupted run.
+The final line of output is ``digest: <sha256>`` — the campaign's
+:meth:`~repro.fuzzing.Campaign.state_digest`.  The same configuration
+always prints the same digest, and an interrupted campaign resumed
+from its checkpoint prints the digest of the never-interrupted run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 
-from repro.fuzzing.campaign import Campaign, CampaignConfig
+from repro.execution import MECHANISMS, build_executor
+from repro.fuzzing.campaign import CampaignConfig
 from repro.fuzzing.checkpoint import load_checkpoint
+from repro.fuzzing.session import CampaignSession
 from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
 
 MS = 1_000_000  # virtual ns per virtual ms
-
-#: Mechanisms a single-worker CLI campaign can run under.
-CLI_MECHANISMS = ("closurex", "forkserver", "persistent", "fresh")
-
-
-def campaign_digest(campaign, result) -> str:
-    """Stable fingerprint of everything 'bit-identical' means for one
-    finished campaign: corpus contents and signatures, crash identities,
-    exec count, and the virtual clock."""
-    h = hashlib.sha256()
-    h.update(f"{result.execs}:{result.elapsed_ns}".encode())
-    for entry in campaign.corpus.entries:
-        h.update(entry.data)
-        h.update(entry.coverage_signature)
-    for report in result.crash_reports:
-        h.update(repr(report.identity).encode())
-    return h.hexdigest()
-
-
-def _build_executor(target_name: str, mechanism: str):
-    # Local import: repro.experiments owns the mechanism->executor
-    # table; pulling it lazily keeps `python -m repro.fuzzing --help`
-    # fast and avoids a hard layering cycle at import time.
-    from repro.experiments.campaign_runner import build_executor
-
-    return build_executor(target_name, mechanism, Kernel())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--target", choices=target_names(),
                         help="target program (see --list-targets)")
-    parser.add_argument("--mechanism", choices=CLI_MECHANISMS,
+    parser.add_argument("--mechanism", choices=MECHANISMS,
                         default="closurex",
                         help="execution mechanism (default: closurex)")
     parser.add_argument("--seed", type=int, default=0,
@@ -96,29 +72,35 @@ def main(argv: list[str] | None = None) -> int:
         for name in target_names():
             print(name)
         return 0
+    state, config, mechanism = None, None, args.mechanism
     if args.resume is not None:
         if args.target is None:
             print("error: --resume needs --target (checkpoints identify "
                   "the mechanism, not the target program)", file=sys.stderr)
             return 2
+        # The resumed run takes budget, seed and i2s from the state.
         state = load_checkpoint(args.resume)
-        executor = _build_executor(args.target, state["mechanism"])
-        campaign = Campaign.resume(args.resume, executor)
+        mechanism = state["mechanism"]
     else:
         if args.target is None:
             print("error: --target is required (or --resume / "
                   "--list-targets)", file=sys.stderr)
             return 2
-        spec = get_target(args.target)
-        executor = _build_executor(args.target, args.mechanism)
-        campaign = Campaign(executor, spec.seeds, CampaignConfig(
+        config = CampaignConfig(
             budget_ns=args.budget_ms * MS,
             seed=args.seed,
             i2s_enabled=args.i2s,
             checkpoint_path=args.checkpoint,
             checkpoint_interval_ns=args.checkpoint_ms * MS,
-        ))
-    result = campaign.run()
+        )
+    session = CampaignSession(
+        build_executor(args.target, mechanism, Kernel()),
+        get_target(args.target).seeds, config, state=state,
+    )
+    session.start()
+    session.advance(session.deadline_ns)
+    result = session.finish()
+    campaign = session.campaign
     print(f"mechanism        : {result.mechanism}")
     print(f"seed             : {campaign.config.seed}")
     print(f"budget           : {result.budget_ns / MS:g} vms")
@@ -133,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.i2s and campaign._i2s is not None:
         print(f"i2s dictionary   : {len(campaign._i2s.dictionary)} tokens "
               f"({len(campaign._i2s.site_pairs)} compare sites)")
-    print(f"digest: {campaign_digest(campaign, result)}")
+    print(f"digest: {campaign.state_digest()}")
     return 0
 
 

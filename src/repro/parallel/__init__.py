@@ -26,11 +26,11 @@ from repro.parallel.orchestrator import (
     ParallelConfig,
     ParallelResult,
     ProcessTransport,
+    barrier_progress,
 )
 from repro.parallel.reporter import MERGED_PLOT_HEADER, ParallelReporter
 from repro.parallel.sync import RoundReport, SyncCandidate, SyncHub, SyncStats
 from repro.parallel.worker import (
-    WORKER_MECHANISMS,
     WorkerConfig,
     WorkerFinal,
     WorkerRuntime,
@@ -40,9 +40,9 @@ from repro.parallel.worker import (
 
 __all__ = [
     "InlineTransport", "ParallelCampaign", "ParallelConfig",
-    "ParallelResult", "ProcessTransport",
+    "ParallelResult", "ProcessTransport", "barrier_progress",
     "MERGED_PLOT_HEADER", "ParallelReporter",
     "RoundReport", "SyncCandidate", "SyncHub", "SyncStats",
-    "WORKER_MECHANISMS", "WorkerConfig", "WorkerFinal", "WorkerRuntime",
+    "WorkerConfig", "WorkerFinal", "WorkerRuntime",
     "derive_worker_seed", "worker_process_main",
 ]

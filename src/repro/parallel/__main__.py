@@ -21,8 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.execution import MECHANISMS
 from repro.parallel.orchestrator import ParallelCampaign, ParallelConfig
-from repro.parallel.worker import WORKER_MECHANISMS
 from repro.targets import target_names
 
 MS = 1_000_000  # virtual ns per virtual ms
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of shards (default: 4)")
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default: 0)")
-    parser.add_argument("--mechanism", choices=WORKER_MECHANISMS,
+    parser.add_argument("--mechanism", choices=MECHANISMS,
                         default="closurex",
                         help="execution mechanism (default: closurex)")
     parser.add_argument("--budget-ms", type=int, default=20,

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
+from repro.execution import MECHANISMS
 from repro.fuzzing import CampaignResult, CheckpointError
 from repro.fuzzing.checkpoint import CHECKPOINT_VERSION, load_state, save_state
 from repro.fuzzing.coverage import VirginMap
@@ -45,7 +46,6 @@ from repro.fuzzing.triage import CrashTriage
 from repro.parallel.reporter import ParallelReporter
 from repro.parallel.sync import RoundReport, SyncHub, SyncStats
 from repro.parallel.worker import (
-    WORKER_MECHANISMS,
     WorkerConfig,
     WorkerFinal,
     WorkerRuntime,
@@ -96,7 +96,7 @@ class ParallelConfig:
             raise ValueError("n_workers must be >= 1")
         if self.sync_every_ns < 1:
             raise ValueError("sync_every_ns must be >= 1")
-        if self.mechanism not in WORKER_MECHANISMS:
+        if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
 
     @property
@@ -175,6 +175,44 @@ class ParallelResult:
                 f"{result.unique_crashes}:{result.elapsed_ns}".encode()
             )
         return h.hexdigest()
+
+    def merged(self) -> CampaignResult:
+        """The fleet as one campaign's result: merged coverage, corpus
+        and crash/hang dedup, summed execs and ladder counters, and the
+        longest shard's elapsed time."""
+        workers = self.workers
+        return CampaignResult(
+            mechanism=self.mechanism,
+            execs=self.total_execs,
+            budget_ns=self.budget_ns,
+            elapsed_ns=max(r.elapsed_ns for r in workers),
+            corpus_size=len(self.corpus_hashes),
+            edges_found=self.merged_edges,
+            unique_crashes=self.merged_unique_crashes,
+            total_crashes=sum(r.total_crashes for r in workers),
+            unique_hangs=self.merged_unique_hangs,
+            total_hangs=sum(r.total_hangs for r in workers),
+            recoveries=sum(r.recoveries for r in workers),
+            quarantined_inputs=sum(r.quarantined_inputs for r in workers),
+        )
+
+
+def barrier_progress(deadline_ns: int, reports: list[RoundReport],
+                     hub: SyncHub) -> dict:
+    """A fleet's progress at a sync barrier, shaped like
+    :meth:`~repro.fuzzing.CampaignSession.progress`.  Crash and hang
+    counts are per-shard sums (shards report no total hangs)."""
+    return {
+        "clock_ns": deadline_ns,
+        "t_ns": deadline_ns,
+        "execs": sum(r.execs for r in reports),
+        "edges": hub.virgin.edges_found(),
+        "corpus": len(hub.corpus_hashes()),
+        "unique_crashes": sum(r.unique_crashes for r in reports),
+        "total_crashes": sum(r.total_crashes for r in reports),
+        "unique_hangs": sum(r.unique_hangs for r in reports),
+        "total_hangs": 0,
+    }
 
 
 # ----------------------------------------------------------------------

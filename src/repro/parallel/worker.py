@@ -26,26 +26,14 @@ import os
 import pickle
 from dataclasses import dataclass, field
 
-from repro.chaos.plan import FaultInjector, FaultPlan
-from repro.execution import (
-    ClosureXExecutor,
-    Executor,
-    ForkServerExecutor,
-    FreshProcessExecutor,
-    NaivePersistentExecutor,
-    SupervisedExecutor,
-)
-from repro.fuzzing import Campaign, CampaignConfig, CampaignResult
+from repro.execution import Executor, build_executor
+from repro.fuzzing import CampaignConfig, CampaignResult, CampaignSession
 from repro.fuzzing.checkpoint import capture_state
 from repro.fuzzing.corpus import input_hash
 from repro.parallel.sync import RoundReport, SyncCandidate
 from repro.sim_os import Kernel
 from repro.targets import get_target
 from repro.telemetry import TelemetryConfig
-
-#: Mechanisms a worker knows how to build (same spellings as the
-#: experiment runner).
-WORKER_MECHANISMS = ("closurex", "forkserver", "persistent", "fresh")
 
 
 def derive_worker_seed(seed: int, shard_id: int) -> int:
@@ -121,51 +109,16 @@ class WorkerConfig:
 
 
 def build_worker_executor(config: WorkerConfig) -> Executor:
-    """Construct this shard's executor ladder from its config."""
-    spec = get_target(config.target)
-    kernel = Kernel()
-    sentinel = None
-    if config.sentinel_digest_every or config.sentinel_shadow_every:
-        from repro.integrity import EscalationPolicy, IntegritySentinel
-        sentinel = IntegritySentinel(EscalationPolicy(
-            digest_every=config.sentinel_digest_every,
-            shadow_every=config.sentinel_shadow_every,
-        ))
-    if config.mechanism == "closurex":
-        inner: Executor = ClosureXExecutor(
-            spec.build_closurex(), spec.image_bytes, kernel,
-            sentinel=sentinel,
-        )
-    elif config.mechanism == "forkserver":
-        inner = ForkServerExecutor(
-            spec.build_baseline(), spec.image_bytes, kernel
-        )
-    elif config.mechanism == "persistent":
-        inner = NaivePersistentExecutor(
-            spec.build_persistent(), spec.image_bytes, kernel
-        )
-    elif config.mechanism == "fresh":
-        inner = FreshProcessExecutor(
-            spec.build_baseline(), spec.image_bytes, kernel
-        )
-    else:
-        raise ValueError(f"unknown mechanism {config.mechanism!r}")
-    if not config.supervised:
-        return inner
-    injector = None
-    if config.chaos_faults:
-        injector = FaultInjector(
-            FaultPlan.generate(config.worker_seed, config.chaos_faults),
-            clock=kernel.clock,
-        )
-    fallback = None
-    if config.mechanism == "closurex":
-        def fallback() -> Executor:
-            return ForkServerExecutor(
-                spec.build_baseline(), spec.image_bytes, kernel
-            )
-    return SupervisedExecutor(inner, injector=injector,
-                              fallback_factory=fallback)
+    """This shard's executor ladder: the shared builder with the fault
+    plan seeded per shard and a forkserver fallback for ClosureX."""
+    return build_executor(
+        config.target, config.mechanism, Kernel(),
+        supervised=config.supervised,
+        chaos_seed=config.worker_seed, chaos_faults=config.chaos_faults,
+        sentinel_digest_every=config.sentinel_digest_every,
+        sentinel_shadow_every=config.sentinel_shadow_every,
+        forkserver_fallback=True,
+    )
 
 
 @dataclass
@@ -184,23 +137,19 @@ class WorkerRuntime:
 
     def __init__(self, config: WorkerConfig, state: bytes | None = None):
         self.config = config
-        self.executor = build_worker_executor(config)
         campaign_config = config.campaign_config()
         self.store = None
         if config.corpus_store_root is not None:
             from repro.store import CorpusStore
             self.store = CorpusStore(config.corpus_store_root)
             campaign_config.corpus_store = self.store
-        if state is not None:
-            # *state* is a pickled barrier snapshot (RoundReport.state).
-            self.campaign = Campaign.from_state(
-                pickle.loads(state), self.executor, campaign_config
-            )
-        else:
-            spec = get_target(config.target)
-            self.campaign = Campaign(
-                self.executor, spec.seeds, campaign_config
-            )
+        # *state* is a pickled barrier snapshot (RoundReport.state).
+        self.session = CampaignSession(
+            build_worker_executor(config), get_target(config.target).seeds,
+            campaign_config,
+            state=pickle.loads(state) if state is not None else None,
+        )
+        self.campaign = self.session.campaign
         # Hashes this shard already holds or has already offered; used
         # to drop duplicate imports and to avoid re-exporting entries
         # the hub is guaranteed to know.
@@ -208,7 +157,7 @@ class WorkerRuntime:
 
     def start(self) -> RoundReport:
         """Boot + seed (or restore), and report the barrier-0 state."""
-        self.campaign.start()
+        self.session.start()
         # The common seed corpus is known fleet-wide: exclude it from
         # the export stream (restore replays this bookkeeping too,
         # because export cursors travel inside the corpus state).
@@ -232,7 +181,7 @@ class WorkerRuntime:
         # Imports joined the queue via corpus.add and would re-export;
         # flush the cursor past them (the hub already knows them).
         self.campaign.corpus.export_new()
-        self.campaign.step_until(deadline_ns)
+        self.session.advance(deadline_ns)
         discoveries = []
         for entry in self.campaign.corpus.export_new():
             key = input_hash(entry.data)
@@ -250,7 +199,7 @@ class WorkerRuntime:
 
     def finish(self) -> WorkerFinal:
         """Tear down and hand the merged-result ingredients upward."""
-        result = self.campaign.finish_run()
+        result = self.session.finish()
         return WorkerFinal(
             shard_id=self.config.shard_id,
             result=result,
@@ -319,12 +268,10 @@ def worker_process_main(conn, config: WorkerConfig) -> None:
                     # Burn real progress first so the crash loses work:
                     # the replacement must not be able to cheat by
                     # replaying a half-synced state.
-                    midpoint = (
-                        runtime.campaign.clock.now_ns
-                        + max(1, (deadline_ns
-                                  - runtime.campaign.clock.now_ns) // 2)
+                    now_ns = runtime.session.now_ns
+                    runtime.session.advance(
+                        now_ns + max(1, (deadline_ns - now_ns) // 2)
                     )
-                    runtime.campaign.step_until(midpoint)
                     conn.close()
                     os._exit(17)
                 conn.send((

@@ -29,12 +29,11 @@ from __future__ import annotations
 import json
 import os
 
-from repro.fuzzing.checkpoint import save_state
 from repro.store import AppendLog, atomic_write
 from repro.store.log import canonical_line
 
 __all__ = [
-    "JobJournal", "ServiceState", "canonical_line", "checkpoint_job_state",
+    "JobJournal", "ServiceState", "canonical_line", "poll_checkpoint_tear",
 ]
 
 
@@ -122,15 +121,13 @@ class ServiceState:
         return open_jobs, terminal
 
 
-def checkpoint_job_state(state: dict, path: str, keep: int,
-                         faults=None) -> None:
-    """Persist one job checkpoint, honouring the chaos plane's
-    ``ckpt-torn`` site: when armed, the freshly written generation is
-    torn mid-file (the simulated power cut lands *after* rotation, so
-    the previous generation survives exactly as the RPRCKPT1 rotation
-    stack promises) and the loader's CRC + fallback machinery is what
-    keeps the job recoverable."""
-    save_state(state, path, keep=keep)
+def poll_checkpoint_tear(path: str, faults=None) -> None:
+    """The chaos plane's ``ckpt-torn`` site, polled after each slice-
+    cadence job checkpoint: when armed, the freshly written generation
+    is torn mid-file (the simulated power cut lands *after* rotation,
+    so the previous generation survives exactly as the RPRCKPT1
+    rotation stack promises) and the loader's CRC + fallback machinery
+    is what keeps the job recoverable."""
     if faults is not None and faults.poll("ckpt-torn"):
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:

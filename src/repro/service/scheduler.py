@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.parallel.worker import WORKER_MECHANISMS
+from repro.execution import MECHANISMS
 from repro.targets import target_names
 
 
@@ -75,7 +75,7 @@ class JobSpec:
             raise ValueError("tenant must be a non-empty string")
         if spec.target not in target_names():
             raise ValueError(f"unknown target {spec.target!r}")
-        if spec.mechanism not in WORKER_MECHANISMS:
+        if spec.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {spec.mechanism!r}")
         if spec.budget_ns < 1:
             raise ValueError("budget_ns must be >= 1")

@@ -1,10 +1,11 @@
 """The campaign worker pool: cooperative slicing plus the failure ladder.
 
 Each worker is an asyncio task that pulls accepted jobs off the
-dispatch queue and drives them through the stepwise Campaign surface:
-``step_until`` one *slice* of virtual time, yield the event loop (so
-submits, status polls, and watch streams stay live), checkpoint on the
-slice cadence, repeat to the budget deadline.  Multi-worker jobs ride
+dispatch queue and drives them through a
+:class:`~repro.fuzzing.CampaignSession`: advance one *slice* of
+virtual time, yield the event loop (so submits, status polls, and
+watch streams stay live), checkpoint on the slice cadence, repeat to
+the budget deadline.  Multi-worker jobs ride
 :class:`~repro.parallel.ParallelCampaign` in a thread-pool executor —
 the orchestrator owns its own round loop — with the same
 checkpoint/resume story at sync barriers.
@@ -37,19 +38,12 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.chaos.plan import FaultInjector, FaultPlan
-from repro.execution import SupervisedExecutor
-from repro.experiments.campaign_runner import build_executor
-from repro.fuzzing import Campaign, CampaignConfig
-from repro.fuzzing.checkpoint import (
-    CheckpointError,
-    capture_state,
-    load_checkpoint,
-)
-from repro.parallel import ParallelCampaign, ParallelConfig
+from repro.execution import build_executor
+from repro.fuzzing import CampaignConfig, CampaignSession, CheckpointError
+from repro.parallel import ParallelCampaign, ParallelConfig, barrier_progress
 from repro.sim_os import Kernel
-from repro.service.recovery import checkpoint_job_state
-from repro.service.scheduler import JobRecord, JobSpec, JobState
+from repro.service.recovery import poll_checkpoint_tear
+from repro.service.scheduler import JobRecord, JobState
 from repro.targets import get_target
 
 
@@ -68,25 +62,6 @@ class WorkerRespawnRequest(Exception):
     def __init__(self, job: JobRecord):
         super().__init__(f"respawn requested while running {job.job_id}")
         self.job = job
-
-
-def build_job_executor(spec: JobSpec):
-    """One job's executor ladder: mechanism core, optional per-job
-    campaign-level chaos plan, optional supervision wrapper.  The
-    injector is rebuilt from the spec on every (re)construction and its
-    counters live inside the supervised snapshot, so checkpoint resume
-    restores the fault schedule mid-plan."""
-    kernel = Kernel()
-    executor = build_executor(spec.target, spec.mechanism, kernel)
-    if spec.supervised:
-        injector = None
-        if spec.chaos_faults:
-            injector = FaultInjector(
-                FaultPlan.generate(spec.seed, spec.chaos_faults),
-                clock=kernel.clock,
-            )
-        executor = SupervisedExecutor(executor, injector=injector)
-    return executor
 
 
 class WorkerPool:
@@ -218,95 +193,63 @@ class WorkerPool:
         else:
             await self._attempt_campaign(job)
 
-    def _open_campaign(self, job: JobRecord) -> Campaign:
-        """Fresh-or-resumed campaign for one attempt.  Resume prefers
-        the newest loadable checkpoint generation; when none survives
-        (all generations torn/corrupt) the campaign restarts from
-        scratch, which is digest-equivalent by determinism."""
-        spec = job.spec
-        service = self.service
-        path = service.state.checkpoint_path(job.job_id)
-        config = CampaignConfig(
-            budget_ns=spec.budget_ns,
-            seed=spec.seed,
-            checkpoint_path=path,
-            # The service checkpoints explicitly on the slice cadence;
-            # park the campaign's own periodic cadence past the budget.
-            checkpoint_interval_ns=spec.budget_ns * 4,
-            checkpoint_keep=service.config.policy.checkpoint_keep,
-        )
-        executor = build_job_executor(spec)
-        try:
-            state = load_checkpoint(path)
-            campaign = Campaign.from_state(state, executor, config)
-            job.resumed_from_checkpoint = True
-        except CheckpointError:
-            campaign = Campaign(
-                executor, get_target(spec.target).seeds, config
-            )
-        campaign.start()
-        return campaign
-
     async def _attempt_campaign(self, job: JobRecord) -> None:
-        service = self.service
+        service, spec = self.service, job.spec
         policy = service.config.policy
-        campaign = self._open_campaign(job)
-        deadline_ns = campaign.run_start_ns + job.spec.budget_ns
+        # The fault plan is rebuilt from the spec on every attempt; its
+        # counters live inside the supervised snapshot, so a resume
+        # restores the schedule mid-plan.
+        session = CampaignSession(
+            build_executor(
+                spec.target, spec.mechanism, Kernel(),
+                supervised=spec.supervised,
+                chaos_seed=spec.seed, chaos_faults=spec.chaos_faults,
+            ),
+            get_target(spec.target).seeds,
+            CampaignConfig(budget_ns=spec.budget_ns, seed=spec.seed,
+                           checkpoint_keep=policy.checkpoint_keep),
+            checkpoint_path=service.state.checkpoint_path(job.job_id),
+        )
+        job.resumed_from_checkpoint |= session.resumed
+        session.start()
         slices = 0
-        while campaign.clock.now_ns < deadline_ns:
+        while session.now_ns < session.deadline_ns:
             self._poll_wedge()
-            pause_ns = min(
-                campaign.clock.now_ns + policy.slice_ns, deadline_ns
-            )
-            before_ns = campaign.clock.now_ns
             started = time.monotonic()
-            campaign.step_until(pause_ns)
+            moved = session.advance(session.now_ns + policy.slice_ns)
             if time.monotonic() - started > policy.watchdog_s:
                 raise StepFailure(
                     "watchdog",
                     f"slice exceeded {policy.watchdog_s}s wall-clock",
                 )
-            if campaign.clock.now_ns <= before_ns:
+            if not moved:
                 break   # empty corpus / no progress possible: wrap up
             slices += 1
-            self._observe_campaign(job, campaign)
+            progress = session.progress()
+            service.ledger.charge(spec.tenant, job.job_id, progress["t_ns"])
+            self._poll_overrun(job)
+            self._observe(job, progress)
             if slices % policy.checkpoint_every_slices == 0:
-                checkpoint_job_state(
-                    capture_state(campaign),
-                    service.state.checkpoint_path(job.job_id),
-                    keep=policy.checkpoint_keep,
-                    faults=service.faults,
-                )
+                poll_checkpoint_tear(session.checkpoint(), service.faults)
             # The cooperative yield: everything else the server does
             # (submits, status, watch streams) happens here.
             await asyncio.sleep(0)
-        result = campaign.finish_run()
-        await service.complete_job(job, campaign.state_digest(), result)
+        result = session.finish()
+        await service.complete_job(job, session.campaign.state_digest(), result)
 
-    def _observe_campaign(self, job: JobRecord, campaign: Campaign) -> None:
-        """Per-slice bookkeeping: job mirrors, quota charge, sample."""
-        service = self.service
-        consumed_ns = campaign.clock.now_ns - campaign.run_start_ns
-        job.clock_ns = campaign.clock.now_ns
-        job.execs = campaign.execs
-        job.edges = campaign.virgin.edges_found()
-        job.corpus = len(campaign.corpus)
-        job.unique_crashes = campaign.triage.unique_count
-        job.unique_hangs = campaign.triage.unique_hang_count
-        service.ledger.charge(job.spec.tenant, job.job_id, consumed_ns)
-        self._poll_overrun(job)
-        job.add_sample({
-            "clock_ns": campaign.clock.now_ns,
-            "t_ns": consumed_ns,
-            "execs": job.execs,
-            "edges": job.edges,
-            "corpus": job.corpus,
-            "unique_crashes": job.unique_crashes,
-            "unique_hangs": job.unique_hangs,
-            "execs_per_vsec": (
-                job.execs / (consumed_ns / 1e9) if consumed_ns else 0.0
-            ),
-        })
+    @staticmethod
+    def _observe(job: JobRecord, progress: dict) -> None:
+        """Mirror a campaign or barrier progress snapshot into the job
+        row (same field names) and stream it as a sample."""
+        sample = {key: progress[key] for key in (
+            "clock_ns", "t_ns", "execs", "edges", "corpus",
+            "unique_crashes", "unique_hangs",
+        )}
+        for key in sample.keys() - {"t_ns"}:
+            setattr(job, key, sample[key])
+        t_ns = sample["t_ns"]
+        sample["execs_per_vsec"] = job.execs / (t_ns / 1e9) if t_ns else 0.0
+        job.add_sample(sample)
 
     def _poll_overrun(self, job: JobRecord) -> None:
         """Chaos ``clock-overrun``: the service observes the job
@@ -357,23 +300,7 @@ class WorkerPool:
 
         def on_barrier(round_index, deadline_ns, reports, hub):
             # Runs on the campaign thread: touch only this job's row.
-            job.clock_ns = deadline_ns
-            job.execs = sum(r.execs for r in reports)
-            job.edges = hub.virgin.edges_found()
-            job.corpus = len(hub.corpus_hashes())
-            job.unique_crashes = sum(r.unique_crashes for r in reports)
-            job.add_sample({
-                "clock_ns": deadline_ns,
-                "t_ns": deadline_ns,
-                "execs": job.execs,
-                "edges": job.edges,
-                "corpus": job.corpus,
-                "unique_crashes": job.unique_crashes,
-                "unique_hangs": 0,
-                "execs_per_vsec": (
-                    job.execs / (deadline_ns / 1e9) if deadline_ns else 0.0
-                ),
-            })
+            self._observe(job, barrier_progress(deadline_ns, reports, hub))
 
         campaign.on_barrier = on_barrier
         self._live_parallel[job.job_id] = campaign
@@ -391,4 +318,8 @@ class WorkerPool:
             job.spec.tenant, job.job_id, spec.budget_ns
         )
         self._poll_overrun(job)
+        # Barrier mirrors sum per-shard counts; journal the merged ones.
+        job.execs, job.edges = result.total_execs, result.merged_edges
+        job.unique_crashes = result.merged_unique_crashes
+        job.unique_hangs = result.merged_unique_hangs
         await service.complete_job(job, result.digest(), result)

@@ -255,15 +255,10 @@ class TestSchedulerAndDeterminism:
         # checkpoint), as if the platform was killed mid-trial...
         trial = spec.enumerate_trials()[0]
         measurer = Measurer(partial)
-        campaign, k = measurer.open_campaign(trial)
-        campaign.start()
-        pause = campaign.run_start_ns + k * trial.measure_every_ns
-        campaign.step_until(pause)
-        partial.append(
-            trial.trial_id,
-            measurer.sample_campaign(trial, k, campaign),
-        )
-        campaign.checkpoint()
+        session, k = measurer.open_session(trial)
+        session.advance(session.start_ns + k * trial.measure_every_ns)
+        partial.append(trial.trial_id, measurer.sample(trial, k, session))
+        session.checkpoint()
         assert partial.read(trial.trial_id)  # half-finished on disk
         # ...then let the scheduler resume and finish everything.
         TrialScheduler(spec, partial).run()

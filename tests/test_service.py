@@ -23,8 +23,10 @@ from repro.chaos.plan import FaultPlan, FaultSite, FaultSpec
 from repro.execution import SupervisedExecutor
 from repro.experiments.campaign_runner import build_executor
 from repro.fuzzing import Campaign, CampaignConfig
+from repro.parallel import ParallelCampaign, ParallelConfig
 from repro.service import (
     FuzzService,
+    JobRecord,
     JobScheduler,
     JobSpec,
     QuotaExceeded,
@@ -475,6 +477,69 @@ def test_clock_overrun_bills_service_side_only(tmp_path):
     # budget by a partial queue cycle) + the billed overrun slice.
     assert tenants[0]["consumed_ns"] >= 8_000_000 + 1_000_000
     assert final["digest"] == direct_digest("md4c", 5, 8_000_000)
+
+
+# -- multi-worker jobs ---------------------------------------------------
+
+def test_multi_worker_barrier_samples_count_hangs(tmp_path, monkeypatch):
+    """Barrier samples sum the shards' hangs like every other counter."""
+    from repro.parallel import RoundReport, SyncHub
+    from repro.service import worker_pool
+
+    reports = [
+        RoundReport(
+            shard_id=shard, round_index=0, clock_ns=1_000_000, execs=10,
+            edges_found=3, corpus_size=1, unique_crashes=1,
+            total_crashes=1, unique_hangs=shard + 2, imported=0,
+        )
+        for shard in range(2)
+    ]
+
+    def one_barrier_then_stop(campaign):
+        campaign.on_barrier(1, 1_000_000, reports, SyncHub(2))
+        return None   # cooperative stop: the job stays open
+
+    monkeypatch.setattr(
+        worker_pool.ParallelCampaign, "run", one_barrier_then_stop
+    )
+    service = FuzzService(ServiceConfig(state_dir=str(tmp_path)))
+    job = JobRecord("job-0001", JobSpec(
+        tenant="t", target="md4c", budget_ns=1_000_000, n_workers=2,
+    ))
+    asyncio.run(service.pool._attempt_parallel(job))
+    assert job.unique_hangs == 5
+    assert job.samples[-1]["unique_hangs"] == 5
+
+
+def test_multi_worker_job_journals_merged_counts(tmp_path):
+    """A finished 2-worker job journals the fleet's merged counts — a
+    crash two shards found counts once — not the last barrier's
+    per-shard sums."""
+    params = {"tenant": "t", "target": "md4c", "budget_ns": 4_000_000,
+              "seed": 3, "n_workers": 2, "sync_every_ns": 2_000_000}
+
+    async def main():
+        service, task = await start_service(tmp_path)
+        client = await ServiceClient.connect(*service.endpoint)
+        final = await submit_and_finish(client, params)
+        await client.close()
+        await stop_service(service, task)
+        return final
+
+    final = asyncio.run(main())
+    reference = ParallelCampaign(ParallelConfig(
+        target="md4c", n_workers=2, seed=3, budget_ns=4_000_000,
+        sync_every_ns=2_000_000,
+    )).run()
+    journal = JobJournal(os.path.join(str(tmp_path), "journal.jsonl"))
+    (completed,) = [r for r in journal.read() if r["kind"] == "completed"]
+    assert completed["digest"] == final["digest"] == reference.digest()
+    assert (completed["execs"], completed["edges"],
+            completed["unique_crashes"]) == (
+        reference.total_execs, reference.merged_edges,
+        reference.merged_unique_crashes,
+    )
+    assert final["unique_hangs"] == reference.merged_unique_hangs
 
 
 # -- crash recovery ------------------------------------------------------

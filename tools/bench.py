@@ -31,12 +31,11 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.experiments.campaign_runner import build_executor  # noqa: E402
+from repro.execution import MECHANISMS, build_executor  # noqa: E402
 from repro.sim_os import Kernel  # noqa: E402
 from repro.targets import get_target, target_names  # noqa: E402
 
 DEFAULT_TARGETS = ("md4c", "giftext", "zlib")
-DEFAULT_MECHANISMS = ("closurex", "forkserver", "persistent", "fresh")
 
 
 def measure_cell(target: str, mechanism: str, execs: int,
@@ -142,9 +141,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated targets "
                              f"(default: {','.join(DEFAULT_TARGETS)})")
     parser.add_argument("--mechanisms",
-                        default=",".join(DEFAULT_MECHANISMS),
+                        default=",".join(MECHANISMS),
                         help="comma-separated mechanisms "
-                             f"(default: {','.join(DEFAULT_MECHANISMS)})")
+                             f"(default: {','.join(MECHANISMS)})")
     parser.add_argument("--execs", type=int, default=300,
                         help="executions timed per cell (default: 300)")
     parser.add_argument("--out", default=None,
