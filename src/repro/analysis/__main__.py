@@ -82,9 +82,11 @@ def lint_main() -> int:
 
 
 def _dynamic_instructions(module, seeds) -> int:
-    from repro.analysis.opt import observe
+    from repro.analysis.opt import REPLAY_BOOT_TIME
+    from repro.runtime.replay import replay
 
-    return sum(observe(module, seed).instructions for seed in seeds)
+    return sum(replay(module, seed, boot_time=REPLAY_BOOT_TIME).instructions
+               for seed in seeds)
 
 
 def optimize_target(spec) -> dict:

@@ -49,9 +49,8 @@ from repro.analysis.opt.transforms import (
     fold_icmp,
 )
 from repro.analysis.opt.validation import (
+    REPLAY_BOOT_TIME,
     ModuleCheckpoint,
-    ReplayObservation,
-    observe,
     replay_mismatches,
     structural_errors,
 )
@@ -65,6 +64,6 @@ __all__ = [
     "OptContext", "RedundantLoadElimination", "SimplifyCFG",
     "SimplifyInstructions", "Transform", "TransformResult",
     "fold_binop", "fold_cast", "fold_icmp",
-    "ModuleCheckpoint", "ReplayObservation", "observe",
-    "replay_mismatches", "structural_errors",
+    "REPLAY_BOOT_TIME", "ModuleCheckpoint", "replay_mismatches",
+    "structural_errors",
 ]

@@ -35,14 +35,15 @@ from repro.analysis.opt.transforms import (
     Transform,
 )
 from repro.analysis.opt.validation import (
+    REPLAY_BOOT_TIME,
+    TRACED_REPLAYS_PER_MISMATCH,
     ModuleCheckpoint,
-    ReplayObservation,
-    observe,
     replay_mismatches,
     structural_errors,
 )
 from repro.ir.module import Module
 from repro.ir.verifier import VerificationError, verify_module
+from repro.runtime.replay import Observation, replay
 from repro.telemetry import NULL_METRICS, NULL_TRACER
 
 #: Transform verdicts, in report order of interest.
@@ -164,9 +165,10 @@ class Optimizer:
             replays=0,
             validated_against=len(self.seeds) if self.validate else 0,
         )
-        baseline: list[ReplayObservation] = []
+        baseline: list[Observation] = []
         if self.validate and self.seeds:
-            baseline = [observe(module, seed) for seed in self.seeds]
+            baseline = [replay(module, seed, boot_time=REPLAY_BOOT_TIME)
+                        for seed in self.seeds]
             report.replays += len(self.seeds)
         for round_number in range(1, self.max_rounds + 1):
             report.rounds = round_number
@@ -200,7 +202,7 @@ class Optimizer:
     # ------------------------------------------------------------------
 
     def _run_one(self, transform: Transform, ctx: OptContext,
-                 baseline: list[ReplayObservation], round_number: int,
+                 baseline: list[Observation], round_number: int,
                  report: OptimizationReport) -> tuple[TransformOutcome,
                                                       OptContext]:
         module = self.module
@@ -226,7 +228,7 @@ class Optimizer:
             return (TransformOutcome(transform.name, round_number,
                                      UNVALIDATED, details=result.details),
                     ctx)
-        errors = self._validation_errors(baseline, report)
+        errors = self._validation_errors(baseline, report, checkpoint.text)
         if errors:
             checkpoint.restore()
             outcome = TransformOutcome(transform.name, round_number, REJECTED,
@@ -257,8 +259,9 @@ class Optimizer:
             error=outcome.errors[0] if outcome.errors else "",
         )
 
-    def _validation_errors(self, baseline: list[ReplayObservation],
-                           report: OptimizationReport) -> list[str]:
+    def _validation_errors(self, baseline: list[Observation],
+                           report: OptimizationReport,
+                           reference: str) -> list[str]:
         module = self.module
         try:
             verify_module(module, strict_ssa=True)
@@ -268,10 +271,12 @@ class Optimizer:
         if errors:
             return [f"structure: {e}" for e in errors]
         if baseline:
-            report.replays += len(self.seeds)
-            self.metrics.counter("analysis.opt.replays").inc(len(self.seeds))
             mismatches = replay_mismatches(baseline, module,
-                                           list(self.seeds))
+                                           list(self.seeds), reference)
+            replays = (len(self.seeds)
+                       + TRACED_REPLAYS_PER_MISMATCH * len(mismatches))
+            report.replays += replays
+            self.metrics.counter("analysis.opt.replays").inc(replays)
             if mismatches:
                 return [f"replay: {m}" for m in mismatches]
         return []

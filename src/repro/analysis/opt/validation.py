@@ -11,11 +11,12 @@ Three machine checks gate every transform (no silent miscompiles):
    uses, stale phi arms) that the verifier's value-level checks can
    miss.
 3. **Differential replay** — the optimized module is re-executed on
-   the seed corpus in a throwaway VM (the
-   :mod:`repro.integrity.shadow` fresh-process discipline) and every
-   observation must be bit-identical to the unoptimized baseline:
-   status, return code, crash identity, coverage map, program output,
-   and the final virtual filesystem.
+   the seed corpus in a throwaway fresh process
+   (:func:`repro.runtime.replay.replay`) and every observation must be
+   bit-identical to the unoptimized baseline: status, return code,
+   crash identity, coverage map, program output, and the files the run
+   wrote.  On a mismatch, traced replays of the module before and
+   after the transform name the first divergent edge.
 
 A transform failing any check is rolled back from a
 :class:`ModuleCheckpoint` and reported as rejected.
@@ -23,12 +24,11 @@ A transform failing any check is rolled back from a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ir.instructions import Instruction, Phi
 from repro.ir.module import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
+from repro.runtime.replay import Observation, first_divergence, replay
 
 #: Pinned ``vm.boot_time`` for replays: ``time()`` is the VM's one
 #: source of cross-process non-determinism (each VM normally observes a
@@ -36,144 +36,51 @@ from repro.ir.printer import print_module
 #: sides of the diff to see the same clock.
 REPLAY_BOOT_TIME = 1_700_000_000
 
-#: Per-replay instruction budget (matches the harness default).
-REPLAY_INSTRUCTION_LIMIT = 2_000_000
 
-
-@dataclass(frozen=True)
-class ReplayObservation:
-    """Everything externally observable about one replay of one input.
-
-    ``instructions`` is carried for reporting but deliberately excluded
-    from :meth:`matches` — changing the dynamic instruction count is
-    the optimizer's entire point.
-    """
-
-    status: str
-    return_code: int | None
-    crash: tuple[str, str, str] | None
-    coverage: bytes
-    output: tuple[str, ...]
-    files: tuple[tuple[str, bytes], ...]
-    instructions: int
-
-    def matches(self, other: "ReplayObservation") -> bool:
-        return (
-            self.status == other.status
-            and self.return_code == other.return_code
-            and self.crash == other.crash
-            and self.coverage == other.coverage
-            and self.output == other.output
-            and self.files == other.files
-        )
-
-    def describe_mismatch(self, other: "ReplayObservation") -> str:
-        """Human-readable first point of divergence against *other*."""
-        if self.status != other.status:
-            return f"status {self.status} != {other.status}"
-        if self.return_code != other.return_code:
-            return f"return code {self.return_code} != {other.return_code}"
-        if self.crash != other.crash:
-            return f"crash identity {self.crash} != {other.crash}"
-        if self.coverage != other.coverage:
-            return "coverage maps differ"
-        if self.output != other.output:
-            return "program output differs"
-        if self.files != other.files:
-            return "filesystem contents differ"
-        return "observations match"
-
-
-def _crash_identity(trap) -> tuple[str, str, str] | None:
-    if trap is None:
-        return None
-    kind, function, block = trap.identity()
-    return (getattr(kind, "name", str(kind)), function, block)
-
-
-def observe(module: Module, data: bytes,
-            instruction_limit: int = REPLAY_INSTRUCTION_LIMIT
-            ) -> ReplayObservation:
-    """Replay *data* against *module* in a throwaway VM.
-
-    ClosureX-instrumented modules (``target_main`` present) run one
-    harness iteration without restoration; anything else runs ``main``
-    directly, file-input style.  Deterministic by construction: fresh
-    filesystem, pinned boot time, default PRNG state.
-    """
-    from repro.passes.rename_main import TARGET_MAIN
-
-    if module.has_function(TARGET_MAIN):
-        return _observe_harness(module, data, instruction_limit)
-    return _observe_plain(module, data, instruction_limit)
-
-
-def _observe_harness(module: Module, data: bytes,
-                     instruction_limit: int) -> ReplayObservation:
-    from repro.runtime.harness import ClosureXHarness, HarnessConfig
-    from repro.vm.filesystem import VirtualFS
-
-    fs = VirtualFS()
-    harness = ClosureXHarness(
-        module, fs=fs,
-        config=HarnessConfig(instruction_limit=instruction_limit),
-    )
-    vm = harness.boot(charge_load=False)
-    vm.boot_time = REPLAY_BOOT_TIME
-    iteration = harness.run_test_case(data, restore=False)
-    return ReplayObservation(
-        status=iteration.status.name,
-        return_code=iteration.return_code,
-        crash=_crash_identity(iteration.trap),
-        coverage=bytes(vm.coverage_map),
-        output=tuple(vm.output),
-        files=tuple(sorted(fs.files.items())),
-        instructions=iteration.instructions,
-    )
-
-
-def _observe_plain(module: Module, data: bytes,
-                   instruction_limit: int) -> ReplayObservation:
-    from repro.execution.common import call_target
-    from repro.vm.filesystem import VirtualFS
-    from repro.vm.interpreter import VM
-
-    input_path = "/fuzz/input"
-    fs = VirtualFS()
-    fs.write_file(input_path, data)
-    vm = VM(module, fs=fs)
-    vm.load()
-    vm.boot_time = REPLAY_BOOT_TIME
-    vm.instruction_limit = vm.instructions_executed + instruction_limit
-    argc, argv = vm.setup_argv([module.name, input_path])
-    status, return_code, trap = call_target(
-        vm, module.get_function("main"), [argc, argv]
-    )
-    return ReplayObservation(
-        status=status.name,
-        return_code=return_code,
-        crash=_crash_identity(trap),
-        coverage=bytes(vm.coverage_map),
-        output=tuple(vm.output),
-        files=tuple(sorted(fs.files.items())),
-        instructions=vm.instructions_executed,
-    )
-
-
-def replay_mismatches(baseline: list[ReplayObservation], module: Module,
-                      inputs: list[bytes], limit: int = 3) -> list[str]:
+def replay_mismatches(baseline: list[Observation], module: Module,
+                      inputs: list[bytes], reference: str,
+                      limit: int = 3) -> list[str]:
     """Replay *inputs* against *module* and diff each observation
     against the corresponding *baseline* entry; returns up to *limit*
-    mismatch descriptions (empty list = bit-identical)."""
+    mismatch descriptions (empty list = bit-identical).
+
+    *reference* is the printed text of the module the baseline
+    describes.  Each description also names the first edge at which
+    traced replays of the two modules part ways.  Those are
+    :data:`TRACED_REPLAYS_PER_MISMATCH` more replays per mismatch, and
+    every replay boots a VM, so a rejection advances the boot sequence
+    that later VMs' ``time()`` reads.
+    """
     errors: list[str] = []
-    for i, (data, reference) in enumerate(zip(inputs, baseline)):
-        got = observe(module, data)
-        if not reference.matches(got):
-            errors.append(f"replay of input {i}: "
-                          f"{reference.describe_mismatch(got)}")
-            if len(errors) >= limit:
-                break
+    before: Module | None = None
+    for i, (data, expected) in enumerate(zip(inputs, baseline)):
+        got = replay(module, data, boot_time=REPLAY_BOOT_TIME)
+        mismatch = expected.describe_mismatch(got)
+        if mismatch is None:
+            continue
+        if before is None:
+            before = parse_module(reference)
+        errors.append(f"replay of input {i}: {mismatch}"
+                      f"{_divergent_edge(before, module, data)}")
+        if len(errors) >= limit:
+            break
     return errors
+
+
+#: Traced replays :func:`replay_mismatches` adds per mismatch: the
+#: module before and after the transform.
+TRACED_REPLAYS_PER_MISMATCH = 2
+
+
+def _divergent_edge(before: Module, after: Module, data: bytes) -> str:
+    traces = [replay(m, data, boot_time=REPLAY_BOOT_TIME, trace=True).edge_trace
+              for m in (before, after)]
+    index = first_divergence(*traces)
+    if index is None:
+        return ""
+    edges = [f"@{trace[index][0]} map index {trace[index][1]}"
+             if index < len(trace) else "end of trace" for trace in traces]
+    return f"; first divergent edge #{index}: {edges[0]} != {edges[1]}"
 
 
 # ---------------------------------------------------------------------------

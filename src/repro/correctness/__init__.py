@@ -1,17 +1,18 @@
-"""Correctness validation: the paper's §6.1.4 machinery."""
+"""Correctness validation: the paper's §6.1.4 machinery.
+
+The dataflow and control-flow checks mask natural non-determinism and
+compare the snapshots and edge traces of fresh and polluted replays
+(:func:`repro.runtime.replay.replay`).
+"""
 
 from repro.correctness.controlflow import (
     ControlFlowReport,
     check_controlflow_equivalence,
-    fresh_trace,
-    polluted_trace,
 )
 from repro.correctness.dataflow import (
     DataflowReport,
     check_dataflow_equivalence,
     check_restoration_resets_state,
-    fresh_snapshot,
-    polluted_snapshot,
 )
 from repro.correctness.memcheck import (
     LIFECYCLE_KINDS,
@@ -21,8 +22,7 @@ from repro.correctness.memcheck import (
 
 __all__ = [
     "ControlFlowReport", "check_controlflow_equivalence",
-    "fresh_trace", "polluted_trace",
     "DataflowReport", "check_dataflow_equivalence",
-    "check_restoration_resets_state", "fresh_snapshot", "polluted_snapshot",
+    "check_restoration_resets_state",
     "LIFECYCLE_KINDS", "MemcheckReport", "run_memcheck",
 ]

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.module import Module
-from repro.runtime.harness import ClosureXHarness, HarnessConfig
-
-EdgeTrace = tuple[tuple[str, int], ...]
+from repro.runtime.harness import HarnessConfig
+from repro.runtime.replay import first_divergence, replay
 
 
 @dataclass
@@ -40,46 +39,6 @@ class ControlFlowReport:
         )
 
 
-def _traced_run(harness: ClosureXHarness, data: bytes, restore: bool) -> EdgeTrace:
-    assert harness.vm is not None
-    vm = harness.vm
-    vm.trace_edges = True
-    vm.edge_trace = []
-    try:
-        harness.run_test_case(data, restore=restore)
-    finally:
-        vm.trace_edges = False
-    return tuple(vm.edge_trace)
-
-
-def fresh_trace(module: Module, data: bytes,
-                config: HarnessConfig | None = None) -> EdgeTrace:
-    """Path-sensitive edge trace of *data* in a brand-new process."""
-    harness = ClosureXHarness(module, config=config)
-    harness.boot()
-    return _traced_run(harness, data, restore=False)
-
-
-def polluted_trace(
-    module: Module,
-    data: bytes,
-    pollution: list[bytes],
-    config: HarnessConfig | None = None,
-) -> EdgeTrace:
-    """Edge trace of *data* under ClosureX after polluting iterations.
-
-    Crashing pollution inputs kill the process; the harness is rebooted
-    (the fuzzer's restart) and pollution continues."""
-    harness = ClosureXHarness(module, config=config)
-    harness.boot()
-    for other in pollution:
-        result = harness.run_test_case(other, restore=True)
-        if not result.status.survivable:
-            harness = ClosureXHarness(module, config=config)
-            harness.boot()
-    return _traced_run(harness, data, restore=False)
-
-
 def check_controlflow_equivalence(
     module: Module,
     data: bytes,
@@ -88,7 +47,8 @@ def check_controlflow_equivalence(
     config: HarnessConfig | None = None,
 ) -> ControlFlowReport:
     """Full §6.1.4 control-flow check for one input."""
-    traces = [fresh_trace(module, data, config) for _ in range(nondet_runs)]
+    traces = [replay(module, data, config=config, trace=True).edge_trace
+              for _ in range(nondet_runs)]
     reference = traces[0]
     if any(t != reference for t in traces[1:]):
         return ControlFlowReport(
@@ -97,33 +57,20 @@ def check_controlflow_equivalence(
             fresh_edges=len(reference),
             polluted_edges=0,
         )
-    observed = polluted_trace(module, data, pollution, config)
-    if observed == reference:
-        return ControlFlowReport(
-            equivalent=True,
-            nondeterministic=False,
-            fresh_edges=len(reference),
-            polluted_edges=len(observed),
-        )
+    observed = replay(module, data, config=config, pollution=pollution,
+                      trace=True).edge_trace
     # Adaptive refinement: before declaring divergence, gather more
     # fresh traces — a rarely-taken non-deterministic path (PRNG cache
     # hit) may not have shown in the initial sample.
-    for _ in range(2 * nondet_runs + 4):
-        if fresh_trace(module, data, config) != reference:
-            return ControlFlowReport(
-                equivalent=False,
-                nondeterministic=True,
-                fresh_edges=len(reference),
-                polluted_edges=len(observed),
-            )
-    divergence = next(
-        (i for i, (a, b) in enumerate(zip(reference, observed)) if a != b),
-        min(len(reference), len(observed)),
+    nondeterministic = observed != reference and any(
+        replay(module, data, config=config, trace=True).edge_trace != reference
+        for _ in range(2 * nondet_runs + 4)
     )
     return ControlFlowReport(
-        equivalent=False,
-        nondeterministic=False,
+        equivalent=observed == reference,
+        nondeterministic=nondeterministic,
         fresh_edges=len(reference),
         polluted_edges=len(observed),
-        first_divergence=divergence,
+        first_divergence=(None if nondeterministic
+                          else first_divergence(reference, observed)),
     )

@@ -15,9 +15,10 @@ Methodology, mirroring the paper:
 3. Compare the post-execution snapshots (writable globals, live heap
    chunk set, open handles) bytewise, modulo the mask.
 
-Both sides execute the *same* ClosureX-instrumented module — the fresh
-ground truth is simply a harness that runs one test case and stops,
-i.e. a fresh process of the instrumented binary.
+Both sides are replays (:func:`repro.runtime.replay.replay`) of the
+*same* ClosureX-instrumented module — the fresh ground truth is simply
+a harness that runs one test case and stops, i.e. a fresh process of
+the instrumented binary.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 
 from repro.ir.module import Module
 from repro.runtime.harness import ClosureXHarness, HarnessConfig, IterationStatus
+from repro.runtime.replay import replay
 from repro.vm.snapshot import (
     NondetMask,
-    ProgramSnapshot,
     SnapshotDelta,
     build_nondet_mask,
     diff_snapshots,
@@ -54,42 +55,6 @@ class DataflowReport:
         )
 
 
-def fresh_snapshot(
-    module: Module, data: bytes, config: HarnessConfig | None = None
-) -> tuple[ProgramSnapshot, IterationStatus]:
-    """Post-execution state of *data* in a brand-new process."""
-    harness = ClosureXHarness(module, config=config)
-    harness.boot()
-    result = harness.run_test_case(data, restore=False)
-    assert harness.vm is not None
-    return take_snapshot(harness.vm), result.status
-
-
-def polluted_snapshot(
-    module: Module,
-    data: bytes,
-    pollution: list[bytes],
-    config: HarnessConfig | None = None,
-) -> tuple[ProgramSnapshot, IterationStatus]:
-    """Post-execution state of *data* under ClosureX after running (and
-    restoring) every input in *pollution* first.
-
-    A crashing pollution input kills the persistent process (as it
-    would in reality); the fuzzer restarts it, so we reboot the harness
-    and continue polluting.
-    """
-    harness = ClosureXHarness(module, config=config)
-    harness.boot()
-    for other in pollution:
-        result = harness.run_test_case(other, restore=True)
-        if not result.status.survivable:
-            harness = ClosureXHarness(module, config=config)
-            harness.boot()
-    result = harness.run_test_case(data, restore=False)
-    assert harness.vm is not None
-    return take_snapshot(harness.vm), result.status
-
-
 def check_dataflow_equivalence(
     module: Module,
     data: bytes,
@@ -105,16 +70,18 @@ def check_dataflow_equivalence(
     non-deterministic, which converges with few fresh runs (the paper's
     byte mask required "multiple" runs to stabilise).
     """
-    fresh_runs = [fresh_snapshot(module, data, config) for _ in range(nondet_runs)]
-    snapshots = [snap for snap, _ in fresh_runs]
+    fresh = [replay(module, data, config=config, snapshot=True)
+             for _ in range(nondet_runs)]
+    snapshots = [run.snapshot for run in fresh]
     mask = build_nondet_mask(snapshots, granularity=mask_granularity)
     # The §6.1.4 comparison covers *target-visible* state.  libc's
     # internal PRNG seed is not target state (ClosureX deliberately does
     # not restore libc internals); its *effects* on target globals are
     # still compared, via the masked section diff.
     mask.ignore_rand = True
-    observed, polluted_status = polluted_snapshot(module, data, pollution, config)
-    delta = diff_snapshots(snapshots[0], observed, mask)
+    polluted = replay(module, data, config=config, pollution=pollution,
+                      snapshot=True)
+    delta = diff_snapshots(snapshots[0], polluted.snapshot, mask)
     if not delta.equivalent:
         # Adaptive refinement (the paper's "running fresh process
         # executions multiple times"): a small fresh sample can miss
@@ -122,18 +89,18 @@ def check_dataflow_equivalence(
         # cache slot that only sometimes collides).  Collect more fresh
         # runs; if the disputed bytes vary naturally, the widened mask
         # absorbs them — a genuine divergence survives any number.
-        for snap, _status in (
-            fresh_snapshot(module, data, config) for _ in range(2 * nondet_runs + 4)
-        ):
-            snapshots.append(snap)
+        snapshots += [
+            replay(module, data, config=config, snapshot=True).snapshot
+            for _ in range(2 * nondet_runs + 4)
+        ]
         mask = build_nondet_mask(snapshots, granularity=mask_granularity)
-        delta = diff_snapshots(snapshots[0], observed, mask)
+        delta = diff_snapshots(snapshots[0], polluted.snapshot, mask)
     return DataflowReport(
         equivalent=delta.equivalent,
         delta=delta,
         masked_bytes=mask.masked_byte_count,
-        fresh_status=fresh_runs[0][1],
-        polluted_status=polluted_status,
+        fresh_status=fresh[0].status,
+        polluted_status=polluted.status,
     )
 
 

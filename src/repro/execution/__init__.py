@@ -6,7 +6,6 @@ from repro.execution.common import (
     ExecResult,
     Executor,
     ExecutorStats,
-    call_target,
     classify_trap,
 )
 from repro.execution.forkserver import ForkServerExecutor
@@ -20,6 +19,7 @@ from repro.execution.supervised import (
     SupervisionStats,
 )
 from repro.execution.builder import MECHANISMS, build_executor
+from repro.runtime.harness import call_target
 
 __all__ = [
     "ClosureXExecutor",

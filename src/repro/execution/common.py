@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from repro.runtime.harness import IterationStatus
 from repro.sim_os.kernel import Kernel
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.vm.errors import (
-    ExecutionLimitExceeded,
-    HarnessExit,
-    ProcessExit,
-    VMTrap,
-)
+from repro.vm.errors import VMTrap
 
 #: Default per-test-case instruction budget (hang detection).
 DEFAULT_EXEC_INSTRUCTION_LIMIT = 2_000_000
@@ -30,40 +25,6 @@ DEFAULT_EXEC_INSTRUCTION_LIMIT = 2_000_000
 def classify_trap(trap: VMTrap | None) -> str:
     """Stable label for a trap kind (metrics / trace attributes)."""
     return trap.kind.name.lower() if trap is not None else "none"
-
-
-def call_target(
-    vm,
-    function,
-    args: list[int],
-    process_exit_status: IterationStatus = IterationStatus.EXIT,
-) -> tuple[IterationStatus, int | None, VMTrap | None]:
-    """Run the target entry point and classify its outcome.
-
-    The exception-to-status mapping is identical across execution
-    mechanisms; what differs is only the meaning of a raw ``exit()``
-    call — termination for fresh/forkserver children
-    (:attr:`IterationStatus.EXIT`), death of the resident process for
-    the naive persistent loop (:attr:`IterationStatus.PROCESS_EXIT`).
-    """
-    status = IterationStatus.OK
-    return_code: int | None = None
-    trap: VMTrap | None = None
-    try:
-        return_code = vm.run_function(function, args)
-    except ProcessExit as exit_:
-        status = process_exit_status
-        return_code = exit_.code
-    except HarnessExit as exit_:
-        # Only reachable for modules built with the ExitPass.
-        status = IterationStatus.EXIT
-        return_code = exit_.code
-    except VMTrap as trap_:
-        status = IterationStatus.CRASH
-        trap = trap_
-    except ExecutionLimitExceeded:
-        status = IterationStatus.HANG
-    return status, return_code, trap
 
 
 @dataclass

@@ -9,9 +9,9 @@ that Table 5 benchmarks ClosureX against.
 
 from __future__ import annotations
 
-from repro.execution.common import ExecResult, Executor, call_target
+from repro.execution.common import ExecResult, Executor
 from repro.ir.module import Module
-from repro.runtime.harness import DEFAULT_INPUT_PATH, IterationStatus
+from repro.runtime.harness import DEFAULT_INPUT_PATH, IterationStatus, call_target
 from repro.sim_os.kernel import Kernel, ProcessRecord
 from repro.sim_os.pipes import ForkserverChannel
 from repro.vm.filesystem import VirtualFS

@@ -8,9 +8,9 @@ left-most point of the mechanism-spectrum figure.
 
 from __future__ import annotations
 
-from repro.execution.common import ExecResult, Executor, call_target
+from repro.execution.common import ExecResult, Executor
 from repro.ir.module import Module
-from repro.runtime.harness import DEFAULT_INPUT_PATH, IterationStatus
+from repro.runtime.harness import DEFAULT_INPUT_PATH, IterationStatus, call_target
 from repro.sim_os.kernel import Kernel
 from repro.vm.filesystem import VirtualFS
 from repro.vm.interpreter import VM

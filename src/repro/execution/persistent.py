@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.execution.common import ExecResult, Executor, call_target
+from repro.execution.common import ExecResult, Executor
 from repro.ir.module import Module
 from repro.passes.rename_main import TARGET_MAIN
-from repro.runtime.harness import DEFAULT_INPUT_PATH, IterationStatus
+from repro.runtime.harness import DEFAULT_INPUT_PATH, IterationStatus, call_target
 from repro.sim_os.kernel import Kernel, ProcessRecord
 from repro.vm.filesystem import VirtualFS
 from repro.vm.interpreter import VM

@@ -1,7 +1,8 @@
 """IntegritySentinel: detect → attribute → repair → escalate.
 
-The sentinel wires the oracle, the shadow differ, and the ledger into
-the ClosureX executor's exec loop:
+The sentinel wires the restore oracle, fresh-process shadow replays
+(:func:`repro.runtime.replay.replay`), and the ledger into the ClosureX
+executor's exec loop:
 
 1. **detect** — after every ``digest_every``-th restore, digest the
    four state dimensions and diff against the pristine baseline.
@@ -14,10 +15,11 @@ the ClosureX executor's exec loop:
 3. **repair** — re-run exactly the leaking dimensions' restore sweeps
    in place (:meth:`ClosureXHarness.repair_dimensions`) and re-check.
 4. **escalate** — if the recheck still fails, or a shadow replay shows
-   the persistent run diverging from fresh-process ground truth, raise
-   :class:`IntegrityFault`: the executor respawns its process and the
-   supervised ladder voids the exec, retries, and can ultimately
-   degrade to forkserver mode.  Divergent inputs are quarantined with
+   the persistent run diverging from fresh-process ground truth in
+   status, return code, crash identity, coverage, output or the files
+   the exec wrote, raise :class:`IntegrityFault`: the executor respawns
+   its process and the supervised ladder voids the exec, retries, and
+   can ultimately degrade to forkserver mode.  Divergent inputs are quarantined with
    their ground-truth result so the retry (and any resumed campaign)
    replays the correct answer instead of re-executing them.
 
@@ -36,7 +38,7 @@ from repro.execution.common import ExecResult
 from repro.integrity.faults import IntegrityFault
 from repro.integrity.ledger import LeakEvent, LeakLedger
 from repro.integrity.oracle import IntegrityVerdict, RestoreOracle
-from repro.integrity.shadow import ShadowDiffer
+from repro.runtime.replay import Observation, replay
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.execution.closurex import ClosureXExecutor
@@ -93,7 +95,6 @@ class IntegritySentinel:
         self.policy = policy if policy is not None else EscalationPolicy()
         self.ledger = LeakLedger(bundle_path)
         self.oracle = RestoreOracle()
-        self.shadow: ShadowDiffer | None = None
         self.stats = SentinelStats()
         self.exec_index = 0
 
@@ -106,8 +107,6 @@ class IntegritySentinel:
         executor.kernel.charge(cost_ns)
         self.stats.baselines += 1
         self.stats.digest_ns += cost_ns
-        if self.shadow is None:
-            self.shadow = ShadowDiffer(executor)
         telemetry = executor.telemetry
         if telemetry.enabled:
             telemetry.metrics.counter("integrity.baselines").inc()
@@ -262,26 +261,26 @@ class IntegritySentinel:
         data: bytes,
         iteration: "IterationResult",
     ) -> None:
-        assert self.shadow is not None
         assert executor.harness is not None and executor.harness.vm is not None
-        observation = self.shadow.replay(data)
+        observation = replay(executor.module, data, config=executor.config,
+                             costs=executor.kernel.costs)
         executor.kernel.charge(observation.cost_ns)
         self.stats.shadow_runs += 1
         self.stats.shadow_ns += observation.cost_ns
         telemetry = executor.telemetry
         if telemetry.enabled:
             telemetry.metrics.counter("integrity.shadow_runs").inc()
-        persistent_coverage = executor.harness.vm.coverage_map
-        if observation.matches(iteration, persistent_coverage):
+        persistent = Observation.capture(executor.harness.vm, iteration,
+                                         cost_ns=iteration.exec_ns)
+        mismatch = observation.describe_mismatch(persistent)
+        if mismatch is None:
             return
 
         self.stats.divergences += 1
         key = _input_key(data)
         detail = (
-            f"persistent run diverged from fresh-process ground truth "
-            f"(persistent {iteration.status.value}/rc={iteration.return_code} "
-            f"vs shadow {observation.status.value}/"
-            f"rc={observation.return_code})"
+            f"persistent run diverged from fresh-process ground truth: "
+            f"{mismatch}"
         )
         if telemetry.enabled:
             telemetry.metrics.counter("integrity.divergences").inc()

@@ -68,6 +68,33 @@ class IterationStatus(enum.Enum):
         return self in (IterationStatus.OK, IterationStatus.EXIT)
 
 
+def call_target(
+    vm: VM,
+    function: Function,
+    args: list[int],
+    process_exit_status: IterationStatus = IterationStatus.EXIT,
+) -> tuple[IterationStatus, int | None, VMTrap | None]:
+    """Run the target entry point and classify its outcome.
+
+    The exception-to-status mapping is identical across execution
+    mechanisms; what differs is only the meaning of a raw ``exit()``
+    call — termination for fresh/forkserver children
+    (:attr:`IterationStatus.EXIT`), death of the resident process for
+    the persistent loops (:attr:`IterationStatus.PROCESS_EXIT`).
+    """
+    try:
+        return IterationStatus.OK, vm.run_function(function, args), None
+    except ProcessExit as exit_:
+        return process_exit_status, exit_.code, None
+    except HarnessExit as exit_:
+        # Only reachable for modules built with the ExitPass.
+        return IterationStatus.EXIT, exit_.code, None
+    except VMTrap as trap:
+        return IterationStatus.CRASH, None, trap
+    except ExecutionLimitExceeded:
+        return IterationStatus.HANG, None, None
+
+
 @dataclass
 class HarnessConfig:
     """Tunables for one harness instance."""
@@ -256,28 +283,21 @@ class ClosureXHarness:
         self.fs.write_file(config.input_path, data)
         vm.instruction_limit = vm.instructions_executed + config.instruction_limit
         # The fuzzer clears the shared coverage map before each run, as
-        # AFL++ does; the time this takes is part of dispatch_ns.
+        # AFL++ does; the time this takes is part of dispatch_ns.  The
+        # output log and the file-write journal are per-iteration too,
+        # so a persistent iteration shows what it printed and wrote, as
+        # a fresh process's one run would.
         vm.reset_coverage()
+        vm.output.clear()
+        vm.fd_table.begin_run()
         start_cost = vm.cost
         start_insts = vm.instructions_executed
         vm.charge(self.costs.loop_iteration_ns + self.costs.setjmp_ns)
 
-        status = IterationStatus.OK
-        return_code: int | None = None
-        trap: VMTrap | None = None
-        try:
-            return_code = vm.run_function(self._target_main, [self._argc, self._argv])
-        except HarnessExit as exit_:
-            status = IterationStatus.EXIT
-            return_code = exit_.code
-        except ProcessExit as exit_:
-            status = IterationStatus.PROCESS_EXIT
-            return_code = exit_.code
-        except VMTrap as trap_:
-            status = IterationStatus.CRASH
-            trap = trap_
-        except ExecutionLimitExceeded:
-            status = IterationStatus.HANG
+        status, return_code, trap = call_target(
+            vm, self._target_main, [self._argc, self._argv],
+            process_exit_status=IterationStatus.PROCESS_EXIT,
+        )
 
         self.iterations += 1
         report: RestoreReport | None = None

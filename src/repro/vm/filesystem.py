@@ -80,6 +80,9 @@ class FDTable:
         self._next_handle = HANDLE_BASE
         self.total_opens = 0
         self.open_failures = 0
+        #: Per path, the bytes written through writable handles since
+        #: :meth:`begin_run`, whether or not a close has flushed them.
+        self.run_writes: dict[str, bytearray] = {}
 
     def is_handle(self, address: int) -> bool:
         return address >= HANDLE_BASE
@@ -138,7 +141,13 @@ class FDTable:
 
     def fwrite(self, file: OpenFile, data: bytes) -> int:
         file.writes.extend(data)
+        if file.writable:
+            self.run_writes.setdefault(file.path, bytearray()).extend(data)
         return len(data)
+
+    def begin_run(self) -> None:
+        """Start a new run: forget what earlier runs wrote."""
+        self.run_writes.clear()
 
     def fseek(self, file: OpenFile, offset: int, whence: int) -> int:
         if whence == 0:      # SEEK_SET

@@ -9,10 +9,9 @@ from repro.correctness import (
     check_controlflow_equivalence,
     check_dataflow_equivalence,
     check_restoration_resets_state,
-    fresh_snapshot,
-    fresh_trace,
     run_memcheck,
 )
+from repro.runtime.replay import replay
 from repro.targets import get_target
 from repro.vm.snapshot import diff_snapshots
 
@@ -48,8 +47,10 @@ class TestDataflowEquivalence:
 
     def test_fresh_snapshots_are_reproducible(self, giftext):
         spec, module, _ = giftext
-        snap_a, status_a = fresh_snapshot(module, spec.seeds[0])
-        snap_b, status_b = fresh_snapshot(module, spec.seeds[0])
+        run_a = replay(module, spec.seeds[0], snapshot=True)
+        run_b = replay(module, spec.seeds[0], snapshot=True)
+        snap_a, status_a = run_a.snapshot, run_a.status
+        snap_b, status_b = run_b.snapshot, run_b.status
         assert status_a == status_b
         assert diff_snapshots(snap_a, snap_b).equivalent
 
@@ -72,7 +73,8 @@ class TestControlFlowEquivalence:
 
     def test_fresh_traces_deterministic(self, giftext):
         spec, module, _ = giftext
-        assert fresh_trace(module, spec.seeds[0]) == fresh_trace(module, spec.seeds[0])
+        assert (replay(module, spec.seeds[0], trace=True).edge_trace
+                == replay(module, spec.seeds[0], trace=True).edge_trace)
 
     def test_exit_path_also_equivalent(self, giftext):
         _spec, module, pollution = giftext
@@ -105,7 +107,7 @@ class TestNaivePersistentFailsTheseChecks:
         spec = get_target("giftext")
         # fresh ground truth (instrumented build, single run)
         module = spec.build_closurex()
-        ground_truth, _ = fresh_snapshot(module, spec.seeds[0])
+        ground_truth = replay(module, spec.seeds[0], snapshot=True).snapshot
 
         # naive persistent: same input after pollution, NO restoration
         persistent = NaivePersistentExecutor(

@@ -88,6 +88,89 @@ int main(int argc, char **argv) {
 }
 """
 
+#: SOURCE_STICKY variants whose pollution never reaches the return
+#: code or the coverage map: they always return 1 and only print the
+#: sticky byte, or write it to a file.  A poisoned persistent process
+#: prints 7 (or writes ``\x07``) where a fresh one prints 0.
+_STICKY_QUIET = r"""
+char *state;
+
+void setup() {
+    state = (char*)malloc(4);
+    state[0] = 0;
+}
+
+int main(int argc, char **argv) {
+    char *f = fopen(argv[1], "r");
+    if (!f) { exit(1); }
+    char buf[8];
+    long n = fread(buf, 1, 8, f);
+    fclose(f);
+    %s
+    if (n > 0) {
+        if (buf[0] == 'P') { state[0] = 7; }
+    }
+    return 1;
+}
+"""
+SOURCE_STICKY_PRINT = _STICKY_QUIET % "print_int(state[0]);"
+SOURCE_STICKY_WRITE = _STICKY_QUIET % (
+    'char *out = fopen("/tmp/out", "w"); '
+    "fwrite(state, 1, 1, out); fclose(out);"
+)
+
+#: Prints a constant and leaks a ``"w"`` handle with constant content
+#: every exec.  Restore closes (and so flushes) the handle in the
+#: persistent process; a fresh process still holds it open, with the
+#: write pending until exit.
+SOURCE_LEAKED_WRITER = r"""
+int main(int argc, char **argv) {
+    print_int(1);
+    char *out = fopen("/tmp/out", "w");
+    fwrite("ok", 1, 2, out);
+    return 1;
+}
+"""
+
+#: Writes ``/tmp/log`` only on inputs starting with ``L``.  The file
+#: stays on the executor's disk afterwards, as it would on a real one;
+#: a fresh replay of a later input starts from an empty disk.
+SOURCE_LOG_ON_L = r"""
+int main(int argc, char **argv) {
+    char *f = fopen(argv[1], "r");
+    if (!f) { exit(1); }
+    char buf[8];
+    long n = fread(buf, 1, 8, f);
+    fclose(f);
+    if (n > 0) {
+        if (buf[0] == 'L') {
+            char *log = fopen("/tmp/log", "w");
+            fwrite(buf, 1, 1, log);
+            fclose(log);
+        }
+    }
+    return 1;
+}
+"""
+
+#: Deferred init opens a ``"w"`` handle that every exec appends to.
+#: Restore only rewinds init-phase handles, so the persistent process
+#: holds one more exec's writes per iteration; each exec still writes
+#: exactly what a fresh process's one exec writes.
+SOURCE_INIT_WRITER = r"""
+char *trace;
+
+void setup() {
+    trace = fopen("/tmp/trace", "w");
+    fwrite("hdr", 1, 3, trace);
+}
+
+int main(int argc, char **argv) {
+    fwrite("x", 1, 1, trace);
+    return 1;
+}
+"""
+
 #: Owns one init-phase heap chunk that ``main`` never touches — the
 #: escalation test frees it behind the chunk map's back, a corruption
 #: no targeted sweep can repair.
@@ -323,6 +406,61 @@ class TestShadowDiffer:
         assert sentinel.stats.quarantine_hits >= 1
         # The respawned process serves untainted inputs correctly.
         assert executor.run(b"calm").return_code == 1
+
+
+class TestShadowComparesOutputAndFiles:
+    @pytest.mark.parametrize("source, mismatch", [
+        (SOURCE_STICKY_PRINT, "program output differs"),
+        (SOURCE_STICKY_WRITE, "filesystem contents differ"),
+    ], ids=["output", "files"])
+    def test_pollution_seen_only_in_output_or_files_diverges(
+        self, source, mismatch,
+    ):
+        policy = EscalationPolicy(digest_every=1, shadow_every=1)
+        executor, sentinel, inner = _supervised(
+            source, "shadow-quiet", policy=policy,
+            config=HarnessConfig(**STICKY_CONFIG),
+        )
+        assert executor.run(b"Poison").return_code == 1
+        assert executor.run(b"after").return_code == 1
+        assert sentinel.stats.divergences == 1
+        assert inner.stats.respawns == 1
+        assert len(sentinel.ledger.quarantine) == 1
+        shadow_event = next(
+            e for e in sentinel.ledger.events if e.source == "shadow"
+        )
+        assert shadow_event.escalated
+        assert shadow_event.detail.endswith(mismatch)
+        # The respawned process prints and writes what a fresh one does.
+        assert executor.run(b"calm").return_code == 1
+        assert sentinel.stats.divergences == 1
+
+    def test_constant_output_and_leaked_writer_do_not_diverge(self):
+        policy = EscalationPolicy(digest_every=1, shadow_every=1)
+        executor, sentinel, _ = _supervised(
+            SOURCE_LEAKED_WRITER, "leaked-writer", policy=policy,
+        )
+        for data in (b"one", b"two", b"three"):
+            assert executor.run(data).return_code == 1
+        assert sentinel.stats.shadow_runs == 3
+        assert sentinel.stats.divergences == 0
+
+    @pytest.mark.parametrize("source, config", [
+        (SOURCE_LOG_ON_L, None),
+        (SOURCE_INIT_WRITER, HarnessConfig(**STICKY_CONFIG)),
+    ], ids=["file-from-earlier-exec", "init-phase-writer"])
+    def test_files_written_by_earlier_execs_do_not_diverge(
+        self, source, config,
+    ):
+        policy = EscalationPolicy(digest_every=1, shadow_every=1)
+        executor, sentinel, inner = _supervised(
+            source, "history-writer", policy=policy, config=config,
+        )
+        for data in (b"L", b"after", b"calm", b"Later", b"quiet"):
+            assert executor.run(data).return_code == 1
+        assert sentinel.stats.shadow_runs == 5
+        assert sentinel.stats.divergences == 0
+        assert inner.stats.respawns == 0
 
 
 class TestEscalation:

@@ -16,6 +16,7 @@ import pytest
 from repro.analysis import Severity, dead_slot_stores, lint_module
 from repro.analysis.opt import (
     REJECTED,
+    REPLAY_BOOT_TIME,
     VALIDATED,
     ModuleCheckpoint,
     OptContext,
@@ -26,7 +27,6 @@ from repro.analysis.opt import (
     fold_binop,
     fold_cast,
     fold_icmp,
-    observe,
     optimize_module,
     structural_errors,
 )
@@ -48,6 +48,9 @@ from repro.ir.types import int_type
 from repro.ir.values import ConstantInt
 from repro.ir.verifier import verify_module
 from repro.minic import compile_c
+from repro.passes import PassManager
+from repro.passes.coverage import COV_GUARD, CoveragePass
+from repro.runtime.replay import replay
 from repro.targets import get_target, target_names
 
 I32 = int_type(32)
@@ -230,7 +233,8 @@ def test_mem2reg_never_stored_slot_reads_zero():
     )
     module, _report = _optimized(source)
     baseline = compile_c(source, "t")
-    assert observe(module, b"").matches(observe(baseline, b""))
+    assert replay(module, b"", boot_time=REPLAY_BOOT_TIME).matches(
+        replay(baseline, b"", boot_time=REPLAY_BOOT_TIME))
 
 
 def test_sccp_folds_constant_branches():
@@ -276,7 +280,8 @@ def test_rle_forwards_global_loads_across_calls():
     )
     module, report = _optimized(source)
     baseline = compile_c(source, "t")
-    assert observe(module, b"").matches(observe(baseline, b""))
+    assert replay(module, b"", boot_time=REPLAY_BOOT_TIME).matches(
+        replay(baseline, b"", boot_time=REPLAY_BOOT_TIME))
     rle = [o for o in report.outcomes
            if o.transform == "rle" and o.verdict == VALIDATED]
     assert rle and rle[0].details["loads_eliminated"] >= 1
@@ -291,8 +296,8 @@ def test_optimizer_reduces_dynamic_instructions():
     )
     baseline = compile_c(source, "t")
     module, _report = _optimized(source)
-    before = observe(baseline, b"")
-    after = observe(module, b"")
+    before = replay(baseline, b"", boot_time=REPLAY_BOOT_TIME)
+    after = replay(module, b"", boot_time=REPLAY_BOOT_TIME)
     assert after.matches(before)
     assert after.instructions < before.instructions
 
@@ -306,10 +311,12 @@ def test_observe_is_deterministic():
     spec = get_target("md4c")
     module = spec.build_closurex()
     seed = spec.seeds[0]
-    assert observe(module, seed).matches(observe(module, seed))
+    assert replay(module, seed, boot_time=REPLAY_BOOT_TIME).matches(
+        replay(module, seed, boot_time=REPLAY_BOOT_TIME))
     # and a fresh build of the same target observes identically
-    assert observe(spec.build_closurex(), seed).matches(
-        observe(module, seed))
+    assert replay(spec.build_closurex(), seed,
+                  boot_time=REPLAY_BOOT_TIME).matches(
+        replay(module, seed, boot_time=REPLAY_BOOT_TIME))
 
 
 def test_structural_check_catches_dangling_use():
@@ -377,6 +384,40 @@ def test_broken_transform_is_rejected_and_rolled_back():
     assert outcome.details.get("returns_broken") == 1
     # and the module text is exactly what it was before the transform
     assert print_module(module) == before
+
+
+class _ShiftHelperGuards(Transform):
+    """Deliberately wrong: renumbers the coverage guards of @helper,
+    which changes the coverage map and nothing else."""
+
+    name = "shift-helper-guards"
+
+    def run_on_function(self, function, ctx, result):
+        if function.name != "helper":
+            return
+        for inst in function.instructions():
+            if isinstance(inst, Call) and inst.callee.name == COV_GUARD:
+                location = inst.get_operand(1)
+                inst.set_operand(1, ConstantInt(location.type,
+                                                location.value ^ 1))
+                result.note("guards_shifted")
+
+
+def test_coverage_only_rejection_names_the_divergent_function():
+    module = compile_c(
+        "int helper(int x) { if (x > 1) { return 2; } return 3; }"
+        "int main(int argc, char **argv) { return helper(argc); }",
+        "t",
+    )
+    PassManager([CoveragePass(11)]).run(module)
+    report = Optimizer(module, seeds=(b"",),
+                       transforms=[_ShiftHelperGuards()], max_rounds=1).run()
+    assert report.rejected == 1
+    error = report.outcomes[0].errors[0]
+    assert "coverage maps differ" in error, error
+    assert "@helper" in error, error
+    # The baseline, the check, and the traced replays before and after.
+    assert report.replays == 4
 
 
 def test_transform_exception_is_rejected_and_rolled_back():

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.opt import observe
+from repro.analysis.opt import REPLAY_BOOT_TIME
+from repro.runtime.replay import replay
 from repro.targets import get_target, target_names
 
 from tests.helpers import all_crash_inputs
@@ -45,8 +46,8 @@ def builds():
 def test_every_input_observes_bit_identically(builds, name):
     baseline, optimized, _report = builds[name]
     for i, data in enumerate(_corpus(name)):
-        reference = observe(baseline, data)
-        got = observe(optimized, data)
+        reference = replay(baseline, data, boot_time=REPLAY_BOOT_TIME)
+        got = replay(optimized, data, boot_time=REPLAY_BOOT_TIME)
         assert reference.matches(got), (
             f"{name} input {i}: {reference.describe_mismatch(got)}"
         )
@@ -71,8 +72,10 @@ def test_dynamic_instruction_floor(builds):
     for name in TARGETS:
         baseline, optimized, _report = builds[name]
         seeds = get_target(name).seeds
-        before = sum(observe(baseline, s).instructions for s in seeds)
-        after = sum(observe(optimized, s).instructions for s in seeds)
+        before = sum(replay(baseline, s, boot_time=REPLAY_BOOT_TIME)
+                     .instructions for s in seeds)
+        after = sum(replay(optimized, s, boot_time=REPLAY_BOOT_TIME)
+                    .instructions for s in seeds)
         assert before > 0
         reductions[name] = 100.0 * (before - after) / before
     winners = [name for name, cut in reductions.items() if cut >= 10.0]

@@ -132,3 +132,24 @@ class TestReadSeek:
         assert table.close_all() == 4
         assert table.open_handle_count() == 0
         assert table.fs.read_file("/out") == b"flushed"
+
+    def test_run_writes_shows_only_this_runs_writes(self, table):
+        early = table.fopen("/early", "w", SITE)
+        table.fwrite(table.get(early, SITE), b"before")
+        closed = table.fopen("/closed", "w", SITE)
+        table.fwrite(table.get(closed, SITE), b"old")
+        table.fclose(closed, SITE)
+        table.begin_run()
+        assert table.run_writes == {}
+        table.fwrite(table.get(early, SITE), b"+run")
+        pending = table.fopen("/pending", "w", SITE)
+        table.fwrite(table.get(pending, SITE), b"new")
+        reader = table.fopen("/data", "r", SITE)
+        table.fwrite(table.get(reader, SITE), b"ignored")
+        assert table.run_writes == {"/early": b"+run", "/pending": b"new"}
+        # Unflushed writes count; closing flushes them unchanged.
+        assert table.fs.read_file("/pending") is None
+        table.close_all()
+        assert table.run_writes == {"/early": b"+run", "/pending": b"new"}
+        assert table.fs.read_file("/early") == b"before+run"
+        assert table.fs.read_file("/data") == b"hello world"
