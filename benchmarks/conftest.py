@@ -6,9 +6,10 @@ Sizing comes from the environment (see repro.experiments.config):
     REPRO_TRIALS     trials per configuration  (default 3)
     REPRO_TARGETS    comma-separated target subset
 
-Campaign results are cached per (target, mechanism, budget, seed), so
-Tables 5/6/7 share one set of campaigns within a pytest session.
-Rendered tables are written to ``benchmarks/results/``.
+The paper trials live in one session-wide ``paper_out`` directory (one
+results store per target), so Tables 5/6 and the timeline figure share
+one set of trials within a pytest session.  Rendered tables are
+written to ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 @pytest.fixture(scope="session")
 def config() -> ExperimentConfig:
     return ExperimentConfig()
+
+
+@pytest.fixture(scope="session")
+def paper_out(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("paper"))
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,14 @@ from repro.experiments import run_timeline
 
 
 @pytest.fixture(scope="module")
-def timeline(config):
-    return run_timeline("gpmf-parser", config)
+def timeline(config, paper_out):
+    return run_timeline("gpmf-parser", config, paper_out)
 
 
-def test_timeline_regenerates(benchmark, config, results_dir):
+def test_timeline_regenerates(benchmark, config, paper_out, results_dir):
     figure = benchmark.pedantic(
-        run_timeline, args=("gpmf-parser", config), rounds=1, iterations=1
+        run_timeline, args=("gpmf-parser", config, paper_out),
+        rounds=1, iterations=1,
     )
     save_result(results_dir, "fig_timeline", figure.render())
 

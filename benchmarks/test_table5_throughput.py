@@ -15,12 +15,14 @@ from repro.experiments import run_table5
 
 
 @pytest.fixture(scope="module")
-def table5(config):
-    return run_table5(config)
+def table5(config, paper_out):
+    return run_table5(config, paper_out)
 
 
-def test_table5_regenerates(benchmark, config, results_dir):
-    result = benchmark.pedantic(run_table5, args=(config,), rounds=1, iterations=1)
+def test_table5_regenerates(benchmark, config, paper_out, results_dir):
+    result = benchmark.pedantic(
+        run_table5, args=(config, paper_out), rounds=1, iterations=1
+    )
     save_result(results_dir, "table5_throughput", result.render())
     assert len(result.rows) == len(config.targets)
 

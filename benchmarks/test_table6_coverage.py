@@ -13,12 +13,14 @@ from repro.experiments import run_table6
 
 
 @pytest.fixture(scope="module")
-def table6(config):
-    return run_table6(config)
+def table6(config, paper_out):
+    return run_table6(config, paper_out)
 
 
-def test_table6_regenerates(benchmark, config, results_dir):
-    result = benchmark.pedantic(run_table6, args=(config,), rounds=1, iterations=1)
+def test_table6_regenerates(benchmark, config, paper_out, results_dir):
+    result = benchmark.pedantic(
+        run_table6, args=(config, paper_out), rounds=1, iterations=1
+    )
     save_result(results_dir, "table6_coverage", result.render())
     assert len(result.rows) == len(config.targets)
 

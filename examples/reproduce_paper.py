@@ -12,10 +12,13 @@
 Sizing: campaigns run for --budget-ms virtual milliseconds and results
 are extrapolated to the paper's 24-hour horizon; ratios are
 horizon-independent.  Use --targets to restrict the benchmark set.
+Tables 5-7 and the timeline share one set of paper trials, stored in
+one temporary directory.
 """
 
 import argparse
 import sys
+import tempfile
 import time
 
 from repro.experiments import (
@@ -80,6 +83,7 @@ def main():
         trials=args.trials,
         targets=targets,
     )
+    out = tempfile.mkdtemp(prefix="repro-paper-")
     print(f"config: {args.budget_ms} virtual ms/campaign, "
           f"{args.trials} trials, {len(targets)} targets\n")
 
@@ -91,13 +95,13 @@ def main():
 
     if 5 in args.table:
         section("Table 5: test-case execution rate",
-                lambda: print(run_table5(config).render()))
+                lambda: print(run_table5(config, out).render()))
     if 6 in args.table:
         section("Table 6: edge coverage",
-                lambda: print(run_table6(config).render()))
+                lambda: print(run_table6(config, out).render()))
     if 7 in args.table:
         def table7():
-            result = run_table7(config)
+            result = run_table7(config, out=out)
             print(result.render())
             speedup = result.aggregate_speedup()
             cx, fk = result.finding_counts()
@@ -121,7 +125,7 @@ def main():
             print()
             print(run_restore_lifecycle(targets[0]).render())
             print()
-            print(run_timeline(targets[0], config).render())
+            print(run_timeline(targets[0], config, out).render())
         section("Figures: spectrum / pass transforms / timeline", figures)
     if args.motivation:
         section("Motivation: persistent-mode pathologies",

@@ -13,10 +13,11 @@ Index (see DESIGN.md §3 for the full mapping):
 - i2s-guards (:func:`run_i2s_guards`) — input-to-state time-to-guarded-edge
 
 ``python -m repro.experiments`` lists and runs these entry points from
-the command line.  Beyond the paper's fixed tables, the
-:mod:`repro.experiments.platform` subpackage runs arbitrary
-(mechanism x target x seed x config) matrices with fuzzbench-style
-statistics — see docs/experiments.md.
+the command line.  Tables 5-7 and the timeline are views over paper
+trials that the :mod:`repro.experiments.platform` subpackage runs and
+stores (see :mod:`repro.experiments.config`); the platform also runs
+arbitrary (mechanism x target x seed x config) matrices with
+fuzzbench-style statistics — see docs/experiments.md.
 """
 
 from repro.experiments.ablation import (
@@ -25,12 +26,6 @@ from repro.experiments.ablation import (
     PassAblationRow,
     run_fd_rewind_ablation,
     run_pass_ablation,
-)
-from repro.experiments.campaign_runner import (
-    MECHANISMS,
-    build_executor,
-    clear_campaign_cache,
-    run_campaign,
 )
 from repro.experiments.config import HORIZON_24H_NS, ExperimentConfig
 from repro.experiments.correctness_exp import (
@@ -81,7 +76,6 @@ from repro.experiments.table7 import BUG_TARGETS, Table7Result, Table7Row, run_t
 __all__ = [
     "FdRewindResult", "PassAblationResult", "PassAblationRow",
     "run_fd_rewind_ablation", "run_pass_ablation",
-    "MECHANISMS", "build_executor", "clear_campaign_cache", "run_campaign",
     "HORIZON_24H_NS", "ExperimentConfig",
     "CorrectnessResult", "CorrectnessRow", "run_correctness",
     "GlobalPassFigure", "MechanismPoint", "RestoreLifecycleFigure",

@@ -7,12 +7,15 @@ ad-hoc imports::
     python -m repro.experiments table5         # reproduce Table 5
     python -m repro.experiments table6 table7  # several in one go
     python -m repro.experiments ablation --target md4c
+    python -m repro.experiments table5 --out paper  # keep the trials
 
 Sizing follows the usual environment knobs (``REPRO_BUDGET_MS``,
 ``REPRO_TRIALS``, ``REPRO_TARGETS`` — see
 :mod:`repro.experiments.config`), so CI-speed runs and full
-reproductions are the same command under different exports.  For
-matrix experiments with statistics beyond the paper's tables, see
+reproductions are the same command under different exports.  Tables
+5-7 and the timeline share the paper trials stored under ``--out``,
+which a killed run resumes from.  For matrix experiments with
+statistics beyond the paper's tables, see
 ``python -m repro.experiments.platform``.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 
 from repro.experiments.ablation import (
     run_fd_rewind_ablation,
@@ -35,49 +39,49 @@ from repro.experiments.table6 import run_table6
 from repro.experiments.table7 import run_table7
 from repro.targets import target_names
 
-#: name -> (description, runner(config, target) -> renderable result).
-#: Runners take the shared sizing config plus the --target option and
-#: return any object with a ``render()`` method.
+#: name -> (description, runner(config, target, out) -> renderable
+#: result).  Runners take the shared sizing config plus the --target
+#: and --out options and return any object with a ``render()`` method.
 ENTRY_POINTS = {
     "table5": (
         "Table 5: test-case execution rate (ClosureX vs AFL++)",
-        lambda config, target: run_table5(config),
+        lambda config, target, out: run_table5(config, out),
     ),
     "table6": (
         "Table 6: edge-coverage improvement",
-        lambda config, target: run_table6(config),
+        lambda config, target, out: run_table6(config, out),
     ),
     "table7": (
         "Table 7: time-to-bug on the planted-bug targets",
-        lambda config, target: run_table7(config),
+        lambda config, target, out: run_table7(config, out=out),
     ),
     "correctness": (
         "§6.1.4: semantic-correctness validation",
-        lambda config, target: run_correctness(config),
+        lambda config, target, out: run_correctness(config),
     ),
     "spectrum": (
         "Mechanism cost spectrum (per-iteration breakdown)",
-        lambda config, target: run_spectrum(target),
+        lambda config, target, out: run_spectrum(target),
     ),
     "timeline": (
         "Coverage/exec timelines per mechanism",
-        lambda config, target: run_timeline(target, config),
+        lambda config, target, out: run_timeline(target, config, out),
     ),
     "motivation": (
         "§2 motivation: naive persistent-mode pathologies",
-        lambda config, target: run_motivation(),
+        lambda config, target, out: run_motivation(),
     ),
     "ablation": (
         "Pass ablation: drop each ClosureX pass in turn",
-        lambda config, target: run_pass_ablation(target),
+        lambda config, target, out: run_pass_ablation(target),
     ),
     "fd-rewind": (
         "FD-rewind ablation (restore cost vs correctness)",
-        lambda config, target: run_fd_rewind_ablation(target),
+        lambda config, target, out: run_fd_rewind_ablation(target),
     ),
     "i2s-guards": (
         "Input-to-state stage: time-to-guarded-edge vs havoc-only",
-        lambda config, target: run_i2s_guards(config),
+        lambda config, target, out: run_i2s_guards(config),
     ),
 }
 
@@ -94,6 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=target_names(),
                         help="target for single-target experiments "
                              "(default: giftext)")
+    parser.add_argument("--out", metavar="DIR",
+                        help="paper-trial results directory, one store "
+                             "per target (default: a fresh temporary "
+                             "directory)")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments and exit")
     return parser
@@ -126,10 +134,11 @@ def main(argv: list[str] | None = None) -> int:
               f"choose from {', '.join(ENTRY_POINTS)}", file=sys.stderr)
         return 2
     config = ExperimentConfig()
+    out = args.out or tempfile.mkdtemp(prefix="repro-paper-")
     for name in args.experiments:
         _description, runner = ENTRY_POINTS[name]
         print(f"== {name} ==")
-        print(runner(config, args.target).render())
+        print(runner(config, args.target, out).render())
         print()
     return 0
 

@@ -21,9 +21,11 @@ from repro.correctness import (
     check_dataflow_equivalence,
     run_memcheck,
 )
-from repro.experiments.campaign_runner import run_campaign
+from repro.execution import build_executor
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.stats import format_table
+from repro.fuzzing import Campaign, CampaignConfig, HavocMutator
+from repro.sim_os import Kernel
 from repro.targets import get_target
 
 
@@ -82,16 +84,16 @@ class CorrectnessResult:
 def build_queue(target: str, config: ExperimentConfig, cap: int = 48) -> list[bytes]:
     """Seeds plus corpus discovered by one short ClosureX campaign."""
     spec = get_target(target)
-    seed = config.trial_seed(target, "queue", 0)
-    campaign_budget = min(config.budget_ns, 10_000_000)
-    result = run_campaign(target, "closurex", campaign_budget, seed)
+    seed = config.trial_seed(target, 0)
+    result = Campaign(
+        build_executor(target, "closurex", Kernel()), spec.seeds,
+        CampaignConfig(budget_ns=min(config.budget_ns, 10_000_000), seed=seed),
+    ).run()
     queue = list(spec.seeds)
-    # Campaign results are cached and do not expose raw corpus bytes;
-    # synthesise additional queue entries by mutating seeds with the
-    # same seeded generator the campaign used.
+    # Only the campaign's corpus size is used: additional queue entries
+    # are synthesised by mutating seeds with the same seeded generator
+    # the campaign used.
     rng = random.Random(seed)
-    from repro.fuzzing import HavocMutator
-
     havoc = HavocMutator(rng)
     while len(queue) < min(cap, len(spec.seeds) + result.corpus_size):
         queue.append(havoc.mutate(rng.choice(spec.seeds)))
@@ -111,7 +113,7 @@ def run_correctness(
         spec = get_target(target)
         module = spec.build_closurex()
         queue = build_queue(target, config)
-        rng = random.Random(config.trial_seed(target, "correctness", 0))
+        rng = random.Random(config.trial_seed(target, 0))
         row = CorrectnessRow(benchmark=target)
         sample = queue[: min(sample_size, len(queue))]
         for data in sample:

@@ -9,15 +9,16 @@
   and the runtime chunk-map / global-restore lifecycle for one
   iteration.
 - **Campaign timelines**: execs-over-time and coverage-over-time
-  series per mechanism (the usual fuzzing-evaluation line plots).
+  series per mechanism (the usual fuzzing-evaluation line plots), read
+  from paper trial 0's measurement samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.campaign_runner import build_executor, run_campaign
-from repro.experiments.config import ExperimentConfig
+from repro.execution import build_executor
+from repro.experiments.config import ExperimentConfig, paper_scheduler
 from repro.experiments.stats import format_table, median, stddev
 from repro.passes.base import PassManager
 from repro.passes.global_pass import CLOSURE_GLOBAL_SECTION
@@ -236,18 +237,21 @@ class TimelineFigure:
         return "\n".join(lines)
 
 
-def run_timeline(target: str, config: ExperimentConfig | None = None) -> TimelineFigure:
+def run_timeline(target: str, config: ExperimentConfig | None = None,
+                 out: str | None = None) -> TimelineFigure:
+    """Each mechanism's sample stream of paper trial 0 in *out*."""
     config = config if config is not None else ExperimentConfig()
+    scheduler = paper_scheduler(config, target, out)
+    scheduler.run()
     figure = TimelineFigure(target=target)
-    for mechanism in ("closurex", "forkserver"):
-        seed = config.trial_seed(target, "timeline", 0)
-        result = run_campaign(target, mechanism, config.budget_ns, seed)
-        figure.series.append(
-            TimelineSeries(
-                mechanism=mechanism,
+    for trial in scheduler.spec.enumerate_trials():
+        if trial.trial_index == 0:
+            figure.series.append(TimelineSeries(
+                mechanism=trial.arm.mechanism,
                 points=[
-                    (p.ns / 1e9, p.execs, p.edges) for p in result.timeline
+                    (record["t_ns"] / 1e9, record["execs"], record["edges"])
+                    for record in scheduler.store.read(trial.trial_id)
+                    if record["kind"] == "sample"
                 ],
-            )
-        )
+            ))
     return figure

@@ -59,7 +59,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.experiments.campaign_runner import build_executor
+from repro.execution import build_executor
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.stats import format_table, median
 from repro.fuzzing.campaign import Campaign, CampaignConfig
@@ -308,7 +308,7 @@ def run_i2s_guards(config: ExperimentConfig | None = None,
             target=target, guard=guard.guard, budget_ns=config.budget_ns
         )
         for trial in range(config.trials):
-            seed = config.trial_seed(target, "i2s", trial)
+            seed = config.trial_seed(target, trial)
             row.havoc_ns.append(
                 time_to_guard(target, cells, seed, config.budget_ns, False)
             )

@@ -112,6 +112,9 @@ class Measurer:
         return record
 
     def final_record(self, trial: TrialSpec, result: CampaignResult) -> dict:
+        """The trial's closing record; ``crashes`` lists each unique
+        crash as ``[kind, function, block, found_at_ns]`` in triage
+        order."""
         return {
             "kind": "final",
             "trial_id": trial.trial_id,
@@ -127,6 +130,10 @@ class Measurer:
             "edges": result.edges_found,
             "corpus": result.corpus_size,
             "unique_crashes": result.unique_crashes,
+            "crashes": [
+                [r.kind.value, r.function, r.identity[2], r.found_at_ns]
+                for r in result.crash_reports
+            ],
             "total_crashes": result.total_crashes,
             "unique_hangs": result.unique_hangs,
             "elapsed_ns": result.elapsed_ns,

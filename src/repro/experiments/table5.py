@@ -1,7 +1,7 @@
 """Experiment E1 — Table 5: test-case execution rate.
 
-For every benchmark, run N-trial fuzzing campaigns under ClosureX and
-under the AFL++ forkserver with identical seeds/mutators, extrapolate
+For every benchmark, read the N paired paper trials under ClosureX and
+under the AFL++ forkserver (identical seeds/mutators), extrapolate
 each trial's throughput to the paper's 24-hour horizon, and report the
 per-target speedup and Mann-Whitney p-value — the same row format as
 the paper's Table 5.
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.campaign_runner import run_campaign
-from repro.experiments.config import HORIZON_24H_NS, ExperimentConfig
+from repro.experiments.config import HORIZON_24H_NS, ExperimentConfig, paper_finals
 from repro.experiments.stats import format_count, format_table, mann_whitney_p, mean
 
 
@@ -53,18 +52,17 @@ class Table5Result:
         )
 
 
-def run_table5(config: ExperimentConfig | None = None) -> Table5Result:
+def run_table5(config: ExperimentConfig | None = None,
+               out: str | None = None) -> Table5Result:
+    """Table 5 from the final records of the paper trials in *out*
+    (running whichever are missing)."""
     config = config if config is not None else ExperimentConfig()
     rows: list[Table5Row] = []
-    for target in config.targets:
-        closurex: list[float] = []
-        aflpp: list[float] = []
-        for trial in range(config.trials):
-            seed = config.trial_seed(target, "any", trial)
-            cx = run_campaign(target, "closurex", config.budget_ns, seed)
-            fk = run_campaign(target, "forkserver", config.budget_ns, seed)
-            closurex.append(cx.extrapolate_execs(HORIZON_24H_NS))
-            aflpp.append(fk.extrapolate_execs(HORIZON_24H_NS))
+    for target, finals in paper_finals(config, config.targets, out).items():
+        closurex = [final["execs"] * HORIZON_24H_NS / final["elapsed_ns"]
+                    for final in finals["closurex"]]
+        aflpp = [final["execs"] * HORIZON_24H_NS / final["elapsed_ns"]
+                 for final in finals["forkserver"]]
         cx_mean, fk_mean = mean(closurex), mean(aflpp)
         rows.append(
             Table5Row(

@@ -1,6 +1,6 @@
 """Experiment E2 — Table 6: edge-coverage improvement.
 
-Same campaigns as Table 5; each trial's final coverage is the number
+Same paper trials as Table 5; each trial's final coverage is the number
 of hit edge-map cells divided by the target's edge universe (static
 CFG edges plus two dynamic pairs per direct call — the map cells a
 complete exploration could hit).  Reported exactly like the paper's
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.campaign_runner import run_campaign
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, paper_finals
 from repro.experiments.stats import format_table, mann_whitney_p, mean
 from repro.ir import cfg
 from repro.targets import get_target
@@ -62,19 +61,18 @@ class Table6Result:
         )
 
 
-def run_table6(config: ExperimentConfig | None = None) -> Table6Result:
+def run_table6(config: ExperimentConfig | None = None,
+               out: str | None = None) -> Table6Result:
+    """Table 6 from the final records of the paper trials in *out*
+    (running whichever are missing)."""
     config = config if config is not None else ExperimentConfig()
     rows: list[Table6Row] = []
-    for target in config.targets:
+    for target, finals in paper_finals(config, config.targets, out).items():
         universe = edge_universe(target)
-        closurex: list[float] = []
-        aflpp: list[float] = []
-        for trial in range(config.trials):
-            seed = config.trial_seed(target, "any", trial)
-            cx = run_campaign(target, "closurex", config.budget_ns, seed)
-            fk = run_campaign(target, "forkserver", config.budget_ns, seed)
-            closurex.append(100.0 * min(cx.edges_found, universe) / universe)
-            aflpp.append(100.0 * min(fk.edges_found, universe) / universe)
+        closurex = [100.0 * min(final["edges"], universe) / universe
+                    for final in finals["closurex"]]
+        aflpp = [100.0 * min(final["edges"], universe) / universe
+                 for final in finals["forkserver"]]
         cx_mean, fk_mean = mean(closurex), mean(aflpp)
         improvement = 100.0 * (cx_mean - fk_mean) / fk_mean if fk_mean else 0.0
         rows.append(

@@ -1,20 +1,21 @@
 """Experiment E3 — Table 7: time-to-bug.
 
-For the four bug-bearing targets, run N trials per mechanism and
-record, for every planted bug, the virtual time of its first discovery
-in each trial.  Rows mirror the paper's Table 7: mean seconds-to-bug
-with the number of finding trials in parentheses, plus the bug-type
-label, for ClosureX and AFL++ side by side.
+For the four bug-bearing targets, read N paper trials per mechanism
+and record, for every planted bug, the virtual time of its first
+discovery in each trial (the ``crashes`` of the trial's final record).
+Rows mirror the paper's Table 7: mean seconds-to-bug with the number of
+finding trials in parentheses, plus the bug-type label, for ClosureX
+and AFL++ side by side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.campaign_runner import run_campaign
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, paper_finals
 from repro.experiments.stats import format_table, mean
 from repro.targets import get_target
+from repro.vm.errors import TrapKind
 
 #: The paper's Table 7 covers exactly these four programs.
 BUG_TARGETS = ("c-blosc2", "gpmf-parser", "libbpf", "md4c")
@@ -75,11 +76,14 @@ class Table7Result:
 
 
 def run_table7(config: ExperimentConfig | None = None,
-               targets: tuple[str, ...] = BUG_TARGETS) -> Table7Result:
+               targets: tuple[str, ...] = BUG_TARGETS,
+               out: str | None = None) -> Table7Result:
+    """Table 7 from the crashes in the final records of the paper
+    trials in *out* (running whichever are missing)."""
     config = config if config is not None else ExperimentConfig()
     selected = [t for t in targets if t in config.targets] or list(targets)
     rows: list[Table7Row] = []
-    for target in selected:
+    for target, finals in paper_finals(config, selected, out).items():
         spec = get_target(target)
         per_bug = {
             bug.bug_id: Table7Row(
@@ -90,17 +94,15 @@ def run_table7(config: ExperimentConfig | None = None,
             )
             for bug in spec.bugs
         }
-        for trial in range(config.trials):
-            seed = config.trial_seed(target, "any", trial)
-            for mechanism, bucket in (("closurex", "closurex_times"),
-                                      ("forkserver", "aflpp_times")):
-                result = run_campaign(target, mechanism, config.budget_ns, seed)
-                for report in result.crash_reports:
-                    bug = spec.find_bug(report.identity)
+        for mechanism, bucket in (("closurex", "closurex_times"),
+                                  ("forkserver", "aflpp_times")):
+            for final in finals[mechanism]:
+                for kind, function, block, found_at_ns in final["crashes"]:
+                    bug = spec.find_bug((TrapKind(kind), function, block))
                     if bug is None:
                         continue
                     getattr(per_bug[bug.bug_id], bucket).append(
-                        report.found_at_ns / 1e9
+                        found_at_ns / 1e9
                     )
         rows.extend(per_bug.values())
     return Table7Result(rows=rows, trials=config.trials)

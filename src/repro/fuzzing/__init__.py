@@ -4,7 +4,6 @@ from repro.fuzzing.campaign import (
     Campaign,
     CampaignConfig,
     CampaignResult,
-    TimelinePoint,
 )
 from repro.fuzzing.checkpoint import (
     CheckpointError,
@@ -43,7 +42,6 @@ from repro.fuzzing.triage import (
 
 __all__ = [
     "Campaign", "CampaignConfig", "CampaignResult", "CampaignSession",
-    "TimelinePoint",
     "CheckpointError", "capture_state", "load_checkpoint", "load_state",
     "save_checkpoint", "save_state",
     "Corpus", "QueueEntry", "input_hash",

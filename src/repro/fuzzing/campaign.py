@@ -53,7 +53,6 @@ class CampaignConfig:
     trim_exec_cap: int = 48               # cap trim execs per entry
     havoc_base_energy: int = 48
     max_input_size: int = 1024
-    timeline_samples: int = 64            # coverage/exec timeline resolution
     # Per-test-case instruction budget (hang watchdog), applied to the
     # executor at campaign start — AFL's -t, in instructions.
     exec_instruction_limit: int = DEFAULT_EXEC_INSTRUCTION_LIMIT
@@ -114,16 +113,6 @@ class CampaignConfig:
 
 
 @dataclass
-class TimelinePoint:
-    """One sampled (virtual time, execs, coverage, crashes) tuple."""
-
-    ns: int
-    execs: int
-    edges: int
-    unique_crashes: int
-
-
-@dataclass
 class CampaignResult:
     """Everything a finished campaign knows."""
 
@@ -139,7 +128,6 @@ class CampaignResult:
     total_hangs: int = 0
     recoveries: int = 0
     quarantined_inputs: int = 0
-    timeline: list[TimelinePoint] = field(default_factory=list)
     crash_reports: list = field(default_factory=list)
     hang_reports: list = field(default_factory=list)
     # Per-mutation-stage efficacy accounts (stage name -> StageStats).
@@ -184,9 +172,6 @@ class Campaign:
         self.execs = 0
         self.current_entry_id = 0
         self.run_start_ns = 0
-        self._timeline: list[TimelinePoint] = []
-        self._next_sample_ns = 0
-        self._sample_every = max(1, self.config.budget_ns // self.config.timeline_samples)
         self._resume_state: dict | None = None
         self._next_checkpoint_ns: int | None = None
         self._deadline_ns = self.config.budget_ns
@@ -230,9 +215,6 @@ class Campaign:
         self.run_start_ns = start_ns
         self._deadline_ns = start_ns + self.config.budget_ns
         self._halted = False
-        self._sample_every = max(
-            1, self.config.budget_ns // self.config.timeline_samples
-        )
         if self.telemetry.enabled:
             self.reporter = CampaignReporter(
                 self,
@@ -247,7 +229,6 @@ class Campaign:
             if self.reporter is not None:
                 self.reporter.start_ns = start_ns
         else:
-            self._next_sample_ns = start_ns
             with tracer.span("stage.seed", seeds=len(self.seeds)):
                 self._seed_queue()
         if (self._i2s is not None
@@ -443,8 +424,6 @@ class Campaign:
         self.execs = state["execs"]
         self.current_entry_id = state["current_entry_id"]
         self.rng.setstate(state["rng_state"])
-        self._timeline = list(state["timeline"])
-        self._next_sample_ns = state["next_sample_ns"]
         self.executor.restore_state(state["executor_state"])
         # I2S stage state and per-stage accounts ride along in newer
         # checkpoints; .get() keeps pre-I2S checkpoints loadable.
@@ -667,22 +646,9 @@ class Campaign:
             self.triage.record_hang(
                 coverage_signature(result.coverage), data, self.clock.now_ns
             )
-        self._maybe_sample(self._sample_every)
         if self.reporter is not None:
             self.reporter.maybe_update()
         return result
-
-    def _maybe_sample(self, sample_every: int) -> None:
-        if self.clock.now_ns >= self._next_sample_ns:
-            self._timeline.append(
-                TimelinePoint(
-                    ns=self.clock.now_ns,
-                    execs=self.execs,
-                    edges=self.virgin.edges_found(),
-                    unique_crashes=self.triage.unique_count,
-                )
-            )
-            self._next_sample_ns = self.clock.now_ns + sample_every
 
     def _finish(self, start_ns: int) -> CampaignResult:
         if self.reporter is not None:
@@ -704,7 +670,6 @@ class Campaign:
             quarantined_inputs=(
                 supervision.quarantined_inputs if supervision else 0
             ),
-            timeline=self._timeline,
             crash_reports=self.triage.reports(),
             hang_reports=self.triage.hang_reports(),
             stage_stats={

@@ -79,8 +79,6 @@ def capture_state(campaign) -> dict:
         "corpus": campaign.corpus,
         "virgin": campaign.virgin,
         "triage": campaign.triage,
-        "timeline": list(campaign._timeline),
-        "next_sample_ns": campaign._next_sample_ns,
         "executor_state": executor.snapshot_state(),
         # Input-to-state stage state + per-stage efficacy accounts.
         # Both read back via .get() so pre-I2S checkpoints stay

@@ -42,7 +42,7 @@ from repro.execution import MECHANISMS
 from repro.fuzzing import CampaignResult, CheckpointError
 from repro.fuzzing.checkpoint import CHECKPOINT_VERSION, load_state, save_state
 from repro.fuzzing.coverage import VirginMap
-from repro.fuzzing.triage import CrashTriage
+from repro.fuzzing.triage import CrashReport, CrashTriage
 from repro.parallel.reporter import ParallelReporter
 from repro.parallel.sync import RoundReport, SyncHub, SyncStats
 from repro.parallel.worker import (
@@ -143,7 +143,7 @@ class ParallelResult:
     merged_edges: int
     merged_unique_crashes: int
     merged_unique_hangs: int
-    merged_crash_identities: list[tuple]
+    crash_reports: list[CrashReport]  # the merged triage's, in its order
     corpus_hashes: list[str]          # union over shards, sorted
     merged_virgin_bytes: bytes
     sync: SyncStats
@@ -158,6 +158,14 @@ class ParallelResult:
         if self.budget_ns == 0:
             return 0.0
         return self.total_execs / (self.budget_ns / 1e9)
+
+    @property
+    def merged_crash_identities(self) -> list[tuple]:
+        """Sorted (kind, function, block) of every merged unique crash."""
+        return sorted(
+            (r.kind.value, r.function, r.identity[2])
+            for r in self.crash_reports
+        )
 
     def digest(self) -> str:
         """Stable fingerprint of everything 'bit-identical' means for a
@@ -194,6 +202,7 @@ class ParallelResult:
             total_hangs=sum(r.total_hangs for r in workers),
             recoveries=sum(r.recoveries for r in workers),
             quarantined_inputs=sum(r.quarantined_inputs for r in workers),
+            crash_reports=self.crash_reports,
         )
 
 
@@ -612,10 +621,7 @@ class ParallelCampaign:
             merged_edges=merged_virgin.edges_found(),
             merged_unique_crashes=merged_triage.unique_count,
             merged_unique_hangs=merged_triage.unique_hang_count,
-            merged_crash_identities=sorted(
-                (r.kind.value, r.function, r.identity[2])
-                for r in merged_triage.reports()
-            ),
+            crash_reports=merged_triage.reports(),
             corpus_hashes=sorted(corpus_hashes),
             merged_virgin_bytes=merged_virgin.to_bytes(),
             sync=self.hub.stats,

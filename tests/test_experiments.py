@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import (
     ExperimentConfig,
-    clear_campaign_cache,
     edge_universe,
     format_count,
     format_table,
@@ -20,17 +19,46 @@ from repro.experiments import (
     run_table7,
     run_timeline,
 )
+from repro.experiments.config import PAPER_SAMPLES, paper_finals
+from repro.experiments.platform import ExperimentSpec
 
 TINY = ExperimentConfig(
     budget_ns=4_000_000, trials=2, targets=["giftext", "libbpf"]
 )
 
+#: Tables 5-7 at TINY (Table 7 on libbpf) as uninterrupted campaigns
+#: render them; the sliced, checkpointed paper trials must agree.
+GOLDEN_TINY_TABLES = (
+    "Benchmark  ClosureX  AFL++  Speedup  p value\n"
+    "---------  --------  -----  -------  -------\n"
+    "giftext    7.51B     1.81B  4.16     0.3333 \n"
+    "libbpf     6.57B     1.61B  4.09     0.3333 \n"
+    "Average                     4.12            ",
+    "Benchmark  ClosureX  AFL++   % Improvement  p value\n"
+    "---------  --------  ------  -------------  -------\n"
+    "giftext    70.45%    63.64%  10.71          0.333  \n"
+    "libbpf     72.76%    69.66%  4.46           0.333  \n"
+    "Average                      7.58                  ",
+    "Benchmark  ClosureX (vs)  AFL++ (vs)  Bug Type       \n"
+    "---------  -------------  ----------  ---------------\n"
+    "libbpf     - (0/2)        - (0/2)     Null Ptr Deref.\n"
+    "libbpf     - (0/2)        - (0/2)     Null Ptr Deref.\n"
+    "libbpf     - (0/2)        - (0/2)     Null Ptr Deref.",
+)
 
-@pytest.fixture(autouse=True, scope="module")
-def _fresh_cache():
-    clear_campaign_cache()
-    yield
-    clear_campaign_cache()
+
+@pytest.fixture(scope="module")
+def out(tmp_path_factory):
+    """One paper-trial directory shared by every TINY view here."""
+    return str(tmp_path_factory.mktemp("paper"))
+
+
+def _tiny_tables(out):
+    return (
+        run_table5(TINY, out).render(),
+        run_table6(TINY, out).render(),
+        run_table7(TINY, targets=("libbpf",), out=out).render(),
+    )
 
 
 class TestStatsHelpers:
@@ -56,8 +84,8 @@ class TestStatsHelpers:
 
 
 class TestTable5:
-    def test_structure_and_shape(self):
-        result = run_table5(TINY)
+    def test_structure_and_shape(self, out):
+        result = run_table5(TINY, out)
         assert [row.benchmark for row in result.rows] == TINY.targets
         for row in result.rows:
             assert row.closurex_execs_24h > row.aflpp_execs_24h
@@ -69,8 +97,8 @@ class TestTable5:
 
 
 class TestTable6:
-    def test_structure(self):
-        result = run_table6(TINY)
+    def test_structure(self, out):
+        result = run_table6(TINY, out)
         for row in result.rows:
             assert 0 < row.closurex_coverage <= 100
             assert 0 < row.aflpp_coverage <= 100
@@ -81,20 +109,25 @@ class TestTable6:
 
 
 class TestTable7:
-    def test_finds_bugs_in_both_mechanisms(self):
+    def test_finds_bugs_in_both_mechanisms(self, tmp_path):
         config = ExperimentConfig(budget_ns=12_000_000, trials=2,
                                   targets=["libbpf"])
-        result = run_table7(config, targets=("libbpf",))
+        result = run_table7(config, targets=("libbpf",), out=str(tmp_path))
         assert len(result.rows) == 3  # libbpf's three planted bugs
         found_by_closurex = [r for r in result.rows if r.closurex_times]
         assert found_by_closurex, "ClosureX found no libbpf bugs"
+        # The crash's virtual discovery time, as the uninterrupted
+        # campaign recorded it.
+        assert [r.closurex_times for r in found_by_closurex] == [
+            [0.011903724]
+        ]
         rendered = result.render()
         assert "Null Ptr Deref." in rendered
 
-    def test_row_cells(self):
+    def test_row_cells(self, tmp_path):
         config = ExperimentConfig(budget_ns=6_000_000, trials=1,
                                   targets=["libbpf"])
-        result = run_table7(config, targets=("libbpf",))
+        result = run_table7(config, targets=("libbpf",), out=str(tmp_path))
         for row in result.rows:
             cell = row.cell("closurex")
             assert "(" in cell and ")" in cell
@@ -154,19 +187,60 @@ class TestAblation:
 
 
 class TestTimeline:
-    def test_series_for_both_mechanisms(self):
-        figure = run_timeline("giftext", TINY)
+    def test_series_for_both_mechanisms(self, out):
+        figure = run_timeline("giftext", TINY, out)
         assert {s.mechanism for s in figure.series} == {"closurex", "forkserver"}
         for series in figure.series:
             assert series.points
+
+    def test_last_point_is_trial_zero_final(self, out):
+        figure = run_timeline("giftext", TINY, out)
+        finals = paper_finals(TINY, ["giftext"], out)["giftext"]
+        for series in figure.series:
+            final = finals[series.mechanism][0]
+            assert len(series.points) == PAPER_SAMPLES
+            assert series.points[-1] == (
+                TINY.budget_ns / 1e9, final["execs"], final["edges"]
+            )
+
+
+class TestPaperTrials:
+    def test_tables_match_golden_text(self, out):
+        assert _tiny_tables(out) == GOLDEN_TINY_TABLES
+
+    def test_second_view_runs_no_campaign(self, out, monkeypatch):
+        first = _tiny_tables(out)
+
+        def no_campaigns(*args, **kwargs):
+            raise AssertionError("a view over finished trials ran one")
+
+        monkeypatch.setattr(
+            "repro.experiments.platform.measurer.build_executor",
+            no_campaigns,
+        )
+        assert _tiny_tables(out) == first
+        assert run_timeline("giftext", TINY, out).series
 
 
 class TestConfig:
     def test_trial_seed_stable(self):
         config = ExperimentConfig()
-        assert config.trial_seed("a", "m", 0) == config.trial_seed("a", "m", 0)
-        assert config.trial_seed("a", "m", 0) != config.trial_seed("a", "m", 1)
-        assert config.trial_seed("a", "m", 0) != config.trial_seed("b", "m", 0)
+        assert config.trial_seed("a", 0) == config.trial_seed("a", 0)
+        assert config.trial_seed("a", 0) != config.trial_seed("a", 1)
+        assert config.trial_seed("a", 0) != config.trial_seed("b", 0)
+        assert [config.trial_seed("giftext", i) for i in range(3)] == [
+            113497837, 113497838, 113497839
+        ]
+        # Config and spec seeds agree, and every paper trial uses its
+        # config seed under both mechanisms.
+        spec = ExperimentSpec(name="any", targets=["md4c"],
+                              mechanisms=["fresh"],
+                              base_seed=config.base_seed)
+        assert spec.trial_seed("md4c", 1) == config.trial_seed("md4c", 1)
+        trials = config.paper_spec("md4c").enumerate_trials()
+        assert len(trials) == 2 * config.trials
+        for trial in trials:
+            assert trial.seed == config.trial_seed("md4c", trial.trial_index)
 
     def test_env_targets_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_TARGETS", "giftext, nope")

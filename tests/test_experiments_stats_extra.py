@@ -1,22 +1,22 @@
 """Extra coverage for experiment-layer plumbing not exercised by the
 slow campaign tests: result rendering, Table 7 row math, and the
-campaign-runner registry."""
+shared executor builder."""
 
 import pytest
 
 from repro.experiments import (
-    MECHANISMS,
     Table5Result,
     Table5Row,
     Table7Result,
     Table7Row,
-    build_executor,
 )
 from repro.execution import (
+    MECHANISMS,
     ClosureXExecutor,
     ForkServerExecutor,
     FreshProcessExecutor,
     NaivePersistentExecutor,
+    build_executor,
 )
 from repro.sim_os import Kernel
 

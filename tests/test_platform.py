@@ -348,6 +348,19 @@ class TestParallelTrials:
         TrialScheduler(spec, store_b).run()
         assert store_b.digest() == store_a.digest()
 
+    def test_multi_worker_final_lists_merged_crashes(self, tmp_path):
+        spec = tiny_spec(
+            name="tiny-parallel-crashes",
+            targets=["md4c"],
+            mechanisms=["closurex"],
+            trials=1,
+            budget_ns=4 * MS,
+            n_workers=2,
+        )
+        final, = TrialScheduler(spec, ResultsStore(str(tmp_path))).run()
+        assert final["unique_crashes"] > 0
+        assert len(final["crashes"]) == final["unique_crashes"]
+
 
 class TestArmLabels:
     def test_default_variant_label_is_bare_mechanism(self):

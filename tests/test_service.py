@@ -20,8 +20,7 @@ import time
 import pytest
 
 from repro.chaos.plan import FaultPlan, FaultSite, FaultSpec
-from repro.execution import SupervisedExecutor
-from repro.experiments.campaign_runner import build_executor
+from repro.execution import SupervisedExecutor, build_executor
 from repro.fuzzing import Campaign, CampaignConfig
 from repro.parallel import ParallelCampaign, ParallelConfig
 from repro.service import (
