@@ -44,10 +44,5 @@ def test_no_collateral_damage(ablation):
 
 def test_fd_rewind_optimisation(results_dir):
     result = run_fd_rewind_ablation("giftext", iterations=10)
-    text = (
-        f"{result.target}: rewound={result.rewound_with_optimisation} "
-        f"closed(without opt)={result.closed_without_optimisation} "
-        f"restore {result.restore_ns_with} vs {result.restore_ns_without} ns"
-    )
-    save_result(results_dir, "ablation_fd_rewind", text)
+    save_result(results_dir, "ablation_fd_rewind", result.render())
     assert result.restore_ns_with >= 0

@@ -16,7 +16,7 @@ def motivation():
 
 def test_motivation_regenerates(benchmark, results_dir):
     report = benchmark.pedantic(run_motivation, rounds=1, iterations=1)
-    save_result(results_dir, "motivation_incorrectness", report.describe())
+    save_result(results_dir, "motivation_incorrectness", report.render())
 
 
 def test_fresh_process_is_ground_truth(motivation):

@@ -5,7 +5,8 @@ Shards one campaign over several workers with deterministic corpus
 sync, demonstrates the bit-identity guarantee (two runs, one digest),
 and shows the sync protocol's counters.  Equivalent CLI:
 
-  python -m repro.parallel --target md4c --workers 4 --seed 7
+  python -m repro.fuzzing --target md4c --workers 4 --seed 7 \
+      --budget-ms 8 --sync-ms 2
 
 Run:  python examples/parallel_fuzz.py
 """

@@ -129,7 +129,7 @@ def main():
         section("Figures: spectrum / pass transforms / timeline", figures)
     if args.motivation:
         section("Motivation: persistent-mode pathologies",
-                lambda: print(run_motivation().describe()))
+                lambda: print(run_motivation().render()))
     if args.ablation:
         section("Ablation: drop each pass",
                 lambda: print(run_pass_ablation("bsdtar").render()))

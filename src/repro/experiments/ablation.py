@@ -136,6 +136,13 @@ class FdRewindResult:
     def saving_ns(self) -> int:
         return self.restore_ns_without - self.restore_ns_with
 
+    def render(self) -> str:
+        return (
+            f"{self.target}: rewound={self.rewound_with_optimisation} "
+            f"closed(without opt)={self.closed_without_optimisation} "
+            f"restore {self.restore_ns_with} vs {self.restore_ns_without} ns"
+        )
+
 
 def run_fd_rewind_ablation(target: str, iterations: int = 20) -> FdRewindResult:
     """Quantify the init-handle ``fseek`` optimisation (paper §4.2.2)."""

@@ -98,7 +98,7 @@ class MotivationReport:
             and self.closurex_crash
         )
 
-    def describe(self) -> str:
+    def render(self) -> str:
         lines = [
             f"fresh process crashes on 'C': {self.fresh_crash}",
             f"naive persistent misses the crash after 'D': "

@@ -19,10 +19,11 @@ the checkpoint, trims any snapshots past it
 and continues bit-identically — the finished stream is byte-equal to an
 uninterrupted run's.
 
-Multi-worker trials ride :class:`~repro.parallel.ParallelCampaign` with
-the sync-barrier cadence as the measurement cadence, sampling through
-the orchestrator's ``on_barrier`` observer; their coordinated barrier
-checkpoints provide the same resume story.
+Multi-worker trials are :class:`~repro.parallel.ParallelCampaign`
+fleets driven the same way.  A fleet pauses only at sync barriers, so
+each of its samples reads the first barrier at or after the sample's
+grid instant (the same barrier when both cadences agree, the default),
+and its coordinated checkpoints provide the same resume story.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from repro.execution import build_executor
 from repro.experiments.platform.spec import TrialSpec
 from repro.experiments.platform.store import ResultsStore
 from repro.fuzzing import CampaignResult, CampaignSession
-from repro.fuzzing.checkpoint import CheckpointError
 from repro.integrity import EscalationPolicy
-from repro.parallel import ParallelCampaign, ParallelConfig, barrier_progress
+from repro.parallel import ParallelCampaign, ParallelConfig, ParallelResult
 from repro.sim_os import Kernel
 from repro.targets import get_target
 
@@ -68,23 +68,41 @@ class Measurer:
     def __init__(self, store: ResultsStore):
         self.store = store
 
-    def open_session(self, trial: TrialSpec) -> tuple[CampaignSession, int]:
-        """A single-worker trial's started session, resumed from its
-        checkpoint if one loads, and the index of its next sample."""
+    def open_session(
+        self, trial: TrialSpec
+    ) -> tuple[CampaignSession | ParallelCampaign, int]:
+        """A trial's started session (a fleet for a multi-worker trial),
+        resumed from its checkpoint if one loads, and the index of its
+        next sample."""
         store, trial_id = self.store, trial.trial_id
-        session = CampaignSession(
-            build_executor(
-                trial.target, trial.arm.mechanism, Kernel(),
+        path = store.checkpoint_path(trial_id)
+        if trial.n_workers > 1:
+            session = ParallelCampaign.open(ParallelConfig(
+                target=trial.target,
+                n_workers=trial.n_workers,
+                seed=trial.seed,
+                budget_ns=trial.budget_ns,
+                sync_every_ns=trial.sync_every_ns,
+                mechanism=trial.arm.mechanism,
                 supervised=trial.supervised,
                 sentinel_digest_every=trial.sentinel_digest_every,
-                # A trial's sentinel keeps the policy's shadow cadence.
-                sentinel_shadow_every=(EscalationPolicy.shadow_every
-                                       if trial.sentinel_digest_every
-                                       else 0),
-            ),
-            get_target(trial.target).seeds, trial.campaign_config(),
-            checkpoint_path=store.checkpoint_path(trial_id),
-        )
+                checkpoint_path=path,
+            ))
+        else:
+            session = CampaignSession(
+                build_executor(
+                    trial.target, trial.arm.mechanism, Kernel(),
+                    supervised=trial.supervised,
+                    sentinel_digest_every=trial.sentinel_digest_every,
+                    # A trial's sentinel keeps the policy's shadow
+                    # cadence.
+                    sentinel_shadow_every=(EscalationPolicy.shadow_every
+                                           if trial.sentinel_digest_every
+                                           else 0),
+                ),
+                get_target(trial.target).seeds, trial.campaign_config(),
+                checkpoint_path=path,
+            )
         if not session.resumed:
             store.reset_trial(trial_id)
         session.start()
@@ -96,14 +114,20 @@ class Measurer:
     # -- snapshots ------------------------------------------------------
 
     def sample(self, trial: TrialSpec, k: int,
-               session: CampaignSession) -> dict:
-        """The trial's *k*-th sample, taken from its session."""
+               session: CampaignSession | ParallelCampaign) -> dict:
+        """The trial's *k*-th sample, taken from its session.  A fleet's
+        counters are its barrier progress (per-shard crash/hang sums,
+        an upper bound until the final record's merged dedup)."""
         record = {
             "kind": "sample",
             "k": k,
             **session.progress(),
             "t_ns": min(k * trial.measure_every_ns, trial.budget_ns),
         }
+        if isinstance(session, ParallelCampaign):
+            # No one executor ladder is in reach: its counters read zero.
+            record.update(executor_health(None))
+            return record
         campaign = session.campaign
         record.update(executor_health(campaign.executor))
         metrics = campaign.telemetry.metrics
@@ -111,10 +135,13 @@ class Measurer:
             record["metrics"] = metrics.counter_values()
         return record
 
-    def final_record(self, trial: TrialSpec, result: CampaignResult) -> dict:
-        """The trial's closing record; ``crashes`` lists each unique
-        crash as ``[kind, function, block, found_at_ns]`` in triage
-        order."""
+    def final_record(self, trial: TrialSpec,
+                     result: CampaignResult | ParallelResult) -> dict:
+        """The trial's closing record (a fleet's merged result);
+        ``crashes`` lists each unique crash as ``[kind, function, block,
+        found_at_ns]`` in triage order."""
+        if isinstance(result, ParallelResult):
+            result = result.merged()
         return {
             "kind": "final",
             "trial_id": trial.trial_id,
@@ -140,49 +167,3 @@ class Measurer:
             "recoveries": result.recoveries,
             "quarantined": result.quarantined_inputs,
         }
-
-    # -- multi-worker trials --------------------------------------------
-
-    def run_parallel_trial(self, trial: TrialSpec) -> dict:
-        """One ParallelCampaign trial, sampled at sync barriers.
-
-        Barrier samples merge what the orchestrator can see without
-        unpickling worker state: summed execs, the hub's novelty map
-        (a merged view of every globally novel discovery) and global
-        corpus, and *summed* per-worker unique crash/hang counts — an
-        upper bound until the final record's true merged dedup.
-        """
-        config = ParallelConfig(
-            target=trial.target,
-            n_workers=trial.n_workers,
-            seed=trial.seed,
-            budget_ns=trial.budget_ns,
-            sync_every_ns=trial.sync_every_ns,
-            mechanism=trial.arm.mechanism,
-            supervised=trial.supervised,
-            sentinel_digest_every=trial.sentinel_digest_every,
-            checkpoint_path=self.store.checkpoint_path(trial.trial_id),
-        )
-        try:
-            campaign = ParallelCampaign.resume(config.checkpoint_path)
-            resumed_clock = min(
-                campaign.round_index * trial.sync_every_ns, trial.budget_ns
-            )
-            self.store.truncate_after(trial.trial_id, resumed_clock)
-        except (CheckpointError, OSError):
-            self.store.reset_trial(trial.trial_id)
-            campaign = ParallelCampaign(config)
-
-        def on_barrier(round_index: int, deadline_ns: int, reports, hub):
-            self.store.append(trial.trial_id, {
-                "kind": "sample",
-                "k": round_index,
-                **barrier_progress(deadline_ns, reports, hub),
-                # No executor ladder is in reach: its counters read zero.
-                **executor_health(None),
-            })
-
-        campaign.on_barrier = on_barrier
-        final = self.final_record(trial, campaign.run().merged())
-        self.store.append(trial.trial_id, final)
-        return final

@@ -11,9 +11,8 @@ watcher of the results store sees the whole frontier move, exactly like
 fuzzbench's dispatcher view), while each trial's virtual timeline —
 and therefore every recorded byte — is unaffected by the interleaving.
 
-Multi-worker trials (:class:`~repro.parallel.ParallelCampaign`) manage
-their own worker fleet, so they occupy their slot for one full turn
-rather than one interval.
+Multi-worker trials are :class:`~repro.parallel.ParallelCampaign`
+fleets with the same session surface, advanced the same way.
 
 Scheduling is crash-safe and resumable: trials already finished in the
 store are skipped, half-finished trials resume from their RPRCKPT1
@@ -30,7 +29,7 @@ from repro.experiments.platform.store import ResultsStore
 
 
 class _CampaignSlot:
-    """One live single-worker trial, advanced an interval at a time."""
+    """One live trial, advanced an interval at a time."""
 
     def __init__(self, measurer: Measurer, trial: TrialSpec):
         self.measurer = measurer
@@ -51,19 +50,6 @@ class _CampaignSlot:
             return False
         self.final = self.measurer.final_record(trial, session.finish())
         store.append(trial.trial_id, self.final)
-        return True
-
-
-class _ParallelSlot:
-    """One multi-worker trial; runs whole in a single turn."""
-
-    def __init__(self, measurer: Measurer, trial: TrialSpec):
-        self.measurer = measurer
-        self.trial = trial
-        self.final: dict | None = None
-
-    def advance(self) -> bool:
-        self.final = self.measurer.run_parallel_trial(self.trial)
         return True
 
 
@@ -102,12 +88,7 @@ class TrialScheduler:
             while pending and len(live) < self.max_live:
                 trial = pending.pop(0)
                 resumable = bool(self.store.read(trial.trial_id))
-                slot = (
-                    _ParallelSlot(self.measurer, trial)
-                    if trial.n_workers > 1
-                    else _CampaignSlot(self.measurer, trial)
-                )
-                live.append(slot)
+                live.append(_CampaignSlot(self.measurer, trial))
                 self.log(
                     f"{'resume' if resumable else 'start'} "
                     f"{trial.trial_id}"

@@ -1,4 +1,4 @@
-"""Command-line entry point for single-worker fuzzing campaigns.
+"""Command-line entry point for fuzzing campaigns, one worker or many.
 
 Examples::
 
@@ -9,14 +9,27 @@ Examples::
     python -m repro.fuzzing --target libpcap --i2s --budget-ms 40
 
     # checkpoint every 4 virtual ms; resume continues bit-identically
-    # (checkpoints name the mechanism, not the target program)
+    # (campaign checkpoints name the mechanism, not the target program)
     python -m repro.fuzzing --target md4c --checkpoint /tmp/fuzz.ckpt
     python -m repro.fuzzing --target md4c --resume /tmp/fuzz.ckpt
 
+    # 4-worker fleet, deterministic for the (seed, workers, sync) tuple
+    python -m repro.fuzzing --target md4c --workers 4 --seed 7
+
+    # real OS processes + a coordinated checkpoint at every sync
+    # barrier; a fleet checkpoint names its whole config
+    python -m repro.fuzzing --target md4c --workers 4 --processes \\
+        --checkpoint /tmp/fleet.ckpt
+    python -m repro.fuzzing --resume /tmp/fleet.ckpt
+
 The final line of output is ``digest: <sha256>`` — the campaign's
-:meth:`~repro.fuzzing.Campaign.state_digest`.  The same configuration
-always prints the same digest, and an interrupted campaign resumed
-from its checkpoint prints the digest of the never-interrupted run.
+:meth:`~repro.fuzzing.Campaign.state_digest`, or the fleet's
+:meth:`~repro.parallel.ParallelResult.digest`.  The same configuration
+always prints the same digest, and an interrupted run resumed from its
+checkpoint prints the digest of the never-interrupted run.
+
+This entry point sits above both :mod:`repro.fuzzing` and
+:mod:`repro.parallel`; the fuzzing library never imports the fleet.
 """
 
 from __future__ import annotations
@@ -28,6 +41,8 @@ from repro.execution import MECHANISMS, build_executor
 from repro.fuzzing.campaign import CampaignConfig
 from repro.fuzzing.checkpoint import load_checkpoint
 from repro.fuzzing.session import CampaignSession
+from repro.parallel import ParallelCampaign, ParallelConfig
+from repro.parallel.orchestrator import PARALLEL_CHECKPOINT_KIND
 from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
 
@@ -38,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzzing",
         description="Run one deterministic fuzzing campaign "
-                    "(optionally with the input-to-state stage).",
+                    "(optionally with the input-to-state stage), or "
+                    "shard it across N workers with periodic corpus "
+                    "sync.",
     )
     parser.add_argument("--target", choices=target_names(),
                         help="target program (see --list-targets)")
@@ -52,40 +69,80 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 20)")
     parser.add_argument("--i2s", action="store_true",
                         help="enable the input-to-state stage (compare "
-                             "tapping, colorization, auto-dictionary)")
+                             "tapping, colorization, auto-dictionary; "
+                             "one worker only)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="number of shards; more than 1 runs a "
+                             "fleet with periodic corpus sync "
+                             "(default: 1)")
+    parser.add_argument("--sync-ms", type=int, default=4,
+                        help="a fleet's sync barrier cadence in virtual "
+                             "milliseconds (default: 4)")
+    parser.add_argument("--processes", action="store_true",
+                        help="run a fleet's workers as spawned OS "
+                             "processes (default: inline, same results)")
     parser.add_argument("--checkpoint", metavar="PATH",
                         help="write a crash-safe checkpoint every "
-                             "interval (see --checkpoint-ms)")
+                             "--checkpoint-ms, or at every sync barrier "
+                             "of a fleet")
     parser.add_argument("--checkpoint-ms", type=int, default=4,
                         help="checkpoint cadence in virtual ms "
                              "(default: 4)")
     parser.add_argument("--resume", metavar="PATH",
-                        help="resume a campaign from a checkpoint")
+                        help="resume a campaign or a fleet from a "
+                             "checkpoint")
+    parser.add_argument("--report-dir", metavar="DIR",
+                        help="write a fleet's merged fuzzer_stats/"
+                             "plot_data here")
+    parser.add_argument("--per-worker-reports", action="store_true",
+                        help="also write worker_N/ stats under "
+                             "--report-dir")
     parser.add_argument("--list-targets", action="store_true",
                         help="list available targets and exit")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.list_targets:
         for name in target_names():
             print(name)
         return 0
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
+    if args.workers > 1 and args.i2s:
+        parser.error("--i2s runs with one worker only")
     state, config, mechanism = None, None, args.mechanism
     if args.resume is not None:
+        state = load_checkpoint(args.resume)
+        if state.get("kind") == PARALLEL_CHECKPOINT_KIND:
+            return run_fleet(ParallelCampaign.resume(args.resume))
         if args.target is None:
-            print("error: --resume needs --target (checkpoints identify "
-                  "the mechanism, not the target program)", file=sys.stderr)
+            print("error: --resume of a campaign needs --target (campaign "
+                  "checkpoints identify the mechanism, not the target "
+                  "program)", file=sys.stderr)
             return 2
         # The resumed run takes budget, seed and i2s from the state.
-        state = load_checkpoint(args.resume)
         mechanism = state["mechanism"]
     else:
         if args.target is None:
             print("error: --target is required (or --resume / "
                   "--list-targets)", file=sys.stderr)
             return 2
+        if args.workers > 1:
+            return run_fleet(ParallelCampaign(ParallelConfig(
+                target=args.target,
+                n_workers=args.workers,
+                seed=args.seed,
+                budget_ns=args.budget_ms * MS,
+                sync_every_ns=args.sync_ms * MS,
+                mechanism=args.mechanism,
+                use_processes=args.processes,
+                checkpoint_path=args.checkpoint,
+                report_dir=args.report_dir,
+                per_worker_reports=args.per_worker_reports,
+            )))
         config = CampaignConfig(
             budget_ns=args.budget_ms * MS,
             seed=args.seed,
@@ -116,6 +173,37 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i2s dictionary   : {len(campaign._i2s.dictionary)} tokens "
               f"({len(campaign._i2s.site_pairs)} compare sites)")
     print(f"digest: {campaign.state_digest()}")
+    return 0
+
+
+def run_fleet(fleet: ParallelCampaign) -> int:
+    """Run a fleet to its budget and print its merged summary."""
+    result = fleet.run()
+    print(f"target           : {result.target} [{result.mechanism}]")
+    print(f"workers          : {result.n_workers} "
+          f"({'processes' if fleet.config.use_processes else 'inline'})")
+    print(f"seed             : {result.seed}")
+    print(f"budget           : {result.budget_ns / MS:g} vms x "
+          f"{result.rounds} rounds "
+          f"(sync every {result.sync_every_ns / MS:g} vms)")
+    print(f"total execs      : {result.total_execs}")
+    print(f"aggregate rate   : "
+          f"{result.aggregate_execs_per_vsecond:,.0f} execs/vsec")
+    print(f"merged edges     : {result.merged_edges}")
+    print(f"merged corpus    : {len(result.corpus_hashes)} inputs")
+    print(f"unique crashes   : {result.merged_unique_crashes} "
+          f"(hangs: {result.merged_unique_hangs})")
+    print(f"sync             : {result.sync.accepted} accepted / "
+          f"{result.sync.offered} offered, "
+          f"{result.sync.delivered} delivered, "
+          f"{result.sync.duplicates} dup, {result.sync.stale} stale")
+    if result.replacements:
+        print(f"replacements     : {result.replacements}")
+    per_worker = ", ".join(
+        f"w{i}={r.execs}" for i, r in enumerate(result.workers)
+    )
+    print(f"per-worker execs : {per_worker}")
+    print(f"digest: {result.digest()}")
     return 0
 
 

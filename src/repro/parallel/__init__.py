@@ -8,15 +8,16 @@ interesting inputs at deterministic sync barriers.  For a fixed
 corpus hashes, crash set — is bit-identical across runs, whether the
 workers run inline in one process or as spawned OS processes.
 
-- :mod:`repro.parallel.orchestrator` — the round loop, transports,
-  worker replacement, coordinated checkpoint/resume.
+- :mod:`repro.parallel.orchestrator` — the fleet, driven a sync round
+  at a time like a campaign session; transports, worker replacement,
+  coordinated checkpoint/resume.
 - :mod:`repro.parallel.sync` — the hub: novelty-keyed input exchange
   with content-hash dedup and FIFO backpressure.
 - :mod:`repro.parallel.worker` — one shard: config, runtime, the
   spawn-safe process entry point.
 - :mod:`repro.parallel.reporter` — merged AFL-style stats.
 
-Run ``python -m repro.parallel --target md4c --workers 4 --seed 7``
+Run ``python -m repro.fuzzing --target md4c --workers 4 --seed 7``
 for the CLI.
 """
 
@@ -26,7 +27,6 @@ from repro.parallel.orchestrator import (
     ParallelConfig,
     ParallelResult,
     ProcessTransport,
-    barrier_progress,
 )
 from repro.parallel.reporter import MERGED_PLOT_HEADER, ParallelReporter
 from repro.parallel.sync import RoundReport, SyncCandidate, SyncHub, SyncStats
@@ -40,7 +40,7 @@ from repro.parallel.worker import (
 
 __all__ = [
     "InlineTransport", "ParallelCampaign", "ParallelConfig",
-    "ParallelResult", "ProcessTransport", "barrier_progress",
+    "ParallelResult", "ProcessTransport",
     "MERGED_PLOT_HEADER", "ParallelReporter",
     "RoundReport", "SyncCandidate", "SyncHub", "SyncStats",
     "WorkerConfig", "WorkerFinal", "WorkerRuntime",

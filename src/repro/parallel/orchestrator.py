@@ -26,11 +26,14 @@ whichever transport executes it:
   snapshot — the round replays identically, so a crash costs wall-clock
   time but never determinism.
 
-Coordinated multi-shard checkpointing rides the same barrier snapshots:
-``checkpoint_path`` persists hub + all shard states every
-``checkpoint_every_rounds`` barriers (RPRCKPT1 framing, CRC, rotation),
-and :meth:`ParallelCampaign.resume` continues bit-identically even if
-any subset of workers — or the orchestrator itself — was killed.
+A fleet is driven like a :class:`~repro.fuzzing.CampaignSession`:
+``start``, ``advance`` whole rounds a slice at a time, ``checkpoint``
+between slices, ``progress``, ``finish``.  Coordinated multi-shard
+checkpoints persist hub + all shard barrier states (RPRCKPT1 framing,
+CRC, rotation); :meth:`ParallelCampaign.resume` continues
+bit-identically even if any subset of workers — or the orchestrator
+itself — was killed, and :meth:`ParallelCampaign.open` resumes or
+starts fresh from the configured path.
 """
 
 from __future__ import annotations
@@ -71,24 +74,17 @@ class ParallelConfig:
     chaos_faults: int = 0             # per-worker fault-plan length
     sentinel_digest_every: int = 0    # integrity sentinel cadence
     sentinel_shadow_every: int = 0
-    max_imports_per_sync: int = 64    # sync backpressure cap
     report_dir: str | None = None     # merged fuzzer_stats directory
     per_worker_reports: bool = False  # worker_N/ subdirectories too
     # Coordinated multi-shard checkpoint: written at sync barriers.
     checkpoint_path: str | None = None
-    checkpoint_every_rounds: int = 1
     checkpoint_keep: int = 2
-    # Wall-clock ceiling per worker reply before the orchestrator
-    # declares the process dead (process transport only).
-    worker_timeout_s: float = 300.0
     # Shared content-addressed corpus store root: workers put payloads
     # there and the sync exchange goes hash-only (see
     # repro.parallel.sync); None = payloads ride the wire as before.
     corpus_store_root: str | None = None
-    # Test hooks: kill the orchestrator after this barrier (checkpoint
-    # resume tests), and per-worker death rounds (replacement tests;
-    # maps shard_id -> round_index, process transport only).
-    halt_after_round: int | None = None
+    # Test hook: per-worker death rounds (replacement tests; maps
+    # shard_id -> round_index, process transport only).
     die_at_rounds: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -98,10 +94,6 @@ class ParallelConfig:
             raise ValueError("sync_every_ns must be >= 1")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-
-    @property
-    def n_rounds(self) -> int:
-        return -(-self.budget_ns // self.sync_every_ns)  # ceil div
 
     def worker_config(self, shard_id: int) -> WorkerConfig:
         report_dir = None
@@ -206,24 +198,6 @@ class ParallelResult:
         )
 
 
-def barrier_progress(deadline_ns: int, reports: list[RoundReport],
-                     hub: SyncHub) -> dict:
-    """A fleet's progress at a sync barrier, shaped like
-    :meth:`~repro.fuzzing.CampaignSession.progress`.  Crash and hang
-    counts are per-shard sums (shards report no total hangs)."""
-    return {
-        "clock_ns": deadline_ns,
-        "t_ns": deadline_ns,
-        "execs": sum(r.execs for r in reports),
-        "edges": hub.virgin.edges_found(),
-        "corpus": len(hub.corpus_hashes()),
-        "unique_crashes": sum(r.unique_crashes for r in reports),
-        "total_crashes": sum(r.total_crashes for r in reports),
-        "unique_hangs": sum(r.unique_hangs for r in reports),
-        "total_hangs": 0,
-    }
-
-
 # ----------------------------------------------------------------------
 # transports
 # ----------------------------------------------------------------------
@@ -261,8 +235,13 @@ class InlineTransport:
         return [runtime.finish() for runtime in self.runtimes]
 
     def stop(self) -> None:
-        """Abandon the fleet without finishing (halt test hook)."""
+        """Abandon the fleet without finishing."""
         self.runtimes = []
+
+
+#: Wall-clock seconds a worker process may take to answer one command
+#: before the orchestrator declares it dead and replaces it.
+WORKER_TIMEOUT_S = 300.0
 
 
 class ProcessTransport:
@@ -280,11 +259,9 @@ class ProcessTransport:
     replays bit-identically.
     """
 
-    def __init__(self, configs: list[WorkerConfig],
-                 timeout_s: float = 300.0):
+    def __init__(self, configs: list[WorkerConfig]):
         import multiprocessing
         self.configs = list(configs)
-        self.timeout_s = timeout_s
         self.context = multiprocessing.get_context("spawn")
         self.processes: list = [None] * len(configs)
         self.conns: list = [None] * len(configs)
@@ -317,7 +294,7 @@ class ProcessTransport:
         conn = self.conns[shard_id]
         process = self.processes[shard_id]
         try:
-            deadline_budget = self.timeout_s
+            deadline_budget = WORKER_TIMEOUT_S
             while not conn.poll(min(0.05, deadline_budget)):
                 deadline_budget -= 0.05
                 if deadline_budget <= 0 or not process.is_alive():
@@ -431,48 +408,40 @@ class ProcessTransport:
 # ----------------------------------------------------------------------
 
 class ParallelCampaign:
-    """One sharded fuzzing campaign (see module docstring)."""
+    """One sharded fuzzing campaign (see module docstring), driven like
+    a :class:`~repro.fuzzing.CampaignSession`."""
+
+    #: Barrier instants are shard-clock instants, counted from zero.
+    start_ns = 0
 
     def __init__(self, config: ParallelConfig):
+        """Open a fresh fleet; :meth:`start` it next."""
         self.config = config
         self.store = None
         if config.corpus_store_root is not None:
             from repro.store import CorpusStore
             self.store = CorpusStore(config.corpus_store_root)
-        self.hub = SyncHub(
-            config.n_workers,
-            max_imports_per_sync=config.max_imports_per_sync,
-            store=self.store,
-        )
+        self.hub = SyncHub(config.n_workers, store=self.store)
         self.round_index = 0
         self.barrier_states: list[bytes | None] = [None] * config.n_workers
+        self.reports: list[RoundReport] = []   # the last barrier's
         self.reporter = (
             ParallelReporter(config.report_dir, config)
             if config.report_dir is not None else None
         )
-        # Barrier observer: called as ``on_barrier(round_index,
-        # deadline_ns, reports, hub)`` after every sync barrier's merge.
-        # This is how the experiment platform's measurer samples a
-        # multi-worker trial's coverage growth without perturbing the
-        # round loop (observers must not mutate reports or the hub).
-        self.on_barrier = None
-        # Cooperative stop: when set (by another thread — the fuzzing
-        # service's shutdown path), the round loop checkpoints at the
-        # next barrier and returns ``None`` instead of running to the
-        # budget; the campaign stays resumable from that checkpoint.
-        self.stop_requested = False
-        self._resume = False
+        self.resumed = False
+        self._transport = None
 
-    # -- checkpoint / resume ----------------------------------------------
+    # -- opening -------------------------------------------------------------
 
     @classmethod
     def resume(cls, path: str,
                config: ParallelConfig | None = None) -> "ParallelCampaign":
-        """Rebuild a parallel campaign from a coordinated checkpoint;
-        ``run()`` then continues bit-identically to the uninterrupted
-        run — every shard restores its barrier snapshot, the hub
-        restores its novelty filter and outboxes, and the round loop
-        re-enters where it left off."""
+        """Rebuild a parallel campaign from a coordinated checkpoint; it
+        then continues bit-identically to the uninterrupted run — every
+        shard restores its barrier snapshot, the hub restores its
+        novelty filter and outboxes, and the round loop re-enters where
+        it left off."""
         state = load_state(path)
         if state.get("kind") != PARALLEL_CHECKPOINT_KIND:
             raise CheckpointError(
@@ -493,18 +462,27 @@ class ParallelCampaign:
         campaign.hub = SyncHub.from_state(state["hub"], store=campaign.store)
         campaign.round_index = state["round_index"]
         campaign.barrier_states = list(state["barrier_states"])
-        campaign._resume = True
+        campaign.resumed = True
         return campaign
 
+    @classmethod
+    def open(cls, config: ParallelConfig) -> "ParallelCampaign":
+        """Resume from ``config.checkpoint_path`` when a checkpoint of
+        this fleet loads there, else open fresh (digest-equivalent by
+        determinism)."""
+        try:
+            return cls.resume(config.checkpoint_path, config)
+        except CheckpointError:
+            return cls(config)
+
     def checkpoint(self, path: str | None = None) -> str:
+        """Persist the fleet at its last barrier; returns the path."""
         path = path if path is not None else self.config.checkpoint_path
         if path is None:
             raise ValueError("no checkpoint path configured")
-        # Strip test hooks from the persisted config: a resumed run
-        # must not re-halt or re-kill.
-        persisted = replace(
-            self.config, halt_after_round=None, die_at_rounds={},
-        )
+        # Strip the test hook from the persisted config: a resumed run
+        # must not re-kill.
+        persisted = replace(self.config, die_at_rounds={})
         save_state(
             {
                 "version": CHECKPOINT_VERSION,
@@ -519,80 +497,112 @@ class ParallelCampaign:
         )
         return path
 
-    # -- the round loop ----------------------------------------------------
+    # -- the session surface -------------------------------------------------
 
-    def run(self) -> ParallelResult | None:
-        """Drive the fleet to the budget deadline and merge.
+    @property
+    def now_ns(self) -> int:
+        """The last barrier's instant."""
+        return min(self.config.budget_ns,
+                   self.round_index * self.config.sync_every_ns)
 
-        Returns ``None`` when the ``halt_after_round`` test hook killed
-        the orchestrator mid-run (resume from the checkpoint to
-        continue); otherwise the merged :class:`ParallelResult`.
-        """
+    @property
+    def deadline_ns(self) -> int:
+        return self.config.budget_ns
+
+    def start(self) -> None:
+        """Bring up the workers, fresh or from their barrier snapshots."""
         config = self.config
-        spec = get_target(config.target)
         configs = [
             config.worker_config(shard) for shard in range(config.n_workers)
         ]
-        transport = (
-            ProcessTransport(configs, timeout_s=config.worker_timeout_s)
-            if config.use_processes else InlineTransport(configs)
+        self._transport = (
+            ProcessTransport(configs) if config.use_processes
+            else InlineTransport(configs)
         )
-        try:
-            return self._drive(transport, spec)
-        finally:
-            transport.stop()
-
-    def _drive(self, transport, spec) -> ParallelResult | None:
-        config = self.config
-        if self._resume:
-            # Workers restore their barrier snapshots; the hub already
-            # carries the sync state matching those snapshots.
-            transport.start(list(self.barrier_states))
+        if self.resumed:
+            # The hub already carries the sync state matching the
+            # restored snapshots.
+            self.reports = self._transport.start(list(self.barrier_states))
         else:
-            self.hub.register_seeds([bytes(s) for s in spec.seeds])
-            reports = transport.start([None] * config.n_workers)
-            self._absorb(reports)
-            if config.checkpoint_path is not None:
-                # Barrier-0 baseline, same rationale as Campaign.start.
-                self.checkpoint()
-
-        n_rounds = config.n_rounds
-        while self.round_index < n_rounds:
-            round_index = self.round_index
-            deadline_ns = min(
-                config.budget_ns, (round_index + 1) * config.sync_every_ns
+            self.hub.register_seeds(
+                [bytes(s) for s in get_target(config.target).seeds]
             )
-            commands = [
-                (round_index, deadline_ns, self.hub.drain(shard))
-                for shard in range(config.n_workers)
-            ]
-            reports = transport.round(commands, list(self.barrier_states))
-            self._absorb(reports)
-            self.round_index = round_index + 1
-            if self.reporter is not None:
-                self.reporter.barrier(self.round_index, reports, self.hub)
-            if self.on_barrier is not None:
-                self.on_barrier(self.round_index, deadline_ns, reports,
-                                self.hub)
-            if (config.checkpoint_path is not None
-                    and self.round_index % config.checkpoint_every_rounds == 0):
-                self.checkpoint()
-            if (config.halt_after_round is not None
-                    and self.round_index > config.halt_after_round):
-                return None    # the orchestrator "dies" here
-            if self.stop_requested:
-                if config.checkpoint_path is not None:
-                    self.checkpoint()
-                return None    # cooperative stop; resumable
+            self._absorb(self._transport.start([None] * config.n_workers))
 
+    def advance(self, until_ns: int) -> bool:
+        """Run whole sync rounds until the last barrier is at or past
+        *until_ns*, clamped to the budget; returns whether a round ran.
+        A slice shorter than a round still runs one round."""
+        until_ns = min(until_ns, self.deadline_ns)
+        ran = False
+        while self.now_ns < until_ns:
+            self._round()
+            ran = True
+        return ran
+
+    def progress(self) -> dict:
+        """The fleet's counters at the last barrier, shaped like
+        :meth:`~repro.fuzzing.CampaignSession.progress`.  Crash and hang
+        counts are per-shard sums (shards report no total hangs)."""
+        reports = self.reports
+        return {
+            "clock_ns": self.now_ns,
+            "t_ns": self.now_ns,
+            "execs": sum(r.execs for r in reports),
+            "edges": self.hub.virgin.edges_found(),
+            "corpus": len(self.hub.corpus_hashes()),
+            "unique_crashes": sum(r.unique_crashes for r in reports),
+            "total_crashes": sum(r.total_crashes for r in reports),
+            "unique_hangs": sum(r.unique_hangs for r in reports),
+            "total_hangs": 0,
+        }
+
+    def finish(self) -> ParallelResult:
+        """Finish every shard and merge their results."""
+        transport = self._transport
         finals = sorted(transport.finish(), key=lambda f: f.shard_id)
         result = self._merge(finals, transport.replacements)
         if self.reporter is not None:
             self.reporter.finalize(result)
         return result
 
+    def run(self) -> ParallelResult:
+        """Drive the fleet to the budget deadline and merge, with a
+        checkpoint after seeding and at every barrier when
+        ``checkpoint_path`` is set."""
+        checkpointing = self.config.checkpoint_path is not None
+        try:
+            self.start()
+            if checkpointing and not self.resumed:
+                # Barrier-0 baseline, same rationale as Campaign.start.
+                self.checkpoint()
+            while self.advance(self.now_ns + 1):   # one round per call
+                if checkpointing:
+                    self.checkpoint()
+            return self.finish()
+        finally:
+            if self._transport is not None:
+                self._transport.stop()
+
+    def _round(self) -> None:
+        config = self.config
+        round_index = self.round_index
+        deadline_ns = min(
+            config.budget_ns, (round_index + 1) * config.sync_every_ns
+        )
+        commands = [
+            (round_index, deadline_ns, self.hub.drain(shard))
+            for shard in range(config.n_workers)
+        ]
+        reports = self._transport.round(commands, list(self.barrier_states))
+        self._absorb(reports)
+        self.round_index = round_index + 1
+        if self.reporter is not None:
+            self.reporter.barrier(self.round_index, reports, self.hub)
+
     def _absorb(self, reports: list[RoundReport]) -> None:
         self.hub.ingest(reports)
+        self.reports = reports
         for report in reports:
             self.barrier_states[report.shard_id] = report.state
 
@@ -626,5 +636,5 @@ class ParallelCampaign:
             merged_virgin_bytes=merged_virgin.to_bytes(),
             sync=self.hub.stats,
             replacements=replacements,
-            resumed=self._resume,
+            resumed=self.resumed,
         )

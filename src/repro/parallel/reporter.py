@@ -77,7 +77,7 @@ class ParallelReporter:
             "sync_delivered": result.sync.delivered,
             "worker_replacements": result.replacements,
             "command_line": (
-                f"repro.parallel --target {result.target} "
+                f"repro.fuzzing --target {result.target} "
                 f"--workers {result.n_workers} --seed {result.seed}"
             ),
         }

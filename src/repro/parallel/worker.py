@@ -59,9 +59,6 @@ class WorkerConfig:
     chaos_faults: int = 0             # per-worker FaultPlan length (0=off)
     sentinel_digest_every: int = 0    # integrity sentinel cadence (0=off)
     sentinel_shadow_every: int = 0
-    enable_trim: bool = True
-    havoc_base_energy: int = 48
-    max_input_size: int = 1024
     report_dir: str | None = None     # per-worker fuzzer_stats directory
     # Capture a pickled barrier snapshot in every RoundReport.  The
     # orchestrator turns this on when it needs restorable state — the
@@ -84,22 +81,11 @@ class WorkerConfig:
     def worker_seed(self) -> int:
         return derive_worker_seed(self.seed, self.shard_id)
 
-    @property
-    def is_main(self) -> bool:
-        """Shard 0 is the main instance (AFL++'s ``-M``); the rest are
-        secondaries.  The roles differ only in labelling today — every
-        shard trims and havocs — but the split is where main-only
-        stages (deterministic mutation) would attach."""
-        return self.shard_id == 0
-
     def campaign_config(self) -> CampaignConfig:
         config = CampaignConfig(
             budget_ns=self.budget_ns,
             seed=self.worker_seed,
             shard_id=self.shard_id,
-            enable_trim=self.enable_trim,
-            havoc_base_energy=self.havoc_base_energy,
-            max_input_size=self.max_input_size,
         )
         if self.report_dir is not None:
             config.telemetry = TelemetryConfig(

@@ -268,8 +268,7 @@ class FuzzService:
 
     # -- job terminal states (called by the worker pool) ------------------
 
-    async def complete_job(self, job: JobRecord, digest: str,
-                           result) -> None:
+    async def complete_job(self, job: JobRecord, digest: str) -> None:
         """Journal a job done (durably) and settle its quota."""
         spec = job.spec
         job.digest = digest

@@ -1,14 +1,14 @@
 """The campaign worker pool: cooperative slicing plus the failure ladder.
 
 Each worker is an asyncio task that pulls accepted jobs off the
-dispatch queue and drives them through a
-:class:`~repro.fuzzing.CampaignSession`: advance one *slice* of
-virtual time, yield the event loop (so submits, status polls, and
-watch streams stay live), checkpoint on the slice cadence, repeat to
-the budget deadline.  Multi-worker jobs ride
-:class:`~repro.parallel.ParallelCampaign` in a thread-pool executor —
-the orchestrator owns its own round loop — with the same
-checkpoint/resume story at sync barriers.
+dispatch queue and drives them through one slice loop: advance one
+*slice* of virtual time, yield the event loop (so submits, status
+polls, and watch streams stay live), checkpoint on the slice cadence,
+repeat to the budget deadline.  A single-worker job is a
+:class:`~repro.fuzzing.CampaignSession`; a multi-worker job is a
+:class:`~repro.parallel.ParallelCampaign`, whose slice is one whole
+sync round — seconds of wall time, not milliseconds — so it runs off
+the event loop through :func:`asyncio.to_thread`.
 
 Failures climb a three-rung degradation ladder mirroring the
 supervised executor's retry → respawn → quarantine shape, with capped
@@ -39,8 +39,8 @@ import asyncio
 import time
 
 from repro.execution import build_executor
-from repro.fuzzing import CampaignConfig, CampaignSession, CheckpointError
-from repro.parallel import ParallelCampaign, ParallelConfig, barrier_progress
+from repro.fuzzing import CampaignConfig, CampaignSession
+from repro.parallel import ParallelCampaign, ParallelConfig, ParallelResult
 from repro.sim_os import Kernel
 from repro.service.recovery import poll_checkpoint_tear
 from repro.service.scheduler import JobRecord, JobState
@@ -72,7 +72,6 @@ class WorkerPool:
         self.tasks: list[asyncio.Task] = []
         self.respawns = 0
         self._next_worker_id = 0
-        self._live_parallel: dict[str, ParallelCampaign] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -99,11 +98,9 @@ class WorkerPool:
         self.tasks = []
 
     def abort(self) -> None:
-        """Hard-but-clean stop: cancel workers mid-slice and ask live
-        parallel orchestrators to checkpoint and return.  In-flight
-        jobs stay journal-accepted and resume on the next start."""
-        for campaign in self._live_parallel.values():
-            campaign.stop_requested = True
+        """Hard-but-clean stop: cancel workers mid-slice.  In-flight
+        jobs stay journal-accepted and resume from their checkpoints on
+        the next start."""
         for task in self.tasks:
             task.cancel()
 
@@ -185,21 +182,31 @@ class WorkerPool:
             if fault is not None:
                 raise StepFailure("worker-wedge", fault.detail)
 
-    # -- single-worker jobs ----------------------------------------------
+    # -- the slice loop --------------------------------------------------
 
-    async def _attempt(self, job: JobRecord) -> None:
-        if job.spec.n_workers > 1:
-            await self._attempt_parallel(job)
-        else:
-            await self._attempt_campaign(job)
-
-    async def _attempt_campaign(self, job: JobRecord) -> None:
+    def _open(self, job: JobRecord) -> CampaignSession | ParallelCampaign:
+        """The job's session, resumed from its newest loadable
+        checkpoint generation or fresh."""
         service, spec = self.service, job.spec
-        policy = service.config.policy
+        path = service.state.checkpoint_path(job.job_id)
+        keep = service.config.policy.checkpoint_keep
+        if spec.n_workers > 1:
+            return ParallelCampaign.open(ParallelConfig(
+                target=spec.target,
+                n_workers=spec.n_workers,
+                seed=spec.seed,
+                budget_ns=spec.budget_ns,
+                sync_every_ns=spec.sync_every_ns,
+                mechanism=spec.mechanism,
+                supervised=spec.supervised,
+                chaos_faults=spec.chaos_faults,
+                checkpoint_path=path,
+                checkpoint_keep=keep,
+            ))
         # The fault plan is rebuilt from the spec on every attempt; its
         # counters live inside the supervised snapshot, so a resume
         # restores the schedule mid-plan.
-        session = CampaignSession(
+        return CampaignSession(
             build_executor(
                 spec.target, spec.mechanism, Kernel(),
                 supervised=spec.supervised,
@@ -207,16 +214,26 @@ class WorkerPool:
             ),
             get_target(spec.target).seeds,
             CampaignConfig(budget_ns=spec.budget_ns, seed=spec.seed,
-                           checkpoint_keep=policy.checkpoint_keep),
-            checkpoint_path=service.state.checkpoint_path(job.job_id),
+                           checkpoint_keep=keep),
+            checkpoint_path=path,
         )
+
+    async def _attempt(self, job: JobRecord) -> None:
+        service, spec = self.service, job.spec
+        policy = service.config.policy
+        session = self._open(job)
+        # A fleet slice is a whole sync round (seconds of wall time), so
+        # a fleet's calls run off the event loop.
+        call = asyncio.to_thread if spec.n_workers > 1 else _on_loop
         job.resumed_from_checkpoint |= session.resumed
-        session.start()
+        await call(session.start)
         slices = 0
         while session.now_ns < session.deadline_ns:
             self._poll_wedge()
             started = time.monotonic()
-            moved = session.advance(session.now_ns + policy.slice_ns)
+            moved = await call(
+                session.advance, session.now_ns + policy.slice_ns
+            )
             if time.monotonic() - started > policy.watchdog_s:
                 raise StepFailure(
                     "watchdog",
@@ -234,8 +251,16 @@ class WorkerPool:
             # The cooperative yield: everything else the server does
             # (submits, status, watch streams) happens here.
             await asyncio.sleep(0)
-        result = session.finish()
-        await service.complete_job(job, session.campaign.state_digest(), result)
+        result = await call(session.finish)
+        if isinstance(result, ParallelResult):
+            # Barrier samples sum per-shard counts; journal the merged.
+            job.execs, job.edges = result.total_execs, result.merged_edges
+            job.unique_crashes = result.merged_unique_crashes
+            job.unique_hangs = result.merged_unique_hangs
+            digest = result.digest()
+        else:
+            digest = session.campaign.state_digest()
+        await service.complete_job(job, digest)
 
     @staticmethod
     def _observe(job: JobRecord, progress: dict) -> None:
@@ -267,59 +292,7 @@ class WorkerPool:
                 overrun_ns=overrun_ns,
             )
 
-    # -- multi-worker jobs -----------------------------------------------
 
-    async def _attempt_parallel(self, job: JobRecord) -> None:
-        """One ParallelCampaign attempt in the thread pool.  The
-        orchestrator drives its own round loop, checkpointing at sync
-        barriers; progress is sampled through ``on_barrier``.  The
-        wall-clock watchdog does not preempt the thread — the
-        orchestrator's own per-worker ``worker_timeout_s`` covers
-        wedged shards."""
-        self._poll_wedge()
-        service = self.service
-        spec = job.spec
-        path = service.state.checkpoint_path(job.job_id)
-        config = ParallelConfig(
-            target=spec.target,
-            n_workers=spec.n_workers,
-            seed=spec.seed,
-            budget_ns=spec.budget_ns,
-            sync_every_ns=spec.sync_every_ns,
-            mechanism=spec.mechanism,
-            supervised=spec.supervised,
-            chaos_faults=spec.chaos_faults,
-            checkpoint_path=path,
-            checkpoint_keep=service.config.policy.checkpoint_keep,
-        )
-        try:
-            campaign = ParallelCampaign.resume(path, config)
-            job.resumed_from_checkpoint = True
-        except (CheckpointError, OSError):
-            campaign = ParallelCampaign(config)
-
-        def on_barrier(round_index, deadline_ns, reports, hub):
-            # Runs on the campaign thread: touch only this job's row.
-            self._observe(job, barrier_progress(deadline_ns, reports, hub))
-
-        campaign.on_barrier = on_barrier
-        self._live_parallel[job.job_id] = campaign
-        try:
-            result = await asyncio.get_running_loop().run_in_executor(
-                None, campaign.run
-            )
-        finally:
-            self._live_parallel.pop(job.job_id, None)
-        if result is None:
-            # Cooperative stop during shutdown: the job stays accepted
-            # and resumes from its barrier checkpoint next start.
-            return
-        service.ledger.charge(
-            job.spec.tenant, job.job_id, spec.budget_ns
-        )
-        self._poll_overrun(job)
-        # Barrier mirrors sum per-shard counts; journal the merged ones.
-        job.execs, job.edges = result.total_execs, result.merged_edges
-        job.unique_crashes = result.merged_unique_crashes
-        job.unique_hangs = result.merged_unique_hangs
-        await service.complete_job(job, result.digest(), result)
+async def _on_loop(fn, *args):
+    """Run *fn* on the event loop (a single campaign's slice is short)."""
+    return fn(*args)

@@ -74,7 +74,7 @@ def test_readme_quickstart_cli_digest_is_stable():
     """The README's headline command prints a reproducible digest."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    argv = [sys.executable, "-m", "repro.parallel", "--target", "md4c",
+    argv = [sys.executable, "-m", "repro.fuzzing", "--target", "md4c",
             "--workers", "2", "--seed", "7",
             "--budget-ms", "4", "--sync-ms", "2"]
     first = subprocess.run(argv, capture_output=True, text=True,

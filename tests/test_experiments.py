@@ -165,7 +165,7 @@ class TestMotivation:
         assert not report.false_crash_reproducible_fresh
         assert report.closurex_crash
         assert report.demonstrates_incorrectness
-        assert "false crashes" in report.describe()
+        assert "false crashes" in report.render()
 
 
 class TestAblation:
@@ -184,6 +184,14 @@ class TestAblation:
         # covers targets with init handles — assert the accounting adds up.
         assert result.restore_ns_with >= 0
         assert result.restore_ns_without >= 0
+
+
+class TestPaperCli:
+    def test_motivation_and_fd_rewind_render(self, capsys, tmp_path):
+        from repro.experiments.__main__ import main
+        assert main(["motivation", "fd-rewind", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "false crashes" in out and "giftext: rewound=" in out
 
 
 class TestTimeline:

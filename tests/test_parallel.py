@@ -280,13 +280,19 @@ class TestParallelDeterminism:
 # ---------------------------------------------------------------------------
 
 
+def _dropped_at_barrier(config: ParallelConfig, rounds: int) -> None:
+    """Advance a fleet *rounds* sync rounds, checkpoint it, and drop it
+    as a killed orchestrator leaves it."""
+    fleet = ParallelCampaign(config)
+    fleet.start()
+    assert fleet.advance(rounds * SYNC_NS)
+    fleet.checkpoint()
+
+
 class TestCoordinatedCheckpoint:
     def test_halt_and_resume_bit_identical(self, golden, tmp_path):
         path = str(tmp_path / "fleet.ckpt")
-        halted = ParallelCampaign(
-            _config(checkpoint_path=path, halt_after_round=1)
-        )
-        assert halted.run() is None          # orchestrator "dies" here
+        _dropped_at_barrier(_config(checkpoint_path=path), rounds=2)
         assert os.path.exists(path)
 
         resumed = ParallelCampaign.resume(path)
@@ -296,23 +302,19 @@ class TestCoordinatedCheckpoint:
 
     def test_resume_after_worker_death_bit_identical(self, golden, tmp_path):
         # The full disaster: one worker is killed mid-round, the healed
-        # fleet checkpoints, the orchestrator dies at the next barrier,
-        # and the resumed run still reproduces the golden digest.
+        # fleet checkpoints, the orchestrator dies at that barrier, and
+        # the resumed run still reproduces the golden digest.
         path = str(tmp_path / "fleet.ckpt")
-        halted = ParallelCampaign(_config(
+        _dropped_at_barrier(_config(
             use_processes=True, die_at_rounds={1: 1},
-            checkpoint_path=path, halt_after_round=1,
-        ))
-        assert halted.run() is None
+            checkpoint_path=path,
+        ), rounds=2)
         result = ParallelCampaign.resume(path).run()
         assert result.digest() == golden.digest()
 
     def test_resume_rejects_mismatched_config(self, tmp_path):
         path = str(tmp_path / "fleet.ckpt")
-        halted = ParallelCampaign(
-            _config(checkpoint_path=path, halt_after_round=0)
-        )
-        halted.run()
+        _dropped_at_barrier(_config(checkpoint_path=path), rounds=1)
         with pytest.raises(CheckpointError):
             ParallelCampaign.resume(path, _config(seed=99))
 
@@ -325,14 +327,30 @@ class TestCoordinatedCheckpoint:
 
     def test_checkpoint_strips_test_hooks(self, tmp_path):
         path = str(tmp_path / "fleet.ckpt")
-        halted = ParallelCampaign(_config(
-            checkpoint_path=path, halt_after_round=0,
-            die_at_rounds={0: 99},
-        ))
-        halted.run()
+        _dropped_at_barrier(
+            _config(checkpoint_path=path, die_at_rounds={0: 99}), rounds=1
+        )
         resumed = ParallelCampaign.resume(path)
-        assert resumed.config.halt_after_round is None
         assert resumed.config.die_at_rounds == {}
+
+    def test_checkpoint_with_retired_config_fields_resumes(
+        self, golden, tmp_path
+    ):
+        """A checkpoint pickled before the unused fleet options were
+        deleted carries them in its config; it resumes to the same
+        digest."""
+        from repro.fuzzing.checkpoint import load_state, save_state
+        path = str(tmp_path / "fleet.ckpt")
+        _dropped_at_barrier(_config(checkpoint_path=path), rounds=1)
+        state = load_state(path)
+        state["config"].__dict__.update(
+            max_imports_per_sync=64, checkpoint_every_rounds=1,
+            worker_timeout_s=300.0, halt_after_round=None,
+        )
+        save_state(state, path)
+        resumed = ParallelCampaign.resume(path)
+        assert resumed.config.checkpoint_every_rounds == 1   # carried
+        assert resumed.run().digest() == golden.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +380,7 @@ class TestReportingAndCli:
             assert "shard_id" in worker_stats
 
     def test_cli_runs_twice_with_identical_digest(self, capsys):
-        from repro.parallel.__main__ import main
+        from repro.fuzzing.__main__ import main
         argv = ["--target", TARGET, "--workers", "2", "--seed", "7",
                 "--budget-ms", "4", "--sync-ms", "2"]
         assert main(argv) == 0
@@ -375,7 +393,7 @@ class TestReportingAndCli:
         ]
 
     def test_cli_list_targets(self, capsys):
-        from repro.parallel.__main__ import main
+        from repro.fuzzing.__main__ import main
         assert main(["--list-targets"]) == 0
         assert TARGET in capsys.readouterr().out.split()
 

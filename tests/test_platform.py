@@ -348,6 +348,27 @@ class TestParallelTrials:
         TrialScheduler(spec, store_b).run()
         assert store_b.digest() == store_a.digest()
 
+    def test_multi_worker_trial_resumes_mid_trial(self, tmp_path):
+        """Stopped after two of its four samples (sample + checkpoint
+        each) and rerun over the same store, a 2-worker trial ends on
+        the uninterrupted store digest."""
+        spec = tiny_spec(name="tiny-parallel-resume", mechanisms=["closurex"],
+                         trials=1, budget_ns=4 * MS, n_workers=2)
+        whole = ResultsStore(str(tmp_path / "whole"))
+        TrialScheduler(spec, whole).run()
+        partial = ResultsStore(str(tmp_path / "partial"))
+        partial.bind_spec(spec)
+        trial = spec.enumerate_trials()[0]
+        measurer = Measurer(partial)
+        fleet, first = measurer.open_session(trial)
+        for k in (first, first + 1):
+            fleet.advance(fleet.start_ns + k * trial.measure_every_ns)
+            partial.append(trial.trial_id, measurer.sample(trial, k, fleet))
+            fleet.checkpoint()
+        assert len(partial.read(trial.trial_id)) == 2
+        TrialScheduler(spec, partial).run()
+        assert partial.digest() == whole.digest()
+
     def test_multi_worker_final_lists_merged_crashes(self, tmp_path):
         spec = tiny_spec(
             name="tiny-parallel-crashes",

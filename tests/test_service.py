@@ -482,8 +482,7 @@ def test_clock_overrun_bills_service_side_only(tmp_path):
 
 def test_multi_worker_barrier_samples_count_hangs(tmp_path, monkeypatch):
     """Barrier samples sum the shards' hangs like every other counter."""
-    from repro.parallel import RoundReport, SyncHub
-    from repro.service import worker_pool
+    from repro.parallel import RoundReport
 
     reports = [
         RoundReport(
@@ -493,19 +492,27 @@ def test_multi_worker_barrier_samples_count_hangs(tmp_path, monkeypatch):
         )
         for shard in range(2)
     ]
+    real_progress = ParallelCampaign.progress
 
-    def one_barrier_then_stop(campaign):
-        campaign.on_barrier(1, 1_000_000, reports, SyncHub(2))
-        return None   # cooperative stop: the job stays open
+    def progress_at_fake_barrier(fleet):
+        fleet.reports = reports
+        return real_progress(fleet)
 
-    monkeypatch.setattr(
-        worker_pool.ParallelCampaign, "run", one_barrier_then_stop
-    )
+    class Stopped(Exception):
+        """Ends the attempt before the job completes."""
+
+    def stop(fleet):
+        raise Stopped
+
+    monkeypatch.setattr(ParallelCampaign, "progress",
+                        progress_at_fake_barrier)
+    monkeypatch.setattr(ParallelCampaign, "finish", stop)
     service = FuzzService(ServiceConfig(state_dir=str(tmp_path)))
     job = JobRecord("job-0001", JobSpec(
         tenant="t", target="md4c", budget_ns=1_000_000, n_workers=2,
     ))
-    asyncio.run(service.pool._attempt_parallel(job))
+    with pytest.raises(Stopped):
+        asyncio.run(service.pool._attempt(job))
     assert job.unique_hangs == 5
     assert job.samples[-1]["unique_hangs"] == 5
 
@@ -539,6 +546,42 @@ def test_multi_worker_job_journals_merged_counts(tmp_path):
         reference.merged_unique_crashes,
     )
     assert final["unique_hangs"] == reference.merged_unique_hangs
+
+
+def test_multi_worker_job_survives_abort_and_restart(tmp_path):
+    """A fleet job aborted mid-run (its slice cancelled, nothing
+    settled) resumes on a restarted server from its barrier checkpoint
+    and completes with the uninterrupted fleet's digest."""
+    params = {"tenant": "t", "target": "md4c", "budget_ns": 6_000_000,
+              "seed": 3, "n_workers": 2, "sync_every_ns": 2_000_000}
+    policy = fast_policy(checkpoint_every_slices=1)
+
+    async def main():
+        service, task = await start_service(tmp_path, policy=policy)
+        client = await ServiceClient.connect(*service.endpoint)
+        accepted = await client.call("submit", params)
+        job = service.scheduler.jobs[accepted["job_id"]]
+        while job.execs == 0:    # one barrier sampled and checkpointed
+            await asyncio.sleep(0.01)
+        await client.close()
+        await stop_service(service, task)   # abort(), no drain
+        assert not job.state.terminal
+
+        revived, task2 = await start_service(tmp_path, policy=policy)
+        assert revived.recovered_jobs == 1
+        client2 = await ServiceClient.connect(*revived.endpoint)
+        final = await client2.call("watch", {"job_id": accepted["job_id"]})
+        await client2.close()
+        await stop_service(revived, task2)
+        return final
+
+    final = asyncio.run(main())
+    reference = ParallelCampaign(ParallelConfig(
+        target="md4c", n_workers=2, seed=3, budget_ns=6_000_000,
+        sync_every_ns=2_000_000,
+    )).run()
+    assert final["state"] == "done" and final["resumed"]
+    assert final["digest"] == reference.digest()
 
 
 # -- crash recovery ------------------------------------------------------

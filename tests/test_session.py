@@ -3,9 +3,10 @@
 Every way to open a :class:`CampaignSession` — fresh, from a checkpoint
 path, past a checkpoint whose every generation is corrupt, from an
 in-memory barrier state — advanced in uneven slices, must end on the
-digest of one uninterrupted ``Campaign.run()``.  And the drivers built
-on them (service, fleet, fuzzing CLI) must not drag in the evaluation
-stack.
+digest of one uninterrupted ``Campaign.run()``; a fleet advanced the
+same way through a checkpoint must end on ``ParallelCampaign.run()``'s.
+And the drivers built on them (service, fleet, fuzzing CLI) must not
+drag in the evaluation stack.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from repro.fuzzing import (
     CampaignSession,
     capture_state,
 )
+from repro.parallel import ParallelCampaign, ParallelConfig
 from repro.sim_os import Kernel
 from repro.targets import get_target
 
@@ -105,6 +107,33 @@ def test_sliced_session_ends_on_uninterrupted_digest(
     assert session.now_ns >= session.deadline_ns
     session.finish()
     assert session.campaign.state_digest() == uninterrupted_digest
+
+
+def _fleet_config(path=None) -> ParallelConfig:
+    return ParallelConfig(target=TARGET, n_workers=2, seed=11,
+                          budget_ns=BUDGET_NS, sync_every_ns=1_000_000,
+                          checkpoint_path=path)
+
+
+def test_sliced_fleet_ends_on_uninterrupted_digest(tmp_path):
+    """Slices shorter than a sync round run one round, longer ones run
+    several; a checkpoint and a resume midway change nothing."""
+    golden = ParallelCampaign(_fleet_config()).run().digest()
+    path = str(tmp_path / "fleet.ckpt")
+    slices = itertools.cycle(SLICES_NS)
+    fleet = ParallelCampaign.open(_fleet_config(path))
+    assert not fleet.resumed
+    fleet.start()
+    while fleet.now_ns < BUDGET_NS // 2:
+        assert fleet.advance(fleet.now_ns + next(slices))
+    fleet.checkpoint()
+    fleet = ParallelCampaign.open(_fleet_config(path))
+    assert fleet.resumed
+    fleet.start()
+    while fleet.advance(fleet.now_ns + next(slices)):
+        pass
+    assert fleet.now_ns >= fleet.deadline_ns
+    assert fleet.finish().digest() == golden
 
 
 def test_drivers_do_not_load_the_evaluation_stack():
