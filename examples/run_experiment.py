@@ -8,7 +8,7 @@ Vargha-Delaney Â₁₂ effect sizes, and coverage-growth sparklines on the
 virtual clock.  The whole pipeline is deterministic: the store digest
 printed at the end is a pure function of the spec.
 
-This is the API behind ``python -m repro.experiments.platform``; see
+This is the API behind ``python -m repro.experiments matrix``; see
 docs/experiments.md for the spec format and how to read the report.
 
 Run:  python examples/run_experiment.py

@@ -1,4 +1,4 @@
-"""Analysis CLI: ``python -m repro.analysis [opt] [options]``.
+"""Analysis CLI: ``python -m repro.analysis [opt|integrity] [options]``.
 
 Bare invocation is the lint gate.  For every registered target this
 runs, on both the raw module and the full ClosureX build:
@@ -19,17 +19,26 @@ restricts the set; ``--json`` emits a stable machine-readable report
 (schema ``repro-opt-report/1``).  Exits non-zero if any transform was
 rejected by translation validation.  CI runs this as the
 ``opt-validation`` job.
+
+``python -m repro.analysis integrity`` is the lint gate's runtime
+complement: the passes *should* restore every state dimension, this
+checks that they *did*.  Each target's ClosureX executor runs every
+seed twice under the integrity sentinel at its strictest cadence; any
+leak or divergence exits non-zero.  CI runs it in ``lint-targets``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 
 from repro.analysis.lint import Linter, Severity
 from repro.analysis.pollution import PollutionAnalyzer
+from repro.execution import build_executor
 from repro.ir.verifier import VerificationError, verify_module
-from repro.targets import all_targets, get_target
+from repro.sim_os.kernel import Kernel
+from repro.targets import all_targets, get_target, target_names
 
 
 def check_module(label: str, module) -> tuple[int, int]:
@@ -52,7 +61,7 @@ def check_module(label: str, module) -> tuple[int, int]:
     return errors, warnings
 
 
-def lint_main() -> int:
+def lint_main(args) -> int:
     total_errors = 0
     total_warnings = 0
     for spec in all_targets():
@@ -132,36 +141,22 @@ def _print_opt_entry(entry: dict) -> None:
             print(f"    {error}")
 
 
-def opt_main(argv: list[str]) -> int:
-    names = [spec.name for spec in all_targets()]
-    as_json = False
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--json":
-            as_json = True
-        elif arg == "--targets":
-            i += 1
-            if i >= len(argv):
-                print("error: --targets needs a comma-separated list",
-                      file=sys.stderr)
-                return 2
-            names = [n for n in argv[i].split(",") if n]
-        elif arg.startswith("--targets="):
-            names = [n for n in arg.split("=", 1)[1].split(",") if n]
-        else:
-            print(f"error: unknown argument {arg!r}", file=sys.stderr)
-            return 2
-        i += 1
+def opt_main(args) -> int:
+    names = (target_names() if args.targets is None
+             else [n for n in args.targets.split(",") if n])
+    unknown = sorted(set(names) - set(target_names()))
+    if unknown:
+        print(f"error: unknown targets {unknown}; known targets: "
+              f"{', '.join(target_names())}", file=sys.stderr)
+        return 2
     entries = []
     for name in names:
-        spec = get_target(name)
-        entry = optimize_target(spec)
+        entry = optimize_target(get_target(name))
         entries.append(entry)
-        if not as_json:
+        if not args.json:
             _print_opt_entry(entry)
     rejected = sum(entry["rejected"] for entry in entries)
-    if as_json:
+    if args.json:
         print(json.dumps({
             "schema": "repro-opt-report/1",
             "targets": entries,
@@ -174,15 +169,60 @@ def opt_main(argv: list[str]) -> int:
     return 1 if rejected else 0
 
 
+# ---------------------------------------------------------------------------
+# integrity subcommand
+# ---------------------------------------------------------------------------
+
+
+def integrity_main(args) -> int:
+    names = target_names()
+    failures = 0
+    for name in names:
+        executor = build_executor(name, "closurex", Kernel(),
+                                  sentinel_digest_every=1,
+                                  sentinel_shadow_every=1)
+        executor.boot()
+        # Two passes over the seeds: the second exercises restoration
+        # *after* real target activity, which is where leaks would live.
+        for seed in get_target(name).seeds * 2:
+            executor.run(bytes(seed))
+        executor.shutdown()
+        stats = executor.sentinel.stats
+        ok = stats.leaks == 0 and stats.divergences == 0
+        failures += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: checks={stats.checks} "
+              f"shadows={stats.shadow_runs} leaks={stats.leaks} "
+              f"divergences={stats.divergences} "
+              f"overhead={stats.overhead_ns}ns")
+    print(f"\nintegrity self-check: {len(names) - failures}/{len(names)} "
+          f"targets restore-clean")
+    return 1 if failures else 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description="Self-check every built-in target: lint and "
+                    "strict-verify it (no subcommand), optimize it "
+                    "(opt), or restore-check it at runtime (integrity).",
+    )
+    parser.set_defaults(run=lint_main)
+    commands = parser.add_subparsers()
+    opt = commands.add_parser("opt", help="run the validated optimizer")
+    opt.add_argument("--targets", metavar="A,B",
+                     help="comma-separated targets (default: all)")
+    opt.add_argument("--json", action="store_true",
+                     help="emit the repro-opt-report/1 JSON report")
+    opt.set_defaults(run=opt_main)
+    integrity = commands.add_parser("integrity",
+                                    help="restore-check every target")
+    integrity.set_defaults(run=integrity_main)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "opt":
-        return opt_main(argv[1:])
-    if argv:
-        print(f"error: unknown subcommand {argv[0]!r} "
-              f"(expected 'opt' or no arguments)", file=sys.stderr)
-        return 2
-    return lint_main()
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

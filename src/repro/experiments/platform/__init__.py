@@ -20,7 +20,7 @@ moving parts, each its own module:
   (Mann-Whitney U, Vargha-Delaney Â₁₂, bootstrap CIs) and
   coverage-growth curves as markdown + canonical JSON.
 
-``python -m repro.experiments.platform`` is the CLI; for a fixed spec
+``python -m repro.experiments matrix`` is the CLI; for a fixed spec
 the results store and report are bit-reproducible across runs, kills,
 and resumes.
 """

@@ -220,9 +220,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentSpec":
-        """Load a spec from a JSON file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """Load a spec from a JSON file; an unreadable or malformed file
+        is a :class:`SpecError`."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, ValueError) as error:
+            raise SpecError(f"cannot load spec {path!r}: {error}") from error
+        return cls.from_dict(data)
 
     def canonical_json(self) -> str:
         """Key-sorted, whitespace-free JSON — the digestable form."""

@@ -28,8 +28,8 @@ All digest/compare/shadow work is charged to the virtual clock through
 :class:`repro.sim_os.costs.CostModel` knobs, so enabling the sentinel
 costs budget but never breaks determinism.
 
-``python -m repro.integrity`` self-checks restoration over the ten
-built-in targets.
+``python -m repro.analysis integrity`` self-checks restoration over
+the ten built-in targets.
 """
 
 from repro.integrity.digest import (

@@ -1,0 +1,88 @@
+"""Tests for the analysis and experiments command lines.
+
+``python -m repro.analysis`` is the lint gate with two subcommands,
+``opt`` and ``integrity``; ``python -m repro.experiments`` runs the
+paper's entry points and, under ``matrix``, the experiment platform.
+Each is driven in-process through its ``main(argv)``.  Bad input must
+exit 2 with one ``error:`` line on stderr, never a traceback.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.analysis.__main__ import main as analysis_main
+from repro.experiments.__main__ import demo_spec
+from repro.experiments.__main__ import main as experiments_main
+
+
+class TestAnalysisCli:
+    def test_bare_call_is_the_lint_gate(self, capsys):
+        assert analysis_main([]) == 0
+        assert "lint-targets: 0 error(s)" in capsys.readouterr().out
+
+    def test_opt_json_report(self, capsys):
+        assert analysis_main(["opt", "--targets", "giftext", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["schema"] == "repro-opt-report/1"
+        assert report["rejected"] == 0
+        assert [entry["target"] for entry in report["targets"]] == ["giftext"]
+
+    def test_integrity_reports_all_targets_restore_clean(self, capsys):
+        assert analysis_main(["integrity"]) == 0
+        out = capsys.readouterr().out
+        assert "10/10 targets restore-clean" in out
+        assert "FAIL" not in out
+
+
+class TestMatrixCli:
+    def test_print_spec_is_the_demo_spec(self, capsys):
+        assert experiments_main(["matrix", "--demo", "--print-spec"]) == 0
+        assert capsys.readouterr().out == demo_spec().canonical_json() + "\n"
+
+    def test_report_only_reprints_the_run_report(self, capsys, tmp_path,
+                                                 monkeypatch):
+        out = str(tmp_path / "exp")
+        assert experiments_main(
+            ["matrix", "--demo", "--out", out, "--quiet"]) == 0
+        digests = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(("store digest: ", "report digest: "))]
+        assert len(digests) == 2
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("--report-only ran a trial")
+
+        monkeypatch.setattr(
+            "repro.experiments.__main__.TrialScheduler.run", no_trials)
+        assert experiments_main(["matrix", "--report-only", "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines
+                if line.startswith("report digest: ")] == digests[1:]
+
+
+@pytest.mark.parametrize("main, argv", [
+    (analysis_main, ["opt", "--targets", "nosuch"]),
+    (experiments_main, ["matrix", "--spec", "{tmp}/missing.json"]),
+    (experiments_main, ["matrix", "--spec", "{tmp}/malformed.json"]),
+    (experiments_main, ["matrix", "--report-only", "--out", "{tmp}/empty"]),
+], ids=["opt-unknown-target", "matrix-missing-spec",
+        "matrix-malformed-spec", "matrix-report-only-no-store"])
+def test_bad_input_exits_2_with_one_error_line(main, argv, tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "malformed.json").write_text("{not json")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    # A report-only run over a directory without a store leaves it as
+    # it found it.
+    assert list((tmp_path / "empty").iterdir()) == []
+
+
+def test_unknown_target_error_names_the_known_targets(capsys):
+    assert analysis_main(["opt", "--targets", "giftext,nosuch"]) == 2
+    error = capsys.readouterr().err
+    assert "'nosuch'" in error and "md4c" in error

@@ -5,9 +5,6 @@ docs/ link to them as the canonical snippets) and a program; this
 module runs each one in a subprocess exactly as the README tells a
 user to, and asserts it exits cleanly.  A doc snippet that stops
 working therefore fails CI instead of silently misleading readers.
-
-``reproduce_paper.py`` is exercised by the benchmark suite (it drives
-the same experiment runners) and is exempted here for runtime.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ RUNNABLE = {
     "i2s_fuzz.py": [],
 }
 
-EXEMPT = {"reproduce_paper.py"}
-
 
 def _run(script: str, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -53,9 +48,9 @@ def _run(script: str, args: list[str]) -> subprocess.CompletedProcess:
 
 def test_every_example_is_covered_here():
     on_disk = {p.name for p in EXAMPLES.glob("*.py")}
-    assert on_disk == set(RUNNABLE) | EXEMPT, (
+    assert on_disk == set(RUNNABLE), (
         "examples/ and tests/test_docs_examples.py disagree; new example "
-        "scripts must be added to RUNNABLE (or explicitly exempted)"
+        "scripts must be added to RUNNABLE"
     )
 
 

@@ -193,6 +193,14 @@ class TestPaperCli:
         out = capsys.readouterr().out
         assert "false crashes" in out and "giftext: rewound=" in out
 
+    def test_pass_figure_and_lifecycle_render(self, capsys, tmp_path):
+        from repro.experiments.__main__ import main
+        assert main(["pass-figure", "lifecycle", "--target", "md4c",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "md4c: 13 writable globals (1348 B) -> " in out
+        assert "restore copied 1348 B back; clean=True" in out
+
 
 class TestTimeline:
     def test_series_for_both_mechanisms(self, out):

@@ -180,6 +180,30 @@ class TestCmpObserver:
         executor.shutdown()
         assert len(records) == 2
 
+    def test_armed_observer_never_changes_execution(self):
+        """Arming the tap is host-side only: virtual cost, instruction
+        count, coverage and return code match an unobserved run."""
+        inputs = [b"\x00\x00\x00\x00guarded!", MAGIC_BE + b"\x00\x00\x20\x00",
+                  MAGIC_BE + b"\x00\x00\x00\x01", b"short", b""]
+        plain = _executor()
+        armed = _executor()
+        armed.attach_cmp_observer(observer := CmpObserver())
+        plain.boot()
+        armed.boot()
+        recorded = 0
+        for data in inputs * 2:
+            expected = plain.run(data)
+            observer.begin()
+            result = armed.run(data)
+            recorded += len(observer.take())
+            assert (result.ns, result.instructions, bytes(result.coverage),
+                    result.return_code) == (
+                expected.ns, expected.instructions,
+                bytes(expected.coverage), expected.return_code)
+        plain.shutdown()
+        armed.shutdown()
+        assert recorded
+
 
 class TestAutoDictionary:
     def test_rejects_single_byte_and_oversized_tokens(self):

@@ -642,13 +642,3 @@ class TestSentinelCheckpoint:
         hits_before = sentinel2.stats.quarantine_hits
         assert executor2.run(b"after").return_code == 1
         assert sentinel2.stats.quarantine_hits == hits_before + 1
-
-
-class TestSelfCheckCLI:
-    def test_module_entry_reports_all_targets_clean(self, capsys):
-        from repro.integrity.__main__ import main
-
-        assert main() == 0
-        out = capsys.readouterr().out
-        assert "restore-clean" in out
-        assert "FAIL" not in out
