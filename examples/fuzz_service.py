@@ -41,7 +41,7 @@ def direct_digest(target: str, seed: int, budget_ns: int) -> str:
         CampaignConfig(budget_ns=budget_ns, seed=seed),
     )
     campaign.start()
-    campaign.step_until(campaign.run_start_ns + budget_ns)
+    campaign.step_until(campaign.start_ns + budget_ns)
     campaign.finish_run()
     return campaign.state_digest()
 

@@ -34,7 +34,7 @@ def crack_time_ns(spec, seeds, cells, budget_ns, i2s_enabled):
     ))
     campaign.run()
     hits = [
-        entry.discovered_at_ns - campaign.run_start_ns
+        entry.discovered_at_ns - campaign.start_ns
         for entry in campaign.corpus.entries
         if any(entry.coverage_signature[cell] for cell in cells)
     ]

@@ -223,7 +223,7 @@ def time_to_guard(target: str, cells: set[int], seed: int, budget_ns: int,
     )
     campaign = Campaign(executor, guard.seeds(spec), config)
     campaign.run()
-    start = campaign.run_start_ns
+    start = campaign.start_ns
     best: int | None = None
     for entry in campaign.corpus.entries:
         signature = entry.coverage_signature

@@ -1,8 +1,8 @@
 """The measurer: snapshot a trial on a virtual-time cadence.
 
 fuzzbench's measurer polls corpora from outside the fuzzer process; we
-can do better because every campaign is driven through a
-:class:`~repro.fuzzing.CampaignSession` on a *virtual* clock.  The
+can do better because every campaign is a
+:class:`~repro.fuzzing.Campaign` on a *virtual* clock.  The
 scheduler advances each trial one measurement interval at a time, and
 at each pause :class:`Measurer` records a snapshot — coverage-map
 density, corpus size, execs, crash/hang counts, and the executor
@@ -12,9 +12,10 @@ run against the true budget deadline, so a measured trial passes
 through exactly the states of an unmeasured one: measurement is free of
 observer effect on the virtual timeline.
 
-Every snapshot is followed by an RPRCKPT1 campaign checkpoint, which
-makes trials crash-safe *and* resumable: a killed platform run reloads
-the checkpoint, trims any snapshots past it
+A fresh trial is checkpointed right after seeding and every snapshot
+is followed by an RPRCKPT1 campaign checkpoint, which makes trials
+crash-safe *and* resumable: a killed platform run reloads the
+checkpoint, trims any snapshots past it
 (:meth:`~repro.experiments.platform.store.ResultsStore.truncate_after`),
 and continues bit-identically — the finished stream is byte-equal to an
 uninterrupted run's.
@@ -31,7 +32,7 @@ from __future__ import annotations
 from repro.execution import build_executor
 from repro.experiments.platform.spec import TrialSpec
 from repro.experiments.platform.store import ResultsStore
-from repro.fuzzing import CampaignResult, CampaignSession
+from repro.fuzzing import Campaign, CampaignResult
 from repro.integrity import EscalationPolicy
 from repro.parallel import ParallelCampaign, ParallelConfig, ParallelResult
 from repro.sim_os import Kernel
@@ -68,16 +69,16 @@ class Measurer:
     def __init__(self, store: ResultsStore):
         self.store = store
 
-    def open_session(
+    def open_trial(
         self, trial: TrialSpec
-    ) -> tuple[CampaignSession | ParallelCampaign, int]:
-        """A trial's started session (a fleet for a multi-worker trial),
-        resumed from its checkpoint if one loads, and the index of its
-        next sample."""
+    ) -> tuple[Campaign | ParallelCampaign, int]:
+        """A trial's started campaign (a fleet for a multi-worker
+        trial), resumed from its checkpoint if one loads, and the index
+        of its next sample."""
         store, trial_id = self.store, trial.trial_id
         path = store.checkpoint_path(trial_id)
         if trial.n_workers > 1:
-            session = ParallelCampaign.open(ParallelConfig(
+            campaign = ParallelCampaign.open(ParallelConfig(
                 target=trial.target,
                 n_workers=trial.n_workers,
                 seed=trial.seed,
@@ -89,7 +90,9 @@ class Measurer:
                 checkpoint_path=path,
             ))
         else:
-            session = CampaignSession(
+            config = trial.campaign_config()
+            config.checkpoint_path = path
+            campaign = Campaign.open(
                 build_executor(
                     trial.target, trial.arm.mechanism, Kernel(),
                     supervised=trial.supervised,
@@ -100,35 +103,35 @@ class Measurer:
                                            if trial.sentinel_digest_every
                                            else 0),
                 ),
-                get_target(trial.target).seeds, trial.campaign_config(),
-                checkpoint_path=path,
+                get_target(trial.target).seeds, config,
             )
-        if not session.resumed:
-            store.reset_trial(trial_id)
-        session.start()
-        # Samples past the checkpoint would be recorded twice.
-        kept = (store.truncate_after(trial_id, session.now_ns)
-                if session.resumed else 0)
-        return session, kept + 1
+        if campaign.resumed:
+            campaign.start()
+            # Samples past the checkpoint would be recorded twice.
+            kept = store.truncate_after(trial_id, campaign.now_ns)
+            return campaign, kept + 1
+        store.reset_trial(trial_id)
+        campaign.start()
+        campaign.checkpoint()       # the post-seeding baseline
+        return campaign, 1
 
     # -- snapshots ------------------------------------------------------
 
     def sample(self, trial: TrialSpec, k: int,
-               session: CampaignSession | ParallelCampaign) -> dict:
-        """The trial's *k*-th sample, taken from its session.  A fleet's
-        counters are its barrier progress (per-shard crash/hang sums,
-        an upper bound until the final record's merged dedup)."""
+               campaign: Campaign | ParallelCampaign) -> dict:
+        """The trial's *k*-th sample, taken from its campaign.  A
+        fleet's counters are its barrier progress (per-shard crash/hang
+        sums, an upper bound until the final record's merged dedup)."""
         record = {
             "kind": "sample",
             "k": k,
-            **session.progress(),
+            **campaign.progress(),
             "t_ns": min(k * trial.measure_every_ns, trial.budget_ns),
         }
-        if isinstance(session, ParallelCampaign):
+        if isinstance(campaign, ParallelCampaign):
             # No one executor ladder is in reach: its counters read zero.
             record.update(executor_health(None))
             return record
-        campaign = session.campaign
         record.update(executor_health(campaign.executor))
         metrics = campaign.telemetry.metrics
         if metrics.enabled:

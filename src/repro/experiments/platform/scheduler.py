@@ -2,17 +2,17 @@
 
 fuzzbench's scheduler spawns one cloud instance per trial and polls;
 ours exploits the virtual clock instead.  Every single-worker trial is
-an independent simulation driven through a
-:class:`~repro.fuzzing.CampaignSession`, so the scheduler keeps up to
-``max_live`` trials open at once and advances them round-robin, one
-measurement interval per turn — cooperative concurrency on the virtual
-timeline.  All live trials grow their snapshot streams together (a
-watcher of the results store sees the whole frontier move, exactly like
-fuzzbench's dispatcher view), while each trial's virtual timeline —
-and therefore every recorded byte — is unaffected by the interleaving.
+an independent simulation, a :class:`~repro.fuzzing.Campaign`, so the
+scheduler keeps up to ``max_live`` trials open at once and advances
+them round-robin, one measurement interval per turn — cooperative
+concurrency on the virtual timeline.  All live trials grow their
+snapshot streams together (a watcher of the results store sees the
+whole frontier move, exactly like fuzzbench's dispatcher view), while
+each trial's virtual timeline — and therefore every recorded byte — is
+unaffected by the interleaving.
 
 Multi-worker trials are :class:`~repro.parallel.ParallelCampaign`
-fleets with the same session surface, advanced the same way.
+fleets with the same driver surface, advanced the same way.
 
 Scheduling is crash-safe and resumable: trials already finished in the
 store are skipped, half-finished trials resume from their RPRCKPT1
@@ -34,21 +34,22 @@ class _CampaignSlot:
     def __init__(self, measurer: Measurer, trial: TrialSpec):
         self.measurer = measurer
         self.trial = trial
-        self.session, self.k = measurer.open_session(trial)
+        self.campaign, self.k = measurer.open_trial(trial)
         self.final: dict | None = None
 
     def advance(self) -> bool:
         """Run one measurement interval; True when the trial finished."""
-        trial, session, store = self.trial, self.session, self.measurer.store
-        pause_ns = session.start_ns + self.k * trial.measure_every_ns
-        session.advance(pause_ns)
+        trial, campaign = self.trial, self.campaign
+        store = self.measurer.store
+        pause_ns = campaign.start_ns + self.k * trial.measure_every_ns
+        campaign.step_until(pause_ns)
         store.append(trial.trial_id,
-                     self.measurer.sample(trial, self.k, session))
-        session.checkpoint()
-        if pause_ns < session.deadline_ns:
+                     self.measurer.sample(trial, self.k, campaign))
+        campaign.checkpoint()
+        if pause_ns < campaign.deadline_ns:
             self.k += 1
             return False
-        self.final = self.measurer.final_record(trial, session.finish())
+        self.final = self.measurer.final_record(trial, campaign.finish_run())
         store.append(trial.trial_id, self.final)
         return True
 

@@ -9,12 +9,10 @@ from repro.fuzzing.checkpoint import (
     CheckpointError,
     capture_state,
     load_checkpoint,
-    load_state,
     save_checkpoint,
     save_state,
 )
 from repro.fuzzing.corpus import Corpus, QueueEntry, input_hash
-from repro.fuzzing.session import CampaignSession
 from repro.fuzzing.i2s import (
     AutoDictionary,
     CmpObserver,
@@ -41,8 +39,8 @@ from repro.fuzzing.triage import (
 )
 
 __all__ = [
-    "Campaign", "CampaignConfig", "CampaignResult", "CampaignSession",
-    "CheckpointError", "capture_state", "load_checkpoint", "load_state",
+    "Campaign", "CampaignConfig", "CampaignResult",
+    "CheckpointError", "capture_state", "load_checkpoint",
     "save_checkpoint", "save_state",
     "Corpus", "QueueEntry", "input_hash",
     "AutoDictionary", "CmpObserver", "I2SStage", "StageStats",

@@ -38,9 +38,8 @@ import argparse
 import sys
 
 from repro.execution import MECHANISMS, build_executor
-from repro.fuzzing.campaign import CampaignConfig
-from repro.fuzzing.checkpoint import load_checkpoint
-from repro.fuzzing.session import CampaignSession
+from repro.fuzzing.campaign import Campaign, CampaignConfig
+from repro.fuzzing.checkpoint import CheckpointError, load_checkpoint
 from repro.parallel import ParallelCampaign, ParallelConfig
 from repro.parallel.orchestrator import PARALLEL_CHECKPOINT_KIND
 from repro.sim_os import Kernel
@@ -103,61 +102,59 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.list_targets:
         for name in target_names():
             print(name)
         return 0
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
+    for flag in ("workers", "budget_ms", "sync_ms", "checkpoint_ms"):
+        if getattr(args, flag) < 1:
+            return _error(f"--{flag.replace('_', '-')} must be >= 1")
     if args.workers > 1 and args.i2s:
-        parser.error("--i2s runs with one worker only")
-    state, config, mechanism = None, None, args.mechanism
+        return _error("--i2s runs with one worker only")
     if args.resume is not None:
-        state = load_checkpoint(args.resume)
+        try:
+            state = load_checkpoint(args.resume)
+        except CheckpointError as error:
+            return _error(str(error))
         if state.get("kind") == PARALLEL_CHECKPOINT_KIND:
             return run_fleet(ParallelCampaign.resume(args.resume))
         if args.target is None:
-            print("error: --resume of a campaign needs --target (campaign "
-                  "checkpoints identify the mechanism, not the target "
-                  "program)", file=sys.stderr)
-            return 2
+            return _error("--resume of a campaign needs --target (campaign "
+                          "checkpoints identify the mechanism, not the "
+                          "target program)")
         # The resumed run takes budget, seed and i2s from the state.
-        mechanism = state["mechanism"]
-    else:
-        if args.target is None:
-            print("error: --target is required (or --resume / "
-                  "--list-targets)", file=sys.stderr)
-            return 2
-        if args.workers > 1:
-            return run_fleet(ParallelCampaign(ParallelConfig(
-                target=args.target,
-                n_workers=args.workers,
-                seed=args.seed,
-                budget_ns=args.budget_ms * MS,
-                sync_every_ns=args.sync_ms * MS,
-                mechanism=args.mechanism,
-                use_processes=args.processes,
-                checkpoint_path=args.checkpoint,
-                report_dir=args.report_dir,
-                per_worker_reports=args.per_worker_reports,
-            )))
-        config = CampaignConfig(
-            budget_ns=args.budget_ms * MS,
-            seed=args.seed,
-            i2s_enabled=args.i2s,
-            checkpoint_path=args.checkpoint,
-            checkpoint_interval_ns=args.checkpoint_ms * MS,
+        campaign = Campaign.from_state(
+            state, build_executor(args.target, state["mechanism"], Kernel()),
         )
-    session = CampaignSession(
-        build_executor(args.target, mechanism, Kernel()),
-        get_target(args.target).seeds, config, state=state,
-    )
-    session.start()
-    session.advance(session.deadline_ns)
-    result = session.finish()
-    campaign = session.campaign
+    elif args.target is None:
+        return _error("--target is required (or --resume / --list-targets)")
+    elif args.workers > 1:
+        return run_fleet(ParallelCampaign(ParallelConfig(
+            target=args.target,
+            n_workers=args.workers,
+            seed=args.seed,
+            budget_ns=args.budget_ms * MS,
+            sync_every_ns=args.sync_ms * MS,
+            mechanism=args.mechanism,
+            use_processes=args.processes,
+            checkpoint_path=args.checkpoint,
+            report_dir=args.report_dir,
+            per_worker_reports=args.per_worker_reports,
+        )))
+    else:
+        campaign = Campaign(
+            build_executor(args.target, args.mechanism, Kernel()),
+            get_target(args.target).seeds,
+            CampaignConfig(
+                budget_ns=args.budget_ms * MS,
+                seed=args.seed,
+                i2s_enabled=args.i2s,
+                checkpoint_path=args.checkpoint,
+                checkpoint_interval_ns=args.checkpoint_ms * MS,
+            ),
+        )
+    result = campaign.run()
     print(f"mechanism        : {result.mechanism}")
     print(f"seed             : {campaign.config.seed}")
     print(f"budget           : {result.budget_ns / MS:g} vms")
@@ -174,6 +171,12 @@ def main(argv: list[str] | None = None) -> int:
               f"({len(campaign._i2s.site_pairs)} compare sites)")
     print(f"digest: {campaign.state_digest()}")
     return 0
+
+
+def _error(message: str) -> int:
+    """Report bad input as one ``error:`` line; the exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def run_fleet(fleet: ParallelCampaign) -> int:

@@ -6,6 +6,13 @@ with corpus-energy-scaled intensity — until the virtual time budget is
 exhausted.  Mechanism-agnostic: any :class:`~repro.execution.Executor`
 slots in, which is exactly the controlled comparison the paper's
 evaluation needs.
+
+:class:`Campaign` and :class:`~repro.parallel.ParallelCampaign` answer
+one driver surface — ``open``, ``start``, ``step_until``,
+``checkpoint``, ``progress``, ``finish_run``, ``run`` — so the service,
+the experiment platform, fleet shards and the fuzzing CLI drive one
+worker or many through the same loop.  Only callers write checkpoints:
+``start`` and ``step_until`` never do, and ``run`` owns its cadence.
 """
 
 from __future__ import annotations
@@ -56,18 +63,13 @@ class CampaignConfig:
     # Per-test-case instruction budget (hang watchdog), applied to the
     # executor at campaign start — AFL's -t, in instructions.
     exec_instruction_limit: int = DEFAULT_EXEC_INSTRUCTION_LIMIT
-    # Crash-safe checkpointing: when a path is set, campaign state is
-    # atomically persisted every checkpoint_interval_ns of virtual time
-    # and Campaign.resume(path, executor) continues bit-identically.
+    # Crash-safe checkpointing: when a path is set, run() atomically
+    # persists campaign state after seeding and every
+    # checkpoint_interval_ns of virtual time (two generations, path and
+    # path.1), and Campaign.resume(path, executor) continues
+    # bit-identically.
     checkpoint_path: str | None = None
     checkpoint_interval_ns: int = 50_000_000
-    # Checkpoint generations kept on disk (path, path.1, ...): loading
-    # falls back to an older generation when the newest fails its CRC.
-    checkpoint_keep: int = 2
-    # Abandon the loop once the clock passes this instant (test hook
-    # modelling a fuzzer-process crash mid-campaign); None = run to the
-    # budget deadline.
-    halt_at_ns: int | None = None
     # Observability; the default is the shared null stack (zero events,
     # zero files, no measurable overhead).
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
@@ -171,11 +173,9 @@ class Campaign:
                                   dictionary=dictionary)
         self.execs = 0
         self.current_entry_id = 0
-        self.run_start_ns = 0
+        self.start_ns = 0
+        self.deadline_ns = self.config.budget_ns
         self._resume_state: dict | None = None
-        self._next_checkpoint_ns: int | None = None
-        self._deadline_ns = self.config.budget_ns
-        self._halted = False
         self.corpus_store = self.config.corpus_store
         self.corpus_owner = self.config.corpus_owner or (
             f"campaign-s{self.config.seed}-w{self.config.shard_id}"
@@ -194,27 +194,62 @@ class Campaign:
     def clock(self):
         return self.executor.clock
 
+    @property
+    def now_ns(self) -> int:
+        """The campaign's virtual instant."""
+        return self.clock.now_ns
+
+    @property
+    def resumed(self) -> bool:
+        """Whether :meth:`start` restores a saved state, not the seeds."""
+        return self._resume_state is not None
+
+    @classmethod
+    def open(cls, executor: Executor, seeds: list[bytes],
+             config: CampaignConfig) -> "Campaign":
+        """Resume from ``config.checkpoint_path`` when a generation
+        loads there, else open fresh (digest-equivalent by
+        determinism); the counterpart of ``ParallelCampaign.open``."""
+        try:
+            state = load_checkpoint(config.checkpoint_path)
+        except CheckpointError:
+            return cls(executor, seeds, config)
+        return cls.from_state(state, executor, config)
+
     def run(self) -> CampaignResult:
         """Boot, fuzz to the budget deadline, tear down, report.
 
-        The three phases are also available separately — :meth:`start`,
-        :meth:`step_until`, :meth:`finish_run` — which is how a parallel
-        worker interleaves fuzzing with sync barriers; ``run()`` is the
-        single-shard composition of the three.
+        The phases are also available separately — :meth:`start`,
+        :meth:`step_until`, :meth:`checkpoint`, :meth:`finish_run` —
+        which is how the service, the platform and a fleet shard pause
+        a campaign.  With a ``checkpoint_path`` this loop owns the
+        cadence: a checkpoint right after a fresh start, so a death
+        inside the first queue cycle still leaves something to resume
+        from, then one after every ``checkpoint_interval_ns`` slice that
+        reached its target.
         """
         self.start()
-        self.step_until(self._deadline_ns)
+        if self.config.checkpoint_path is None:
+            self.step_until(self.deadline_ns)
+            return self.finish_run()
+        if not self.resumed:
+            self.checkpoint()
+        interval_ns = max(1, self.config.checkpoint_interval_ns)
+        while True:
+            target_ns = self.now_ns + interval_ns
+            if not self.step_until(target_ns):
+                break
+            if self.now_ns >= target_ns:
+                self.checkpoint()
         return self.finish_run()
 
     def start(self) -> None:
-        """Phase 1: boot the executor and seed (or resume) the queue."""
-        resumed = self._resume_state is not None
-        start_ns = (
-            self._resume_state["start_ns"] if resumed else self.clock.now_ns
+        """Boot the executor and seed the queue, or restore it."""
+        state = self._resume_state
+        self.start_ns = (
+            state["start_ns"] if state is not None else self.clock.now_ns
         )
-        self.run_start_ns = start_ns
-        self._deadline_ns = start_ns + self.config.budget_ns
-        self._halted = False
+        self.deadline_ns = self.start_ns + self.config.budget_ns
         if self.telemetry.enabled:
             self.reporter = CampaignReporter(
                 self,
@@ -224,10 +259,10 @@ class Campaign:
         tracer = self.telemetry.tracer
         with tracer.span("campaign.boot", mechanism=self.executor.mechanism):
             self.executor.boot()
-        if resumed:
+        if state is not None:
             self._apply_resume_state()
             if self.reporter is not None:
-                self.reporter.start_ns = start_ns
+                self.reporter.start_ns = self.start_ns
         else:
             with tracer.span("stage.seed", seeds=len(self.seeds)):
                 self._seed_queue()
@@ -241,39 +276,24 @@ class Campaign:
                     self.telemetry.metrics.counter(
                         "fuzz.i2s.static_tokens"
                     ).inc(mined)
-        if self.config.checkpoint_path is not None:
-            self._next_checkpoint_ns = (
-                self.clock.now_ns + self.config.checkpoint_interval_ns
-            )
-            if not resumed:
-                # Baseline checkpoint right after seeding, so a death
-                # inside the first queue cycle (checkpoints land only on
-                # cycle boundaries, which can be virtual ms apart) still
-                # leaves something to resume from.
-                self.checkpoint()
 
-    def step_until(self, pause_ns: int) -> None:
-        """Phase 2: run queue cycles until the clock passes *pause_ns*
-        (a sync barrier) or the budget deadline, whichever is earlier.
+    def step_until(self, until_ns: int) -> bool:
+        """Run queue cycles until the clock passes *until_ns* (a sync
+        barrier, a service slice, a sample instant) or the budget
+        deadline, whichever is earlier; returns whether the clock moved
+        (not at the deadline or with an empty queue).
 
         The mutation stages themselves always run against the true
-        budget deadline — a barrier only decides where between cycles
-        the loop pauses — so a sharded run passes through exactly the
-        states of an unsharded one.
+        budget deadline — a pause only decides where between cycles
+        the loop stops — so any slicing, with checkpoints and resumes
+        along the way, passes through exactly the states of one
+        uninterrupted run.
         """
-        deadline_ns = self._deadline_ns
-        # halt_at_ns models the fuzzer process dying mid-campaign.  The
-        # kill lands between stages — crucially *before* the periodic
-        # checkpoint that stage boundary would have written, so resume
-        # always replays from an earlier on-trajectory checkpoint.  The
-        # stages themselves always run against the true budget deadline;
-        # a halted run must not "gracefully wind down" into a state the
-        # uninterrupted run never passes through.
-        halt_ns = self.config.halt_at_ns
+        before_ns = self.clock.now_ns
+        deadline_ns = self.deadline_ns
         tracer = self.telemetry.tracer
-        while (not self._halted
-               and self.clock.now_ns < deadline_ns
-               and self.clock.now_ns < pause_ns
+        while (self.clock.now_ns < deadline_ns
+               and self.clock.now_ns < until_ns
                and len(self.corpus)):
             entry = self.corpus.select_next(self.rng)
             self.current_entry_id = entry.entry_id
@@ -314,15 +334,52 @@ class Campaign:
                 with tracer.span("stage.havoc", entry=entry.entry_id):
                     self._havoc_stage(entry, deadline_ns)
                 self._stage_record("havoc", marker)
-            if halt_ns is not None and self.clock.now_ns >= halt_ns:
-                self._halted = True
-                break
-            self._maybe_checkpoint()
+        return self.clock.now_ns > before_ns
+
+    def progress(self) -> dict:
+        """The campaign's counters; ``t_ns`` is the budget consumed."""
+        triage = self.triage
+        return {
+            "clock_ns": self.now_ns,
+            "t_ns": self.now_ns - self.start_ns,
+            "execs": self.execs,
+            "edges": self.virgin.edges_found(),
+            "corpus": len(self.corpus),
+            "unique_crashes": triage.unique_count,
+            "total_crashes": triage.total_crashes,
+            "unique_hangs": triage.unique_hang_count,
+            "total_hangs": triage.total_hangs,
+        }
 
     def finish_run(self) -> CampaignResult:
-        """Phase 3: tear down the executor and build the result."""
+        """Tear down the executor and build the result."""
         self.executor.shutdown()
-        return self._finish(self.run_start_ns)
+        if self.reporter is not None:
+            self.reporter.finalize()
+        self.telemetry.flush()
+        supervision = getattr(self.executor, "supervision", None)
+        return CampaignResult(
+            mechanism=self.executor.mechanism,
+            execs=self.execs,
+            budget_ns=self.config.budget_ns,
+            elapsed_ns=self.clock.now_ns - self.start_ns,
+            corpus_size=len(self.corpus),
+            edges_found=self.virgin.edges_found(),
+            unique_crashes=self.triage.unique_count,
+            total_crashes=self.triage.total_crashes,
+            unique_hangs=self.triage.unique_hang_count,
+            total_hangs=self.triage.total_hangs,
+            recoveries=supervision.recoveries if supervision else 0,
+            quarantined_inputs=(
+                supervision.quarantined_inputs if supervision else 0
+            ),
+            crash_reports=self.triage.reports(),
+            hang_reports=self.triage.hang_reports(),
+            stage_stats={
+                name: dataclasses.replace(stats)
+                for name, stats in self.stage_stats.items()
+            },
+        )
 
     def state_digest(self) -> str:
         """Stable fingerprint of everything 'bit-identical' means for a
@@ -354,7 +411,7 @@ class Campaign:
         path = path if path is not None else self.config.checkpoint_path
         if path is None:
             raise ValueError("no checkpoint path configured")
-        save_checkpoint(self, path, keep=self.config.checkpoint_keep)
+        save_checkpoint(self, path)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("campaign.checkpoints").inc()
             if self.telemetry.tracer.enabled:
@@ -362,15 +419,6 @@ class Campaign:
                     "campaign.checkpoint", execs=self.execs,
                 )
         return path
-
-    def _maybe_checkpoint(self) -> None:
-        if (self._next_checkpoint_ns is None
-                or self.clock.now_ns < self._next_checkpoint_ns):
-            return
-        self.checkpoint()
-        self._next_checkpoint_ns = (
-            self.clock.now_ns + self.config.checkpoint_interval_ns
-        )
 
     @classmethod
     def resume(cls, path: str, executor: Executor,
@@ -649,31 +697,3 @@ class Campaign:
         if self.reporter is not None:
             self.reporter.maybe_update()
         return result
-
-    def _finish(self, start_ns: int) -> CampaignResult:
-        if self.reporter is not None:
-            self.reporter.finalize()
-        self.telemetry.flush()
-        supervision = getattr(self.executor, "supervision", None)
-        return CampaignResult(
-            mechanism=self.executor.mechanism,
-            execs=self.execs,
-            budget_ns=self.config.budget_ns,
-            elapsed_ns=self.clock.now_ns - start_ns,
-            corpus_size=len(self.corpus),
-            edges_found=self.virgin.edges_found(),
-            unique_crashes=self.triage.unique_count,
-            total_crashes=self.triage.total_crashes,
-            unique_hangs=self.triage.unique_hang_count,
-            total_hangs=self.triage.total_hangs,
-            recoveries=supervision.recoveries if supervision else 0,
-            quarantined_inputs=(
-                supervision.quarantined_inputs if supervision else 0
-            ),
-            crash_reports=self.triage.reports(),
-            hang_reports=self.triage.hang_reports(),
-            stage_stats={
-                name: dataclasses.replace(stats)
-                for name, stats in self.stage_stats.items()
-            },
-        )

@@ -71,7 +71,7 @@ def capture_state(campaign) -> dict:
         "seed": campaign.config.seed,
         "shard_id": campaign.config.shard_id,
         "budget_ns": campaign.config.budget_ns,
-        "start_ns": campaign.run_start_ns,
+        "start_ns": campaign.start_ns,
         "clock_ns": campaign.clock.now_ns,
         "execs": campaign.execs,
         "current_entry_id": campaign.current_entry_id,
@@ -156,22 +156,13 @@ def _load_one(path: str) -> dict:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Load the newest valid checkpoint generation rooted at *path*.
+    """Load the newest valid checkpoint generation rooted at *path*, a
+    single campaign's or a fleet's (their ``kind`` tells them apart).
 
     Tries *path* first, then ``path.1``, ``path.2``, ... — returning
-    the first generation that passes magic + CRC + version.  Raises
-    :class:`CheckpointError` (describing every failure) only when no
-    generation is loadable.
-    """
-    return load_state(path)
-
-
-def load_state(path: str) -> dict:
-    """Generation-fallback loader shared by campaign and parallel
-    checkpoints (see :func:`load_checkpoint` for the search order).
-
-    Every failure mode — unreadable file, bad magic, CRC mismatch,
-    corrupt pickle, wrong payload shape, version skew — surfaces as a
+    the first generation that passes magic + CRC + version.  Every
+    failure mode — unreadable file, bad magic, CRC mismatch, corrupt
+    pickle, wrong payload shape, version skew — surfaces as a
     :class:`CheckpointError` carrying the byte offset (and, for
     checksum failures, the expected/actual CRC32) of the damage; when
     *all* generations fail, the raised error names every generation

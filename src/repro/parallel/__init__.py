@@ -9,8 +9,8 @@ corpus hashes, crash set — is bit-identical across runs, whether the
 workers run inline in one process or as spawned OS processes.
 
 - :mod:`repro.parallel.orchestrator` — the fleet, driven a sync round
-  at a time like a campaign session; transports, worker replacement,
-  coordinated checkpoint/resume.
+  at a time through a single campaign's driver surface; transports,
+  worker replacement, coordinated checkpoint/resume.
 - :mod:`repro.parallel.sync` — the hub: novelty-keyed input exchange
   with content-hash dedup and FIFO backpressure.
 - :mod:`repro.parallel.worker` — one shard: config, runtime, the

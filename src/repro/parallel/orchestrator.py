@@ -26,14 +26,14 @@ whichever transport executes it:
   snapshot — the round replays identically, so a crash costs wall-clock
   time but never determinism.
 
-A fleet is driven like a :class:`~repro.fuzzing.CampaignSession`:
-``start``, ``advance`` whole rounds a slice at a time, ``checkpoint``
-between slices, ``progress``, ``finish``.  Coordinated multi-shard
-checkpoints persist hub + all shard barrier states (RPRCKPT1 framing,
-CRC, rotation); :meth:`ParallelCampaign.resume` continues
-bit-identically even if any subset of workers — or the orchestrator
-itself — was killed, and :meth:`ParallelCampaign.open` resumes or
-starts fresh from the configured path.
+A fleet answers :class:`~repro.fuzzing.Campaign`'s driver surface:
+``start``, ``step_until`` whole rounds a slice at a time,
+``checkpoint`` between slices, ``progress``, ``finish_run``, ``run``.
+Coordinated multi-shard checkpoints persist hub + all shard barrier
+states (RPRCKPT1 framing, CRC, rotation); :meth:`ParallelCampaign.resume`
+continues bit-identically even if any subset of workers — or the
+orchestrator itself — was killed, and :meth:`ParallelCampaign.open`
+resumes or starts fresh from the configured path.
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ from dataclasses import dataclass, field, replace
 
 from repro.execution import MECHANISMS
 from repro.fuzzing import CampaignResult, CheckpointError
-from repro.fuzzing.checkpoint import CHECKPOINT_VERSION, load_state, save_state
+from repro.fuzzing.checkpoint import (
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    save_state,
+)
 from repro.fuzzing.coverage import VirginMap
 from repro.fuzzing.triage import CrashReport, CrashTriage
 from repro.parallel.reporter import ParallelReporter
@@ -78,7 +82,6 @@ class ParallelConfig:
     per_worker_reports: bool = False  # worker_N/ subdirectories too
     # Coordinated multi-shard checkpoint: written at sync barriers.
     checkpoint_path: str | None = None
-    checkpoint_keep: int = 2
     # Shared content-addressed corpus store root: workers put payloads
     # there and the sync exchange goes hash-only (see
     # repro.parallel.sync); None = payloads ride the wire as before.
@@ -408,8 +411,8 @@ class ProcessTransport:
 # ----------------------------------------------------------------------
 
 class ParallelCampaign:
-    """One sharded fuzzing campaign (see module docstring), driven like
-    a :class:`~repro.fuzzing.CampaignSession`."""
+    """One sharded fuzzing campaign (see module docstring), driven
+    like a :class:`~repro.fuzzing.Campaign`."""
 
     #: Barrier instants are shard-clock instants, counted from zero.
     start_ns = 0
@@ -442,7 +445,7 @@ class ParallelCampaign:
         shard restores its barrier snapshot, the hub restores its
         novelty filter and outboxes, and the round loop re-enters where
         it left off."""
-        state = load_state(path)
+        state = load_checkpoint(path)
         if state.get("kind") != PARALLEL_CHECKPOINT_KIND:
             raise CheckpointError(
                 f"{path!r} is not a parallel campaign checkpoint"
@@ -493,11 +496,10 @@ class ParallelCampaign:
                 "barrier_states": list(self.barrier_states),
             },
             path,
-            keep=self.config.checkpoint_keep,
         )
         return path
 
-    # -- the session surface -------------------------------------------------
+    # -- the driver surface --------------------------------------------------
 
     @property
     def now_ns(self) -> int:
@@ -507,6 +509,7 @@ class ParallelCampaign:
 
     @property
     def deadline_ns(self) -> int:
+        """The budget: the last barrier's instant."""
         return self.config.budget_ns
 
     def start(self) -> None:
@@ -529,7 +532,7 @@ class ParallelCampaign:
             )
             self._absorb(self._transport.start([None] * config.n_workers))
 
-    def advance(self, until_ns: int) -> bool:
+    def step_until(self, until_ns: int) -> bool:
         """Run whole sync rounds until the last barrier is at or past
         *until_ns*, clamped to the budget; returns whether a round ran.
         A slice shorter than a round still runs one round."""
@@ -542,7 +545,7 @@ class ParallelCampaign:
 
     def progress(self) -> dict:
         """The fleet's counters at the last barrier, shaped like
-        :meth:`~repro.fuzzing.CampaignSession.progress`.  Crash and hang
+        :meth:`~repro.fuzzing.Campaign.progress`.  Crash and hang
         counts are per-shard sums (shards report no total hangs)."""
         reports = self.reports
         return {
@@ -557,7 +560,7 @@ class ParallelCampaign:
             "total_hangs": 0,
         }
 
-    def finish(self) -> ParallelResult:
+    def finish_run(self) -> ParallelResult:
         """Finish every shard and merge their results."""
         transport = self._transport
         finals = sorted(transport.finish(), key=lambda f: f.shard_id)
@@ -574,12 +577,13 @@ class ParallelCampaign:
         try:
             self.start()
             if checkpointing and not self.resumed:
-                # Barrier-0 baseline, same rationale as Campaign.start.
+                # Barrier-0 baseline, same rationale as Campaign.run's
+                # post-seeding checkpoint.
                 self.checkpoint()
-            while self.advance(self.now_ns + 1):   # one round per call
+            while self.step_until(self.now_ns + 1):   # one round per call
                 if checkpointing:
                     self.checkpoint()
-            return self.finish()
+            return self.finish_run()
         finally:
             if self._transport is not None:
                 self._transport.stop()

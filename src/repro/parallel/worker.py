@@ -27,7 +27,7 @@ import pickle
 from dataclasses import dataclass, field
 
 from repro.execution import Executor, build_executor
-from repro.fuzzing import CampaignConfig, CampaignResult, CampaignSession
+from repro.fuzzing import Campaign, CampaignConfig, CampaignResult
 from repro.fuzzing.checkpoint import capture_state
 from repro.fuzzing.corpus import input_hash
 from repro.parallel.sync import RoundReport, SyncCandidate
@@ -130,12 +130,14 @@ class WorkerRuntime:
             self.store = CorpusStore(config.corpus_store_root)
             campaign_config.corpus_store = self.store
         # *state* is a pickled barrier snapshot (RoundReport.state).
-        self.session = CampaignSession(
-            build_worker_executor(config), get_target(config.target).seeds,
-            campaign_config,
-            state=pickle.loads(state) if state is not None else None,
+        executor = build_worker_executor(config)
+        self.campaign = (
+            Campaign.from_state(pickle.loads(state), executor,
+                                campaign_config)
+            if state is not None else
+            Campaign(executor, get_target(config.target).seeds,
+                     campaign_config)
         )
-        self.campaign = self.session.campaign
         # Hashes this shard already holds or has already offered; used
         # to drop duplicate imports and to avoid re-exporting entries
         # the hub is guaranteed to know.
@@ -143,7 +145,7 @@ class WorkerRuntime:
 
     def start(self) -> RoundReport:
         """Boot + seed (or restore), and report the barrier-0 state."""
-        self.session.start()
+        self.campaign.start()
         # The common seed corpus is known fleet-wide: exclude it from
         # the export stream (restore replays this bookkeeping too,
         # because export cursors travel inside the corpus state).
@@ -167,7 +169,7 @@ class WorkerRuntime:
         # Imports joined the queue via corpus.add and would re-export;
         # flush the cursor past them (the hub already knows them).
         self.campaign.corpus.export_new()
-        self.session.advance(deadline_ns)
+        self.campaign.step_until(deadline_ns)
         discoveries = []
         for entry in self.campaign.corpus.export_new():
             key = input_hash(entry.data)
@@ -185,7 +187,7 @@ class WorkerRuntime:
 
     def finish(self) -> WorkerFinal:
         """Tear down and hand the merged-result ingredients upward."""
-        result = self.session.finish()
+        result = self.campaign.finish_run()
         return WorkerFinal(
             shard_id=self.config.shard_id,
             result=result,
@@ -254,8 +256,8 @@ def worker_process_main(conn, config: WorkerConfig) -> None:
                     # Burn real progress first so the crash loses work:
                     # the replacement must not be able to cheat by
                     # replaying a half-synced state.
-                    now_ns = runtime.session.now_ns
-                    runtime.session.advance(
+                    now_ns = runtime.campaign.now_ns
+                    runtime.campaign.step_until(
                         now_ns + max(1, (deadline_ns - now_ns) // 2)
                     )
                     conn.close()

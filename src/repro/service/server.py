@@ -62,7 +62,6 @@ class ServicePolicy:
 
     slice_ns: int = 2_000_000          # virtual ns per cooperative slice
     checkpoint_every_slices: int = 2   # slice cadence of durable ckpts
-    checkpoint_keep: int = 2           # rotated generations per job
     watchdog_s: float = 30.0           # wall-clock deadline per slice
     backoff_base_s: float = 0.02       # ladder backoff: base * 2**strikes
     backoff_cap_s: float = 0.5         # ... capped here

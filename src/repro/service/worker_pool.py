@@ -5,7 +5,7 @@ dispatch queue and drives them through one slice loop: advance one
 *slice* of virtual time, yield the event loop (so submits, status
 polls, and watch streams stay live), checkpoint on the slice cadence,
 repeat to the budget deadline.  A single-worker job is a
-:class:`~repro.fuzzing.CampaignSession`; a multi-worker job is a
+:class:`~repro.fuzzing.Campaign`; a multi-worker job is a
 :class:`~repro.parallel.ParallelCampaign`, whose slice is one whole
 sync round — seconds of wall time, not milliseconds — so it runs off
 the event loop through :func:`asyncio.to_thread`.
@@ -39,7 +39,7 @@ import asyncio
 import time
 
 from repro.execution import build_executor
-from repro.fuzzing import CampaignConfig, CampaignSession
+from repro.fuzzing import Campaign, CampaignConfig
 from repro.parallel import ParallelCampaign, ParallelConfig, ParallelResult
 from repro.sim_os import Kernel
 from repro.service.recovery import poll_checkpoint_tear
@@ -184,12 +184,11 @@ class WorkerPool:
 
     # -- the slice loop --------------------------------------------------
 
-    def _open(self, job: JobRecord) -> CampaignSession | ParallelCampaign:
-        """The job's session, resumed from its newest loadable
+    def _open(self, job: JobRecord) -> Campaign | ParallelCampaign:
+        """The job's campaign, resumed from its newest loadable
         checkpoint generation or fresh."""
         service, spec = self.service, job.spec
         path = service.state.checkpoint_path(job.job_id)
-        keep = service.config.policy.checkpoint_keep
         if spec.n_workers > 1:
             return ParallelCampaign.open(ParallelConfig(
                 target=spec.target,
@@ -201,12 +200,11 @@ class WorkerPool:
                 supervised=spec.supervised,
                 chaos_faults=spec.chaos_faults,
                 checkpoint_path=path,
-                checkpoint_keep=keep,
             ))
         # The fault plan is rebuilt from the spec on every attempt; its
         # counters live inside the supervised snapshot, so a resume
         # restores the schedule mid-plan.
-        return CampaignSession(
+        return Campaign.open(
             build_executor(
                 spec.target, spec.mechanism, Kernel(),
                 supervised=spec.supervised,
@@ -214,25 +212,28 @@ class WorkerPool:
             ),
             get_target(spec.target).seeds,
             CampaignConfig(budget_ns=spec.budget_ns, seed=spec.seed,
-                           checkpoint_keep=keep),
-            checkpoint_path=path,
+                           checkpoint_path=path),
         )
 
     async def _attempt(self, job: JobRecord) -> None:
         service, spec = self.service, job.spec
         policy = service.config.policy
-        session = self._open(job)
+        campaign = self._open(job)
         # A fleet slice is a whole sync round (seconds of wall time), so
         # a fleet's calls run off the event loop.
         call = asyncio.to_thread if spec.n_workers > 1 else _on_loop
-        job.resumed_from_checkpoint |= session.resumed
-        await call(session.start)
+        job.resumed_from_checkpoint |= campaign.resumed
+        await call(campaign.start)
+        if not campaign.resumed:
+            # The post-seeding baseline: a death inside the first
+            # slices still leaves something to resume from.
+            await call(campaign.checkpoint)
         slices = 0
-        while session.now_ns < session.deadline_ns:
+        while campaign.now_ns < campaign.deadline_ns:
             self._poll_wedge()
             started = time.monotonic()
             moved = await call(
-                session.advance, session.now_ns + policy.slice_ns
+                campaign.step_until, campaign.now_ns + policy.slice_ns
             )
             if time.monotonic() - started > policy.watchdog_s:
                 raise StepFailure(
@@ -242,16 +243,16 @@ class WorkerPool:
             if not moved:
                 break   # empty corpus / no progress possible: wrap up
             slices += 1
-            progress = session.progress()
+            progress = campaign.progress()
             service.ledger.charge(spec.tenant, job.job_id, progress["t_ns"])
             self._poll_overrun(job)
             self._observe(job, progress)
             if slices % policy.checkpoint_every_slices == 0:
-                poll_checkpoint_tear(session.checkpoint(), service.faults)
+                poll_checkpoint_tear(campaign.checkpoint(), service.faults)
             # The cooperative yield: everything else the server does
             # (submits, status, watch streams) happens here.
             await asyncio.sleep(0)
-        result = await call(session.finish)
+        result = await call(campaign.finish_run)
         if isinstance(result, ParallelResult):
             # Barrier samples sum per-shard counts; journal the merged.
             job.execs, job.edges = result.total_execs, result.merged_edges
@@ -259,7 +260,7 @@ class WorkerPool:
             job.unique_hangs = result.merged_unique_hangs
             digest = result.digest()
         else:
-            digest = session.campaign.state_digest()
+            digest = campaign.state_digest()
         await service.complete_job(job, digest)
 
     @staticmethod

@@ -1,4 +1,5 @@
-"""Shared test helpers: run inputs under executors, craft crash inputs."""
+"""Shared test helpers: run inputs under executors, kill a checkpointing
+campaign mid-run, craft crash inputs."""
 
 from __future__ import annotations
 
@@ -20,6 +21,23 @@ def run_fresh(spec: TargetSpec, data: bytes) -> ExecResult:
 def run_fresh_module(module, image_bytes: int, data: bytes) -> ExecResult:
     executor = FreshProcessExecutor(module, image_bytes, Kernel())
     return executor.run(data)
+
+
+def run_killed(campaign, halt_ns: int) -> None:
+    """Drive *campaign* as ``run()`` does with a ``checkpoint_path`` — a
+    checkpoint after seeding, then one after each
+    ``checkpoint_interval_ns`` slice — and drop it unfinished at the
+    first queue-cycle boundary past *halt_ns* (before the budget
+    deadline), as a killed fuzzer process leaves it: that slice's
+    checkpoint is never written, so a resume replays from an earlier
+    one."""
+    interval_ns = campaign.config.checkpoint_interval_ns
+    campaign.start()
+    campaign.checkpoint()
+    while campaign.step_until(min(campaign.now_ns + interval_ns, halt_ns)):
+        if campaign.now_ns >= halt_ns:
+            return
+        campaign.checkpoint()
 
 
 # ---------------------------------------------------------------------------

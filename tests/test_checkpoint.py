@@ -29,6 +29,7 @@ from repro.integrity import EscalationPolicy, IntegritySentinel
 from repro.minic import compile_c
 from repro.passes import PassManager, baseline_passes, closurex_passes
 from repro.sim_os import Kernel
+from tests.helpers import run_killed
 
 SOURCE = r"""
 int main(int argc, char **argv) {
@@ -267,10 +268,9 @@ class TestResume:
                 budget_ns=BUDGET_NS, seed=7,
                 checkpoint_path=path,
                 checkpoint_interval_ns=4_000_000,
-                halt_at_ns=BUDGET_NS * 6 // 10,   # "the process dies here"
             )
         )
-        halted.run()
+        run_killed(halted, BUDGET_NS * 6 // 10)   # "the process dies here"
         assert os.path.exists(path)
 
         resumed = Campaign.resume(path, _executor())
@@ -284,10 +284,9 @@ class TestResume:
                 budget_ns=BUDGET_NS, seed=3,
                 checkpoint_path=path,
                 checkpoint_interval_ns=4_000_000,
-                halt_at_ns=BUDGET_NS // 2,
             )
         )
-        halted.run()
+        run_killed(halted, BUDGET_NS // 2)
         execs_at_checkpoint = load_checkpoint(path)["execs"]
         assert execs_at_checkpoint > 0
 
@@ -355,21 +354,6 @@ def _sentinel_campaign(config):
 
 
 class TestIntegrityInCheckpoint:
-    def test_campaign_config_wires_checkpoint_keep(self, tmp_path):
-        path = str(tmp_path / "c.ckpt")
-        campaign = _campaign(
-            CampaignConfig(
-                budget_ns=20_000_000, seed=5,
-                checkpoint_path=path,
-                checkpoint_interval_ns=2_000_000,
-                checkpoint_keep=3,
-            )
-        )
-        campaign.run()
-        assert os.path.exists(path)
-        assert os.path.exists(path + ".1")
-        assert not os.path.exists(path + ".3")
-
     def test_sentinel_summary_rides_in_checkpoint(self, tmp_path):
         path = str(tmp_path / "s.ckpt")
         campaign = _sentinel_campaign(

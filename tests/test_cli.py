@@ -1,10 +1,11 @@
-"""Tests for the analysis and experiments command lines.
+"""Tests for the analysis, experiments and fuzzing command lines.
 
 ``python -m repro.analysis`` is the lint gate with two subcommands,
 ``opt`` and ``integrity``; ``python -m repro.experiments`` runs the
-paper's entry points and, under ``matrix``, the experiment platform.
-Each is driven in-process through its ``main(argv)``.  Bad input must
-exit 2 with one ``error:`` line on stderr, never a traceback.
+paper's entry points and, under ``matrix``, the experiment platform;
+``python -m repro.fuzzing`` runs one campaign or a fleet.  Each is
+driven in-process through its ``main(argv)``.  Bad input must exit 2
+with one ``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro.analysis.__main__ import main as analysis_main
 from repro.experiments.__main__ import demo_spec
 from repro.experiments.__main__ import main as experiments_main
+from repro.fuzzing.__main__ import main as fuzzing_main
 
 
 class TestAnalysisCli:
@@ -67,8 +69,20 @@ class TestMatrixCli:
     (experiments_main, ["matrix", "--spec", "{tmp}/missing.json"]),
     (experiments_main, ["matrix", "--spec", "{tmp}/malformed.json"]),
     (experiments_main, ["matrix", "--report-only", "--out", "{tmp}/empty"]),
+    (fuzzing_main, ["--budget-ms", "4"]),
+    (fuzzing_main, ["--target", "md4c", "--workers", "0"]),
+    (fuzzing_main, ["--target", "md4c", "--workers", "2", "--i2s"]),
+    (fuzzing_main, ["--target", "md4c", "--budget-ms", "0"]),
+    (fuzzing_main, ["--target", "md4c", "--budget-ms", "-3"]),
+    (fuzzing_main, ["--target", "md4c", "--workers", "2", "--sync-ms", "0"]),
+    (fuzzing_main, ["--target", "md4c", "--checkpoint", "{tmp}/empty/ck",
+                    "--checkpoint-ms", "0"]),
+    (fuzzing_main, ["--target", "md4c", "--resume", "{tmp}/empty/ck"]),
 ], ids=["opt-unknown-target", "matrix-missing-spec",
-        "matrix-malformed-spec", "matrix-report-only-no-store"])
+        "matrix-malformed-spec", "matrix-report-only-no-store",
+        "fuzz-no-target", "fuzz-workers-0", "fuzz-i2s-fleet",
+        "fuzz-budget-0", "fuzz-budget-negative", "fuzz-sync-0",
+        "fuzz-checkpoint-ms-0", "fuzz-resume-missing"])
 def test_bad_input_exits_2_with_one_error_line(main, argv, tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     (tmp_path / "malformed.json").write_text("{not json")

@@ -29,6 +29,7 @@ from repro.minic import compile_c
 from repro.passes import PassManager, closurex_passes
 from repro.sim_os import Kernel
 from repro.targets import get_target
+from tests.helpers import run_killed
 
 #: A parser whose interesting half hides behind a 4-byte big-endian
 #: magic — the canonical input-to-state situation.
@@ -435,10 +436,9 @@ class TestCheckpointRoundTrip:
                 budget_ns=BUDGET_NS, seed=6, i2s_enabled=True,
                 checkpoint_path=path,
                 checkpoint_interval_ns=BUDGET_NS // 10,
-                halt_at_ns=BUDGET_NS // 2,
             ),
         )
-        halted.run()
+        run_killed(halted, BUDGET_NS // 2)
 
         resumed = Campaign.resume(path, _executor())
         assert resumed._i2s is not None

@@ -285,7 +285,7 @@ def _dropped_at_barrier(config: ParallelConfig, rounds: int) -> None:
     as a killed orchestrator leaves it."""
     fleet = ParallelCampaign(config)
     fleet.start()
-    assert fleet.advance(rounds * SYNC_NS)
+    assert fleet.step_until(rounds * SYNC_NS)
     fleet.checkpoint()
 
 
@@ -339,10 +339,10 @@ class TestCoordinatedCheckpoint:
         """A checkpoint pickled before the unused fleet options were
         deleted carries them in its config; it resumes to the same
         digest."""
-        from repro.fuzzing.checkpoint import load_state, save_state
+        from repro.fuzzing.checkpoint import load_checkpoint, save_state
         path = str(tmp_path / "fleet.ckpt")
         _dropped_at_barrier(_config(checkpoint_path=path), rounds=1)
-        state = load_state(path)
+        state = load_checkpoint(path)
         state["config"].__dict__.update(
             max_imports_per_sync=64, checkpoint_every_rounds=1,
             worker_timeout_s=300.0, halt_after_round=None,

@@ -255,10 +255,10 @@ class TestSchedulerAndDeterminism:
         # checkpoint), as if the platform was killed mid-trial...
         trial = spec.enumerate_trials()[0]
         measurer = Measurer(partial)
-        session, k = measurer.open_session(trial)
-        session.advance(session.start_ns + k * trial.measure_every_ns)
-        partial.append(trial.trial_id, measurer.sample(trial, k, session))
-        session.checkpoint()
+        campaign, k = measurer.open_trial(trial)
+        campaign.step_until(campaign.start_ns + k * trial.measure_every_ns)
+        partial.append(trial.trial_id, measurer.sample(trial, k, campaign))
+        campaign.checkpoint()
         assert partial.read(trial.trial_id)  # half-finished on disk
         # ...then let the scheduler resume and finish everything.
         TrialScheduler(spec, partial).run()
@@ -360,9 +360,9 @@ class TestParallelTrials:
         partial.bind_spec(spec)
         trial = spec.enumerate_trials()[0]
         measurer = Measurer(partial)
-        fleet, first = measurer.open_session(trial)
+        fleet, first = measurer.open_trial(trial)
         for k in (first, first + 1):
-            fleet.advance(fleet.start_ns + k * trial.measure_every_ns)
+            fleet.step_until(fleet.start_ns + k * trial.measure_every_ns)
             partial.append(trial.trial_id, measurer.sample(trial, k, fleet))
             fleet.checkpoint()
         assert len(partial.read(trial.trial_id)) == 2

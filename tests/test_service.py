@@ -52,7 +52,7 @@ def direct_digest(target: str, seed: int, budget_ns: int) -> str:
     config = CampaignConfig(budget_ns=budget_ns, seed=seed)
     campaign = Campaign(executor, get_target(target).seeds, config)
     campaign.start()
-    campaign.step_until(campaign.run_start_ns + budget_ns)
+    campaign.step_until(campaign.start_ns + budget_ns)
     campaign.finish_run()
     return campaign.state_digest()
 
@@ -506,7 +506,7 @@ def test_multi_worker_barrier_samples_count_hangs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ParallelCampaign, "progress",
                         progress_at_fake_barrier)
-    monkeypatch.setattr(ParallelCampaign, "finish", stop)
+    monkeypatch.setattr(ParallelCampaign, "finish_run", stop)
     service = FuzzService(ServiceConfig(state_dir=str(tmp_path)))
     job = JobRecord("job-0001", JobSpec(
         tenant="t", target="md4c", budget_ns=1_000_000, n_workers=2,

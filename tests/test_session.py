@@ -1,14 +1,16 @@
-"""The campaign session and the shared executor builder.
+"""One driver surface for one worker or many.
 
-Every way to open a :class:`CampaignSession` — fresh, from a checkpoint
-path, past a checkpoint whose every generation is corrupt, from an
-in-memory barrier state — advanced in uneven slices, must end on the
-digest of one uninterrupted ``Campaign.run()``; a fleet advanced the
-same way through a checkpoint must end on ``ParallelCampaign.run()``'s.
-And the drivers built on them (service, fleet, fuzzing CLI) must not
+Every way to open a :class:`Campaign` — fresh, from a checkpoint path,
+past a checkpoint whose every generation is corrupt, from an in-memory
+barrier state — stepped in uneven slices, must end on the digest of
+one uninterrupted ``Campaign.run()``; a fleet stepped by the same code
+through a checkpoint and a reopen must end on the digest of
+``ParallelCampaign.run()``.  Only callers write checkpoints.  And the
+drivers built on the surface (service, fleet, fuzzing CLI) must not
 drag in the evaluation stack.
 """
 
+import dataclasses
 import itertools
 import os
 import pickle
@@ -21,10 +23,10 @@ from repro.execution import build_executor
 from repro.fuzzing import (
     Campaign,
     CampaignConfig,
-    CampaignSession,
     capture_state,
+    load_checkpoint,
 )
-from repro.parallel import ParallelCampaign, ParallelConfig
+from repro.parallel import ParallelCampaign, ParallelConfig, ParallelResult
 from repro.sim_os import Kernel
 from repro.targets import get_target
 
@@ -32,6 +34,10 @@ TARGET = "giftext"
 SEEDS = get_target(TARGET).seeds
 BUDGET_NS = 6_000_000
 SLICES_NS = (700_000, 2_300_000, 1_100_000, 400_000)
+PROGRESS_KEYS = {
+    "clock_ns", "t_ns", "execs", "edges", "corpus",
+    "unique_crashes", "total_crashes", "unique_hangs", "total_hangs",
+}
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
@@ -39,8 +45,33 @@ def _executor():
     return build_executor(TARGET, "closurex", Kernel())
 
 
-def _config():
-    return CampaignConfig(budget_ns=BUDGET_NS, seed=11)
+def _config(path=None):
+    return CampaignConfig(budget_ns=BUDGET_NS, seed=11, checkpoint_path=path)
+
+
+def _fleet_config(path=None) -> ParallelConfig:
+    return ParallelConfig(target=TARGET, n_workers=2, seed=11,
+                          budget_ns=BUDGET_NS, sync_every_ns=1_000_000,
+                          checkpoint_path=path)
+
+
+def _step(campaign, until_ns) -> None:
+    """Step a started campaign or fleet in uneven slices until its
+    clock reaches *until_ns*; every slice must move the clock."""
+    slices = itertools.cycle(SLICES_NS)
+    while campaign.now_ns < until_ns:
+        assert campaign.step_until(campaign.now_ns + next(slices))
+        assert set(campaign.progress()) == PROGRESS_KEYS
+
+
+def _finish(campaign) -> str:
+    """Step to the deadline, finish, and return the run's digest."""
+    _step(campaign, campaign.deadline_ns)
+    assert not campaign.step_until(campaign.now_ns + SLICES_NS[0])
+    result = campaign.finish_run()
+    if isinstance(result, ParallelResult):
+        return result.digest()
+    return campaign.state_digest()
 
 
 @pytest.fixture(scope="module")
@@ -50,26 +81,23 @@ def uninterrupted_digest():
     return campaign.state_digest()
 
 
-def _abandoned(path=None) -> CampaignSession:
-    """A session advanced part-way, then left as a killed run leaves it."""
-    session = CampaignSession(
-        _executor(), SEEDS, _config(), checkpoint_path=path
-    )
-    session.start()
-    session.advance(session.now_ns + 2_500_000)
-    return session
+def _abandoned(path=None) -> Campaign:
+    """A campaign stepped part-way, then left as a killed run leaves it."""
+    campaign = Campaign(_executor(), SEEDS, _config(path))
+    campaign.start()
+    campaign.step_until(campaign.now_ns + 2_500_000)
+    return campaign
 
 
 def _fresh(tmp_path):
-    return CampaignSession(_executor(), SEEDS, _config())
+    return Campaign.open(_executor(), SEEDS,
+                         _config(str(tmp_path / "absent.ckpt")))
 
 
 def _from_checkpoint(tmp_path):
     path = str(tmp_path / "campaign.ckpt")
     _abandoned(path).checkpoint()
-    return CampaignSession(
-        _executor(), SEEDS, _config(), checkpoint_path=path
-    )
+    return Campaign.open(_executor(), SEEDS, _config(path))
 
 
 def _past_corrupt_generations(tmp_path):
@@ -77,16 +105,12 @@ def _past_corrupt_generations(tmp_path):
     for generation in (path, path + ".1"):
         with open(generation, "wb") as handle:
             handle.write(b"RPRCKPT1 torn mid-write")
-    return CampaignSession(
-        _executor(), SEEDS, _config(), checkpoint_path=path
-    )
+    return Campaign.open(_executor(), SEEDS, _config(path))
 
 
 def _from_barrier_state(tmp_path):
-    state = pickle.dumps(capture_state(_abandoned().campaign))
-    return CampaignSession(
-        _executor(), SEEDS, _config(), state=pickle.loads(state)
-    )
+    state = pickle.dumps(capture_state(_abandoned()))
+    return Campaign.from_state(pickle.loads(state), _executor(), _config())
 
 
 @pytest.mark.parametrize("opener, resumed", [
@@ -98,42 +122,60 @@ def _from_barrier_state(tmp_path):
 def test_sliced_session_ends_on_uninterrupted_digest(
     opener, resumed, tmp_path, uninterrupted_digest
 ):
-    session = opener(tmp_path)
-    assert session.resumed is resumed
-    session.start()
-    slices = itertools.cycle(SLICES_NS)
-    while session.advance(session.now_ns + next(slices)):
-        pass
-    assert session.now_ns >= session.deadline_ns
-    session.finish()
-    assert session.campaign.state_digest() == uninterrupted_digest
-
-
-def _fleet_config(path=None) -> ParallelConfig:
-    return ParallelConfig(target=TARGET, n_workers=2, seed=11,
-                          budget_ns=BUDGET_NS, sync_every_ns=1_000_000,
-                          checkpoint_path=path)
+    campaign = opener(tmp_path)
+    assert campaign.resumed is resumed
+    campaign.start()
+    assert _finish(campaign) == uninterrupted_digest
 
 
 def test_sliced_fleet_ends_on_uninterrupted_digest(tmp_path):
     """Slices shorter than a sync round run one round, longer ones run
-    several; a checkpoint and a resume midway change nothing."""
+    several; a checkpoint and a reopen midway change nothing."""
     golden = ParallelCampaign(_fleet_config()).run().digest()
     path = str(tmp_path / "fleet.ckpt")
-    slices = itertools.cycle(SLICES_NS)
     fleet = ParallelCampaign.open(_fleet_config(path))
     assert not fleet.resumed
     fleet.start()
-    while fleet.now_ns < BUDGET_NS // 2:
-        assert fleet.advance(fleet.now_ns + next(slices))
+    _step(fleet, BUDGET_NS // 2)
     fleet.checkpoint()
     fleet = ParallelCampaign.open(_fleet_config(path))
     assert fleet.resumed
     fleet.start()
-    while fleet.advance(fleet.now_ns + next(slices)):
-        pass
-    assert fleet.now_ns >= fleet.deadline_ns
-    assert fleet.finish().digest() == golden
+    assert _finish(fleet) == golden
+
+
+def test_only_callers_write_checkpoints(tmp_path, monkeypatch):
+    """``start`` and ``step_until`` write nothing; ``checkpoint`` writes
+    the instant it is called at; ``run`` writes a post-seeding baseline
+    and then one generation per interval slice."""
+    path = str(tmp_path / "campaign.ckpt")
+    campaign = Campaign(_executor(), SEEDS, _config(path))
+    campaign.start()
+    campaign.step_until(campaign.deadline_ns)
+    assert os.listdir(tmp_path) == []
+    assert campaign.checkpoint() == path
+    assert load_checkpoint(path)["clock_ns"] == campaign.now_ns
+
+    interval_ns = 2_000_000
+    path = str(tmp_path / "run.ckpt")
+    written: list[tuple[int, int]] = []
+    checkpoint = Campaign.checkpoint
+
+    def recording(self, path=None):
+        written.append((self.now_ns, self.execs))
+        return checkpoint(self, path)
+
+    monkeypatch.setattr(Campaign, "checkpoint", recording)
+    campaign = Campaign(_executor(), SEEDS, dataclasses.replace(
+        _config(path), checkpoint_interval_ns=interval_ns))
+    campaign.run()
+    assert len(written) >= 3
+    assert written[0][1] == len(SEEDS)          # right after seeding
+    for (earlier_ns, _), (later_ns, _) in zip(written, written[1:]):
+        assert later_ns - earlier_ns >= interval_ns
+    assert [(state["clock_ns"], state["execs"]) for state in (
+        load_checkpoint(path + ".1"), load_checkpoint(path),
+    )] == written[-2:]
 
 
 def test_drivers_do_not_load_the_evaluation_stack():

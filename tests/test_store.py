@@ -70,6 +70,7 @@ from repro.store import (
     read_framed,
     write_framed,
 )
+from tests.helpers import run_killed
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -802,13 +803,12 @@ class TestFsck:
 # ---------------------------------------------------------------------------
 
 
-def _golden_config(tree, store, halt_at_ns=None):
+def _golden_config(tree, store):
     return CampaignConfig(
         budget_ns=BUDGET_NS, seed=GOLDEN_SEED,
         checkpoint_path=os.path.join(tree, "campaign.ckpt"),
         checkpoint_interval_ns=3_000_000,
         corpus_store=store, corpus_owner="golden",
-        halt_at_ns=halt_at_ns,
     )
 
 
@@ -844,18 +844,20 @@ class TestGoldenDiskChaos:
         # Aim at ~40% of the run's polls of this site: deep enough that
         # checkpoints exist, early enough that real work remains.
         occurrence = max(2, counters[site] * 2 // 5)
-        # Raising sites kill the process themselves; the silent bit
-        # flip needs a separate death (the halt hook) to recover from.
-        halt = BUDGET_NS * 7 // 10 if site == "bit-flip" else None
         campaign = Campaign(
             _executor(), seeds=SEEDS,
-            config=_golden_config(tree, CorpusStore(store_root), halt),
+            config=_golden_config(tree, CorpusStore(store_root)),
         )
         injector = _arm(site, occurrence)
         died = False
         with disk_chaos(injector):
             try:
-                campaign.run()
+                if site == "bit-flip":
+                    # Raising sites kill the process themselves; the
+                    # silent bit flip needs a separate death.
+                    run_killed(campaign, BUDGET_NS * 7 // 10)
+                else:
+                    campaign.run()
             except (InjectedFault, OSError):
                 died = True
         assert injector.fired, f"{site} never fired (occurrence {occurrence})"
@@ -890,14 +892,12 @@ class TestGoldenDiskChaos:
         )
         campaign = Campaign(
             _executor(), seeds=SEEDS,
-            config=_golden_config(
-                tree, CorpusStore(store_root), BUDGET_NS * 7 // 10
-            ),
+            config=_golden_config(tree, CorpusStore(store_root)),
         )
         survived_to_halt = True
         with disk_chaos(FaultInjector(plan)):
             try:
-                campaign.run()
+                run_killed(campaign, BUDGET_NS * 7 // 10)
             except (InjectedFault, OSError):
                 survived_to_halt = False
         resume_config = _golden_config(tree, CorpusStore(store_root))
