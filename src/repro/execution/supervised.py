@@ -134,6 +134,16 @@ class SupervisedExecutor(Executor):
         return self.inner.mechanism
 
     @property
+    def sentinel(self):
+        """The wrapped executor's sentinel (None after a degrade)."""
+        return getattr(self.inner, "sentinel", None)
+
+    @property
+    def module(self):
+        """The wrapped executor's MiniIR module."""
+        return getattr(self.inner, "module", None)
+
+    @property
     def exec_instruction_limit(self) -> int:  # type: ignore[override]
         return self.inner.exec_instruction_limit
 

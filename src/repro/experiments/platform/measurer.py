@@ -29,27 +29,25 @@ and its coordinated checkpoints provide the same resume story.
 
 from __future__ import annotations
 
-from repro.execution import build_executor
 from repro.experiments.platform.spec import TrialSpec
 from repro.experiments.platform.store import ResultsStore
 from repro.fuzzing import Campaign, CampaignResult
-from repro.integrity import EscalationPolicy
-from repro.parallel import ParallelCampaign, ParallelConfig, ParallelResult
-from repro.sim_os import Kernel
-from repro.targets import get_target
+from repro.parallel import (
+    ParallelCampaign,
+    ParallelConfig,
+    ParallelResult,
+    open_campaign,
+)
 
 
 def executor_health(executor) -> dict:
-    """Restore/integrity counters from wherever the ladder keeps them.
-
-    Looks through a supervisor wrapper for the sentinel, mirroring the
-    checkpoint layer's integrity summary; everything defaults to zero
-    so the snapshot schema is identical with and without the ladder.
+    """Restore/integrity counters from wherever the ladder keeps them
+    (a supervisor forwards its wrapped executor's sentinel); everything
+    defaults to zero so the snapshot schema is identical with and
+    without the ladder.
     """
     supervision = getattr(executor, "supervision", None)
     sentinel = getattr(executor, "sentinel", None)
-    if sentinel is None:
-        sentinel = getattr(getattr(executor, "inner", None), "sentinel", None)
     health = {
         "recoveries": supervision.recoveries if supervision else 0,
         "respawns": supervision.respawns if supervision else 0,
@@ -76,35 +74,18 @@ class Measurer:
         trial), resumed from its checkpoint if one loads, and the index
         of its next sample."""
         store, trial_id = self.store, trial.trial_id
-        path = store.checkpoint_path(trial_id)
-        if trial.n_workers > 1:
-            campaign = ParallelCampaign.open(ParallelConfig(
-                target=trial.target,
-                n_workers=trial.n_workers,
-                seed=trial.seed,
-                budget_ns=trial.budget_ns,
-                sync_every_ns=trial.sync_every_ns,
-                mechanism=trial.arm.mechanism,
-                supervised=trial.supervised,
-                sentinel_digest_every=trial.sentinel_digest_every,
-                checkpoint_path=path,
-            ))
-        else:
-            config = trial.campaign_config()
-            config.checkpoint_path = path
-            campaign = Campaign.open(
-                build_executor(
-                    trial.target, trial.arm.mechanism, Kernel(),
-                    supervised=trial.supervised,
-                    sentinel_digest_every=trial.sentinel_digest_every,
-                    # A trial's sentinel keeps the policy's shadow
-                    # cadence.
-                    sentinel_shadow_every=(EscalationPolicy.shadow_every
-                                           if trial.sentinel_digest_every
-                                           else 0),
-                ),
-                get_target(trial.target).seeds, config,
-            )
+        campaign = open_campaign(ParallelConfig(
+            target=trial.target,
+            n_workers=trial.n_workers,
+            seed=trial.seed,
+            budget_ns=trial.budget_ns,
+            sync_every_ns=trial.sync_every_ns,
+            mechanism=trial.arm.mechanism,
+            supervised=trial.supervised,
+            sentinel_digest_every=trial.sentinel_digest_every,
+            checkpoint_path=store.checkpoint_path(trial_id),
+            overrides=trial.arm.overrides,
+        ))
         if campaign.resumed:
             campaign.start()
             # Samples past the checkpoint would be recorded twice.

@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 
 from repro.execution import MECHANISMS
-from repro.fuzzing.campaign import CampaignConfig
 
 #: Virtual nanoseconds per virtual millisecond (CLI/spec sizing unit).
 MS = 1_000_000
@@ -77,11 +76,6 @@ class TrialSpec:
     sync_every_ns: int = 0
     supervised: bool = False
     sentinel_digest_every: int = 0
-
-    def campaign_config(self) -> CampaignConfig:
-        """The trial's CampaignConfig with the arm's overrides applied."""
-        config = CampaignConfig(budget_ns=self.budget_ns, seed=self.seed)
-        return dataclasses.replace(config, **dict(self.arm.overrides))
 
 
 @dataclass

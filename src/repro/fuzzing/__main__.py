@@ -38,12 +38,12 @@ import argparse
 import sys
 
 from repro.execution import MECHANISMS, build_executor
-from repro.fuzzing.campaign import Campaign, CampaignConfig
+from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.checkpoint import CheckpointError, load_checkpoint
-from repro.parallel import ParallelCampaign, ParallelConfig
+from repro.parallel import ParallelCampaign, ParallelConfig, open_campaign
 from repro.parallel.orchestrator import PARALLEL_CHECKPOINT_KIND
 from repro.sim_os import Kernel
-from repro.targets import get_target, target_names
+from repro.targets import target_names
 
 MS = 1_000_000  # virtual ns per virtual ms
 
@@ -129,8 +129,18 @@ def main(argv: list[str] | None = None) -> int:
         )
     elif args.target is None:
         return _error("--target is required (or --resume / --list-targets)")
-    elif args.workers > 1:
-        return run_fleet(ParallelCampaign(ParallelConfig(
+    else:
+        if args.workers == 1:
+            for flag in ("processes", "report_dir", "per_worker_reports"):
+                if getattr(args, flag):
+                    return _error(f"--{flag.replace('_', '-')} needs "
+                                  f"--workers > 1")
+        if args.per_worker_reports and args.report_dir is None:
+            return _error("--per-worker-reports needs --report-dir")
+        # Fresh, even over an existing --checkpoint file.  A lone
+        # campaign runs the bare executor --resume rebuilds; a fleet
+        # runs the supervised shard ladder.
+        campaign = open_campaign(ParallelConfig(
             target=args.target,
             n_workers=args.workers,
             seed=args.seed,
@@ -138,22 +148,15 @@ def main(argv: list[str] | None = None) -> int:
             sync_every_ns=args.sync_ms * MS,
             mechanism=args.mechanism,
             use_processes=args.processes,
+            supervised=args.workers > 1,
             checkpoint_path=args.checkpoint,
             report_dir=args.report_dir,
             per_worker_reports=args.per_worker_reports,
-        )))
-    else:
-        campaign = Campaign(
-            build_executor(args.target, args.mechanism, Kernel()),
-            get_target(args.target).seeds,
-            CampaignConfig(
-                budget_ns=args.budget_ms * MS,
-                seed=args.seed,
-                i2s_enabled=args.i2s,
-                checkpoint_path=args.checkpoint,
-                checkpoint_interval_ns=args.checkpoint_ms * MS,
-            ),
-        )
+            overrides=(("checkpoint_interval_ns", args.checkpoint_ms * MS),
+                       ("i2s_enabled", args.i2s)),
+        ), resume=False)
+        if isinstance(campaign, ParallelCampaign):
+            return run_fleet(campaign)
     result = campaign.run()
     print(f"mechanism        : {result.mechanism}")
     print(f"seed             : {campaign.config.seed}")

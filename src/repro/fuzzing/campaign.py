@@ -269,7 +269,7 @@ class Campaign:
         if (self._i2s is not None
                 and self.config.i2s_static_dictionary
                 and not self._i2s.static_mined):
-            module = self._target_module()
+            module = getattr(self.executor, "module", None)
             if module is not None:
                 mined = self._i2s.mine_static(module)
                 if self.telemetry.enabled:
@@ -643,17 +643,6 @@ class Campaign:
         return stats.find_rate() < (
             self.config.i2s_throttle_ratio * havoc.find_rate()
         )
-
-    def _target_module(self):
-        """The target's MiniIR module, if the executor exposes one
-        (ClosureX does; supervised executors forward via ``inner``)."""
-        executor = self.executor
-        while executor is not None:
-            module = getattr(executor, "module", None)
-            if module is not None:
-                return module
-            executor = getattr(executor, "inner", None)
-        return None
 
     def import_input(self, data: bytes) -> bool:
         """Adopt an input discovered by another shard (sync import).

@@ -64,6 +64,7 @@ class CheckpointError(RuntimeError):
 def capture_state(campaign) -> dict:
     """One consistent snapshot of everything resume needs."""
     executor = campaign.executor
+    sentinel = getattr(executor, "sentinel", None)
     return {
         "version": CHECKPOINT_VERSION,
         "kind": "campaign",
@@ -91,16 +92,10 @@ def capture_state(campaign) -> dict:
         # Informational integrity summary (the full ledger rides inside
         # executor_state): lets reports and humans see at a glance what
         # the sentinel observed without unpickling executor internals.
-        "integrity": _integrity_summary(executor),
+        "integrity": (
+            sentinel.ledger.summary() if sentinel is not None else None
+        ),
     }
-
-
-def _integrity_summary(executor) -> dict | None:
-    """Sentinel ledger summary, looking through a supervisor wrapper."""
-    sentinel = getattr(executor, "sentinel", None)
-    if sentinel is None:
-        sentinel = getattr(getattr(executor, "inner", None), "sentinel", None)
-    return sentinel.ledger.summary() if sentinel is not None else None
 
 
 def save_checkpoint(campaign, path: str, keep: int = DEFAULT_KEEP) -> None:

@@ -33,7 +33,9 @@ Coordinated multi-shard checkpoints persist hub + all shard barrier
 states (RPRCKPT1 framing, CRC, rotation); :meth:`ParallelCampaign.resume`
 continues bit-identically even if any subset of workers — or the
 orchestrator itself — was killed, and :meth:`ParallelCampaign.open`
-resumes or starts fresh from the configured path.
+resumes or starts fresh from the configured path.  The fleet's
+:class:`ParallelConfig` is also the recipe :func:`open_campaign` opens
+as one campaign.
 """
 
 from __future__ import annotations
@@ -41,8 +43,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from repro.execution import MECHANISMS
-from repro.fuzzing import CampaignResult, CheckpointError
+from repro.execution import MECHANISMS, Executor, build_executor
+from repro.fuzzing import (
+    Campaign,
+    CampaignConfig,
+    CampaignResult,
+    CheckpointError,
+)
 from repro.fuzzing.checkpoint import (
     CHECKPOINT_VERSION,
     load_checkpoint,
@@ -50,22 +57,28 @@ from repro.fuzzing.checkpoint import (
 )
 from repro.fuzzing.coverage import VirginMap
 from repro.fuzzing.triage import CrashReport, CrashTriage
+from repro.integrity import EscalationPolicy
 from repro.parallel.reporter import ParallelReporter
 from repro.parallel.sync import RoundReport, SyncHub, SyncStats
 from repro.parallel.worker import (
     WorkerConfig,
     WorkerFinal,
     WorkerRuntime,
+    derive_worker_seed,
     worker_process_main,
 )
+from repro.sim_os import Kernel
 from repro.targets import get_target
+from repro.telemetry import TelemetryConfig
 
 PARALLEL_CHECKPOINT_KIND = "parallel"
 
 
 @dataclass
 class ParallelConfig:
-    """Tunables of one multi-worker campaign."""
+    """The recipe of one campaign, one worker or a fleet: what
+    :func:`open_campaign` opens, and what every shard of a fleet runs
+    under."""
 
     target: str
     n_workers: int = 4
@@ -77,15 +90,19 @@ class ParallelConfig:
     supervised: bool = True
     chaos_faults: int = 0             # per-worker fault-plan length
     sentinel_digest_every: int = 0    # integrity sentinel cadence
-    sentinel_shadow_every: int = 0
     report_dir: str | None = None     # merged fuzzer_stats directory
     per_worker_reports: bool = False  # worker_N/ subdirectories too
-    # Coordinated multi-shard checkpoint: written at sync barriers.
+    # A lone campaign's checkpoint, or the fleet's coordinated one
+    # written at sync barriers.
     checkpoint_path: str | None = None
     # Shared content-addressed corpus store root: workers put payloads
     # there and the sync exchange goes hash-only (see
     # repro.parallel.sync); None = payloads ride the wire as before.
     corpus_store_root: str | None = None
+    # CampaignConfig field overrides every worker runs under, shaped
+    # like an experiment arm's ((field, value), ...).  A class-level
+    # default, so a fleet checkpoint pickled without the field reads ().
+    overrides: tuple[tuple[str, object], ...] = ()
     # Test hook: per-worker death rounds (replacement tests; maps
     # shard_id -> round_index, process transport only).
     die_at_rounds: dict[int, int] = field(default_factory=dict)
@@ -99,27 +116,60 @@ class ParallelConfig:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
 
     def worker_config(self, shard_id: int) -> WorkerConfig:
-        report_dir = None
-        if self.per_worker_reports and self.report_dir is not None:
-            report_dir = f"{self.report_dir}/worker_{shard_id}"
-        return WorkerConfig(
-            target=self.target,
-            shard_id=shard_id,
-            n_workers=self.n_workers,
-            seed=self.seed,
-            budget_ns=self.budget_ns,
-            mechanism=self.mechanism,
+        """Shard *shard_id*'s config: this recipe plus the shard id."""
+        return WorkerConfig(self, shard_id, self.die_at_rounds.get(shard_id))
+
+    def build_executor(self, shard_id: int | None = None) -> Executor:
+        """A lone campaign's executor ladder (*shard_id* None), or a
+        shard's: its fault plan seeded with the shard seed, and a
+        forkserver fallback for ClosureX.  An armed sentinel keeps the
+        policy's shadow cadence."""
+        shard = shard_id is not None
+        return build_executor(
+            self.target, self.mechanism, Kernel(),
             supervised=self.supervised,
+            chaos_seed=(derive_worker_seed(self.seed, shard_id) if shard
+                        else self.seed),
             chaos_faults=self.chaos_faults,
             sentinel_digest_every=self.sentinel_digest_every,
-            sentinel_shadow_every=self.sentinel_shadow_every,
-            report_dir=report_dir,
-            capture_barrier_state=(
-                self.use_processes or self.checkpoint_path is not None
-            ),
-            die_at_round=self.die_at_rounds.get(shard_id),
-            corpus_store_root=self.corpus_store_root,
+            sentinel_shadow_every=(EscalationPolicy.shadow_every
+                                   if self.sentinel_digest_every else 0),
+            forkserver_fallback=shard,
         )
+
+    def campaign_config(self, shard_id: int | None = None) -> CampaignConfig:
+        """The CampaignConfig of a lone campaign (*shard_id* None), or
+        of one shard, with the overrides applied."""
+        if shard_id is None:
+            config = CampaignConfig(budget_ns=self.budget_ns, seed=self.seed,
+                                    checkpoint_path=self.checkpoint_path)
+        else:
+            config = CampaignConfig(
+                budget_ns=self.budget_ns,
+                seed=derive_worker_seed(self.seed, shard_id),
+                shard_id=shard_id,
+            )
+            if self.per_worker_reports and self.report_dir is not None:
+                config.telemetry = TelemetryConfig(
+                    enabled=True, sink="null",
+                    report_dir=f"{self.report_dir}/worker_{shard_id}",
+                )
+        return replace(config, **dict(self.overrides))
+
+
+def open_campaign(config: ParallelConfig,
+                  resume: bool = True) -> Campaign | ParallelCampaign:
+    """Open *config* as a lone :class:`~repro.fuzzing.Campaign` for one
+    worker (the fleet-only fields do not apply), a fleet for more.  With
+    *resume* it continues from a checkpoint that loads at
+    ``checkpoint_path``; without, it never reads that path."""
+    resume = resume and config.checkpoint_path is not None
+    if config.n_workers > 1:
+        return ParallelCampaign.open(config) if resume \
+            else ParallelCampaign(config)
+    opener = Campaign.open if resume else Campaign
+    return opener(config.build_executor(), get_target(config.target).seeds,
+                  config.campaign_config())
 
 
 @dataclass
@@ -454,12 +504,12 @@ class ParallelCampaign:
         if config is None:
             config = saved
         elif (config.target, config.n_workers, config.seed,
-              config.budget_ns, config.sync_every_ns) != (
+              config.budget_ns, config.sync_every_ns, config.overrides) != (
                   saved.target, saved.n_workers, saved.seed,
-                  saved.budget_ns, saved.sync_every_ns):
+                  saved.budget_ns, saved.sync_every_ns, saved.overrides):
             raise CheckpointError(
-                "checkpoint was recorded under a different "
-                "(target, n_workers, seed, budget, sync_every) tuple"
+                "checkpoint was recorded under a different (target, "
+                "n_workers, seed, budget, sync_every, overrides) tuple"
             )
         campaign = cls(config)
         campaign.hub = SyncHub.from_state(state["hub"], store=campaign.store)

@@ -25,15 +25,17 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.execution import Executor, build_executor
-from repro.fuzzing import Campaign, CampaignConfig, CampaignResult
+from repro.execution import Executor
+from repro.fuzzing import Campaign, CampaignResult
 from repro.fuzzing.checkpoint import capture_state
 from repro.fuzzing.corpus import input_hash
 from repro.parallel.sync import RoundReport, SyncCandidate
-from repro.sim_os import Kernel
 from repro.targets import get_target
-from repro.telemetry import TelemetryConfig
+
+if TYPE_CHECKING:
+    from repro.parallel.orchestrator import ParallelConfig
 
 
 def derive_worker_seed(seed: int, shard_id: int) -> int:
@@ -47,64 +49,27 @@ def derive_worker_seed(seed: int, shard_id: int) -> int:
 
 @dataclass
 class WorkerConfig:
-    """Everything needed to (re)build one shard, picklable for spawn."""
+    """One shard: the fleet's recipe plus the shard id, picklable for
+    spawn."""
 
-    target: str                       # registry name (rebuilt in-process)
+    fleet: ParallelConfig
     shard_id: int
-    n_workers: int
-    seed: int                         # campaign seed (shard seed derived)
-    budget_ns: int
-    mechanism: str = "closurex"
-    supervised: bool = True           # wrap in the self-healing ladder
-    chaos_faults: int = 0             # per-worker FaultPlan length (0=off)
-    sentinel_digest_every: int = 0    # integrity sentinel cadence (0=off)
-    sentinel_shadow_every: int = 0
-    report_dir: str | None = None     # per-worker fuzzer_stats directory
-    # Capture a pickled barrier snapshot in every RoundReport.  The
-    # orchestrator turns this on when it needs restorable state — the
-    # process transport (worker replacement) or a coordinated
-    # checkpoint — and leaves it off otherwise, because serialising a
-    # grown corpus every round is pure overhead.
-    capture_barrier_state: bool = False
     # Test hook (process transport only): die mid-round with this index,
     # modelling a worker process crash the orchestrator must heal.
     die_at_round: int | None = None
-    # Shared content-addressed corpus store root (repro.store
-    # .CorpusStore).  When set, the worker puts every queue payload into
-    # the store (owner = its campaign identity) and offers *hash-only*
-    # sync candidates; the orchestrator's hub resolves payloads from the
-    # same root.  A path, not a live handle, so the config stays
-    # picklable for spawn.
-    corpus_store_root: str | None = None
 
     @property
-    def worker_seed(self) -> int:
-        return derive_worker_seed(self.seed, self.shard_id)
-
-    def campaign_config(self) -> CampaignConfig:
-        config = CampaignConfig(
-            budget_ns=self.budget_ns,
-            seed=self.worker_seed,
-            shard_id=self.shard_id,
-        )
-        if self.report_dir is not None:
-            config.telemetry = TelemetryConfig(
-                enabled=True, sink="null", report_dir=self.report_dir,
-            )
-        return config
+    def capture_barrier_state(self) -> bool:
+        """Whether every RoundReport carries a pickled barrier snapshot:
+        only for worker replacement or a coordinated checkpoint, since
+        serialising a grown corpus every round is overhead otherwise."""
+        return (self.fleet.use_processes
+                or self.fleet.checkpoint_path is not None)
 
 
 def build_worker_executor(config: WorkerConfig) -> Executor:
-    """This shard's executor ladder: the shared builder with the fault
-    plan seeded per shard and a forkserver fallback for ClosureX."""
-    return build_executor(
-        config.target, config.mechanism, Kernel(),
-        supervised=config.supervised,
-        chaos_seed=config.worker_seed, chaos_faults=config.chaos_faults,
-        sentinel_digest_every=config.sentinel_digest_every,
-        sentinel_shadow_every=config.sentinel_shadow_every,
-        forkserver_fallback=True,
-    )
+    """This shard's executor ladder, from the fleet's recipe."""
+    return config.fleet.build_executor(config.shard_id)
 
 
 @dataclass
@@ -123,11 +88,14 @@ class WorkerRuntime:
 
     def __init__(self, config: WorkerConfig, state: bytes | None = None):
         self.config = config
-        campaign_config = config.campaign_config()
+        fleet = config.fleet
+        campaign_config = fleet.campaign_config(config.shard_id)
+        # A shared corpus store gets every queue payload (owner = the
+        # campaign identity); sync candidates then go hash-only.
         self.store = None
-        if config.corpus_store_root is not None:
+        if fleet.corpus_store_root is not None:
             from repro.store import CorpusStore
-            self.store = CorpusStore(config.corpus_store_root)
+            self.store = CorpusStore(fleet.corpus_store_root)
             campaign_config.corpus_store = self.store
         # *state* is a pickled barrier snapshot (RoundReport.state).
         executor = build_worker_executor(config)
@@ -135,7 +103,7 @@ class WorkerRuntime:
             Campaign.from_state(pickle.loads(state), executor,
                                 campaign_config)
             if state is not None else
-            Campaign(executor, get_target(config.target).seeds,
+            Campaign(executor, get_target(fleet.target).seeds,
                      campaign_config)
         )
         # Hashes this shard already holds or has already offered; used

@@ -81,6 +81,8 @@ class JobSpec:
             raise ValueError("budget_ns must be >= 1")
         if spec.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if spec.sync_every_ns < 1:
+            raise ValueError("sync_every_ns must be >= 1")
         return spec
 
     def to_wire(self) -> dict:

@@ -38,13 +38,15 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.execution import build_executor
-from repro.fuzzing import Campaign, CampaignConfig
-from repro.parallel import ParallelCampaign, ParallelConfig, ParallelResult
-from repro.sim_os import Kernel
+from repro.fuzzing import Campaign
+from repro.parallel import (
+    ParallelCampaign,
+    ParallelConfig,
+    ParallelResult,
+    open_campaign,
+)
 from repro.service.recovery import poll_checkpoint_tear
 from repro.service.scheduler import JobRecord, JobState
-from repro.targets import get_target
 
 
 class StepFailure(RuntimeError):
@@ -186,34 +188,22 @@ class WorkerPool:
 
     def _open(self, job: JobRecord) -> Campaign | ParallelCampaign:
         """The job's campaign, resumed from its newest loadable
-        checkpoint generation or fresh."""
-        service, spec = self.service, job.spec
-        path = service.state.checkpoint_path(job.job_id)
-        if spec.n_workers > 1:
-            return ParallelCampaign.open(ParallelConfig(
-                target=spec.target,
-                n_workers=spec.n_workers,
-                seed=spec.seed,
-                budget_ns=spec.budget_ns,
-                sync_every_ns=spec.sync_every_ns,
-                mechanism=spec.mechanism,
-                supervised=spec.supervised,
-                chaos_faults=spec.chaos_faults,
-                checkpoint_path=path,
-            ))
-        # The fault plan is rebuilt from the spec on every attempt; its
-        # counters live inside the supervised snapshot, so a resume
-        # restores the schedule mid-plan.
-        return Campaign.open(
-            build_executor(
-                spec.target, spec.mechanism, Kernel(),
-                supervised=spec.supervised,
-                chaos_seed=spec.seed, chaos_faults=spec.chaos_faults,
-            ),
-            get_target(spec.target).seeds,
-            CampaignConfig(budget_ns=spec.budget_ns, seed=spec.seed,
-                           checkpoint_path=path),
-        )
+        checkpoint generation or fresh.  The fault plan is rebuilt from
+        the spec on every attempt; its counters live inside the
+        supervised snapshot, so a resume restores the schedule
+        mid-plan."""
+        spec = job.spec
+        return open_campaign(ParallelConfig(
+            target=spec.target,
+            n_workers=spec.n_workers,
+            seed=spec.seed,
+            budget_ns=spec.budget_ns,
+            sync_every_ns=spec.sync_every_ns,
+            mechanism=spec.mechanism,
+            supervised=spec.supervised,
+            chaos_faults=spec.chaos_faults,
+            checkpoint_path=self.service.state.checkpoint_path(job.job_id),
+        ))
 
     async def _attempt(self, job: JobRecord) -> None:
         service, spec = self.service, job.spec

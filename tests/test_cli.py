@@ -78,11 +78,25 @@ class TestMatrixCli:
     (fuzzing_main, ["--target", "md4c", "--checkpoint", "{tmp}/empty/ck",
                     "--checkpoint-ms", "0"]),
     (fuzzing_main, ["--target", "md4c", "--resume", "{tmp}/empty/ck"]),
+    (fuzzing_main, ["--target", "giftext", "--budget-ms", "1",
+                    "--report-dir", "{tmp}/empty/X", "--processes",
+                    "--per-worker-reports"]),
+    (fuzzing_main, ["--target", "giftext", "--budget-ms", "1",
+                    "--processes"]),
+    (fuzzing_main, ["--target", "giftext", "--budget-ms", "1",
+                    "--report-dir", "{tmp}/empty/X"]),
+    (fuzzing_main, ["--target", "giftext", "--budget-ms", "1",
+                    "--per-worker-reports"]),
+    (fuzzing_main, ["--target", "giftext", "--budget-ms", "1",
+                    "--workers", "2", "--per-worker-reports"]),
 ], ids=["opt-unknown-target", "matrix-missing-spec",
         "matrix-malformed-spec", "matrix-report-only-no-store",
         "fuzz-no-target", "fuzz-workers-0", "fuzz-i2s-fleet",
         "fuzz-budget-0", "fuzz-budget-negative", "fuzz-sync-0",
-        "fuzz-checkpoint-ms-0", "fuzz-resume-missing"])
+        "fuzz-checkpoint-ms-0", "fuzz-resume-missing",
+        "fuzz-fleet-flags-one-worker", "fuzz-processes-one-worker",
+        "fuzz-report-dir-one-worker", "fuzz-per-worker-reports-one-worker",
+        "fuzz-per-worker-reports-no-report-dir"])
 def test_bad_input_exits_2_with_one_error_line(main, argv, tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     (tmp_path / "malformed.json").write_text("{not json")
@@ -94,6 +108,21 @@ def test_bad_input_exits_2_with_one_error_line(main, argv, tmp_path, capsys):
     # A report-only run over a directory without a store leaves it as
     # it found it.
     assert list((tmp_path / "empty").iterdir()) == []
+
+
+def test_fresh_checkpoint_run_never_loads_the_file_at_its_path(
+        tmp_path, capsys):
+    """A ``--checkpoint`` path already holding another run's checkpoint
+    is overwritten, not resumed."""
+    def digest(*argv):
+        assert fuzzing_main(["--target", "giftext", "--budget-ms", "4",
+                             *argv]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("digest: ")]
+
+    path = str(tmp_path / "ck")
+    digest("--seed", "5", "--checkpoint", path)
+    assert digest("--seed", "3", "--checkpoint", path) == digest("--seed", "3")
 
 
 def test_unknown_target_error_names_the_known_targets(capsys):

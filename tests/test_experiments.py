@@ -231,7 +231,7 @@ class TestPaperTrials:
             raise AssertionError("a view over finished trials ran one")
 
         monkeypatch.setattr(
-            "repro.experiments.platform.measurer.build_executor",
+            "repro.experiments.platform.measurer.open_campaign",
             no_campaigns,
         )
         assert _tiny_tables(out) == first

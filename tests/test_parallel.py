@@ -24,6 +24,7 @@ from repro.parallel import (
     SyncCandidate,
     SyncHub,
     derive_worker_seed,
+    open_campaign,
 )
 from repro.sim_os import Kernel
 from repro.targets import get_target
@@ -276,6 +277,43 @@ class TestParallelDeterminism:
 
 
 # ---------------------------------------------------------------------------
+# the campaign recipe
+# ---------------------------------------------------------------------------
+
+
+class TestRecipe:
+    def test_open_campaign_is_a_campaign_or_a_fleet(self):
+        assert type(open_campaign(_config(n_workers=1))) is Campaign
+        assert type(open_campaign(_config(n_workers=2))) is ParallelCampaign
+
+    def test_lone_and_shard_ladders(self):
+        from repro.chaos import FaultPlan
+        from repro.parallel.worker import build_worker_executor
+        config = _config(chaos_faults=3)
+        lone = open_campaign(_config(n_workers=1, chaos_faults=3)).executor
+        shard = build_worker_executor(config.worker_config(1))
+        # A lone campaign's plan is seeded with the campaign seed and
+        # has no fallback; a shard's with its shard seed, and it may
+        # degrade ClosureX to a forkserver.
+        assert lone.injector.plan == FaultPlan.generate(7, 3)
+        assert lone.fallback_factory is None
+        assert shard.injector.plan == FaultPlan.generate(
+            derive_worker_seed(7, 1), 3)
+        assert shard.fallback_factory is not None
+
+    def test_shard_sentinel_keeps_the_policy_shadow_cadence(self):
+        from repro.integrity import EscalationPolicy
+        from repro.parallel.worker import build_worker_executor
+        config = _config(sentinel_digest_every=1)
+        shard = build_worker_executor(config.worker_config(0))
+        lone = open_campaign(_config(n_workers=1,
+                                     sentinel_digest_every=1)).executor
+        for executor in (shard, lone):
+            assert (executor.sentinel.policy.shadow_every
+                    == EscalationPolicy.shadow_every)
+
+
+# ---------------------------------------------------------------------------
 # coordinated checkpoint / resume
 # ---------------------------------------------------------------------------
 
@@ -318,6 +356,18 @@ class TestCoordinatedCheckpoint:
         with pytest.raises(CheckpointError):
             ParallelCampaign.resume(path, _config(seed=99))
 
+    def test_resume_refuses_other_overrides_and_open_starts_fresh(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "fleet.ckpt")
+        _dropped_at_barrier(_config(checkpoint_path=path), rounds=1)
+        hot = _config(checkpoint_path=path,
+                      overrides=(("havoc_base_energy", 96),))
+        with pytest.raises(CheckpointError):
+            ParallelCampaign.resume(path, hot)
+        fleet = ParallelCampaign.open(hot)
+        assert not fleet.resumed and fleet.round_index == 0
+
     def test_resume_rejects_single_campaign_checkpoint(self, tmp_path):
         from repro.fuzzing.checkpoint import CHECKPOINT_VERSION, save_state
         path = str(tmp_path / "single.ckpt")
@@ -346,10 +396,16 @@ class TestCoordinatedCheckpoint:
         state["config"].__dict__.update(
             max_imports_per_sync=64, checkpoint_every_rounds=1,
             worker_timeout_s=300.0, halt_after_round=None,
+            sentinel_shadow_every=0,
         )
+        # Pickled before the recipe carried overrides: reads the default.
+        del state["config"].__dict__["overrides"]
         save_state(state, path)
+        assert ParallelCampaign.resume(
+            path, _config(checkpoint_path=path)).resumed
         resumed = ParallelCampaign.resume(path)
         assert resumed.config.checkpoint_every_rounds == 1   # carried
+        assert resumed.config.overrides == ()
         assert resumed.run().digest() == golden.digest()
 
 

@@ -26,6 +26,7 @@ from repro.experiments.platform import (
     TrialScheduler,
 )
 from repro.experiments.platform.spec import MS
+from repro.parallel import ParallelCampaign
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -63,19 +64,30 @@ class TestSpec:
         # ...but distinct across trial indices.
         assert len(set(by_arm["closurex"])) == 2
 
-    def test_variants_multiply_arms(self):
-        spec = tiny_spec(
-            variants={"default": {}, "hot": {"havoc_base_energy": 96}},
-        )
+    def test_variants_multiply_arms(self, tmp_path):
+        variants = {"default": {}, "hot": {"havoc_base_energy": 96}}
+        spec = tiny_spec(variants=variants)
         labels = [arm.label for arm in spec.arms]
         assert labels == [
             "closurex", "closurex@hot", "forkserver", "forkserver@hot",
         ]
-        hot = next(a for a in spec.arms if a.variant == "hot")
-        trial = next(
-            t for t in spec.enumerate_trials() if t.arm == hot
-        )
-        assert trial.campaign_config().havoc_base_energy == 96
+        # The override reaches the campaign a hot trial runs: the lone
+        # campaign, or every shard of a fleet.
+        for n_workers in (1, 2):
+            spec = tiny_spec(variants=variants, n_workers=n_workers)
+            trial = next(
+                t for t in spec.enumerate_trials() if t.arm.variant == "hot"
+            )
+            store = ResultsStore(str(tmp_path / f"workers-{n_workers}"))
+            store.bind_spec(spec)
+            campaign, _ = Measurer(store).open_trial(trial)
+            runs = ([runtime.campaign
+                     for runtime in campaign._transport.runtimes]
+                    if isinstance(campaign, ParallelCampaign)
+                    else [campaign])
+            assert len(runs) == n_workers
+            assert all(run.config.havoc_base_energy == 96 for run in runs)
+            campaign.finish_run()
 
     def test_digest_is_stable_and_content_sensitive(self):
         assert tiny_spec().digest() == tiny_spec().digest()
@@ -368,6 +380,24 @@ class TestParallelTrials:
         assert len(partial.read(trial.trial_id)) == 2
         TrialScheduler(spec, partial).run()
         assert partial.digest() == whole.digest()
+
+    def test_variants_reach_multi_worker_trials(self, tmp_path):
+        spec = tiny_spec(
+            name="tiny-parallel-variants",
+            targets=["md4c"],
+            mechanisms=["closurex"],
+            trials=1,
+            n_workers=2,
+            variants={"default": {},
+                      "hot": {"havoc_base_energy": 480,
+                              "enable_trim": False}},
+        )
+        finals = TrialScheduler(spec, ResultsStore(str(tmp_path))).run()
+        default, hot = sorted(finals, key=lambda final: final["variant"])
+        assert (default["variant"], hot["variant"]) == ("default", "hot")
+        counts = ("execs", "edges", "corpus")
+        assert ([default[key] for key in counts]
+                != [hot[key] for key in counts])
 
     def test_multi_worker_final_lists_merged_crashes(self, tmp_path):
         spec = tiny_spec(

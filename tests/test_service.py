@@ -156,6 +156,8 @@ def test_job_spec_validation():
          "mechanism": "nope"},                                # mechanism
         {"tenant": "t", "target": "md4c", "budget_ns": 1,
          "bogus": 1},                                         # unknown
+        {"tenant": "t", "target": "md4c", "budget_ns": 1,
+         "sync_every_ns": 0},                                 # cadence
     ):
         with pytest.raises(ValueError):
             JobSpec.from_params(params)
