@@ -223,6 +223,10 @@ class Optimizer:
         if not result.changed:
             return (TransformOutcome(transform.name, round_number, NO_CHANGE),
                     ctx)
+        # Transforms rewrite operands without moving a function's
+        # cfg_epoch (SCCP's replace_all_uses_with): validate, and run,
+        # freshly decoded code.
+        module.decoded = None
         if checkpoint is None:
             self.metrics.counter("analysis.opt.transforms_applied").inc()
             return (TransformOutcome(transform.name, round_number,

@@ -160,7 +160,7 @@ class Transform:
 
 
 def fold_binop(op: str, type_: IntType, lhs: int, rhs: int) -> int | None:
-    """Fold a binary op exactly as ``VM._exec_binop`` would.
+    """Fold a binary op exactly as the VM's ``binop`` would.
 
     Returns ``None`` when the VM would trap (division/remainder by
     zero): the instruction must then stay in place so the trap — part
@@ -199,7 +199,7 @@ def fold_binop(op: str, type_: IntType, lhs: int, rhs: int) -> int | None:
 
 
 def fold_icmp(predicate: str, type_: IntType, lhs: int, rhs: int) -> int:
-    """Fold an integer comparison exactly as ``VM._exec_icmp`` would."""
+    """Fold an integer comparison exactly as the VM's ``icmp`` would."""
     if predicate in ("slt", "sle", "sgt", "sge"):
         lhs, rhs = type_.to_signed(lhs), type_.to_signed(rhs)
     if predicate == "eq":

@@ -168,5 +168,6 @@ class ModuleCheckpoint:
         module.functions = fresh.functions
         module.globals = fresh.globals
         module.structs = fresh.structs
+        module.decoded = None
         for function in module.functions.values():
             function.module = module

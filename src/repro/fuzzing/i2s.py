@@ -7,8 +7,8 @@ fields, version tags, checksum reconstructions.  Native fuzzers need a
 shadow "cmplog" binary to see those operands; here the VM interprets
 every ``icmp``/``switch`` itself, so an opt-in :class:`CmpObserver`
 records the concrete operand pairs as a side effect of execution
-(interpreter tap in :meth:`repro.vm.interpreter.VM._exec_icmp`,
-null-object fast path when disabled, following the telemetry pattern).
+(a tap the interpreter decodes into every ``icmp``/``switch`` of a VM
+that has an observer attached, and leaves out of one that has none).
 
 On top of the tap, :class:`I2SStage` runs the classic pipeline once
 per queue entry:

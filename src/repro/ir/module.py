@@ -211,6 +211,12 @@ class Module:
         self.functions: dict[str, Function] = {}
         self.structs: dict[str, StructType] = {}
         self.metadata: dict[str, str] = {}
+        #: Interpreter code decoded from this module, shared by every VM
+        #: that runs it (see :mod:`repro.vm.interpreter`).  A function's
+        #: code is redecoded when its ``cfg_epoch`` moves; a rewrite
+        #: that leaves epochs alone (operand rewrites, moved globals)
+        #: after the module may have run must set this back to None.
+        self.decoded: object | None = None
 
     # -- struct types -------------------------------------------------
 

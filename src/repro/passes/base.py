@@ -84,6 +84,9 @@ class PassManager:
             wall_start = time.perf_counter_ns()
             result = pass_.run(module)
             wall_ns = time.perf_counter_ns() - wall_start
+            # Passes rewrite operands and move globals without moving a
+            # function's cfg_epoch: drop code decoded before the pass.
+            module.decoded = None
             self.results.append(result)
             if self.tracer.enabled:
                 self.tracer.event(

@@ -25,9 +25,7 @@ from repro.ir.types import FunctionType, I32, VOID
 from repro.ir.values import ConstantInt
 from repro.ir.types import int_type
 from repro.passes.base import ModulePass, PassResult
-from repro.vm.interpreter import COVERAGE_MAP_SIZE
-
-COV_GUARD = "__cov_guard"
+from repro.vm.interpreter import COV_GUARD, COVERAGE_MAP_SIZE
 
 
 class CoveragePass(ModulePass):

@@ -5,17 +5,31 @@ binary.  Loading lays global variables out into per-section memory
 regions (``.rodata`` / ``.data`` / ``.bss`` / ``closure_global_section``),
 exactly the contract ClosureX's GlobalPass and harness rely on.
 
-Execution is a recursive-descent interpretation of the in-memory IR.
+Execution runs code decoded once per module.  The first call of a
+function decodes it: every SSA value gets a slot in a dense register
+list, constants and global addresses are folded into the function's
+register template, each instruction becomes a closure specialised to
+its opcode and operand slots, phis become per-edge moves, successors
+are block indices, and the ``__cov_guard`` coverage callback is
+inlined.  The decoded code hangs off the module (``Module.decoded``),
+shared by every VM with the same global layout; whatever rewrites a
+module in place after it may have run sets that back to ``None``.
+
 All values are Python ints in unsigned representation; pointers are
 addresses in the VM's address space.  Every executed instruction
 charges virtual nanoseconds to the VM clock, which is what the
 simulated-OS cost model and the throughput experiments (Table 5) are
-built on.
+built on.  A block runs as straight-line segments, each charged its
+cost and instruction count at once; a segment ends at every
+instruction that can raise, and one that would cross the instruction
+limit runs an instruction at a time, so traps, hangs and the clock
+land exactly where instruction-at-a-time execution puts them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from repro.ir.instructions import (
     Alloca,
@@ -34,8 +48,8 @@ from repro.ir.instructions import (
     Switch,
     Unreachable,
 )
-from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.types import ArrayType, IntType, PointerType, StructType
+from repro.ir.module import Function, Module
+from repro.ir.types import ArrayType, IntType, StructType
 from repro.ir.values import (
     ConstantData,
     ConstantInt,
@@ -68,6 +82,9 @@ _INST_COST = {
 }
 
 _U64_MASK = (1 << 64) - 1
+_MAP_MASK = COVERAGE_MAP_SIZE - 1
+# The coverage callback the CoveragePass inserts; decoded code inlines it.
+COV_GUARD = "__cov_guard"
 
 # Per-process "boot time" sequence: each VM (process) observes a
 # different time(), reproducing the natural cross-process
@@ -117,14 +134,14 @@ class VM:
 
         # Optional telemetry: caller-owned per-opcode / per-libc-call
         # count dicts (shared across VMs so profiles survive respawns).
-        # None keeps the dispatch loop on its uninstrumented path.
+        # None keeps execution on its uninstrumented path.
         self.opcode_counts = opcode_counts
         self.libc_counts = libc_counts
         # Optional input-to-state tap (``repro.fuzzing.i2s.CmpObserver``):
-        # icmp/switch dispatch reports concrete operand pairs when the
-        # observer is attached *and* armed.  None (or a disarmed
-        # observer) keeps compares on the uninstrumented path — the
-        # same null-object contract as the telemetry count dicts.
+        # icmp/switch execution reports concrete operand pairs when the
+        # observer is attached *and* armed.  Without one, compares are
+        # decoded with no tap at all; a disarmed one costs one
+        # attribute check per compare.
         self.cmp_observer = cmp_observer
 
         self.cost = 0                       # virtual ns consumed
@@ -147,6 +164,9 @@ class VM:
         self.sections: dict[str, list[MemoryRegion]] = {}
         self._loaded = False
         self.load_cost = 0
+        # The global layout the module's decoded code was folded
+        # against, once this VM has run code.
+        self._layout: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
     # loading
@@ -248,7 +268,8 @@ class VM:
         self.prev_loc = 0
 
     def cov_guard(self, cur_loc: int) -> None:
-        """AFL-style edge coverage update (called by instrumented code)."""
+        """AFL-style edge coverage update: the ``__cov_guard`` native,
+        which decoded code inlines (``_cov_guard``)."""
         index = (cur_loc ^ self.prev_loc) & (COVERAGE_MAP_SIZE - 1)
         value = self.coverage_map[index]
         self.coverage_map[index] = (value + 1) & 0xFF if value != 0xFF else 0xFF
@@ -260,22 +281,7 @@ class VM:
         """Execute *function* with concrete integer arguments."""
         if function.is_declaration:
             return self._call_native(function.name, args)
-        if self._call_depth >= self.MAX_CALL_DEPTH:
-            raise VMTrap(TrapKind.STACK_OVERFLOW,
-                         f"call depth exceeded {self.MAX_CALL_DEPTH}", self.site)
-        self._call_depth += 1
-        frame_regions: list[MemoryRegion] = []
-        values: dict[Value, int] = {}
-        for arg_obj, arg_val in zip(function.args, args):
-            values[arg_obj] = arg_val
-        self.site.function = function.name
-        try:
-            return self._exec_blocks(function, values, frame_regions)
-        finally:
-            self._call_depth -= 1
-            for region in frame_regions:
-                if region.alive:
-                    self.memory.unmap(region)
+        return _execute(self, self._code_for(function, len(args)), list(args))
 
     def _call_native(self, name: str, args: list[int]) -> int | None:
         native = self.natives.get(name)
@@ -290,254 +296,33 @@ class VM:
         self.cost += NATIVE_BASE_COST.get(name, 20)
         return native(self, args, self.site)
 
-    def _exec_blocks(
-        self,
-        function: Function,
-        values: dict[Value, int],
-        frame_regions: list[MemoryRegion],
-    ) -> int | None:
-        block = function.entry_block
-        prev_block: BasicBlock | None = None
-        evaluate = self._evaluate
-        limit = self.instruction_limit
-        opcode_counts = self.opcode_counts
+    def _code_for(self, function: Function, nargs: int) -> "_FunctionCode":
+        """*function*'s decoded code for a call passing *nargs* arguments."""
+        code = self.module.decoded
+        if code is None or code.layout is not self._layout:
+            code = self._attach_code()
+        observed = self.cmp_observer is not None
+        functions = code.observed if observed else code.plain
+        # A call passing fewer arguments than the function has reads
+        # the rest as undefined: that is a different decode.
+        key = function if nargs >= len(function.args) else (function, nargs)
+        decoded = functions.get(key)
+        if decoded is None or decoded.epoch != function.cfg_epoch:
+            decoded = functions[key] = _decode(
+                function, code.layout, observed,
+                min(nargs, len(function.args)))
+        return decoded
 
-        while True:
-            self.site.block = block.name
-            instructions = block.instructions
-            index = 0
-            # Phi nodes are evaluated simultaneously on block entry.
-            if instructions and isinstance(instructions[0], Phi):
-                phi_values: list[tuple[Phi, int]] = []
-                while index < len(instructions) and isinstance(instructions[index], Phi):
-                    phi = instructions[index]
-                    assert prev_block is not None
-                    phi_values.append((phi, evaluate(phi.value_for_block(prev_block), values)))
-                    index += 1
-                for phi, value in phi_values:
-                    values[phi] = value
-                self.instructions_executed += index
-                self.cost += 5 * index
-                if opcode_counts is not None:
-                    opcode_counts["Phi"] = opcode_counts.get("Phi", 0) + index
-
-            next_block: BasicBlock | None = None
-            while index < len(instructions):
-                inst = instructions[index]
-                index += 1
-                self.instructions_executed += 1
-                if self.instructions_executed > limit:
-                    raise ExecutionLimitExceeded(limit)
-                self.cost += _INST_COST.get(type(inst), 2)
-                cls = type(inst)
-                if opcode_counts is not None:
-                    name = cls.__name__
-                    opcode_counts[name] = opcode_counts.get(name, 0) + 1
-
-                if cls is BinOp:
-                    values[inst] = self._exec_binop(inst, values)
-                elif cls is ICmp:
-                    values[inst] = self._exec_icmp(inst, values)
-                elif cls is Load:
-                    ptr = evaluate(inst.ptr, values)
-                    values[inst] = self.memory.read_int(ptr, inst.type.size(), self.site)
-                elif cls is Store:
-                    ptr = evaluate(inst.ptr, values)
-                    value = evaluate(inst.value, values)
-                    self.memory.write_int(ptr, value, inst.value.type.size(), self.site)
-                elif cls is GetElementPtr:
-                    values[inst] = self._exec_gep(inst, values)
-                elif cls is Call:
-                    result = self._exec_call(inst, values)
-                    # Restore location clobbered by the callee.
-                    self.site.function = function.name
-                    self.site.block = block.name
-                    if not inst.type.is_void:
-                        values[inst] = result if result is not None else 0
-                elif cls is Alloca:
-                    region = self.memory.map_region(
-                        self.memory.stack_segment,
-                        inst.allocation_size(), True, "stack",
-                        f"{function.name}.{inst.name}",
-                    )
-                    frame_regions.append(region)
-                    values[inst] = region.base
-                elif cls is Cast:
-                    values[inst] = self._exec_cast(inst, values)
-                elif cls is Select:
-                    cond = evaluate(inst.cond, values)
-                    values[inst] = evaluate(inst.if_true if cond else inst.if_false, values)
-                elif cls is Br:
-                    next_block = inst.target
-                    break
-                elif cls is CondBr:
-                    cond = evaluate(inst.cond, values)
-                    next_block = inst.if_true if cond else inst.if_false
-                    break
-                elif cls is Switch:
-                    value = evaluate(inst.value, values)
-                    observer = self.cmp_observer
-                    if observer is not None and observer.active:
-                        observer.observe_switch(self.site, inst, value)
-                    next_block = inst.default
-                    for case_value, case_block in inst.cases:
-                        if case_value == value:
-                            next_block = case_block
-                            break
-                    break
-                elif cls is Ret:
-                    if inst.value is None:
-                        return None
-                    return evaluate(inst.value, values)
-                elif cls is Unreachable:
-                    raise VMTrap(TrapKind.UNREACHABLE, "unreachable executed", self.site)
-                else:  # pragma: no cover - instruction set is closed
-                    raise VMTrap(TrapKind.ABORT, f"unknown instruction {inst}", self.site)
-
-            if next_block is None:
-                raise VMTrap(
-                    TrapKind.UNREACHABLE,
-                    f"block %{block.name} fell through without a terminator",
-                    self.site,
-                )
-            prev_block, block = block, next_block
-
-    # -- operand evaluation -------------------------------------------
-
-    def _evaluate(self, value: Value, values: dict[Value, int]) -> int:
-        cls = type(value)
-        if cls is ConstantInt:
-            return value.value
-        if cls is ConstantNull:
-            return 0
-        if cls is GlobalVariable:
-            return self.global_regions[value.name].base
-        if cls is UndefValue:
-            return 0
-        if cls is ConstantData:
-            raise VMTrap(TrapKind.ABORT, "constant data used as scalar", self.site)
-        try:
-            return values[value]
-        except KeyError:
-            raise VMTrap(
-                TrapKind.ABORT, f"use of undefined value {value.ref()}", self.site
-            ) from None
-
-    # -- instruction semantics ------------------------------------------
-
-    def _exec_binop(self, inst: BinOp, values: dict[Value, int]) -> int:
-        type_ = inst.type
-        assert isinstance(type_, IntType)
-        lhs = self._evaluate(inst.lhs, values)
-        rhs = self._evaluate(inst.rhs, values)
-        op = inst.op
-        if op == "add":
-            return type_.wrap(lhs + rhs)
-        if op == "sub":
-            return type_.wrap(lhs - rhs)
-        if op == "mul":
-            return type_.wrap(lhs * rhs)
-        if op == "and":
-            return lhs & rhs
-        if op == "or":
-            return lhs | rhs
-        if op == "xor":
-            return lhs ^ rhs
-        if op == "shl":
-            return type_.wrap(lhs << rhs) if rhs < type_.bits else 0
-        if op == "lshr":
-            return (lhs >> rhs) if rhs < type_.bits else 0
-        if op == "ashr":
-            signed = type_.to_signed(lhs)
-            return type_.wrap(signed >> min(rhs, type_.bits - 1))
-        if rhs == 0:
-            raise VMTrap(TrapKind.DIV_BY_ZERO, f"{op} by zero", self.site)
-        if op in ("sdiv", "srem"):
-            a, b = type_.to_signed(lhs), type_.to_signed(rhs)
-            if op == "sdiv":
-                quotient = abs(a) // abs(b)
-                return type_.wrap(quotient if (a < 0) == (b < 0) else -quotient)
-            remainder = abs(a) % abs(b)
-            return type_.wrap(remainder if a >= 0 else -remainder)
-        if op == "udiv":
-            return lhs // rhs
-        return lhs % rhs  # urem
-
-    def _exec_icmp(self, inst: ICmp, values: dict[Value, int]) -> int:
-        lhs = self._evaluate(inst.lhs, values)
-        rhs = self._evaluate(inst.rhs, values)
-        observer = self.cmp_observer
-        if observer is not None and observer.active:
-            observer.observe_icmp(self.site, inst, lhs, rhs)
-        predicate = inst.predicate
-        if predicate in ("slt", "sle", "sgt", "sge"):
-            lhs_type = inst.lhs.type
-            if isinstance(lhs_type, IntType):
-                lhs = lhs_type.to_signed(lhs)
-                rhs = lhs_type.to_signed(rhs)
-        if predicate == "eq":
-            return 1 if lhs == rhs else 0
-        if predicate == "ne":
-            return 1 if lhs != rhs else 0
-        if predicate in ("slt", "ult"):
-            return 1 if lhs < rhs else 0
-        if predicate in ("sle", "ule"):
-            return 1 if lhs <= rhs else 0
-        if predicate in ("sgt", "ugt"):
-            return 1 if lhs > rhs else 0
-        return 1 if lhs >= rhs else 0
-
-    def _exec_gep(self, inst: GetElementPtr, values: dict[Value, int]) -> int:
-        address = self._evaluate(inst.base, values)
-        base_type = inst.base.type
-        assert isinstance(base_type, PointerType)
-        indices = inst.indices
-        first = self._evaluate(indices[0], values)
-        first_type = indices[0].type
-        if isinstance(first_type, IntType):
-            first = first_type.to_signed(first)
-        current = base_type.pointee
-        address += first * current.size()
-        for index_value in indices[1:]:
-            if isinstance(current, ArrayType):
-                idx = self._evaluate(index_value, values)
-                idx_type = index_value.type
-                if isinstance(idx_type, IntType):
-                    idx = idx_type.to_signed(idx)
-                address += idx * current.element.size()
-                current = current.element
-            elif isinstance(current, StructType):
-                assert isinstance(index_value, ConstantInt)
-                address += current.field_offset(index_value.value)
-                current = current.field_type(index_value.value)
-            else:  # pragma: no cover - rejected at construction
-                raise VMTrap(TrapKind.ABORT, "malformed GEP", self.site)
-        return address & _U64_MASK
-
-    def _exec_call(self, inst: Call, values: dict[Value, int]) -> int | None:
-        callee = inst.callee
-        assert isinstance(callee, Function)
-        args = [self._evaluate(a, values) for a in inst.args]
-        return self.run_function(callee, args)
-
-    def _exec_cast(self, inst: Cast, values: dict[Value, int]) -> int:
-        value = self._evaluate(inst.value, values)
-        op = inst.op
-        if op in ("bitcast", "inttoptr"):
-            return value
-        if op == "ptrtoint":
-            target = inst.type
-            assert isinstance(target, IntType)
-            return target.wrap(value)
-        if op in ("trunc", "zext"):
-            target = inst.type
-            assert isinstance(target, IntType)
-            return target.wrap(value)
-        # sext
-        source = inst.value.type
-        target = inst.type
-        assert isinstance(source, IntType) and isinstance(target, IntType)
-        return target.wrap(source.to_signed(value))
+    def _attach_code(self) -> "_ModuleCode":
+        """Share the module's decoded code if it was folded against this
+        VM's global layout, else start the module's code afresh."""
+        layout = {name: region.base
+                  for name, region in self.global_regions.items()}
+        code = self.module.decoded
+        if code is None or code.layout != layout:
+            code = self.module.decoded = _ModuleCode(layout)
+        self._layout = code.layout
+        return code
 
     # ------------------------------------------------------------------
     # inspection / address recycling
@@ -579,3 +364,767 @@ class VM:
                 )
         self.memory.heap_segment.cursor = target
         self.memory.forget_dead_regions()
+
+
+# ---------------------------------------------------------------------------
+# decoded code
+# ---------------------------------------------------------------------------
+
+
+class _ModuleCode:
+    """One module's decoded functions under one global layout: ``plain``
+    for VMs without a compare observer, ``observed`` for VMs with one.
+    Nothing in it refers back to it, so dropping it frees it at once."""
+
+    __slots__ = ("layout", "plain", "observed")
+
+    def __init__(self, layout: dict[str, int]):
+        self.layout = layout
+        self.plain: dict[object, _FunctionCode] = {}
+        self.observed: dict[object, _FunctionCode] = {}
+
+
+class _FunctionCode:
+    """One decoded function.
+
+    ``tail`` is the register template after the argument slots
+    (constants and global addresses filled in, every other slot None
+    until written); ``frame`` is the slot holding the frame's alloca
+    regions, if it has any.  Each block is a tuple ``(name, phis,
+    segments, kind, x, y, z)``:
+
+    - ``phis`` is None or ``(moves, count, cost)``, where ``moves``
+      maps the predecessor's block index (-1 on function entry) to the
+      closure doing that edge's simultaneous phi assignment;
+    - each segment is ``(count, cost, ops, exact, opcodes, guards)``:
+      its instruction count and cost, its closures ``op(r, vm)``, the
+      same per instruction as ``(cost, opcode, is_guard, ops)`` for
+      the instruction-at-a-time path, its opcode histogram and its
+      number of inlined coverage guards;
+    - ``kind`` and ``x, y, z`` are the terminator: ``_BR`` (target),
+      ``_CONDBR`` (condition slot, true and false targets),
+      ``_SWITCH`` (value slot, case dict, default), ``_RET`` (value
+      slot or None) or ``_TRAP`` (an UNREACHABLE trap's message).
+    """
+
+    __slots__ = ("name", "epoch", "nargs", "tail", "frame", "blocks")
+
+    def __init__(self, name, epoch, nargs, tail, frame, blocks):
+        self.name = name
+        self.epoch = epoch
+        self.nargs = nargs
+        self.tail = tail
+        self.frame = frame
+        self.blocks = blocks
+
+
+_BR, _CONDBR, _SWITCH, _RET, _TRAP = range(5)
+_TERMINATORS = (Br, CondBr, Switch, Ret, Unreachable)
+_VALUES = (BinOp, ICmp, Load, GetElementPtr, Alloca, Cast, Select)
+_DIVISIONS = frozenset({"sdiv", "udiv", "srem", "urem"})
+_SIGNED = frozenset({"slt", "sle", "sgt", "sge"})
+_ORDER = {"slt": operator.lt, "sle": operator.le,
+          "sgt": operator.gt, "sge": operator.ge}
+
+
+def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
+    """Run decoded *code* on *vm* with *args*: the dispatch loop."""
+    if vm._call_depth >= vm.MAX_CALL_DEPTH:
+        raise VMTrap(TrapKind.STACK_OVERFLOW,
+                     f"call depth exceeded {vm.MAX_CALL_DEPTH}", vm.site)
+    vm._call_depth += 1
+    site = vm.site
+    site.function = code.name
+    nargs = code.nargs
+    if len(args) != nargs:
+        args = (args + [None] * nargs)[:nargs]
+    r = args + code.tail
+    frame = code.frame
+    if frame is not None:
+        r[frame] = []
+    try:
+        blocks = code.blocks
+        limit = vm.instruction_limit
+        counting = vm.opcode_counts is not None or vm.libc_counts is not None
+        prev, i = -1, 0
+        while True:
+            name, phis, segments, kind, x, y, z = blocks[i]
+            site.block = name
+            if phis is not None:
+                moves, count, cost = phis
+                moves[prev](r, vm)
+                vm.instructions_executed += count
+                vm.cost += cost
+                if counting and vm.opcode_counts is not None:
+                    vm.opcode_counts["Phi"] = vm.opcode_counts.get("Phi", 0) + count
+            for count, cost, ops, exact, opcodes, guards in segments:
+                total = vm.instructions_executed + count
+                if total > limit:
+                    _run_exact(vm, r, exact, limit)
+                    continue
+                vm.instructions_executed = total
+                vm.cost += cost
+                if counting:
+                    _count(vm, opcodes, guards)
+                for op in ops:
+                    op(r, vm)
+            if kind == _CONDBR:
+                prev, i = i, (y if r[x] else z)
+            elif kind == _BR:
+                prev, i = i, x
+            elif kind == _RET:
+                return None if x is None else r[x]
+            elif kind == _SWITCH:
+                prev, i = i, y.get(r[x], z)
+            else:
+                raise VMTrap(TrapKind.UNREACHABLE, x, site)
+    finally:
+        vm._call_depth -= 1
+        if frame is not None:
+            memory = vm.memory
+            for region in r[frame]:
+                if region.alive:
+                    memory.unmap(region)
+
+
+def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> None:
+    """Run a segment that would cross *limit* an instruction at a time:
+    count, check the limit, charge, then execute."""
+    opcode_counts = vm.opcode_counts
+    libc_counts = vm.libc_counts
+    for cost, name, guard, ops in exact:
+        vm.instructions_executed += 1
+        if vm.instructions_executed > limit:
+            raise ExecutionLimitExceeded(limit)
+        vm.cost += cost
+        if opcode_counts is not None:
+            opcode_counts[name] = opcode_counts.get(name, 0) + 1
+        if guard and libc_counts is not None:
+            libc_counts[COV_GUARD] = libc_counts.get(COV_GUARD, 0) + 1
+        for op in ops:
+            op(r, vm)
+
+
+def _count(vm: VM, opcodes: tuple, guards: int) -> None:
+    """Bump the attached profiling counts for one segment."""
+    opcode_counts = vm.opcode_counts
+    if opcode_counts is not None:
+        for name, count in opcodes:
+            opcode_counts[name] = opcode_counts.get(name, 0) + count
+    libc_counts = vm.libc_counts
+    if guards and libc_counts is not None:
+        libc_counts[COV_GUARD] = libc_counts.get(COV_GUARD, 0) + guards
+
+
+def _bad_operand(value: Value, site) -> Exception:
+    """What reading *value* raises when it holds no integer."""
+    cls = type(value)
+    if cls is GlobalVariable:          # not laid out in this process
+        return KeyError(value.name)
+    if cls is ConstantData:
+        return VMTrap(TrapKind.ABORT, "constant data used as scalar", site)
+    return VMTrap(TrapKind.ABORT, f"use of undefined value {value.ref()}", site)
+
+
+# ---------------------------------------------------------------------------
+# the decoder
+# ---------------------------------------------------------------------------
+
+
+def _successors(inst) -> list:
+    cls = type(inst)
+    if cls is Br:
+        return [inst.target]
+    if cls is CondBr:
+        return [inst.if_true, inst.if_false]
+    if cls is Switch:
+        return [inst.default] + [block for _, block in inst.cases]
+    return []
+
+
+def _decode(function: Function, layout: dict[str, int], observed: bool,
+            nargs: int) -> _FunctionCode:
+    """Decode *function* for VMs whose globals sit at *layout*, with or
+    without a compare tap; the first *nargs* arguments are passed."""
+    return _Decoder(function, layout, observed).decode(nargs)
+
+
+class _Decoder:
+    """One function's decoding state: its blocks by index, each split
+    into leading phis and a body through its first terminator, the
+    register slot of every value it defines, and the register template
+    (constants and global addresses are appended as they are used)."""
+
+    def __init__(self, function: Function, layout: dict[str, int],
+                 observed: bool):
+        self.function = function
+        self.epoch = function.cfg_epoch
+        self.layout = layout
+        self.observed = observed
+        # The function's blocks, then any block outside it that a
+        # terminator reaches (the loop visits blocks appended as it runs).
+        self.blocks = list(function.blocks)
+        self.index = {block: i for i, block in enumerate(self.blocks)}
+        self.slots: dict[Value, int] = {arg: i for i, arg in enumerate(function.args)}
+        self.template: list = [None] * len(self.slots)
+        self.heads, self.bodies, self.succs = [], [], []
+        for block in self.blocks:
+            insts = block.instructions
+            k = 0
+            while k < len(insts) and isinstance(insts[k], Phi):
+                k += 1
+            body = []
+            for inst in insts[k:]:
+                body.append(inst)
+                if type(inst) in _TERMINATORS:
+                    break
+            targets = _successors(body[-1]) if body else []
+            for target in targets:
+                if target not in self.index:
+                    self.index[target] = len(self.blocks)
+                    self.blocks.append(target)
+            self.heads.append(insts[:k])
+            self.bodies.append(body)
+            self.succs.append([self.index[target] for target in targets])
+            for inst in insts[:k] + [inst for inst in body if type(inst) in _VALUES
+                                     or type(inst) is Call and not inst.type.is_void]:
+                self.slots[inst] = self.new_slot()
+        self.consts: dict[int, int] = {}
+        self.undefined: int | None = None   # a slot nothing ever writes
+        self.frame: int | None = None
+
+    def decode(self, nargs: int) -> _FunctionCode:
+        known_in, known_out, preds = self.known_values(nargs)
+        blocks = tuple(self.block(b, known_in[b], known_out, preds[b])
+                       for b in range(len(self.blocks)))
+        n = len(self.function.args)
+        return _FunctionCode(self.function.name, self.epoch, n,
+                             self.template[n:], self.frame, blocks)
+
+    def known_values(self, nargs: int):
+        """Which slots hold a value on every path to each block's entry
+        and exit, as bitsets, and each block's predecessors.  A use
+        outside them reads through a check that raises what reading an
+        undefined value raises."""
+        count = len(self.blocks)
+        slots = self.slots
+        defs = [sum(1 << slots[inst] for inst in self.heads[b] + self.bodies[b]
+                    if inst in slots) for b in range(count)]
+        preds: list[list[int]] = [[] for _ in range(count)]
+        order, seen = [0], {0}
+        for b in order:
+            for s in self.succs[b]:
+                if b not in preds[s]:
+                    preds[s].append(b)
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+        full = (1 << len(self.template)) - 1
+        known_in = [full] * count
+        known_in[0] = (1 << nargs) - 1
+        known_out = [known_in[b] | defs[b] for b in range(count)]
+        changed = True
+        while changed:
+            changed = False
+            for b in order[1:]:
+                bits = full
+                for p in preds[b]:
+                    bits &= known_out[p]
+                if bits != known_in[b]:
+                    known_in[b], known_out[b] = bits, bits | defs[b]
+                    changed = True
+        return known_in, known_out, preds
+
+    def new_slot(self, value: int | None = None) -> int:
+        self.template.append(value)
+        return len(self.template) - 1
+
+    def constant(self, value: int) -> int:
+        slot = self.consts.get(value)
+        if slot is None:
+            slot = self.consts[value] = self.new_slot(value)
+        return slot
+
+    def use(self, value: Value, known: int) -> tuple[int, Value | None]:
+        """(slot, *value* if reading it needs a check, else None)."""
+        cls = type(value)
+        if cls is ConstantInt:
+            return self.constant(value.value), None
+        if cls is ConstantNull or cls is UndefValue:
+            return self.constant(0), None
+        if cls is GlobalVariable and value.name in self.layout:
+            return self.constant(self.layout[value.name]), None
+        slot = self.slots.get(value)
+        if slot is None:                  # never defined in this frame
+            if self.undefined is None:
+                self.undefined = self.new_slot()
+            return self.undefined, value
+        return slot, (None if known >> slot & 1 else value)
+
+    def block(self, b: int, known: int, known_out: list, preds: list) -> tuple:
+        block = self.blocks[b]
+        for phi in self.heads[b]:
+            known |= 1 << self.slots[phi]
+        segments = []
+        ops, exact, opcodes = [], [], {}
+        n = cost = guards = 0
+        terminator = (_TRAP, f"block %{block.name} fell through without "
+                      "a terminator", None, None)
+        for inst in self.bodies[b]:
+            checks: list[tuple[int, Value]] = []
+            inst_ops, raises, guard, inst_cost, ends = self.instruction(
+                inst, block.name, known, checks)
+            if checks:
+                inst_ops.insert(0, _check(tuple(checks)))
+                raises = True
+            name = type(inst).__name__
+            n += 1
+            cost += inst_cost
+            guards += guard
+            opcodes[name] = opcodes.get(name, 0) + 1
+            ops.extend(inst_ops)
+            exact.append((inst_cost, name, guard, tuple(inst_ops)))
+            if inst in self.slots:
+                known |= 1 << self.slots[inst]
+            if ends is not None:
+                terminator = ends
+            if raises or ends is not None:
+                segments.append((n, cost, tuple(ops), tuple(exact),
+                                 tuple(opcodes.items()), guards))
+                ops, exact, opcodes = [], [], {}
+                n = cost = guards = 0
+        if n:
+            segments.append((n, cost, tuple(ops), tuple(exact),
+                             tuple(opcodes.items()), guards))
+        phis = None
+        if self.heads[b]:
+            count = len(self.heads[b])
+            phis = (self.moves(b, known_out, preds), count, _INST_COST[Phi] * count)
+        return (block.name, phis, tuple(segments)) + terminator
+
+    def moves(self, b: int, known_out: list, preds: list) -> dict:
+        """Block *b*'s phi assignment per predecessor index."""
+        heads = self.heads[b]
+        targets = [self.slots[phi] for phi in heads]
+        moves = {-1: _entry_phi} if b == 0 else {}
+        for p in preds:
+            pred = self.blocks[p]
+            arms, missing = [], None
+            for phi in heads:
+                arm = next((value for value, source in phi.incoming()
+                            if source is pred), None)
+                if arm is None:
+                    missing = f"phi has no incoming value for block {pred.name}"
+                    break
+                arms.append(self.use(arm, known_out[p]))
+            if missing is None and all(check is None for _, check in arms):
+                moves[p] = _moves(targets, [slot for slot, _ in arms])
+            else:
+                moves[p] = _moves_checked(targets, arms, missing)
+        return moves
+
+    def instruction(self, inst, block_name: str, known: int, checks: list):
+        """``(ops, raises, is_guard, cost, terminator)`` for *inst*;
+        operands that need a check are appended to *checks*, and
+        *terminator* is None or the block's ``(kind, x, y, z)``."""
+        cls = type(inst)
+        slots, index = self.slots, self.index
+
+        def take(value: Value) -> int:
+            slot, check = self.use(value, known)
+            if check is not None:
+                checks.append((slot, check))
+            return slot
+
+        cost = _INST_COST.get(cls, 2)
+        if cls is BinOp:
+            lhs, rhs = take(inst.lhs), take(inst.rhs)
+            op = _binop(inst.op, inst.type.bits, slots[inst], lhs, rhs)
+            return [op], inst.op in _DIVISIONS, False, cost, None
+        if cls is ICmp:
+            lhs, rhs = take(inst.lhs), take(inst.rhs)
+            ops = [_observe_icmp(inst, lhs, rhs)] if self.observed else []
+            lhs_type = inst.lhs.type
+            signed_bits = (lhs_type.bits if inst.predicate in _SIGNED
+                           and isinstance(lhs_type, IntType) else 0)
+            ops.append(_icmp(inst.predicate, signed_bits, slots[inst], lhs, rhs))
+            return ops, False, False, cost, None
+        if cls is Load:
+            op = _load(slots[inst], take(inst.ptr), inst.type.size())
+            return [op], True, False, cost, None
+        if cls is Store:
+            ptr, value = take(inst.ptr), take(inst.value)
+            return [_store(ptr, value, inst.value.type.size())], True, False, cost, None
+        if cls is GetElementPtr:
+            return [self.gep(inst, take)], False, False, cost, None
+        if cls is Call:
+            callee, args = inst.callee, inst.args
+            if (callee.is_declaration and callee.name == COV_GUARD
+                    and len(args) == 1 and type(args[0]) is ConstantInt):
+                cost += NATIVE_BASE_COST.get(COV_GUARD, 20)
+                return [_cov_guard(args[0].value)], False, True, cost, None
+            arg_slots = tuple(take(arg) for arg in args)
+            dest = None if inst.type.is_void else slots[inst]
+            op = _call(callee, arg_slots, dest, self.function.name, block_name)
+            return [op], True, False, cost, None
+        if cls is Alloca:
+            if self.frame is None:
+                self.frame = self.new_slot()
+            op = _alloca(slots[inst], self.frame, inst.allocation_size(),
+                         f"{self.function.name}.{inst.name}")
+            return [op], True, False, cost, None
+        if cls is Cast:
+            value = take(inst.value)
+            op = _cast(inst.op, inst.value.type, inst.type, slots[inst], value)
+            return [op], False, False, cost, None
+        if cls is Select:
+            c, t, f = (self.use(inst.cond, known), self.use(inst.if_true, known),
+                       self.use(inst.if_false, known))
+            if c[1] is None and t[1] is None and f[1] is None:
+                return [_select(slots[inst], c[0], t[0], f[0])], False, False, cost, None
+            return [_select_checked(slots[inst], c, t, f)], True, False, cost, None
+        if cls is Br:
+            return [], False, False, cost, (_BR, index[inst.target], None, None)
+        if cls is CondBr:
+            ends = (_CONDBR, take(inst.cond), index[inst.if_true], index[inst.if_false])
+            return [], False, False, cost, ends
+        if cls is Switch:
+            value = take(inst.value)
+            cases: dict[int, int] = {}
+            for case_value, case_block in inst.cases:
+                cases.setdefault(case_value, index[case_block])
+            ops = [_observe_switch(inst, value)] if self.observed else []
+            return ops, False, False, cost, (_SWITCH, value, cases, index[inst.default])
+        if cls is Ret:
+            value = None if inst.value is None else take(inst.value)
+            return [], False, False, cost, (_RET, value, None, None)
+        if cls is Unreachable:
+            return [], False, False, cost, (_TRAP, "unreachable executed", None, None)
+        # A phi after a non-phi, or an instruction the VM does not know.
+        return ([_trap(TrapKind.ABORT, f"unknown instruction {inst}")], True,
+                False, cost, None)
+
+    def gep(self, inst: GetElementPtr, take):
+        """The address closure, constant indices folded into one offset."""
+        base = take(inst.base)
+        current = inst.base.type.pointee
+        offset = 0
+        terms = []
+
+        def scaled(value: Value, scale: int) -> None:
+            nonlocal offset
+            slot = take(value)
+            index_type = value.type
+            folded = self.template[slot]
+            if folded is not None:
+                if isinstance(index_type, IntType):
+                    folded = index_type.to_signed(folded)
+                offset += folded * scale
+            elif isinstance(index_type, IntType):
+                terms.append((slot, index_type.unsigned_max,
+                              _sign_bit(index_type.bits), scale))
+            else:
+                terms.append((slot, -1, 0, scale))
+
+        indices = inst.indices
+        scaled(indices[0], current.size())
+        for value in indices[1:]:
+            if isinstance(current, ArrayType):
+                scaled(value, current.element.size())
+                current = current.element
+            else:
+                assert isinstance(current, StructType)
+                offset += current.field_offset(value.value)
+                current = current.field_type(value.value)
+        return _gep(self.slots[inst], base, offset, tuple(terms))
+
+
+# ---------------------------------------------------------------------------
+# closures, one per instruction: ``op(r, vm)`` over the register list r
+# ---------------------------------------------------------------------------
+
+
+def _sign_bit(bits: int) -> int:
+    """XOR-then-subtract constant turning a masked value signed (an i1
+    reads as 0 or 1, as ``IntType.to_signed`` has it)."""
+    return 1 << (bits - 1) if bits > 1 else 0
+
+
+def _binop(op: str, bits: int, d: int, a: int, b: int):
+    m = (1 << bits) - 1
+    if op == "add":
+        def run(r, vm):
+            r[d] = (r[a] + r[b]) & m
+    elif op == "sub":
+        def run(r, vm):
+            r[d] = (r[a] - r[b]) & m
+    elif op == "mul":
+        def run(r, vm):
+            r[d] = (r[a] * r[b]) & m
+    elif op == "and":
+        def run(r, vm):
+            r[d] = r[a] & r[b]
+    elif op == "or":
+        def run(r, vm):
+            r[d] = r[a] | r[b]
+    elif op == "xor":
+        def run(r, vm):
+            r[d] = r[a] ^ r[b]
+    elif op == "shl":
+        def run(r, vm):
+            shift = r[b]
+            r[d] = (r[a] << shift) & m if shift < bits else 0
+    elif op == "lshr":
+        def run(r, vm):
+            shift = r[b]
+            r[d] = r[a] >> shift if shift < bits else 0
+    elif op == "ashr":
+        h, top = _sign_bit(bits), bits - 1
+        def run(r, vm):
+            r[d] = ((((r[a] & m) ^ h) - h) >> min(r[b], top)) & m
+    else:
+        return _divide(op, bits, d, a, b)
+    return run
+
+
+def _divide(op: str, bits: int, d: int, a: int, b: int):
+    m, h = (1 << bits) - 1, _sign_bit(bits)
+    message = f"{op} by zero"
+    if op == "udiv":
+        def run(r, vm):
+            divisor = r[b]
+            if divisor == 0:
+                raise VMTrap(TrapKind.DIV_BY_ZERO, message, vm.site)
+            r[d] = r[a] // divisor
+    elif op == "urem":
+        def run(r, vm):
+            divisor = r[b]
+            if divisor == 0:
+                raise VMTrap(TrapKind.DIV_BY_ZERO, message, vm.site)
+            r[d] = r[a] % divisor
+    elif op == "sdiv":
+        def run(r, vm):
+            if r[b] == 0:
+                raise VMTrap(TrapKind.DIV_BY_ZERO, message, vm.site)
+            x, y = ((r[a] & m) ^ h) - h, ((r[b] & m) ^ h) - h
+            quotient = abs(x) // abs(y)
+            r[d] = (quotient if (x < 0) == (y < 0) else -quotient) & m
+    else:   # srem
+        def run(r, vm):
+            if r[b] == 0:
+                raise VMTrap(TrapKind.DIV_BY_ZERO, message, vm.site)
+            x, y = ((r[a] & m) ^ h) - h, ((r[b] & m) ^ h) - h
+            remainder = abs(x) % abs(y)
+            r[d] = (remainder if x >= 0 else -remainder) & m
+    return run
+
+
+def _icmp(predicate: str, signed_bits: int, d: int, a: int, b: int):
+    if signed_bits:
+        # Flipping the sign bit of the masked values orders them as
+        # their two's-complement readings.
+        m, h = (1 << signed_bits) - 1, _sign_bit(signed_bits)
+        compare = _ORDER[predicate]
+        def run(r, vm):
+            r[d] = 1 if compare((r[a] & m) ^ h, (r[b] & m) ^ h) else 0
+    elif predicate == "eq":
+        def run(r, vm):
+            r[d] = 1 if r[a] == r[b] else 0
+    elif predicate == "ne":
+        def run(r, vm):
+            r[d] = 1 if r[a] != r[b] else 0
+    elif predicate in ("slt", "ult"):
+        def run(r, vm):
+            r[d] = 1 if r[a] < r[b] else 0
+    elif predicate in ("sle", "ule"):
+        def run(r, vm):
+            r[d] = 1 if r[a] <= r[b] else 0
+    elif predicate in ("sgt", "ugt"):
+        def run(r, vm):
+            r[d] = 1 if r[a] > r[b] else 0
+    else:
+        def run(r, vm):
+            r[d] = 1 if r[a] >= r[b] else 0
+    return run
+
+
+def _cast(op: str, source, target, d: int, a: int):
+    if op in ("bitcast", "inttoptr"):
+        def run(r, vm):
+            r[d] = r[a]
+    elif op == "sext":
+        m = target.unsigned_max
+        sm, h = source.unsigned_max, _sign_bit(source.bits)
+        def run(r, vm):
+            r[d] = (((r[a] & sm) ^ h) - h) & m
+    else:   # trunc, zext, ptrtoint
+        m = target.unsigned_max
+        def run(r, vm):
+            r[d] = r[a] & m
+    return run
+
+
+def _select(d: int, c: int, t: int, f: int):
+    def run(r, vm):
+        r[d] = r[t] if r[c] else r[f]
+    return run
+
+
+def _select_checked(d: int, cond, if_true, if_false):
+    """Select reading only the arm it picks, each read checked."""
+    def run(r, vm):
+        flag = r[cond[0]]
+        if flag is None:
+            raise _bad_operand(cond[1], vm.site)
+        slot, value = if_true if flag else if_false
+        result = r[slot]
+        if result is None:
+            raise _bad_operand(value, vm.site)
+        r[d] = result
+    return run
+
+
+def _gep(d: int, base: int, offset: int, terms: tuple):
+    if not terms:
+        def run(r, vm):
+            r[d] = (r[base] + offset) & _U64_MASK
+    elif len(terms) == 1:
+        ((s, m, h, scale),) = terms
+        def run(r, vm):
+            r[d] = (r[base] + offset + (((r[s] & m) ^ h) - h) * scale) & _U64_MASK
+    else:
+        def run(r, vm):
+            address = r[base] + offset
+            for s, m, h, scale in terms:
+                address += (((r[s] & m) ^ h) - h) * scale
+            r[d] = address & _U64_MASK
+    return run
+
+
+def _load(d: int, ptr: int, size: int):
+    def run(r, vm):
+        r[d] = vm.memory.read_int(r[ptr], size, vm.site)
+    return run
+
+
+def _store(ptr: int, value: int, size: int):
+    def run(r, vm):
+        vm.memory.write_int(r[ptr], r[value], size, vm.site)
+    return run
+
+
+def _alloca(d: int, frame: int, size: int, tag: str):
+    def run(r, vm):
+        memory = vm.memory
+        region = memory.map_region(memory.stack_segment, size, True, "stack", tag)
+        r[frame].append(region)
+        r[d] = region.base
+    return run
+
+
+def _cov_guard(cur_loc: int):
+    """The ``__cov_guard`` native inlined (``VM.cov_guard``)."""
+    following = (cur_loc >> 1) & _MAP_MASK
+
+    def run(r, vm):
+        index = (cur_loc ^ vm.prev_loc) & _MAP_MASK
+        coverage = vm.coverage_map
+        hits = coverage[index]
+        if hits != 0xFF:
+            coverage[index] = hits + 1
+        vm.prev_loc = following
+        if vm.trace_edges:
+            vm.edge_trace.append((vm.site.function, index))
+    return run
+
+
+def _call(callee: Function, arg_slots: tuple, d: int | None,
+          function_name: str, block_name: str):
+    """A call: a native through ``vm.natives``, or the callee's code."""
+    native = callee.name if callee.is_declaration else None
+
+    def run(r, vm):
+        args = [r[s] for s in arg_slots]
+        if native is not None:
+            result = vm._call_native(native, args)
+        else:
+            result = _execute(vm, vm._code_for(callee, len(args)), args)
+        site = vm.site
+        site.function = function_name
+        site.block = block_name
+        if d is not None:
+            r[d] = 0 if result is None else result
+    return run
+
+
+def _observe_icmp(inst: ICmp, a: int, b: int):
+    def run(r, vm):
+        observer = vm.cmp_observer
+        if observer is not None and observer.active:
+            observer.observe_icmp(vm.site, inst, r[a], r[b])
+    return run
+
+
+def _observe_switch(inst: Switch, v: int):
+    def run(r, vm):
+        observer = vm.cmp_observer
+        if observer is not None and observer.active:
+            observer.observe_switch(vm.site, inst, r[v])
+    return run
+
+
+def _check(pairs: tuple):
+    """Raise what reading the first of *pairs* that holds no value
+    raises."""
+    def run(r, vm):
+        for slot, value in pairs:
+            if r[slot] is None:
+                raise _bad_operand(value, vm.site)
+    return run
+
+
+def _trap(kind: TrapKind, message: str):
+    def run(r, vm):
+        raise VMTrap(kind, message, vm.site)
+    return run
+
+
+def _moves(targets: list, sources: list):
+    """One edge's phis, assigned simultaneously."""
+    if len(targets) == 1:
+        (d,), (s,) = targets, sources
+        def run(r, vm):
+            r[d] = r[s]
+    elif len(targets) == 2:
+        (d0, d1), (s0, s1) = targets, sources
+        def run(r, vm):
+            r[d0], r[d1] = r[s0], r[s1]
+    else:
+        def run(r, vm):
+            values = [r[s] for s in sources]
+            for d, value in zip(targets, values):
+                r[d] = value
+    return run
+
+
+def _moves_checked(targets: list, arms: list, missing: str | None):
+    """One edge's phis, each arm read checked, raising KeyError at the
+    first phi with no arm for the edge."""
+    def run(r, vm):
+        values = []
+        for slot, check in arms:
+            value = r[slot]
+            if value is None and check is not None:
+                raise _bad_operand(check, vm.site)
+            values.append(value)
+        if missing is not None:
+            raise KeyError(missing)
+        for d, value in zip(targets, values):
+            r[d] = value
+    return run
+
+
+def _entry_phi(r, vm):
+    """Phis in the entry block, entered with no predecessor: the
+    interpreter's invariant fails, bare, as an ``assert`` would."""
+    raise AssertionError

@@ -7,10 +7,11 @@ permissions, which is what turns the targets' planted bugs into traps
 (null dereference, unaddressable access, out-of-bounds read/write,
 use-after-free).
 
-Address lookup uses bisection over the sorted region bases.  Freed
-regions are remembered in a bounded FIFO so the memcheck layer can
-distinguish *use-after-free* from plain *unaddressable* accesses —
-the same distinction Valgrind draws in the paper's §6.1.4 validation.
+Address lookup checks the last region it found, then bisects the
+sorted region bases.  Freed regions are remembered in a bounded FIFO
+so the memcheck layer can distinguish *use-after-free* from plain
+*unaddressable* accesses — the same distinction Valgrind draws in the
+paper's §6.1.4 validation.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class AddressSpace:
         self._bases: list[int] = []
         self._regions: dict[int, MemoryRegion] = {}
         self._dead: OrderedDict[int, MemoryRegion] = OrderedDict()
+        self._last: MemoryRegion | None = None   # last region found
         self.bytes_written = 0  # drives copy-on-write cost accounting
 
     # -- mapping ------------------------------------------------------
@@ -135,11 +137,18 @@ class AddressSpace:
 
     def find_region(self, address: int) -> MemoryRegion | None:
         """Live region containing *address*, or ``None``."""
+        region = self._last
+        if (region is not None and region.alive
+                and region.base <= address < region.base + region.size):
+            return region
         index = bisect.bisect_right(self._bases, address) - 1
         if index < 0:
             return None
         region = self._regions[self._bases[index]]
-        return region if region.contains(address) else None
+        if address < region.base + region.size:
+            self._last = region
+            return region
+        return None
 
     def find_dead_region(self, address: int) -> MemoryRegion | None:
         """Freed region that used to contain *address*, or ``None``."""
@@ -191,16 +200,19 @@ class AddressSpace:
         return VMTrap(TrapKind.UNADDRESSABLE,
                       f"{mode} of {size} bytes at unmapped address 0x{address:x}", site)
 
+    def _read_only(self, region: MemoryRegion, address: int, site: CrashSite) -> VMTrap:
+        return VMTrap(
+            TrapKind.INVALID_WRITE,
+            f"write to read-only {region.kind} region {region.tag!r} at 0x{address:x}",
+            site,
+        )
+
     def check(self, address: int, size: int, write: bool, site: CrashSite) -> MemoryRegion:
         region = self.find_region(address)
-        if region is None or address + size > region.limit:
+        if region is None or address + size > region.base + region.size:
             raise self._fault(address, size, write, site)
         if write and not region.writable:
-            raise VMTrap(
-                TrapKind.INVALID_WRITE,
-                f"write to read-only {region.kind} region {region.tag!r} at 0x{address:x}",
-                site,
-            )
+            raise self._read_only(region, address, site)
         return region
 
     def read(self, address: int, size: int, site: CrashSite) -> bytes:
@@ -214,22 +226,48 @@ class AddressSpace:
         region.data[offset:offset + len(data)] = data
         self.bytes_written += len(data)
 
+    # The scalar accessors behind every Load and Store: ``check`` and
+    # the slice inlined, the last region tried before the lookup.
+
     def read_int(self, address: int, size: int, site: CrashSite) -> int:
-        return int.from_bytes(self.read(address, size, site), "little")
+        region = self._last
+        if (region is None or not region.alive or address < region.base
+                or address + size > region.base + region.size):
+            region = self.find_region(address)
+            if region is None or address + size > region.base + region.size:
+                raise self._fault(address, size, False, site)
+        offset = address - region.base
+        return int.from_bytes(region.data[offset:offset + size], "little")
 
     def write_int(self, address: int, value: int, size: int, site: CrashSite) -> None:
-        self.write(address, (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little"), site)
+        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
+        region = self._last
+        if (region is None or not region.alive or address < region.base
+                or address + size > region.base + region.size):
+            region = self.find_region(address)
+            if region is None or address + size > region.base + region.size:
+                raise self._fault(address, size, True, site)
+        if not region.writable:
+            raise self._read_only(region, address, site)
+        offset = address - region.base
+        region.data[offset:offset + size] = data
+        self.bytes_written += size
 
     def read_cstring(self, address: int, site: CrashSite, limit: int = 1 << 16) -> bytes:
-        """Read a NUL-terminated string (without the terminator)."""
-        out = bytearray()
-        current = address
-        while len(out) < limit:
-            byte = self.read(current, 1, site)[0]
-            if byte == 0:
-                return bytes(out)
-            out.append(byte)
-            current += 1
+        """Read a NUL-terminated string (without the terminator).
+
+        A string that runs off its region faults at the first byte past
+        it; one of *limit* bytes with no terminator is unterminated."""
+        region = self.find_region(address)
+        if region is None:
+            raise self._fault(address, 1, False, site)
+        offset = address - region.base
+        available = region.size - offset
+        end = region.data.find(0, offset, offset + min(available, limit))
+        if end >= 0:
+            return bytes(region.data[offset:end])
+        if available < limit:
+            raise self._fault(address + available, 1, False, site)
         raise VMTrap(TrapKind.INVALID_READ, f"unterminated string at 0x{address:x}", site)
 
     # -- accounting ---------------------------------------------------

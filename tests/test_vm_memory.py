@@ -158,3 +158,69 @@ class TestHelpers:
         with pytest.raises(VMTrap) as info:
             space.read(region.base, 1, SITE)
         assert info.value.kind is not TrapKind.USE_AFTER_FREE
+
+
+def per_byte_cstring(space, address, site, limit=1 << 16):
+    """``read_cstring`` as one checked one-byte read per character."""
+    out = bytearray()
+    current = address
+    while len(out) < limit:
+        byte = space.read(current, 1, site)[0]
+        if byte == 0:
+            return bytes(out)
+        out.append(byte)
+        current += 1
+    raise VMTrap(TrapKind.INVALID_READ, f"unterminated string at 0x{address:x}", site)
+
+
+def cstring_outcome(read, space, address):
+    try:
+        return read(space, address, SITE)
+    except VMTrap as trap:
+        return trap.kind, trap.message, trap.site
+
+
+class TestReadCString:
+    """The region-at-once ``read_cstring`` against the per-byte loop."""
+
+    def same(self, space, address):
+        fast = cstring_outcome(AddressSpace.read_cstring, space, address)
+        assert fast == cstring_outcome(per_byte_cstring, space, address)
+        return fast
+
+    def test_string_ending_inside_its_region(self, space):
+        region = space.map_region(space.heap_segment, 32, True, "heap", "s")
+        space.write(region.base, b"hello\x00world\x00", SITE)
+        assert self.same(space, region.base) == b"hello"
+        assert self.same(space, region.base + 6) == b"world"
+        assert self.same(space, region.base + 5) == b""
+
+    def test_string_running_into_the_red_zone(self, space):
+        region = space.map_region(space.heap_segment, 8, True, "heap", "s")
+        space.map_region(space.heap_segment, 8, True, "heap", "next")
+        space.write(region.base, b"abcdefgh", SITE)
+        kind, message, _ = self.same(space, region.base + 3)
+        assert kind is TrapKind.INVALID_READ
+        assert f"0x{region.limit:x}" in message
+
+    def test_string_starting_in_a_freed_region(self, space):
+        region = space.map_region(space.heap_segment, 16, True, "heap", "s")
+        space.write(region.base, b"gone\x00", SITE)
+        space.unmap(region)
+        assert self.same(space, region.base)[0] is TrapKind.USE_AFTER_FREE
+
+    def test_string_starting_on_the_null_page(self, space):
+        assert self.same(space, 0)[0] is TrapKind.NULL_DEREF
+        assert self.same(space, 24)[0] is TrapKind.NULL_DEREF
+
+    def test_64k_string_with_no_terminator(self, space):
+        region = space.map_region(space.heap_segment, (1 << 16) + 64, True,
+                                  "heap", "s")
+        space.write(region.base, b"z" * region.size, SITE)
+        kind, message, _ = self.same(space, region.base)
+        assert kind is TrapKind.INVALID_READ
+        assert message == f"unterminated string at 0x{region.base:x}"
+        # 64 KiB to the region's end is unterminated; a byte less runs
+        # into the red zone first.
+        assert self.same(space, region.base + 64)[1].startswith("unterminated")
+        assert "overruns" in self.same(space, region.base + 65)[1]
