@@ -20,6 +20,7 @@ import sys
 from repro.execution import ClosureXExecutor
 from repro.experiments import guard_cells
 from repro.fuzzing import Campaign, CampaignConfig
+from repro.fuzzing.coverage import hit_cells
 from repro.sim_os import Kernel
 from repro.targets import get_target
 
@@ -36,7 +37,7 @@ def crack_time_ns(spec, seeds, cells, budget_ns, i2s_enabled):
     hits = [
         entry.discovered_at_ns - campaign.start_ns
         for entry in campaign.corpus.entries
-        if any(entry.coverage_signature[cell] for cell in cells)
+        if not cells.isdisjoint(hit_cells(entry.coverage_signature))
     ]
     return min(hits) if hits else None
 

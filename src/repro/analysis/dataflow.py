@@ -37,9 +37,6 @@ class DataflowResult:
     def at_entry(self, block: BasicBlock) -> frozenset:
         return self.block_in.get(block, frozenset())
 
-    def at_exit(self, block: BasicBlock) -> frozenset:
-        return self.block_out.get(block, frozenset())
-
 
 class DataflowAnalysis:
     """A forward or backward union-lattice dataflow problem.

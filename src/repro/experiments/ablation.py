@@ -132,10 +132,6 @@ class FdRewindResult:
     restore_ns_with: int
     restore_ns_without: int
 
-    @property
-    def saving_ns(self) -> int:
-        return self.restore_ns_without - self.restore_ns_with
-
     def render(self) -> str:
         return (
             f"{self.target}: rewound={self.rewound_with_optimisation} "

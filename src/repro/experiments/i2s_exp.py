@@ -63,6 +63,7 @@ from repro.execution import build_executor
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.stats import format_table, median
 from repro.fuzzing.campaign import Campaign, CampaignConfig
+from repro.fuzzing.coverage import hit_cells
 from repro.sim_os.kernel import Kernel
 from repro.targets import get_target
 
@@ -174,13 +175,8 @@ def _stable_cells(executor, data: bytes) -> set[int]:
     The intersection drops any cell whose reachability depends on the
     virtual clock (targets seeding a PRNG from ``time()``).
     """
-    first = {
-        i for i, v in enumerate(executor.run(data).coverage) if v
-    }
-    second = {
-        i for i, v in enumerate(executor.run(data).coverage) if v
-    }
-    return first & second
+    first = set(hit_cells(executor.run(data).coverage))
+    return first.intersection(hit_cells(executor.run(data).coverage))
 
 
 def guard_cells(target: str) -> set[int]:
@@ -226,8 +222,7 @@ def time_to_guard(target: str, cells: set[int], seed: int, budget_ns: int,
     start = campaign.start_ns
     best: int | None = None
     for entry in campaign.corpus.entries:
-        signature = entry.coverage_signature
-        if any(signature[cell] for cell in cells):
+        if not cells.isdisjoint(hit_cells(entry.coverage_signature)):
             at = entry.discovered_at_ns - start
             if best is None or at < best:
                 best = at

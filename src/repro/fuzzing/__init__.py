@@ -25,7 +25,6 @@ from repro.fuzzing.coverage import (
     VirginMap,
     classify,
     coverage_signature,
-    edge_count,
 )
 from repro.fuzzing.mutators import (
     HavocMutator,
@@ -45,7 +44,7 @@ __all__ = [
     "Corpus", "QueueEntry", "input_hash",
     "AutoDictionary", "CmpObserver", "I2SStage", "StageStats",
     "operand_encodings", "replacement_patches",
-    "VirginMap", "classify", "coverage_signature", "edge_count",
+    "VirginMap", "classify", "coverage_signature",
     "HavocMutator", "deterministic_mutations",
     "CrashIdentity", "CrashReport", "CrashTriage", "HangReport",
 ]

@@ -34,7 +34,12 @@ from repro.fuzzing.checkpoint import (
 )
 from repro.fuzzing.corpus import Corpus, QueueEntry, input_hash
 from repro.fuzzing.coverage import VirginMap, coverage_signature
-from repro.fuzzing.i2s import I2SStage, StageStats
+from repro.fuzzing.i2s import (
+    THROTTLE_MIN_EXECS,
+    THROTTLE_RATIO,
+    I2SStage,
+    StageStats,
+)
 from repro.fuzzing.mutators import HavocMutator, deterministic_mutations
 from repro.fuzzing.triage import CrashTriage
 from repro.telemetry import CampaignReporter, TelemetryConfig, build_telemetry
@@ -88,30 +93,9 @@ class CampaignConfig:
     # Input-to-state (cmplog/RedQueen-style) stage.  Off by default:
     # with i2s_enabled=False no observer is attached, the VM compare
     # dispatch stays on the uninstrumented path, and the mutation RNG
-    # stream is byte-identical to pre-I2S campaigns.
+    # stream is byte-identical to pre-I2S campaigns.  The stage's own
+    # limits are constants of repro.fuzzing.i2s.
     i2s_enabled: bool = False
-    # Colorization executions per queue entry (0 disables colorization;
-    # located offsets then go unconfirmed, trading precision for execs).
-    i2s_colorize_budget: int = 16
-    # Total executions the I2S stage may spend on one queue entry
-    # (probe + colorize + replacement candidates).
-    i2s_entry_exec_cap: int = 128
-    # Offsets tried per (operand encoding) match in the input.
-    i2s_max_offsets_per_pair: int = 4
-    # Auto-dictionary capacity and per-token length cap; tokens come
-    # from observed compare constants and static IR mining.
-    i2s_dict_tokens: int = 256
-    i2s_dict_token_max_len: int = 32
-    # Mine icmp/switch/memcmp-family constants from the target IR into
-    # the dictionary at campaign start (needs an executor exposing its
-    # module, e.g. ClosureX).
-    i2s_static_dictionary: bool = True
-    # Stage self-throttling: after the I2S stage has spent this many
-    # execs, skip it for entries while its finds-per-virtual-ns falls
-    # below ratio x the havoc stage's rate.  Re-evaluated every entry,
-    # so a stage that starts paying again un-throttles.
-    i2s_throttle_min_execs: int = 256
-    i2s_throttle_ratio: float = 0.1
 
 
 @dataclass
@@ -266,9 +250,7 @@ class Campaign:
         else:
             with tracer.span("stage.seed", seeds=len(self.seeds)):
                 self._seed_queue()
-        if (self._i2s is not None
-                and self.config.i2s_static_dictionary
-                and not self._i2s.static_mined):
+        if self._i2s is not None and not self._i2s.static_mined:
             module = getattr(self.executor, "module", None)
             if module is not None:
                 mined = self._i2s.mine_static(module)
@@ -508,14 +490,9 @@ class Campaign:
 
     def _seed_queue(self) -> None:
         for seed in self.seeds:
-            result = self._execute(seed)
-            if result is None:
-                continue
-            self.virgin.observe(result.coverage)
-            self.corpus.add(
-                seed, coverage_signature(result.coverage),
-                result.ns, self.clock.now_ns,
-            )
+            result, signature = self._execute(seed)
+            self.virgin.observe(signature)
+            self.corpus.add(seed, signature, result.ns, self.clock.now_ns)
             self._store_input(seed)
 
     def _trim_entry(self, entry: QueueEntry, deadline_ns: int) -> None:
@@ -535,13 +512,13 @@ class Campaign:
                 candidate = data[:offset] + data[offset + chunk:]
                 if not candidate:
                     break
-                result = self._execute(candidate)
+                # A crash never trims, so only a non-crash is classified
+                # (a hang comes back classified, for its hang id).
+                result, signature = self._execute(candidate, signed=False)
                 budget -= 1
-                if (
-                    result is not None
-                    and not result.is_crash
-                    and coverage_signature(result.coverage) == entry.coverage_signature
-                ):
+                if not result.is_crash and (
+                    signature or coverage_signature(result.coverage)
+                ) == entry.coverage_signature:
                     data = candidate          # chunk was irrelevant
                 else:
                     offset += chunk
@@ -577,16 +554,13 @@ class Campaign:
     def _fuzz_one(self, data: bytes, parent: QueueEntry) -> bool:
         """Execute one mutated candidate; returns whether it joined the
         queue (the per-stage 'finds' currency)."""
-        result = self._execute(data)
-        if result is None:
-            return False
-        novelty = self.virgin.observe(result.coverage)
+        result, signature = self._execute(data)
+        novelty = self.virgin.observe(signature)
         if novelty == VirginMap.NEW_EDGES or (
             novelty == VirginMap.NEW_COUNTS and self.rng.random() < 0.5
         ):
             added = self.corpus.add(
-                data, coverage_signature(result.coverage),
-                result.ns, self.clock.now_ns, parent,
+                data, signature, result.ns, self.clock.now_ns, parent,
             )
             self._store_input(data)
             if self.telemetry.enabled:
@@ -633,16 +607,14 @@ class Campaign:
     def _i2s_throttled(self) -> bool:
         """Whether the I2S stage should be skipped for this entry: it
         has had a fair trial (min execs) and its finds-per-virtual-ns
-        sits below the configured fraction of havoc's."""
+        sits below a fixed fraction of havoc's."""
         stats = self.stage_stats["i2s"]
-        if stats.execs < self.config.i2s_throttle_min_execs:
+        if stats.execs < THROTTLE_MIN_EXECS:
             return False
         havoc = self.stage_stats["havoc"]
         if havoc.ns == 0:
             return False
-        return stats.find_rate() < (
-            self.config.i2s_throttle_ratio * havoc.find_rate()
-        )
+        return stats.find_rate() < THROTTLE_RATIO * havoc.find_rate()
 
     def import_input(self, data: bytes) -> bool:
         """Adopt an input discovered by another shard (sync import).
@@ -655,15 +627,11 @@ class Campaign:
         imports never perturb the mutation RNG stream.  Returns whether
         the input was adopted.
         """
-        result = self._execute(data)
-        if result is None:
-            return False
-        novelty = self.virgin.observe(result.coverage)
-        if novelty == VirginMap.NO_NEW:
+        result, signature = self._execute(data)
+        if self.virgin.observe(signature) == VirginMap.NO_NEW:
             return False
         added = self.corpus.add(
-            data, coverage_signature(result.coverage),
-            result.ns, self.clock.now_ns,
+            data, signature, result.ns, self.clock.now_ns,
         )
         self._store_input(data)
         if self.telemetry.enabled:
@@ -674,15 +642,21 @@ class Campaign:
                 )
         return True
 
-    def _execute(self, data: bytes) -> ExecResult | None:
+    def _execute(self, data: bytes, signed: bool = True
+                 ) -> tuple[ExecResult, bytes | None]:
+        """Run and triage one input.  Returns the result and its
+        signature, classified here once when *signed* or when the input
+        hung (the hang id names the signature), else None."""
         result = self.executor.run(data)
         self.execs += 1
+        signature = (
+            coverage_signature(result.coverage)
+            if signed or result.is_hang else None
+        )
         if result.is_crash and result.trap is not None:
             self.triage.record(result.trap, data, self.clock.now_ns)
         elif result.is_hang:
-            self.triage.record_hang(
-                coverage_signature(result.coverage), data, self.clock.now_ns
-            )
+            self.triage.record_hang(signature, data, self.clock.now_ns)
         if self.reporter is not None:
             self.reporter.maybe_update()
-        return result
+        return result, signature

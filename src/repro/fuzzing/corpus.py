@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-import numpy as np
+from repro.fuzzing.coverage import hit_cells
 
 
 def input_hash(data: bytes) -> str:
@@ -89,11 +89,10 @@ class Corpus:
         return entry
 
     def _update_top_rated(self, entry: QueueEntry) -> None:
-        signature = np.frombuffer(entry.coverage_signature, dtype=np.uint8)
-        for cell in np.nonzero(signature)[0]:
-            best = self._top_rated.get(int(cell))
+        for cell in hit_cells(entry.coverage_signature):
+            best = self._top_rated.get(cell)
             if best is None or entry.weight < best.weight:
-                self._top_rated[int(cell)] = entry
+                self._top_rated[cell] = entry
         self._recompute_favored()
 
     def _recompute_favored(self) -> None:

@@ -1,37 +1,60 @@
-"""AFL-style coverage-map processing.
+"""AFL-style coverage-map processing — the one reader of the map format.
 
 The VM's instrumented guards maintain a 64 KiB hitcount map per
 execution.  This module implements the fuzzer-side half: hitcount
-*classification* into AFL's power-of-two buckets, and the *virgin map*
-that decides whether an execution produced new behaviour (new edge, or
-a new hitcount bucket for a known edge).
+*classification* into AFL's power-of-two buckets (a classified map is
+a *signature*), the *virgin map* that decides whether a signature
+shows new behaviour (new edge, or a new hitcount bucket for a known
+edge), and the few readers the corpus, triage, store and experiments
+need.  No other module decodes a map or a signature, so changing
+their encoding changes this module alone.
 
-numpy is used for the hot full-map operations; with 65536-byte maps the
-per-exec cost is microseconds.
+Classification is a ``bytes.translate`` table lookup and the virgin
+map a numpy array; with 65536-byte maps the per-exec cost is
+microseconds.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
 from repro.vm.interpreter import COVERAGE_MAP_SIZE
 
-#: AFL's count_class_lookup: bucket raw hitcounts into 8 classes.
-_CLASS_LOOKUP = np.zeros(256, dtype=np.uint8)
-_CLASS_LOOKUP[1] = 1
-_CLASS_LOOKUP[2] = 2
-_CLASS_LOOKUP[3] = 4
-_CLASS_LOOKUP[4:8] = 8
-_CLASS_LOOKUP[8:16] = 16
-_CLASS_LOOKUP[16:32] = 32
-_CLASS_LOOKUP[32:128] = 64
-_CLASS_LOOKUP[128:256] = 128
+#: AFL's count_class_lookup: raw hitcounts 0, 1, 2, 3, 4-7, 8-15, 16-31,
+#: 32-127 and 128-255 bucket to 0 and the eight classes 1..128.
+_CLASSES = bytes([0, 1, 2, 4] + [8] * 4 + [16] * 8 + [32] * 16
+                 + [64] * 96 + [128] * 128)
 
 
 def classify(raw_map: bytearray | bytes) -> np.ndarray:
     """Bucket a raw hitcount map into AFL's 8 classes."""
-    arr = np.frombuffer(bytes(raw_map), dtype=np.uint8)
-    return _CLASS_LOOKUP[arr]
+    return np.frombuffer(raw_map.translate(_CLASSES), dtype=np.uint8)
+
+
+def coverage_signature(raw_map: bytearray | bytes) -> bytes:
+    """Classified map as bytes — the per-entry signature the corpus
+    scheduler uses for favored-entry selection, and what
+    :meth:`VirginMap.observe` takes."""
+    return classify(raw_map).tobytes()
+
+
+def hit_cells(coverage: bytearray | bytes) -> list[int]:
+    """Ascending indices of the cells a raw map or a signature hit
+    (classification keeps a cell zero exactly when it was zero)."""
+    return np.flatnonzero(np.frombuffer(coverage, dtype=np.uint8)).tolist()
+
+
+def signature_bits(signature: bytes) -> int:
+    """A signature as one integer bitset: bit ``8 * cell + b`` is bucket
+    bit *b* of *cell* (afl-cmin's unit of cover)."""
+    return int.from_bytes(signature, "little")
+
+
+def signature_id(signature: bytes) -> str:
+    """Short stable name of a signature (the hang dedup key)."""
+    return hashlib.sha1(signature).hexdigest()[:16]
 
 
 class VirginMap:
@@ -50,35 +73,15 @@ class VirginMap:
         self.size = size
         self.virgin = np.full(size, 0xFF, dtype=np.uint8)
 
-    def observe(self, raw_map: bytearray | bytes) -> int:
-        """Fold one execution in; returns NO_NEW / NEW_COUNTS / NEW_EDGES."""
-        classified = classify(raw_map)
+    def observe(self, classified: np.ndarray | bytes) -> int:
+        """Fold in one classified map — an execution's signature, or a
+        corpus entry's as exchanged between campaign shards; returns
+        NO_NEW / NEW_COUNTS / NEW_EDGES."""
+        classified = np.frombuffer(classified, dtype=np.uint8)
         new_bits = classified & self.virgin
         if not new_bits.any():
             return self.NO_NEW
         # A brand-new edge is one whose virgin byte was still 0xFF.
-        new_edges = bool((new_bits[self.virgin == 0xFF]).any())
-        self.virgin &= ~classified
-        return self.NEW_EDGES if new_edges else self.NEW_COUNTS
-
-    def would_be_new(self, raw_map: bytearray | bytes) -> int:
-        """Like :meth:`observe` but without folding the map in."""
-        classified = classify(raw_map)
-        new_bits = classified & self.virgin
-        if not new_bits.any():
-            return self.NO_NEW
-        new_edges = bool((new_bits[self.virgin == 0xFF]).any())
-        return self.NEW_EDGES if new_edges else self.NEW_COUNTS
-
-    def observe_classified(self, signature: bytes) -> int:
-        """Fold in an *already classified* map (a corpus entry's
-        coverage signature, as exchanged between campaign shards);
-        returns the same NO_NEW / NEW_COUNTS / NEW_EDGES verdict as
-        :meth:`observe`."""
-        classified = np.frombuffer(signature, dtype=np.uint8)
-        new_bits = classified & self.virgin
-        if not new_bits.any():
-            return self.NO_NEW
         new_edges = bool((new_bits[self.virgin == 0xFF]).any())
         self.virgin &= ~classified
         return self.NEW_EDGES if new_edges else self.NEW_COUNTS
@@ -105,15 +108,3 @@ class VirginMap:
         virgin = cls(size=len(payload))
         virgin.virgin = np.frombuffer(payload, dtype=np.uint8).copy()
         return virgin
-
-
-def edge_count(raw_map: bytearray | bytes) -> int:
-    """Distinct map cells hit by one execution."""
-    arr = np.frombuffer(bytes(raw_map), dtype=np.uint8)
-    return int((arr != 0).sum())
-
-
-def coverage_signature(raw_map: bytearray | bytes) -> bytes:
-    """Classified map as bytes — the per-entry signature the corpus
-    scheduler uses for favored-entry selection."""
-    return classify(raw_map).tobytes()

@@ -46,7 +46,6 @@ import random
 from dataclasses import dataclass
 
 from repro.fuzzing.corpus import input_hash
-from repro.fuzzing.coverage import coverage_signature
 from repro.ir.types import IntType
 
 #: Hard cap on records collected by one probe execution — keeps a
@@ -60,6 +59,24 @@ MAX_SWITCH_CASES = 8
 
 #: Operand widths (bytes) tried when locating a value in the input.
 _SEARCH_WIDTHS = (1, 2, 4, 8)
+
+#: Total executions the stage may spend on one queue entry (probe +
+#: colorize + replacement candidates).
+ENTRY_EXEC_CAP = 128
+#: Colorization executions per queue entry.
+COLORIZE_BUDGET = 16
+#: Offsets tried per (operand encoding) match in the input.
+MAX_OFFSETS_PER_PAIR = 4
+#: Auto-dictionary capacity and per-token length cap; tokens come from
+#: observed compare constants and static IR mining.
+DICT_TOKENS = 256
+DICT_TOKEN_MAX_LEN = 32
+#: Stage self-throttling: after the stage has spent THROTTLE_MIN_EXECS
+#: execs, the campaign skips it for entries while its finds per virtual
+#: ns fall below THROTTLE_RATIO x the havoc stage's.  Re-evaluated every
+#: entry, so a stage that starts paying again un-throttles.
+THROTTLE_MIN_EXECS = 256
+THROTTLE_RATIO = 0.1
 
 
 class CmpObserver:
@@ -132,7 +149,8 @@ class AutoDictionary:
     mutator holds a reference to this object).
     """
 
-    def __init__(self, max_tokens: int = 256, max_token_len: int = 32):
+    def __init__(self, max_tokens: int = DICT_TOKENS,
+                 max_token_len: int = DICT_TOKEN_MAX_LEN):
         self.max_tokens = max_tokens
         self.max_token_len = max_token_len
         self.tokens: list[bytes] = []
@@ -189,7 +207,7 @@ class StageStats:
     The campaign scheduler compares stages by *finds per virtual
     nanosecond* — the only currency that matters under a virtual-time
     budget — and throttles the I2S stage when it stops paying relative
-    to havoc (see ``CampaignConfig.i2s_throttle_ratio``).
+    to havoc (see :data:`THROTTLE_RATIO`).
     """
 
     execs: int = 0
@@ -277,10 +295,7 @@ class I2SStage:
     def __init__(self, config):
         self.config = config
         self.observer = CmpObserver()
-        self.dictionary = AutoDictionary(
-            max_tokens=config.i2s_dict_tokens,
-            max_token_len=config.i2s_dict_token_max_len,
-        )
+        self.dictionary = AutoDictionary()
         #: site key -> up to MAX_PAIRS_PER_SITE distinct observed
         #: (bits, lhs, rhs, predicate) tuples, in first-seen order.
         self.site_pairs: dict[tuple, list[tuple]] = {}
@@ -311,7 +326,7 @@ class I2SStage:
         from repro.analysis.dictionary import mine_dictionary_tokens
         added = 0
         for token in mine_dictionary_tokens(
-            module, max_token_len=self.config.i2s_dict_token_max_len
+            module, max_token_len=DICT_TOKEN_MAX_LEN
         ):
             added += self.dictionary.add(token)
         self.static_mined = True
@@ -331,30 +346,27 @@ class I2SStage:
 
     def run_entry(self, campaign, entry, deadline_ns: int) -> None:
         """Probe, colorize, locate, and replace for one queue entry."""
-        config = self.config
-        budget = config.i2s_entry_exec_cap
-        clock = campaign.clock
+        budget = ENTRY_EXEC_CAP
 
+        # Probes read compares, not coverage: they go unclassified.
         self.observer.begin()
-        result = campaign._execute(entry.data)
+        campaign._execute(entry.data, signed=False)
         records = self.observer.take()
         budget -= 1
-        if result is None or not records:
+        if not records:
             return
         self._harvest(records)
 
         colored = entry.data
         colored_records = records
-        if config.i2s_colorize_budget > 0 and entry.data and budget > 1:
+        if entry.data and budget > 1:
             colored, budget = self._colorize(campaign, entry, budget,
                                              deadline_ns)
             if colored != entry.data and budget > 0:
                 self.observer.begin()
-                colored_result = campaign._execute(colored)
+                campaign._execute(colored, signed=False)
                 colored_records = self.observer.take()
                 budget -= 1
-                if colored_result is None:
-                    colored_records = []
 
         self._replace(campaign, entry, records, colored, colored_records,
                       budget, deadline_ns)
@@ -370,13 +382,12 @@ class I2SStage:
         whose "free" bytes are high-entropy, so operand byte patterns
         locate uniquely.
         """
-        config = self.config
         rng = random.Random(
-            f"i2s-color:{config.seed}:{input_hash(entry.data)}"
+            f"i2s-color:{self.config.seed}:{input_hash(entry.data)}"
         )
         colored = bytearray(entry.data)
         target_signature = entry.coverage_signature
-        color_budget = min(budget - 1, config.i2s_colorize_budget)
+        color_budget = min(budget - 1, COLORIZE_BUDGET)
         spans: list[tuple[int, int]] = [(0, len(colored))]
         while spans and color_budget > 0:
             if campaign.clock.now_ns >= deadline_ns:
@@ -387,12 +398,10 @@ class I2SStage:
             candidate = bytearray(colored)
             for i in range(start, start + length):
                 candidate[i] = rng.randrange(256)
-            result = campaign._execute(bytes(candidate))
+            _, signature = campaign._execute(bytes(candidate))
             color_budget -= 1
             budget -= 1
-            if (result is not None
-                    and coverage_signature(result.coverage)
-                    == target_signature):
+            if signature == target_signature:
                 colored = candidate
             elif length > 1:
                 half = length // 2
@@ -403,7 +412,6 @@ class I2SStage:
     def _replace(self, campaign, entry, records, colored, colored_records,
                  budget: int, deadline_ns: int) -> None:
         """Substitute the other compare operand at located offsets."""
-        config = self.config
         data = entry.data
         # Match baseline and colored records positionally per site so a
         # baseline operand can be confirmed against its colored value.
@@ -425,9 +433,8 @@ class I2SStage:
                 if operand == other:
                     continue            # guard already satisfied
                 for nbytes, big, encoded in operand_encodings(operand, bits):
-                    offsets = _find_offsets(
-                        data, encoded, config.i2s_max_offsets_per_pair
-                    )
+                    offsets = _find_offsets(data, encoded,
+                                            MAX_OFFSETS_PER_PAIR)
                     if twin_operand is not None and twin_operand != operand:
                         # Confirm against the colored run: the same
                         # offset must hold the colored operand's bytes

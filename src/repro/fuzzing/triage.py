@@ -15,9 +15,9 @@ same loop collapse into one report.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
+from repro.fuzzing.coverage import signature_id
 from repro.vm.errors import TrapKind, VMTrap
 
 CrashIdentity = tuple[TrapKind, str, str]
@@ -89,7 +89,7 @@ class CrashTriage:
                     now_ns: int) -> HangReport | None:
         """Record a hang-classified input; returns the report if new."""
         self.total_hangs += 1
-        digest = hashlib.sha1(coverage_signature).hexdigest()[:16]
+        digest = signature_id(coverage_signature)
         existing = self.unique_hangs.get(digest)
         if existing is not None:
             existing.occurrences += 1

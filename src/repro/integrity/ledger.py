@@ -93,10 +93,6 @@ class LeakLedger:
             data=bytes(data), result=result, at_ns=at_ns, reason=reason,
         )
 
-    @property
-    def leak_count(self) -> int:
-        return len(self.events)
-
     def summary(self) -> dict:
         """Compact picklable digest for checkpoints and reports."""
         return {

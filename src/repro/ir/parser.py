@@ -76,18 +76,6 @@ class _TypeParser:
             return ArrayType(self.parse(match.group(2)), int(match.group(1)))
         raise IRParseError(f"cannot parse type {text!r}")
 
-    def split_typed_list(self, text: str) -> list[tuple[str, str]]:
-        """Split ``i32 %a, [4 x i8]* %b`` into (type, operand) pairs,
-        respecting bracket nesting."""
-        out: list[tuple[str, str]] = []
-        for part in _split_commas(text):
-            part = part.strip()
-            if not part:
-                continue
-            type_text, _, operand = part.rpartition(" ")
-            out.append((type_text.strip(), operand.strip()))
-        return out
-
 
 def _split_commas(text: str) -> list[str]:
     """Comma split that ignores commas inside [...] brackets."""

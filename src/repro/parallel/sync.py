@@ -19,8 +19,8 @@ Determinism invariants the protocol maintains:
   exchanged again;
 - **novelty** — a candidate joins the global corpus only if its
   classified coverage signature clears the hub's virgin map
-  (:meth:`VirginMap.observe_classified`), AFL's "interesting to the
-  fleet" test;
+  (:meth:`VirginMap.observe`, the campaigns' own novelty test), AFL's
+  "interesting to the fleet" test;
 - **backpressure** — each worker receives at most
   ``max_imports_per_sync`` inputs per barrier; the surplus stays
   queued in its outbox (FIFO) for later barriers, so a discovery burst
@@ -160,7 +160,7 @@ class SyncHub:
                     self.stats.duplicates += 1
                     continue
                 self.seen_hashes.add(key)
-                novelty = self.virgin.observe_classified(candidate.signature)
+                novelty = self.virgin.observe(candidate.signature)
                 if novelty == VirginMap.NO_NEW:
                     self.stats.stale += 1
                     continue

@@ -368,18 +368,20 @@ class CorpusStore:
 
         *entries* are ``(digest, signature, weight)`` triples where the
         signature is the classified coverage bytes
-        (:func:`repro.fuzzing.coverage.classify` output) and weight
+        (:func:`repro.fuzzing.coverage.coverage_signature`) and weight
         orders candidates cheapest-first (e.g. ``exec_ns * len``).
         Selection is greedy at **bit** granularity: an entry is kept
         iff it sets a signature bit nothing cheaper already covered,
         which guarantees the OR over the selected signatures equals the
         OR over all of them.
         """
+        # Imported here: nothing else in the store needs the fuzzer.
+        from repro.fuzzing.coverage import signature_bits
         ranked = sorted(entries, key=lambda entry: (entry[2], entry[0]))
         covered = 0
         selected: list[str] = []
         for digest, signature, _weight in ranked:
-            bits = int.from_bytes(signature, "little")
+            bits = signature_bits(signature)
             if bits & ~covered:
                 selected.append(digest)
                 covered |= bits

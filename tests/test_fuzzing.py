@@ -15,7 +15,6 @@ from repro.fuzzing import (
     classify,
     coverage_signature,
     deterministic_mutations,
-    edge_count,
 )
 from repro.fuzzing.mutators import MAX_INPUT_SIZE
 from repro.vm.errors import CrashSite, TrapKind, VMTrap
@@ -37,39 +36,122 @@ class TestClassification:
             0, 1, 2, 4, 8, 8, 16, 16, 32, 32, 64, 64, 128, 128
         ]
 
-    def test_edge_count(self):
-        assert edge_count(make_map({5: 1, 99: 200})) == 2
-        assert edge_count(bytearray(COVERAGE_MAP_SIZE)) == 0
-
     def test_signature_is_classified(self):
         signature = coverage_signature(make_map({3: 5}))
         assert signature[3] == 8
 
 
+def signed(cells: dict[int, int]) -> bytes:
+    return coverage_signature(make_map(cells))
+
+
 class TestVirginMap:
     def test_first_observation_is_new_edges(self):
         virgin = VirginMap()
-        assert virgin.observe(make_map({10: 1})) == VirginMap.NEW_EDGES
+        assert virgin.observe(signed({10: 1})) == VirginMap.NEW_EDGES
 
     def test_same_map_is_not_new(self):
         virgin = VirginMap()
-        virgin.observe(make_map({10: 1}))
-        assert virgin.observe(make_map({10: 1})) == VirginMap.NO_NEW
+        virgin.observe(signed({10: 1}))
+        assert virgin.observe(signed({10: 1})) == VirginMap.NO_NEW
 
     def test_new_hitcount_bucket(self):
         virgin = VirginMap()
-        virgin.observe(make_map({10: 1}))
-        assert virgin.observe(make_map({10: 200})) == VirginMap.NEW_COUNTS
-
-    def test_would_be_new_does_not_fold(self):
-        virgin = VirginMap()
-        assert virgin.would_be_new(make_map({7: 1})) == VirginMap.NEW_EDGES
-        assert virgin.would_be_new(make_map({7: 1})) == VirginMap.NEW_EDGES
+        virgin.observe(signed({10: 1}))
+        assert virgin.observe(signed({10: 200})) == VirginMap.NEW_COUNTS
 
     def test_edges_found(self):
         virgin = VirginMap()
-        virgin.observe(make_map({1: 1, 2: 1, 3: 1}))
+        virgin.observe(signed({1: 1, 2: 1, 3: 1}))
         assert virgin.edges_found() == 3
+
+
+#: Hangs on a leading 'H'; the compare on the second byte gives the
+#: input-to-state probes something to record.
+ONCE_SOURCE = r"""
+char buf[16];
+
+int main(int argc, char **argv) {
+    char *f = fopen(argv[1], "r");
+    if (!f) { exit(1); }
+    long n = fread(buf, 1, 16, f);
+    fclose(f);
+    if (n < 2) { exit(2); }
+    if (buf[0] == 'H') {
+        while (1) { n++; }
+    }
+    if (buf[1] == 'Z') { exit(4); }
+    return (int)n;
+}
+"""
+
+
+class TestClassifyOnce:
+    def test_each_exec_classifies_its_map_at_most_once(self, monkeypatch):
+        """A seed, a queued find, an adopted sync import and a hang each
+        classify their map exactly once; an i2s probe exec not at all."""
+        from repro.execution import ClosureXExecutor
+        from repro.fuzzing import coverage
+        from repro.minic import compile_c
+        from repro.passes import PassManager, closurex_passes
+        from repro.sim_os import Kernel
+
+        module = compile_c(ONCE_SOURCE, "classify-once")
+        PassManager(closurex_passes(11)).run(module)
+        executor = ClosureXExecutor(module, 400_000, Kernel())
+        campaign = Campaign(executor, [b"hello", b"Hang"], CampaignConfig(
+            budget_ns=2_000_000, seed=1, i2s_enabled=True,
+            exec_instruction_limit=20_000,
+        ))
+        counts: list[int] = []          # classify calls, per exec
+        kinds: list[set[str]] = []      # what each exec was
+
+        classify = coverage.classify
+
+        def counting_classify(raw_map):
+            counts[-1] += 1
+            return classify(raw_map)
+
+        monkeypatch.setattr(coverage, "classify", counting_classify)
+        run = executor.run
+
+        def tracked_run(data):
+            probe = campaign._i2s.observer.active
+            result = run(data)
+            counts.append(0)
+            kinds.append({"probe"} if probe else set())
+            if result.is_hang:
+                kinds[-1].add("hang")
+            return result
+
+        executor.run = tracked_run
+        fuzz_one = campaign._fuzz_one
+
+        def tracked_fuzz_one(data, parent):
+            added = fuzz_one(data, parent)
+            if added:
+                kinds[-1].add("find")
+            return added
+
+        campaign._fuzz_one = tracked_fuzz_one
+
+        campaign.start()
+        kinds[0].add("seed")
+        kinds[1].add("seed")
+        assert campaign.import_input(b"aZ")
+        kinds[-1].add("import")
+        campaign.step_until(campaign.deadline_ns)
+        campaign.finish_run()
+
+        def classified(kind: str) -> set[int]:
+            found = {n for n, k in zip(counts, kinds) if kind in k}
+            assert found, f"no {kind} exec ran"
+            return found
+
+        for kind in ("seed", "import", "find", "hang"):
+            assert classified(kind) == {1}, kind
+        assert {n for n, k in zip(counts, kinds) if k == {"probe"}} == {0}
+        assert max(counts) == 1
 
 
 class TestDeterministicMutations:

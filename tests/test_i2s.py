@@ -368,31 +368,21 @@ class TestI2SCampaign:
         assert campaign._i2s.static_mined
         assert MAGIC_BE in campaign._i2s.dictionary.tokens
 
-    def test_static_dictionary_opt_out(self):
-        campaign = Campaign(
-            _executor(), [b"\x00" * 12],
-            CampaignConfig(budget_ns=BUDGET_NS, seed=2, i2s_enabled=True,
-                           i2s_static_dictionary=False),
-        )
-        campaign.run()
-        assert not campaign._i2s.static_mined
-
 
 class TestThrottle:
-    def _campaign(self, **overrides):
-        config = CampaignConfig(budget_ns=1, seed=1, i2s_enabled=True,
-                                **overrides)
+    def _campaign(self):
+        config = CampaignConfig(budget_ns=1, seed=1, i2s_enabled=True)
         return Campaign(_executor(), [b"\x00" * 12], config)
 
     def test_not_throttled_before_fair_trial(self):
-        campaign = self._campaign(i2s_throttle_min_execs=256)
+        campaign = self._campaign()
         campaign.stage_stats["i2s"] = StageStats(execs=10, finds=0, ns=100)
         campaign.stage_stats["havoc"] = StageStats(execs=900, finds=9,
                                                    ns=9000)
         assert not campaign._i2s_throttled()
 
     def test_throttled_when_find_rate_collapses(self):
-        campaign = self._campaign(i2s_throttle_min_execs=256)
+        campaign = self._campaign()
         campaign.stage_stats["i2s"] = StageStats(execs=300, finds=0,
                                                  ns=3000)
         campaign.stage_stats["havoc"] = StageStats(execs=900, finds=9,
@@ -400,7 +390,7 @@ class TestThrottle:
         assert campaign._i2s_throttled()
 
     def test_not_throttled_while_paying_its_way(self):
-        campaign = self._campaign(i2s_throttle_min_execs=256)
+        campaign = self._campaign()
         campaign.stage_stats["i2s"] = StageStats(execs=300, finds=30,
                                                  ns=3000)
         campaign.stage_stats["havoc"] = StageStats(execs=900, finds=9,

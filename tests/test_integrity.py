@@ -553,12 +553,9 @@ class TestGoldenCampaign:
         outcomes = []
         for data in self._inputs():
             result = executor.run(data)
-            virgin.observe(result.coverage)
-            outcomes.append((
-                result.status,
-                result.return_code,
-                coverage_signature(result.coverage),
-            ))
+            signature = coverage_signature(result.coverage)
+            virgin.observe(signature)
+            outcomes.append((result.status, result.return_code, signature))
         executor.shutdown()
         return outcomes, virgin.virgin.tobytes(), sentinel
 

@@ -7,12 +7,21 @@ MiniC constant expressions evaluate identically in the Python constant
 folder and in the compiled-and-interpreted program.
 """
 
+import hashlib
 import random
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fuzzing.coverage import classify
+from repro.fuzzing.coverage import (
+    VirginMap,
+    classify,
+    coverage_signature,
+    hit_cells,
+    signature_bits,
+    signature_id,
+)
 from repro.fuzzing.mutators import HavocMutator
 from repro.ir.types import IntType, StructType, int_type
 from repro.vm.errors import CrashSite, VMTrap
@@ -118,6 +127,105 @@ class TestCoverageClassification:
             assert value == 0
         else:
             assert value in (1, 2, 4, 8, 16, 32, 64, 128)
+
+
+#: Raw hitcount maps, mostly zero cells so that verdicts vary; a small
+#: map size keeps each example cheap.
+READER_MAP_SIZE = 64
+raw_maps = st.one_of(
+    st.lists(st.sampled_from([0, 0, 0, 0, 1, 2, 3, 5, 9, 17, 40, 200, 255]),
+             min_size=READER_MAP_SIZE, max_size=READER_MAP_SIZE).map(bytes),
+    st.binary(min_size=READER_MAP_SIZE, max_size=READER_MAP_SIZE),
+)
+
+#: The numpy lookup table classification used before ``bytes.translate``.
+_OLD_LOOKUP = np.zeros(256, dtype=np.uint8)
+_OLD_LOOKUP[1] = 1
+_OLD_LOOKUP[2] = 2
+_OLD_LOOKUP[3] = 4
+_OLD_LOOKUP[4:8] = 8
+_OLD_LOOKUP[8:16] = 16
+_OLD_LOOKUP[16:32] = 32
+_OLD_LOOKUP[32:128] = 64
+_OLD_LOOKUP[128:256] = 128
+
+
+def _old_classify(raw_map):
+    return _OLD_LOOKUP[np.frombuffer(bytes(raw_map), dtype=np.uint8)]
+
+
+class _OldVirginMap:
+    """The virgin map's two former novelty routines, kept as the
+    reference for the one ``VirginMap.observe``."""
+
+    def __init__(self, size):
+        self.virgin = np.full(size, 0xFF, dtype=np.uint8)
+
+    def observe(self, raw_map):
+        classified = _old_classify(raw_map)
+        new_bits = classified & self.virgin
+        if not new_bits.any():
+            return VirginMap.NO_NEW
+        new_edges = bool((new_bits[self.virgin == 0xFF]).any())
+        self.virgin &= ~classified
+        return VirginMap.NEW_EDGES if new_edges else VirginMap.NEW_COUNTS
+
+    def observe_classified(self, signature):
+        classified = np.frombuffer(signature, dtype=np.uint8)
+        new_bits = classified & self.virgin
+        if not new_bits.any():
+            return VirginMap.NO_NEW
+        new_edges = bool((new_bits[self.virgin == 0xFF]).any())
+        self.virgin &= ~classified
+        return VirginMap.NEW_EDGES if new_edges else VirginMap.NEW_COUNTS
+
+
+class TestCoverageReaders:
+    """Each reader equals the inline expression it replaced."""
+
+    @given(raw_maps)
+    @settings(max_examples=80, deadline=None)
+    def test_signature_is_the_old_classification(self, raw):
+        assert coverage_signature(raw) == _old_classify(raw).tobytes()
+        assert coverage_signature(bytearray(raw)) == coverage_signature(raw)
+
+    @given(raw_maps)
+    @settings(max_examples=80, deadline=None)
+    def test_hit_cells(self, raw):
+        signature = coverage_signature(raw)
+        array = np.frombuffer(signature, dtype=np.uint8)
+        assert hit_cells(signature) == [
+            int(cell) for cell in np.nonzero(array)[0]
+        ]
+        assert set(hit_cells(bytearray(raw))) == {
+            i for i, v in enumerate(bytearray(raw)) if v
+        }
+
+    @given(raw_maps)
+    @settings(max_examples=80, deadline=None)
+    def test_signature_bits_and_id(self, raw):
+        signature = coverage_signature(raw)
+        assert signature_bits(signature) == int.from_bytes(signature,
+                                                           "little")
+        assert signature_id(signature) == \
+            hashlib.sha1(signature).hexdigest()[:16]
+
+    @given(st.lists(st.tuples(raw_maps, st.sampled_from(
+        ["raw", "signature"])), min_size=1, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_one_observe_matches_the_old_two(self, steps):
+        new = VirginMap(READER_MAP_SIZE)
+        old = _OldVirginMap(READER_MAP_SIZE)
+        for raw, form in steps:
+            if form == "raw":
+                expected = old.observe(bytearray(raw))
+                verdict = new.observe(classify(bytearray(raw)))
+            else:
+                signature = _old_classify(raw).tobytes()
+                expected = old.observe_classified(signature)
+                verdict = new.observe(coverage_signature(raw))
+            assert verdict == expected
+            assert new.to_bytes() == old.virgin.tobytes()
 
 
 class TestMutatorBounds:
