@@ -34,7 +34,7 @@ class ExecResult:
     status: IterationStatus
     return_code: int | None
     trap: VMTrap | None
-    coverage: bytearray            # live view of the AFL-style map
+    coverage: bytearray            # this exec's CoverageMap: counts + cells
     ns: int                        # virtual time consumed, all-in
     instructions: int = 0
 

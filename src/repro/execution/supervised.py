@@ -42,7 +42,7 @@ from repro.integrity.faults import IntegrityFault
 from repro.runtime.harness import IterationStatus
 from repro.sim_os.pipes import PipeBroken
 from repro.telemetry import Telemetry
-from repro.vm.interpreter import COVERAGE_MAP_SIZE
+from repro.vm.interpreter import CoverageMap
 
 #: Exception types the supervisor treats as recoverable infrastructure
 #: failures.  Everything else (VMTrap, ProcessExit, ...) is target
@@ -251,7 +251,7 @@ class SupervisedExecutor(Executor):
                 shm_fault = self.injector.poll("shm")
                 if shm_fault is not None:
                     # Corrupt the map the way a trashed shm segment
-                    # would; the map sanity check rejects the exec.
+                    # would, then void the attempt and retry the input.
                     self._scramble_coverage(result.coverage)
                     attempts += 1
                     self._note_recovery(shm_fault, attempts)
@@ -351,8 +351,13 @@ class SupervisedExecutor(Executor):
                 )
 
     def _scramble_coverage(self, coverage: bytearray) -> None:
-        """Deterministically trash a coverage buffer (shm corruption)."""
+        """Deterministically trash a coverage buffer (shm corruption).
+        Every cell it moves off 0 joins the map's cell list, so the
+        map's readers see the damage."""
+        cells = getattr(coverage, "cells", [])
         for index in range(0, len(coverage), 977):
+            if not coverage[index]:
+                cells.append(index)
             coverage[index] ^= 0xA5
 
     def _quarantine(self, key: str, data: bytes, result: ExecResult,
@@ -379,7 +384,7 @@ class SupervisedExecutor(Executor):
             status=IterationStatus.HANG,
             return_code=None,
             trap=None,
-            coverage=bytearray(COVERAGE_MAP_SIZE),
+            coverage=CoverageMap(),
             ns=self.clock.now_ns - start_ns,
             instructions=0,
         )

@@ -63,7 +63,7 @@ from repro.execution import build_executor
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.stats import format_table, median
 from repro.fuzzing.campaign import Campaign, CampaignConfig
-from repro.fuzzing.coverage import hit_cells
+from repro.fuzzing.coverage import coverage_signature, hit_cells
 from repro.sim_os.kernel import Kernel
 from repro.targets import get_target
 
@@ -175,8 +175,10 @@ def _stable_cells(executor, data: bytes) -> set[int]:
     The intersection drops any cell whose reachability depends on the
     virtual clock (targets seeding a PRNG from ``time()``).
     """
-    first = set(hit_cells(executor.run(data).coverage))
-    return first.intersection(hit_cells(executor.run(data).coverage))
+    def cells() -> set[int]:
+        return set(hit_cells(coverage_signature(executor.run(data).coverage)))
+
+    return cells() & cells()
 
 
 def guard_cells(target: str) -> set[int]:

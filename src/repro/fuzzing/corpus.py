@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.fuzzing.coverage import hit_cells
+from repro.fuzzing.coverage import hit_cells, sparse_signature
 
 
 def input_hash(data: bytes) -> str:
@@ -46,6 +46,12 @@ class QueueEntry:
     # predate the field; readers use getattr(entry, "i2s_done", False).
     i2s_done: bool = False
     times_selected: int = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # Old checkpoints hold dense signatures.
+        state["coverage_signature"] = sparse_signature(
+            state["coverage_signature"])
+        self.__dict__.update(state)
 
     @property
     def weight(self) -> int:

@@ -18,7 +18,7 @@ Determinism invariants the protocol maintains:
   seed, an accepted discovery, or a rejected duplicate — is never
   exchanged again;
 - **novelty** — a candidate joins the global corpus only if its
-  classified coverage signature clears the hub's virgin map
+  coverage signature clears the hub's virgin map
   (:meth:`VirginMap.observe`, the campaigns' own novelty test), AFL's
   "interesting to the fleet" test;
 - **backpressure** — each worker receives at most
@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.fuzzing.corpus import QueueEntry, input_hash
-from repro.fuzzing.coverage import VirginMap
+from repro.fuzzing.coverage import VirginMap, sparse_signature
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,14 @@ class SyncCandidate:
     shard_id: int
     entry_id: int
     data: bytes | None
-    signature: bytes      # classified coverage map (corpus signature)
+    signature: bytes      # the entry's coverage signature
     exec_ns: int
     digest: str = ""      # sha256 store address (hash-only exchange)
+
+    def __setstate__(self, state: dict) -> None:
+        # Old checkpoints hold dense signatures.
+        state["signature"] = sparse_signature(state["signature"])
+        self.__dict__.update(state)
 
     @property
     def hash(self) -> str:
@@ -124,12 +129,10 @@ class SyncHub:
     """The orchestrator-side merge point of the sync protocol."""
 
     def __init__(self, n_workers: int, max_imports_per_sync: int = 64,
-                 map_size: int | None = None, store=None):
+                 store=None):
         self.n_workers = n_workers
         self.max_imports_per_sync = max_imports_per_sync
-        self.virgin = (
-            VirginMap(map_size) if map_size is not None else VirginMap()
-        )
+        self.virgin = VirginMap()
         self.seen_hashes: set[str] = set()
         self.accepted: list[SyncCandidate] = []
         self.outboxes: list[deque[SyncCandidate]] = [

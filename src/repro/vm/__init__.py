@@ -11,7 +11,7 @@ from repro.vm.errors import (
 )
 from repro.vm.filesystem import FDTable, OpenFile, VirtualFS
 from repro.vm.heap import Heap, HeapStats
-from repro.vm.interpreter import COVERAGE_MAP_SIZE, VM
+from repro.vm.interpreter import COVERAGE_MAP_SIZE, VM, CoverageMap
 from repro.vm.libc import LIBC_SIGNATURES, NATIVES, declare_libc
 from repro.vm.memory import AddressSpace, MemoryRegion, Segment
 from repro.vm.snapshot import (
@@ -28,7 +28,7 @@ __all__ = [
     "TrapKind", "VMError", "VMTrap",
     "FDTable", "OpenFile", "VirtualFS",
     "Heap", "HeapStats",
-    "COVERAGE_MAP_SIZE", "VM",
+    "COVERAGE_MAP_SIZE", "CoverageMap", "VM",
     "LIBC_SIGNATURES", "NATIVES", "declare_libc",
     "AddressSpace", "MemoryRegion", "Segment",
     "NondetMask", "ProgramSnapshot", "SnapshotDelta",

@@ -1,8 +1,10 @@
 """Shared test helpers: run inputs under executors, kill a checkpointing
-campaign mid-run, craft crash inputs."""
+campaign mid-run, rewrite a checkpoint in the dense coverage format,
+craft crash inputs."""
 
 from __future__ import annotations
 
+import pickle
 import struct
 
 from repro.execution import FreshProcessExecutor
@@ -38,6 +40,37 @@ def run_killed(campaign, halt_ns: int) -> None:
         if campaign.now_ns >= halt_ns:
             return
         campaign.checkpoint()
+
+
+def as_dense_checkpoint(state: dict) -> None:
+    """Rewrite a campaign or fleet checkpoint state in place as it was
+    pickled before coverage went sparse: every signature a dense 64 KiB
+    classified map, every pickled virgin map a numpy array."""
+    import numpy as np
+    from repro.fuzzing.coverage import dense_signature
+
+    def dense(signature: bytes) -> bytes:
+        # Candidates are shared between the hub's accepted list and
+        # its outboxes: convert each once.
+        return (dense_signature(signature) if len(signature) % 3 == 0
+                else signature)
+
+    if state["kind"] == "campaign":
+        for entry in state["corpus"].entries:
+            entry.coverage_signature = dense(entry.coverage_signature)
+        virgin = state["virgin"]
+        virgin.virgin = np.frombuffer(virgin.to_bytes(), dtype=np.uint8).copy()
+        return
+    hub = state["hub"]
+    for candidate in hub["accepted"] + [c for box in hub["outboxes"]
+                                        for c in box]:
+        object.__setattr__(candidate, "signature", dense(candidate.signature))
+    barrier_states = []
+    for shard_state in state["barrier_states"]:
+        shard = pickle.loads(shard_state)
+        as_dense_checkpoint(shard)
+        barrier_states.append(pickle.dumps(shard))
+    state["barrier_states"] = barrier_states
 
 
 # ---------------------------------------------------------------------------

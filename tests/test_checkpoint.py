@@ -23,13 +23,14 @@ from repro.fuzzing import (
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
+    save_state,
 )
 from repro.fuzzing.checkpoint import CHECKPOINT_MAGIC
 from repro.integrity import EscalationPolicy, IntegritySentinel
 from repro.minic import compile_c
 from repro.passes import PassManager, baseline_passes, closurex_passes
 from repro.sim_os import Kernel
-from tests.helpers import run_killed
+from tests.helpers import as_dense_checkpoint, run_killed
 
 SOURCE = r"""
 int main(int argc, char **argv) {
@@ -276,6 +277,35 @@ class TestResume:
         resumed = Campaign.resume(path, _executor())
         replay = _fingerprint(resumed, resumed.run())
         assert replay == golden
+
+    def test_dense_format_checkpoint_resumes_bit_identically(self, tmp_path):
+        """A checkpoint pickled before coverage went sparse (dense
+        signatures, a numpy virgin map) resumes to the uninterrupted
+        run's digest."""
+        uninterrupted = _campaign(
+            CampaignConfig(budget_ns=BUDGET_NS, seed=7)
+        )
+        golden = _fingerprint(uninterrupted, uninterrupted.run())
+
+        path = str(tmp_path / "campaign.ckpt")
+        halted = _campaign(
+            CampaignConfig(
+                budget_ns=BUDGET_NS, seed=7,
+                checkpoint_path=path,
+                checkpoint_interval_ns=4_000_000,
+            )
+        )
+        run_killed(halted, BUDGET_NS * 6 // 10)
+        state = load_checkpoint(path)
+        as_dense_checkpoint(state)
+        save_state(state, path)
+        entries = load_checkpoint(path)["corpus"].entries
+        assert all(len(e.coverage_signature) % 3 == 0 for e in entries)
+        assert os.path.getsize(path) > 65536 * len(entries)
+
+        resumed = Campaign.resume(path, _executor())
+        assert _fingerprint(resumed, resumed.run()) == golden
+        assert resumed.state_digest() == uninterrupted.state_digest()
 
     def test_resume_continues_not_restarts(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")

@@ -557,7 +557,7 @@ class TestGoldenCampaign:
             virgin.observe(signature)
             outcomes.append((result.status, result.return_code, signature))
         executor.shutdown()
-        return outcomes, virgin.virgin.tobytes(), sentinel
+        return outcomes, virgin.to_bytes(), sentinel
 
     def test_sabotaged_run_matches_clean_run_bit_for_bit(self):
         clean_outcomes, clean_virgin, _ = self._coverage_run()

@@ -5,7 +5,8 @@ builds, replay their seeds and seeded havoc mutants after pollution
 inputs on both interpreters; every :class:`Observation` field must be
 equal, including the instruction count, the virtual cost, the edge
 trace and the end-of-run snapshot.  Forkserver execs compare the
-profiling counts and an armed compare observer's records, an
+profiling counts and an armed compare observer's records, every exec's
+coverage map lists exactly its nonzero cells on both interpreters, an
 instruction-limit sweep pins the clock at every hang point of a loop
 whose header has a phi and a call, and a hand-built function runs
 every opcode, predicate and cast over each kind of constant and
@@ -19,7 +20,7 @@ import random
 import pytest
 
 from repro.analysis.opt import REPLAY_BOOT_TIME
-from repro.execution import ForkServerExecutor
+from repro.execution import ClosureXExecutor, ForkServerExecutor
 from repro.fuzzing.i2s import CmpObserver
 from repro.fuzzing.mutators import HavocMutator
 from repro.ir import (
@@ -117,6 +118,35 @@ def test_forkserver_counts_and_compare_records_match(name, monkeypatch):
         reference = run_all()
     assert decoded[2].get(COV_GUARD, 0) > 0 and any(decoded[3])
     assert decoded == reference
+
+
+@pytest.mark.parametrize("name,executor_class", [
+    ("giftext", ClosureXExecutor), ("md4c", ClosureXExecutor),
+    ("zlib", ForkServerExecutor)])
+def test_cell_lists_are_the_touched_cells(name, executor_class, monkeypatch):
+    """Each exec's map lists its nonzero cells once each, in the same
+    first-hit order on both interpreters."""
+    spec = get_target(name)
+    module = (spec.build_closurex() if executor_class is ClosureXExecutor
+              else spec.build_baseline())
+    inputs = list(spec.seeds) + mutants(spec, count=12)
+
+    def cell_lists():
+        executor = executor_class(module, spec.image_bytes, Kernel())
+        executor.boot()
+        lists = []
+        for data in inputs:
+            coverage = executor.run(data).coverage
+            assert sorted(coverage.cells) == [
+                cell for cell, hits in enumerate(coverage) if hits]
+            lists.append(list(coverage.cells))
+        return lists
+
+    decoded = cell_lists()
+    with monkeypatch.context() as patch:
+        on_reference(patch)
+        reference = cell_lists()
+    assert any(decoded) and decoded == reference
 
 
 def phi_call_loop() -> tuple[Module, object]:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.execution import ClosureXExecutor
 from repro.fuzzing import Campaign, CampaignConfig, CheckpointError
-from repro.fuzzing.coverage import VirginMap, classify
+from repro.fuzzing.coverage import VirginMap, coverage_signature
 from repro.parallel import (
     ParallelCampaign,
     ParallelConfig,
@@ -81,7 +81,7 @@ def _candidate(shard, entry_id, data, cells):
         raw[index] = count
     return SyncCandidate(
         shard_id=shard, entry_id=entry_id, data=data,
-        signature=classify(raw).tobytes(), exec_ns=1000,
+        signature=coverage_signature(raw), exec_ns=1000,
     )
 
 
@@ -348,6 +348,28 @@ class TestCoordinatedCheckpoint:
             checkpoint_path=path,
         ), rounds=2)
         result = ParallelCampaign.resume(path).run()
+        assert result.digest() == golden.digest()
+
+    def test_dense_format_checkpoint_resumes_bit_identically(
+        self, golden, tmp_path
+    ):
+        """A fleet checkpoint pickled before coverage went sparse (dense
+        signatures in the hub and the shards' barrier states, numpy
+        virgin maps) resumes to the uninterrupted run's digest."""
+        from repro.fuzzing.checkpoint import load_checkpoint, save_state
+        from tests.helpers import as_dense_checkpoint
+        path = str(tmp_path / "fleet.ckpt")
+        _dropped_at_barrier(_config(checkpoint_path=path), rounds=2)
+        state = load_checkpoint(path)
+        assert state["hub"]["accepted"]
+        as_dense_checkpoint(state)
+        save_state(state, path)
+        assert os.path.getsize(path) > 65536 * len(state["hub"]["accepted"])
+
+        resumed = ParallelCampaign.resume(path)
+        assert all(len(c.signature) % 3 == 0 for c in resumed.hub.accepted)
+        result = resumed.run()
+        assert result.resumed
         assert result.digest() == golden.digest()
 
     def test_resume_rejects_mismatched_config(self, tmp_path):

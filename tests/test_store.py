@@ -41,6 +41,7 @@ from repro.fuzzing import (
     save_checkpoint,
 )
 from repro.fuzzing.corpus import input_hash
+from repro.fuzzing.coverage import coverage_signature, signature_bits
 from repro.minic import compile_c
 from repro.parallel import (
     ParallelCampaign,
@@ -504,9 +505,12 @@ class TestCorpusStore:
         subset = store.put(b"covers-bit-0")
         disjoint = store.put(b"covers-bit-11")
         entries = [
-            (subset, b"\x01\x00", 2),      # nothing beyond the superset
-            (superset, b"\x03\x00", 1),    # cheapest, covers bits {0,1}
-            (disjoint, b"\x00\x08", 3),    # the only cover of bit 11
+            # nothing beyond the superset
+            (subset, coverage_signature(bytes([1])), 2),
+            # cheapest, covers bits {0, 8}
+            (superset, coverage_signature(bytes([1, 1])), 1),
+            # the only cover of bit 11 (cell 1, bucket 8)
+            (disjoint, coverage_signature(bytes([0, 4])), 3),
         ]
         selected = store.distill(entries)
         assert selected == [superset, disjoint]
@@ -602,10 +606,10 @@ class TestCampaignWiring:
         signatures = {digest: sig for digest, sig, _ in entries}
         full = 0
         for _digest, sig, _w in entries:
-            full |= int.from_bytes(sig, "little")
+            full |= signature_bits(sig)
         distilled = 0
         for digest in selected:
-            distilled |= int.from_bytes(signatures[digest], "little")
+            distilled |= signature_bits(signatures[digest])
         assert distilled == full
         assert 0 < len(selected) <= len(entries)
         # Every selected digest resolves from the store.
