@@ -513,11 +513,13 @@ class Campaign:
                 if not candidate:
                     break
                 # A crash never trims, so only a non-crash is classified
-                # (a hang comes back classified, for its hang id).
+                # (a hang comes back classified, for its hang id; an
+                # empty map's signature is b"").
                 result, signature = self._execute(candidate, signed=False)
                 budget -= 1
                 if not result.is_crash and (
-                    signature or coverage_signature(result.coverage)
+                    signature if signature is not None
+                    else coverage_signature(result.coverage)
                 ) == entry.coverage_signature:
                     data = candidate          # chunk was irrelevant
                 else:
