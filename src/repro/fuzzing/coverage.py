@@ -18,8 +18,10 @@ so classifying, observing and storing one costs microseconds and a
 few hundred bytes.  Checkpoints written before this encoding hold
 dense signatures (the whole classified map); 65,536 is not a multiple
 of 3, so :func:`sparse_signature` tells them apart by length and
-converts them on load.  The virgin map stays dense: campaign digests
-hash its bytes.
+converts them on load.  The virgin map stays dense in memory, since
+campaign digests hash its bytes, but pickles sparse: the cells
+something was seen in, encoded as a signature is (each cell's virgin
+byte in place of its bucket).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ _CLASSES = bytes([0, 1, 2, 4] + [8] * 4 + [16] * 8 + [32] * 16
                  + [64] * 96 + [128] * 128)
 #: Maps every nonzero byte to 1 (the scan for maps without a cell list).
 _NONZERO = bytes([0] + [1] * 255)
+#: Maps every byte below 0xFF to 1 (the virgin cells something was seen in).
+_SEEN = bytes([1] * 255 + [0])
 _SWAP = sys.byteorder != "little"
 
 
@@ -44,9 +48,10 @@ def classify(counts: bytes | bytearray) -> bytes:
     return counts.translate(_CLASSES)
 
 
-def _touched(counts: bytes | bytearray) -> list[int]:
-    """Ascending nonzero cells of a dense map, found by a scan."""
-    flags = counts.translate(_NONZERO)
+def _touched(counts: bytes | bytearray, table: bytes = _NONZERO) -> list[int]:
+    """Ascending nonzero cells of a dense map (the cells *table* maps
+    to 1), found by a scan."""
+    flags = counts.translate(table)
     cells = []
     cell = flags.find(1)
     while cell >= 0:
@@ -141,10 +146,17 @@ class VirginMap:
         self.size = size
         self.virgin = bytearray(b"\xff") * size
 
+    def __getstate__(self) -> dict:
+        return {"size": self.size, "seen": self.to_sparse()}
+
     def __setstate__(self, state: dict) -> None:
-        # Checkpoints written while the map was a numpy array hold one.
-        state["virgin"] = bytearray(state["virgin"])
-        self.__dict__.update(state)
+        self.size = state["size"]
+        if "seen" in state:
+            self.virgin = VirginMap.from_sparse(state["seen"], self.size).virgin
+        else:
+            # Checkpoints written before the map pickled sparse hold it
+            # dense: a bytearray, or a numpy array in older ones.
+            self.virgin = bytearray(state["virgin"])
 
     def observe(self, signature: bytes) -> int:
         """Fold in one signature — an execution's, or a corpus entry's
@@ -187,4 +199,21 @@ class VirginMap:
         """Rebuild a map serialised with :meth:`to_bytes`."""
         virgin = cls(size=len(payload))
         virgin.virgin = bytearray(payload)
+        return virgin
+
+    def to_sparse(self) -> bytes:
+        """The cells something was seen in (virgin byte below 0xFF) and
+        their virgin bytes, in the signature encoding: the checkpoint
+        form."""
+        cells = _touched(self.virgin, _SEEN)
+        return _encode(cells, bytes([self.virgin[cell] for cell in cells]))
+
+    @classmethod
+    def from_sparse(cls, payload: bytes,
+                    size: int = COVERAGE_MAP_SIZE) -> "VirginMap":
+        """Rebuild a map of *size* cells serialised with :meth:`to_sparse`."""
+        virgin = cls(size)
+        cells, values = _decode(payload)
+        for cell, value in zip(cells, values):
+            virgin.virgin[cell] = value
         return virgin

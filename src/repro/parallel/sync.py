@@ -212,7 +212,7 @@ class SyncHub:
         return {
             "n_workers": self.n_workers,
             "max_imports_per_sync": self.max_imports_per_sync,
-            "virgin": self.virgin.to_bytes(),
+            "virgin": self.virgin.to_sparse(),
             "seen_hashes": sorted(self.seen_hashes),
             "accepted": list(self.accepted),
             "outboxes": [list(outbox) for outbox in self.outboxes],
@@ -224,7 +224,11 @@ class SyncHub:
     def from_state(cls, state: dict, store=None) -> "SyncHub":
         hub = cls(state["n_workers"], state["max_imports_per_sync"],
                   store=store)
-        hub.virgin = VirginMap.from_bytes(state["virgin"])
+        virgin = state["virgin"]
+        # Checkpoints written before the hub's map went sparse hold all
+        # of it (65,536 bytes, never a whole number of 3-byte cells).
+        hub.virgin = (VirginMap.from_bytes(virgin) if len(virgin) % 3
+                      else VirginMap.from_sparse(virgin))
         hub.seen_hashes = set(state["seen_hashes"])
         hub.accepted = list(state["accepted"])
         hub.outboxes = [deque(items) for items in state["outboxes"]]

@@ -99,6 +99,7 @@ class Kernel:
         # imports repro.chaos — the injection plane stays above it.
         self.faults = faults
         self.stats = KernelStats()
+        # Running processes only: reaping one drops its record.
         self.processes: dict[int, ProcessRecord] = {}
         self._pids = itertools.count(1000)
 
@@ -167,6 +168,7 @@ class Kernel:
         process.state = ProcessState.CRASHED if crashed else ProcessState.EXITED
         process.exit_code = exit_code
         process.ended_at_ns = self.clock.now_ns
+        self.processes.pop(process.pid, None)
         if self.tracer.enabled:
             self.tracer.span_at(
                 "kernel.teardown", self.clock.now_ns - cost, self.clock.now_ns,
@@ -193,6 +195,4 @@ class Kernel:
         self.clock.advance(ns)
 
     def live_process_count(self) -> int:
-        return sum(
-            1 for p in self.processes.values() if p.state is ProcessState.RUNNING
-        )
+        return len(self.processes)

@@ -16,15 +16,28 @@ each cell it moves off 0).  The decoded code hangs off the module (``Module.deco
 shared by every VM with the same global layout; whatever rewrites a
 module in place after it may have run sets that back to ``None``.
 
+A load or store whose pointer operand is an alloca of the function,
+defined on every path to it, or a laid-out global (a writable one, for
+a store), and which fits that region, cannot trap: the alloca's region
+lives until its frame exits, and globals are never unmapped.  Such an
+access reads or writes the region's bytes directly, found through a
+register slot the alloca fills (its region's ``data``) or through the
+VM's ``global_regions``, and still counts a store's bytes in
+``memory.bytes_written``.  Every other access goes through the address
+space's checked ``read_int``/``write_int``.  A frame's regions are
+mapped and unmapped last-in-first-out (``AddressSpace.map_stack`` and
+``unmap_frame``).
+
 All values are Python ints in unsigned representation; pointers are
 addresses in the VM's address space.  Every executed instruction
 charges virtual nanoseconds to the VM clock, which is what the
 simulated-OS cost model and the throughput experiments (Table 5) are
 built on.  A block runs as straight-line segments, each charged its
-cost and instruction count at once; a segment ends at every
-instruction that can raise, and one that would cross the instruction
-limit runs an instruction at a time, so traps, hangs and the clock
-land exactly where instruction-at-a-time execution puts them.
+cost and instruction count at once; a segment ends only at an
+instruction that can raise (a direct load or store cannot), and one
+that would cross the instruction limit runs an instruction at a time,
+so traps, hangs and the clock land exactly where instruction-at-a-time
+execution puts them.
 """
 
 from __future__ import annotations
@@ -412,8 +425,9 @@ class _FunctionCode:
     ``tail`` is the register template after the argument slots
     (constants and global addresses filled in, every other slot None
     until written); ``frame`` is the slot holding the frame's alloca
-    regions, if it has any.  Each block is a tuple ``(name, phis,
-    segments, kind, x, y, z)``:
+    regions in the order they were mapped, if it has any, and each
+    alloca also has a slot holding its newest region's bytes.  Each
+    block is a tuple ``(name, phis, segments, kind, x, y, z)``:
 
     - ``phis`` is None or ``(moves, count, cost)``, where ``moves``
       maps the predecessor's block index (-1 on function entry) to the
@@ -503,10 +517,7 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
     finally:
         vm._call_depth -= 1
         if frame is not None:
-            memory = vm.memory
-            for region in r[frame]:
-                if region.alive:
-                    memory.unmap(region)
+            vm.memory.unmap_frame(r[frame])
 
 
 def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> None:
@@ -574,8 +585,9 @@ def _decode(function: Function, layout: dict[str, int], observed: bool,
 class _Decoder:
     """One function's decoding state: its blocks by index, each split
     into leading phis and a body through its first terminator, the
-    register slot of every value it defines, and the register template
-    (constants and global addresses are appended as they are used)."""
+    register slot of every value it defines (and of each alloca's
+    region bytes), and the register template (constants and global
+    addresses are appended as they are used)."""
 
     def __init__(self, function: Function, layout: dict[str, int],
                  observed: bool):
@@ -589,6 +601,7 @@ class _Decoder:
         self.index = {block: i for i, block in enumerate(self.blocks)}
         self.slots: dict[Value, int] = {arg: i for i, arg in enumerate(function.args)}
         self.template: list = [None] * len(self.slots)
+        self.data: dict[Alloca, int] = {}
         self.heads, self.bodies, self.succs = [], [], []
         for block in self.blocks:
             insts = block.instructions
@@ -611,6 +624,8 @@ class _Decoder:
             for inst in insts[:k] + [inst for inst in body if type(inst) in _VALUES
                                      or type(inst) is Call and not inst.type.is_void]:
                 self.slots[inst] = self.new_slot()
+                if type(inst) is Alloca:
+                    self.data[inst] = self.new_slot()
         self.consts: dict[int, int] = {}
         self.undefined: int | None = None   # a slot nothing ever writes
         self.frame: int | None = None
@@ -682,6 +697,25 @@ class _Decoder:
                 self.undefined = self.new_slot()
             return self.undefined, value
         return slot, (None if known >> slot & 1 else value)
+
+    def direct(self, ptr: Value, size: int, known: int, store: bool):
+        """The region an access of *size* bytes through *ptr* reads or
+        writes without a check: ``(data slot, None)`` for an alloca of
+        this frame defined on every path here, ``(None, name)`` for a
+        laid-out global (a writable one, for a store), or None when the
+        access takes the checked path.  A zero-size access does too: on
+        a zero-size region, which contains no address, it traps."""
+        cls = type(ptr)
+        if cls is Alloca:
+            slot = self.slots.get(ptr)
+            if (slot is not None and known >> slot & 1
+                    and 0 < size <= ptr.allocation_size()):
+                return self.data[ptr], None
+        elif (cls is GlobalVariable and ptr.name in self.layout
+                and 0 < size <= ptr.value_type.size()
+                and not (store and ptr.is_constant)):
+            return None, ptr.name
+        return None
 
     def block(self, b: int, known: int, known_out: list, preds: list) -> tuple:
         block = self.blocks[b]
@@ -772,11 +806,20 @@ class _Decoder:
             ops.append(_icmp(inst.predicate, signed_bits, slots[inst], lhs, rhs))
             return ops, False, False, cost, None
         if cls is Load:
-            op = _load(slots[inst], take(inst.ptr), inst.type.size())
+            size = inst.type.size()
+            region = self.direct(inst.ptr, size, known, False)
+            if region is not None:
+                return [_load_direct(slots[inst], *region, size)], False, False, cost, None
+            op = _load(slots[inst], take(inst.ptr), size)
             return [op], True, False, cost, None
         if cls is Store:
+            size = inst.value.type.size()
+            region = self.direct(inst.ptr, size, known, True)
+            if region is not None:
+                op = _store_direct(*region, take(inst.value), size)
+                return [op], False, False, cost, None
             ptr, value = take(inst.ptr), take(inst.value)
-            return [_store(ptr, value, inst.value.type.size())], True, False, cost, None
+            return [_store(ptr, value, size)], True, False, cost, None
         if cls is GetElementPtr:
             return [self.gep(inst, take)], False, False, cost, None
         if cls is Call:
@@ -792,8 +835,8 @@ class _Decoder:
         if cls is Alloca:
             if self.frame is None:
                 self.frame = self.new_slot()
-            op = _alloca(slots[inst], self.frame, inst.allocation_size(),
-                         f"{self.function.name}.{inst.name}")
+            op = _alloca(slots[inst], self.frame, self.data[inst],
+                         inst.allocation_size(), f"{self.function.name}.{inst.name}")
             return [op], True, False, cost, None
         if cls is Cast:
             value = take(inst.value)
@@ -1035,12 +1078,39 @@ def _store(ptr: int, value: int, size: int):
     return run
 
 
-def _alloca(d: int, frame: int, size: int, tag: str):
+def _load_direct(d: int, data: int | None, name: str | None, size: int):
+    """A load that cannot trap: from the bytes in slot *data* (an
+    alloca's), or from global *name*'s."""
+    if data is not None:
+        def run(r, vm):
+            r[d] = int.from_bytes(r[data][0:size], "little")
+    else:
+        def run(r, vm):
+            r[d] = int.from_bytes(vm.global_regions[name].data[0:size], "little")
+    return run
+
+
+def _store_direct(data: int | None, name: str | None, value: int, size: int):
+    """A store that cannot trap, into *data* or *name* as
+    :func:`_load_direct`; its bytes still count as written."""
+    m = (1 << (size * 8)) - 1
+    if data is not None:
+        def run(r, vm):
+            r[data][0:size] = (r[value] & m).to_bytes(size, "little")
+            vm.memory.bytes_written += size
+    else:
+        def run(r, vm):
+            vm.global_regions[name].data[0:size] = (r[value] & m).to_bytes(size, "little")
+            vm.memory.bytes_written += size
+    return run
+
+
+def _alloca(d: int, frame: int, data: int, size: int, tag: str):
     def run(r, vm):
-        memory = vm.memory
-        region = memory.map_region(memory.stack_segment, size, True, "stack", tag)
+        region = vm.memory.map_stack(size, tag)
         r[frame].append(region)
         r[d] = region.base
+        r[data] = region.data
     return run
 
 

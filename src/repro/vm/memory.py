@@ -12,6 +12,16 @@ sorted region bases.  Freed regions are remembered in a bounded FIFO
 so the memcheck layer can distinguish *use-after-free* from plain
 *unaddressable* accesses — the same distinction Valgrind draws in the
 paper's §6.1.4 validation.
+
+Stack frames map last-in-first-out.  Stack regions are the highest
+mapped regions (FILE handles are not regions), and a frame's regions
+are mapped after its caller's and unmapped before them, so
+:meth:`AddressSpace.map_stack` appends its base and
+:meth:`AddressSpace.unmap_frame` truncates the sorted bases in one
+call.  Decoded code reads and writes a frame's own allocas and named
+globals through the region's bytes directly (see
+``repro.vm.interpreter``): :meth:`AddressSpace.read_int` and
+:meth:`AddressSpace.write_int` see only the accesses that are checked.
 """
 
 from __future__ import annotations
@@ -115,6 +125,30 @@ class AddressSpace:
         self._bases.insert(index, base)
         self._regions[base] = region
         return region
+
+    def map_stack(self, size: int, tag: str) -> MemoryRegion:
+        """Map one alloca's region: ``map_region`` on the stack segment,
+        whose new base is above every mapped one."""
+        base = self.stack_segment.reserve(max(size, 1) + RED_ZONE)
+        region = MemoryRegion(base, size, True, "stack", tag)
+        self._bases.append(base)
+        self._regions[base] = region
+        return region
+
+    def unmap_frame(self, regions: list[MemoryRegion]) -> None:
+        """Unmap one frame's regions, in the order they were mapped:
+        ``unmap`` of each, the last ``len(regions)`` bases dropped at
+        once."""
+        if not regions:     # ``del bases[-0:]`` would empty the list
+            return
+        del self._bases[-len(regions):]
+        live, dead = self._regions, self._dead
+        for region in regions:
+            region.alive = False
+            del live[region.base]
+            dead[region.base] = region
+        while len(dead) > self.DEAD_REGION_MEMORY:
+            dead.popitem(last=False)
 
     def unmap(self, region: MemoryRegion) -> None:
         if not region.alive:
@@ -226,8 +260,9 @@ class AddressSpace:
         region.data[offset:offset + len(data)] = data
         self.bytes_written += len(data)
 
-    # The scalar accessors behind every Load and Store: ``check`` and
-    # the slice inlined, the last region tried before the lookup.
+    # The scalar accessors behind every checked Load and Store:
+    # ``check`` and the slice inlined, the last region tried before the
+    # lookup.
 
     def read_int(self, address: int, size: int, site: CrashSite) -> int:
         region = self._last

@@ -8,6 +8,7 @@ virtual clock.
 """
 
 import os
+import pickle
 
 import pytest
 
@@ -280,8 +281,8 @@ class TestResume:
 
     def test_dense_format_checkpoint_resumes_bit_identically(self, tmp_path):
         """A checkpoint pickled before coverage went sparse (dense
-        signatures, a numpy virgin map) resumes to the uninterrupted
-        run's digest."""
+        signatures, a dense virgin map: numpy, or a bytearray) resumes
+        to the uninterrupted run's digest."""
         uninterrupted = _campaign(
             CampaignConfig(budget_ns=BUDGET_NS, seed=7)
         )
@@ -296,16 +297,18 @@ class TestResume:
             )
         )
         run_killed(halted, BUDGET_NS * 6 // 10)
-        state = load_checkpoint(path)
-        as_dense_checkpoint(state)
-        save_state(state, path)
-        entries = load_checkpoint(path)["corpus"].entries
-        assert all(len(e.coverage_signature) % 3 == 0 for e in entries)
-        assert os.path.getsize(path) > 65536 * len(entries)
+        sparse = pickle.dumps(load_checkpoint(path))
+        for virgin in ("numpy", "bytearray"):
+            state = pickle.loads(sparse)
+            as_dense_checkpoint(state, virgin)
+            save_state(state, path)
+            entries = load_checkpoint(path)["corpus"].entries
+            assert all(len(e.coverage_signature) % 3 == 0 for e in entries)
+            assert os.path.getsize(path) > 65536 * (len(entries) + 1)
 
-        resumed = Campaign.resume(path, _executor())
-        assert _fingerprint(resumed, resumed.run()) == golden
-        assert resumed.state_digest() == uninterrupted.state_digest()
+            resumed = Campaign.resume(path, _executor())
+            assert _fingerprint(resumed, resumed.run()) == golden, virgin
+            assert resumed.state_digest() == uninterrupted.state_digest()
 
     def test_resume_continues_not_restarts(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")

@@ -2,6 +2,7 @@
 and campaign behaviour."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -87,6 +88,20 @@ class TestVirginMap:
         virgin = VirginMap()
         virgin.observe(signed({1: 1, 2: 1, 3: 1}))
         assert virgin.edges_found() == 3
+
+    def test_pickles_only_the_seen_cells(self):
+        virgin = VirginMap()
+        virgin.observe(signed({0: 1, 7: 200, COVERAGE_MAP_SIZE - 1: 3}))
+        virgin.observe(signed({7: 1}))
+        data = pickle.dumps(virgin)
+        assert len(data) < 200
+        restored = pickle.loads(data)
+        assert restored.size == COVERAGE_MAP_SIZE
+        assert restored.to_bytes() == virgin.to_bytes()
+        assert VirginMap.from_sparse(virgin.to_sparse()).to_bytes() == \
+            virgin.to_bytes()
+        assert pickle.loads(pickle.dumps(VirginMap())).to_bytes() == \
+            b"\xff" * COVERAGE_MAP_SIZE
 
 
 #: Hangs on a leading 'H'; the compare on the second byte gives the

@@ -12,6 +12,13 @@ whose header has a phi and a call, and a hand-built function runs
 every opcode, predicate and cast over each kind of constant and
 address fold.  A wrong opcode cost, fold or segment boundary moves a
 result, ``cost_ns`` or ``instructions`` here.
+
+After every replay and every forkserver and ClosureX exec the address
+spaces must be equal too: bytes written (the copy-on-write charge),
+the live region bases in order, the freed-region FIFO and the segment
+cursors.  Hand-built edge cases pin the loads and stores decoded code
+runs without a check (frame allocas, named globals) and its
+last-in-first-out stack frames.
 """
 
 import dataclasses
@@ -35,11 +42,12 @@ from repro.ir import (
     int_type,
     pointer_type,
 )
-from repro.passes.coverage import COV_GUARD
-from repro.runtime.replay import replay
+from repro.minic import compile_c
+from repro.passes.coverage import COV_GUARD, CoveragePass
+from repro.runtime.replay import Observation, replay
 from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
-from repro.vm import VM, ExecutionLimitExceeded
+from repro.vm import VM, TrapKind, VMError
 from tests.reference_interpreter import ReferenceVM
 
 MUTANTS = 20
@@ -67,6 +75,58 @@ def fields(observation) -> dict:
     return out
 
 
+def address_space(vm) -> tuple:
+    """What execution left in *vm*'s address space: bytes written, the
+    live region bases in order, the freed-region FIFO's bases and tags
+    in order, and the global, heap and stack segment cursors."""
+    memory = vm.memory
+    return (memory.bytes_written, list(memory._bases),
+            [(base, region.tag) for base, region in memory._dead.items()],
+            (memory.global_segment.cursor, memory.heap_segment.cursor,
+             memory.stack_segment.cursor))
+
+
+def run_both(module, function, args, limit=None, counts=False):
+    """Call *function* on a fresh VM of each interpreter; the two runs
+    must agree on the result or the error (type, trap kind and
+    message), cost, instruction count, coverage and address space.
+    Returns the decoded VM and its outcome."""
+    runs = []
+    for vm_class in (VM, ReferenceVM):
+        vm = vm_class(module, opcode_counts={} if counts else None,
+                      libc_counts={} if counts else None)
+        vm.load()
+        if limit is not None:
+            vm.instruction_limit = limit
+        try:
+            outcome = vm.run_function(function, args)
+        except VMError as exc:
+            outcome = (type(exc).__name__, getattr(exc, "kind", None), str(exc))
+        runs.append((vm, (outcome, vm.cost, vm.instructions_executed,
+                          bytes(vm.coverage_map), vm.coverage_map.cells,
+                          vm.opcode_counts, vm.libc_counts,
+                          address_space(vm))))
+    (vm, decoded), (_, reference) = runs
+    assert decoded == reference
+    return vm, decoded[0]
+
+
+def sweep(module, function, args) -> tuple:
+    """:func:`run_both` at every instruction limit from 1 until the call
+    finishes: each limit below the call's length must hang exactly
+    there with every frame unmapped.  Returns the finished outcome and
+    how many limits hung."""
+    limit = 0
+    while True:
+        limit += 1
+        vm, outcome = run_both(module, function, args, limit=limit, counts=True)
+        if not isinstance(outcome, tuple):
+            return outcome, limit - 1
+        assert outcome == ("ExecutionLimitExceeded", None,
+                           f"execution exceeded {limit} instructions")
+        assert vm.stack_region_count() == 0
+
+
 @pytest.mark.parametrize("name,optimize", BUILDS,
                          ids=[f"{n}{'-opt' if o else ''}" for n, o in BUILDS])
 def test_replays_match_reference(name, optimize, monkeypatch):
@@ -75,10 +135,24 @@ def test_replays_match_reference(name, optimize, monkeypatch):
     inputs = list(spec.seeds) + mutants(spec)
     pollution = inputs[-2:]
 
+    capture = Observation.capture
+
     def observe_all():
-        return [fields(replay(module, data, pollution=pollution, trace=True,
-                              snapshot=True, boot_time=REPLAY_BOOT_TIME))
-                for data in inputs]
+        spaces = []
+
+        def capture_space(vm, iteration, **kwargs):
+            spaces.append(address_space(vm))
+            return capture(vm, iteration, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Observation, "capture", capture_space)
+            observed = [fields(replay(module, data, pollution=pollution,
+                                      trace=True, snapshot=True,
+                                      boot_time=REPLAY_BOOT_TIME))
+                        for data in inputs]
+        for observation, space in zip(observed, spaces, strict=True):
+            observation["address_space"] = space
+        return observed
 
     decoded = observe_all()
     with monkeypatch.context() as patch:
@@ -109,7 +183,8 @@ def test_forkserver_counts_and_compare_records_match(name, monkeypatch):
             result = executor.run(data)
             records.append(observer.take())
             results.append((result.status, result.return_code,
-                            result.instructions, bytes(result.coverage)))
+                            result.instructions, bytes(result.coverage),
+                            address_space(executor.last_vm)))
         return results, opcodes, libc, records, executor.clock.now_ns
 
     decoded = run_all()
@@ -136,17 +211,20 @@ def test_cell_lists_are_the_touched_cells(name, executor_class, monkeypatch):
         executor.boot()
         lists = []
         for data in inputs:
+            # A crashed ClosureX exec respawns: keep the VM that ran it.
+            vm = executor.harness.vm if executor_class is ClosureXExecutor else None
             coverage = executor.run(data).coverage
             assert sorted(coverage.cells) == [
                 cell for cell, hits in enumerate(coverage) if hits]
-            lists.append(list(coverage.cells))
+            lists.append((list(coverage.cells),
+                          address_space(vm or executor.last_vm)))
         return lists
 
     decoded = cell_lists()
     with monkeypatch.context() as patch:
         on_reference(patch)
         reference = cell_lists()
-    assert any(decoded) and decoded == reference
+    assert any(cells for cells, _ in decoded) and decoded == reference
 
 
 def phi_call_loop() -> tuple[Module, object]:
@@ -192,29 +270,10 @@ def test_phi_call_loop_runs(vm_class):
 
 def test_instruction_limit_sweep_matches_reference():
     module, f = phi_call_loop()
-
-    def hang_point(vm_class, limit):
-        counts = {}
-        vm = vm_class(module, opcode_counts=counts, libc_counts={})
-        vm.load()
-        vm.instruction_limit = limit
-        try:
-            outcome = vm.run_function(f, [6])
-        except ExecutionLimitExceeded as exc:
-            outcome = ("hang", exc.limit)
-        return (outcome, vm.cost, vm.instructions_executed, counts,
-                vm.libc_counts, bytes(vm.coverage_map), vm.stack_region_count())
-
-    outcomes = []
-    for limit in range(1, 110):
-        decoded = hang_point(VM, limit)
-        assert decoded == hang_point(ReferenceVM, limit), limit
-        outcomes.append(decoded[0])
-    # Every limit below the run's length hangs; the rest finish.
-    finished = outcomes.index(outcomes[-1])
-    assert 60 < finished < 100
-    assert outcomes[:finished] == [("hang", n) for n in range(1, finished + 1)]
-    assert set(outcomes[finished:]) == {outcomes[-1]}
+    finished, hangs = sweep(module, f, [6])
+    assert 60 < hangs < 100
+    for limit in range(hangs + 1, 110):
+        assert run_both(module, f, [6], limit=limit, counts=True)[1] == finished
 
 
 def every_opcode() -> tuple[Module, object]:
@@ -291,3 +350,157 @@ def test_every_opcode_and_fold_matches_reference(x):
         vm.load()
         runs.append((vm.run_function(f, [x]), vm.cost, vm.instructions_executed))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# loads and stores without a check, and last-in-first-out frames
+# ---------------------------------------------------------------------------
+
+
+def test_store_to_constant_global_traps_read_only():
+    module = Module("ro")
+    i32 = int_type(32)
+    limit = module.add_global("limit", i32, is_constant=True)
+    counter = module.add_global("counter", i32)
+    f = module.add_function("f", FunctionType(I32, []))
+    b = IRBuilder(f.append_block("entry"))
+    b.store(b.i32(5), counter)
+    b.store(b.add(b.load(limit), b.load(counter)), limit)
+    b.ret(b.i32(0))
+    vm, outcome = run_both(module, f, [])
+    assert outcome[:2] == ("VMTrap", TrapKind.INVALID_WRITE)
+    assert "read-only global region 'limit'" in outcome[2]
+    assert vm.memory.bytes_written == 4
+    assert vm.global_regions["counter"].data == (5).to_bytes(4, "little")
+
+
+def test_zero_size_access_to_a_zero_size_alloca_traps():
+    module = Module("empty_array")
+    empty = ArrayType(int_type(32), 0)
+    f = module.add_function("f", FunctionType(I32, []))
+    b = IRBuilder(f.append_block("entry"))
+    b.load(b.alloca(empty, name="none"))
+    b.ret(b.i32(0))
+    _, outcome = run_both(module, f, [])
+    assert outcome[:2] == ("VMTrap", TrapKind.INVALID_READ)
+
+
+def test_pointer_into_returned_frame_is_use_after_free():
+    module = Module("uar")
+    i32, i64 = int_type(32), int_type(64)
+    g = module.add_function("g", FunctionType(pointer_type(i32), []))
+    gb = IRBuilder(g.append_block("entry"))
+    first = gb.alloca(i64, name="first")
+    slot = gb.alloca(i32, name="kept")
+    gb.store(gb.i32(7), slot)
+    gb.ret(slot)
+    f = module.add_function("f", FunctionType(I32, []))
+    b = IRBuilder(f.append_block("entry"))
+    own = b.alloca(i32, name="own")
+    b.store(b.i32(1), own)
+    b.ret(b.add(b.load(b.call(g, [])), b.load(own)))
+    vm, outcome = run_both(module, f, [])
+    assert outcome[:2] == ("VMTrap", TrapKind.USE_AFTER_FREE)
+    assert f"freed stack region 'g.{slot.name}'" in outcome[2]
+    assert [region.tag for region in vm.memory._dead.values()] == [
+        f"g.{first.name}", f"g.{slot.name}", f"f.{own.name}"]
+    assert vm.stack_region_count() == 0
+
+
+def test_alloca_in_a_loop_reaches_its_newest_region():
+    """Each iteration's alloca maps a new region; the loads and stores
+    after it reach that one, and return unmaps them all, oldest first."""
+    module = Module("loop")
+    i32 = int_type(32)
+    f = module.add_function("f", FunctionType(I32, [I32]))
+    f.ensure_args(["n"])
+    entry, loop, done = (f.append_block(n) for n in ("entry", "loop", "done"))
+    IRBuilder(entry).br(loop)
+    b = IRBuilder(loop)
+    i, total = b.phi(i32), b.phi(i32)
+    slot = b.alloca(i32, name="cell")
+    b.store(b.mul(i, b.i32(10)), slot)
+    acc = b.add(total, b.load(slot))
+    step = b.add(i, b.i32(1))
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(step, loop)
+    total.add_incoming(b.i32(0), entry)
+    total.add_incoming(acc, loop)
+    b.cond_br(b.icmp("slt", step, f.args[0]), loop, done)
+    IRBuilder(done).ret(acc)
+    vm, outcome = run_both(module, f, [5])
+    assert outcome == 100
+    dead = list(vm.memory._dead.values())
+    assert [region.tag for region in dead] == [f"f.{slot.name}"] * 5
+    assert [region.base for region in dead] == sorted(r.base for r in dead)
+    assert [int.from_bytes(region.data, "little") for region in dead] == [
+        0, 10, 20, 30, 40]
+    assert vm.stack_region_count() == 0
+    assert vm.memory.bytes_written == 20
+
+
+def test_frame_that_mapped_nothing_unmaps_nothing():
+    """A callee whose only alloca is in a block it never reaches leaves
+    its caller's frame and the globals mapped."""
+    module = Module("empty")
+    i32 = int_type(32)
+    counter = module.add_global("counter", i32)
+    inner = module.add_function("inner", FunctionType(I32, [I32]))
+    inner.ensure_args(["x"])
+    entry, never, out = (inner.append_block(n) for n in ("entry", "never", "out"))
+    eb, nb, ob = IRBuilder(entry), IRBuilder(never), IRBuilder(out)
+    eb.cond_br(eb.icmp("ne", inner.args[0], eb.i32(0)), never, out)
+    nb.store(inner.args[0], nb.alloca(i32, name="unused"))
+    nb.br(out)
+    ob.ret(ob.i32(2))
+    f = module.add_function("f", FunctionType(I32, []))
+    b = IRBuilder(f.append_block("entry"))
+    own = b.alloca(i32, name="own")
+    b.store(b.i32(40), own)
+    b.store(b.i32(1), counter)
+    called = b.call(inner, [b.i32(0)])
+    # Through GEPs, so both loads take the checked path.
+    mine = b.load(b.gep(own, [b.i64(0)]))
+    shared = b.load(b.gep(counter, [b.i64(0)]))
+    b.ret(b.add(called, b.add(mine, shared)))
+    vm, outcome = run_both(module, f, [])
+    assert outcome == 43
+    assert vm.memory._bases == [vm.global_regions["counter"].base]
+    assert [region.tag for region in vm.memory._dead.values()] == [f"f.{own.name}"]
+
+
+SWEEP_SOURCE = r"""
+int total;
+int table[4];
+
+int scaled(int x) {
+    int y = x * 3;
+    return y + 1;
+}
+
+int f(int n) {
+    int acc = 0;
+    int buf[4];
+    for (int i = 0; i < n; i++) {
+        buf[i & 3] = scaled(i);
+        acc = acc + buf[i & 3];
+        total = total + acc;
+        table[i & 3] = total;
+    }
+    return acc + total;
+}
+"""
+
+
+def test_instruction_limit_sweep_over_minic_frames():
+    """An unoptimized MiniC build (allocas, direct and checked loads and
+    stores, coverage guards, calls) hangs at every limit below its
+    length with the same cost, count, coverage and address space on
+    both interpreters."""
+    module = compile_c(SWEEP_SOURCE, "sweep")
+    CoveragePass(seed=1).run(module)
+    f = module.get_function("f")
+    finished, hangs = sweep(module, f, [6])
+    assert finished == sum(3 * i + 1 for i in range(6)) + sum(
+        sum(3 * j + 1 for j in range(i + 1)) for i in range(6))
+    assert hangs > 200

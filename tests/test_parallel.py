@@ -12,6 +12,7 @@ coordinated checkpoint.
 from __future__ import annotations
 
 import os
+import pickle
 
 import pytest
 
@@ -354,23 +355,27 @@ class TestCoordinatedCheckpoint:
         self, golden, tmp_path
     ):
         """A fleet checkpoint pickled before coverage went sparse (dense
-        signatures in the hub and the shards' barrier states, numpy
-        virgin maps) resumes to the uninterrupted run's digest."""
+        signatures in the hub and the shards' barrier states, dense
+        virgin maps: the hub's bytes, and numpy arrays or bytearrays in
+        the shards) resumes to the uninterrupted run's digest."""
         from repro.fuzzing.checkpoint import load_checkpoint, save_state
         from tests.helpers import as_dense_checkpoint
         path = str(tmp_path / "fleet.ckpt")
         _dropped_at_barrier(_config(checkpoint_path=path), rounds=2)
-        state = load_checkpoint(path)
-        assert state["hub"]["accepted"]
-        as_dense_checkpoint(state)
-        save_state(state, path)
-        assert os.path.getsize(path) > 65536 * len(state["hub"]["accepted"])
+        sparse = pickle.dumps(load_checkpoint(path))
+        for virgin in ("numpy", "bytearray"):
+            state = pickle.loads(sparse)
+            assert state["hub"]["accepted"]
+            as_dense_checkpoint(state, virgin)
+            save_state(state, path)
+            assert len(load_checkpoint(path)["hub"]["virgin"]) == 65536
+            assert os.path.getsize(path) > 65536 * len(state["hub"]["accepted"])
 
-        resumed = ParallelCampaign.resume(path)
-        assert all(len(c.signature) % 3 == 0 for c in resumed.hub.accepted)
-        result = resumed.run()
-        assert result.resumed
-        assert result.digest() == golden.digest()
+            resumed = ParallelCampaign.resume(path)
+            assert all(len(c.signature) % 3 == 0 for c in resumed.hub.accepted)
+            result = resumed.run()
+            assert result.resumed
+            assert result.digest() == golden.digest(), virgin
 
     def test_resume_rejects_mismatched_config(self, tmp_path):
         path = str(tmp_path / "fleet.ckpt")

@@ -8,6 +8,7 @@ from repro.sim_os import (
     CostModel,
     ForkserverChannel,
     Kernel,
+    KernelStats,
     PipeBroken,
     ProcessState,
     SimPipe,
@@ -219,7 +220,28 @@ class TestKernelAccounting:
         assert kernel.stats.spawns == 5
         assert kernel.stats.teardowns == 5
         assert kernel.live_process_count() == 0
-        assert len(kernel.processes) == 5
+        assert len(kernel.processes) == 0
+
+    def test_fork_reap_cycles_leave_the_table_empty(self):
+        """A forkserver's lifetime of fork/reap pairs retains no record,
+        and the stats count every one of them exactly."""
+        kernel = Kernel()
+        parent = kernel.spawn("p", 10_000)
+        cycles = 2_000
+        for k in range(cycles):
+            child = kernel.fork(parent, 1 << 20)
+            kernel.reap(child, 0, crashed=k % 7 == 0)
+        assert kernel.processes == {parent.pid: parent}
+        assert kernel.live_process_count() == 1
+        kernel.reap(parent, 0, fresh=True)
+        assert kernel.processes == {} and kernel.live_process_count() == 0
+        costs = kernel.costs
+        assert kernel.stats == KernelStats(
+            spawns=1, forks=cycles, teardowns=cycles + 1,
+            spawn_ns=costs.spawn_cost(10_000),
+            fork_ns=cycles * costs.fork_cost(1 << 20),
+            teardown_ns=cycles * costs.teardown_child_ns + costs.teardown_fresh_ns)
+        assert kernel.clock.now_ns == kernel.stats.process_management_ns()
 
     def test_charge_dispatch_advances_clock_only(self):
         kernel = Kernel()
