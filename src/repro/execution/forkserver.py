@@ -5,6 +5,12 @@ The fuzzer spawns the target *once*, pauses it at ``main``, and then
 is paid once; each test case pays fork + CoW page copies + child
 teardown.  This is "the fastest correct process management mechanism"
 that Table 5 benchmarks ClosureX against.
+
+The parked parent is a loaded :class:`VM` with argv laid out, and each
+child is a copy of it (:meth:`VM.fork`): the parent's image at the same
+addresses with private bytes, an empty heap and FD table, and the next
+boot time, so no child loads the module again.  The parent's class is
+the children's class.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ class ForkServerExecutor(Executor):
         self.entry = entry
         self.fs = VirtualFS()
         self.parent: ProcessRecord | None = None
+        self.parent_vm: VM | None = None
+        # ``main``'s argc and argv, laid out in the parent.
+        self.main_args: list[int] = []
         self.channel = ForkserverChannel(kernel)
         self.footprint_bytes = 0
         self.last_vm: VM | None = None
@@ -53,6 +62,8 @@ class ForkServerExecutor(Executor):
         # The child's fork cost scales with the parent's mapped memory:
         # the binary image plus its loaded data segments.
         self.footprint_bytes = self.image_bytes + parent_vm.memory.footprint_bytes()
+        argc, argv = parent_vm.setup_argv([self.module.name, self.input_path])
+        self.main_args = [argc, argv]
         try:
             self.channel.handshake()
         except Exception:
@@ -61,6 +72,7 @@ class ForkServerExecutor(Executor):
             self.kernel.reap(self.parent, None, fresh=True)
             self.parent = None
             raise
+        self.parent_vm = parent_vm
 
     def run(self, data: bytes) -> ExecResult:
         if self.parent is None:
@@ -77,17 +89,16 @@ class ForkServerExecutor(Executor):
             # run() (or a supervised retry) re-boots from scratch.
             self.kernel.reap(child, None)
             self.kernel.reap(self.parent, None, fresh=True)
-            self.parent = None
+            self.parent = self.parent_vm = None
             raise
 
         self.fs.write_file(self.input_path, data)
-        vm = VM(self.module, fs=self.fs, **self.vm_kwargs())
-        vm.load()  # inherits the parent's image: no load cost charged
+        # Inherits the parent's image: no load cost charged.
+        vm = self.parent_vm.fork(**self.vm_kwargs())
         vm.instruction_limit = self.exec_instruction_limit
-        argc, argv = vm.setup_argv([self.module.name, self.input_path])
         entry_fn = self.module.get_function(self.entry)
 
-        status, return_code, trap = call_target(vm, entry_fn, [argc, argv])
+        status, return_code, trap = call_target(vm, entry_fn, self.main_args)
 
         self.kernel.charge(vm.cost)
         self.kernel.charge_cow(vm.memory.bytes_written)
@@ -107,4 +118,4 @@ class ForkServerExecutor(Executor):
     def shutdown(self) -> None:
         if self.parent is not None:
             self.kernel.reap(self.parent, 0)
-            self.parent = None
+            self.parent = self.parent_vm = None

@@ -40,7 +40,13 @@ class Heap:
         self.stats = HeapStats()
 
     def malloc(self, size: int, site: CrashSite, tag: str = "malloc") -> int:
-        """Allocate *size* bytes; returns the chunk address (0 on size 0)."""
+        """Allocate *size* bytes; returns the chunk address (0 on size 0).
+
+        Freed addresses are not reused: each chunk takes fresh address
+        space from the heap segment's bump cursor, which only
+        :meth:`repro.vm.VM.reset_heap_addresses` rewinds.  A process
+        that runs the segment out traps with ``OUT_OF_MEMORY``, as one
+        over its budget does, however few bytes it holds."""
         if size < 0:
             raise VMTrap(TrapKind.OUT_OF_MEMORY, f"malloc with negative size {size}", site)
         if size == 0:
@@ -52,7 +58,16 @@ class Heap:
                 f"> {self.budget_bytes}",
                 site,
             )
-        region = self.space.map_region(self.space.heap_segment, size, True, "heap", tag)
+        try:
+            region = self.space.map_region(self.space.heap_segment, size,
+                                           True, "heap", tag)
+        except MemoryError:
+            raise VMTrap(
+                TrapKind.OUT_OF_MEMORY,
+                f"heap address space exhausted: {size} bytes requested, "
+                f"{self.live_bytes} live",
+                site,
+            ) from None
         self.live[region.base] = region
         self.live_bytes += size
         self.stats.allocations += 1

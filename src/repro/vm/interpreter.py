@@ -197,6 +197,44 @@ class VM:
         # against, once this VM has run code.
         self._layout: dict[str, int] | None = None
 
+    def fork(
+        self,
+        opcode_counts: dict[str, int] | None = None,
+        libc_counts: dict[str, int] | None = None,
+        faults=None,
+        cmp_observer=None,
+    ) -> VM:
+        """A child process of this one, as ``fork()`` makes it: a new VM
+        of the same class over the same module and filesystem, with the
+        given hooks and the next boot time, whose address space is a
+        private copy of this one's (:meth:`AddressSpace.fork`) with the
+        same global layout, natives, libc state and instruction limit.
+        Its heap and FD table start empty.  Nothing the child does
+        reaches this VM."""
+        child = type(self)(
+            self.module, self.fs, self.heap.budget_bytes,
+            self.fd_table.max_open, opcode_counts=opcode_counts,
+            libc_counts=libc_counts, faults=faults, cmp_observer=cmp_observer)
+        child.memory = memory = self.memory.fork()
+        child.heap = Heap(memory, self.heap.budget_bytes)
+        child.natives = dict(self.natives)
+        child.instruction_limit = self.instruction_limit
+        child.rand_state = self.rand_state
+        at = memory.region_at
+        child.global_regions = {name: at(region.base)
+                                for name, region in self.global_regions.items()}
+        child.sections = {section: [at(region.base) for region in regions]
+                          for section, regions in self.sections.items()}
+        child._loaded = self._loaded
+        child.load_cost = self.load_cost
+        # The child's layout is this VM's: bind this VM to the module's
+        # code once, and every child skips ``_attach_code``.
+        code = self.module.decoded
+        if code is None or code.layout is not self._layout:
+            self._attach_code()
+        child._layout = self._layout
+        return child
+
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
@@ -1107,7 +1145,12 @@ def _store_direct(data: int | None, name: str | None, value: int, size: int):
 
 def _alloca(d: int, frame: int, data: int, size: int, tag: str):
     def run(r, vm):
-        region = vm.memory.map_stack(size, tag)
+        try:
+            region = vm.memory.map_stack(size, tag)
+        except MemoryError:
+            raise VMTrap(TrapKind.STACK_OVERFLOW,
+                         f"stack exhausted by alloca of {size} bytes",
+                         vm.site) from None
         r[frame].append(region)
         r[d] = region.base
         r[data] = region.data

@@ -22,6 +22,15 @@ call.  Decoded code reads and writes a frame's own allocas and named
 globals through the region's bytes directly (see
 ``repro.vm.interpreter``): :meth:`AddressSpace.read_int` and
 :meth:`AddressSpace.write_int` see only the accesses that are checked.
+
+A forked child's address space is a copy of its parked parent's
+(:meth:`AddressSpace.fork`): every live region at the same base with
+private bytes, the same segments, cursors and freed-region FIFO, and
+no bytes written yet.  Nothing the child does reaches the parent.
+
+An exhausted segment raises :class:`MemoryError`; the allocators turn
+it into the trap a real process would take (a stack overflow, an
+out-of-memory ``malloc``).
 """
 
 from __future__ import annotations
@@ -59,6 +68,11 @@ class Segment:
     def reset(self) -> None:
         self.cursor = self.base
 
+    def copy(self) -> Segment:
+        segment = Segment(self.name, self.base, self.size)
+        segment.cursor = self.cursor
+        return segment
+
 
 GLOBAL_BASE = 0x0000_1000_0000
 HEAP_BASE = 0x0000_2000_0000
@@ -94,6 +108,18 @@ class MemoryRegion:
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.limit
+
+    def copy(self) -> MemoryRegion:
+        """This region with a private copy of its bytes."""
+        region = MemoryRegion.__new__(MemoryRegion)
+        region.base = self.base
+        region.size = self.size
+        region.data = bytearray(self.data)
+        region.writable = self.writable
+        region.kind = self.kind
+        region.tag = self.tag
+        region.alive = self.alive
+        return region
 
     def __repr__(self) -> str:
         state = "live" if self.alive else "dead"
@@ -166,6 +192,27 @@ class AddressSpace:
         since recycled addresses would otherwise shadow-match old
         regions)."""
         self._dead.clear()
+
+    def fork(self) -> AddressSpace:
+        """A forked child's copy of this address space: a private copy
+        of every live region, the same segments and cursors, the same
+        freed-region FIFO (dead regions are never written, so it shares
+        them), and no bytes written."""
+        child = AddressSpace.__new__(AddressSpace)
+        child.global_segment = self.global_segment.copy()
+        child.heap_segment = self.heap_segment.copy()
+        child.stack_segment = self.stack_segment.copy()
+        child._bases = self._bases.copy()
+        child._regions = {base: region.copy()
+                          for base, region in self._regions.items()}
+        child._dead = self._dead.copy()
+        child._last = None
+        child.bytes_written = 0
+        return child
+
+    def region_at(self, base: int) -> MemoryRegion:
+        """The live region mapped at *base*."""
+        return self._regions[base]
 
     # -- lookup -------------------------------------------------------
 

@@ -131,11 +131,18 @@ class ReferenceVM(VM):
                     if not inst.type.is_void:
                         values[inst] = result if result is not None else 0
                 elif cls is Alloca:
-                    region = self.memory.map_region(
-                        self.memory.stack_segment,
-                        inst.allocation_size(), True, "stack",
-                        f"{function.name}.{inst.name}",
-                    )
+                    size = inst.allocation_size()
+                    try:
+                        region = self.memory.map_region(
+                            self.memory.stack_segment, size, True, "stack",
+                            f"{function.name}.{inst.name}",
+                        )
+                    except MemoryError:
+                        raise VMTrap(
+                            TrapKind.STACK_OVERFLOW,
+                            f"stack exhausted by alloca of {size} bytes",
+                            self.site,
+                        ) from None
                     frame_regions.append(region)
                     values[inst] = region.base
                 elif cls is Cast:

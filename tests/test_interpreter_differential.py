@@ -17,8 +17,10 @@ After every replay and every forkserver and ClosureX exec the address
 spaces must be equal too: bytes written (the copy-on-write charge),
 the live region bases in order, the freed-region FIFO and the segment
 cursors.  Hand-built edge cases pin the loads and stores decoded code
-runs without a check (frame allocas, named globals) and its
-last-in-first-out stack frames.
+runs without a check (frame allocas, named globals), its
+last-in-first-out stack frames, and the traps an exhausted stack or
+heap segment raises.  The forkserver legs check that the reference
+run's children really are reference VMs.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ import pytest
 
 from repro.analysis.opt import REPLAY_BOOT_TIME
 from repro.execution import ClosureXExecutor, ForkServerExecutor
+from repro.fuzzing import Campaign, CampaignConfig
 from repro.fuzzing.i2s import CmpObserver
 from repro.fuzzing.mutators import HavocMutator
 from repro.ir import (
@@ -48,6 +51,7 @@ from repro.runtime.replay import Observation, replay
 from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
 from repro.vm import VM, TrapKind, VMError
+from repro.vm.memory import RED_ZONE
 from tests.reference_interpreter import ReferenceVM
 
 MUTANTS = 20
@@ -185,12 +189,16 @@ def test_forkserver_counts_and_compare_records_match(name, monkeypatch):
             results.append((result.status, result.return_code,
                             result.instructions, bytes(result.coverage),
                             address_space(executor.last_vm)))
-        return results, opcodes, libc, records, executor.clock.now_ns
+        return ((results, opcodes, libc, records, executor.clock.now_ns),
+                type(executor.last_vm))
 
-    decoded = run_all()
+    decoded, decoded_class = run_all()
     with monkeypatch.context() as patch:
         on_reference(patch)
-        reference = run_all()
+        reference, reference_class = run_all()
+    # Each child is of its parent's class: the reference leg really
+    # ran the reference interpreter.
+    assert (decoded_class, reference_class) == (VM, ReferenceVM)
     assert decoded[2].get(COV_GUARD, 0) > 0 and any(decoded[3])
     assert decoded == reference
 
@@ -209,21 +217,23 @@ def test_cell_lists_are_the_touched_cells(name, executor_class, monkeypatch):
     def cell_lists():
         executor = executor_class(module, spec.image_bytes, Kernel())
         executor.boot()
-        lists = []
+        lists, classes = [], set()
         for data in inputs:
             # A crashed ClosureX exec respawns: keep the VM that ran it.
             vm = executor.harness.vm if executor_class is ClosureXExecutor else None
             coverage = executor.run(data).coverage
             assert sorted(coverage.cells) == [
                 cell for cell, hits in enumerate(coverage) if hits]
-            lists.append((list(coverage.cells),
-                          address_space(vm or executor.last_vm)))
-        return lists
+            vm = vm or executor.last_vm
+            lists.append((list(coverage.cells), address_space(vm)))
+            classes.add(type(vm))
+        return lists, classes
 
-    decoded = cell_lists()
+    decoded, decoded_classes = cell_lists()
     with monkeypatch.context() as patch:
         on_reference(patch)
-        reference = cell_lists()
+        reference, reference_classes = cell_lists()
+    assert (decoded_classes, reference_classes) == ({VM}, {ReferenceVM})
     assert any(cells for cells, _ in decoded) and decoded == reference
 
 
@@ -504,3 +514,96 @@ def test_instruction_limit_sweep_over_minic_frames():
     assert finished == sum(3 * i + 1 for i in range(6)) + sum(
         sum(3 * j + 1 for j in range(i + 1)) for i in range(6))
     assert hangs > 200
+
+
+# ---------------------------------------------------------------------------
+# exhausted segments
+# ---------------------------------------------------------------------------
+
+
+# Exhausting a full-size segment maps 128 MiB of stack or 1 GiB of heap
+# regions, each with its bytes; the tests shrink the segment instead.
+SMALL_SEGMENT = 8 << 20
+MEBIBYTE = 1 << 20
+FITS = SMALL_SEGMENT // (MEBIBYTE + RED_ZONE)    # 1 MiB regions: 7
+
+
+def test_exhausted_stack_traps_stack_overflow(monkeypatch):
+    """A loop whose alloca takes 1 MiB per iteration runs the stack
+    segment out: the alloca that does not fit traps STACK_OVERFLOW,
+    counted and charged like any other, and the frame unmaps."""
+    monkeypatch.setattr("repro.vm.memory.STACK_SIZE", SMALL_SEGMENT)
+    module = Module("deep")
+    i32 = int_type(32)
+    guard = module.declare_function(COV_GUARD, FunctionType(VOID, [I32]))
+    f = module.add_function("f", FunctionType(I32, [I32]))
+    f.ensure_args(["n"])
+    entry, loop, done = (f.append_block(n) for n in ("entry", "loop", "done"))
+    IRBuilder(entry).br(loop)
+    b = IRBuilder(loop)
+    i = b.phi(i32)
+    b.call(guard, [b.i32(9)])
+    b.alloca(ArrayType(int_type(8), MEBIBYTE), name="buf")
+    step = b.add(i, b.i32(1))
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(step, loop)
+    b.cond_br(b.icmp("slt", step, f.args[0]), loop, done)
+    IRBuilder(done).ret(step)
+    vm, outcome = run_both(module, f, [1000], counts=True)
+    assert outcome == (
+        "VMTrap", TrapKind.STACK_OVERFLOW,
+        "Stack Overflow at @f:%loop: stack exhausted by alloca of 1048576 bytes")
+    # The entry's branch, FITS whole iterations, then the phi, the
+    # guard and the alloca that traps.
+    assert vm.instructions_executed == 1 + 6 * FITS + 3
+    assert vm.opcode_counts["Alloca"] == FITS + 1
+    assert vm.stack_region_count() == 0
+    assert len(vm.memory._dead) == FITS
+
+
+HEAP_CHURN_SOURCE = r"""
+int main(int argc, char **argv) {
+    int i = 0;
+    while (i < 1100) { char *p = malloc(1048576); free(p); i = i + 1; }
+    return i;
+}
+"""
+
+
+def test_exhausted_heap_address_space_traps_out_of_memory(monkeypatch):
+    """Freed heap addresses are not reused, so a program that never
+    holds more than 1 MiB still runs the heap segment out: the malloc
+    that does not fit traps OUT_OF_MEMORY, as one over budget does."""
+    monkeypatch.setattr("repro.vm.memory.HEAP_SIZE", SMALL_SEGMENT)
+    module = compile_c(HEAP_CHURN_SOURCE, "churn")
+    vm, outcome = run_both(module, module.get_function("main"), [0, 0])
+    assert outcome == (
+        "VMTrap", TrapKind.OUT_OF_MEMORY,
+        "Out of Memory at @main:%while.body: heap address space exhausted: "
+        "1048576 bytes requested, 0 live")
+    assert vm.heap.stats.allocations == vm.heap.stats.frees == FITS
+    assert vm.heap.live_bytes == 0
+
+
+def test_forkserver_campaign_records_heap_exhaustion_as_a_crash(monkeypatch):
+    """A forkserver campaign over the same program records an
+    out-of-memory crash on every exec, on both interpreters."""
+    monkeypatch.setattr("repro.vm.memory.HEAP_SIZE", SMALL_SEGMENT)
+    module = compile_c(HEAP_CHURN_SOURCE, "churn")
+
+    def crashes():
+        executor = ForkServerExecutor(module, 100_000, Kernel())
+        result = Campaign(executor, [b"x"], CampaignConfig(
+            budget_ns=500_000, seed=1)).run()
+        return (result.execs, result.total_crashes,
+                [(report.kind, report.function)
+                 for report in result.crash_reports])
+
+    decoded = crashes()
+    with monkeypatch.context() as patch:
+        on_reference(patch)
+        reference = crashes()
+    assert decoded == reference
+    execs, total, reports = decoded
+    assert execs == total > 0
+    assert reports == [(TrapKind.OUT_OF_MEMORY, "main")]

@@ -111,13 +111,15 @@ def fleet_4(scratch: Scratch) -> dict:
         "--budget-ms", "8", "--sync-ms", "2"]), "digest:")}
 
 
-def fleet_checkpoint(scratch: Scratch) -> dict:
-    full = scratch.run(FUZZ + ["--target", "md4c", "--workers", "2",
-                               "--seed", "7", "--budget-ms", "4",
-                               "--sync-ms", "2", "--checkpoint", "fl"])
-    resumed = scratch.run(FUZZ + ["--resume", "fl"])
-    return {"digest": line_value(full, "digest:"),
-            "resumed digest": line_value(resumed, "digest:")}
+def resumed_fleet(*args: str):
+    """A fleet run of *args* with ``--checkpoint fl``, then
+    ``--resume fl``."""
+    def entry(scratch: Scratch) -> dict:
+        full = scratch.run(FUZZ + [*args, "--checkpoint", "fl"])
+        resumed = scratch.run(FUZZ + ["--resume", "fl"])
+        return {"digest": line_value(full, "digest:"),
+                "resumed digest": line_value(resumed, "digest:")}
+    return entry
 
 
 def i2s(scratch: Scratch) -> dict:
@@ -166,11 +168,21 @@ GOLDENS = {
         "digest": "ad176f6945a4bc5adce8b608131bbefd"
                   "b91152db73ba80df21fef669e7d0335b",
     }),
-    "fleet-checkpoint": (fleet_checkpoint, {
+    "fleet-checkpoint": (resumed_fleet(
+        "--target", "md4c", "--workers", "2", "--seed", "7",
+        "--budget-ms", "4", "--sync-ms", "2"), {
         "digest": "05c8188b2eb946a95a45286f65b76ffc"
                   "b6535a052bc4443f733dee5c1436de95",
         "resumed digest": "05c8188b2eb946a95a45286f65b76ffc"
                           "b6535a052bc4443f733dee5c1436de95",
+    }),
+    "forkserver-fleet": (resumed_fleet(
+        "--target", "zlib", "--mechanism", "forkserver", "--workers", "4",
+        "--seed", "0", "--budget-ms", "8", "--sync-ms", "2"), {
+        "digest": "3a2b83b4e152d5356b9c3a6e0aa040b7"
+                  "a929587c4b5198a098d6e6fdd35dcf6b",
+        "resumed digest": "3a2b83b4e152d5356b9c3a6e0aa040b7"
+                          "a929587c4b5198a098d6e6fdd35dcf6b",
     }),
     "i2s": (i2s, {
         "digest": "eea6ecf48901c54f16c530433cc2296c"
