@@ -12,9 +12,30 @@ register template, each instruction becomes a closure specialised to
 its opcode and operand slots, phis become per-edge moves, successors
 are block indices, and the ``__cov_guard`` coverage callback is
 inlined (it bumps a cell of the exec's :class:`CoverageMap` and lists
-each cell it moves off 0).  The decoded code hangs off the module (``Module.decoded``),
-shared by every VM with the same global layout; whatever rewrites a
-module in place after it may have run sets that back to ``None``.
+each cell it moves off 0).  The decoded code hangs off the module
+(``Module.decoded``), shared by every VM with the same global layout;
+whatever rewrites a module in place after it may have run sets that
+back to ``None``.
+
+Each instruction form is one source template (``_BINOPS``, ``_LOAD``,
+...): its closures come from a factory compiled from the template once
+per process.  Once a module's decoded code has served
+:data:`COMPILE_AFTER_RUNS` top-level runs (``VM.run_function`` at call
+depth 0: one exec, one replay), the next run first compiles each block
+entered at least once per run so far to one Python function
+(:func:`_compile`); the other blocks keep their closures.  The function
+holds the block's phi moves, its segments with their charges and limit
+checks, and its instructions' templates with slots and constants
+written as literals, and returns the next block's index, so a hot
+block costs one call instead of one per instruction.  Code objects are
+cached per process by block source, so identical builds (a fleet's
+shards) compile each block once.  Compiled code looks checked memory
+and natives up at run time (``vm.memory.read_int``,
+``vm._call_native``), so wrappers on them see every call, and nothing
+in it refers back to the module's decoded code, which stays free of
+reference cycles: dropping it frees it by refcount.  Code run fewer
+times (an optimizer candidate's replays, the seeds, a one-off replay)
+never pays for ``compile()``.
 
 A load or store whose pointer operand is an alloca of the function,
 defined on every path to it, or a laid-out global (a writable one, for
@@ -35,15 +56,18 @@ simulated-OS cost model and the throughput experiments (Table 5) are
 built on.  A block runs as straight-line segments, each charged its
 cost and instruction count at once; a segment ends only at an
 instruction that can raise (a direct load or store cannot), and one
-that would cross the instruction limit runs an instruction at a time,
-so traps, hangs and the clock land exactly where instruction-at-a-time
-execution puts them.
+that would cross the instruction limit runs an instruction at a time
+on its closures, so traps, hangs and the clock land exactly where
+instruction-at-a-time execution puts them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import operator
+import re
+import types
+from typing import NoReturn
 
 from repro.ir.instructions import (
     Alloca,
@@ -114,6 +138,16 @@ _U64_MASK = (1 << 64) - 1
 _MAP_MASK = COVERAGE_MAP_SIZE - 1
 # The coverage callback the CoveragePass inserts; decoded code inlines it.
 COV_GUARD = "__cov_guard"
+
+# Top-level runs (``VM.run_function`` at call depth 0: one exec, one
+# replay) a module's decoded code serves on closures alone.  The next
+# run first compiles each block entered at least that many times, once
+# per run on average: compiling a block costs about what running it
+# several hundred times on closures does, so a block that runs less
+# than about once per exec does not pay it back.  Tests set 0 (every
+# block compiles when its function is decoded) or a number no test
+# reaches (nothing compiles).
+COMPILE_AFTER_RUNS = 8
 
 # Per-process "boot time" sequence: each VM (process) observes a
 # different time(), reproducing the natural cross-process
@@ -229,9 +263,7 @@ class VM:
         child.load_cost = self.load_cost
         # The child's layout is this VM's: bind this VM to the module's
         # code once, and every child skips ``_attach_code``.
-        code = self.module.decoded
-        if code is None or code.layout is not self._layout:
-            self._attach_code()
+        self._module_code()
         child._layout = self._layout
         return child
 
@@ -306,19 +338,6 @@ class VM:
             table.data[i * 8:(i + 1) * 8] = ptr.to_bytes(8, "little")
         return len(argv), table.base
 
-    def set_argv_input(self, argv_address: int, index: int, path: str) -> None:
-        """Repoint ``argv[index]`` at a new input path.
-
-        This is the harness-side "replace the appropriate argv with the
-        test case supplied by the fuzzer" step from the paper §4.2.1.
-        """
-        data = path.encode("latin-1") + b"\x00"
-        region = self.memory.map_region(
-            self.memory.global_segment, len(data), True, "global", f"argv[{index}]"
-        )
-        region.data[:] = data
-        self.memory.write_int(argv_address + index * 8, region.base, 8, self.site)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -354,6 +373,8 @@ class VM:
         """Execute *function* with concrete integer arguments."""
         if function.is_declaration:
             return self._call_native(function.name, args)
+        if self._call_depth == 0:
+            self._module_code().count_run()
         return _execute(self, self._code_for(function, len(args)), list(args))
 
     def _call_native(self, name: str, args: list[int]) -> int | None:
@@ -368,6 +389,13 @@ class VM:
             self.libc_counts[name] = self.libc_counts.get(name, 0) + 1
         self.cost += NATIVE_BASE_COST.get(name, 20)
         return native(self, args, self.site)
+
+    def _module_code(self) -> "_ModuleCode":
+        """The module's decoded code for this VM's global layout."""
+        code = self.module.decoded
+        if code is None or code.layout is not self._layout:
+            code = self._attach_code()
+        return code
 
     def _code_for(self, function: Function, nargs: int) -> "_FunctionCode":
         """*function*'s decoded code for a call passing *nargs* arguments."""
@@ -384,6 +412,11 @@ class VM:
             decoded = functions[key] = _decode(
                 function, code.layout, observed,
                 min(nargs, len(function.args)))
+            # As count_run: a block compiles once the code served
+            # COMPILE_AFTER_RUNS runs and it was entered as often, which
+            # a function decoded now meets only when that is 0.
+            if code.runs > COMPILE_AFTER_RUNS:
+                decoded.compile_hot(COMPILE_AFTER_RUNS)
         return decoded
 
     def _attach_code(self) -> "_ModuleCode":
@@ -446,15 +479,27 @@ class VM:
 
 class _ModuleCode:
     """One module's decoded functions under one global layout: ``plain``
-    for VMs without a compare observer, ``observed`` for VMs with one.
-    Nothing in it refers back to it, so dropping it frees it at once."""
+    for VMs without a compare observer, ``observed`` for VMs with one,
+    and ``runs``, the top-level runs it served.  Nothing in it refers
+    back to it, so dropping it frees it at once."""
 
-    __slots__ = ("layout", "plain", "observed")
+    __slots__ = ("layout", "plain", "observed", "runs")
 
     def __init__(self, layout: dict[str, int]):
         self.layout = layout
         self.plain: dict[object, _FunctionCode] = {}
         self.observed: dict[object, _FunctionCode] = {}
+        self.runs = 0
+
+    def count_run(self) -> None:
+        """Count one top-level run; the first after
+        :data:`COMPILE_AFTER_RUNS` compiles the blocks entered at least
+        once per run so far."""
+        if self.runs == COMPILE_AFTER_RUNS:
+            for functions in (self.plain, self.observed):
+                for code in functions.values():
+                    code.compile_hot(COMPILE_AFTER_RUNS)
+        self.runs += 1
 
 
 class _FunctionCode:
@@ -479,9 +524,15 @@ class _FunctionCode:
       ``_CONDBR`` (condition slot, true and false targets),
       ``_SWITCH`` (value slot, case dict, default), ``_RET`` (value
       slot or None) or ``_TRAP`` (an UNREACHABLE trap's message).
+
+    ``entries`` counts each block's entries while it runs on closures;
+    ``compiled`` holds its function once it compiled (:func:`_compile`),
+    else None.  A function decoded after its module's code compiled
+    never compiles, unless :data:`COMPILE_AFTER_RUNS` is 0.
     """
 
-    __slots__ = ("name", "epoch", "nargs", "tail", "frame", "blocks")
+    __slots__ = ("name", "epoch", "nargs", "tail", "frame", "blocks",
+                 "entries", "compiled")
 
     def __init__(self, name, epoch, nargs, tail, frame, blocks):
         self.name = name
@@ -490,6 +541,15 @@ class _FunctionCode:
         self.tail = tail
         self.frame = frame
         self.blocks = blocks
+        self.entries = [0] * len(blocks)
+        self.compiled: list = [None] * len(blocks)
+
+    def compile_hot(self, runs: int) -> None:
+        """Compile each block entered at least *runs* times."""
+        compiled, entries = self.compiled, self.entries
+        for b, block in enumerate(self.blocks):
+            if compiled[b] is None and entries[b] >= runs:
+                compiled[b] = _compile(block)
 
 
 _BR, _CONDBR, _SWITCH, _RET, _TRAP = range(5)
@@ -497,12 +557,11 @@ _TERMINATORS = (Br, CondBr, Switch, Ret, Unreachable)
 _VALUES = (BinOp, ICmp, Load, GetElementPtr, Alloca, Cast, Select)
 _DIVISIONS = frozenset({"sdiv", "udiv", "srem", "urem"})
 _SIGNED = frozenset({"slt", "sle", "sgt", "sge"})
-_ORDER = {"slt": operator.lt, "sle": operator.le,
-          "sgt": operator.gt, "sge": operator.ge}
 
 
 def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
-    """Run decoded *code* on *vm* with *args*: the dispatch loop."""
+    """Run decoded *code* on *vm* with *args*: the dispatch loop, one
+    call per block that compiled, else the block's closures."""
     if vm._call_depth >= vm.MAX_CALL_DEPTH:
         raise VMTrap(TrapKind.STACK_OVERFLOW,
                      f"call depth exceeded {vm.MAX_CALL_DEPTH}", vm.site)
@@ -517,11 +576,21 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
     if frame is not None:
         r[frame] = []
     try:
-        blocks = code.blocks
+        blocks, compiled, entries = code.blocks, code.compiled, code.entries
         limit = vm.instruction_limit
         counting = vm.opcode_counts is not None or vm.libc_counts is not None
         prev, i = -1, 0
         while True:
+            run = compiled[i]
+            if run is not None:
+                following = run(r, vm, prev, limit, counting)
+                if following < 0:
+                    x = blocks[i][4]
+                    return None if x is None else r[x]
+                prev, i = i, following
+                continue
+            # The block's closures: what its compiled function does.
+            entries[i] += 1
             name, phis, segments, kind, x, y, z = blocks[i]
             site.block = name
             if phis is not None:
@@ -531,11 +600,11 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
                 vm.cost += cost
                 if counting and vm.opcode_counts is not None:
                     vm.opcode_counts["Phi"] = vm.opcode_counts.get("Phi", 0) + count
+            # _run_segments, inlined.
             for count, cost, ops, exact, opcodes, guards in segments:
                 total = vm.instructions_executed + count
                 if total > limit:
                     _run_exact(vm, r, exact, limit)
-                    continue
                 vm.instructions_executed = total
                 vm.cost += cost
                 if counting:
@@ -558,15 +627,34 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
             vm.memory.unmap_frame(r[frame])
 
 
-def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> None:
+def _run_segments(vm: VM, r: list, segments: tuple, limit: int,
+                  counting: bool) -> None:
+    """Run *segments* on their closures: check the limit, charge, count,
+    then execute each."""
+    for count, cost, ops, exact, opcodes, guards in segments:
+        total = vm.instructions_executed + count
+        if total > limit:
+            _run_exact(vm, r, exact, limit)
+        vm.instructions_executed = total
+        vm.cost += cost
+        if counting:
+            _count(vm, opcodes, guards)
+        for op in ops:
+            op(r, vm)
+
+
+def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> NoReturn:
     """Run a segment that would cross *limit* an instruction at a time:
-    count, check the limit, charge, then execute."""
+    count, check the limit, charge, then execute.  Only a segment's last
+    instruction can raise or call out and move the count, so the count
+    crosses *limit* by that instruction at the latest: this always
+    raises."""
     opcode_counts = vm.opcode_counts
     libc_counts = vm.libc_counts
     for cost, name, guard, ops in exact:
         vm.instructions_executed += 1
         if vm.instructions_executed > limit:
-            raise ExecutionLimitExceeded(limit)
+            break
         vm.cost += cost
         if opcode_counts is not None:
             opcode_counts[name] = opcode_counts.get(name, 0) + 1
@@ -574,6 +662,7 @@ def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> None:
             libc_counts[COV_GUARD] = libc_counts.get(COV_GUARD, 0) + 1
         for op in ops:
             op(r, vm)
+    raise ExecutionLimitExceeded(limit)
 
 
 def _count(vm: VM, opcodes: tuple, guards: int) -> None:
@@ -769,7 +858,8 @@ class _Decoder:
             inst_ops, raises, guard, inst_cost, ends = self.instruction(
                 inst, block.name, known, checks)
             if checks:
-                inst_ops.insert(0, _check(tuple(checks)))
+                inst_ops[:0] = [_form(_CHECK)(slot=slot, value=value)
+                                for slot, value in checks]
                 raises = True
             name = type(inst).__name__
             n += 1
@@ -800,7 +890,7 @@ class _Decoder:
         """Block *b*'s phi assignment per predecessor index."""
         heads = self.heads[b]
         targets = [self.slots[phi] for phi in heads]
-        moves = {-1: _entry_phi} if b == 0 else {}
+        moves = {-1: _form(_ENTRY_PHI)()} if b == 0 else {}
         for p in preds:
             pred = self.blocks[p]
             arms, missing = [], None
@@ -811,10 +901,13 @@ class _Decoder:
                     missing = f"phi has no incoming value for block {pred.name}"
                     break
                 arms.append(self.use(arm, known_out[p]))
-            if missing is None and all(check is None for _, check in arms):
+            if missing is not None:
+                moves[p] = _form(_MOVES_MISSING)(arms=tuple(arms), missing=missing)
+            elif all(check is None for _, check in arms):
                 moves[p] = _moves(targets, [slot for slot, _ in arms])
             else:
-                moves[p] = _moves_checked(targets, arms, missing)
+                moves[p] = _form(_MOVES_CHECKED)(arms=tuple(arms),
+                                                 targets=tuple(targets))
         return moves
 
     def instruction(self, inst, block_name: str, known: int, checks: list):
@@ -837,7 +930,8 @@ class _Decoder:
             return [op], inst.op in _DIVISIONS, False, cost, None
         if cls is ICmp:
             lhs, rhs = take(inst.lhs), take(inst.rhs)
-            ops = [_observe_icmp(inst, lhs, rhs)] if self.observed else []
+            ops = ([_form(_OBSERVE_ICMP)(inst=inst, a=lhs, b=rhs)]
+                   if self.observed else [])
             lhs_type = inst.lhs.type
             signed_bits = (lhs_type.bits if inst.predicate in _SIGNED
                            and isinstance(lhs_type, IntType) else 0)
@@ -847,17 +941,24 @@ class _Decoder:
             size = inst.type.size()
             region = self.direct(inst.ptr, size, known, False)
             if region is not None:
-                return [_load_direct(slots[inst], *region, size)], False, False, cost, None
-            op = _load(slots[inst], take(inst.ptr), size)
+                data, name = region
+                op = _form(_LOAD_FRAME if name is None else _LOAD_GLOBAL)(
+                    d=slots[inst], data=data, name=name, size=size)
+                return [op], False, False, cost, None
+            op = _form(_LOAD)(d=slots[inst], p=take(inst.ptr), size=size)
             return [op], True, False, cost, None
         if cls is Store:
             size = inst.value.type.size()
             region = self.direct(inst.ptr, size, known, True)
             if region is not None:
-                op = _store_direct(*region, take(inst.value), size)
+                data, name = region
+                op = _form(_STORE_FRAME if name is None else _STORE_GLOBAL)(
+                    data=data, name=name, v=take(inst.value), size=size,
+                    m=(1 << (size * 8)) - 1)
                 return [op], False, False, cost, None
             ptr, value = take(inst.ptr), take(inst.value)
-            return [_store(ptr, value, size)], True, False, cost, None
+            op = _form(_STORE)(p=ptr, v=value, size=size)
+            return [op], True, False, cost, None
         if cls is GetElementPtr:
             return [self.gep(inst, take)], False, False, cost, None
         if cls is Call:
@@ -865,7 +966,10 @@ class _Decoder:
             if (callee.is_declaration and callee.name == COV_GUARD
                     and len(args) == 1 and type(args[0]) is ConstantInt):
                 cost += NATIVE_BASE_COST.get(COV_GUARD, 20)
-                return [_cov_guard(args[0].value)], False, True, cost, None
+                location = args[0].value
+                op = _form(_COV_GUARD)(location=location & _MAP_MASK,
+                                       following=(location >> 1) & _MAP_MASK)
+                return [op], False, True, cost, None
             arg_slots = tuple(take(arg) for arg in args)
             dest = None if inst.type.is_void else slots[inst]
             op = _call(callee, arg_slots, dest, self.function.name, block_name)
@@ -873,8 +977,11 @@ class _Decoder:
         if cls is Alloca:
             if self.frame is None:
                 self.frame = self.new_slot()
-            op = _alloca(slots[inst], self.frame, self.data[inst],
-                         inst.allocation_size(), f"{self.function.name}.{inst.name}")
+            size = inst.allocation_size()
+            op = _form(_ALLOCA)(
+                d=slots[inst], frame=self.frame, data=self.data[inst],
+                size=size, tag=f"{self.function.name}.{inst.name}",
+                message=f"stack exhausted by alloca of {size} bytes")
             return [op], True, False, cost, None
         if cls is Cast:
             value = take(inst.value)
@@ -884,8 +991,10 @@ class _Decoder:
             c, t, f = (self.use(inst.cond, known), self.use(inst.if_true, known),
                        self.use(inst.if_false, known))
             if c[1] is None and t[1] is None and f[1] is None:
-                return [_select(slots[inst], c[0], t[0], f[0])], False, False, cost, None
-            return [_select_checked(slots[inst], c, t, f)], True, False, cost, None
+                op = _form(_SELECT)(d=slots[inst], c=c[0], t=t[0], f=f[0])
+                return [op], False, False, cost, None
+            op = _form(_SELECT_CHECKED)(d=slots[inst], c=c[0], cv=c[1], t=t, f=f)
+            return [op], True, False, cost, None
         if cls is Br:
             return [], False, False, cost, (_BR, index[inst.target], None, None)
         if cls is CondBr:
@@ -896,7 +1005,7 @@ class _Decoder:
             cases: dict[int, int] = {}
             for case_value, case_block in inst.cases:
                 cases.setdefault(case_value, index[case_block])
-            ops = [_observe_switch(inst, value)] if self.observed else []
+            ops = [_form(_OBSERVE_SWITCH)(inst=inst, v=value)] if self.observed else []
             return ops, False, False, cost, (_SWITCH, value, cases, index[inst.default])
         if cls is Ret:
             value = None if inst.value is None else take(inst.value)
@@ -904,7 +1013,7 @@ class _Decoder:
         if cls is Unreachable:
             return [], False, False, cost, (_TRAP, "unreachable executed", None, None)
         # A phi after a non-phi, or an instruction the VM does not know.
-        return ([_trap(TrapKind.ABORT, f"unknown instruction {inst}")], True,
+        return ([_form(_ABORT)(message=f"unknown instruction {inst}")], True,
                 False, cost, None)
 
     def gep(self, inst: GetElementPtr, take):
@@ -943,8 +1052,16 @@ class _Decoder:
 
 
 # ---------------------------------------------------------------------------
-# closures, one per instruction: ``op(r, vm)`` over the register list r
+# instruction forms: one source template each
 # ---------------------------------------------------------------------------
+#
+# A template is the Python source of one instruction form over the
+# register list ``r`` and the VM ``vm``, with ``{field}`` for each
+# operand.  Its closure ``op(r, vm)`` comes from a factory compiled once
+# per template, whose parameters are the fields; a compiled block
+# inlines the same source with each field written as a literal, or
+# bound as a parameter of the block's function when it has no literal
+# form (a callee, an IR value, a case dict).
 
 
 def _sign_bit(bits: int) -> int:
@@ -953,317 +1070,359 @@ def _sign_bit(bits: int) -> int:
     return 1 << (bits - 1) if bits > 1 else 0
 
 
+_FIELD = re.compile(r"\{(\w+)\}")
+# template -> its closure factory
+_FORMS: dict[str, types.FunctionType] = {}
+# id of a closure's code object (kept alive by its factory) -> its
+# template split at the fields: text, then the closure cell index of a
+# field, then text, ...
+_PIECES: dict[int, list] = {}
+
+
+def _form(template: str):
+    """*template*'s closure factory: called with the template's fields
+    by name (extra ones are ignored), it returns the closure."""
+    make = _FORMS.get(template)
+    if make is None:
+        make = _FORMS[template] = _factory(template)
+    return make
+
+
+def _factory(template: str):
+    names = list(dict.fromkeys(_FIELD.findall(template)))
+    body = _FIELD.sub(lambda match: match.group(1), template)
+    source = (f"def make({', '.join(names + ['**_'])}):\n"
+              "    def run(r, vm):\n"
+              + "".join(f"        {line}\n" for line in body.split("\n"))
+              + "    return run\n")
+    namespace: dict = {}
+    exec(compile(source, "<instruction form>", "exec"), globals(), namespace)
+    make = namespace["make"]
+    code = _code_const(make.__code__)
+    cells = {name: k for k, name in enumerate(code.co_freevars)}
+    _PIECES[id(code)] = [cells[part] if k % 2 else part
+                         for k, part in enumerate(_FIELD.split(template))]
+    return make
+
+
+def _code_const(code: types.CodeType) -> types.CodeType:
+    """The code object of the one function *code* defines."""
+    return next(const for const in code.co_consts
+                if isinstance(const, types.CodeType))
+
+
+_BINOPS = {
+    "add": "r[{d}] = (r[{a}] + r[{b}]) & {m}",
+    "sub": "r[{d}] = (r[{a}] - r[{b}]) & {m}",
+    "mul": "r[{d}] = (r[{a}] * r[{b}]) & {m}",
+    "and": "r[{d}] = r[{a}] & r[{b}]",
+    "or": "r[{d}] = r[{a}] | r[{b}]",
+    "xor": "r[{d}] = r[{a}] ^ r[{b}]",
+    "shl": "shift = r[{b}]\n"
+           "r[{d}] = (r[{a}] << shift) & {m} if shift < {bits} else 0",
+    "lshr": "shift = r[{b}]\n"
+            "r[{d}] = r[{a}] >> shift if shift < {bits} else 0",
+    "ashr": "r[{d}] = ((((r[{a}] & {m}) ^ {h}) - {h}) >> min(r[{b}], {top})) & {m}",
+    "udiv": "divisor = r[{b}]\n"
+            "if divisor == 0:\n"
+            "    raise VMTrap(TrapKind.DIV_BY_ZERO, {message}, vm.site)\n"
+            "r[{d}] = r[{a}] // divisor",
+    "urem": "divisor = r[{b}]\n"
+            "if divisor == 0:\n"
+            "    raise VMTrap(TrapKind.DIV_BY_ZERO, {message}, vm.site)\n"
+            "r[{d}] = r[{a}] % divisor",
+    "sdiv": "if r[{b}] == 0:\n"
+            "    raise VMTrap(TrapKind.DIV_BY_ZERO, {message}, vm.site)\n"
+            "x, y = ((r[{a}] & {m}) ^ {h}) - {h}, ((r[{b}] & {m}) ^ {h}) - {h}\n"
+            "quotient = abs(x) // abs(y)\n"
+            "r[{d}] = (quotient if (x < 0) == (y < 0) else -quotient) & {m}",
+}
+# Any other opcode is srem.
+_SREM = ("if r[{b}] == 0:\n"
+         "    raise VMTrap(TrapKind.DIV_BY_ZERO, {message}, vm.site)\n"
+         "x, y = ((r[{a}] & {m}) ^ {h}) - {h}, ((r[{b}] & {m}) ^ {h}) - {h}\n"
+         "remainder = abs(x) % abs(y)\n"
+         "r[{d}] = (remainder if x >= 0 else -remainder) & {m}")
+
+# Predicate -> Python comparison; any other predicate is uge.
+_COMPARE = {"eq": "==", "ne": "!=", "slt": "<", "ult": "<", "sle": "<=",
+            "ule": "<=", "sgt": ">", "ugt": ">"}
+_ICMP = "r[{d}] = 1 if r[{a}] %s r[{b}] else 0"
+# Flipping the sign bit of the masked values orders them as their
+# two's-complement readings.
+_ICMP_SIGNED = "r[{d}] = 1 if ((r[{a}] & {m}) ^ {h}) %s ((r[{b}] & {m}) ^ {h}) else 0"
+
+_COPY = "r[{d}] = r[{a}]"                                  # bitcast, inttoptr
+_SEXT = "r[{d}] = (((r[{a}] & {sm}) ^ {h}) - {h}) & {m}"
+_MASK = "r[{d}] = r[{a}] & {m}"                            # trunc, zext, ptrtoint
+
+_SELECT = "r[{d}] = r[{t}] if r[{c}] else r[{f}]"
+# Reads only the arm it picks, each read checked: *cv* is the
+# condition's value, *t* and *f* are ``(slot, value or None)``.
+_SELECT_CHECKED = ("flag = r[{c}]\n"
+                   "if flag is None:\n"
+                   "    raise _bad_operand({cv}, vm.site)\n"
+                   "slot, value = {t} if flag else {f}\n"
+                   "result = r[slot]\n"
+                   "if result is None:\n"
+                   "    raise _bad_operand(value, vm.site)\n"
+                   "r[{d}] = result")
+
+_GEP = "r[{d}] = (r[{base}] + {offset}) & 0xFFFFFFFFFFFFFFFF"
+_GEP_SCALED = ("r[{d}] = (r[{base}] + {offset} + (((r[{s}] & {m}) ^ {h}) - {h})"
+               " * {scale}) & 0xFFFFFFFFFFFFFFFF")
+_GEP_TERMS = ("address = r[{base}] + {offset}\n"
+              "for s, m, h, scale in {terms}:\n"
+              "    address += (((r[s] & m) ^ h) - h) * scale\n"
+              "r[{d}] = address & 0xFFFFFFFFFFFFFFFF")
+
+_LOAD = "r[{d}] = vm.memory.read_int(r[{p}], {size}, vm.site)"
+_STORE = "vm.memory.write_int(r[{p}], r[{v}], {size}, vm.site)"
+# Loads and stores that cannot trap: through the bytes in an alloca's
+# data slot, or a laid-out global's; a store's bytes still count.
+_LOAD_FRAME = 'r[{d}] = int.from_bytes(r[{data}][0:{size}], "little")'
+_LOAD_GLOBAL = ('r[{d}] = int.from_bytes('
+                'vm.global_regions[{name}].data[0:{size}], "little")')
+_STORE_FRAME = ('r[{data}][0:{size}] = (r[{v}] & {m}).to_bytes({size}, "little")\n'
+                "vm.memory.bytes_written += {size}")
+_STORE_GLOBAL = ("vm.global_regions[{name}].data[0:{size}] = "
+                 '(r[{v}] & {m}).to_bytes({size}, "little")\n'
+                 "vm.memory.bytes_written += {size}")
+
+_ALLOCA = ("try:\n"
+           "    region = vm.memory.map_stack({size}, {tag})\n"
+           "except MemoryError:\n"
+           "    raise VMTrap(TrapKind.STACK_OVERFLOW, {message}, vm.site) from None\n"
+           "r[{frame}].append(region)\n"
+           "r[{d}] = region.base\n"
+           "r[{data}] = region.data")
+
+# The ``__cov_guard`` native inlined (``VM.cov_guard``); ``prev_loc`` is
+# always below the map size, and so is the xor.
+_COV_GUARD = ("index = {location} ^ vm.prev_loc\n"
+              "coverage = vm.coverage_map\n"
+              "hits = coverage[index]\n"
+              "if hits != 0xFF:\n"
+              "    if not hits:\n"
+              "        coverage.cells.append(index)\n"
+              "    coverage[index] = hits + 1\n"
+              "vm.prev_loc = {following}\n"
+              "if vm.trace_edges:\n"
+              "    vm.edge_trace.append((vm.site.function, index))")
+
+_OBSERVE_ICMP = ("observer = vm.cmp_observer\n"
+                 "if observer is not None and observer.active:\n"
+                 "    observer.observe_icmp(vm.site, {inst}, r[{a}], r[{b}])")
+_OBSERVE_SWITCH = ("observer = vm.cmp_observer\n"
+                   "if observer is not None and observer.active:\n"
+                   "    observer.observe_switch(vm.site, {inst}, r[{v}])")
+
+# Raises what reading *value* raises when its slot holds nothing.
+_CHECK = "if r[{slot}] is None:\n    raise _bad_operand({value}, vm.site)"
+_ABORT = "raise VMTrap(TrapKind.ABORT, {message}, vm.site)"
+
+# One edge's phis with every arm checked (*arms* is ``((slot, value or
+# None), ...)``), assigned simultaneously; or, for an edge some phi has
+# no arm for, the arms before that phi checked, then a KeyError.
+_MOVES_CHECKED = ("values = []\n"
+                  "for slot, check in {arms}:\n"
+                  "    value = r[slot]\n"
+                  "    if value is None and check is not None:\n"
+                  "        raise _bad_operand(check, vm.site)\n"
+                  "    values.append(value)\n"
+                  "for d, value in zip({targets}, values):\n"
+                  "    r[d] = value")
+_MOVES_MISSING = ("for slot, check in {arms}:\n"
+                  "    if r[slot] is None and check is not None:\n"
+                  "        raise _bad_operand(check, vm.site)\n"
+                  "raise KeyError({missing})")
+# Phis in the entry block, entered with no predecessor: the
+# interpreter's invariant fails, bare, as an ``assert`` would.
+_ENTRY_PHI = "raise AssertionError"
+
+
+@functools.cache
+def _call_template(native: bool, arity: int, result: bool) -> str:
+    """A call passing *arity* arguments: a native through
+    ``vm._call_native``, or the callee's code; then the caller's site
+    back, and the result if it has one."""
+    reads = ", ".join(f"r[{{a{k}}}]" for k in range(arity))
+    call = (f"vm._call_native({{native}}, [{reads}])" if native else
+            f"_execute(vm, vm._code_for({{callee}}, {arity}), args)")
+    lines = ([] if native else [f"args = [{reads}]"]) + [
+        ("result = " if result else "") + call,
+        "site = vm.site", "site.function = {function}", "site.block = {block}"]
+    if result:
+        lines.append("r[{d}] = 0 if result is None else result")
+    return "\n".join(lines)
+
+
+@functools.cache
+def _moves_template(count: int) -> str:
+    """One edge's *count* phis, assigned simultaneously."""
+    return (", ".join(f"r[{{d{k}}}]" for k in range(count)) + " = "
+            + ", ".join(f"r[{{s{k}}}]" for k in range(count)))
+
+
 def _binop(op: str, bits: int, d: int, a: int, b: int):
-    m = (1 << bits) - 1
-    if op == "add":
-        def run(r, vm):
-            r[d] = (r[a] + r[b]) & m
-    elif op == "sub":
-        def run(r, vm):
-            r[d] = (r[a] - r[b]) & m
-    elif op == "mul":
-        def run(r, vm):
-            r[d] = (r[a] * r[b]) & m
-    elif op == "and":
-        def run(r, vm):
-            r[d] = r[a] & r[b]
-    elif op == "or":
-        def run(r, vm):
-            r[d] = r[a] | r[b]
-    elif op == "xor":
-        def run(r, vm):
-            r[d] = r[a] ^ r[b]
-    elif op == "shl":
-        def run(r, vm):
-            shift = r[b]
-            r[d] = (r[a] << shift) & m if shift < bits else 0
-    elif op == "lshr":
-        def run(r, vm):
-            shift = r[b]
-            r[d] = r[a] >> shift if shift < bits else 0
-    elif op == "ashr":
-        h, top = _sign_bit(bits), bits - 1
-        def run(r, vm):
-            r[d] = ((((r[a] & m) ^ h) - h) >> min(r[b], top)) & m
-    else:
-        return _divide(op, bits, d, a, b)
-    return run
-
-
-def _divide(op: str, bits: int, d: int, a: int, b: int):
-    m, h = (1 << bits) - 1, _sign_bit(bits)
-    message = f"{op} by zero"
-    if op == "udiv":
-        def run(r, vm):
-            divisor = r[b]
-            if divisor == 0:
-                raise VMTrap(TrapKind.DIV_BY_ZERO, message, vm.site)
-            r[d] = r[a] // divisor
-    elif op == "urem":
-        def run(r, vm):
-            divisor = r[b]
-            if divisor == 0:
-                raise VMTrap(TrapKind.DIV_BY_ZERO, message, vm.site)
-            r[d] = r[a] % divisor
-    elif op == "sdiv":
-        def run(r, vm):
-            if r[b] == 0:
-                raise VMTrap(TrapKind.DIV_BY_ZERO, message, vm.site)
-            x, y = ((r[a] & m) ^ h) - h, ((r[b] & m) ^ h) - h
-            quotient = abs(x) // abs(y)
-            r[d] = (quotient if (x < 0) == (y < 0) else -quotient) & m
-    else:   # srem
-        def run(r, vm):
-            if r[b] == 0:
-                raise VMTrap(TrapKind.DIV_BY_ZERO, message, vm.site)
-            x, y = ((r[a] & m) ^ h) - h, ((r[b] & m) ^ h) - h
-            remainder = abs(x) % abs(y)
-            r[d] = (remainder if x >= 0 else -remainder) & m
-    return run
+    return _form(_BINOPS.get(op, _SREM))(
+        d=d, a=a, b=b, m=(1 << bits) - 1, h=_sign_bit(bits), bits=bits,
+        top=bits - 1, message=f"{op} by zero")
 
 
 def _icmp(predicate: str, signed_bits: int, d: int, a: int, b: int):
+    compare = _COMPARE.get(predicate, ">=")
     if signed_bits:
-        # Flipping the sign bit of the masked values orders them as
-        # their two's-complement readings.
-        m, h = (1 << signed_bits) - 1, _sign_bit(signed_bits)
-        compare = _ORDER[predicate]
-        def run(r, vm):
-            r[d] = 1 if compare((r[a] & m) ^ h, (r[b] & m) ^ h) else 0
-    elif predicate == "eq":
-        def run(r, vm):
-            r[d] = 1 if r[a] == r[b] else 0
-    elif predicate == "ne":
-        def run(r, vm):
-            r[d] = 1 if r[a] != r[b] else 0
-    elif predicate in ("slt", "ult"):
-        def run(r, vm):
-            r[d] = 1 if r[a] < r[b] else 0
-    elif predicate in ("sle", "ule"):
-        def run(r, vm):
-            r[d] = 1 if r[a] <= r[b] else 0
-    elif predicate in ("sgt", "ugt"):
-        def run(r, vm):
-            r[d] = 1 if r[a] > r[b] else 0
-    else:
-        def run(r, vm):
-            r[d] = 1 if r[a] >= r[b] else 0
-    return run
+        return _form(_ICMP_SIGNED % compare)(
+            d=d, a=a, b=b, m=(1 << signed_bits) - 1, h=_sign_bit(signed_bits))
+    return _form(_ICMP % compare)(d=d, a=a, b=b)
 
 
 def _cast(op: str, source, target, d: int, a: int):
     if op in ("bitcast", "inttoptr"):
-        def run(r, vm):
-            r[d] = r[a]
-    elif op == "sext":
-        m = target.unsigned_max
-        sm, h = source.unsigned_max, _sign_bit(source.bits)
-        def run(r, vm):
-            r[d] = (((r[a] & sm) ^ h) - h) & m
-    else:   # trunc, zext, ptrtoint
-        m = target.unsigned_max
-        def run(r, vm):
-            r[d] = r[a] & m
-    return run
-
-
-def _select(d: int, c: int, t: int, f: int):
-    def run(r, vm):
-        r[d] = r[t] if r[c] else r[f]
-    return run
-
-
-def _select_checked(d: int, cond, if_true, if_false):
-    """Select reading only the arm it picks, each read checked."""
-    def run(r, vm):
-        flag = r[cond[0]]
-        if flag is None:
-            raise _bad_operand(cond[1], vm.site)
-        slot, value = if_true if flag else if_false
-        result = r[slot]
-        if result is None:
-            raise _bad_operand(value, vm.site)
-        r[d] = result
-    return run
+        return _form(_COPY)(d=d, a=a)
+    if op == "sext":
+        return _form(_SEXT)(d=d, a=a, sm=source.unsigned_max,
+                            h=_sign_bit(source.bits), m=target.unsigned_max)
+    return _form(_MASK)(d=d, a=a, m=target.unsigned_max)
 
 
 def _gep(d: int, base: int, offset: int, terms: tuple):
     if not terms:
-        def run(r, vm):
-            r[d] = (r[base] + offset) & _U64_MASK
-    elif len(terms) == 1:
+        return _form(_GEP)(d=d, base=base, offset=offset)
+    if len(terms) == 1:
         ((s, m, h, scale),) = terms
-        def run(r, vm):
-            r[d] = (r[base] + offset + (((r[s] & m) ^ h) - h) * scale) & _U64_MASK
-    else:
-        def run(r, vm):
-            address = r[base] + offset
-            for s, m, h, scale in terms:
-                address += (((r[s] & m) ^ h) - h) * scale
-            r[d] = address & _U64_MASK
-    return run
-
-
-def _load(d: int, ptr: int, size: int):
-    def run(r, vm):
-        r[d] = vm.memory.read_int(r[ptr], size, vm.site)
-    return run
-
-
-def _store(ptr: int, value: int, size: int):
-    def run(r, vm):
-        vm.memory.write_int(r[ptr], r[value], size, vm.site)
-    return run
-
-
-def _load_direct(d: int, data: int | None, name: str | None, size: int):
-    """A load that cannot trap: from the bytes in slot *data* (an
-    alloca's), or from global *name*'s."""
-    if data is not None:
-        def run(r, vm):
-            r[d] = int.from_bytes(r[data][0:size], "little")
-    else:
-        def run(r, vm):
-            r[d] = int.from_bytes(vm.global_regions[name].data[0:size], "little")
-    return run
-
-
-def _store_direct(data: int | None, name: str | None, value: int, size: int):
-    """A store that cannot trap, into *data* or *name* as
-    :func:`_load_direct`; its bytes still count as written."""
-    m = (1 << (size * 8)) - 1
-    if data is not None:
-        def run(r, vm):
-            r[data][0:size] = (r[value] & m).to_bytes(size, "little")
-            vm.memory.bytes_written += size
-    else:
-        def run(r, vm):
-            vm.global_regions[name].data[0:size] = (r[value] & m).to_bytes(size, "little")
-            vm.memory.bytes_written += size
-    return run
-
-
-def _alloca(d: int, frame: int, data: int, size: int, tag: str):
-    def run(r, vm):
-        try:
-            region = vm.memory.map_stack(size, tag)
-        except MemoryError:
-            raise VMTrap(TrapKind.STACK_OVERFLOW,
-                         f"stack exhausted by alloca of {size} bytes",
-                         vm.site) from None
-        r[frame].append(region)
-        r[d] = region.base
-        r[data] = region.data
-    return run
-
-
-def _cov_guard(cur_loc: int):
-    """The ``__cov_guard`` native inlined (``VM.cov_guard``)."""
-    location = cur_loc & _MAP_MASK
-    following = (cur_loc >> 1) & _MAP_MASK
-
-    def run(r, vm):
-        # ``prev_loc`` is always below the map size, and so is the xor.
-        index = location ^ vm.prev_loc
-        coverage = vm.coverage_map
-        hits = coverage[index]
-        if hits != 0xFF:
-            if not hits:
-                coverage.cells.append(index)
-            coverage[index] = hits + 1
-        vm.prev_loc = following
-        if vm.trace_edges:
-            vm.edge_trace.append((vm.site.function, index))
-    return run
+        return _form(_GEP_SCALED)(d=d, base=base, offset=offset, s=s, m=m,
+                                  h=h, scale=scale)
+    return _form(_GEP_TERMS)(d=d, base=base, offset=offset, terms=terms)
 
 
 def _call(callee: Function, arg_slots: tuple, d: int | None,
           function_name: str, block_name: str):
-    """A call: a native through ``vm.natives``, or the callee's code."""
-    native = callee.name if callee.is_declaration else None
-
-    def run(r, vm):
-        args = [r[s] for s in arg_slots]
-        if native is not None:
-            result = vm._call_native(native, args)
-        else:
-            result = _execute(vm, vm._code_for(callee, len(args)), args)
-        site = vm.site
-        site.function = function_name
-        site.block = block_name
-        if d is not None:
-            r[d] = 0 if result is None else result
-    return run
-
-
-def _observe_icmp(inst: ICmp, a: int, b: int):
-    def run(r, vm):
-        observer = vm.cmp_observer
-        if observer is not None and observer.active:
-            observer.observe_icmp(vm.site, inst, r[a], r[b])
-    return run
-
-
-def _observe_switch(inst: Switch, v: int):
-    def run(r, vm):
-        observer = vm.cmp_observer
-        if observer is not None and observer.active:
-            observer.observe_switch(vm.site, inst, r[v])
-    return run
-
-
-def _check(pairs: tuple):
-    """Raise what reading the first of *pairs* that holds no value
-    raises."""
-    def run(r, vm):
-        for slot, value in pairs:
-            if r[slot] is None:
-                raise _bad_operand(value, vm.site)
-    return run
-
-
-def _trap(kind: TrapKind, message: str):
-    def run(r, vm):
-        raise VMTrap(kind, message, vm.site)
-    return run
+    template = _call_template(callee.is_declaration, len(arg_slots),
+                              d is not None)
+    return _form(template)(
+        native=callee.name, callee=callee, d=d, function=function_name,
+        block=block_name, **{f"a{k}": slot for k, slot in enumerate(arg_slots)})
 
 
 def _moves(targets: list, sources: list):
-    """One edge's phis, assigned simultaneously."""
-    if len(targets) == 1:
-        (d,), (s,) = targets, sources
-        def run(r, vm):
-            r[d] = r[s]
-    elif len(targets) == 2:
-        (d0, d1), (s0, s1) = targets, sources
-        def run(r, vm):
-            r[d0], r[d1] = r[s0], r[s1]
+    fields = {}
+    for k, (d, s) in enumerate(zip(targets, sources)):
+        fields[f"d{k}"], fields[f"s{k}"] = d, s
+    return _form(_moves_template(len(targets)))(**fields)
+
+
+# ---------------------------------------------------------------------------
+# compiled blocks
+# ---------------------------------------------------------------------------
+
+# Block source text -> the code object of its function, shared by every
+# block (of any module, in any VM) with the same text.
+_BLOCK_CODE: dict[str, types.CodeType] = {}
+
+
+def _compile(block: tuple) -> types.FunctionType:
+    """*block* as one function ``(r, vm, prev, limit, counting)`` that
+    runs it like the loop in :func:`_execute` does and returns the next
+    block's index, or -1 on return."""
+    source, bound = _block_source(block)
+    code = _BLOCK_CODE.get(source)
+    if code is None:
+        code = _BLOCK_CODE[source] = _code_const(
+            compile(source, "<compiled block>", "exec"))
+    return types.FunctionType(code, globals(), block[0], bound)
+
+
+def _literal(value) -> str | None:
+    """*value* as a Python literal, or None if it has none."""
+    cls = type(value)
+    if cls is int:
+        return repr(value) if value >= 0 else f"({value!r})"
+    if cls is str or value is None:
+        return repr(value)
+    if cls is tuple:
+        items = [_literal(item) for item in value]
+        if None not in items:
+            return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+    return None
+
+
+def _block_source(block: tuple) -> tuple[str, tuple]:
+    """The source of *block*'s function and the values of its
+    parameters after the first five: ``S``, the block's segments (for
+    the closure path), then ``K0``, ``K1``, ... for each field with no
+    literal form."""
+    name, phis, segments, kind, x, y, z = block
+    bound: list = [segments]
+    names: dict[int, str] = {}
+
+    def field(value) -> str:
+        if type(value) is int and value >= 0:
+            return str(value)
+        text = _literal(value)
+        if text is None:
+            text = names.get(id(value))
+            if text is None:
+                text = names[id(value)] = f"K{len(bound) - 1}"
+                bound.append(value)
+        return text
+
+    def inline(op, indent: str = "") -> list[str]:
+        cells = op.__closure__
+        text = "".join([part if type(part) is str
+                        else field(cells[part].cell_contents)
+                        for part in _PIECES[id(op.__code__)]])
+        return [indent + line for line in text.split("\n")]
+
+    lines = [f"vm.site.block = {name!r}"]
+    if phis is not None:
+        moves, count, cost = phis
+        edges = list(moves.items())
+        if len(edges) == 1:
+            lines += inline(edges[0][1])
+        else:
+            # The block is entered from one of these, so the last edge
+            # needs no test.
+            for k, (pred, move) in enumerate(edges):
+                lines.append("else:" if k == len(edges) - 1 else
+                             f"{'elif' if k else 'if'} prev == {pred}:")
+                lines += inline(move, "    ")
+        lines += [f"vm.instructions_executed += {count}",
+                  f"vm.cost += {cost}",
+                  "if counting and vm.opcode_counts is not None:",
+                  "    vm.opcode_counts['Phi'] = "
+                  f"vm.opcode_counts.get('Phi', 0) + {count}"]
+    # Segments run in groups that end at a call: in a group only its
+    # last instruction, the call, moves the count, so if the whole group
+    # fits under the limit each of its segments does.  A group that
+    # would cross it, or runs with profiling counts, runs on closures.
+    first = 0
+    for k, (_, _, _, _, opcodes, guards) in enumerate(segments):
+        if k < len(segments) - 1 and dict(opcodes).get("Call", 0) == guards:
+            continue
+        group = segments[first:k + 1]
+        lines += ["if counting or vm.instructions_executed + "
+                  f"{sum(segment[0] for segment in group)} > limit:",
+                  f"    _run_segments(vm, r, S[{first}:{k + 1}], limit, counting)",
+                  "else:"]
+        for count, cost, ops, _, _, _ in group:
+            lines += [f"    vm.instructions_executed += {count}",
+                      f"    vm.cost += {cost}"]
+            for op in ops:
+                lines += inline(op, "    ")
+        first = k + 1
+    if kind == _CONDBR:
+        lines.append(f"return {y} if r[{x}] else {z}")
+    elif kind == _BR:
+        lines.append(f"return {x}")
+    elif kind == _RET:
+        lines.append("return -1")
+    elif kind == _SWITCH:
+        lines.append(f"return {field(y)}.get(r[{x}], {z})")
     else:
-        def run(r, vm):
-            values = [r[s] for s in sources]
-            for d, value in zip(targets, values):
-                r[d] = value
-    return run
-
-
-def _moves_checked(targets: list, arms: list, missing: str | None):
-    """One edge's phis, each arm read checked, raising KeyError at the
-    first phi with no arm for the edge."""
-    def run(r, vm):
-        values = []
-        for slot, check in arms:
-            value = r[slot]
-            if value is None and check is not None:
-                raise _bad_operand(check, vm.site)
-            values.append(value)
-        if missing is not None:
-            raise KeyError(missing)
-        for d, value in zip(targets, values):
-            r[d] = value
-    return run
-
-
-def _entry_phi(r, vm):
-    """Phis in the entry block, entered with no predecessor: the
-    interpreter's invariant fails, bare, as an ``assert`` would."""
-    raise AssertionError
+        lines.append(f"raise VMTrap(TrapKind.UNREACHABLE, {x!r}, vm.site)")
+    params = ", ".join(["S"] + [f"K{k}" for k in range(len(bound) - 1)])
+    source = (f"def block(r, vm, prev, limit, counting, {params}):\n"
+              + "".join(f"    {line}\n" for line in lines))
+    return source, tuple(bound)

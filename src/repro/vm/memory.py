@@ -11,7 +11,9 @@ Address lookup checks the last region it found, then bisects the
 sorted region bases.  Freed regions are remembered in a bounded FIFO
 so the memcheck layer can distinguish *use-after-free* from plain
 *unaddressable* accesses — the same distinction Valgrind draws in the
-paper's §6.1.4 validation.
+paper's §6.1.4 validation.  A verdict reads a dead region's base, size,
+kind and tag only, so unmapping releases its bytes (``data`` becomes
+None).
 
 Stack frames map last-in-first-out.  Stack regions are the highest
 mapped regions (FILE handles are not regions), and a frame's regions
@@ -89,7 +91,7 @@ RED_ZONE = 16
 
 
 class MemoryRegion:
-    """One live or dead allocation."""
+    """One live or dead allocation; a dead one has no ``data``."""
 
     __slots__ = ("base", "size", "data", "writable", "kind", "tag", "alive")
 
@@ -171,6 +173,7 @@ class AddressSpace:
         live, dead = self._regions, self._dead
         for region in regions:
             region.alive = False
+            region.data = None
             del live[region.base]
             dead[region.base] = region
         while len(dead) > self.DEAD_REGION_MEMORY:
@@ -180,6 +183,7 @@ class AddressSpace:
         if not region.alive:
             raise ValueError("double unmap")
         region.alive = False
+        region.data = None
         index = bisect.bisect_left(self._bases, region.base)
         del self._bases[index]
         del self._regions[region.base]
@@ -196,8 +200,8 @@ class AddressSpace:
     def fork(self) -> AddressSpace:
         """A forked child's copy of this address space: a private copy
         of every live region, the same segments and cursors, the same
-        freed-region FIFO (dead regions are never written, so it shares
-        them), and no bytes written."""
+        freed-region FIFO (dead regions hold no bytes and never change,
+        so it shares them), and no bytes written."""
         child = AddressSpace.__new__(AddressSpace)
         child.global_segment = self.global_segment.copy()
         child.heap_segment = self.heap_segment.copy()

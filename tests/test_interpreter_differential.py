@@ -18,13 +18,20 @@ spaces must be equal too: bytes written (the copy-on-write charge),
 the live region bases in order, the freed-region FIFO and the segment
 cursors.  Hand-built edge cases pin the loads and stores decoded code
 runs without a check (frame allocas, named globals), its
-last-in-first-out stack frames, and the traps an exhausted stack or
-heap segment raises.  The forkserver legs check that the reference
-run's children really are reference VMs.
+last-in-first-out stack frames, freed regions releasing their bytes,
+and the traps an exhausted stack or heap segment raises.  The
+forkserver legs check that the reference run's children really are
+reference VMs.
+
+Decoded code runs on closures here (nothing compiles);
+``tests/test_interpreter_compiled.py`` runs every test again with
+every block compiled when its function is decoded.
 """
 
 import dataclasses
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -50,13 +57,19 @@ from repro.passes.coverage import COV_GUARD, CoveragePass
 from repro.runtime.replay import Observation, replay
 from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
-from repro.vm import VM, TrapKind, VMError
-from repro.vm.memory import RED_ZONE
+from repro.vm import VM, TrapKind, VMError, interpreter
+from repro.vm.memory import RED_ZONE, AddressSpace
 from tests.reference_interpreter import ReferenceVM
 
 MUTANTS = 20
 BUILDS = [(name, False) for name in sorted(target_names())] + [
     ("md4c", True), ("giftext", True), ("zlib", True)]
+
+
+@pytest.fixture(autouse=True)
+def tier(monkeypatch):
+    """Decoded code runs on closures: no module's code compiles."""
+    monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", sys.maxsize)
 
 
 def mutants(spec, count=MUTANTS, seed=11):
@@ -117,12 +130,13 @@ def run_both(module, function, args, limit=None, counts=False):
 
 def sweep(module, function, args) -> tuple:
     """:func:`run_both` at every instruction limit from 1 until the call
-    finishes: each limit below the call's length must hang exactly
-    there with every frame unmapped.  Returns the finished outcome and
-    how many limits hung."""
+    finishes, with and without profiling counts: each limit below the
+    call's length must hang exactly there with every frame unmapped.
+    Returns the finished outcome and how many limits hung."""
     limit = 0
     while True:
         limit += 1
+        run_both(module, function, args, limit=limit)
         vm, outcome = run_both(module, function, args, limit=limit, counts=True)
         if not isinstance(outcome, tuple):
             return outcome, limit - 1
@@ -283,6 +297,7 @@ def test_instruction_limit_sweep_matches_reference():
     finished, hangs = sweep(module, f, [6])
     assert 60 < hangs < 100
     for limit in range(hangs + 1, 110):
+        assert run_both(module, f, [6], limit=limit)[1] == finished
         assert run_both(module, f, [6], limit=limit, counts=True)[1] == finished
 
 
@@ -417,9 +432,23 @@ def test_pointer_into_returned_frame_is_use_after_free():
     assert vm.stack_region_count() == 0
 
 
-def test_alloca_in_a_loop_reaches_its_newest_region():
+def test_alloca_in_a_loop_reaches_its_newest_region(monkeypatch):
     """Each iteration's alloca maps a new region; the loads and stores
-    after it reach that one, and return unmaps them all, oldest first."""
+    after it reach that one, and return unmaps them all, oldest first,
+    releasing their bytes.  Each region's value is read as it unmaps."""
+    values = []
+    unmap, unmap_frame = AddressSpace.unmap, AddressSpace.unmap_frame
+
+    def reading_unmap(self, region):
+        values.append(int.from_bytes(region.data, "little"))
+        unmap(self, region)
+
+    def reading_unmap_frame(self, regions):
+        values.extend(int.from_bytes(region.data, "little") for region in regions)
+        unmap_frame(self, regions)
+
+    monkeypatch.setattr(AddressSpace, "unmap", reading_unmap)
+    monkeypatch.setattr(AddressSpace, "unmap_frame", reading_unmap_frame)
     module = Module("loop")
     i32 = int_type(32)
     f = module.add_function("f", FunctionType(I32, [I32]))
@@ -443,8 +472,9 @@ def test_alloca_in_a_loop_reaches_its_newest_region():
     dead = list(vm.memory._dead.values())
     assert [region.tag for region in dead] == [f"f.{slot.name}"] * 5
     assert [region.base for region in dead] == sorted(r.base for r in dead)
-    assert [int.from_bytes(region.data, "little") for region in dead] == [
-        0, 10, 20, 30, 40]
+    # The decoded run's values, then the reference run's.
+    assert values == [0, 10, 20, 30, 40] * 2
+    assert all(region.data is None for region in dead)
     assert vm.stack_region_count() == 0
     assert vm.memory.bytes_written == 20
 
@@ -607,3 +637,36 @@ def test_forkserver_campaign_records_heap_exhaustion_as_a_crash(monkeypatch):
     execs, total, reports = decoded
     assert execs == total > 0
     assert reports == [(TrapKind.OUT_OF_MEMORY, "main")]
+
+
+CHURN_SOURCE = r"""
+int main(int argc, char **argv) {
+    int i = 0;
+    while (i < 300) { char *p = malloc(1048576); p[7] = 1; free(p); i = i + 1; }
+    return i;
+}
+"""
+
+
+@pytest.mark.parametrize("vm_class", [VM, ReferenceVM])
+def test_freed_regions_retain_no_bytes(vm_class):
+    """A loop that mallocs and frees 1 MiB 300 times fills the freed-
+    region FIFO, but none of its regions keeps its bytes: the run's
+    traced peak stays near the one live MiB (it was above 256 MiB when
+    freed regions kept theirs)."""
+    module = compile_c(CHURN_SOURCE, "churn")
+    vm = vm_class(module)
+    vm.load()
+    tracemalloc.start()
+    try:
+        assert vm.run_function(module.get_function("main"), [0, 0]) == 300
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The FIFO's oldest entries are heap chunks, its newest main's frame.
+    dead = list(vm.memory._dead.values())
+    assert len(dead) == AddressSpace.DEAD_REGION_MEMORY
+    assert all(region.data is None for region in dead)
+    assert [region.size for region in dead[:200]] == [MEBIBYTE] * 200
+    assert vm.heap.live_bytes == 0
+    assert peak < 8 * MEBIBYTE

@@ -6,7 +6,13 @@ virtual cost and instruction count on the decoded interpreter as on
 the instruction-at-a-time reference.  The stale-code tests rewrite a
 module in place between runs, along every path that does so, and
 require the next run to see the rewrite.
+
+Decoded code runs on closures here (nothing compiles);
+``tests/test_interpreter_compiled.py`` runs every test again with
+every block compiled when its function is decoded.
 """
+
+import sys
 
 import pytest
 
@@ -34,6 +40,12 @@ from repro.vm import interpreter
 from tests.reference_interpreter import ReferenceVM
 
 i32 = int_type(32)
+
+
+@pytest.fixture(autouse=True)
+def tier(monkeypatch):
+    """Decoded code runs on closures: no module's code compiles."""
+    monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", sys.maxsize)
 
 
 def outcome(vm_class, module, function, args):

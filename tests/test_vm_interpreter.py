@@ -1,5 +1,8 @@
 """Unit tests for the interpreter engine and libc natives."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ir import FunctionType, I32, IRBuilder, Module, int_type
@@ -11,6 +14,7 @@ from repro.vm import (
     TrapKind,
     VM,
     VMTrap,
+    interpreter,
 )
 
 
@@ -109,13 +113,97 @@ class TestArgv:
         )
         assert result == 34
 
-    def test_set_argv_input_repoints(self):
-        vm, module = make_vm(
-            "int main(int argc, char **argv) { return (int)strlen(argv[1]); }"
-        )
-        argc, argv = vm.setup_argv(["t", "/old"])
-        vm.set_argv_input(argv, 1, "/much/longer/path")
-        assert vm.run_function(module.get_function("main"), [argc, argv]) == 17
+
+HOT_LOOP = """
+int again(int x);
+int helper(int x) { return x * 3 + 1; }
+int main(int argc, char **argv) {
+    int total = 0;
+    for (int i = 0; i < 20; i++) { total = total + helper(i) + again(i); }
+    if (argc > 5) {
+        for (int j = 0; j < 30; j++) { total = total + j; }
+    }
+    return total;
+}
+"""
+
+
+def again(vm, args, site):
+    """A native running ``helper`` again, one call deeper."""
+    return vm.run_function(vm.module.get_function("helper"), args)
+
+
+def run_main(module, argv=("t",)):
+    vm = VM(module, extra_natives={"again": again})
+    vm.load()
+    argc, argv_address = vm.setup_argv(list(argv))
+    result = vm.run_function(module.get_function("main"), [argc, argv_address])
+    return result, vm.cost, vm.instructions_executed
+
+
+def compiled_functions(module):
+    return [run for code in module.decoded.plain.values()
+            for run in code.compiled if run is not None]
+
+
+class TestCompiledBlocks:
+    def test_nothing_compiles_before_the_ninth_run(self, monkeypatch):
+        """A module's code serves 8 top-level runs on closures (the 20
+        runs of ``helper`` through a native, one call deeper, do not
+        count).  The 9th first compiles each block entered at least 8
+        times; blocks entered less often, like the inner loop a later run
+        enters 30 times, stay on closures."""
+        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
+        compiled = []
+        compile_block = interpreter._compile
+
+        def counting(block):
+            compiled.append(block[0])
+            return compile_block(block)
+
+        monkeypatch.setattr(interpreter, "_compile", counting)
+        module = compile_c(HOT_LOOP, "hot")
+        first = run_main(module)
+        for _ in range(7):
+            assert run_main(module) == first
+        assert compiled == [] and compiled_functions(module) == []
+        assert run_main(module) == first
+        assert sorted(compiled) == sorted(
+            ["entry", "entry", "for.cond", "for.body", "for.step", "for.end",
+             "if.end"])
+        assert len(compiled_functions(module)) == len(compiled)
+        assert run_main(module, ["t"] * 6)[0] == first[0] + sum(range(30))
+        assert len(compiled) == 7
+
+    def test_dropping_decoded_code_frees_compiled_blocks(self, monkeypatch):
+        """Nothing in compiled code refers back to the module's decoded
+        code, so dropping that frees every block function by refcount
+        alone."""
+        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 0)
+        module = compile_c(HOT_LOOP, "hot")
+        run_main(module)
+        refs = [weakref.ref(run) for run in compiled_functions(module)]
+        assert refs
+        gc.disable()
+        try:
+            module.decoded = None
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_modules_share_code_objects_not_callees(self, monkeypatch):
+        """Two builds of one program compile each block once: their
+        block functions share code objects and bind their own callees."""
+        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 0)
+        first, second = compile_c(HOT_LOOP, "hot"), compile_c(HOT_LOOP, "hot")
+        assert run_main(first) == run_main(second)
+        ones, twos = compiled_functions(first), compiled_functions(second)
+        assert [run.__code__ for run in ones] == [run.__code__ for run in twos]
+        callees = [(one.__defaults__, two.__defaults__) for one, two
+                   in zip(ones, twos) if len(one.__defaults__) > 1]
+        assert callees and all(
+            one[1] is first.get_function("helper")
+            and two[1] is second.get_function("helper") for one, two in callees)
 
 
 class TestCoverage:
