@@ -23,7 +23,10 @@ per process.  Once a module's decoded code has served
 :data:`COMPILE_AFTER_RUNS` top-level runs (``VM.run_function`` at call
 depth 0: one exec, one replay), the next run first compiles each block
 entered at least once per run so far to one Python function
-(:func:`_compile`); the other blocks keep their closures.  The function
+(:func:`_compile`); after the square of that many runs (the 65th), a
+second batch compiles the blocks still on closures that were entered
+at least once per two runs, in functions first called since too.  The
+other blocks keep their closures.  The function
 holds the block's phi moves, its segments with their charges and limit
 checks, and its instructions' templates with slots and constants
 written as literals, and returns the next block's index, so a hot
@@ -43,11 +46,20 @@ a store), and which fits that region, cannot trap: the alloca's region
 lives until its frame exits, and globals are never unmapped.  Such an
 access reads or writes the region's bytes directly, found through a
 register slot the alloca fills (its region's ``data``) or through the
-VM's ``global_regions``, and still counts a store's bytes in
-``memory.bytes_written``.  Every other access goes through the address
-space's checked ``read_int``/``write_int``.  A frame's regions are
-mapped and unmapped last-in-first-out (``AddressSpace.map_stack`` and
-``unmap_frame``).
+VM's ``global_regions``, through the size's little-endian ``struct``
+codec for 1, 2, 4 and 8 bytes (``repro.vm.memory.UNPACK`` and
+``PACK``) and a slice for any other size, and still counts a store's
+bytes in ``memory.bytes_written``.  Every other access goes through the
+address space's checked ``read_int``/``write_int``.  A frame's regions
+are mapped and unmapped last-in-first-out (``AddressSpace.map_stack``
+and ``unmap_frame``).  A run of consecutive allocas (MiniC puts a
+function's at the top of its entry block) is one op, its segment's
+last: it reserves the run's span once and maps each region where
+mapping them one at a time would (``AddressSpace.map_stack_run``, with
+the offsets and span ``repro.vm.memory.stack_run`` computes).  A run
+the stack segment cannot hold gives its charge back and maps its
+allocas one at a time, so the one that does not fit traps with the
+count and cost instruction-at-a-time execution gives it.
 
 All values are Python ints in unsigned representation; pointers are
 addresses in the VM's address space.  Every executed instruction
@@ -104,7 +116,7 @@ from repro.vm.errors import (
 from repro.vm.filesystem import FDTable, VirtualFS
 from repro.vm.heap import Heap
 from repro.vm.libc import NATIVE_BASE_COST, NATIVES, NativeFn
-from repro.vm.memory import AddressSpace, MemoryRegion
+from repro.vm.memory import PACK, UNPACK, AddressSpace, MemoryRegion, stack_run
 
 COVERAGE_MAP_SIZE = 1 << 16
 
@@ -144,9 +156,12 @@ COV_GUARD = "__cov_guard"
 # run first compiles each block entered at least that many times, once
 # per run on average: compiling a block costs about what running it
 # several hundred times on closures does, so a block that runs less
-# than about once per exec does not pay it back.  Tests set 0 (every
-# block compiles when its function is decoded) or a number no test
-# reaches (nothing compiles).
+# than about once per exec does not pay it back.  A second batch, after
+# the square of that many runs, compiles the blocks still on closures
+# entered at least once per two runs: paths that got hot later, and
+# functions first called later.  Tests set 0 (every block compiles when
+# its function is decoded) or a number no test reaches (nothing
+# compiles).
 COMPILE_AFTER_RUNS = 8
 
 # Per-process "boot time" sequence: each VM (process) observes a
@@ -492,14 +507,22 @@ class _ModuleCode:
         self.runs = 0
 
     def count_run(self) -> None:
-        """Count one top-level run; the first after
+        """Count one top-level run.  The first after
         :data:`COMPILE_AFTER_RUNS` compiles the blocks entered at least
-        once per run so far."""
-        if self.runs == COMPILE_AFTER_RUNS:
-            for functions in (self.plain, self.observed):
-                for code in functions.values():
-                    code.compile_hot(COMPILE_AFTER_RUNS)
-        self.runs += 1
+        once per run so far; the first after its square (the 65th)
+        compiles those still on closures that were entered at least once
+        per two runs, blocks of functions decoded since included."""
+        runs = self.runs
+        if runs == COMPILE_AFTER_RUNS:
+            self.compile_hot(runs)
+        elif runs == COMPILE_AFTER_RUNS * COMPILE_AFTER_RUNS:
+            self.compile_hot(runs // 2)
+        self.runs = runs + 1
+
+    def compile_hot(self, entries: int) -> None:
+        for functions in (self.plain, self.observed):
+            for code in functions.values():
+                code.compile_hot(entries)
 
 
 class _FunctionCode:
@@ -516,10 +539,11 @@ class _FunctionCode:
       maps the predecessor's block index (-1 on function entry) to the
       closure doing that edge's simultaneous phi assignment;
     - each segment is ``(count, cost, ops, exact, opcodes, guards)``:
-      its instruction count and cost, its closures ``op(r, vm)``, the
-      same per instruction as ``(cost, opcode, is_guard, ops)`` for
-      the instruction-at-a-time path, its opcode histogram and its
-      number of inlined coverage guards;
+      its instruction count and cost, its closures ``op(r, vm)`` (one
+      for a run of allocas), the same per instruction as ``(cost,
+      opcode, is_guard, ops)`` for the instruction-at-a-time path (one
+      op per alloca), its opcode histogram and its number of inlined
+      coverage guards;
     - ``kind`` and ``x, y, z`` are the terminator: ``_BR`` (target),
       ``_CONDBR`` (condition slot, true and false targets),
       ``_SWITCH`` (value slot, case dict, default), ``_RET`` (value
@@ -527,8 +551,10 @@ class _FunctionCode:
 
     ``entries`` counts each block's entries while it runs on closures;
     ``compiled`` holds its function once it compiled (:func:`_compile`),
-    else None.  A function decoded after its module's code compiled
-    never compiles, unless :data:`COMPILE_AFTER_RUNS` is 0.
+    else None.  A function decoded after its module's code's first batch
+    of compiles waits for the second (:meth:`_ModuleCode.count_run`),
+    and one decoded after that never compiles, unless
+    :data:`COMPILE_AFTER_RUNS` is 0.
     """
 
     __slots__ = ("name", "epoch", "nargs", "tail", "frame", "blocks",
@@ -544,11 +570,11 @@ class _FunctionCode:
         self.entries = [0] * len(blocks)
         self.compiled: list = [None] * len(blocks)
 
-    def compile_hot(self, runs: int) -> None:
-        """Compile each block entered at least *runs* times."""
-        compiled, entries = self.compiled, self.entries
+    def compile_hot(self, entries: int) -> None:
+        """Compile each block entered at least *entries* times."""
+        compiled, counts = self.compiled, self.entries
         for b, block in enumerate(self.blocks):
-            if compiled[b] is None and entries[b] >= runs:
+            if compiled[b] is None and counts[b] >= entries:
                 compiled[b] = _compile(block)
 
 
@@ -646,9 +672,9 @@ def _run_segments(vm: VM, r: list, segments: tuple, limit: int,
 def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> NoReturn:
     """Run a segment that would cross *limit* an instruction at a time:
     count, check the limit, charge, then execute.  Only a segment's last
-    instruction can raise or call out and move the count, so the count
-    crosses *limit* by that instruction at the latest: this always
-    raises."""
+    instruction can call out and move the count, so the count crosses
+    *limit* by that instruction at the latest: this always raises (a
+    run of allocas ends a segment, and may raise on any of them)."""
     opcode_counts = vm.opcode_counts
     libc_counts = vm.libc_counts
     for cost, name, guard, ops in exact:
@@ -853,7 +879,9 @@ class _Decoder:
         n = cost = guards = 0
         terminator = (_TRAP, f"block %{block.name} fell through without "
                       "a terminator", None, None)
-        for inst in self.bodies[b]:
+        body = self.bodies[b]
+        run: list = []          # a run of allocas so far, with their ops
+        for k, inst in enumerate(body):
             checks: list[tuple[int, Value]] = []
             inst_ops, raises, guard, inst_cost, ends = self.instruction(
                 inst, block.name, known, checks)
@@ -866,10 +894,20 @@ class _Decoder:
             cost += inst_cost
             guards += guard
             opcodes[name] = opcodes.get(name, 0) + 1
-            ops.extend(inst_ops)
             exact.append((inst_cost, name, guard, tuple(inst_ops)))
             if inst in self.slots:
                 known |= 1 << self.slots[inst]
+            if name == "Alloca":
+                # Consecutive allocas map as one op, their segment's last;
+                # the instruction-at-a-time path keeps one op each.
+                follows = k + 1 < len(body) and type(body[k + 1]) is Alloca
+                if follows or run:
+                    run.append((inst, inst_ops[0]))
+                    if follows:
+                        continue
+                    inst_ops = [self.alloca_run(run)]
+                    run = []
+            ops.extend(inst_ops)
             if ends is not None:
                 terminator = ends
             if raises or ends is not None:
@@ -885,6 +923,20 @@ class _Decoder:
             count = len(self.heads[b])
             phis = (self.moves(b, known_out, preds), count, _INST_COST[Phi] * count)
         return (block.name, phis, tuple(segments)) + terminator
+
+    def alloca_run(self, run: list):
+        """The op mapping a run of allocas, given as ``(alloca, its own
+        op)`` pairs, with the offsets and span :func:`stack_run` gives."""
+        allocas = [inst for inst, _ in run]
+        sizes = [inst.allocation_size() for inst in allocas]
+        offsets, span = stack_run(sizes)
+        tags = [f"{self.function.name}.{inst.name}" for inst in allocas]
+        each = _INST_COST[Alloca]
+        return _form(_ALLOCA_RUN)(
+            span=span, layout=tuple(zip(offsets, sizes, tags)),
+            slots=tuple((self.slots[inst], self.data[inst]) for inst in allocas),
+            frame=self.frame, count=len(run), each=each, cost=each * len(run),
+            allocas=tuple(op for _, op in run))
 
     def moves(self, b: int, known_out: list, preds: list) -> dict:
         """Block *b*'s phi assignment per predecessor index."""
@@ -942,8 +994,13 @@ class _Decoder:
             region = self.direct(inst.ptr, size, known, False)
             if region is not None:
                 data, name = region
-                op = _form(_LOAD_FRAME if name is None else _LOAD_GLOBAL)(
-                    d=slots[inst], data=data, name=name, size=size)
+                unpack = UNPACK.get(size)
+                if unpack is None:
+                    template = _LOAD_FRAME_SLICE if name is None else _LOAD_GLOBAL_SLICE
+                else:
+                    template = _LOAD_FRAME if name is None else _LOAD_GLOBAL
+                op = _form(template)(d=slots[inst], data=data, name=name,
+                                     size=size, unpack=unpack)
                 return [op], False, False, cost, None
             op = _form(_LOAD)(d=slots[inst], p=take(inst.ptr), size=size)
             return [op], True, False, cost, None
@@ -952,9 +1009,13 @@ class _Decoder:
             region = self.direct(inst.ptr, size, known, True)
             if region is not None:
                 data, name = region
-                op = _form(_STORE_FRAME if name is None else _STORE_GLOBAL)(
-                    data=data, name=name, v=take(inst.value), size=size,
-                    m=(1 << (size * 8)) - 1)
+                pack = PACK.get(size)
+                if pack is None:
+                    template = _STORE_FRAME_SLICE if name is None else _STORE_GLOBAL_SLICE
+                else:
+                    template = _STORE_FRAME if name is None else _STORE_GLOBAL
+                op = _form(template)(data=data, name=name, v=take(inst.value),
+                                     size=size, m=(1 << (size * 8)) - 1, pack=pack)
                 return [op], False, False, cost, None
             ptr, value = take(inst.ptr), take(inst.value)
             op = _form(_STORE)(p=ptr, v=value, size=size)
@@ -1179,15 +1240,23 @@ _GEP_TERMS = ("address = r[{base}] + {offset}\n"
 _LOAD = "r[{d}] = vm.memory.read_int(r[{p}], {size}, vm.site)"
 _STORE = "vm.memory.write_int(r[{p}], r[{v}], {size}, vm.site)"
 # Loads and stores that cannot trap: through the bytes in an alloca's
-# data slot, or a laid-out global's; a store's bytes still count.
-_LOAD_FRAME = 'r[{d}] = int.from_bytes(r[{data}][0:{size}], "little")'
-_LOAD_GLOBAL = ('r[{d}] = int.from_bytes('
-                'vm.global_regions[{name}].data[0:{size}], "little")')
-_STORE_FRAME = ('r[{data}][0:{size}] = (r[{v}] & {m}).to_bytes({size}, "little")\n'
+# data slot, or a laid-out global's; a store's bytes still count.  A
+# scalar size goes through its codec (``repro.vm.memory.UNPACK`` and
+# ``PACK``), any other through a slice.
+_LOAD_FRAME = "r[{d}] = {unpack}(r[{data}])[0]"
+_LOAD_GLOBAL = "r[{d}] = {unpack}(vm.global_regions[{name}].data)[0]"
+_STORE_FRAME = ("{pack}(r[{data}], 0, r[{v}] & {m})\n"
                 "vm.memory.bytes_written += {size}")
-_STORE_GLOBAL = ("vm.global_regions[{name}].data[0:{size}] = "
-                 '(r[{v}] & {m}).to_bytes({size}, "little")\n'
+_STORE_GLOBAL = ("{pack}(vm.global_regions[{name}].data, 0, r[{v}] & {m})\n"
                  "vm.memory.bytes_written += {size}")
+_LOAD_FRAME_SLICE = 'r[{d}] = int.from_bytes(r[{data}][0:{size}], "little")'
+_LOAD_GLOBAL_SLICE = ('r[{d}] = int.from_bytes('
+                      'vm.global_regions[{name}].data[0:{size}], "little")')
+_STORE_FRAME_SLICE = ('r[{data}][0:{size}] = (r[{v}] & {m}).to_bytes({size}, "little")\n'
+                      "vm.memory.bytes_written += {size}")
+_STORE_GLOBAL_SLICE = ("vm.global_regions[{name}].data[0:{size}] = "
+                       '(r[{v}] & {m}).to_bytes({size}, "little")\n'
+                       "vm.memory.bytes_written += {size}")
 
 _ALLOCA = ("try:\n"
            "    region = vm.memory.map_stack({size}, {tag})\n"
@@ -1196,6 +1265,32 @@ _ALLOCA = ("try:\n"
            "r[{frame}].append(region)\n"
            "r[{d}] = region.base\n"
            "r[{data}] = region.data")
+# A run of *count* allocas, charged as its segment's last *count*
+# instructions: one reservation of the run's *span*, then each region
+# at its ``(offset, size, tag)`` of *layout*, its base and bytes into
+# its ``(d, data)`` of *slots*.  A run that does not fit gives back its
+# charge and counts, then maps its allocas one at a time (*allocas*,
+# their ``_ALLOCA`` closures), charging each as instruction-at-a-time
+# execution does: the one that does not fit traps.
+_ALLOCA_RUN = ("try:\n"
+               "    regions = vm.memory.map_stack_run({span}, {layout})\n"
+               "except MemoryError:\n"
+               "    vm.instructions_executed -= {count}\n"
+               "    vm.cost -= {cost}\n"
+               "    counts = vm.opcode_counts\n"
+               "    if counts is not None:\n"
+               "        counts['Alloca'] -= {count}\n"
+               "    for alloca in {allocas}:\n"
+               "        vm.instructions_executed += 1\n"
+               "        vm.cost += {each}\n"
+               "        if counts is not None:\n"
+               "            counts['Alloca'] += 1\n"
+               "        alloca(r, vm)\n"
+               "else:\n"
+               "    r[{frame}] += regions\n"
+               "    for region, (d, data) in zip(regions, {slots}):\n"
+               "        r[d] = region.base\n"
+               "        r[data] = region.data")
 
 # The ``__cov_guard`` native inlined (``VM.cov_guard``); ``prev_loc`` is
 # always below the map size, and so is the xor.

@@ -20,10 +20,19 @@ mapped regions (FILE handles are not regions), and a frame's regions
 are mapped after its caller's and unmapped before them, so
 :meth:`AddressSpace.map_stack` appends its base and
 :meth:`AddressSpace.unmap_frame` truncates the sorted bases in one
-call.  Decoded code reads and writes a frame's own allocas and named
-globals through the region's bytes directly (see
-``repro.vm.interpreter``): :meth:`AddressSpace.read_int` and
-:meth:`AddressSpace.write_int` see only the accesses that are checked.
+call.  A run of allocas maps in one call too
+(:meth:`AddressSpace.map_stack_run`): it reserves the span that
+:func:`stack_run` computes, then maps each region at the base,
+alignment and red zone ``map_stack`` of each in turn would give it.
+Decoded code reads and writes a frame's own allocas and named globals
+through the region's bytes directly (see ``repro.vm.interpreter``):
+:meth:`AddressSpace.read_int` and :meth:`AddressSpace.write_int` see
+only the accesses that are checked.
+
+Scalars of 1, 2, 4 and 8 bytes move through precompiled little-endian
+``struct`` codecs (:data:`UNPACK`, :data:`PACK`), the checked accessors'
+and decoded code's alike; other sizes go through ``int.from_bytes`` and
+``int.to_bytes``.
 
 A forked child's address space is a copy of its parked parent's
 (:meth:`AddressSpace.fork`): every live region at the same base with
@@ -38,9 +47,22 @@ out-of-memory ``malloc``).
 from __future__ import annotations
 
 import bisect
+import struct
 from collections import OrderedDict
 
 from repro.vm.errors import CrashSite, TrapKind, VMTrap
+
+
+# Every region's base is a multiple of this.
+ALIGN = 16
+
+# Each scalar size's little-endian codec, bound to its buffer method:
+# ``UNPACK[size](buffer, offset)[0]`` reads an unsigned value,
+# ``PACK[size](buffer, offset, value)`` writes one that fits.  The
+# explicit ``<`` keeps results independent of the host's byte order.
+_FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+UNPACK = {size: struct.Struct(fmt).unpack_from for size, fmt in _FORMATS.items()}
+PACK = {size: struct.Struct(fmt).pack_into for size, fmt in _FORMATS.items()}
 
 
 class Segment:
@@ -59,7 +81,7 @@ class Segment:
     def contains(self, address: int) -> bool:
         return self.base <= address < self.limit
 
-    def reserve(self, size: int, align: int = 16) -> int:
+    def reserve(self, size: int, align: int = ALIGN) -> int:
         """Reserve *size* bytes; returns the base address."""
         start = (self.cursor + align - 1) // align * align
         if start + size > self.limit:
@@ -88,6 +110,22 @@ STACK_SIZE = 0x0800_0000
 # pointer arithmetic lands in unaddressable memory instead of a
 # neighbouring allocation (a software red zone).
 RED_ZONE = 16
+
+
+def stack_run(sizes) -> tuple[tuple[int, ...], int]:
+    """Where mapping allocas of *sizes* one at a time puts each region,
+    as offsets from the first one's base, and the span from that base to
+    the stack cursor after the last: each region takes its size (at
+    least 1) and a red zone, and the next starts at the next aligned
+    address.  The first base is aligned, so the offsets do not depend on
+    where the run starts."""
+    offsets = []
+    end = 0
+    for size in sizes:
+        start = (end + ALIGN - 1) // ALIGN * ALIGN
+        offsets.append(start)
+        end = start + max(size, 1) + RED_ZONE
+    return tuple(offsets), end
 
 
 class MemoryRegion:
@@ -162,6 +200,23 @@ class AddressSpace:
         self._bases.append(base)
         self._regions[base] = region
         return region
+
+    def map_stack_run(self, span: int, layout: tuple) -> list[MemoryRegion]:
+        """Map a run of allocas as ``map_stack`` of each in turn would:
+        reserve the run's *span* once, then map a region at each
+        ``(offset, size, tag)`` of *layout*, in order (*span* and the
+        offsets from :func:`stack_run`).  A span that does not fit
+        raises MemoryError and maps nothing."""
+        start = self.stack_segment.reserve(span)
+        bases, live = self._bases, self._regions
+        regions = []
+        for offset, size, tag in layout:
+            base = start + offset
+            region = MemoryRegion(base, size, True, "stack", tag)
+            bases.append(base)
+            live[base] = region
+            regions.append(region)
+        return regions
 
     def unmap_frame(self, regions: list[MemoryRegion]) -> None:
         """Unmap one frame's regions, in the order they were mapped:
@@ -312,8 +367,8 @@ class AddressSpace:
         self.bytes_written += len(data)
 
     # The scalar accessors behind every checked Load and Store:
-    # ``check`` and the slice inlined, the last region tried before the
-    # lookup.
+    # ``check`` inlined, the last region tried before the lookup, and a
+    # codec for the scalar sizes.
 
     def read_int(self, address: int, size: int, site: CrashSite) -> int:
         region = self._last
@@ -323,10 +378,12 @@ class AddressSpace:
             if region is None or address + size > region.base + region.size:
                 raise self._fault(address, size, False, site)
         offset = address - region.base
+        unpack = UNPACK.get(size)
+        if unpack is not None:
+            return unpack(region.data, offset)[0]
         return int.from_bytes(region.data[offset:offset + size], "little")
 
     def write_int(self, address: int, value: int, size: int, site: CrashSite) -> None:
-        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
         region = self._last
         if (region is None or not region.alive or address < region.base
                 or address + size > region.base + region.size):
@@ -336,7 +393,12 @@ class AddressSpace:
         if not region.writable:
             raise self._read_only(region, address, site)
         offset = address - region.base
-        region.data[offset:offset + size] = data
+        value &= (1 << (size * 8)) - 1
+        pack = PACK.get(size)
+        if pack is not None:
+            pack(region.data, offset, value)
+        else:
+            region.data[offset:offset + size] = value.to_bytes(size, "little")
         self.bytes_written += size
 
     def read_cstring(self, address: int, site: CrashSite, limit: int = 1 << 16) -> bytes:

@@ -58,7 +58,7 @@ from repro.runtime.replay import Observation, replay
 from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
 from repro.vm import VM, TrapKind, VMError, interpreter
-from repro.vm.memory import RED_ZONE, AddressSpace
+from repro.vm.memory import RED_ZONE, AddressSpace, stack_run
 from tests.reference_interpreter import ReferenceVM
 
 MUTANTS = 20
@@ -106,8 +106,8 @@ def address_space(vm) -> tuple:
 def run_both(module, function, args, limit=None, counts=False):
     """Call *function* on a fresh VM of each interpreter; the two runs
     must agree on the result or the error (type, trap kind and
-    message), cost, instruction count, coverage and address space.
-    Returns the decoded VM and its outcome."""
+    message), cost, instruction count, coverage, address space and
+    every global's bytes.  Returns the decoded VM and its outcome."""
     runs = []
     for vm_class in (VM, ReferenceVM):
         vm = vm_class(module, opcode_counts={} if counts else None,
@@ -122,7 +122,9 @@ def run_both(module, function, args, limit=None, counts=False):
         runs.append((vm, (outcome, vm.cost, vm.instructions_executed,
                           bytes(vm.coverage_map), vm.coverage_map.cells,
                           vm.opcode_counts, vm.libc_counts,
-                          address_space(vm))))
+                          address_space(vm),
+                          {name: bytes(region.data)
+                           for name, region in vm.global_regions.items()})))
     (vm, decoded), (_, reference) = runs
     assert decoded == reference
     return vm, decoded[0]
@@ -509,6 +511,90 @@ def test_frame_that_mapped_nothing_unmaps_nothing():
     assert [region.tag for region in vm.memory._dead.values()] == [f"f.{own.name}"]
 
 
+def test_alloca_run_maps_as_one_alloca_at_a_time():
+    """A run of allocas of 1, 3, 17 and 0 bytes, entered with the stack
+    cursor off alignment, maps each region where mapping them one at a
+    time does: alignment padding between them, the same bases, red
+    zones, freed-region FIFO and cursor on both interpreters, and from
+    ``map_stack_run`` as from ``map_stack`` of each in turn."""
+    sizes = (1, 3, 17, 0)
+    offsets, span = stack_run(sizes)
+    assert offsets == (0, 32, 64, 112) and span == 112 + 1 + RED_ZONE
+    tags = tuple(f"r{k}" for k in range(len(sizes)))
+    one, run = AddressSpace(), AddressSpace()
+    for space in (one, run):
+        space.map_stack(5, "pad")
+    for size, tag in zip(sizes, tags):
+        one.map_stack(size, tag)
+    run.map_stack_run(span, tuple(zip(offsets, sizes, tags)))
+    assert run._bases == one._bases
+    assert run.stack_segment.cursor == one.stack_segment.cursor
+    assert [(r.base, r.size, r.tag) for r in run.live_regions()] == [
+        (r.base, r.size, r.tag) for r in one.live_regions()]
+
+    module = Module("padded")
+    i8, i64 = int_type(8), int_type(64)
+    f = module.add_function("f", FunctionType(i64, []))
+    b = IRBuilder(f.append_block("entry"))
+    run_allocas = [b.alloca(i8), b.alloca(ArrayType(i8, 3)),
+                   b.alloca(ArrayType(i8, 17)),
+                   b.alloca(ArrayType(int_type(32), 0))]
+    b.store(b.const(8, 9), run_allocas[0])
+    b.ret(b.sub(b.ptrtoint(run_allocas[-1], i64),
+                b.ptrtoint(run_allocas[0], i64)))
+    g = module.add_function("g", FunctionType(i64, []))
+    gb = IRBuilder(g.append_block("entry"))
+    pad = gb.alloca(ArrayType(i8, 5))
+    gb.ret(gb.call(f, []))
+    vm, outcome = run_both(module, g, [])
+    assert outcome == offsets[-1]
+    dead = list(vm.memory._dead.values())
+    assert [region.tag for region in dead] == [
+        f"f.{alloca.name}" for alloca in run_allocas] + [f"g.{pad.name}"]
+    assert [region.base - dead[0].base for region in dead[:4]] == list(offsets)
+    assert vm.memory.stack_segment.cursor == dead[0].base + span
+
+
+def test_scalar_loads_and_stores_match_reference_byte_for_byte():
+    """A value of each size a load or store takes, passed wider than its
+    type so that every store masks it (negative, or with bits above its
+    size), is stored to a frame alloca and to a global, directly and
+    through GEPs (checked), then each is loaded back and stored to a
+    global of its own.  Every global's bytes, ``bytes_written`` and the
+    result match the reference's, for the codec sizes 1, 2, 4 and 8 and
+    for 3 and 16 bytes, which have none."""
+    module = Module("scalars")
+    i8, i64 = int_type(8), int_type(64)
+    types = [i8, int_type(16), int_type(32), i64, ArrayType(i8, 3),
+             ArrayType(i64, 2)]
+    sizes = [t.size() for t in types]
+    f = module.add_function("f", FunctionType(I32, types))
+    f.ensure_args([f"a{size}" for size in sizes])
+    b = IRBuilder(f.append_block("entry"))
+    frames = [b.alloca(t, name=f"frame{size}") for t, size in zip(types, sizes)]
+    zero = b.i64(0)
+    for arg, frame, t, size in zip(f.args, frames, types, sizes):
+        shared = module.add_global(f"g{size}", t)
+        copies = [module.add_global(f"{kind}{size}", t)
+                  for kind in ("frame_copy", "global_copy", "checked_copy")]
+        b.store(arg, frame)
+        b.store(arg, shared)
+        b.store(b.load(frame), copies[0])
+        b.store(b.load(shared), copies[1])
+        b.store(b.load(b.gep(frame, [zero])), b.gep(copies[2], [zero]))
+    b.ret(b.i32(0))
+    args = [(0x5AA53CC396690FF0123456789ABCDEF011 << (8 * size)) | 0x0102030405060708
+            if k % 2 else -0x0102030405060708090A0B0C0D0E0F10 - size
+            for k, size in enumerate(sizes)]
+    vm, outcome = run_both(module, f, args)
+    assert outcome == 0
+    for arg, size in zip(args, sizes):
+        stored = (arg & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        for kind in ("g", "frame_copy", "global_copy", "checked_copy"):
+            assert vm.global_regions[f"{kind}{size}"].data == stored
+    assert vm.memory.bytes_written == 5 * sum(sizes)
+
+
 SWEEP_SOURCE = r"""
 int total;
 int table[4];
@@ -589,6 +675,48 @@ def test_exhausted_stack_traps_stack_overflow(monkeypatch):
     assert vm.opcode_counts["Alloca"] == FITS + 1
     assert vm.stack_region_count() == 0
     assert len(vm.memory._dead) == FITS
+
+
+def test_alloca_run_that_runs_the_stack_out_traps_on_its_alloca(monkeypatch):
+    """A run of three allocas whose second does not fit the stack
+    segment traps STACK_OVERFLOW on the second: the run gives back its
+    charge and counts, then maps one alloca at a time, so the count,
+    cost, ``Alloca`` count, live bases and freed-region FIFO are those
+    of instruction-at-a-time execution, with and without profiling
+    counts, and at every instruction limit up to the trap."""
+    monkeypatch.setattr("repro.vm.memory.STACK_SIZE", SMALL_SEGMENT)
+    module = Module("overrun")
+    i32 = int_type(32)
+    guard = module.declare_function(COV_GUARD, FunctionType(VOID, [I32]))
+    f = module.add_function("f", FunctionType(I32, []))
+    b = IRBuilder(f.append_block("entry"))
+    b.call(guard, [b.i32(3)])
+    first = b.alloca(i32)
+    b.alloca(ArrayType(int_type(8), SMALL_SEGMENT))
+    b.alloca(i32)
+    b.store(b.i32(1), first)
+    b.ret(b.i32(0))
+    g = module.add_function("g", FunctionType(I32, []))
+    gb = IRBuilder(g.append_block("entry"))
+    own = gb.alloca(int_type(64))
+    gb.store(gb.i64(5), own)
+    gb.ret(gb.call(f, []))
+    trap = ("VMTrap", TrapKind.STACK_OVERFLOW,
+            "Stack Overflow at @f:%entry: stack exhausted by alloca of "
+            f"{SMALL_SEGMENT} bytes")
+    for counts in (False, True):
+        vm, outcome = run_both(module, g, [], counts=counts)
+        assert outcome == trap
+        # g's alloca, store and call, then f's guard, its first alloca
+        # and the one that traps.
+        assert vm.instructions_executed == 6
+        if counts:
+            assert vm.opcode_counts["Alloca"] == 3
+        assert vm.memory._bases == []
+        assert [region.tag for region in vm.memory._dead.values()] == [
+            f"f.{first.name}", f"g.{own.name}"]
+        for limit in range(1, 8):
+            run_both(module, g, [], limit=limit, counts=counts)
 
 
 HEAP_CHURN_SOURCE = r"""

@@ -128,6 +128,23 @@ int main(int argc, char **argv) {
 """
 
 
+# ``late`` is first called on a run after the 9th: its loop header is
+# entered 32 times then, its body 31.
+LATE_CALL = """
+int late(int x) {
+    int s = 0;
+    for (int k = 0; k < x; k++) { s = s + k; }
+    return s;
+}
+int main(int argc, char **argv) {
+    int total = 0;
+    for (int i = 0; i < 20; i++) { total = total + i; }
+    if (argc > 5) { total = total + late(argc * 5 + 1); }
+    return total;
+}
+"""
+
+
 def again(vm, args, site):
     """A native running ``helper`` again, one call deeper."""
     return vm.run_function(vm.module.get_function("helper"), args)
@@ -175,6 +192,38 @@ class TestCompiledBlocks:
         assert run_main(module, ["t"] * 6)[0] == first[0] + sum(range(30))
         assert len(compiled) == 7
 
+    def test_the_65th_run_compiles_what_got_hot_later(self, monkeypatch):
+        """At the start of the 65th top-level run, each block still on
+        closures that was entered at least 32 times compiles, in
+        functions first called after the 9th run too: ``late``'s loop
+        header.  Its body, entered 31 times, and the blocks entered once
+        stay on closures, and no run in between compiles anything."""
+        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
+        compiled = []
+        compile_block = interpreter._compile
+
+        def counting(block):
+            compiled.append(block[0])
+            return compile_block(block)
+
+        monkeypatch.setattr(interpreter, "_compile", counting)
+        module = compile_c(LATE_CALL, "late")
+        first = run_main(module)
+        for _ in range(8):
+            assert run_main(module) == first
+        assert sorted(compiled) == sorted(
+            ["entry", "for.cond", "for.body", "for.step", "for.end", "if.end"])
+        assert run_main(module, ["t"] * 6)[0] == first[0] + sum(range(31))
+        for _ in range(54):
+            assert run_main(module) == first
+        assert len(compiled) == 6
+        late = module.decoded.plain[module.get_function("late")]
+        assert late.entries == [1, 32, 31, 31, 1]
+        assert run_main(module) == first
+        assert compiled[6:] == ["for.cond"]
+        assert [run is not None for run in late.compiled] == [
+            False, True, False, False, False]
+
     def test_dropping_decoded_code_frees_compiled_blocks(self, monkeypatch):
         """Nothing in compiled code refers back to the module's decoded
         code, so dropping that frees every block function by refcount
@@ -199,11 +248,15 @@ class TestCompiledBlocks:
         assert run_main(first) == run_main(second)
         ones, twos = compiled_functions(first), compiled_functions(second)
         assert [run.__code__ for run in ones] == [run.__code__ for run in twos]
-        callees = [(one.__defaults__, two.__defaults__) for one, two
-                   in zip(ones, twos) if len(one.__defaults__) > 1]
-        assert callees and all(
-            one[1] is first.get_function("helper")
-            and two[1] is second.get_function("helper") for one, two in callees)
+
+        def binds(run, callee):
+            return any(value is callee for value in run.__defaults__)
+
+        own, other = first.get_function("helper"), second.get_function("helper")
+        assert any(binds(one, own) for one in ones)
+        assert all(binds(one, own) == binds(two, other)
+                   and not binds(one, other) and not binds(two, own)
+                   for one, two in zip(ones, twos))
 
 
 class TestCoverage:
