@@ -547,7 +547,8 @@ class Campaign:
             if self.clock.now_ns >= deadline_ns:
                 return
             if len(self.corpus) > 1 and self.rng.random() < 0.15:
-                other = self.rng.choice(self.corpus.entries)
+                entries = self.corpus.entries
+                other = entries[self.havoc.below(len(entries))]
                 mutated = self.havoc.splice(entry.data, other.data)
             else:
                 mutated = self.havoc.mutate(entry.data)

@@ -46,6 +46,7 @@ import random
 from dataclasses import dataclass
 
 from repro.fuzzing.corpus import input_hash
+from repro.fuzzing.mutators import draw_below
 from repro.ir.types import IntType
 
 #: Hard cap on records collected by one probe execution — keeps a
@@ -144,7 +145,7 @@ class AutoDictionary:
     constants and statically mined IR constants — and are handed to
     :class:`~repro.fuzzing.mutators.HavocMutator` dictionary
     operators.  Insertion order is part of campaign determinism (the
-    mutator draws ``rng.choice(tokens)``), so the list only ever
+    mutator draws ``tokens[below(len(tokens))]``), so the list only ever
     appends, and :meth:`restore` replaces contents in place (the
     mutator holds a reference to this object).
     """
@@ -186,7 +187,7 @@ class AutoDictionary:
         """Deterministically draw one token (None when empty)."""
         if not self.tokens:
             return None
-        return rng.choice(self.tokens)
+        return self.tokens[draw_below(rng)(len(self.tokens))]
 
     def restore(self, tokens: list[bytes]) -> None:
         """Replace contents in place (checkpoint resume)."""
@@ -385,6 +386,7 @@ class I2SStage:
         rng = random.Random(
             f"i2s-color:{self.config.seed}:{input_hash(entry.data)}"
         )
+        below = draw_below(rng)
         colored = bytearray(entry.data)
         target_signature = entry.coverage_signature
         color_budget = min(budget - 1, COLORIZE_BUDGET)
@@ -397,7 +399,7 @@ class I2SStage:
                 continue
             candidate = bytearray(colored)
             for i in range(start, start + length):
-                candidate[i] = rng.randrange(256)
+                candidate[i] = below(256)
             _, signature = campaign._execute(bytes(candidate))
             color_budget -= 1
             budget -= 1

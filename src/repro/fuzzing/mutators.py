@@ -21,6 +21,27 @@ HAVOC_STACK_POW = 5           # up to 2**5 stacked havoc tweaks
 MAX_INPUT_SIZE = 4096
 
 
+def draw_below(rng: random.Random):
+    """A function ``below(n)`` drawing, for ``n >= 1``, the value
+    ``rng.randrange(n)`` would, from the same bits of *rng*'s bound
+    ``getrandbits``, as CPython 3.10 to 3.13 draw it: ``k =
+    n.bit_length()`` bits, drawn again while the result is ``n`` or
+    more.  The stream and *rng*'s state after are those of
+    ``randrange``, without its argument checks and its extra call:
+    ``randrange(a, b)`` is ``a + below(b - a)`` and ``choice(seq)`` is
+    ``seq[below(len(seq))]``."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def deterministic_mutations(data: bytes) -> Iterator[bytes]:
     """The deterministic stage: walking bitflips, arithmetic, and
     interesting-value substitutions, exactly once per queue entry."""
@@ -89,17 +110,21 @@ class HavocMutator:
     draw once the dictionary holds at least one token, so a campaign
     without I2S (or before the first harvested constant) produces a
     byte-identical mutation stream to a dictionary-less mutator.
+
+    Every draw but ``random()`` goes through :func:`draw_below` over
+    *rng*: the same stream ``randrange`` and ``choice`` give.
     """
 
     def __init__(self, rng: random.Random, max_size: int = MAX_INPUT_SIZE,
                  dictionary=None):
         self.rng = rng
+        self.below = draw_below(rng)
         self.max_size = max_size
         self.dictionary = dictionary
 
     def mutate(self, data: bytes) -> bytes:
         out = bytearray(data if data else b"\x00")
-        operations = 1 << (1 + self.rng.randrange(HAVOC_STACK_POW))
+        operations = 1 << (1 + self.below(HAVOC_STACK_POW))
         for _ in range(operations):
             self._apply_one(out)
             if not out:
@@ -110,15 +135,15 @@ class HavocMutator:
         """Crossover two inputs at random split points, then havoc."""
         if not first or not second:
             return self.mutate(first or second)
-        split_a = self.rng.randrange(len(first))
-        split_b = self.rng.randrange(len(second))
+        split_a = self.below(len(first))
+        split_b = self.below(len(second))
         return self.mutate(first[:split_a] + second[split_b:])
 
     # -- individual havoc operations ------------------------------------
 
     def _apply_one(self, out: bytearray) -> None:
         n_choices = 14 if self.dictionary else 12
-        choice = self.rng.randrange(n_choices)
+        choice = self.below(n_choices)
         if choice == 0:
             self._flip_bit(out)
         elif choice == 1:
@@ -150,17 +175,19 @@ class HavocMutator:
 
     def _flip_bit(self, out: bytearray) -> None:
         if out:
-            bit = self.rng.randrange(len(out) * 8)
+            bit = self.below(len(out) * 8)
             out[bit // 8] ^= 1 << (bit % 8)
 
     def _random_byte(self, out: bytearray) -> None:
         if out:
-            out[self.rng.randrange(len(out))] = self.rng.randrange(256)
+            # The value is drawn first, then the index, as Python
+            # evaluates an assignment.
+            out[self.below(len(out))] = self.below(256)
 
     def _arith(self, out: bytearray) -> None:
         if out:
-            index = self.rng.randrange(len(out))
-            delta = self.rng.randrange(1, ARITH_MAX + 1)
+            index = self.below(len(out))
+            delta = 1 + self.below(ARITH_MAX)
             if self.rng.random() < 0.5:
                 delta = -delta
             out[index] = (out[index] + delta) & 0xFF
@@ -168,64 +195,68 @@ class HavocMutator:
     def _interesting(self, out: bytearray) -> None:
         if not out:
             return
-        width = self.rng.choice((1, 2, 4))
+        below = self.below
+        width = (1, 2, 4)[below(3)]
         if len(out) < width:
             width = 1
-        index = self.rng.randrange(len(out) - width + 1)
+        index = below(len(out) - width + 1)
         pool = {1: INTERESTING_8, 2: INTERESTING_16, 4: INTERESTING_32}[width]
-        value = self.rng.choice(pool) & ((1 << (width * 8)) - 1)
+        value = pool[below(len(pool))] & ((1 << (width * 8)) - 1)
         out[index:index + width] = value.to_bytes(width, "little")
 
     def _delete_block(self, out: bytearray) -> None:
         if len(out) > 1:
-            length = self.rng.randrange(1, max(2, len(out) // 2))
-            start = self.rng.randrange(len(out) - length + 1)
+            length = 1 + self.below(max(2, len(out) // 2) - 1)
+            start = self.below(len(out) - length + 1)
             del out[start:start + length]
 
     def _clone_block(self, out: bytearray) -> None:
         if out:
-            length = self.rng.randrange(1, min(len(out), 32) + 1)
-            start = self.rng.randrange(len(out) - length + 1)
-            insert_at = self.rng.randrange(len(out) + 1)
+            below = self.below
+            length = 1 + below(min(len(out), 32))
+            start = below(len(out) - length + 1)
+            insert_at = below(len(out) + 1)
             out[insert_at:insert_at] = out[start:start + length]
             del out[self.max_size:]     # clamp, never silently skip
 
     def _overwrite_block(self, out: bytearray) -> None:
         if len(out) > 1:
-            length = self.rng.randrange(1, min(len(out), 32) + 1)
-            src = self.rng.randrange(len(out) - length + 1)
-            dst = self.rng.randrange(len(out) - length + 1)
+            below = self.below
+            length = 1 + below(min(len(out), 32))
+            src = below(len(out) - length + 1)
+            dst = below(len(out) - length + 1)
             out[dst:dst + length] = out[src:src + length]
 
     def _insert_random(self, out: bytearray) -> None:
-        length = self.rng.randrange(1, 16)
-        blob = bytes(self.rng.randrange(256) for _ in range(length))
-        insert_at = self.rng.randrange(len(out) + 1)
+        below = self.below
+        length = 1 + below(15)
+        blob = bytes([below(256) for _ in range(length)])
+        insert_at = below(len(out) + 1)
         out[insert_at:insert_at] = blob
         del out[self.max_size:]         # clamp, never silently skip
 
     def _swap_words(self, out: bytearray) -> None:
         if len(out) >= 4:
-            a = self.rng.randrange(len(out) - 1)
-            b = self.rng.randrange(len(out) - 1)
+            a = self.below(len(out) - 1)
+            b = self.below(len(out) - 1)
             out[a:a + 2], out[b:b + 2] = out[b:b + 2], out[a:a + 2]
 
     def _truncate(self, out: bytearray) -> None:
         if len(out) > 4:
-            keep = self.rng.randrange(2, len(out))
+            keep = 2 + self.below(len(out) - 2)
             del out[keep:]
 
     def _overwrite_word(self, out: bytearray) -> None:
         if len(out) >= 4:
-            index = self.rng.randrange(len(out) - 3)
-            value = self.rng.randrange(1 << 32)
+            index = self.below(len(out) - 3)
+            value = self.below(1 << 32)
             out[index:index + 4] = value.to_bytes(4, "little")
 
     def _dict_overwrite(self, out: bytearray) -> None:
         token = self.dictionary.pick(self.rng)
         if token is None or not out:
             return
-        pos = self.rng.randrange(len(out))
+        pos = self.below(len(out))
         end = min(len(out), pos + len(token))
         out[pos:end] = token[:end - pos]
 
@@ -233,6 +264,6 @@ class HavocMutator:
         token = self.dictionary.pick(self.rng)
         if token is None:
             return
-        insert_at = self.rng.randrange(len(out) + 1)
+        insert_at = self.below(len(out) + 1)
         out[insert_at:insert_at] = token
         del out[self.max_size:]         # clamp, never silently skip

@@ -42,24 +42,30 @@ never pays for ``compile()``.
 
 A load or store whose pointer operand is an alloca of the function,
 defined on every path to it, or a laid-out global (a writable one, for
-a store), and which fits that region, cannot trap: the alloca's region
-lives until its frame exits, and globals are never unmapped.  Such an
-access reads or writes the region's bytes directly, found through a
-register slot the alloca fills (its region's ``data``) or through the
-VM's ``global_regions``, through the size's little-endian ``struct``
-codec for 1, 2, 4 and 8 bytes (``repro.vm.memory.UNPACK`` and
-``PACK``) and a slice for any other size, and still counts a store's
-bytes in ``memory.bytes_written``.  Every other access goes through the
-address space's checked ``read_int``/``write_int``.  A frame's regions
-are mapped and unmapped last-in-first-out (``AddressSpace.map_stack``
-and ``unmap_frame``).  A run of consecutive allocas (MiniC puts a
-function's at the top of its entry block) is one op, its segment's
-last: it reserves the run's span once and maps each region where
-mapping them one at a time would (``AddressSpace.map_stack_run``, with
-the offsets and span ``repro.vm.memory.stack_run`` computes).  A run
-the stack segment cannot hold gives its charge back and maps its
-allocas one at a time, so the one that does not fit traps with the
-count and cost instruction-at-a-time execution gives it.
+a store), and which fits that region, cannot trap: the alloca's bytes
+live until its frame exits, and globals are never unmapped.  Such an
+access reads or writes those bytes directly, through the size's
+little-endian ``struct`` codec for 1, 2, 4 and 8 bytes
+(``repro.vm.memory.UNPACK`` and ``PACK``) and a slice for any other
+size, and still counts a store's bytes in ``memory.bytes_written``: a
+global's in ``global_regions``, an alloca's in the buffer a register
+slot of its own holds, at the alloca's offset in it, which the decoder
+knows.  Every other access goes through the address space's checked
+``read_int``/``write_int``.  A frame's allocas are mapped and unmapped
+last-in-first-out (``AddressSpace.map_stack`` and ``unmap_frame``).  A
+run of consecutive allocas (MiniC puts a function's at the top of its
+entry block) is one op, its segment's last: it maps the run as one
+stack object (``AddressSpace.map_stack_run``, as the layout
+``repro.vm.memory.stack_run`` computes places each alloca where mapping
+them one at a time would), then writes each alloca's pointer, the
+run's base plus the alloca's offset, and puts the run's buffer in each
+alloca's buffer slot.  A lone alloca maps a region of its own, at
+offset 0 in its buffer.  On the instruction-at-a-time path each alloca
+of a run maps a region of its own too, with a buffer that starts its
+offset below it, so the same direct accesses read the same bytes.
+A run the stack segment cannot hold gives its charge back and maps its
+allocas that way one at a time, so the one that does not fit traps
+with the count and cost instruction-at-a-time execution gives it.
 
 All values are Python ints in unsigned representation; pointers are
 addresses in the VM's address space.  Every executed instruction
@@ -116,7 +122,7 @@ from repro.vm.errors import (
 from repro.vm.filesystem import FDTable, VirtualFS
 from repro.vm.heap import Heap
 from repro.vm.libc import NATIVE_BASE_COST, NATIVES, NativeFn
-from repro.vm.memory import PACK, UNPACK, AddressSpace, MemoryRegion, stack_run
+from repro.vm.memory import PACK, UNPACK, AddressSpace, MemoryRegion, RunLayout, stack_run
 
 COVERAGE_MAP_SIZE = 1 << 16
 
@@ -450,7 +456,7 @@ class VM:
     # ------------------------------------------------------------------
 
     def stack_region_count(self) -> int:
-        return len(self.memory.live_regions("stack"))
+        return self.memory.region_count("stack")
 
     def reset_stack_addresses(self) -> None:
         """Rewind the stack segment's bump cursor.
@@ -462,7 +468,7 @@ class VM:
         the correctness experiments rely on for bytewise snapshot
         comparison.
         """
-        if self.memory.live_regions("stack"):
+        if self.memory.region_count("stack"):
             raise RuntimeError("cannot rewind stack with live frames")
         self.memory.stack_segment.reset()
         self.memory.forget_dead_regions()
@@ -531,9 +537,10 @@ class _FunctionCode:
     ``tail`` is the register template after the argument slots
     (constants and global addresses filled in, every other slot None
     until written); ``frame`` is the slot holding the frame's alloca
-    regions in the order they were mapped, if it has any, and each
-    alloca also has a slot holding its newest region's bytes.  Each
-    block is a tuple ``(name, phis, segments, kind, x, y, z)``:
+    regions and runs in the order they were mapped, if it has any, and
+    each alloca also has a slot holding the buffer its newest bytes
+    are in.  Each block is a tuple ``(name, phis, segments, kind, x,
+    y, z)``:
 
     - ``phis`` is None or ``(moves, count, cost)``, where ``moves``
       maps the predecessor's block index (-1 on function entry) to the
@@ -755,6 +762,10 @@ class _Decoder:
         self.slots: dict[Value, int] = {arg: i for i, arg in enumerate(function.args)}
         self.template: list = [None] * len(self.slots)
         self.data: dict[Alloca, int] = {}
+        # Each alloca of a run's offset in it, and each run's layout by
+        # its last alloca.
+        self.offsets: dict[Alloca, int] = {}
+        self.layouts: dict[Alloca, RunLayout] = {}
         self.heads, self.bodies, self.succs = [], [], []
         for block in self.blocks:
             insts = block.instructions
@@ -779,9 +790,26 @@ class _Decoder:
                 self.slots[inst] = self.new_slot()
                 if type(inst) is Alloca:
                     self.data[inst] = self.new_slot()
+            self.find_runs(body)
         self.consts: dict[int, int] = {}
         self.undefined: int | None = None   # a slot nothing ever writes
         self.frame: int | None = None
+
+    def find_runs(self, body: list) -> None:
+        """Lay out each run of two or more consecutive allocas in
+        *body* (:func:`stack_run`)."""
+        run: list[Alloca] = []
+        for inst in body + [None]:
+            if type(inst) is Alloca:
+                run.append(inst)
+                continue
+            if len(run) > 1:
+                layout = stack_run(
+                    [alloca.allocation_size() for alloca in run],
+                    [f"{self.function.name}.{alloca.name}" for alloca in run])
+                self.offsets.update(zip(run, layout.offsets))
+                self.layouts[run[-1]] = layout
+            run = []
 
     def decode(self, nargs: int) -> _FunctionCode:
         known_in, known_out, preds = self.known_values(nargs)
@@ -852,22 +880,23 @@ class _Decoder:
         return slot, (None if known >> slot & 1 else value)
 
     def direct(self, ptr: Value, size: int, known: int, store: bool):
-        """The region an access of *size* bytes through *ptr* reads or
-        writes without a check: ``(data slot, None)`` for an alloca of
-        this frame defined on every path here, ``(None, name)`` for a
-        laid-out global (a writable one, for a store), or None when the
-        access takes the checked path.  A zero-size access does too: on
-        a zero-size region, which contains no address, it traps."""
+        """The bytes an access of *size* bytes through *ptr* reads or
+        writes without a check: ``(data slot, offset, None)`` for an
+        alloca of this frame defined on every path here (its buffer, and
+        its offset in it), ``(None, 0, name)`` for a laid-out global (a
+        writable one, for a store), or None when the access takes the
+        checked path.  A zero-size access does too: on a zero-size
+        region, which contains no address, it traps."""
         cls = type(ptr)
         if cls is Alloca:
             slot = self.slots.get(ptr)
             if (slot is not None and known >> slot & 1
                     and 0 < size <= ptr.allocation_size()):
-                return self.data[ptr], None
+                return self.data[ptr], self.offsets.get(ptr, 0), None
         elif (cls is GlobalVariable and ptr.name in self.layout
                 and 0 < size <= ptr.value_type.size()
                 and not (store and ptr.is_constant)):
-            return None, ptr.name
+            return None, 0, ptr.name
         return None
 
     def block(self, b: int, known: int, known_out: list, preds: list) -> tuple:
@@ -879,9 +908,8 @@ class _Decoder:
         n = cost = guards = 0
         terminator = (_TRAP, f"block %{block.name} fell through without "
                       "a terminator", None, None)
-        body = self.bodies[b]
         run: list = []          # a run of allocas so far, with their ops
-        for k, inst in enumerate(body):
+        for inst in self.bodies[b]:
             checks: list[tuple[int, Value]] = []
             inst_ops, raises, guard, inst_cost, ends = self.instruction(
                 inst, block.name, known, checks)
@@ -897,16 +925,15 @@ class _Decoder:
             exact.append((inst_cost, name, guard, tuple(inst_ops)))
             if inst in self.slots:
                 known |= 1 << self.slots[inst]
-            if name == "Alloca":
-                # Consecutive allocas map as one op, their segment's last;
+            if inst in self.offsets:
+                # A run of allocas maps as one op, its segment's last;
                 # the instruction-at-a-time path keeps one op each.
-                follows = k + 1 < len(body) and type(body[k + 1]) is Alloca
-                if follows or run:
-                    run.append((inst, inst_ops[0]))
-                    if follows:
-                        continue
-                    inst_ops = [self.alloca_run(run)]
-                    run = []
+                run.append((inst, inst_ops[0]))
+                layout = self.layouts.get(inst)
+                if layout is None:
+                    continue
+                inst_ops = [self.alloca_run(run, layout)]
+                run = []
             ops.extend(inst_ops)
             if ends is not None:
                 terminator = ends
@@ -924,17 +951,14 @@ class _Decoder:
             phis = (self.moves(b, known_out, preds), count, _INST_COST[Phi] * count)
         return (block.name, phis, tuple(segments)) + terminator
 
-    def alloca_run(self, run: list):
+    def alloca_run(self, run: list, layout: RunLayout):
         """The op mapping a run of allocas, given as ``(alloca, its own
-        op)`` pairs, with the offsets and span :func:`stack_run` gives."""
-        allocas = [inst for inst, _ in run]
-        sizes = [inst.allocation_size() for inst in allocas]
-        offsets, span = stack_run(sizes)
-        tags = [f"{self.function.name}.{inst.name}" for inst in allocas]
+        op)`` pairs, as *layout* places them."""
         each = _INST_COST[Alloca]
         return _form(_ALLOCA_RUN)(
-            span=span, layout=tuple(zip(offsets, sizes, tags)),
-            slots=tuple((self.slots[inst], self.data[inst]) for inst in allocas),
+            layout=layout,
+            slots=tuple((self.slots[inst], self.data[inst], self.offsets[inst])
+                        for inst, _ in run),
             frame=self.frame, count=len(run), each=each, cost=each * len(run),
             allocas=tuple(op for _, op in run))
 
@@ -993,14 +1017,15 @@ class _Decoder:
             size = inst.type.size()
             region = self.direct(inst.ptr, size, known, False)
             if region is not None:
-                data, name = region
+                data, off, name = region
                 unpack = UNPACK.get(size)
                 if unpack is None:
                     template = _LOAD_FRAME_SLICE if name is None else _LOAD_GLOBAL_SLICE
                 else:
                     template = _LOAD_FRAME if name is None else _LOAD_GLOBAL
-                op = _form(template)(d=slots[inst], data=data, name=name,
-                                     size=size, unpack=unpack)
+                op = _form(template)(d=slots[inst], data=data, off=off,
+                                     end=off + size, name=name, size=size,
+                                     unpack=unpack)
                 return [op], False, False, cost, None
             op = _form(_LOAD)(d=slots[inst], p=take(inst.ptr), size=size)
             return [op], True, False, cost, None
@@ -1008,14 +1033,15 @@ class _Decoder:
             size = inst.value.type.size()
             region = self.direct(inst.ptr, size, known, True)
             if region is not None:
-                data, name = region
+                data, off, name = region
                 pack = PACK.get(size)
                 if pack is None:
                     template = _STORE_FRAME_SLICE if name is None else _STORE_GLOBAL_SLICE
                 else:
                     template = _STORE_FRAME if name is None else _STORE_GLOBAL
-                op = _form(template)(data=data, name=name, v=take(inst.value),
-                                     size=size, m=(1 << (size * 8)) - 1, pack=pack)
+                op = _form(template)(data=data, off=off, end=off + size,
+                                     name=name, v=take(inst.value), size=size,
+                                     m=(1 << (size * 8)) - 1, pack=pack)
                 return [op], False, False, cost, None
             ptr, value = take(inst.ptr), take(inst.value)
             op = _form(_STORE)(p=ptr, v=value, size=size)
@@ -1042,6 +1068,7 @@ class _Decoder:
             op = _form(_ALLOCA)(
                 d=slots[inst], frame=self.frame, data=self.data[inst],
                 size=size, tag=f"{self.function.name}.{inst.name}",
+                offset=self.offsets.get(inst, 0),
                 message=f"stack exhausted by alloca of {size} bytes")
             return [op], True, False, cost, None
         if cls is Cast:
@@ -1239,41 +1266,44 @@ _GEP_TERMS = ("address = r[{base}] + {offset}\n"
 
 _LOAD = "r[{d}] = vm.memory.read_int(r[{p}], {size}, vm.site)"
 _STORE = "vm.memory.write_int(r[{p}], r[{v}], {size}, vm.site)"
-# Loads and stores that cannot trap: through the bytes in an alloca's
-# data slot, or a laid-out global's; a store's bytes still count.  A
-# scalar size goes through its codec (``repro.vm.memory.UNPACK`` and
-# ``PACK``), any other through a slice.
-_LOAD_FRAME = "r[{d}] = {unpack}(r[{data}])[0]"
+# Loads and stores that cannot trap: through the buffer in an alloca's
+# data slot at the alloca's offset in it (its run's buffer, or its own
+# region's at 0), or a laid-out global's bytes; a store's bytes still
+# count.  A scalar size goes through its codec
+# (``repro.vm.memory.UNPACK`` and ``PACK``), any other through a slice.
+_LOAD_FRAME = "r[{d}] = {unpack}(r[{data}], {off})[0]"
 _LOAD_GLOBAL = "r[{d}] = {unpack}(vm.global_regions[{name}].data)[0]"
-_STORE_FRAME = ("{pack}(r[{data}], 0, r[{v}] & {m})\n"
+_STORE_FRAME = ("{pack}(r[{data}], {off}, r[{v}] & {m})\n"
                 "vm.memory.bytes_written += {size}")
 _STORE_GLOBAL = ("{pack}(vm.global_regions[{name}].data, 0, r[{v}] & {m})\n"
                  "vm.memory.bytes_written += {size}")
-_LOAD_FRAME_SLICE = 'r[{d}] = int.from_bytes(r[{data}][0:{size}], "little")'
+_LOAD_FRAME_SLICE = 'r[{d}] = int.from_bytes(r[{data}][{off}:{end}], "little")'
 _LOAD_GLOBAL_SLICE = ('r[{d}] = int.from_bytes('
                       'vm.global_regions[{name}].data[0:{size}], "little")')
-_STORE_FRAME_SLICE = ('r[{data}][0:{size}] = (r[{v}] & {m}).to_bytes({size}, "little")\n'
+_STORE_FRAME_SLICE = ('r[{data}][{off}:{end}] = (r[{v}] & {m}).to_bytes({size}, "little")\n'
                       "vm.memory.bytes_written += {size}")
 _STORE_GLOBAL_SLICE = ("vm.global_regions[{name}].data[0:{size}] = "
                        '(r[{v}] & {m}).to_bytes({size}, "little")\n'
                        "vm.memory.bytes_written += {size}")
 
+# An alloca mapped on its own: a lone one, or one of a run (at its
+# *offset* in the run) on the instruction-at-a-time path.
 _ALLOCA = ("try:\n"
-           "    region = vm.memory.map_stack({size}, {tag})\n"
+           "    region = vm.memory.map_stack({size}, {tag}, {offset})\n"
            "except MemoryError:\n"
            "    raise VMTrap(TrapKind.STACK_OVERFLOW, {message}, vm.site) from None\n"
            "r[{frame}].append(region)\n"
            "r[{d}] = region.base\n"
            "r[{data}] = region.data")
 # A run of *count* allocas, charged as its segment's last *count*
-# instructions: one reservation of the run's *span*, then each region
-# at its ``(offset, size, tag)`` of *layout*, its base and bytes into
-# its ``(d, data)`` of *slots*.  A run that does not fit gives back its
+# instructions: one stack object as *layout* places it, then for each
+# ``(d, data, offset)`` of *slots* its base plus the offset into ``d``
+# and its buffer into ``data``.  A run that does not fit gives back its
 # charge and counts, then maps its allocas one at a time (*allocas*,
 # their ``_ALLOCA`` closures), charging each as instruction-at-a-time
 # execution does: the one that does not fit traps.
 _ALLOCA_RUN = ("try:\n"
-               "    regions = vm.memory.map_stack_run({span}, {layout})\n"
+               "    run = vm.memory.map_stack_run({layout})\n"
                "except MemoryError:\n"
                "    vm.instructions_executed -= {count}\n"
                "    vm.cost -= {cost}\n"
@@ -1287,10 +1317,12 @@ _ALLOCA_RUN = ("try:\n"
                "            counts['Alloca'] += 1\n"
                "        alloca(r, vm)\n"
                "else:\n"
-               "    r[{frame}] += regions\n"
-               "    for region, (d, data) in zip(regions, {slots}):\n"
-               "        r[d] = region.base\n"
-               "        r[data] = region.data")
+               "    r[{frame}].append(run)\n"
+               "    base = run.base\n"
+               "    buffer = run.data\n"
+               "    for d, data, offset in {slots}:\n"
+               "        r[d] = base + offset\n"
+               "        r[data] = buffer")
 
 # The ``__cov_guard`` native inlined (``VM.cov_guard``); ``prev_loc`` is
 # always below the map size, and so is the xor.

@@ -20,14 +20,26 @@ mapped regions (FILE handles are not regions), and a frame's regions
 are mapped after its caller's and unmapped before them, so
 :meth:`AddressSpace.map_stack` appends its base and
 :meth:`AddressSpace.unmap_frame` truncates the sorted bases in one
-call.  A run of allocas maps in one call too
-(:meth:`AddressSpace.map_stack_run`): it reserves the span that
-:func:`stack_run` computes, then maps each region at the base,
-alignment and red zone ``map_stack`` of each in turn would give it.
-Decoded code reads and writes a frame's own allocas and named globals
-through the region's bytes directly (see ``repro.vm.interpreter``):
-:meth:`AddressSpace.read_int` and :meth:`AddressSpace.write_int` see
-only the accesses that are checked.
+call.  A run of allocas is one stack object, a :class:`StackRun`
+(:meth:`AddressSpace.map_stack_run`): one reservation of the span that
+:func:`stack_run` computes, one zeroed buffer as long as that span, and
+one entry each in the sorted bases and the live map.  Each alloca keeps
+the base, size, tag, alignment padding and red zone ``map_stack`` of
+each in turn would give it, and a region of its own is built only when
+something asks for one (a checked access, a native, a fault verdict,
+:meth:`AddressSpace.live_regions`): it reads the run's buffer, so its
+``origin``, the address of ``data[0]``, is the run's base.  Every other
+region's ``origin`` is its base.  Decoded code reads and writes a
+frame's own allocas and named globals through those bytes directly (see
+``repro.vm.interpreter``): :meth:`AddressSpace.read_int` and
+:meth:`AddressSpace.write_int` see only the accesses that are checked.
+
+A frame's exit does not fill the freed-region FIFO: it drops the
+frame's entries and logs the frame.  The log is folded into the FIFO,
+frame by frame with the FIFO trimmed after each as an exit used to trim
+it, only when something reads the FIFO (a verdict, a heap ``unmap``,
+:meth:`AddressSpace.fork`, an inspection), or once it holds more than
+:attr:`AddressSpace.DEAD_REGION_MEMORY` allocas.
 
 Scalars of 1, 2, 4 and 8 bytes move through precompiled little-endian
 ``struct`` codecs (:data:`UNPACK`, :data:`PACK`), the checked accessors'
@@ -35,9 +47,9 @@ and decoded code's alike; other sizes go through ``int.from_bytes`` and
 ``int.to_bytes``.
 
 A forked child's address space is a copy of its parked parent's
-(:meth:`AddressSpace.fork`): every live region at the same base with
-private bytes, the same segments, cursors and freed-region FIFO, and
-no bytes written yet.  Nothing the child does reaches the parent.
+(:meth:`AddressSpace.fork`): every live region and run at the same base
+with private bytes, the same segments, cursors and freed-region FIFO,
+and no bytes written yet.  Nothing the child does reaches the parent.
 
 An exhausted segment raises :class:`MemoryError`; the allocators turn
 it into the trap a real process would take (a stack overflow, an
@@ -49,6 +61,7 @@ from __future__ import annotations
 import bisect
 import struct
 from collections import OrderedDict
+from typing import NamedTuple
 
 from repro.vm.errors import CrashSite, TrapKind, VMTrap
 
@@ -112,31 +125,47 @@ STACK_SIZE = 0x0800_0000
 RED_ZONE = 16
 
 
-def stack_run(sizes) -> tuple[tuple[int, ...], int]:
-    """Where mapping allocas of *sizes* one at a time puts each region,
-    as offsets from the first one's base, and the span from that base to
-    the stack cursor after the last: each region takes its size (at
-    least 1) and a red zone, and the next starts at the next aligned
-    address.  The first base is aligned, so the offsets do not depend on
-    where the run starts."""
+class RunLayout(NamedTuple):
+    """Where a run of allocas puts each one, as offsets from the first
+    one's base, with their sizes and tags, and the span from that base
+    to the stack cursor after the last (see :func:`stack_run`)."""
+
+    offsets: tuple
+    sizes: tuple
+    tags: tuple
+    span: int
+
+
+def stack_run(sizes, tags) -> RunLayout:
+    """Where mapping allocas of *sizes* one at a time puts each region:
+    each takes its size (at least 1) and a red zone, and the next starts
+    at the next aligned address.  The first base is aligned, so the
+    offsets do not depend on where the run starts."""
     offsets = []
     end = 0
     for size in sizes:
         start = (end + ALIGN - 1) // ALIGN * ALIGN
         offsets.append(start)
         end = start + max(size, 1) + RED_ZONE
-    return tuple(offsets), end
+    return RunLayout(tuple(offsets), tuple(sizes), tuple(tags), end)
 
 
 class MemoryRegion:
-    """One live or dead allocation; a dead one has no ``data``."""
+    """One live or dead allocation; a dead one has no ``data``.
 
-    __slots__ = ("base", "size", "data", "writable", "kind", "tag", "alive")
+    ``origin`` is the address of ``data[0]``: the base, but for an
+    alloca of a :class:`StackRun`, whose ``data`` is the run's buffer,
+    and for one mapped on its own at its offset in a run
+    (:meth:`AddressSpace.map_stack`)."""
+
+    __slots__ = ("base", "size", "data", "origin", "writable", "kind", "tag",
+                 "alive")
 
     def __init__(self, base: int, size: int, writable: bool, kind: str, tag: str = ""):
         self.base = base
         self.size = size
         self.data = bytearray(size)
+        self.origin = base
         self.writable = writable
         self.kind = kind          # "global" | "heap" | "stack"
         self.tag = tag            # symbol name / allocation site
@@ -155,6 +184,7 @@ class MemoryRegion:
         region.base = self.base
         region.size = self.size
         region.data = bytearray(self.data)
+        region.origin = self.origin
         region.writable = self.writable
         region.kind = self.kind
         region.tag = self.tag
@@ -166,6 +196,80 @@ class MemoryRegion:
         return f"<Region {self.kind} {self.tag!r} @0x{self.base:x}+{self.size} {state}>"
 
 
+class StackRun:
+    """A run of allocas mapped as one stack object: its first alloca's
+    base, one buffer over the run's span, and its :class:`RunLayout`.
+    ``regions`` holds each alloca's region once something asked for it
+    (:meth:`region`); they die with the run (:meth:`kill_regions`)."""
+
+    __slots__ = ("base", "data", "layout", "regions", "alive")
+
+    def __init__(self, base: int, layout: RunLayout):
+        self.base = base
+        self.data = bytearray(layout.span)
+        self.layout = layout
+        self.regions: list | None = None
+        self.alive = True
+
+    def copy(self) -> StackRun:
+        """This run with a private copy of its bytes."""
+        run = StackRun.__new__(StackRun)
+        run.base = self.base
+        run.data = bytearray(self.data)
+        run.layout = self.layout
+        run.regions = None
+        run.alive = self.alive
+        return run
+
+    def member(self, address: int) -> int:
+        """The index of the last alloca whose base is at or below
+        *address*, which is at or above the run's base."""
+        return bisect.bisect_right(self.layout.offsets, address - self.base) - 1
+
+    def region(self, k: int) -> MemoryRegion:
+        """Alloca *k*'s region, over the run's buffer, built once."""
+        regions = self.regions
+        if regions is None:
+            regions = self.regions = [None] * len(self.layout.offsets)
+        region = regions[k]
+        if region is None:
+            layout = self.layout
+            region = regions[k] = MemoryRegion.__new__(MemoryRegion)
+            region.base = self.base + layout.offsets[k]
+            region.size = layout.sizes[k]
+            region.data = self.data
+            region.origin = self.base
+            region.writable = True
+            region.kind = "stack"
+            region.tag = layout.tags[k]
+            region.alive = self.alive
+        return region
+
+    def all_regions(self) -> list[MemoryRegion]:
+        """Every alloca's region, in address order."""
+        return [self.region(k) for k in range(len(self.layout.offsets))]
+
+    def kill_regions(self) -> None:
+        """Every region built over the run dies with it and lets go of
+        its buffer."""
+        for region in self.regions:
+            if region is not None:
+                region.alive = False
+                region.data = None
+
+
+class SpaceView(NamedTuple):
+    """What an address space holds, for comparing two of them: each
+    live region, one per alloca, as ``(base, size, kind, tag)`` in
+    address order; the freed-region FIFO the same way, oldest first;
+    the global, heap and stack cursors; and the bytes written."""
+
+    live: tuple
+    dead: tuple
+    cursors: tuple
+    bytes_written: int
+
+
 class AddressSpace:
     """All mapped memory of one simulated process."""
 
@@ -175,9 +279,14 @@ class AddressSpace:
         self.global_segment = Segment("global", GLOBAL_BASE, GLOBAL_SIZE)
         self.heap_segment = Segment("heap", HEAP_BASE, HEAP_SIZE)
         self.stack_segment = Segment("stack", STACK_BASE, STACK_SIZE)
+        # Sorted bases of the live regions and runs, and each by base.
         self._bases: list[int] = []
-        self._regions: dict[int, MemoryRegion] = {}
+        self._regions: dict[int, MemoryRegion | StackRun] = {}
         self._dead: OrderedDict[int, MemoryRegion] = OrderedDict()
+        # Unmapped frames not yet folded into ``_dead``, and how many
+        # allocas they hold.
+        self._frames: list[list] = []
+        self._logged = 0
         self._last: MemoryRegion | None = None   # last region found
         self.bytes_written = 0  # drives copy-on-write cost accounting
 
@@ -192,86 +301,129 @@ class AddressSpace:
         self._regions[base] = region
         return region
 
-    def map_stack(self, size: int, tag: str) -> MemoryRegion:
+    def map_stack(self, size: int, tag: str, offset: int = 0) -> MemoryRegion:
         """Map one alloca's region: ``map_region`` on the stack segment,
-        whose new base is above every mapped one."""
+        whose new base is above every mapped one.  An alloca of a run
+        mapped on its own passes its *offset* in the run: its ``data``
+        then starts that many bytes below its base, so that code
+        addressing it at that offset in its run's buffer reads it."""
         base = self.stack_segment.reserve(max(size, 1) + RED_ZONE)
         region = MemoryRegion(base, size, True, "stack", tag)
+        if offset:
+            region.data = bytearray(offset + size)
+            region.origin = base - offset
         self._bases.append(base)
         self._regions[base] = region
         return region
 
-    def map_stack_run(self, span: int, layout: tuple) -> list[MemoryRegion]:
-        """Map a run of allocas as ``map_stack`` of each in turn would:
-        reserve the run's *span* once, then map a region at each
-        ``(offset, size, tag)`` of *layout*, in order (*span* and the
-        offsets from :func:`stack_run`).  A span that does not fit
+    def map_stack_run(self, layout: RunLayout) -> StackRun:
+        """Map a run of allocas, each where ``map_stack`` of each in turn
+        would put it, as one :class:`StackRun`.  A span that does not fit
         raises MemoryError and maps nothing."""
-        start = self.stack_segment.reserve(span)
-        bases, live = self._bases, self._regions
-        regions = []
-        for offset, size, tag in layout:
-            base = start + offset
-            region = MemoryRegion(base, size, True, "stack", tag)
-            bases.append(base)
-            live[base] = region
-            regions.append(region)
-        return regions
+        run = StackRun(self.stack_segment.reserve(layout.span), layout)
+        self._bases.append(run.base)
+        self._regions[run.base] = run
+        return run
 
-    def unmap_frame(self, regions: list[MemoryRegion]) -> None:
-        """Unmap one frame's regions, in the order they were mapped:
-        ``unmap`` of each, the last ``len(regions)`` bases dropped at
-        once."""
-        if not regions:     # ``del bases[-0:]`` would empty the list
+    def unmap_frame(self, frame: list) -> None:
+        """Unmap one frame's regions and runs, given in the order they
+        were mapped: the last ``len(frame)`` bases dropped at once, the
+        frame logged for the freed-region FIFO."""
+        if not frame:       # ``del bases[-0:]`` would empty the list
             return
-        del self._bases[-len(regions):]
-        live, dead = self._regions, self._dead
-        for region in regions:
-            region.alive = False
-            region.data = None
-            del live[region.base]
-            dead[region.base] = region
-        while len(dead) > self.DEAD_REGION_MEMORY:
-            dead.popitem(last=False)
+        del self._bases[-len(frame):]
+        live = self._regions
+        allocas = 0
+        for entry in frame:
+            del live[entry.base]
+            entry.alive = False
+            entry.data = None
+            if type(entry) is StackRun:
+                allocas += len(entry.layout.offsets)
+                if entry.regions is not None:
+                    entry.kill_regions()
+            else:
+                allocas += 1
+        self._frames.append(frame)
+        self._logged += allocas
+        if self._logged > self.DEAD_REGION_MEMORY:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Move the logged frames into the freed-region FIFO, frame by
+        frame, trimming it after each as unmapping that frame would."""
+        dead, memory = self._dead, self.DEAD_REGION_MEMORY
+        for frame in self._frames:
+            for entry in frame:
+                if type(entry) is StackRun:
+                    for region in entry.all_regions():
+                        dead[region.base] = region
+                else:
+                    dead[entry.base] = entry
+            while len(dead) > memory:
+                dead.popitem(last=False)
+        self._frames = []
+        self._logged = 0
+
+    def _fifo(self) -> OrderedDict[int, MemoryRegion]:
+        """The freed-region FIFO, with every logged frame in it."""
+        if self._frames:
+            self._fold()
+        return self._dead
 
     def unmap(self, region: MemoryRegion) -> None:
         if not region.alive:
             raise ValueError("double unmap")
+        dead = self._fifo()
         region.alive = False
         region.data = None
         index = bisect.bisect_left(self._bases, region.base)
         del self._bases[index]
         del self._regions[region.base]
-        self._dead[region.base] = region
-        while len(self._dead) > self.DEAD_REGION_MEMORY:
-            self._dead.popitem(last=False)
+        dead[region.base] = region
+        while len(dead) > self.DEAD_REGION_MEMORY:
+            dead.popitem(last=False)
 
     def forget_dead_regions(self) -> None:
         """Drop the freed-region memory (called when cursors rewind,
         since recycled addresses would otherwise shadow-match old
         regions)."""
         self._dead.clear()
+        self._frames = []
+        self._logged = 0
 
     def fork(self) -> AddressSpace:
         """A forked child's copy of this address space: a private copy
-        of every live region, the same segments and cursors, the same
-        freed-region FIFO (dead regions hold no bytes and never change,
-        so it shares them), and no bytes written."""
+        of every live region and run, the same segments and cursors, the
+        same freed-region FIFO (dead regions hold no bytes and never
+        change, so it shares them), and no bytes written."""
         child = AddressSpace.__new__(AddressSpace)
         child.global_segment = self.global_segment.copy()
         child.heap_segment = self.heap_segment.copy()
         child.stack_segment = self.stack_segment.copy()
         child._bases = self._bases.copy()
-        child._regions = {base: region.copy()
-                          for base, region in self._regions.items()}
-        child._dead = self._dead.copy()
+        child._regions = {base: entry.copy()
+                          for base, entry in self._regions.items()}
+        child._dead = self._fifo().copy()
+        child._frames = []
+        child._logged = 0
         child._last = None
         child.bytes_written = 0
         return child
 
     def region_at(self, base: int) -> MemoryRegion:
         """The live region mapped at *base*."""
-        return self._regions[base]
+        entry = self._regions.get(base)
+        if type(entry) is MemoryRegion:
+            return entry
+        index = bisect.bisect_right(self._bases, base) - 1
+        if index >= 0:
+            run = self._regions[self._bases[index]]
+            if type(run) is StackRun:
+                k = run.member(base)
+                if run.base + run.layout.offsets[k] == base:
+                    return run.region(k)
+        raise KeyError(base)
 
     # -- lookup -------------------------------------------------------
 
@@ -285,23 +437,50 @@ class AddressSpace:
         if index < 0:
             return None
         region = self._regions[self._bases[index]]
-        if address < region.base + region.size:
-            self._last = region
-            return region
-        return None
+        if type(region) is StackRun:
+            run = region
+            k = run.member(address)
+            layout = run.layout
+            if address - run.base - layout.offsets[k] >= layout.sizes[k]:
+                return None
+            region = run.region(k)
+        elif address >= region.base + region.size:
+            return None
+        self._last = region
+        return region
 
     def find_dead_region(self, address: int) -> MemoryRegion | None:
         """Freed region that used to contain *address*, or ``None``."""
-        for region in reversed(self._dead.values()):
+        for region in reversed(self._fifo().values()):
             if region.contains(address):
                 return region
         return None
 
     def live_regions(self, kind: str | None = None) -> list[MemoryRegion]:
-        regions = list(self._regions.values())
-        if kind is not None:
-            regions = [r for r in regions if r.kind == kind]
+        """Every live region, one per alloca, in the order mapped."""
+        regions = []
+        for entry in self._regions.values():
+            if type(entry) is StackRun:
+                if kind is None or kind == "stack":
+                    regions += entry.all_regions()
+            elif kind is None or entry.kind == kind:
+                regions.append(entry)
         return regions
+
+    def view(self) -> SpaceView:
+        """This address space's :class:`SpaceView`."""
+        live = []
+        for base in self._bases:
+            entry = self._regions[base]
+            regions = (entry.all_regions() if type(entry) is StackRun
+                       else (entry,))
+            live += [(r.base, r.size, r.kind, r.tag) for r in regions]
+        return SpaceView(
+            tuple(live),
+            tuple((r.base, r.size, r.kind, r.tag) for r in self._fifo().values()),
+            (self.global_segment.cursor, self.heap_segment.cursor,
+             self.stack_segment.cursor),
+            self.bytes_written)
 
     # -- checked access -----------------------------------------------
 
@@ -324,6 +503,8 @@ class AddressSpace:
             index = bisect.bisect_right(self._bases, address) - 1
             if index >= 0:
                 candidate = self._regions[self._bases[index]]
+                if type(candidate) is StackRun:
+                    candidate = candidate.region(candidate.member(address))
                 if address < candidate.limit + RED_ZONE:
                     live = candidate
         if live is not None:
@@ -357,12 +538,12 @@ class AddressSpace:
 
     def read(self, address: int, size: int, site: CrashSite) -> bytes:
         region = self.check(address, size, False, site)
-        offset = address - region.base
+        offset = address - region.origin
         return bytes(region.data[offset:offset + size])
 
     def write(self, address: int, data: bytes, site: CrashSite) -> None:
         region = self.check(address, len(data), True, site)
-        offset = address - region.base
+        offset = address - region.origin
         region.data[offset:offset + len(data)] = data
         self.bytes_written += len(data)
 
@@ -377,7 +558,7 @@ class AddressSpace:
             region = self.find_region(address)
             if region is None or address + size > region.base + region.size:
                 raise self._fault(address, size, False, site)
-        offset = address - region.base
+        offset = address - region.origin
         unpack = UNPACK.get(size)
         if unpack is not None:
             return unpack(region.data, offset)[0]
@@ -392,7 +573,7 @@ class AddressSpace:
                 raise self._fault(address, size, True, site)
         if not region.writable:
             raise self._read_only(region, address, site)
-        offset = address - region.base
+        offset = address - region.origin
         value &= (1 << (size * 8)) - 1
         pack = PACK.get(size)
         if pack is not None:
@@ -405,12 +586,14 @@ class AddressSpace:
         """Read a NUL-terminated string (without the terminator).
 
         A string that runs off its region faults at the first byte past
-        it; one of *limit* bytes with no terminator is unterminated."""
+        it, even where the region's buffer goes on (a run's next
+        alloca); one of *limit* bytes with no terminator is
+        unterminated."""
         region = self.find_region(address)
         if region is None:
             raise self._fault(address, 1, False, site)
-        offset = address - region.base
-        available = region.size - offset
+        offset = address - region.origin
+        available = region.base + region.size - address
         end = region.data.find(0, offset, offset + min(available, limit))
         if end >= 0:
             return bytes(region.data[offset:end])
@@ -422,7 +605,17 @@ class AddressSpace:
 
     def footprint_bytes(self) -> int:
         """Total live mapped bytes (drives fork/CoW cost modelling)."""
-        return sum(r.size for r in self._regions.values())
+        return sum(sum(entry.layout.sizes) if type(entry) is StackRun
+                   else entry.size for entry in self._regions.values())
 
-    def region_count(self) -> int:
-        return len(self._regions)
+    def region_count(self, kind: str | None = None) -> int:
+        """How many live regions, one per alloca, of *kind* if given;
+        no region is built to count them."""
+        count = 0
+        for entry in self._regions.values():
+            if type(entry) is StackRun:
+                if kind is None or kind == "stack":
+                    count += len(entry.layout.offsets)
+            elif kind is None or entry.kind == kind:
+                count += 1
+        return count

@@ -32,17 +32,16 @@ int main(int argc, char **argv) {
 
 def image(vm) -> tuple:
     """*vm*'s address space: each live region's base, size,
-    permissions, kind, tag, liveness and bytes, the sorted bases, the
-    freed-region FIFO, the segments and the bytes written."""
+    permissions, kind, tag, liveness and bytes, its view (the live
+    regions in address order, the freed-region FIFO, the cursors and
+    the bytes written) and the segments."""
     memory = vm.memory
     return (
         [(r.base, r.size, r.writable, r.kind, r.tag, r.alive, bytes(r.data))
          for r in memory.live_regions()],
-        list(memory._bases),
-        [(base, region.tag) for base, region in memory._dead.items()],
+        memory.view(),
         [(s.name, s.base, s.size, s.cursor) for s in (
             memory.global_segment, memory.heap_segment, memory.stack_segment)],
-        memory.bytes_written,
     )
 
 

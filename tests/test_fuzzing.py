@@ -1,6 +1,7 @@
 """Tests for the fuzzer: coverage maps, mutators, corpus, triage,
 and campaign behaviour."""
 
+import hashlib
 import os
 import pickle
 import random
@@ -21,7 +22,8 @@ from repro.fuzzing import (
     deterministic_mutations,
 )
 from repro.fuzzing.coverage import dense_signature
-from repro.fuzzing.mutators import MAX_INPUT_SIZE
+from repro.fuzzing.i2s import AutoDictionary
+from repro.fuzzing.mutators import MAX_INPUT_SIZE, draw_below
 from repro.vm.errors import CrashSite, TrapKind, VMTrap
 from repro.vm.interpreter import COVERAGE_MAP_SIZE, CoverageMap
 
@@ -291,6 +293,48 @@ class TestHavoc:
     def test_empty_input_survives(self):
         havoc = HavocMutator(random.Random(4))
         assert havoc.mutate(b"")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 14, 15, 16, 256, 2**32])
+    def test_draw_below_is_randrange(self, n):
+        """``draw_below`` gives ``randrange``'s stream and leaves the
+        generator in the same state."""
+        drawn, reference = random.Random(n), random.Random(n)
+        below = draw_below(drawn)
+        assert ([below(n) for _ in range(300)]
+                == [reference.randrange(n) for _ in range(300)])
+        assert drawn.getstate() == reference.getstate()
+
+    # sha256 of 200 mutate/splice outputs and the generator state after,
+    # per seed, without and with a dictionary: the stream ``randrange``
+    # and ``choice`` drew before havoc drew through ``draw_below``.
+    STREAMS = {
+        (1, False): "8e5c8c5fd4af10c9a775cdb3efd9e50ece8769297d73aa8063201d1e7feb2455",
+        (1, True): "301e388c943d8c2ddd90afc2ed5bfba1d6154f71a905820a0bce241296b031fd",
+        (2, False): "5184055ec7da6f762818cb1e069077355d02c519edb9b866cbfd87e7676cd896",
+        (2, True): "654d043b662cbe6664648ee091caf39524b13d1f4d6fa6bb1d55ffcb8570b863",
+        (3, False): "e2c8f580c618dcc49123a1267c4976a4c0b9c77a0f7b175d666142f8094572c4",
+        (3, True): "ef17f64bc7c112ff95d28989215578bb0ccf22bc2acb398d8720e748adcd3b15",
+    }
+
+    @pytest.mark.parametrize("seed,dictionary", sorted(STREAMS))
+    def test_mutation_stream_is_pinned(self, seed, dictionary):
+        rng = random.Random(seed)
+        tokens = None
+        if dictionary:
+            tokens = AutoDictionary()
+            for token in (b"GIF89a", b"\x00\x01", b"IHDR", b"\xff\xfe\xfd\xfc", b"zlib"):
+                tokens.add(token)
+        havoc = HavocMutator(rng, dictionary=tokens)
+        digest = hashlib.sha256()
+        data = b"hello, world\x00\x01\x02"
+        for k in range(200):
+            if k % 5 == 4:
+                data = havoc.splice(data, b"second input" * (k % 3 + 1))
+            else:
+                data = havoc.mutate(data)
+            digest.update(len(data).to_bytes(4, "little") + data)
+        digest.update(repr(rng.getstate()).encode())
+        assert digest.hexdigest() == self.STREAMS[seed, dictionary]
 
 
 class TestCorpus:

@@ -14,9 +14,9 @@ address fold.  A wrong opcode cost, fold or segment boundary moves a
 result, ``cost_ns`` or ``instructions`` here.
 
 After every replay and every forkserver and ClosureX exec the address
-spaces must be equal too: bytes written (the copy-on-write charge),
-the live region bases in order, the freed-region FIFO and the segment
-cursors.  Hand-built edge cases pin the loads and stores decoded code
+spaces must be equal too (``AddressSpace.view``): bytes written (the
+copy-on-write charge), the live regions in address order, one per
+alloca, the freed-region FIFO and the segment cursors.  Hand-built edge cases pin the loads and stores decoded code
 runs without a check (frame allocas, named globals), its
 last-in-first-out stack frames, freed regions releasing their bytes,
 and the traps an exhausted stack or heap segment raises.  The
@@ -92,15 +92,23 @@ def fields(observation) -> dict:
     return out
 
 
-def address_space(vm) -> tuple:
-    """What execution left in *vm*'s address space: bytes written, the
-    live region bases in order, the freed-region FIFO's bases and tags
-    in order, and the global, heap and stack segment cursors."""
+def address_space(vm):
+    """What execution left in *vm*'s address space: each live region's
+    base, size, kind and tag in address order, the freed-region FIFO's
+    in order, the global, heap and stack segment cursors, and bytes
+    written."""
+    return vm.memory.view()
+
+
+def dead_tags(vm) -> list:
+    """The tags of *vm*'s freed-region FIFO, oldest first."""
+    return [tag for _, _, _, tag in vm.memory.view().dead]
+
+
+def dead_regions(vm) -> list:
+    """*vm*'s freed regions, oldest first (none of them empty)."""
     memory = vm.memory
-    return (memory.bytes_written, list(memory._bases),
-            [(base, region.tag) for base, region in memory._dead.items()],
-            (memory.global_segment.cursor, memory.heap_segment.cursor,
-             memory.stack_segment.cursor))
+    return [memory.find_dead_region(base) for base, _, _, _ in memory.view().dead]
 
 
 def run_both(module, function, args, limit=None, counts=False):
@@ -429,8 +437,7 @@ def test_pointer_into_returned_frame_is_use_after_free():
     vm, outcome = run_both(module, f, [])
     assert outcome[:2] == ("VMTrap", TrapKind.USE_AFTER_FREE)
     assert f"freed stack region 'g.{slot.name}'" in outcome[2]
-    assert [region.tag for region in vm.memory._dead.values()] == [
-        f"g.{first.name}", f"g.{slot.name}", f"f.{own.name}"]
+    assert dead_tags(vm) == [f"g.{first.name}", f"g.{slot.name}", f"f.{own.name}"]
     assert vm.stack_region_count() == 0
 
 
@@ -471,7 +478,7 @@ def test_alloca_in_a_loop_reaches_its_newest_region(monkeypatch):
     IRBuilder(done).ret(acc)
     vm, outcome = run_both(module, f, [5])
     assert outcome == 100
-    dead = list(vm.memory._dead.values())
+    dead = dead_regions(vm)
     assert [region.tag for region in dead] == [f"f.{slot.name}"] * 5
     assert [region.base for region in dead] == sorted(r.base for r in dead)
     # The decoded run's values, then the reference run's.
@@ -507,8 +514,9 @@ def test_frame_that_mapped_nothing_unmaps_nothing():
     b.ret(b.add(called, b.add(mine, shared)))
     vm, outcome = run_both(module, f, [])
     assert outcome == 43
-    assert vm.memory._bases == [vm.global_regions["counter"].base]
-    assert [region.tag for region in vm.memory._dead.values()] == [f"f.{own.name}"]
+    assert [base for base, _, _, _ in vm.memory.view().live] == [
+        vm.global_regions["counter"].base]
+    assert dead_tags(vm) == [f"f.{own.name}"]
 
 
 def test_alloca_run_maps_as_one_alloca_at_a_time():
@@ -516,21 +524,25 @@ def test_alloca_run_maps_as_one_alloca_at_a_time():
     cursor off alignment, maps each region where mapping them one at a
     time does: alignment padding between them, the same bases, red
     zones, freed-region FIFO and cursor on both interpreters, and from
-    ``map_stack_run`` as from ``map_stack`` of each in turn."""
+    ``map_stack_run`` as from ``map_stack`` of each in turn, mapped and
+    after its frame unmaps."""
     sizes = (1, 3, 17, 0)
-    offsets, span = stack_run(sizes)
-    assert offsets == (0, 32, 64, 112) and span == 112 + 1 + RED_ZONE
     tags = tuple(f"r{k}" for k in range(len(sizes)))
+    layout = stack_run(sizes, tags)
+    offsets, span = layout.offsets, layout.span
+    assert offsets == (0, 32, 64, 112) and span == 112 + 1 + RED_ZONE
     one, run = AddressSpace(), AddressSpace()
     for space in (one, run):
         space.map_stack(5, "pad")
-    for size, tag in zip(sizes, tags):
-        one.map_stack(size, tag)
-    run.map_stack_run(span, tuple(zip(offsets, sizes, tags)))
-    assert run._bases == one._bases
-    assert run.stack_segment.cursor == one.stack_segment.cursor
+    frame = [one.map_stack(size, tag) for size, tag in zip(sizes, tags)]
+    stack_run_entry = run.map_stack_run(layout)
+    assert run.view() == one.view()
+    assert run.region_count("stack") == one.region_count("stack") == 5
     assert [(r.base, r.size, r.tag) for r in run.live_regions()] == [
         (r.base, r.size, r.tag) for r in one.live_regions()]
+    one.unmap_frame(frame)
+    run.unmap_frame([stack_run_entry])
+    assert run.view() == one.view()
 
     module = Module("padded")
     i8, i64 = int_type(8), int_type(64)
@@ -548,11 +560,205 @@ def test_alloca_run_maps_as_one_alloca_at_a_time():
     gb.ret(gb.call(f, []))
     vm, outcome = run_both(module, g, [])
     assert outcome == offsets[-1]
-    dead = list(vm.memory._dead.values())
-    assert [region.tag for region in dead] == [
+    dead = vm.memory.view().dead
+    assert [tag for _, _, _, tag in dead] == [
         f"f.{alloca.name}" for alloca in run_allocas] + [f"g.{pad.name}"]
-    assert [region.base - dead[0].base for region in dead[:4]] == list(offsets)
-    assert vm.memory.stack_segment.cursor == dead[0].base + span
+    assert [base - dead[0][0] for base, _, _, _ in dead[:4]] == list(offsets)
+    assert vm.memory.stack_segment.cursor == dead[0][0] + span
+
+
+def test_checked_store_past_a_run_alloca_lands_in_the_next():
+    """A checked store 32 bytes on from a run's first alloca (past its
+    4 bytes, its red zone and the alignment gap) lands in the next
+    alloca's bytes, and that alloca's direct load reads it back."""
+    module = Module("spill")
+    i32 = int_type(32)
+    f = module.add_function("f", FunctionType(I32, []))
+    b = IRBuilder(f.append_block("entry"))
+    first = b.alloca(i32, name="first")
+    second = b.alloca(i32, name="second")
+    b.store(b.i32(5), second)
+    b.store(b.i32(42), b.gep(first, [b.i64(8)]))
+    b.ret(b.add(b.load(second), b.load(first)))
+    _, outcome = run_both(module, f, [])
+    assert outcome == 42
+
+
+def test_checked_reads_around_a_run_alloca():
+    """A checked read in a run alloca's red zone overruns that alloca;
+    one in the alignment gap past the red zone is unaddressable; one at
+    the next alloca's base reads it."""
+    module = Module("zones")
+    i8, i64 = int_type(8), int_type(64)
+    f = module.add_function("f", FunctionType(I32, [i64]))
+    f.ensure_args(["at"])
+    b = IRBuilder(f.append_block("entry"))
+    byte = b.alloca(i8, name="byte")
+    after = b.alloca(i8, name="after")
+    b.store(b.const(8, 3), after)
+    b.ret(b.zext(b.load(b.gep(byte, [f.args[0]])), I32))
+    _, in_zone = run_both(module, f, [4])
+    assert in_zone[:2] == ("VMTrap", TrapKind.INVALID_READ)
+    assert f"overruns stack region 'f.{byte.name}'" in in_zone[2]
+    _, in_gap = run_both(module, f, [1 + RED_ZONE + 2])
+    assert in_gap[:2] == ("VMTrap", TrapKind.UNADDRESSABLE)
+    _, at_next = run_both(module, f, [32])
+    assert at_next == 3
+
+
+def test_strlen_of_an_unterminated_run_alloca_faults_at_its_end():
+    """``strlen`` of a run alloca with no NUL faults at the alloca's
+    end, though its run's buffer goes on (zeroed red zone, the next
+    alloca)."""
+    module = Module("unterminated")
+    i8, i64 = int_type(8), int_type(64)
+    strlen = module.declare_function("strlen", FunctionType(i64, [pointer_type(i8)]))
+    f = module.add_function("f", FunctionType(i64, []))
+    b = IRBuilder(f.append_block("entry"))
+    text = b.alloca(i64, name="text")
+    after = b.alloca(i64, name="after")
+    b.store(b.i64(0x7878787878787878), text)
+    b.store(b.i64(0x79), after)
+    b.ret(b.call(strlen, [b.bitcast(text, pointer_type(i8))]))
+    _, outcome = run_both(module, f, [])
+    assert outcome[:2] == ("VMTrap", TrapKind.INVALID_READ)
+    assert "read of 1 bytes at" in outcome[2]
+    assert f"overruns stack region 'f.{text.name}'" in outcome[2]
+
+
+def test_run_alloca_escaping_through_a_global_is_use_after_free():
+    """A run alloca's address escapes through a global after a checked
+    access built its region; after its frame returns, a load through
+    the escaped pointer is a use-after-free naming that alloca."""
+    module = Module("escape")
+    i32, i64 = int_type(32), int_type(64)
+    escape = module.add_global("escape", pointer_type(i32))
+    g = module.add_function("g", FunctionType(I32, []))
+    gb = IRBuilder(g.append_block("entry"))
+    gb.alloca(i64, name="first")
+    kept = gb.alloca(i32, name="kept")
+    gb.store(gb.i32(7), gb.gep(kept, [gb.i64(0)]))
+    gb.store(kept, escape)
+    gb.ret(gb.load(gb.gep(kept, [gb.i64(0)])))
+    f = module.add_function("f", FunctionType(I32, []))
+    b = IRBuilder(f.append_block("entry"))
+    b.call(g, [])
+    b.ret(b.load(b.load(escape)))
+    _, outcome = run_both(module, f, [])
+    assert outcome[:2] == ("VMTrap", TrapKind.USE_AFTER_FREE)
+    assert f"inside freed stack region 'g.{kept.name}'" in outcome[2]
+
+
+DEPTH = 100      # 101 frames of 3 allocas: more than the FIFO holds
+
+
+def test_recursion_past_the_freed_region_memory_keeps_its_verdicts():
+    """Recursion through a frame with a run of 3 allocas unmaps 303 of
+    them in one call, more than the freed-region FIFO remembers: a load
+    through the deepest frame's escaped alloca, evicted, is
+    unaddressable, and one through the outermost frame's, retained, is a
+    use-after-free naming it, with the FIFO one-at-a-time mapping
+    leaves."""
+    module = Module("recursion")
+    i8, i32, i64 = int_type(8), int_type(32), int_type(64)
+    deepest = module.add_global("deepest", pointer_type(i32))
+    outermost = module.add_global("outermost", pointer_type(i32))
+    rec = module.add_function("rec", FunctionType(I32, [I32]))
+    rec.ensure_args(["n"])
+    entry, leaf, down, done = (rec.append_block(n)
+                               for n in ("entry", "leaf", "down", "done"))
+    eb = IRBuilder(entry)
+    run = [eb.alloca(i64, name="pad"), eb.alloca(i32, name="cell"),
+           eb.alloca(i8, name="tail")]
+    cell = run[1]
+    eb.store(rec.args[0], cell)
+    eb.cond_br(eb.icmp("eq", rec.args[0], eb.i32(0)), leaf, down)
+    lb = IRBuilder(leaf)
+    lb.store(cell, deepest)
+    lb.br(done)
+    db = IRBuilder(down)
+    db.call(rec, [db.sub(rec.args[0], db.i32(1))])
+    db.br(done)
+    ob = IRBuilder(done)
+    ob.store(cell, outermost)
+    ob.ret(ob.load(cell))
+    f = module.add_function("f", FunctionType(I32, [I32]))
+    f.ensure_args(["evicted"])
+    b = IRBuilder(f.append_block("entry"))
+    b.call(rec, [b.i32(DEPTH)])
+    pointer = b.select(b.icmp("ne", f.args[0], b.i32(0)),
+                       b.load(deepest), b.load(outermost))
+    b.ret(b.load(pointer))
+    vm, evicted = run_both(module, f, [1])
+    assert evicted[:2] == ("VMTrap", TrapKind.UNADDRESSABLE)
+    assert len(vm.memory.view().dead) == AddressSpace.DEAD_REGION_MEMORY
+    vm, retained = run_both(module, f, [0])
+    assert retained[:2] == ("VMTrap", TrapKind.USE_AFTER_FREE)
+    assert f"inside freed stack region 'rec.{cell.name}'" in retained[2]
+    assert dead_tags(vm)[-3:] == [f"rec.{alloca.name}" for alloca in run]
+
+
+def test_memset_and_memcpy_into_run_allocas_reach_direct_loads():
+    """``memset`` and ``memcpy`` into run allocas write the bytes their
+    direct loads read."""
+    module = Module("fill")
+    i8, i32, i64 = int_type(8), int_type(32), int_type(64)
+    bytes_ptr = pointer_type(i8)
+    memset = module.declare_function("memset", FunctionType(bytes_ptr, [bytes_ptr, i32, i64]))
+    memcpy = module.declare_function("memcpy", FunctionType(bytes_ptr, [bytes_ptr, bytes_ptr, i64]))
+    f = module.add_function("f", FunctionType(i64, []))
+    b = IRBuilder(f.append_block("entry"))
+    source = b.alloca(i64, name="source")
+    filled = b.alloca(i32, name="filled")
+    copied = b.alloca(i64, name="copied")
+    b.call(memset, [b.bitcast(filled, bytes_ptr), b.i32(0x41), b.i64(4)])
+    b.store(b.i64(0x1122334455667788), source)
+    b.call(memcpy, [b.bitcast(copied, bytes_ptr), b.bitcast(source, bytes_ptr),
+                    b.i64(8)])
+    b.ret(b.xor(b.zext(b.load(filled), i64), b.load(copied)))
+    _, outcome = run_both(module, f, [])
+    assert outcome == 0x41414141 ^ 0x1122334455667788
+
+
+def test_fork_of_a_live_run_gives_the_child_private_bytes():
+    """Forking the address space while a frame's run is live copies the
+    run with private bytes: the child reads what the run held at the
+    fork, the parent's later stores do not reach it, and its stores do
+    not reach the parent, on both interpreters alike."""
+    module = Module("forked")
+    i32, i64 = int_type(32), int_type(64)
+    probe = module.declare_function("probe", FunctionType(VOID, []))
+    f = module.add_function("f", FunctionType(i64, []))
+    b = IRBuilder(f.append_block("entry"))
+    wide = b.alloca(i64, name="wide")
+    narrow = b.alloca(i32, name="narrow")
+    b.store(b.i64(7), wide)
+    b.store(b.i32(9), narrow)
+    b.call(probe, [])
+    b.store(b.i64(1), wide)
+    b.ret(b.add(b.load(wide), b.zext(b.load(narrow), i64)))
+    seen = []
+    for vm_class in (VM, ReferenceVM):
+        forks = []
+
+        def fork_here(vm, args, site):
+            child = vm.memory.fork()
+            regions = {r.tag: r for r in child.live_regions("stack")}
+            child.write_int(regions[f"f.{narrow.name}"].base, 5, 4, site)
+            forks.append((child, vm.memory.view(), regions))
+
+        vm = vm_class(module, extra_natives={"probe": fork_here})
+        vm.load()
+        assert vm.run_function(f, []) == 1 + 9
+        ((child, at_fork, regions),) = forks
+        assert child.view() == at_fork._replace(bytes_written=4)
+        values = [child.read_int(regions[tag].base, size, vm.site)
+                  for tag, size in ((f"f.{wide.name}", 8), (f"f.{narrow.name}", 4))]
+        assert values == [7, 5]
+        seen.append((child.view(), values, child.footprint_bytes(),
+                     child.region_count(), child.region_count("stack")))
+    assert seen[0] == seen[1]
+    assert seen[0][4] == 2
 
 
 def test_scalar_loads_and_stores_match_reference_byte_for_byte():
@@ -674,7 +880,7 @@ def test_exhausted_stack_traps_stack_overflow(monkeypatch):
     assert vm.instructions_executed == 1 + 6 * FITS + 3
     assert vm.opcode_counts["Alloca"] == FITS + 1
     assert vm.stack_region_count() == 0
-    assert len(vm.memory._dead) == FITS
+    assert len(vm.memory.view().dead) == FITS
 
 
 def test_alloca_run_that_runs_the_stack_out_traps_on_its_alloca(monkeypatch):
@@ -712,9 +918,8 @@ def test_alloca_run_that_runs_the_stack_out_traps_on_its_alloca(monkeypatch):
         assert vm.instructions_executed == 6
         if counts:
             assert vm.opcode_counts["Alloca"] == 3
-        assert vm.memory._bases == []
-        assert [region.tag for region in vm.memory._dead.values()] == [
-            f"f.{first.name}", f"g.{own.name}"]
+        assert vm.memory.view().live == ()
+        assert dead_tags(vm) == [f"f.{first.name}", f"g.{own.name}"]
         for limit in range(1, 8):
             run_both(module, g, [], limit=limit, counts=counts)
 
@@ -792,7 +997,7 @@ def test_freed_regions_retain_no_bytes(vm_class):
     finally:
         tracemalloc.stop()
     # The FIFO's oldest entries are heap chunks, its newest main's frame.
-    dead = list(vm.memory._dead.values())
+    dead = dead_regions(vm)
     assert len(dead) == AddressSpace.DEAD_REGION_MEMORY
     assert all(region.data is None for region in dead)
     assert [region.size for region in dead[:200]] == [MEBIBYTE] * 200

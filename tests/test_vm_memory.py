@@ -3,7 +3,7 @@
 import pytest
 
 from repro.vm.errors import CrashSite, TrapKind, VMTrap
-from repro.vm.memory import AddressSpace, RED_ZONE
+from repro.vm.memory import RED_ZONE, STACK_BASE, AddressSpace, stack_run
 
 SITE = CrashSite("test_fn", "test_block")
 
@@ -149,7 +149,26 @@ class TestHelpers:
         for i in range(AddressSpace.DEAD_REGION_MEMORY + 50):
             region = space.map_region(space.heap_segment, 8, True, "heap", str(i))
             space.unmap(region)
-        assert len(space._dead) == AddressSpace.DEAD_REGION_MEMORY
+        assert len(space.view().dead) == AddressSpace.DEAD_REGION_MEMORY
+
+    def test_frames_fold_into_the_fifo_one_frame_at_a_time(self, space):
+        """Unmapped frames reach the freed-region FIFO as unmapping each
+        at once did, trimmed after each frame: a base freed again after
+        its eviction goes to the end.  (A stack cursor rewound without
+        forgetting the FIFO frees a base twice.)"""
+        memory = AddressSpace.DEAD_REGION_MEMORY
+        first = space.map_stack(4, "s0")
+        space.unmap_frame([first])
+        for i in range(memory - 1):
+            space.unmap(space.map_region(space.heap_segment, 8, True, "heap", f"h{i}"))
+        space.unmap_frame([space.map_stack(4, "s1")])
+        space.stack_segment.cursor = STACK_BASE
+        run = space.map_stack_run(stack_run((40, 4), ("s0 again", "next")))
+        assert run.base == first.base
+        space.unmap_frame([run])
+        tags = [tag for _, _, _, tag in space.view().dead]
+        assert tags == [f"h{i}" for i in range(2, memory - 1)] + [
+            "s1", "s0 again", "next"]
 
     def test_forget_dead_regions(self, space):
         region = space.map_region(space.heap_segment, 8, True, "heap", "a")
