@@ -48,24 +48,25 @@ access reads or writes those bytes directly, through the size's
 little-endian ``struct`` codec for 1, 2, 4 and 8 bytes
 (``repro.vm.memory.UNPACK`` and ``PACK``) and a slice for any other
 size, and still counts a store's bytes in ``memory.bytes_written``: a
-global's in ``global_regions``, an alloca's in the buffer a register
-slot of its own holds, at the alloca's offset in it, which the decoder
-knows.  Every other access goes through the address space's checked
-``read_int``/``write_int``.  A frame's allocas are mapped and unmapped
-last-in-first-out (``AddressSpace.map_stack`` and ``unmap_frame``).  A
-run of consecutive allocas (MiniC puts a function's at the top of its
-entry block) is one op, its segment's last: it maps the run as one
-stack object (``AddressSpace.map_stack_run``, as the layout
+global's in ``global_regions``, an alloca's in its run's buffer, which
+a register slot of the run's holds, at the alloca's offset in it, which
+the decoder knows.  Every other access goes through the address space's
+checked ``read_int``/``write_int``.  A frame's allocas are mapped and
+unmapped last-in-first-out (``AddressSpace.map_stack_run`` and
+``unmap_frame``).  Every maximal run of consecutive allocas, one alone
+included (MiniC puts a function's at the top of its entry block), is
+one op, its segment's last: it maps the run as one stack object
+(``AddressSpace.map_stack_run``, as the layout
 ``repro.vm.memory.stack_run`` computes places each alloca where mapping
 them one at a time would), then writes each alloca's pointer, the
-run's base plus the alloca's offset, and puts the run's buffer in each
-alloca's buffer slot.  A lone alloca maps a region of its own, at
-offset 0 in its buffer.  On the instruction-at-a-time path each alloca
-of a run maps a region of its own too, with a buffer that starts its
-offset below it, so the same direct accesses read the same bytes.
-A run the stack segment cannot hold gives its charge back and maps its
-allocas that way one at a time, so the one that does not fit traps
-with the count and cost instruction-at-a-time execution gives it.
+run's base plus the alloca's offset, and puts the run's buffer in the
+run's buffer slot.  On the instruction-at-a-time path each alloca maps
+on its own (``AddressSpace.map_stack_alloca``): a run's first maps a
+run of its own and each later one grows it in place, so the same
+direct accesses read the same bytes.  A run the stack segment cannot
+hold gives its charge back and maps its allocas that way one at a time,
+so the one that does not fit traps with the count and cost
+instruction-at-a-time execution gives it.
 
 All values are Python ints in unsigned representation; pointers are
 addresses in the VM's address space.  Every executed instruction
@@ -536,11 +537,11 @@ class _FunctionCode:
 
     ``tail`` is the register template after the argument slots
     (constants and global addresses filled in, every other slot None
-    until written); ``frame`` is the slot holding the frame's alloca
-    regions and runs in the order they were mapped, if it has any, and
-    each alloca also has a slot holding the buffer its newest bytes
-    are in.  Each block is a tuple ``(name, phis, segments, kind, x,
-    y, z)``:
+    until written); ``frame`` is the slot holding the frame's runs of
+    allocas in the order they were mapped, if it has any, and each run
+    of allocas also has one slot, holding the buffer its newest mapping
+    is in.  Each block is a tuple ``(name, phis, segments, kind, x, y,
+    z)``:
 
     - ``phis`` is None or ``(moves, count, cost)``, where ``moves``
       maps the predecessor's block index (-1 on function entry) to the
@@ -745,9 +746,9 @@ def _decode(function: Function, layout: dict[str, int], observed: bool,
 class _Decoder:
     """One function's decoding state: its blocks by index, each split
     into leading phis and a body through its first terminator, the
-    register slot of every value it defines (and of each alloca's
-    region bytes), and the register template (constants and global
-    addresses are appended as they are used)."""
+    register slot of every value it defines (and one of each run of
+    allocas, for its buffer), and the register template (constants and
+    global addresses are appended as they are used)."""
 
     def __init__(self, function: Function, layout: dict[str, int],
                  observed: bool):
@@ -761,11 +762,10 @@ class _Decoder:
         self.index = {block: i for i, block in enumerate(self.blocks)}
         self.slots: dict[Value, int] = {arg: i for i, arg in enumerate(function.args)}
         self.template: list = [None] * len(self.slots)
-        self.data: dict[Alloca, int] = {}
-        # Each alloca of a run's offset in it, and each run's layout by
-        # its last alloca.
-        self.offsets: dict[Alloca, int] = {}
-        self.layouts: dict[Alloca, RunLayout] = {}
+        # Each alloca's run's buffer slot and the run's layout up to that
+        # alloca, and the last alloca of each run.
+        self.runs: dict[Alloca, tuple[int, RunLayout]] = {}
+        self.ends: set[Alloca] = set()
         self.heads, self.bodies, self.succs = [], [], []
         for block in self.blocks:
             insts = block.instructions
@@ -788,27 +788,27 @@ class _Decoder:
             for inst in insts[:k] + [inst for inst in body if type(inst) in _VALUES
                                      or type(inst) is Call and not inst.type.is_void]:
                 self.slots[inst] = self.new_slot()
-                if type(inst) is Alloca:
-                    self.data[inst] = self.new_slot()
             self.find_runs(body)
         self.consts: dict[int, int] = {}
         self.undefined: int | None = None   # a slot nothing ever writes
         self.frame: int | None = None
 
     def find_runs(self, body: list) -> None:
-        """Lay out each run of two or more consecutive allocas in
-        *body* (:func:`stack_run`)."""
+        """Lay out each maximal run of consecutive allocas in *body*,
+        one alone included (:func:`stack_run`), and give it a buffer
+        slot."""
         run: list[Alloca] = []
         for inst in body + [None]:
             if type(inst) is Alloca:
                 run.append(inst)
                 continue
-            if len(run) > 1:
-                layout = stack_run(
-                    [alloca.allocation_size() for alloca in run],
-                    [f"{self.function.name}.{alloca.name}" for alloca in run])
-                self.offsets.update(zip(run, layout.offsets))
-                self.layouts[run[-1]] = layout
+            if run:
+                data = self.new_slot()
+                sizes = [alloca.allocation_size() for alloca in run]
+                tags = [f"{self.function.name}.{alloca.name}" for alloca in run]
+                for k, alloca in enumerate(run, 1):
+                    self.runs[alloca] = data, stack_run(sizes[:k], tags[:k])
+                self.ends.add(run[-1])
             run = []
 
     def decode(self, nargs: int) -> _FunctionCode:
@@ -882,17 +882,18 @@ class _Decoder:
     def direct(self, ptr: Value, size: int, known: int, store: bool):
         """The bytes an access of *size* bytes through *ptr* reads or
         writes without a check: ``(data slot, offset, None)`` for an
-        alloca of this frame defined on every path here (its buffer, and
-        its offset in it), ``(None, 0, name)`` for a laid-out global (a
-        writable one, for a store), or None when the access takes the
-        checked path.  A zero-size access does too: on a zero-size
-        region, which contains no address, it traps."""
+        alloca of this frame defined on every path here (its run's
+        buffer, and its offset in it), ``(None, 0, name)`` for a
+        laid-out global (a writable one, for a store), or None when the
+        access takes the checked path.  A zero-size access does too: on
+        a zero-size region, which contains no address, it traps."""
         cls = type(ptr)
         if cls is Alloca:
             slot = self.slots.get(ptr)
             if (slot is not None and known >> slot & 1
                     and 0 < size <= ptr.allocation_size()):
-                return self.data[ptr], self.offsets.get(ptr, 0), None
+                data, layout = self.runs[ptr]
+                return data, layout.offsets[-1], None
         elif (cls is GlobalVariable and ptr.name in self.layout
                 and 0 < size <= ptr.value_type.size()
                 and not (store and ptr.is_constant)):
@@ -925,14 +926,13 @@ class _Decoder:
             exact.append((inst_cost, name, guard, tuple(inst_ops)))
             if inst in self.slots:
                 known |= 1 << self.slots[inst]
-            if inst in self.offsets:
+            if type(inst) is Alloca:
                 # A run of allocas maps as one op, its segment's last;
                 # the instruction-at-a-time path keeps one op each.
                 run.append((inst, inst_ops[0]))
-                layout = self.layouts.get(inst)
-                if layout is None:
+                if inst not in self.ends:
                     continue
-                inst_ops = [self.alloca_run(run, layout)]
+                inst_ops = [self.alloca_run(run)]
                 run = []
             ops.extend(inst_ops)
             if ends is not None:
@@ -951,14 +951,15 @@ class _Decoder:
             phis = (self.moves(b, known_out, preds), count, _INST_COST[Phi] * count)
         return (block.name, phis, tuple(segments)) + terminator
 
-    def alloca_run(self, run: list, layout: RunLayout):
+    def alloca_run(self, run: list):
         """The op mapping a run of allocas, given as ``(alloca, its own
-        op)`` pairs, as *layout* places them."""
+        op)`` pairs."""
+        data, layout = self.runs[run[-1][0]]
         each = _INST_COST[Alloca]
         return _form(_ALLOCA_RUN)(
-            layout=layout,
-            slots=tuple((self.slots[inst], self.data[inst], self.offsets[inst])
-                        for inst, _ in run),
+            layout=layout, data=data,
+            slots=tuple(zip([self.slots[inst] for inst, _ in run],
+                            layout.offsets)),
             frame=self.frame, count=len(run), each=each, cost=each * len(run),
             allocas=tuple(op for _, op in run))
 
@@ -1065,10 +1066,10 @@ class _Decoder:
             if self.frame is None:
                 self.frame = self.new_slot()
             size = inst.allocation_size()
+            data, layout = self.runs[inst]
             op = _form(_ALLOCA)(
-                d=slots[inst], frame=self.frame, data=self.data[inst],
-                size=size, tag=f"{self.function.name}.{inst.name}",
-                offset=self.offsets.get(inst, 0),
+                d=slots[inst], frame=self.frame, data=data, layout=layout,
+                offset=layout.offsets[-1],
                 message=f"stack exhausted by alloca of {size} bytes")
             return [op], True, False, cost, None
         if cls is Cast:
@@ -1267,10 +1268,10 @@ _GEP_TERMS = ("address = r[{base}] + {offset}\n"
 _LOAD = "r[{d}] = vm.memory.read_int(r[{p}], {size}, vm.site)"
 _STORE = "vm.memory.write_int(r[{p}], r[{v}], {size}, vm.site)"
 # Loads and stores that cannot trap: through the buffer in an alloca's
-# data slot at the alloca's offset in it (its run's buffer, or its own
-# region's at 0), or a laid-out global's bytes; a store's bytes still
-# count.  A scalar size goes through its codec
-# (``repro.vm.memory.UNPACK`` and ``PACK``), any other through a slice.
+# run's data slot at the alloca's offset in it, or a laid-out global's
+# bytes; a store's bytes still count.  A scalar size goes through its
+# codec (``repro.vm.memory.UNPACK`` and ``PACK``), any other through a
+# slice.
 _LOAD_FRAME = "r[{d}] = {unpack}(r[{data}], {off})[0]"
 _LOAD_GLOBAL = "r[{d}] = {unpack}(vm.global_regions[{name}].data)[0]"
 _STORE_FRAME = ("{pack}(r[{data}], {off}, r[{v}] & {m})\n"
@@ -1286,22 +1287,23 @@ _STORE_GLOBAL_SLICE = ("vm.global_regions[{name}].data[0:{size}] = "
                        '(r[{v}] & {m}).to_bytes({size}, "little")\n'
                        "vm.memory.bytes_written += {size}")
 
-# An alloca mapped on its own: a lone one, or one of a run (at its
-# *offset* in the run) on the instruction-at-a-time path.
+# One alloca of a run mapped on its own, on the instruction-at-a-time
+# path (*layout* is the run's up to it, *offset* its offset in the run):
+# a run's first alloca maps a run of its own, each later one grows it.
 _ALLOCA = ("try:\n"
-           "    region = vm.memory.map_stack({size}, {tag}, {offset})\n"
+           "    run = vm.memory.map_stack_alloca({layout}, r[{frame}])\n"
            "except MemoryError:\n"
            "    raise VMTrap(TrapKind.STACK_OVERFLOW, {message}, vm.site) from None\n"
-           "r[{frame}].append(region)\n"
-           "r[{d}] = region.base\n"
-           "r[{data}] = region.data")
-# A run of *count* allocas, charged as its segment's last *count*
-# instructions: one stack object as *layout* places it, then for each
-# ``(d, data, offset)`` of *slots* its base plus the offset into ``d``
-# and its buffer into ``data``.  A run that does not fit gives back its
-# charge and counts, then maps its allocas one at a time (*allocas*,
-# their ``_ALLOCA`` closures), charging each as instruction-at-a-time
-# execution does: the one that does not fit traps.
+           "r[{d}] = run.base + {offset}\n"
+           "r[{data}] = run.data")
+# A run of *count* allocas, one alone included, charged as its
+# segment's last *count* instructions: one stack object as *layout*
+# places it, its buffer into ``data``, then for each ``(d, offset)`` of
+# *slots* its base plus the offset into ``d``.  A run that does not fit
+# gives back its charge and counts, then maps its allocas one at a time
+# (*allocas*, their ``_ALLOCA`` closures), charging each as
+# instruction-at-a-time execution does: the one that does not fit
+# traps.
 _ALLOCA_RUN = ("try:\n"
                "    run = vm.memory.map_stack_run({layout})\n"
                "except MemoryError:\n"
@@ -1318,11 +1320,10 @@ _ALLOCA_RUN = ("try:\n"
                "        alloca(r, vm)\n"
                "else:\n"
                "    r[{frame}].append(run)\n"
+               "    r[{data}] = run.data\n"
                "    base = run.base\n"
-               "    buffer = run.data\n"
-               "    for d, data, offset in {slots}:\n"
-               "        r[d] = base + offset\n"
-               "        r[data] = buffer")
+               "    for d, offset in {slots}:\n"
+               "        r[d] = base + offset")
 
 # The ``__cov_guard`` native inlined (``VM.cov_guard``); ``prev_loc`` is
 # always below the map size, and so is the xor.

@@ -15,24 +15,27 @@ paper's §6.1.4 validation.  A verdict reads a dead region's base, size,
 kind and tag only, so unmapping releases its bytes (``data`` becomes
 None).
 
-Stack frames map last-in-first-out.  Stack regions are the highest
-mapped regions (FILE handles are not regions), and a frame's regions
-are mapped after its caller's and unmapped before them, so
-:meth:`AddressSpace.map_stack` appends its base and
-:meth:`AddressSpace.unmap_frame` truncates the sorted bases in one
-call.  A run of allocas is one stack object, a :class:`StackRun`
-(:meth:`AddressSpace.map_stack_run`): one reservation of the span that
-:func:`stack_run` computes, one zeroed buffer as long as that span, and
-one entry each in the sorted bases and the live map.  Each alloca keeps
-the base, size, tag, alignment padding and red zone ``map_stack`` of
-each in turn would give it, and a region of its own is built only when
-something asks for one (a checked access, a native, a fault verdict,
-:meth:`AddressSpace.live_regions`): it reads the run's buffer, so its
-``origin``, the address of ``data[0]``, is the run's base.  Every other
-region's ``origin`` is its base.  Decoded code reads and writes a
-frame's own allocas and named globals through those bytes directly (see
-``repro.vm.interpreter``): :meth:`AddressSpace.read_int` and
-:meth:`AddressSpace.write_int` see only the accesses that are checked.
+Stack frames map last-in-first-out.  Stack objects are the highest
+mapped ones (FILE handles are not regions), and a frame's are mapped
+after its caller's and unmapped before them, so mapping one appends its
+base and :meth:`AddressSpace.unmap_frame` truncates the sorted bases in
+one call.  Every stack alloca is a member of a run of consecutive
+allocas, one alone included, and a run is one stack object, a
+:class:`StackRun` (:meth:`AddressSpace.map_stack_run`): one reservation
+of the span that :func:`stack_run` computes, one zeroed buffer as long
+as that span, and one entry each in the sorted bases and the live map.
+Each alloca keeps the base, size, tag, alignment padding and red zone
+that mapping the allocas one at a time would give it, and a region of
+its own is built only when something asks for one (a checked access, a
+native, a fault verdict, :meth:`AddressSpace.live_regions`): it reads
+the run's buffer, so its ``origin``, the address of ``data[0]``, is the
+run's base.  Every other region's ``origin`` is its base.
+:meth:`AddressSpace.map_stack_alloca` maps a run one alloca at a time:
+the first maps a run of its own, and each later one grows that run in
+place.  Decoded code reads and writes a frame's own allocas and named
+globals through those bytes directly (see ``repro.vm.interpreter``):
+:meth:`AddressSpace.read_int` and :meth:`AddressSpace.write_int` see
+only the accesses that are checked.
 
 A frame's exit does not fill the freed-region FIFO: it drops the
 frame's entries and logs the frame.  The log is folded into the FIFO,
@@ -90,9 +93,6 @@ class Segment:
     @property
     def limit(self) -> int:
         return self.base + self.size
-
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.limit
 
     def reserve(self, size: int, align: int = ALIGN) -> int:
         """Reserve *size* bytes; returns the base address."""
@@ -154,9 +154,8 @@ class MemoryRegion:
     """One live or dead allocation; a dead one has no ``data``.
 
     ``origin`` is the address of ``data[0]``: the base, but for an
-    alloca of a :class:`StackRun`, whose ``data`` is the run's buffer,
-    and for one mapped on its own at its offset in a run
-    (:meth:`AddressSpace.map_stack`)."""
+    alloca's view over a :class:`StackRun`, whose ``data`` is the run's
+    buffer and whose ``origin`` is the run's base."""
 
     __slots__ = ("base", "size", "data", "origin", "writable", "kind", "tag",
                  "alive")
@@ -301,49 +300,53 @@ class AddressSpace:
         self._regions[base] = region
         return region
 
-    def map_stack(self, size: int, tag: str, offset: int = 0) -> MemoryRegion:
-        """Map one alloca's region: ``map_region`` on the stack segment,
-        whose new base is above every mapped one.  An alloca of a run
-        mapped on its own passes its *offset* in the run: its ``data``
-        then starts that many bytes below its base, so that code
-        addressing it at that offset in its run's buffer reads it."""
-        base = self.stack_segment.reserve(max(size, 1) + RED_ZONE)
-        region = MemoryRegion(base, size, True, "stack", tag)
-        if offset:
-            region.data = bytearray(offset + size)
-            region.origin = base - offset
-        self._bases.append(base)
-        self._regions[base] = region
-        return region
-
     def map_stack_run(self, layout: RunLayout) -> StackRun:
-        """Map a run of allocas, each where ``map_stack`` of each in turn
-        would put it, as one :class:`StackRun`.  A span that does not fit
-        raises MemoryError and maps nothing."""
+        """Map a run of allocas, each where mapping them one at a time
+        would put it, as one :class:`StackRun` whose base is above every
+        mapped one.  A span that does not fit raises MemoryError and
+        maps nothing."""
         run = StackRun(self.stack_segment.reserve(layout.span), layout)
         self._bases.append(run.base)
         self._regions[run.base] = run
         return run
 
+    def map_stack_alloca(self, layout: RunLayout, frame: list) -> StackRun:
+        """Map the last alloca of *layout*, a run's layout up to that
+        alloca, as mapping the run one alloca at a time does; returns
+        its run.  A run's first alloca maps a run of its own and appends
+        it to *frame*.  Each later one grows the frame's newest run in
+        place: it reserves exactly the growth in span, its padding, size
+        and red zone (the cursor is at the run's end, so the reservation
+        is not aligned again), extends the same buffer and advances the
+        run's layout to *layout*.  A reservation that does not fit
+        raises MemoryError and maps nothing."""
+        if len(layout.offsets) == 1:
+            run = self.map_stack_run(layout)
+            frame.append(run)
+            return run
+        run = frame[-1]
+        growth = layout.span - run.layout.span
+        self.stack_segment.reserve(growth, 1)
+        run.data.extend(bytes(growth))
+        run.layout = layout
+        return run
+
     def unmap_frame(self, frame: list) -> None:
-        """Unmap one frame's regions and runs, given in the order they
-        were mapped: the last ``len(frame)`` bases dropped at once, the
-        frame logged for the freed-region FIFO."""
+        """Unmap one frame's runs, given in the order they were mapped:
+        the last ``len(frame)`` bases dropped at once, the frame logged
+        for the freed-region FIFO."""
         if not frame:       # ``del bases[-0:]`` would empty the list
             return
         del self._bases[-len(frame):]
         live = self._regions
         allocas = 0
-        for entry in frame:
-            del live[entry.base]
-            entry.alive = False
-            entry.data = None
-            if type(entry) is StackRun:
-                allocas += len(entry.layout.offsets)
-                if entry.regions is not None:
-                    entry.kill_regions()
-            else:
-                allocas += 1
+        for run in frame:
+            del live[run.base]
+            run.alive = False
+            run.data = None
+            allocas += len(run.layout.offsets)
+            if run.regions is not None:
+                run.kill_regions()
         self._frames.append(frame)
         self._logged += allocas
         if self._logged > self.DEAD_REGION_MEMORY:
@@ -354,12 +357,9 @@ class AddressSpace:
         frame, trimming it after each as unmapping that frame would."""
         dead, memory = self._dead, self.DEAD_REGION_MEMORY
         for frame in self._frames:
-            for entry in frame:
-                if type(entry) is StackRun:
-                    for region in entry.all_regions():
-                        dead[region.base] = region
-                else:
-                    dead[entry.base] = entry
+            for run in frame:
+                for region in run.all_regions():
+                    dead[region.base] = region
             while len(dead) > memory:
                 dead.popitem(last=False)
         self._frames = []
@@ -412,18 +412,12 @@ class AddressSpace:
         return child
 
     def region_at(self, base: int) -> MemoryRegion:
-        """The live region mapped at *base*."""
-        entry = self._regions.get(base)
-        if type(entry) is MemoryRegion:
-            return entry
-        index = bisect.bisect_right(self._bases, base) - 1
-        if index >= 0:
-            run = self._regions[self._bases[index]]
-            if type(run) is StackRun:
-                k = run.member(base)
-                if run.base + run.layout.offsets[k] == base:
-                    return run.region(k)
-        raise KeyError(base)
+        """The live global or heap region mapped at *base* (a stack
+        alloca has no region of its own to look up)."""
+        region = self._regions[base]
+        if type(region) is not MemoryRegion:
+            raise KeyError(base)
+        return region
 
     # -- lookup -------------------------------------------------------
 
@@ -586,9 +580,9 @@ class AddressSpace:
         """Read a NUL-terminated string (without the terminator).
 
         A string that runs off its region faults at the first byte past
-        it, even where the region's buffer goes on (a run's next
-        alloca); one of *limit* bytes with no terminator is
-        unterminated."""
+        it, even where the region's buffer goes on (a stack alloca's
+        zeroed red zone, its run's next alloca); one of *limit* bytes
+        with no terminator is unterminated."""
         region = self.find_region(address)
         if region is None:
             raise self._fault(address, 1, False, site)

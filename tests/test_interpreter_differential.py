@@ -524,25 +524,39 @@ def test_alloca_run_maps_as_one_alloca_at_a_time():
     cursor off alignment, maps each region where mapping them one at a
     time does: alignment padding between them, the same bases, red
     zones, freed-region FIFO and cursor on both interpreters, and from
-    ``map_stack_run`` as from ``map_stack`` of each in turn, mapped and
-    after its frame unmaps."""
+    ``map_stack_run``, and from ``map_stack_alloca`` of each in turn
+    (one run grown in place), as from ``map_region`` of each on the
+    stack segment (the reference's path), mapped and after its frame
+    unmaps."""
     sizes = (1, 3, 17, 0)
     tags = tuple(f"r{k}" for k in range(len(sizes)))
     layout = stack_run(sizes, tags)
     offsets, span = layout.offsets, layout.span
     assert offsets == (0, 32, 64, 112) and span == 112 + 1 + RED_ZONE
-    one, run = AddressSpace(), AddressSpace()
-    for space in (one, run):
-        space.map_stack(5, "pad")
-    frame = [one.map_stack(size, tag) for size, tag in zip(sizes, tags)]
-    stack_run_entry = run.map_stack_run(layout)
-    assert run.view() == one.view()
-    assert run.region_count("stack") == one.region_count("stack") == 5
+    one, run, grown = AddressSpace(), AddressSpace(), AddressSpace()
+    one.map_region(one.stack_segment, 5, True, "stack", "pad")
+    for space in (run, grown):
+        space.map_stack_run(stack_run((5,), ("pad",)))
+    regions = [one.map_region(one.stack_segment, size, True, "stack", tag)
+               for size, tag in zip(sizes, tags)]
+    frame = [run.map_stack_run(layout)]
+    grown_frame = []
+    for k in range(1, len(sizes) + 1):
+        grown.map_stack_alloca(stack_run(sizes[:k], tags[:k]), grown_frame)
+    (whole,) = grown_frame
+    assert whole.layout == layout and len(whole.data) == span
+    spaces = (one, run, grown)
+    assert run.view() == one.view() == grown.view()
+    assert [space.region_count("stack") for space in spaces] == [5] * 3
+    assert [space.footprint_bytes() for space in spaces] == [5 + 21] * 3
     assert [(r.base, r.size, r.tag) for r in run.live_regions()] == [
-        (r.base, r.size, r.tag) for r in one.live_regions()]
-    one.unmap_frame(frame)
-    run.unmap_frame([stack_run_entry])
-    assert run.view() == one.view()
+        (r.base, r.size, r.tag) for r in one.live_regions()] == [
+        (r.base, r.size, r.tag) for r in grown.live_regions()]
+    for region in regions:
+        one.unmap(region)
+    run.unmap_frame(frame)
+    grown.unmap_frame(grown_frame)
+    assert run.view() == one.view() == grown.view()
 
     module = Module("padded")
     i8, i64 = int_type(8), int_type(64)
@@ -587,7 +601,8 @@ def test_checked_store_past_a_run_alloca_lands_in_the_next():
 def test_checked_reads_around_a_run_alloca():
     """A checked read in a run alloca's red zone overruns that alloca;
     one in the alignment gap past the red zone is unaddressable; one at
-    the next alloca's base reads it."""
+    the next alloca's base reads it.  A lone alloca's red zone and the
+    bytes past it, the end of its run, read the same way."""
     module = Module("zones")
     i8, i64 = int_type(8), int_type(64)
     f = module.add_function("f", FunctionType(I32, [i64]))
@@ -597,11 +612,19 @@ def test_checked_reads_around_a_run_alloca():
     after = b.alloca(i8, name="after")
     b.store(b.const(8, 3), after)
     b.ret(b.zext(b.load(b.gep(byte, [f.args[0]])), I32))
-    _, in_zone = run_both(module, f, [4])
-    assert in_zone[:2] == ("VMTrap", TrapKind.INVALID_READ)
-    assert f"overruns stack region 'f.{byte.name}'" in in_zone[2]
-    _, in_gap = run_both(module, f, [1 + RED_ZONE + 2])
-    assert in_gap[:2] == ("VMTrap", TrapKind.UNADDRESSABLE)
+    lone = module.add_function("lone", FunctionType(I32, [i64]))
+    lone.ensure_args(["at"])
+    lb = IRBuilder(lone.append_block("entry"))
+    alone = lb.alloca(i8, name="alone")
+    lb.store(lb.const(8, 3), alone)
+    lb.ret(lb.zext(lb.load(lb.gep(alone, [lone.args[0]])), I32))
+    for function, alloca in ((f, byte), (lone, alone)):
+        _, in_zone = run_both(module, function, [4])
+        assert in_zone[:2] == ("VMTrap", TrapKind.INVALID_READ)
+        assert (f"overruns stack region '{function.name}.{alloca.name}'"
+                in in_zone[2])
+        _, in_gap = run_both(module, function, [1 + RED_ZONE + 2])
+        assert in_gap[:2] == ("VMTrap", TrapKind.UNADDRESSABLE)
     _, at_next = run_both(module, f, [32])
     assert at_next == 3
 
@@ -609,7 +632,8 @@ def test_checked_reads_around_a_run_alloca():
 def test_strlen_of_an_unterminated_run_alloca_faults_at_its_end():
     """``strlen`` of a run alloca with no NUL faults at the alloca's
     end, though its run's buffer goes on (zeroed red zone, the next
-    alloca)."""
+    alloca), and so does ``strlen`` of a lone alloca, whose run's buffer
+    goes on through its zeroed red zone."""
     module = Module("unterminated")
     i8, i64 = int_type(8), int_type(64)
     strlen = module.declare_function("strlen", FunctionType(i64, [pointer_type(i8)]))
@@ -620,16 +644,24 @@ def test_strlen_of_an_unterminated_run_alloca_faults_at_its_end():
     b.store(b.i64(0x7878787878787878), text)
     b.store(b.i64(0x79), after)
     b.ret(b.call(strlen, [b.bitcast(text, pointer_type(i8))]))
-    _, outcome = run_both(module, f, [])
-    assert outcome[:2] == ("VMTrap", TrapKind.INVALID_READ)
-    assert "read of 1 bytes at" in outcome[2]
-    assert f"overruns stack region 'f.{text.name}'" in outcome[2]
+    lone = module.add_function("lone", FunctionType(i64, []))
+    lb = IRBuilder(lone.append_block("entry"))
+    alone = lb.alloca(i64, name="alone")
+    lb.store(lb.i64(0x7878787878787878), alone)
+    lb.ret(lb.call(strlen, [lb.bitcast(alone, pointer_type(i8))]))
+    for function, alloca in ((f, text), (lone, alone)):
+        _, outcome = run_both(module, function, [])
+        assert outcome[:2] == ("VMTrap", TrapKind.INVALID_READ)
+        assert "read of 1 bytes at" in outcome[2]
+        assert (f"overruns stack region '{function.name}.{alloca.name}'"
+                in outcome[2])
 
 
 def test_run_alloca_escaping_through_a_global_is_use_after_free():
     """A run alloca's address escapes through a global after a checked
     access built its region; after its frame returns, a load through
-    the escaped pointer is a use-after-free naming that alloca."""
+    the escaped pointer is a use-after-free naming that alloca.  A lone
+    alloca's escaped address reads the same way."""
     module = Module("escape")
     i32, i64 = int_type(32), int_type(64)
     escape = module.add_global("escape", pointer_type(i32))
@@ -640,13 +672,24 @@ def test_run_alloca_escaping_through_a_global_is_use_after_free():
     gb.store(gb.i32(7), gb.gep(kept, [gb.i64(0)]))
     gb.store(kept, escape)
     gb.ret(gb.load(gb.gep(kept, [gb.i64(0)])))
-    f = module.add_function("f", FunctionType(I32, []))
-    b = IRBuilder(f.append_block("entry"))
-    b.call(g, [])
-    b.ret(b.load(b.load(escape)))
-    _, outcome = run_both(module, f, [])
-    assert outcome[:2] == ("VMTrap", TrapKind.USE_AFTER_FREE)
-    assert f"inside freed stack region 'g.{kept.name}'" in outcome[2]
+    h = module.add_function("h", FunctionType(I32, []))
+    hb = IRBuilder(h.append_block("entry"))
+    alone = hb.alloca(i32, name="alone")
+    hb.store(hb.i32(7), hb.gep(alone, [hb.i64(0)]))
+    hb.store(alone, escape)
+    hb.ret(hb.load(hb.gep(alone, [hb.i64(0)])))
+    callers = []
+    for callee in (g, h):
+        f = module.add_function(f"f_{callee.name}", FunctionType(I32, []))
+        b = IRBuilder(f.append_block("entry"))
+        b.call(callee, [])
+        b.ret(b.load(b.load(escape)))
+        callers.append(f)
+    for f, callee, alloca in zip(callers, (g, h), (kept, alone)):
+        _, outcome = run_both(module, f, [])
+        assert outcome[:2] == ("VMTrap", TrapKind.USE_AFTER_FREE)
+        assert (f"inside freed stack region '{callee.name}.{alloca.name}'"
+                in outcome[2])
 
 
 DEPTH = 100      # 101 frames of 3 allocas: more than the FIFO holds
@@ -724,7 +767,8 @@ def test_fork_of_a_live_run_gives_the_child_private_bytes():
     """Forking the address space while a frame's run is live copies the
     run with private bytes: the child reads what the run held at the
     fork, the parent's later stores do not reach it, and its stores do
-    not reach the parent, on both interpreters alike."""
+    not reach the parent, on both interpreters alike.  A lone alloca's
+    run forks the same way."""
     module = Module("forked")
     i32, i64 = int_type(32), int_type(64)
     probe = module.declare_function("probe", FunctionType(VOID, []))
@@ -737,28 +781,41 @@ def test_fork_of_a_live_run_gives_the_child_private_bytes():
     b.call(probe, [])
     b.store(b.i64(1), wide)
     b.ret(b.add(b.load(wide), b.zext(b.load(narrow), i64)))
-    seen = []
-    for vm_class in (VM, ReferenceVM):
-        forks = []
+    lone = module.add_function("lone", FunctionType(i64, []))
+    lb = IRBuilder(lone.append_block("entry"))
+    alone = lb.alloca(i64, name="alone")
+    lb.store(lb.i64(7), alone)
+    lb.call(probe, [])
+    lb.store(lb.i64(1), alone)
+    lb.ret(lb.load(alone))
+    # The child writes 5 to the last alloca's low 4 bytes.
+    cases = ((f, ((wide, 8), (narrow, 4)), 1 + 9, [7, 5]),
+             (lone, ((alone, 8),), 1, [5]))
+    for function, allocas, result, expected in cases:
+        tags = [(f"{function.name}.{alloca.name}", size)
+                for alloca, size in allocas]
+        seen = []
+        for vm_class in (VM, ReferenceVM):
+            forks = []
 
-        def fork_here(vm, args, site):
-            child = vm.memory.fork()
-            regions = {r.tag: r for r in child.live_regions("stack")}
-            child.write_int(regions[f"f.{narrow.name}"].base, 5, 4, site)
-            forks.append((child, vm.memory.view(), regions))
+            def fork_here(vm, args, site):
+                child = vm.memory.fork()
+                regions = {r.tag: r for r in child.live_regions("stack")}
+                child.write_int(regions[tags[-1][0]].base, 5, 4, site)
+                forks.append((child, vm.memory.view(), regions))
 
-        vm = vm_class(module, extra_natives={"probe": fork_here})
-        vm.load()
-        assert vm.run_function(f, []) == 1 + 9
-        ((child, at_fork, regions),) = forks
-        assert child.view() == at_fork._replace(bytes_written=4)
-        values = [child.read_int(regions[tag].base, size, vm.site)
-                  for tag, size in ((f"f.{wide.name}", 8), (f"f.{narrow.name}", 4))]
-        assert values == [7, 5]
-        seen.append((child.view(), values, child.footprint_bytes(),
-                     child.region_count(), child.region_count("stack")))
-    assert seen[0] == seen[1]
-    assert seen[0][4] == 2
+            vm = vm_class(module, extra_natives={"probe": fork_here})
+            vm.load()
+            assert vm.run_function(function, []) == result
+            ((child, at_fork, regions),) = forks
+            assert child.view() == at_fork._replace(bytes_written=4)
+            values = [child.read_int(regions[tag].base, size, vm.site)
+                      for tag, size in tags]
+            assert values == expected
+            seen.append((child.view(), values, child.footprint_bytes(),
+                         child.region_count(), child.region_count("stack")))
+        assert seen[0] == seen[1]
+        assert seen[0][4] == len(allocas)
 
 
 def test_scalar_loads_and_stores_match_reference_byte_for_byte():

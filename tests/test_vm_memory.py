@@ -157,11 +157,11 @@ class TestHelpers:
         its eviction goes to the end.  (A stack cursor rewound without
         forgetting the FIFO frees a base twice.)"""
         memory = AddressSpace.DEAD_REGION_MEMORY
-        first = space.map_stack(4, "s0")
+        first = space.map_stack_run(stack_run((4,), ("s0",)))
         space.unmap_frame([first])
         for i in range(memory - 1):
             space.unmap(space.map_region(space.heap_segment, 8, True, "heap", f"h{i}"))
-        space.unmap_frame([space.map_stack(4, "s1")])
+        space.unmap_frame([space.map_stack_run(stack_run((4,), ("s1",)))])
         space.stack_segment.cursor = STACK_BASE
         run = space.map_stack_run(stack_run((40, 4), ("s0 again", "next")))
         assert run.base == first.base

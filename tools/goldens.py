@@ -7,9 +7,10 @@ Each entry runs its commands in one fresh scratch directory (so a
 reads values off the output: the ``digest:`` line of
 ``python -m repro.fuzzing``, the ``store digest:`` and ``report
 digest:`` lines of ``python -m repro.experiments matrix``, the sha256
-of the paper tables' stdout, and a checkpoint generation's virtual
-instant and exec count.  A value that moved is a campaign that moved:
-the gate prints the entry, the value and both digests, and exits 1.
+of the paper tables', the analysis self-checks' and the quickstart's
+stdout, and a checkpoint generation's virtual instant and exec count.
+A value that moved is a campaign or a check that moved: the gate
+prints the entry, the value and both digests, and exits 1.
 
 Usage:
     PYTHONPATH=src python tools/goldens.py               # every entry
@@ -140,10 +141,31 @@ def matrix_fleet(scratch: Scratch) -> dict:
         "--measure-ms", "1", "--out", "D", "--quiet"]))
 
 
+def stdout_sha256(output: str) -> str:
+    """The hex sha256 of a command's *output*."""
+    return hashlib.sha256(output.encode()).hexdigest()
+
+
 def tables(scratch: Scratch) -> dict:
     output = scratch.run(["-m", "repro.experiments", "table5", "table6",
                           "table7", "--out", "D"], env=TABLES_ENV)
-    return {"stdout sha256": hashlib.sha256(output.encode()).hexdigest()}
+    return {"stdout sha256": stdout_sha256(output)}
+
+
+def analysis(scratch: Scratch) -> dict:
+    """The analysis CLI's lint, optimizer and restore self-checks."""
+    runs = {"lint": [],
+            "opt": ["opt", "--targets", "md4c,giftext,zlib", "--json"],
+            "integrity": ["integrity"]}
+    return {f"{name} stdout sha256": stdout_sha256(
+        scratch.run(["-m", "repro.analysis", *args]))
+        for name, args in runs.items()}
+
+
+def quickstart(scratch: Scratch) -> dict:
+    """The quickstart's campaigns, status box and VM profile."""
+    return {"stdout sha256": stdout_sha256(
+        scratch.run([str(REPO / "examples" / "quickstart.py")]))}
 
 
 def variants(n_workers: int):
@@ -215,6 +237,18 @@ GOLDENS = {
                  "dbb7a37649eefa8ee9d6dd32628b7f07",
         "report": "c5daebf941eeea765254fb56235d50a5"
                   "f841546ab038583b826efd14dc7f3a18",
+    }),
+    "analysis": (analysis, {
+        "lint stdout sha256": "f5227e8d16d728e94a8b95d709b0df2a"
+                              "0b2ea81c86d1ac2ec671797a9eab2736",
+        "opt stdout sha256": "2302e414d4e63f18e51ab6f3f1b6731e"
+                             "c15cf97aecddbc00221efb571cadbe5c",
+        "integrity stdout sha256": "6957400d1e90807d7888ff248d720699"
+                                   "980a4ef73a25dd38b6ad15fbe175acef",
+    }),
+    "quickstart": (quickstart, {
+        "stdout sha256": "cfb8cce106a8685a5b7b64c711405e03"
+                         "c91bb7c89c578aac4c3c8b8e8daa8360",
     }),
 }
 
