@@ -21,24 +21,29 @@ Each instruction form is one source template (``_BINOPS``, ``_LOAD``,
 ...): its closures come from a factory compiled from the template once
 per process.  Once a module's decoded code has served
 :data:`COMPILE_AFTER_RUNS` top-level runs (``VM.run_function`` at call
-depth 0: one exec, one replay), the next run first compiles each block
-entered at least once per run so far to one Python function
-(:func:`_compile`); after the square of that many runs (the 65th), a
-second batch compiles the blocks still on closures that were entered
-at least once per two runs, in functions first called since too.  The
-other blocks keep their closures.  The function
-holds the block's phi moves, its segments with their charges and limit
-checks, and its instructions' templates with slots and constants
-written as literals, and returns the next block's index, so a hot
-block costs one call instead of one per instruction.  Code objects are
-cached per process by block source, so identical builds (a fleet's
-shards) compile each block once.  Compiled code looks checked memory
-and natives up at run time (``vm.memory.read_int``,
-``vm._call_native``), so wrappers on them see every call, and nothing
-in it refers back to the module's decoded code, which stays free of
-reference cycles: dropping it frees it by refcount.  Code run fewer
-times (an optimizer candidate's replays, the seeds, a one-off replay)
-never pays for ``compile()``.
+depth 0: one exec, one replay), the next run first compiles each
+function with a block entered at least once per run so far, all of its
+blocks, to one Python function (:func:`_compile`); after the square of
+that many runs (the 65th), a second batch compiles the functions still
+on closures with a block entered at least once per two runs, functions
+first called since included.  The other functions keep their closures.
+In a compiled function the registers are Python locals, constants and
+laid-out global addresses are literals, each edge does its phi moves,
+a block entered over one edge only is written where that edge is
+taken and every other block is a test in one dispatch loop (hottest
+first), a block's phi charge folds into its first group's limit check,
+and the coverage guards index the map by a literal wherever
+``vm.prev_loc`` is known.  A call that keeps profiling counts or
+traces edges runs on closures, and so does a group of segments that
+would cross the instruction limit (:func:`_run_spilled`, given the
+registers it reads).  Code objects are cached per process by function
+source, so identical builds (a fleet's shards) compile each function
+once.  Compiled code looks checked memory and natives up at run time
+(``vm.memory.read_int``, ``vm._call_native``), so wrappers on them see
+every call, and nothing in it refers back to the module's decoded code,
+which stays free of reference cycles: dropping it frees it by refcount.
+Code run fewer times (an optimizer candidate's replays, the seeds, a
+one-off replay) never pays for ``compile()``.
 
 A load or store whose pointer operand is an alloca of the function,
 defined on every path to it, or a laid-out global (a writable one, for
@@ -154,21 +159,23 @@ _INST_COST = {
 }
 
 _U64_MASK = (1 << 64) - 1
+# A hit count after one more hit: saturating at 0xFF.
+_BUMP = bytes(range(1, 256)) + b"\xff"
 _MAP_MASK = COVERAGE_MAP_SIZE - 1
 # The coverage callback the CoveragePass inserts; decoded code inlines it.
 COV_GUARD = "__cov_guard"
 
 # Top-level runs (``VM.run_function`` at call depth 0: one exec, one
 # replay) a module's decoded code serves on closures alone.  The next
-# run first compiles each block entered at least that many times, once
-# per run on average: compiling a block costs about what running it
-# several hundred times on closures does, so a block that runs less
-# than about once per exec does not pay it back.  A second batch, after
-# the square of that many runs, compiles the blocks still on closures
-# entered at least once per two runs: paths that got hot later, and
-# functions first called later.  Tests set 0 (every block compiles when
-# its function is decoded) or a number no test reaches (nothing
-# compiles).
+# run first compiles each function with a block entered at least that
+# many times, once per run on average: compiling code costs about what
+# running it several hundred times on closures does, so a function that
+# runs less than about once per exec does not pay it back.  A second
+# batch, after the square of that many runs, compiles the functions
+# still on closures with a block entered at least once per two runs:
+# paths that got hot later, and functions first called later.  Tests
+# set 0 (every function compiles when it is decoded) or a number no test
+# reaches (nothing compiles).
 COMPILE_AFTER_RUNS = 8
 
 # Per-process "boot time" sequence: each VM (process) observes a
@@ -515,10 +522,11 @@ class _ModuleCode:
 
     def count_run(self) -> None:
         """Count one top-level run.  The first after
-        :data:`COMPILE_AFTER_RUNS` compiles the blocks entered at least
-        once per run so far; the first after its square (the 65th)
-        compiles those still on closures that were entered at least once
-        per two runs, blocks of functions decoded since included."""
+        :data:`COMPILE_AFTER_RUNS` compiles each function with a block
+        entered at least once per run so far; the first after its square
+        (the 65th) compiles each function still on closures with a block
+        entered at least once per two runs, functions decoded since
+        included."""
         runs = self.runs
         if runs == COMPILE_AFTER_RUNS:
             self.compile_hot(runs)
@@ -540,8 +548,9 @@ class _FunctionCode:
     until written); ``frame`` is the slot holding the frame's runs of
     allocas in the order they were mapped, if it has any, and each run
     of allocas also has one slot, holding the buffer its newest mapping
-    is in.  Each block is a tuple ``(name, phis, segments, kind, x, y,
-    z)``:
+    is in; ``checked`` are the slots after the arguments some path may
+    read before it writes them (each such read is checked).  Each block
+    is a tuple ``(name, phis, segments, kind, x, y, z)``:
 
     - ``phis`` is None or ``(moves, count, cost)``, where ``moves``
       maps the predecessor's block index (-1 on function entry) to the
@@ -557,33 +566,34 @@ class _FunctionCode:
       ``_SWITCH`` (value slot, case dict, default), ``_RET`` (value
       slot or None) or ``_TRAP`` (an UNREACHABLE trap's message).
 
-    ``entries`` counts each block's entries while it runs on closures;
-    ``compiled`` holds its function once it compiled (:func:`_compile`),
-    else None.  A function decoded after its module's code's first batch
-    of compiles waits for the second (:meth:`_ModuleCode.count_run`),
-    and one decoded after that never compiles, unless
-    :data:`COMPILE_AFTER_RUNS` is 0.
+    ``entries`` counts each block's entries while the function runs on
+    closures; ``compiled`` is the whole function compiled to one Python
+    function (:func:`_compile`) once a block of it was entered often
+    enough, else None.  A function decoded after its module's code's
+    first batch of compiles waits for the second
+    (:meth:`_ModuleCode.count_run`), and one decoded after that never
+    compiles, unless :data:`COMPILE_AFTER_RUNS` is 0.
     """
 
     __slots__ = ("name", "epoch", "nargs", "tail", "frame", "blocks",
-                 "entries", "compiled")
+                 "checked", "entries", "compiled")
 
-    def __init__(self, name, epoch, nargs, tail, frame, blocks):
+    def __init__(self, name, epoch, nargs, tail, frame, blocks, checked):
         self.name = name
         self.epoch = epoch
         self.nargs = nargs
         self.tail = tail
         self.frame = frame
         self.blocks = blocks
+        self.checked = checked
         self.entries = [0] * len(blocks)
-        self.compiled: list = [None] * len(blocks)
+        self.compiled: types.FunctionType | None = None
 
     def compile_hot(self, entries: int) -> None:
-        """Compile each block entered at least *entries* times."""
-        compiled, counts = self.compiled, self.entries
-        for b, block in enumerate(self.blocks):
-            if compiled[b] is None and counts[b] >= entries:
-                compiled[b] = _compile(block)
+        """Compile the function if a block of it was entered at least
+        *entries* times."""
+        if self.compiled is None and max(self.entries) >= entries:
+            self.compiled = _compile(self)
 
 
 _BR, _CONDBR, _SWITCH, _RET, _TRAP = range(5)
@@ -594,36 +604,32 @@ _SIGNED = frozenset({"slt", "sle", "sgt", "sge"})
 
 
 def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
-    """Run decoded *code* on *vm* with *args*: the dispatch loop, one
-    call per block that compiled, else the block's closures."""
+    """Run decoded *code* on *vm* with *args*: its compiled function if
+    it has one and the VM keeps no profiling counts and traces no edges,
+    else the dispatch loop over its blocks' closures."""
     if vm._call_depth >= vm.MAX_CALL_DEPTH:
         raise VMTrap(TrapKind.STACK_OVERFLOW,
                      f"call depth exceeded {vm.MAX_CALL_DEPTH}", vm.site)
-    vm._call_depth += 1
-    site = vm.site
-    site.function = code.name
     nargs = code.nargs
     if len(args) != nargs:
         args = (args + [None] * nargs)[:nargs]
+    run = code.compiled
+    if (run is not None and vm.opcode_counts is None
+            and vm.libc_counts is None and not vm.trace_edges):
+        return run(vm, *args)
+    vm._call_depth += 1
+    site = vm.site
+    site.function = code.name
     r = args + code.tail
     frame = code.frame
     if frame is not None:
         r[frame] = []
     try:
-        blocks, compiled, entries = code.blocks, code.compiled, code.entries
+        blocks, entries = code.blocks, code.entries
         limit = vm.instruction_limit
         counting = vm.opcode_counts is not None or vm.libc_counts is not None
         prev, i = -1, 0
         while True:
-            run = compiled[i]
-            if run is not None:
-                following = run(r, vm, prev, limit, counting)
-                if following < 0:
-                    x = blocks[i][4]
-                    return None if x is None else r[x]
-                prev, i = i, following
-                continue
-            # The block's closures: what its compiled function does.
             entries[i] += 1
             name, phis, segments, kind, x, y, z = blocks[i]
             site.block = name
@@ -675,6 +681,34 @@ def _run_segments(vm: VM, r: list, segments: tuple, limit: int,
             _count(vm, opcodes, guards)
         for op in ops:
             op(r, vm)
+
+
+class _Crossing(Exception):
+    """Raised by a compiled function's group of segments that would
+    cross the instruction limit, and caught by the function itself,
+    which runs that group on closures (:func:`_run_spilled`)."""
+
+    def __init__(self, group: int):
+        super().__init__(group)
+        self.group = group
+
+
+def _run_spilled(vm: VM, group: tuple, limit: int, values: dict) -> NoReturn:
+    """Run a compiled function's group of segments that would cross
+    *limit* on their closures, as :func:`_execute` does: that raises (one
+    of its segments crosses the limit).  *group* is ``(template,
+    segments, registers, count, cost)``: charge *count* and *cost* first
+    (the block's phis), then run over the register *template* with each
+    of *registers* (``r<slot>``, a slot the closures read before they
+    write it) copied in from *values*, the function's locals."""
+    template, segments, registers, count, cost = group
+    vm.instructions_executed += count
+    vm.cost += cost
+    r = list(template)
+    for name in registers:
+        r[int(name[1:])] = values[name]
+    _run_segments(vm, r, segments, limit, False)
+    raise AssertionError("a group that crosses the limit returned")
 
 
 def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> NoReturn:
@@ -791,6 +825,7 @@ class _Decoder:
             self.find_runs(body)
         self.consts: dict[int, int] = {}
         self.undefined: int | None = None   # a slot nothing ever writes
+        self.checked: set[int] = set()      # slots read through a check
         self.frame: int | None = None
 
     def find_runs(self, body: list) -> None:
@@ -816,8 +851,9 @@ class _Decoder:
         blocks = tuple(self.block(b, known_in[b], known_out, preds[b])
                        for b in range(len(self.blocks)))
         n = len(self.function.args)
+        checked = tuple(sorted(slot for slot in self.checked if slot >= n))
         return _FunctionCode(self.function.name, self.epoch, n,
-                             self.template[n:], self.frame, blocks)
+                             self.template[n:], self.frame, blocks, checked)
 
     def known_values(self, nargs: int):
         """Which slots hold a value on every path to each block's entry
@@ -876,8 +912,11 @@ class _Decoder:
         if slot is None:                  # never defined in this frame
             if self.undefined is None:
                 self.undefined = self.new_slot()
-            return self.undefined, value
-        return slot, (None if known >> slot & 1 else value)
+            slot = self.undefined
+        elif known >> slot & 1:
+            return slot, None
+        self.checked.add(slot)
+        return slot, value
 
     def direct(self, ptr: Value, size: int, known: int, store: bool):
         """The bytes an access of *size* bytes through *ptr* reads or
@@ -955,12 +994,11 @@ class _Decoder:
         """The op mapping a run of allocas, given as ``(alloca, its own
         op)`` pairs."""
         data, layout = self.runs[run[-1][0]]
-        each = _INST_COST[Alloca]
         return _form(_ALLOCA_RUN)(
             layout=layout, data=data,
             slots=tuple(zip([self.slots[inst] for inst, _ in run],
                             layout.offsets)),
-            frame=self.frame, count=len(run), each=each, cost=each * len(run),
+            frame=self.frame, each=_INST_COST[Alloca],
             allocas=tuple(op for _, op in run))
 
     def moves(self, b: int, known_out: list, preds: list) -> dict:
@@ -978,13 +1016,7 @@ class _Decoder:
                     missing = f"phi has no incoming value for block {pred.name}"
                     break
                 arms.append(self.use(arm, known_out[p]))
-            if missing is not None:
-                moves[p] = _form(_MOVES_MISSING)(arms=tuple(arms), missing=missing)
-            elif all(check is None for _, check in arms):
-                moves[p] = _moves(targets, [slot for slot, _ in arms])
-            else:
-                moves[p] = _form(_MOVES_CHECKED)(arms=tuple(arms),
-                                                 targets=tuple(targets))
+            moves[p] = _moves(targets, arms, missing)
         return moves
 
     def instruction(self, inst, block_name: str, known: int, checks: list):
@@ -1082,7 +1114,8 @@ class _Decoder:
             if c[1] is None and t[1] is None and f[1] is None:
                 op = _form(_SELECT)(d=slots[inst], c=c[0], t=t[0], f=f[0])
                 return [op], False, False, cost, None
-            op = _form(_SELECT_CHECKED)(d=slots[inst], c=c[0], cv=c[1], t=t, f=f)
+            op = _form(_SELECT_CHECKED)(d=slots[inst], c=c[0], cv=c[1], t=t[0],
+                                        tv=t[1], f=f[0], fv=f[1])
             return [op], True, False, cost, None
         if cls is Br:
             return [], False, False, cost, (_BR, index[inst.target], None, None)
@@ -1147,10 +1180,12 @@ class _Decoder:
 # A template is the Python source of one instruction form over the
 # register list ``r`` and the VM ``vm``, with ``{field}`` for each
 # operand.  Its closure ``op(r, vm)`` comes from a factory compiled once
-# per template, whose parameters are the fields; a compiled block
-# inlines the same source with each field written as a literal, or
-# bound as a parameter of the block's function when it has no literal
-# form (a callee, an IR value, a case dict).
+# per template, whose parameters are the fields; a compiled function
+# inlines the same source with each register ``r[{field}]`` its local
+# or its constant's literal, and each other field written as a literal,
+# or bound as a parameter of the function when it has no literal form (a
+# callee, an IR value, a case dict).  A few forms it writes its own way
+# (``_WRITERS``).
 
 
 def _sign_bit(bits: int) -> int:
@@ -1163,9 +1198,9 @@ _FIELD = re.compile(r"\{(\w+)\}")
 # template -> its closure factory
 _FORMS: dict[str, types.FunctionType] = {}
 # id of a closure's code object (kept alive by its factory) -> its
-# template split at the fields: text, then the closure cell index of a
-# field, then text, ...
-_PIECES: dict[int, list] = {}
+# template; the closure's cells hold the fields named in the code
+# object's ``co_freevars``
+_TEMPLATES: dict[int, str] = {}
 
 
 def _form(template: str):
@@ -1187,11 +1222,15 @@ def _factory(template: str):
     namespace: dict = {}
     exec(compile(source, "<instruction form>", "exec"), globals(), namespace)
     make = namespace["make"]
-    code = _code_const(make.__code__)
-    cells = {name: k for k, name in enumerate(code.co_freevars)}
-    _PIECES[id(code)] = [cells[part] if k % 2 else part
-                         for k, part in enumerate(_FIELD.split(template))]
+    _TEMPLATES[id(_code_const(make.__code__))] = template
     return make
+
+
+def _fields(op) -> tuple[str, dict]:
+    """The template closure *op* was made from, and its fields."""
+    code = op.__code__
+    return _TEMPLATES[id(code)], dict(zip(
+        code.co_freevars, [cell.cell_contents for cell in op.__closure__]))
 
 
 def _code_const(code: types.CodeType) -> types.CodeType:
@@ -1246,24 +1285,16 @@ _SEXT = "r[{d}] = (((r[{a}] & {sm}) ^ {h}) - {h}) & {m}"
 _MASK = "r[{d}] = r[{a}] & {m}"                            # trunc, zext, ptrtoint
 
 _SELECT = "r[{d}] = r[{t}] if r[{c}] else r[{f}]"
-# Reads only the arm it picks, each read checked: *cv* is the
-# condition's value, *t* and *f* are ``(slot, value or None)``.
+# Reads only the arm it picks, each read checked: *cv*, *tv* and *fv*
+# are the condition's and the arms' values, or None where no check is
+# needed.
 _SELECT_CHECKED = ("flag = r[{c}]\n"
                    "if flag is None:\n"
                    "    raise _bad_operand({cv}, vm.site)\n"
-                   "slot, value = {t} if flag else {f}\n"
-                   "result = r[slot]\n"
+                   "result = r[{t}] if flag else r[{f}]\n"
                    "if result is None:\n"
-                   "    raise _bad_operand(value, vm.site)\n"
+                   "    raise _bad_operand({tv} if flag else {fv}, vm.site)\n"
                    "r[{d}] = result")
-
-_GEP = "r[{d}] = (r[{base}] + {offset}) & 0xFFFFFFFFFFFFFFFF"
-_GEP_SCALED = ("r[{d}] = (r[{base}] + {offset} + (((r[{s}] & {m}) ^ {h}) - {h})"
-               " * {scale}) & 0xFFFFFFFFFFFFFFFF")
-_GEP_TERMS = ("address = r[{base}] + {offset}\n"
-              "for s, m, h, scale in {terms}:\n"
-              "    address += (((r[s] & m) ^ h) - h) * scale\n"
-              "r[{d}] = address & 0xFFFFFFFFFFFFFFFF")
 
 _LOAD = "r[{d}] = vm.memory.read_int(r[{p}], {size}, vm.site)"
 _STORE = "vm.memory.write_int(r[{p}], r[{v}], {size}, vm.site)"
@@ -1296,34 +1327,43 @@ _ALLOCA = ("try:\n"
            "    raise VMTrap(TrapKind.STACK_OVERFLOW, {message}, vm.site) from None\n"
            "r[{d}] = run.base + {offset}\n"
            "r[{data}] = run.data")
-# A run of *count* allocas, one alone included, charged as its
-# segment's last *count* instructions: one stack object as *layout*
-# places it, its buffer into ``data``, then for each ``(d, offset)`` of
-# *slots* its base plus the offset into ``d``.  A run that does not fit
-# gives back its charge and counts, then maps its allocas one at a time
-# (*allocas*, their ``_ALLOCA`` closures), charging each as
-# instruction-at-a-time execution does: the one that does not fit
-# traps.
+# A run of allocas, one alone included, charged as its segment's last
+# instructions, *each* ns apiece: one stack object as *layout* places
+# it, its buffer into ``data``, then for each ``(d, offset)`` of *slots*
+# its base plus the offset into ``d``.  A run that does not fit maps its
+# allocas one at a time (:func:`_map_allocas` of *allocas*, their
+# ``_ALLOCA`` closures).
 _ALLOCA_RUN = ("try:\n"
                "    run = vm.memory.map_stack_run({layout})\n"
                "except MemoryError:\n"
-               "    vm.instructions_executed -= {count}\n"
-               "    vm.cost -= {cost}\n"
-               "    counts = vm.opcode_counts\n"
-               "    if counts is not None:\n"
-               "        counts['Alloca'] -= {count}\n"
-               "    for alloca in {allocas}:\n"
-               "        vm.instructions_executed += 1\n"
-               "        vm.cost += {each}\n"
-               "        if counts is not None:\n"
-               "            counts['Alloca'] += 1\n"
-               "        alloca(r, vm)\n"
+               "    _map_allocas(vm, r, {allocas}, {each})\n"
                "else:\n"
                "    r[{frame}].append(run)\n"
                "    r[{data}] = run.data\n"
                "    base = run.base\n"
                "    for d, offset in {slots}:\n"
                "        r[d] = base + offset")
+
+
+def _map_allocas(vm: VM, r, allocas: tuple, each: int) -> None:
+    """Map a run of allocas the stack segment cannot hold one at a time
+    (*allocas*, their ``_ALLOCA`` ops over registers *r*), after giving
+    back the run's charge and counts: each is charged *each* ns and
+    counted as instruction-at-a-time execution does, so the one that
+    does not fit traps."""
+    count = len(allocas)
+    vm.instructions_executed -= count
+    vm.cost -= each * count
+    counts = vm.opcode_counts
+    if counts is not None:
+        counts["Alloca"] -= count
+    for alloca in allocas:
+        vm.instructions_executed += 1
+        vm.cost += each
+        if counts is not None:
+            counts["Alloca"] += 1
+        alloca(r, vm)
+
 
 # The ``__cov_guard`` native inlined (``VM.cov_guard``); ``prev_loc`` is
 # always below the map size, and so is the xor.
@@ -1345,25 +1385,12 @@ _OBSERVE_SWITCH = ("observer = vm.cmp_observer\n"
                    "if observer is not None and observer.active:\n"
                    "    observer.observe_switch(vm.site, {inst}, r[{v}])")
 
+_OBSERVES = (_OBSERVE_ICMP, _OBSERVE_SWITCH)
+
 # Raises what reading *value* raises when its slot holds nothing.
 _CHECK = "if r[{slot}] is None:\n    raise _bad_operand({value}, vm.site)"
 _ABORT = "raise VMTrap(TrapKind.ABORT, {message}, vm.site)"
 
-# One edge's phis with every arm checked (*arms* is ``((slot, value or
-# None), ...)``), assigned simultaneously; or, for an edge some phi has
-# no arm for, the arms before that phi checked, then a KeyError.
-_MOVES_CHECKED = ("values = []\n"
-                  "for slot, check in {arms}:\n"
-                  "    value = r[slot]\n"
-                  "    if value is None and check is not None:\n"
-                  "        raise _bad_operand(check, vm.site)\n"
-                  "    values.append(value)\n"
-                  "for d, value in zip({targets}, values):\n"
-                  "    r[d] = value")
-_MOVES_MISSING = ("for slot, check in {arms}:\n"
-                  "    if r[slot] is None and check is not None:\n"
-                  "        raise _bad_operand(check, vm.site)\n"
-                  "raise KeyError({missing})")
 # Phis in the entry block, entered with no predecessor: the
 # interpreter's invariant fails, bare, as an ``assert`` would.
 _ENTRY_PHI = "raise AssertionError"
@@ -1386,10 +1413,27 @@ def _call_template(native: bool, arity: int, result: bool) -> str:
 
 
 @functools.cache
-def _moves_template(count: int) -> str:
-    """One edge's *count* phis, assigned simultaneously."""
-    return (", ".join(f"r[{{d{k}}}]" for k in range(count)) + " = "
-            + ", ".join(f"r[{{s{k}}}]" for k in range(count)))
+def _moves_template(checked: tuple, missing: bool) -> str:
+    """One edge's phis: each arm read, those *checked* through a check,
+    then assigned simultaneously; or, for an edge some phi has no arm
+    for (*missing*), the arms before that phi read, then a KeyError."""
+    lines = [f"if r[{{s{k}}}] is None:\n    raise _bad_operand({{v{k}}}, vm.site)"
+             for k, check in enumerate(checked) if check]
+    if missing:
+        return "\n".join(lines + ["raise KeyError({missing})"])
+    count = len(checked)
+    return "\n".join(lines + [
+        ", ".join(f"r[{{d{k}}}]" for k in range(count)) + " = "
+        + ", ".join(f"r[{{s{k}}}]" for k in range(count))])
+
+
+@functools.cache
+def _gep_template(count: int) -> str:
+    """An address: a base, a folded offset and *count* scaled indices,
+    each read signed."""
+    terms = "".join(f" + (((r[{{s{k}}}] & {{m{k}}}) ^ {{h{k}}}) - {{h{k}}})"
+                    f" * {{scale{k}}}" for k in range(count))
+    return f"r[{{d}}] = (r[{{base}}] + {{offset}}{terms}) & 0xFFFFFFFFFFFFFFFF"
 
 
 def _binop(op: str, bits: int, d: int, a: int, b: int):
@@ -1416,13 +1460,10 @@ def _cast(op: str, source, target, d: int, a: int):
 
 
 def _gep(d: int, base: int, offset: int, terms: tuple):
-    if not terms:
-        return _form(_GEP)(d=d, base=base, offset=offset)
-    if len(terms) == 1:
-        ((s, m, h, scale),) = terms
-        return _form(_GEP_SCALED)(d=d, base=base, offset=offset, s=s, m=m,
-                                  h=h, scale=scale)
-    return _form(_GEP_TERMS)(d=d, base=base, offset=offset, terms=terms)
+    fields = {"d": d, "base": base, "offset": offset}
+    for k, (s, m, h, scale) in enumerate(terms):
+        fields.update({f"s{k}": s, f"m{k}": m, f"h{k}": h, f"scale{k}": scale})
+    return _form(_gep_template(len(terms)))(**fields)
 
 
 def _call(callee: Function, arg_slots: tuple, d: int | None,
@@ -1434,32 +1475,41 @@ def _call(callee: Function, arg_slots: tuple, d: int | None,
         block=block_name, **{f"a{k}": slot for k, slot in enumerate(arg_slots)})
 
 
-def _moves(targets: list, sources: list):
-    fields = {}
-    for k, (d, s) in enumerate(zip(targets, sources)):
-        fields[f"d{k}"], fields[f"s{k}"] = d, s
-    return _form(_moves_template(len(targets)))(**fields)
+def _moves(targets: list, arms: list, missing: str | None):
+    """An edge's phi moves into *targets* from *arms*, ``(slot, value or
+    None)`` each, the value for a read that needs a check; *missing*
+    is the error of an edge some phi has no arm for."""
+    fields = {"missing": missing}
+    for k, (d, (s, value)) in enumerate(zip(targets, arms)):
+        fields.update({f"d{k}": d, f"s{k}": s, f"v{k}": value})
+    checked = tuple(value is not None for _, value in arms)
+    return _form(_moves_template(checked, missing is not None))(**fields)
 
 
 # ---------------------------------------------------------------------------
-# compiled blocks
+# compiled functions
 # ---------------------------------------------------------------------------
 
-# Block source text -> the code object of its function, shared by every
-# block (of any module, in any VM) with the same text.
-_BLOCK_CODE: dict[str, types.CodeType] = {}
+# Function source text -> the code object of its function, shared by
+# every function (of any module, in any VM) with the same text.
+_FUNCTION_CODE: dict[str, types.CodeType] = {}
+# How deep a block's code may nest in the code of the blocks before it
+# (a branch arm is one level, a switch's k-th arm k + 1) before the edge
+# into it goes through the dispatch loop instead: Python's tokenizer
+# allows 100 indentation levels.
+_NEST_LIMIT = 40
 
 
-def _compile(block: tuple) -> types.FunctionType:
-    """*block* as one function ``(r, vm, prev, limit, counting)`` that
-    runs it like the loop in :func:`_execute` does and returns the next
-    block's index, or -1 on return."""
-    source, bound = _block_source(block)
-    code = _BLOCK_CODE.get(source)
-    if code is None:
-        code = _BLOCK_CODE[source] = _code_const(
-            compile(source, "<compiled block>", "exec"))
-    return types.FunctionType(code, globals(), block[0], bound)
+def _compile(code: _FunctionCode) -> types.FunctionType:
+    """*code* as one Python function ``(vm, *args)`` that runs a call
+    as :func:`_execute` does on closures, given *args* padded to
+    ``code.nargs`` and the call depth checked."""
+    source, bound = _Writer(code).write()
+    compiled = _FUNCTION_CODE.get(source)
+    if compiled is None:
+        compiled = _FUNCTION_CODE[source] = _code_const(
+            compile(source, "<compiled function>", "exec"))
+    return types.FunctionType(compiled, globals(), code.name, bound)
 
 
 def _literal(value) -> str | None:
@@ -1476,81 +1526,353 @@ def _literal(value) -> str | None:
     return None
 
 
-def _block_source(block: tuple) -> tuple[str, tuple]:
-    """The source of *block*'s function and the values of its
-    parameters after the first five: ``S``, the block's segments (for
-    the closure path), then ``K0``, ``K1``, ... for each field with no
-    literal form."""
-    name, phis, segments, kind, x, y, z = block
-    bound: list = [segments]
-    names: dict[int, str] = {}
+_REGISTER = re.compile(r"r\[\{(\w+)\}\]")
+_TARGETS = re.compile(r"\s*((?:r\[\{\w+\}\], )*r\[\{\w+\}\]) = ")
+_PART = re.compile(r"r\[\{(\w+)\}\]|\{(\w+)\}")
 
-    def field(value) -> str:
-        if type(value) is int and value >= 0:
-            return str(value)
+
+@functools.cache
+def _parse(template: str, cells: tuple) -> tuple[list, tuple, tuple]:
+    """*template* as a compiled function writes it, for closures whose
+    cells hold the fields named in *cells*: its text split at its
+    fields, each field as ``(names a register, its cell index)``; then
+    the cells whose registers it reads before it writes them, and those
+    whose registers it writes."""
+    cell = {name: k for k, name in enumerate(cells)}
+    text = template.replace("vm.site", "site")
+    pieces: list = []
+    last = 0
+    for match in _PART.finditer(text):
+        register, field = match.groups()
+        pieces += [text[last:match.start()],
+                   (True, cell[register]) if register else (False, cell[field])]
+        last = match.end()
+    pieces.append(text[last:])
+    reads: list[str] = []
+    writes: list[str] = []
+    for line in template.split("\n"):
+        target = _TARGETS.match(line)
+        rest = line[target.end():] if target else line
+        reads += [field for field in _REGISTER.findall(rest)
+                  if field not in writes and field not in reads]
+        if target:
+            writes += _REGISTER.findall(target.group(1))
+    return (pieces, tuple(cell[name] for name in reads),
+            tuple(cell[name] for name in writes))
+
+
+def _exits(block: tuple) -> list[int]:
+    """The successor of each edge out of *block*, one per edge."""
+    kind, x, y, z = block[3:]
+    if kind == _BR:
+        return [x]
+    if kind == _CONDBR:
+        return [y, z]
+    if kind == _SWITCH:
+        return list(y.values()) + [z]
+    return []
+
+
+class _Writer:
+    """The source of one function's compiled code, and the values bound
+    to its parameters after the arguments: ``G``, each group's
+    :func:`_run_spilled` arguments, then ``K0``, ``K1``, ... for each
+    field with no literal form.
+
+    A register slot is the local ``r<slot>``, or its literal for a
+    constant or a laid-out global's address; the frame's slot holds its
+    runs of allocas.  The code of a block entered over one edge only is
+    written where that edge is taken; every other block is a test of
+    ``b`` in the dispatch loop, hottest first, that an edge into it sets.
+    Each edge does its phi moves.  The coverage map, its cells and the
+    compare observer are loaded once per call.  ``prev`` is
+    ``vm.prev_loc`` where the code being written knows it (after a
+    guard, until a call or the dispatch loop), so that a guard there
+    indexes the map by a literal; every guard still writes
+    ``vm.prev_loc``."""
+
+    def __init__(self, code: _FunctionCode):
+        self.code = code
+        self.blocks = blocks = code.blocks
+        self.nargs = code.nargs
+        self.template = (None,) * code.nargs + tuple(code.tail)
+        self.groups: list[tuple] = []
+        self.bound: list = [self.groups]
+        self.names: dict[int, str] = {}
+        self.guards = any(segment[5] for block in blocks
+                          for segment in block[2])
+        self.observes = any(_TEMPLATES[id(op.__code__)] in _OBSERVES
+                            for block in blocks for segment in block[2]
+                            for op in segment[2])
+        # Edges into each block from blocks the entry reaches.
+        self.edges = [0] * len(blocks)
+        order, seen = [0], {0}
+        for b in order:
+            for s in _exits(blocks[b]):
+                self.edges[s] += 1
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+        # The dispatch loop's blocks, each with its code once written.
+        self.targets: dict[int, list | None] = {}
+        self.out: list[tuple[int, str]] = []
+        self.prev: int | None = None
+
+    def write(self) -> tuple[str, tuple]:
+        self.edge(-1, 0, 0, 0)
+        entry = self.out
+        k = 0
+        while k < len(self.targets):    # writing a block may add more
+            b = list(self.targets)[k]
+            self.out, self.prev = [], None
+            self.block(b, 0, 0)
+            self.targets[b] = self.out
+            k += 1
+        code, entries = self.code, self.code.entries
+        lines = [(1, "vm._call_depth += 1"), (1, "site = vm.site"),
+                 (1, f"site.function = {code.name!r}"),
+                 (1, "limit = vm.instruction_limit")]
+        if self.guards:
+            lines.append((1, "coverage = vm.coverage_map; cells = coverage.cells"))
+        if self.observes:
+            lines.append((1, "observer = vm.cmp_observer"))
+        if code.checked:
+            lines.append((1, " = ".join(f"r{slot}" for slot in code.checked)
+                          + " = None"))
+        if code.frame is not None:
+            lines.append((1, f"r{code.frame} = []"))
+        lines.append((1, "try:"))
+        lines += [(2 + depth, text) for depth, text in entry]
+        if self.targets:
+            lines.append((2, "while True:"))
+            order = sorted(self.targets, key=lambda b: (-entries[b], b))
+            for b in order[:-1]:
+                block = self.targets[b]
+                lines.append((3, f"if b == {b}:"))
+                lines += [(4 + depth, text) for depth, text in block]
+                if block[-1][0] or not block[-1][1].startswith(("return", "raise")):
+                    lines.append((4, "continue"))
+            lines += [(3 + depth, text) for depth, text in self.targets[order[-1]]]
+        lines += [(1, "except _Crossing as crossing:"),
+                  (2, "_run_spilled(vm, G[crossing.group], limit, locals())"),
+                  (1, "finally:"), (2, "vm._call_depth -= 1")]
+        if code.frame is not None:
+            lines.append((2, f"vm.memory.unmap_frame(r{code.frame})"))
+        params = (["vm"] + [f"r{k}" for k in range(self.nargs)] + ["G"]
+                  + [f"K{k}" for k in range(len(self.bound) - 1)])
+        source = (f"def run({', '.join(params)}):\n"
+                  + "".join(f"{' ' * depth}{text}\n" for depth, text in lines))
+        self.bound[0] = tuple(self.groups)
+        return source, tuple(self.bound)
+
+    def line(self, depth: int, text: str) -> None:
+        self.out.append((depth, text))
+
+    def field(self, value) -> str:
         text = _literal(value)
         if text is None:
-            text = names.get(id(value))
+            text = self.names.get(id(value))
             if text is None:
-                text = names[id(value)] = f"K{len(bound) - 1}"
-                bound.append(value)
+                text = self.names[id(value)] = f"K{len(self.bound) - 1}"
+                self.bound.append(value)
         return text
 
-    def inline(op, indent: str = "") -> list[str]:
-        cells = op.__closure__
-        text = "".join([part if type(part) is str
-                        else field(cells[part].cell_contents)
-                        for part in _PIECES[id(op.__code__)]])
-        return [indent + line for line in text.split("\n")]
+    def local(self, slot: int) -> bool:
+        return self.template[slot] is None
 
-    lines = [f"vm.site.block = {name!r}"]
-    if phis is not None:
-        moves, count, cost = phis
-        edges = list(moves.items())
-        if len(edges) == 1:
-            lines += inline(edges[0][1])
+    def reg(self, slot: int) -> str:
+        return f"r{slot}" if self.local(slot) else self.field(self.template[slot])
+
+    # -- control flow --------------------------------------------------
+
+    def edge(self, p: int, s: int, depth: int, nest: int) -> None:
+        """The edge from block *p* (-1: the call) into block *s*."""
+        name, phis = self.blocks[s][:2]
+        if phis is not None:
+            lines, raises = self.moves(phis[0][p])
+            if raises:
+                self.line(depth, f"site.block = {name!r}")
+            for text in lines:
+                self.line(depth, text)
+        # The call enters the entry block over one more edge.
+        if self.edges[s] + (s == 0) == 1 and nest < _NEST_LIMIT:
+            self.block(s, depth, nest)
         else:
-            # The block is entered from one of these, so the last edge
-            # needs no test.
-            for k, (pred, move) in enumerate(edges):
-                lines.append("else:" if k == len(edges) - 1 else
-                             f"{'elif' if k else 'if'} prev == {pred}:")
-                lines += inline(move, "    ")
-        lines += [f"vm.instructions_executed += {count}",
-                  f"vm.cost += {cost}",
-                  "if counting and vm.opcode_counts is not None:",
-                  "    vm.opcode_counts['Phi'] = "
-                  f"vm.opcode_counts.get('Phi', 0) + {count}"]
-    # Segments run in groups that end at a call: in a group only its
-    # last instruction, the call, moves the count, so if the whole group
-    # fits under the limit each of its segments does.  A group that
-    # would cross it, or runs with profiling counts, runs on closures.
-    first = 0
-    for k, (_, _, _, _, opcodes, guards) in enumerate(segments):
-        if k < len(segments) - 1 and dict(opcodes).get("Call", 0) == guards:
-            continue
-        group = segments[first:k + 1]
-        lines += ["if counting or vm.instructions_executed + "
-                  f"{sum(segment[0] for segment in group)} > limit:",
-                  f"    _run_segments(vm, r, S[{first}:{k + 1}], limit, counting)",
-                  "else:"]
-        for count, cost, ops, _, _, _ in group:
-            lines += [f"    vm.instructions_executed += {count}",
-                      f"    vm.cost += {cost}"]
+            self.targets.setdefault(s, None)
+            self.line(depth, f"b = {s}")
+
+    def block(self, b: int, depth: int, nest: int) -> None:
+        """Block *b*: its phis' charge (folded into its first group),
+        its groups of segments, then its terminator."""
+        name, phis, segments, kind, x, y, z = self.blocks[b]
+        self.line(depth, f"site.block = {name!r}")
+        count, cost = (phis[1], phis[2]) if phis is not None else (0, 0)
+        # Segments run in groups that end at a call: in a group only its
+        # last instruction, the call, moves the count, so if the whole
+        # group fits under the limit each of its segments does.
+        first = 0
+        for k, (_, _, _, _, opcodes, guards) in enumerate(segments):
+            if k < len(segments) - 1 and dict(opcodes).get("Call", 0) == guards:
+                continue
+            self.group(segments[first:k + 1], count, cost, depth)
+            count = cost = 0
+            first = k + 1
+        if count:
+            self.line(depth, f"vm.instructions_executed += {count}")
+            self.line(depth, f"vm.cost += {cost}")
+        line, prev = self.line, self.prev
+        if kind == _BR:
+            self.edge(b, x, depth, nest)
+        elif kind == _CONDBR:
+            line(depth, f"if {self.reg(x)}:")
+            self.edge(b, y, depth + 1, nest + 1)
+            line(depth, "else:")
+            self.prev = prev
+            self.edge(b, z, depth + 1, nest + 1)
+        elif kind == _SWITCH:
+            arms = [s for s in dict.fromkeys(y.values()) if s != z]
+            if arms:
+                line(depth, f"arm = {self.field(y)}.get({self.reg(x)}, {z})")
+            for k, s in enumerate(arms):
+                line(depth, f"{'elif' if k else 'if'} arm == {s}:")
+                self.prev = prev
+                self.edge(b, s, depth + 1, nest + k + 1)
+            if arms:
+                line(depth, "else:")
+            self.prev = prev
+            self.edge(b, z, depth + bool(arms), nest + len(arms))
+        elif kind == _RET:
+            line(depth, f"return {'None' if x is None else self.reg(x)}")
+        else:
+            line(depth, f"raise VMTrap(TrapKind.UNREACHABLE, {x!r}, site)")
+
+    def group(self, segments: tuple, count: int, cost: int, depth: int) -> None:
+        """A group of *segments*, the first charged *count* and *cost*
+        more (its block's phis).  A group that would cross the limit
+        runs on closures instead (:func:`_run_spilled`), given the
+        register slots they read before they write them."""
+        phis = (count, cost)
+        body: list[str] = []
+        reads: list[int] = []
+        written: set[int] = set()
+        total = count
+        for n, c, ops, _, _, _ in segments:
+            body.append(f"vm.instructions_executed += {n + count}; "
+                        f"vm.cost += {c + cost}")
+            total += n
+            count = cost = 0
             for op in ops:
-                lines += inline(op, "    ")
-        first = k + 1
-    if kind == _CONDBR:
-        lines.append(f"return {y} if r[{x}] else {z}")
-    elif kind == _BR:
-        lines.append(f"return {x}")
-    elif kind == _RET:
-        lines.append("return -1")
-    elif kind == _SWITCH:
-        lines.append(f"return {field(y)}.get(r[{x}], {z})")
-    else:
-        lines.append(f"raise VMTrap(TrapKind.UNREACHABLE, {x!r}, vm.site)")
-    params = ", ".join(["S"] + [f"K{k}" for k in range(len(bound) - 1)])
-    source = (f"def block(r, vm, prev, limit, counting, {params}):\n"
-              + "".join(f"    {line}\n" for line in lines))
-    return source, tuple(bound)
+                lines, op_reads, op_writes = self.op(op)
+                reads += [slot for slot in op_reads
+                          if slot not in written and slot not in reads]
+                written.update(op_writes)
+                body += lines
+        spill = tuple(f"r{slot}" for slot in reads if self.local(slot))
+        self.groups.append((self.template, segments, spill) + phis)
+        self.line(depth, f"if vm.instructions_executed + {total} > limit: "
+                  f"raise _Crossing({len(self.groups) - 1})")
+        self.out += [(depth, text) for text in body]
+
+    # -- instructions --------------------------------------------------
+
+    def op(self, op) -> tuple[list[str], list[int], list[int]]:
+        """*op*'s lines, the slots it reads before it writes them, and
+        those it writes."""
+        code = op.__code__
+        template = _TEMPLATES[id(code)]
+        writer = _WRITERS.get(template)
+        if writer is not None:
+            return writer(self, _fields(op)[1])
+        if "native" in code.co_freevars or "callee" in code.co_freevars:
+            return self.call(_fields(op)[1])
+        return self.generic(op)
+
+    def generic(self, op):
+        """*op*'s template with its registers and fields filled in."""
+        code = op.__code__
+        pieces, reads, writes = _parse(_TEMPLATES[id(code)], code.co_freevars)
+        values = [cell.cell_contents for cell in op.__closure__]
+        reg, field = self.reg, self.field
+        text = "".join([part if type(part) is str else
+                        (reg if part[0] else field)(values[part[1]])
+                        for part in pieces])
+        return (text.split("\n"), [values[k] for k in reads],
+                [values[k] for k in writes])
+
+    def guard(self, values: dict):
+        """The guard on the map in ``coverage``, at a literal cell where
+        ``vm.prev_loc`` is known."""
+        location, prev = values["location"], self.prev
+        self.prev = values["following"]
+        if prev is None:
+            index, lines = "index", [f"index = {location} ^ vm.prev_loc"]
+        else:
+            index, lines = str(location ^ prev), []
+        return (lines + [f"if not (hits := coverage[{index}]): cells.append({index})",
+                         f"coverage[{index}] = _BUMP[hits]; vm.prev_loc = {self.prev}"],
+                [], [])
+
+    def call(self, values: dict):
+        arity = sum(1 for field in values if field[0] == "a")
+        slots = [values[f"a{k}"] for k in range(arity)]
+        args = ", ".join(self.reg(slot) for slot in slots)
+        if "native" in values:
+            call = f"vm._call_native({self.field(values['native'])}, [{args}])"
+        else:
+            call = (f"_execute(vm, vm._code_for({self.field(values['callee'])}, "
+                    f"{arity}), [{args}])")
+        self.prev = None
+        d = values.get("d")
+        lines = [call if d is None else f"result = {call}",
+                 f"site.function = {values['function']!r}",
+                 f"site.block = {values['block']!r}"]
+        if d is None:
+            return lines, slots, []
+        return lines + [f"r{d} = 0 if result is None else result"], slots, [d]
+
+    def alloca_run(self, values: dict):
+        """``_ALLOCA_RUN``, its pointers unrolled; on the exhausted-stack
+        path its allocas' own ops run over a dict of the registers they
+        use."""
+        frame, data, slots = values["frame"], values["data"], values["slots"]
+        written = [d for d, _ in slots] + [data]
+        lines = ["try:",
+                 f" run = vm.memory.map_stack_run({self.field(values['layout'])})",
+                 "except MemoryError:",
+                 f" r = {{{frame}: r{frame}}}",
+                 f" _map_allocas(vm, r, {self.field(values['allocas'])}, "
+                 f"{values['each']})",
+                 " " + ", ".join(f"r{slot}" for slot in written) + " = "
+                 + ", ".join(f"r[{slot}]" for slot in written),
+                 "else:", f" r{frame}.append(run)", f" r{data} = run.data",
+                 " base = run.base"]
+        lines += [f" r{d} = base + {offset}" for d, offset in slots]
+        return lines, [frame], written
+
+    def observe(self, values: dict, call: str):
+        """A compare's tap: code with one runs only for a VM with an
+        observer, so the call has one."""
+        return ([f"if observer.active: {call}"],
+                [values[field] for field in ("a", "b", "v") if field in values], [])
+
+    def observe_icmp(self, values: dict):
+        inst, a, b = self.field(values["inst"]), values["a"], values["b"]
+        return self.observe(values, f"observer.observe_icmp(site, {inst}, "
+                            f"{self.reg(a)}, {self.reg(b)})")
+
+    def observe_switch(self, values: dict):
+        inst = self.field(values["inst"])
+        return self.observe(values, f"observer.observe_switch(site, {inst}, "
+                            f"{self.reg(values['v'])})")
+
+    def moves(self, move) -> tuple[list[str], bool]:
+        """An edge's phi moves, and whether they can raise."""
+        return self.generic(move)[0], "raise" in _TEMPLATES[id(move.__code__)]
+
+
+# Forms a compiled function writes its own way: the guard on the map
+# loaded once per call, the compare taps on the observer loaded once
+# per call, and a run of allocas, whose pointers it unrolls.
+_WRITERS = {_COV_GUARD: _Writer.guard, _ALLOCA_RUN: _Writer.alloca_run,
+            _OBSERVE_ICMP: _Writer.observe_icmp,
+            _OBSERVE_SWITCH: _Writer.observe_switch}

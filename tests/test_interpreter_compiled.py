@@ -1,12 +1,14 @@
-"""The interpreter's differential and trap tests on compiled blocks.
+"""The interpreter's differential and trap tests on compiled functions.
 
 Every test of ``tests/test_interpreter_differential.py`` and
 ``tests/test_interpreter_traps.py`` runs here again, with the run
-threshold at 0: each block of decoded code compiles to a Python
-function when its function is decoded, so the comparisons with the reference
-interpreter (replays, profiling counts, compare records, both
-instruction-limit sweeps, every opcode and fold, the malformed-IR
-traps) hold for compiled blocks as they do for closures.
+threshold at 0: each function of decoded code compiles to one Python
+function when it is decoded, so the comparisons with the reference
+interpreter (untraced replays, both instruction-limit sweeps, limits
+crossed after a call, at phis and at a checked load, traps in callees,
+undefined operands, every opcode and fold, the malformed-IR traps)
+hold for compiled functions as they do for closures.  Runs that keep
+profiling counts or trace edges run on closures here too.
 """
 
 import pytest
@@ -18,5 +20,5 @@ from tests.test_interpreter_traps import *  # noqa: F401,F403
 
 @pytest.fixture(autouse=True)
 def tier(monkeypatch):
-    """Every block compiles when its function is decoded."""
+    """Every function compiles when it is decoded."""
     monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 0)

@@ -4,11 +4,16 @@ Every target's ClosureX build, and the optimized md4c, giftext and zlib
 builds, replay their seeds and seeded havoc mutants after pollution
 inputs on both interpreters; every :class:`Observation` field must be
 equal, including the instruction count, the virtual cost, the edge
-trace and the end-of-run snapshot.  Forkserver execs compare the
+trace and the end-of-run snapshot, and the decoded interpreter's
+untraced replays (compiled code, where it compiled) must equal the
+same but for the trace and snapshot.  Forkserver execs compare the
 profiling counts and an armed compare observer's records, every exec's
 coverage map lists exactly its nonzero cells on both interpreters, an
 instruction-limit sweep pins the clock at every hang point of a loop
-whose header has a phi and a call, and a hand-built function runs
+whose header has a phi and a call, windows of limits pin hangs right
+after a call returns, at a block with phis and at a checked load (with
+``prev_loc`` compared too), a trap inside a callee and undefined
+operands compare as the rest do, and a hand-built function runs
 every opcode, predicate and cast over each kind of constant and
 address fold.  A wrong opcode cost, fold or segment boundary moves a
 result, ``cost_ns`` or ``instructions`` here.
@@ -25,7 +30,7 @@ reference VMs.
 
 Decoded code runs on closures here (nothing compiles);
 ``tests/test_interpreter_compiled.py`` runs every test again with
-every block compiled when its function is decoded.
+every function compiled when it is decoded.
 """
 
 import dataclasses
@@ -111,15 +116,16 @@ def dead_regions(vm) -> list:
     return [memory.find_dead_region(base) for base, _, _, _ in memory.view().dead]
 
 
-def run_both(module, function, args, limit=None, counts=False):
+def run_both(module, function, args, limit=None, counts=False, natives=None):
     """Call *function* on a fresh VM of each interpreter; the two runs
     must agree on the result or the error (type, trap kind and
-    message), cost, instruction count, coverage, address space and
-    every global's bytes.  Returns the decoded VM and its outcome."""
+    message, which names the site), cost, instruction count, coverage
+    and ``prev_loc``, address space and every global's bytes.  Returns
+    the decoded VM and its outcome."""
     runs = []
     for vm_class in (VM, ReferenceVM):
         vm = vm_class(module, opcode_counts={} if counts else None,
-                      libc_counts={} if counts else None)
+                      libc_counts={} if counts else None, extra_natives=natives)
         vm.load()
         if limit is not None:
             vm.instruction_limit = limit
@@ -129,7 +135,7 @@ def run_both(module, function, args, limit=None, counts=False):
             outcome = (type(exc).__name__, getattr(exc, "kind", None), str(exc))
         runs.append((vm, (outcome, vm.cost, vm.instructions_executed,
                           bytes(vm.coverage_map), vm.coverage_map.cells,
-                          vm.opcode_counts, vm.libc_counts,
+                          vm.prev_loc, vm.opcode_counts, vm.libc_counts,
                           address_space(vm),
                           {name: bytes(region.data)
                            for name, region in vm.global_regions.items()})))
@@ -165,7 +171,7 @@ def test_replays_match_reference(name, optimize, monkeypatch):
 
     capture = Observation.capture
 
-    def observe_all():
+    def observe_all(trace=True):
         spaces = []
 
         def capture_space(vm, iteration, **kwargs):
@@ -175,7 +181,7 @@ def test_replays_match_reference(name, optimize, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(Observation, "capture", capture_space)
             observed = [fields(replay(module, data, pollution=pollution,
-                                      trace=True, snapshot=True,
+                                      trace=trace, snapshot=trace,
                                       boot_time=REPLAY_BOOT_TIME))
                         for data in inputs]
         for observation, space in zip(observed, spaces, strict=True):
@@ -183,12 +189,17 @@ def test_replays_match_reference(name, optimize, monkeypatch):
         return observed
 
     decoded = observe_all()
+    # Untraced, the decoded replays run compiled code where it compiled.
+    untraced = observe_all(trace=False)
     with monkeypatch.context() as patch:
         on_reference(patch)
         reference = observe_all()
-    for data, got, want in zip(inputs, decoded, reference):
+    for data, got, plain, want in zip(inputs, decoded, untraced, reference):
         assert got == want, (name, data[:24],
                              [k for k in got if got[k] != want[k]])
+        want = dict(want, edge_trace=(), snapshot=None)
+        assert plain == want, (name, data[:24],
+                               [k for k in plain if plain[k] != want[k]])
 
 
 @pytest.mark.parametrize("name", ["zlib", "libpcap"])
@@ -311,15 +322,245 @@ def test_instruction_limit_sweep_matches_reference():
         assert run_both(module, f, [6], limit=limit, counts=True)[1] == finished
 
 
+# ---------------------------------------------------------------------------
+# limits, traps and undefined operands where a function runs compiled
+# ---------------------------------------------------------------------------
+
+
+def marking():
+    """A ``mark`` native recording the instruction count at each call,
+    and the list it records into."""
+    marks: list[int] = []
+
+    def mark(vm, args, site):
+        marks.append(vm.instructions_executed)
+
+    return {"mark": mark}, marks
+
+
+def guarded_loop() -> tuple[Module, object]:
+    """``f(n)``: a loop over ``i < n`` whose header has two phis and a
+    guard.  Its body calls ``g(i)`` (a guard, a frame slot, then the
+    native ``mark`` before it returns), adds on the result, loads
+    ``table[i & 3]`` through a GEP (a checked load) and calls ``mark``
+    again; the latch has a guard of its own.  Every block has a guard,
+    so ``prev_loc`` moves all along."""
+    module = Module("guarded")
+    i32 = int_type(32)
+    guard = module.declare_function(COV_GUARD, FunctionType(VOID, [I32]))
+    mark = module.declare_function("mark", FunctionType(VOID, []))
+    table = module.add_global("table", ArrayType(i32, 4),
+                              ConstantData(ArrayType(i32, 4), bytes(range(16))))
+    g = module.add_function("g", FunctionType(I32, [I32]))
+    g.ensure_args(["x"])
+    gb = IRBuilder(g.append_block("entry"))
+    gb.call(guard, [gb.i32(66)])
+    own = gb.alloca(i32, name="own")
+    gb.store(gb.mul(g.args[0], gb.i32(3)), own)
+    gb.call(mark, [])
+    gb.ret(gb.load(own))
+
+    f = module.add_function("f", FunctionType(I32, [I32]))
+    f.ensure_args(["n"])
+    entry, header, body, latch, done = (
+        f.append_block(name) for name in ("entry", "header", "body", "latch", "done"))
+    eb = IRBuilder(entry)
+    eb.call(guard, [eb.i32(11)])
+    eb.br(header)
+    hb = IRBuilder(header)
+    i, total = hb.phi(i32), hb.phi(i32)
+    hb.call(guard, [hb.i32(22)])
+    hb.cond_br(hb.icmp("slt", i, f.args[0]), body, done)
+    bb = IRBuilder(body)
+    bb.call(guard, [bb.i32(33)])
+    called = bb.call(g, [i])
+    acc = bb.add(total, called)
+    cell = bb.gep(table, [bb.i64(0), bb.zext(bb.and_(i, bb.i32(3)), int_type(64))])
+    acc = bb.add(acc, bb.load(cell))
+    step = bb.add(i, bb.i32(1))
+    bb.call(mark, [])
+    bb.br(latch)
+    lb = IRBuilder(latch)
+    lb.call(guard, [lb.i32(44)])
+    lb.br(header)
+    i.add_incoming(lb.i32(0), entry)
+    i.add_incoming(step, latch)
+    total.add_incoming(lb.i32(0), entry)
+    total.add_incoming(acc, latch)
+    db = IRBuilder(done)
+    db.call(guard, [db.i32(55)])
+    db.ret(total)
+    return module, f
+
+
+def test_guarded_loop_runs():
+    module, f = guarded_loop()
+    natives, marks = marking()
+    _, outcome = run_both(module, f, [5], natives=natives)
+    table = [int.from_bytes(bytes(range(4 * j, 4 * j + 4)), "little")
+             for j in range(4)]
+    assert outcome == sum(3 * k + table[k & 3] for k in range(5)) & 0xFFFFFFFF
+    assert len(marks) == 2 * 2 * 5      # g's and the body's, both VMs
+
+
+def hang_window(module, f, args, at: int, natives) -> None:
+    """:func:`run_both` at each limit from *at* to *at* + 4, with and
+    without profiling counts: each must hang."""
+    for limit in range(at, at + 5):
+        for counts in (False, True):
+            _, outcome = run_both(module, f, args, limit=limit, counts=counts,
+                                  natives=natives)
+            assert outcome[0] == "ExecutionLimitExceeded", limit
+
+
+def test_limit_right_after_a_call_returns_in_a_loop():
+    """The third call of ``g`` returns one instruction after it marks:
+    limits from there on hang inside the loop's body, first on the add
+    the call's group does not hold, then on the ones that read the
+    call's result and the header's phis."""
+    module, f = guarded_loop()
+    natives, marks = marking()
+    run_both(module, f, [5], natives=natives)
+    in_g = marks[:len(marks) // 2][4]           # g's third mark
+    hang_window(module, f, [5], in_g + 1, natives)
+
+
+def test_limit_at_a_group_of_a_block_with_phis():
+    """The body's second mark is followed by its branch and the latch
+    (a guard and a branch): limits from there on hang at the latch, at
+    the header's phis (charged before its first group), and on the
+    header's guard and compare."""
+    module, f = guarded_loop()
+    natives, marks = marking()
+    run_both(module, f, [5], natives=natives)
+    in_body = marks[:len(marks) // 2][3]        # the body's second mark
+    hang_window(module, f, [5], in_body + 1, natives)
+
+
+def test_limit_at_a_checked_load():
+    """Limits around the body's checked load of ``table[i & 3]``: the
+    group after ``g`` returns hangs before, at and after it."""
+    module, f = guarded_loop()
+    natives, marks = marking()
+    run_both(module, f, [5], natives=natives)
+    in_g = marks[:len(marks) // 2][2]           # g's second mark
+    # g's return, the two adds, the and, the zext and the GEP.
+    hang_window(module, f, [5], in_g + 5, natives)
+
+
+def test_trap_inside_a_called_function():
+    """``g`` divides by its argument minus 2: the third iteration traps
+    inside it, with both frames' allocas unmapped, at g's site."""
+    module = Module("callee_trap")
+    i32 = int_type(32)
+    guard = module.declare_function(COV_GUARD, FunctionType(VOID, [I32]))
+    g = module.add_function("g", FunctionType(I32, [I32]))
+    g.ensure_args(["x"])
+    gb = IRBuilder(g.append_block("entry"))
+    gb.call(guard, [gb.i32(7)])
+    own = gb.alloca(i32, name="own")
+    gb.store(g.args[0], own)
+    gb.ret(gb.sdiv(gb.i32(100), gb.sub(gb.load(own), gb.i32(2))))
+    f = module.add_function("f", FunctionType(I32, [I32]))
+    f.ensure_args(["n"])
+    entry, loop, done = (f.append_block(n) for n in ("entry", "loop", "done"))
+    eb = IRBuilder(entry)
+    kept = eb.alloca(i32, name="kept")
+    eb.store(eb.i32(0), kept)
+    eb.br(loop)
+    b = IRBuilder(loop)
+    i = b.phi(i32)
+    b.call(guard, [b.i32(9)])
+    b.store(b.add(b.load(kept), b.call(g, [i])), kept)
+    step = b.add(i, b.i32(1))
+    i.add_incoming(b.i32(0), entry)
+    i.add_incoming(step, loop)
+    b.cond_br(b.icmp("slt", step, f.args[0]), loop, done)
+    IRBuilder(done).ret(IRBuilder(done).load(kept))
+    vm, outcome = run_both(module, f, [6])
+    assert outcome == ("VMTrap", TrapKind.DIV_BY_ZERO,
+                       "Division by Zero at @g:%entry: sdiv by zero")
+    assert vm.stack_region_count() == 0
+    assert dead_tags(vm)[-2:] == [f"g.{own.name}", f"f.{kept.name}"]
+
+
+def test_undefined_operands_in_a_guarded_function():
+    """A value defined on one path only, picked by a select at the
+    join, and an argument a call does not pass trap as use of an
+    undefined value after the guards before them moved ``prev_loc``."""
+    module = Module("undefined")
+    i32 = int_type(32)
+    guard = module.declare_function(COV_GUARD, FunctionType(VOID, [I32]))
+    # Variadic, so that a call may pass fewer arguments than it names.
+    h = module.add_function("h", FunctionType(I32, [I32, I32], vararg=True))
+    h.ensure_args(["a", "b"])
+    hb = IRBuilder(h.append_block("entry"))
+    hb.call(guard, [hb.i32(3)])
+    hb.ret(hb.add(h.args[0], h.args[1]))
+    short = module.add_function("short", FunctionType(I32, [I32]))
+    short.ensure_args(["x"])
+    sb = IRBuilder(short.append_block("entry"))
+    sb.call(guard, [sb.i32(4)])
+    sb.ret(sb.call(h, [short.args[0]]))       # passes one of two arguments
+    f = module.add_function("f", FunctionType(I32, [I32]))
+    f.ensure_args(["x"])
+    entry, left, merge = (f.append_block(n) for n in ("entry", "left", "merge"))
+    eb = IRBuilder(entry)
+    eb.call(guard, [eb.i32(5)])
+    eb.cond_br(eb.icmp("eq", f.args[0], eb.i32(0)), left, merge)
+    lb = IRBuilder(left)
+    lb.call(guard, [lb.i32(6)])
+    defined = lb.add(f.args[0], lb.i32(1))
+    lb.br(merge)
+    mb = IRBuilder(merge)
+    mb.call(guard, [mb.i32(8)])
+    # Reads only the arm it picks: the undefined one unless x is 1.
+    picked = mb.select(mb.icmp("ne", f.args[0], mb.i32(1)), defined, f.args[0])
+    mb.ret(mb.add(picked, mb.i32(1)))
+    assert run_both(module, f, [0])[1] == 2
+    assert run_both(module, f, [1])[1] == 2
+    _, outcome = run_both(module, f, [2])
+    assert outcome[:2] == ("VMTrap", TrapKind.ABORT)
+    assert "at @f:%merge: use of undefined value" in outcome[2]
+    _, outcome = run_both(module, short, [1])
+    assert outcome[:2] == ("VMTrap", TrapKind.ABORT)
+    assert "at @h:%entry: use of undefined value" in outcome[2]
+
+
+DEPTH_CHAIN = 60    # branches nested deeper than a compiled function nests
+
+
+def test_deeply_nested_branches_match_reference():
+    """An if-else chain nested 60 deep, called for each of its arms:
+    a compiled function writes the arms past its nesting depth as
+    dispatch targets, with the same results, clock and coverage."""
+    chain = "".join(f" if (x == {k}) {{ return {k * 7}; }} else {{"
+                    for k in range(DEPTH_CHAIN))
+    module = compile_c(
+        f"int f(int x) {{{chain} return -1; {'}' * DEPTH_CHAIN} }}\n"
+        "int main(int argc, char **argv) { int s = 0;"
+        f" for (int i = 0; i < {DEPTH_CHAIN + 2}; i++) {{ s = s + f(i); }}"
+        " return s; }", "chain")
+    CoveragePass(seed=1).run(module)
+    main = module.get_function("main")
+    assert run_both(module, main, [0, 0])[1] == (
+        7 * sum(range(DEPTH_CHAIN)) - 2) & 0xFFFFFFFF
+    for limit in (100, 1000, 3000):
+        run_both(module, main, [0, 0], limit=limit)
+
+
 def every_opcode() -> tuple[Module, object]:
     """``f(x)``: every opcode, predicate and cast, mixed into one i64,
     over each kind of fold: global addresses, constant and negative
-    GEP indices, struct fields."""
+    GEP indices, struct fields, and a GEP with two variable indices."""
     i8, i32, i64 = int_type(8), int_type(32), int_type(64)
     module = Module("opcodes")
     table_type = ArrayType(i32, 8)
     table = module.add_global("table", table_type,
                               ConstantData(table_type, bytes(range(1, 33))))
+    grid_type = ArrayType(ArrayType(i8, 2), 4)
+    grid = module.add_global("grid", grid_type,
+                             ConstantData(grid_type, bytes(range(50, 58))))
     pair = StructType("pair", [("a", i8), ("b", i64)])
     cell = module.add_global("cell", pair)
     f = module.add_function("f", FunctionType(i64, [i32]))
@@ -338,6 +579,9 @@ def every_opcode() -> tuple[Module, object]:
     middle = b.gep(table, [b.i64(0), b.i64(5)])
     mix(b.load(b.gep(middle, [b.i32(-3)])))
     mix(b.load(b.gep(table, [b.i64(0), b.and_(b.sext(x, i64), b.i64(7))])))
+    wide = b.sext(x, i64)
+    mix(b.load(b.gep(grid, [b.i64(0), b.and_(wide, b.i64(3)),
+                            b.and_(b.lshr(wide, b.i64(2)), b.i64(1))])))
     field = b.gep(cell, [b.i64(0), b.i32(1)])
     b.store(b.sext(x, i64), field)
     mix(b.load(field))

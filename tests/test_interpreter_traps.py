@@ -9,7 +9,7 @@ require the next run to see the rewrite.
 
 Decoded code runs on closures here (nothing compiles);
 ``tests/test_interpreter_compiled.py`` runs every test again with
-every block compiled when its function is decoded.
+every function compiled when it is decoded.
 """
 
 import sys

@@ -1,12 +1,15 @@
 """Unit tests for the interpreter engine and libc natives."""
 
 import gc
+import sys
 import weakref
 
 import pytest
 
 from repro.ir import FunctionType, I32, IRBuilder, Module, int_type
 from repro.minic import compile_c
+from repro.runtime.replay import replay
+from repro.targets import get_target
 from repro.vm import (
     COVERAGE_MAP_SIZE,
     ExecutionLimitExceeded,
@@ -158,80 +161,78 @@ def run_main(module, argv=("t",)):
     return result, vm.cost, vm.instructions_executed
 
 
-def compiled_functions(module):
-    return [run for code in module.decoded.plain.values()
-            for run in code.compiled if run is not None]
+def compiled_functions(module) -> dict:
+    """Each compiled function of *module*'s plain code, by name."""
+    return {code.name: code.compiled for code in module.decoded.plain.values()
+            if code.compiled is not None}
 
 
-class TestCompiledBlocks:
+def counting_compiles(monkeypatch) -> list:
+    """The names of the functions compiled from here on, in order."""
+    compiled = []
+    compile_function = interpreter._compile
+
+    def counting(code):
+        compiled.append(code.name)
+        return compile_function(code)
+
+    monkeypatch.setattr(interpreter, "_compile", counting)
+    return compiled
+
+
+class TestCompiledFunctions:
     def test_nothing_compiles_before_the_ninth_run(self, monkeypatch):
         """A module's code serves 8 top-level runs on closures (the 20
         runs of ``helper`` through a native, one call deeper, do not
-        count).  The 9th first compiles each block entered at least 8
-        times; blocks entered less often, like the inner loop a later run
-        enters 30 times, stay on closures."""
+        count).  The 9th first compiles each function with a block
+        entered at least 8 times, all of its blocks: ``main`` with the
+        inner loop no run entered yet, which a later run enters 30 times
+        on compiled code, compiling nothing more."""
         monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
-        compiled = []
-        compile_block = interpreter._compile
-
-        def counting(block):
-            compiled.append(block[0])
-            return compile_block(block)
-
-        monkeypatch.setattr(interpreter, "_compile", counting)
+        compiled = counting_compiles(monkeypatch)
         module = compile_c(HOT_LOOP, "hot")
         first = run_main(module)
         for _ in range(7):
             assert run_main(module) == first
-        assert compiled == [] and compiled_functions(module) == []
+        assert compiled == [] and compiled_functions(module) == {}
         assert run_main(module) == first
-        assert sorted(compiled) == sorted(
-            ["entry", "entry", "for.cond", "for.body", "for.step", "for.end",
-             "if.end"])
-        assert len(compiled_functions(module)) == len(compiled)
+        assert sorted(compiled) == ["helper", "main"]
+        assert sorted(compiled_functions(module)) == ["helper", "main"]
+        # Compiled code counts no block entries.
+        main = module.decoded.plain[module.get_function("main")]
+        entries = list(main.entries)
         assert run_main(module, ["t"] * 6)[0] == first[0] + sum(range(30))
-        assert len(compiled) == 7
+        assert len(compiled) == 2 and main.entries == entries
 
     def test_the_65th_run_compiles_what_got_hot_later(self, monkeypatch):
-        """At the start of the 65th top-level run, each block still on
-        closures that was entered at least 32 times compiles, in
-        functions first called after the 9th run too: ``late``'s loop
-        header.  Its body, entered 31 times, and the blocks entered once
-        stay on closures, and no run in between compiles anything."""
+        """At the start of the 65th top-level run, each function still on
+        closures with a block entered at least 32 times compiles, one
+        first called after the 9th run too: ``late``, whose loop header
+        was entered 32 times.  No run in between compiles anything."""
         monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
-        compiled = []
-        compile_block = interpreter._compile
-
-        def counting(block):
-            compiled.append(block[0])
-            return compile_block(block)
-
-        monkeypatch.setattr(interpreter, "_compile", counting)
+        compiled = counting_compiles(monkeypatch)
         module = compile_c(LATE_CALL, "late")
         first = run_main(module)
         for _ in range(8):
             assert run_main(module) == first
-        assert sorted(compiled) == sorted(
-            ["entry", "for.cond", "for.body", "for.step", "for.end", "if.end"])
+        assert compiled == ["main"]
         assert run_main(module, ["t"] * 6)[0] == first[0] + sum(range(31))
         for _ in range(54):
             assert run_main(module) == first
-        assert len(compiled) == 6
+        assert compiled == ["main"]
         late = module.decoded.plain[module.get_function("late")]
-        assert late.entries == [1, 32, 31, 31, 1]
+        assert late.entries == [1, 32, 31, 31, 1] and late.compiled is None
         assert run_main(module) == first
-        assert compiled[6:] == ["for.cond"]
-        assert [run is not None for run in late.compiled] == [
-            False, True, False, False, False]
+        assert compiled == ["main", "late"] and late.compiled is not None
 
-    def test_dropping_decoded_code_frees_compiled_blocks(self, monkeypatch):
+    def test_dropping_decoded_code_frees_compiled_functions(self, monkeypatch):
         """Nothing in compiled code refers back to the module's decoded
-        code, so dropping that frees every block function by refcount
+        code, so dropping that frees every compiled function by refcount
         alone."""
         monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 0)
         module = compile_c(HOT_LOOP, "hot")
         run_main(module)
-        refs = [weakref.ref(run) for run in compiled_functions(module)]
+        refs = [weakref.ref(run) for run in compiled_functions(module).values()]
         assert refs
         gc.disable()
         try:
@@ -241,22 +242,51 @@ class TestCompiledBlocks:
             gc.enable()
 
     def test_modules_share_code_objects_not_callees(self, monkeypatch):
-        """Two builds of one program compile each block once: their
-        block functions share code objects and bind their own callees."""
+        """Two builds of one program compile each function once: their
+        compiled functions share code objects and bind their own
+        callees."""
         monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 0)
         first, second = compile_c(HOT_LOOP, "hot"), compile_c(HOT_LOOP, "hot")
         assert run_main(first) == run_main(second)
         ones, twos = compiled_functions(first), compiled_functions(second)
-        assert [run.__code__ for run in ones] == [run.__code__ for run in twos]
+        assert sorted(ones) == sorted(twos) == ["helper", "main"]
+        assert all(ones[name].__code__ is twos[name].__code__ for name in ones)
 
         def binds(run, callee):
             return any(value is callee for value in run.__defaults__)
 
         own, other = first.get_function("helper"), second.get_function("helper")
-        assert any(binds(one, own) for one in ones)
-        assert all(binds(one, own) == binds(two, other)
-                   and not binds(one, other) and not binds(two, own)
-                   for one, two in zip(ones, twos))
+        assert binds(ones["main"], own) and binds(twos["main"], other)
+        assert not binds(ones["main"], other) and not binds(twos["main"], own)
+
+    def test_counts_and_edge_traces_run_on_closures(self, monkeypatch):
+        """Once a module's functions compiled, a VM with profiling counts
+        and a traced replay run them on closures: the counts and the
+        edge trace are those of a build that never compiles."""
+        spec = get_target("giftext")
+        data = spec.seeds[0]
+
+        def observe(after_runs):
+            monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", after_runs)
+            module = spec.build_baseline()
+            replay(module, data)
+            vm = VM(module, opcode_counts={}, libc_counts={})
+            vm.load()
+            vm.fs.write_file("/in", data)
+            argc, argv = vm.setup_argv([module.name, "/in"])
+            vm.run_function(module.get_function("main"), [argc, argv])
+            traced = replay(module, data, trace=True)
+            compiled = sorted(name for name, code in (
+                (f.name, module.decoded.plain.get(f)) for f in module.defined_functions())
+                if code is not None and code.compiled is not None)
+            return (vm.opcode_counts, vm.libc_counts, vm.instructions_executed,
+                    traced), compiled
+
+        on_closures, none = observe(sys.maxsize)
+        compiled_run, compiled = observe(0)
+        assert none == [] and "main" in compiled
+        assert compiled_run == on_closures
+        assert on_closures[0]["Call"] > 0 and on_closures[3].edge_trace
 
 
 class TestCoverage:
