@@ -34,14 +34,15 @@ taken and every other block is a test in one dispatch loop (hottest
 first), a block's phi charge folds into its first group's limit check,
 and the coverage guards index the map by a literal wherever
 ``vm.prev_loc`` is known.  A call that keeps profiling counts or
-traces edges runs on closures, and so does a group of segments that
-would cross the instruction limit (:func:`_run_spilled`, given the
-registers it reads).  Code objects are cached per process by function
-source, so identical builds (a fleet's shards) compile each function
-once.  Compiled code looks checked memory and natives up at run time
-(``vm.memory.read_int``, ``vm._call_native``), so wrappers on them see
-every call, and nothing in it refers back to the module's decoded code,
-which stays free of reference cycles: dropping it frees it by refcount.
+traces edges runs on closures, and a group of segments that would
+cross the instruction limit runs an instruction at a time
+(:func:`_run_spilled`, given every register).  Code objects are cached
+per process by function source, so identical builds (a fleet's shards)
+compile each function once.  Compiled code looks checked memory and
+natives up at run time (``vm.memory.read_int``, ``vm._call_native``),
+so wrappers on them see every call, and nothing in it refers back to
+the module's decoded code, which stays free of reference cycles:
+dropping it frees it by refcount.
 Code run fewer times (an optimizer candidate's replays, the seeds, a
 one-off replay) never pays for ``compile()``.
 
@@ -67,11 +68,13 @@ them one at a time would), then writes each alloca's pointer, the
 run's base plus the alloca's offset, and puts the run's buffer in the
 run's buffer slot.  On the instruction-at-a-time path each alloca maps
 on its own (``AddressSpace.map_stack_alloca``): a run's first maps a
-run of its own and each later one grows it in place, so the same
-direct accesses read the same bytes.  A run the stack segment cannot
-hold gives its charge back and maps its allocas that way one at a time,
-so the one that does not fit traps with the count and cost
-instruction-at-a-time execution gives it.
+run of its own and each later one grows it in place, reserving exactly
+the growth in span from the run's aligned base, so every address and
+byte is the one ``map_stack_run`` gives and the same direct accesses
+read the grown run's buffer at the same offsets.  A run the stack
+segment cannot hold gives its charge back and maps its allocas that way
+one at a time, so the one that does not fit traps with the count and
+cost instruction-at-a-time execution gives it.
 
 All values are Python ints in unsigned representation; pointers are
 addresses in the VM's address space.  Every executed instruction
@@ -79,10 +82,12 @@ charges virtual nanoseconds to the VM clock, which is what the
 simulated-OS cost model and the throughput experiments (Table 5) are
 built on.  A block runs as straight-line segments, each charged its
 cost and instruction count at once; a segment ends only at an
-instruction that can raise (a direct load or store cannot), and one
-that would cross the instruction limit runs an instruction at a time
-on its closures, so traps, hangs and the clock land exactly where
-instruction-at-a-time execution puts them.
+instruction that can raise (a direct load or store cannot).  One path
+runs a segment an instruction at a time (:func:`_run_exact`): every
+segment of a VM that keeps profiling counts, a segment that would
+cross the instruction limit, and each segment of a compiled function's
+group that would, so traps, hangs, the clock and the counts land
+exactly where instruction-at-a-time execution puts them.
 """
 
 from __future__ import annotations
@@ -226,7 +231,9 @@ class VM:
 
         # Optional telemetry: caller-owned per-opcode / per-libc-call
         # count dicts (shared across VMs so profiles survive respawns).
-        # None keeps execution on its uninstrumented path.
+        # A VM with either runs on closures, an instruction at a time
+        # (``_run_exact``); None keeps execution on its uninstrumented
+        # path.
         self.opcode_counts = opcode_counts
         self.libc_counts = libc_counts
         # Optional input-to-state tap (``repro.fuzzing.i2s.CmpObserver``):
@@ -555,12 +562,10 @@ class _FunctionCode:
     - ``phis`` is None or ``(moves, count, cost)``, where ``moves``
       maps the predecessor's block index (-1 on function entry) to the
       closure doing that edge's simultaneous phi assignment;
-    - each segment is ``(count, cost, ops, exact, opcodes, guards)``:
-      its instruction count and cost, its closures ``op(r, vm)`` (one
-      for a run of allocas), the same per instruction as ``(cost,
-      opcode, is_guard, ops)`` for the instruction-at-a-time path (one
-      op per alloca), its opcode histogram and its number of inlined
-      coverage guards;
+    - each segment is ``(count, cost, ops, exact)``: its instruction
+      count and cost, its closures ``op(r, vm)`` (one for a run of
+      allocas), and the same per instruction as ``(cost, opcode,
+      is_guard, ops)`` for :func:`_run_exact` (one op per alloca);
     - ``kind`` and ``x, y, z`` are the terminator: ``_BR`` (target),
       ``_CONDBR`` (condition slot, true and false targets),
       ``_SWITCH`` (value slot, case dict, default), ``_RET`` (value
@@ -606,7 +611,9 @@ _SIGNED = frozenset({"slt", "sle", "sgt", "sge"})
 def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
     """Run decoded *code* on *vm* with *args*: its compiled function if
     it has one and the VM keeps no profiling counts and traces no edges,
-    else the dispatch loop over its blocks' closures."""
+    else the dispatch loop over its blocks' closures, in which a VM that
+    keeps profiling counts runs every segment an instruction at a
+    time."""
     if vm._call_depth >= vm.MAX_CALL_DEPTH:
         raise VMTrap(TrapKind.STACK_OVERFLOW,
                      f"call depth exceeded {vm.MAX_CALL_DEPTH}", vm.site)
@@ -628,6 +635,9 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
         blocks, entries = code.blocks, code.entries
         limit = vm.instruction_limit
         counting = vm.opcode_counts is not None or vm.libc_counts is not None
+        # Every segment's total exceeds -1: a profiled VM runs each one
+        # through _run_exact.
+        bound = -1 if counting else limit
         prev, i = -1, 0
         while True:
             entries[i] += 1
@@ -640,15 +650,13 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
                 vm.cost += cost
                 if counting and vm.opcode_counts is not None:
                     vm.opcode_counts["Phi"] = vm.opcode_counts.get("Phi", 0) + count
-            # _run_segments, inlined.
-            for count, cost, ops, exact, opcodes, guards in segments:
+            for count, cost, ops, exact in segments:
                 total = vm.instructions_executed + count
-                if total > limit:
+                if total > bound:
                     _run_exact(vm, r, exact, limit)
+                    continue
                 vm.instructions_executed = total
                 vm.cost += cost
-                if counting:
-                    _count(vm, opcodes, guards)
                 for op in ops:
                     op(r, vm)
             if kind == _CONDBR:
@@ -667,18 +675,24 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
             vm.memory.unmap_frame(r[frame])
 
 
-def _run_segments(vm: VM, r: list, segments: tuple, limit: int,
-                  counting: bool) -> None:
-    """Run *segments* on their closures: check the limit, charge, count,
-    then execute each."""
-    for count, cost, ops, exact, opcodes, guards in segments:
-        total = vm.instructions_executed + count
-        if total > limit:
-            _run_exact(vm, r, exact, limit)
-        vm.instructions_executed = total
+def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> None:
+    """Run a segment an instruction at a time: count, check *limit*,
+    charge and bump the attached profiling counts, then execute.  It
+    returns unless the count crosses *limit*.  Only a segment's last
+    instruction can call out and move the count, so a segment whose
+    total crosses *limit* raises by its last instruction at the latest
+    (a run of allocas ends a segment, and may trap on any of them)."""
+    opcode_counts = vm.opcode_counts
+    libc_counts = vm.libc_counts
+    for cost, name, guard, ops in exact:
+        vm.instructions_executed += 1
+        if vm.instructions_executed > limit:
+            raise ExecutionLimitExceeded(limit)
         vm.cost += cost
-        if counting:
-            _count(vm, opcodes, guards)
+        if opcode_counts is not None:
+            opcode_counts[name] = opcode_counts.get(name, 0) + 1
+        if guard and libc_counts is not None:
+            libc_counts[COV_GUARD] = libc_counts.get(COV_GUARD, 0) + 1
         for op in ops:
             op(r, vm)
 
@@ -686,7 +700,8 @@ def _run_segments(vm: VM, r: list, segments: tuple, limit: int,
 class _Crossing(Exception):
     """Raised by a compiled function's group of segments that would
     cross the instruction limit, and caught by the function itself,
-    which runs that group on closures (:func:`_run_spilled`)."""
+    which runs that group an instruction at a time
+    (:func:`_run_spilled`)."""
 
     def __init__(self, group: int):
         super().__init__(group)
@@ -695,53 +710,22 @@ class _Crossing(Exception):
 
 def _run_spilled(vm: VM, group: tuple, limit: int, values: dict) -> NoReturn:
     """Run a compiled function's group of segments that would cross
-    *limit* on their closures, as :func:`_execute` does: that raises (one
-    of its segments crosses the limit).  *group* is ``(template,
-    segments, registers, count, cost)``: charge *count* and *cost* first
-    (the block's phis), then run over the register *template* with each
-    of *registers* (``r<slot>``, a slot the closures read before they
-    write it) copied in from *values*, the function's locals."""
-    template, segments, registers, count, cost = group
+    *limit* an instruction at a time (:func:`_run_exact`), which raises
+    (one of its segments crosses the limit).  *group* is ``(template,
+    segments, count, cost)``: charge *count* and *cost* first (the
+    block's phis), then run over the register *template* with every
+    register local of *values*, the function's locals (``r<slot>``),
+    copied in."""
+    template, segments, count, cost = group
     vm.instructions_executed += count
     vm.cost += cost
     r = list(template)
-    for name in registers:
-        r[int(name[1:])] = values[name]
-    _run_segments(vm, r, segments, limit, False)
+    for name, value in values.items():
+        if name[0] == "r" and name[1:].isdigit():
+            r[int(name[1:])] = value
+    for segment in segments:
+        _run_exact(vm, r, segment[3], limit)
     raise AssertionError("a group that crosses the limit returned")
-
-
-def _run_exact(vm: VM, r: list, exact: tuple, limit: int) -> NoReturn:
-    """Run a segment that would cross *limit* an instruction at a time:
-    count, check the limit, charge, then execute.  Only a segment's last
-    instruction can call out and move the count, so the count crosses
-    *limit* by that instruction at the latest: this always raises (a
-    run of allocas ends a segment, and may raise on any of them)."""
-    opcode_counts = vm.opcode_counts
-    libc_counts = vm.libc_counts
-    for cost, name, guard, ops in exact:
-        vm.instructions_executed += 1
-        if vm.instructions_executed > limit:
-            break
-        vm.cost += cost
-        if opcode_counts is not None:
-            opcode_counts[name] = opcode_counts.get(name, 0) + 1
-        if guard and libc_counts is not None:
-            libc_counts[COV_GUARD] = libc_counts.get(COV_GUARD, 0) + 1
-        for op in ops:
-            op(r, vm)
-    raise ExecutionLimitExceeded(limit)
-
-
-def _count(vm: VM, opcodes: tuple, guards: int) -> None:
-    """Bump the attached profiling counts for one segment."""
-    opcode_counts = vm.opcode_counts
-    if opcode_counts is not None:
-        for name, count in opcodes:
-            opcode_counts[name] = opcode_counts.get(name, 0) + count
-    libc_counts = vm.libc_counts
-    if guards and libc_counts is not None:
-        libc_counts[COV_GUARD] = libc_counts.get(COV_GUARD, 0) + guards
 
 
 def _bad_operand(value: Value, site) -> Exception:
@@ -944,8 +928,8 @@ class _Decoder:
         for phi in self.heads[b]:
             known |= 1 << self.slots[phi]
         segments = []
-        ops, exact, opcodes = [], [], {}
-        n = cost = guards = 0
+        ops, exact = [], []
+        n = cost = 0
         terminator = (_TRAP, f"block %{block.name} fell through without "
                       "a terminator", None, None)
         run: list = []          # a run of allocas so far, with their ops
@@ -957,12 +941,9 @@ class _Decoder:
                 inst_ops[:0] = [_form(_CHECK)(slot=slot, value=value)
                                 for slot, value in checks]
                 raises = True
-            name = type(inst).__name__
             n += 1
             cost += inst_cost
-            guards += guard
-            opcodes[name] = opcodes.get(name, 0) + 1
-            exact.append((inst_cost, name, guard, tuple(inst_ops)))
+            exact.append((inst_cost, type(inst).__name__, guard, tuple(inst_ops)))
             if inst in self.slots:
                 known |= 1 << self.slots[inst]
             if type(inst) is Alloca:
@@ -977,13 +958,11 @@ class _Decoder:
             if ends is not None:
                 terminator = ends
             if raises or ends is not None:
-                segments.append((n, cost, tuple(ops), tuple(exact),
-                                 tuple(opcodes.items()), guards))
-                ops, exact, opcodes = [], [], {}
-                n = cost = guards = 0
+                segments.append((n, cost, tuple(ops), tuple(exact)))
+                ops, exact = [], []
+                n = cost = 0
         if n:
-            segments.append((n, cost, tuple(ops), tuple(exact),
-                             tuple(opcodes.items()), guards))
+            segments.append((n, cost, tuple(ops), tuple(exact)))
         phis = None
         if self.heads[b]:
             count = len(self.heads[b])
@@ -1182,9 +1161,10 @@ class _Decoder:
 # operand.  Its closure ``op(r, vm)`` comes from a factory compiled once
 # per template, whose parameters are the fields; a compiled function
 # inlines the same source with each register ``r[{field}]`` its local
-# or its constant's literal, and each other field written as a literal,
-# or bound as a parameter of the function when it has no literal form (a
-# callee, an IR value, a case dict).  A few forms it writes its own way
+# or its constant's literal, ``vm.site`` and ``vm.cmp_observer`` its
+# per-call locals, and each other field written as a literal, or bound
+# as a parameter of the function when it has no literal form (a callee,
+# an IR value, a case dict).  Two forms it writes its own way
 # (``_WRITERS``).
 
 
@@ -1332,37 +1312,35 @@ _ALLOCA = ("try:\n"
 # it, its buffer into ``data``, then for each ``(d, offset)`` of *slots*
 # its base plus the offset into ``d``.  A run that does not fit maps its
 # allocas one at a time (:func:`_map_allocas` of *allocas*, their
-# ``_ALLOCA`` closures).
+# ``_ALLOCA`` closures), and one of them traps.
 _ALLOCA_RUN = ("try:\n"
                "    run = vm.memory.map_stack_run({layout})\n"
                "except MemoryError:\n"
                "    _map_allocas(vm, r, {allocas}, {each})\n"
-               "else:\n"
-               "    r[{frame}].append(run)\n"
-               "    r[{data}] = run.data\n"
-               "    base = run.base\n"
-               "    for d, offset in {slots}:\n"
-               "        r[d] = base + offset")
+               "r[{frame}].append(run)\n"
+               "r[{data}] = run.data\n"
+               "base = run.base\n"
+               "for d, offset in {slots}:\n"
+               "    r[d] = base + offset")
 
 
-def _map_allocas(vm: VM, r, allocas: tuple, each: int) -> None:
+def _map_allocas(vm: VM, r, allocas: tuple, each: int) -> NoReturn:
     """Map a run of allocas the stack segment cannot hold one at a time
     (*allocas*, their ``_ALLOCA`` ops over registers *r*), after giving
-    back the run's charge and counts: each is charged *each* ns and
-    counted as instruction-at-a-time execution does, so the one that
-    does not fit traps."""
+    back the run's charge: each is charged *each* ns and counted as
+    instruction-at-a-time execution does.  ``map_stack_run`` reserves
+    the run's span from the aligned cursor, and one at a time they
+    reserve the same span from the same start, so the one that does not
+    fit traps.  (A VM that keeps profiling counts maps every run this
+    way, in :func:`_run_exact`, and never gets here.)"""
     count = len(allocas)
     vm.instructions_executed -= count
     vm.cost -= each * count
-    counts = vm.opcode_counts
-    if counts is not None:
-        counts["Alloca"] -= count
     for alloca in allocas:
         vm.instructions_executed += 1
         vm.cost += each
-        if counts is not None:
-            counts["Alloca"] += 1
         alloca(r, vm)
+    raise AssertionError("a run the stack cannot hold was mapped")
 
 
 # The ``__cov_guard`` native inlined (``VM.cov_guard``); ``prev_loc`` is
@@ -1378,12 +1356,12 @@ _COV_GUARD = ("index = {location} ^ vm.prev_loc\n"
               "if vm.trace_edges:\n"
               "    vm.edge_trace.append((vm.site.function, index))")
 
-_OBSERVE_ICMP = ("observer = vm.cmp_observer\n"
-                 "if observer is not None and observer.active:\n"
-                 "    observer.observe_icmp(vm.site, {inst}, r[{a}], r[{b}])")
-_OBSERVE_SWITCH = ("observer = vm.cmp_observer\n"
-                   "if observer is not None and observer.active:\n"
-                   "    observer.observe_switch(vm.site, {inst}, r[{v}])")
+# A compare's tap, decoded only for VMs with a compare observer: the
+# operands while the observer is armed.
+_OBSERVE_ICMP = ("if vm.cmp_observer.active: "
+                 "vm.cmp_observer.observe_icmp(vm.site, {inst}, r[{a}], r[{b}])")
+_OBSERVE_SWITCH = ("if vm.cmp_observer.active: "
+                   "vm.cmp_observer.observe_switch(vm.site, {inst}, r[{v}])")
 
 _OBSERVES = (_OBSERVE_ICMP, _OBSERVE_SWITCH)
 
@@ -1401,12 +1379,11 @@ def _call_template(native: bool, arity: int, result: bool) -> str:
     """A call passing *arity* arguments: a native through
     ``vm._call_native``, or the callee's code; then the caller's site
     back, and the result if it has one."""
-    reads = ", ".join(f"r[{{a{k}}}]" for k in range(arity))
-    call = (f"vm._call_native({{native}}, [{reads}])" if native else
-            f"_execute(vm, vm._code_for({{callee}}, {arity}), args)")
-    lines = ([] if native else [f"args = [{reads}]"]) + [
-        ("result = " if result else "") + call,
-        "site = vm.site", "site.function = {function}", "site.block = {block}"]
+    args = ", ".join(f"r[{{a{k}}}]" for k in range(arity))
+    call = (f"vm._call_native({{native}}, [{args}])" if native else
+            f"_execute(vm, vm._code_for({{callee}}, {arity}), [{args}])")
+    lines = [("result = " if result else "") + call,
+             "vm.site.function = {function}", "vm.site.block = {block}"]
     if result:
         lines.append("r[{d}] = 0 if result is None else result")
     return "\n".join(lines)
@@ -1526,20 +1503,22 @@ def _literal(value) -> str | None:
     return None
 
 
-_REGISTER = re.compile(r"r\[\{(\w+)\}\]")
-_TARGETS = re.compile(r"\s*((?:r\[\{\w+\}\], )*r\[\{\w+\}\]) = ")
 _PART = re.compile(r"r\[\{(\w+)\}\]|\{(\w+)\}")
+# What a template calls out through: another function's code or a
+# native, either of which may move ``vm.prev_loc``.
+_CALLS_OUT = ("_execute(", "vm._call_native(")
 
 
 @functools.cache
-def _parse(template: str, cells: tuple) -> tuple[list, tuple, tuple]:
+def _parse(template: str, cells: tuple) -> tuple[list, bool]:
     """*template* as a compiled function writes it, for closures whose
-    cells hold the fields named in *cells*: its text split at its
-    fields, each field as ``(names a register, its cell index)``; then
-    the cells whose registers it reads before it writes them, and those
-    whose registers it writes."""
+    cells hold the fields named in *cells*: its text, ``vm.site`` and
+    ``vm.cmp_observer`` read as the per-call locals ``site`` and
+    ``observer``, split at its fields, each field as ``(names a
+    register, its cell index)``; and whether it calls out."""
     cell = {name: k for k, name in enumerate(cells)}
-    text = template.replace("vm.site", "site")
+    text = (template.replace("vm.site", "site")
+            .replace("vm.cmp_observer", "observer"))
     pieces: list = []
     last = 0
     for match in _PART.finditer(text):
@@ -1548,17 +1527,7 @@ def _parse(template: str, cells: tuple) -> tuple[list, tuple, tuple]:
                    (True, cell[register]) if register else (False, cell[field])]
         last = match.end()
     pieces.append(text[last:])
-    reads: list[str] = []
-    writes: list[str] = []
-    for line in template.split("\n"):
-        target = _TARGETS.match(line)
-        rest = line[target.end():] if target else line
-        reads += [field for field in _REGISTER.findall(rest)
-                  if field not in writes and field not in reads]
-        if target:
-            writes += _REGISTER.findall(target.group(1))
-    return (pieces, tuple(cell[name] for name in reads),
-            tuple(cell[name] for name in writes))
+    return pieces, any(call in template for call in _CALLS_OUT)
 
 
 def _exits(block: tuple) -> list[int]:
@@ -1576,8 +1545,8 @@ def _exits(block: tuple) -> list[int]:
 class _Writer:
     """The source of one function's compiled code, and the values bound
     to its parameters after the arguments: ``G``, each group's
-    :func:`_run_spilled` arguments, then ``K0``, ``K1``, ... for each
-    field with no literal form.
+    ``(template, segments, count, cost)`` for :func:`_run_spilled`, then
+    ``K0``, ``K1``, ... for each field with no literal form.
 
     A register slot is the local ``r<slot>``, or its literal for a
     constant or a laid-out global's address; the frame's slot holds its
@@ -1587,8 +1556,8 @@ class _Writer:
     Each edge does its phi moves.  The coverage map, its cells and the
     compare observer are loaded once per call.  ``prev`` is
     ``vm.prev_loc`` where the code being written knows it (after a
-    guard, until a call or the dispatch loop), so that a guard there
-    indexes the map by a literal; every guard still writes
+    guard, until an op that calls out or the dispatch loop), so that a
+    guard there indexes the map by a literal; every guard still writes
     ``vm.prev_loc``."""
 
     def __init__(self, code: _FunctionCode):
@@ -1599,8 +1568,8 @@ class _Writer:
         self.groups: list[tuple] = []
         self.bound: list = [self.groups]
         self.names: dict[int, str] = {}
-        self.guards = any(segment[5] for block in blocks
-                          for segment in block[2])
+        self.guards = any(guard for block in blocks for segment in block[2]
+                          for _, _, guard, _ in segment[3])
         self.observes = any(_TEMPLATES[id(op.__code__)] in _OBSERVES
                             for block in blocks for segment in block[2]
                             for op in segment[2])
@@ -1677,11 +1646,9 @@ class _Writer:
                 self.bound.append(value)
         return text
 
-    def local(self, slot: int) -> bool:
-        return self.template[slot] is None
-
     def reg(self, slot: int) -> str:
-        return f"r{slot}" if self.local(slot) else self.field(self.template[slot])
+        value = self.template[slot]
+        return f"r{slot}" if value is None else self.field(value)
 
     # -- control flow --------------------------------------------------
 
@@ -1707,12 +1674,14 @@ class _Writer:
         name, phis, segments, kind, x, y, z = self.blocks[b]
         self.line(depth, f"site.block = {name!r}")
         count, cost = (phis[1], phis[2]) if phis is not None else (0, 0)
-        # Segments run in groups that end at a call: in a group only its
+        # Segments run in groups that end at a call (a segment's last
+        # instruction, a Call that is not a guard): in a group only its
         # last instruction, the call, moves the count, so if the whole
         # group fits under the limit each of its segments does.
         first = 0
-        for k, (_, _, _, _, opcodes, guards) in enumerate(segments):
-            if k < len(segments) - 1 and dict(opcodes).get("Call", 0) == guards:
+        for k, segment in enumerate(segments):
+            _, opcode, guard, _ = segment[3][-1]
+            if k < len(segments) - 1 and (opcode != "Call" or guard):
                 continue
             self.group(segments[first:k + 1], count, cost, depth)
             count = cost = 0
@@ -1749,57 +1718,41 @@ class _Writer:
     def group(self, segments: tuple, count: int, cost: int, depth: int) -> None:
         """A group of *segments*, the first charged *count* and *cost*
         more (its block's phis).  A group that would cross the limit
-        runs on closures instead (:func:`_run_spilled`), given the
-        register slots they read before they write them."""
-        phis = (count, cost)
-        body: list[str] = []
-        reads: list[int] = []
-        written: set[int] = set()
-        total = count
-        for n, c, ops, _, _, _ in segments:
-            body.append(f"vm.instructions_executed += {n + count}; "
-                        f"vm.cost += {c + cost}")
-            total += n
-            count = cost = 0
-            for op in ops:
-                lines, op_reads, op_writes = self.op(op)
-                reads += [slot for slot in op_reads
-                          if slot not in written and slot not in reads]
-                written.update(op_writes)
-                body += lines
-        spill = tuple(f"r{slot}" for slot in reads if self.local(slot))
-        self.groups.append((self.template, segments, spill) + phis)
+        runs an instruction at a time instead (:func:`_run_spilled`)."""
+        self.groups.append((self.template, segments, count, cost))
+        total = count + sum(segment[0] for segment in segments)
         self.line(depth, f"if vm.instructions_executed + {total} > limit: "
                   f"raise _Crossing({len(self.groups) - 1})")
-        self.out += [(depth, text) for text in body]
+        for n, c, ops, _ in segments:
+            self.line(depth, f"vm.instructions_executed += {n + count}; "
+                      f"vm.cost += {c + cost}")
+            count = cost = 0
+            for op in ops:
+                self.out += [(depth, text) for text in self.op(op)]
 
     # -- instructions --------------------------------------------------
 
-    def op(self, op) -> tuple[list[str], list[int], list[int]]:
-        """*op*'s lines, the slots it reads before it writes them, and
-        those it writes."""
-        code = op.__code__
-        template = _TEMPLATES[id(code)]
-        writer = _WRITERS.get(template)
+    def op(self, op) -> list[str]:
+        """*op*'s lines."""
+        writer = _WRITERS.get(_TEMPLATES[id(op.__code__)])
         if writer is not None:
             return writer(self, _fields(op)[1])
-        if "native" in code.co_freevars or "callee" in code.co_freevars:
-            return self.call(_fields(op)[1])
         return self.generic(op)
 
-    def generic(self, op):
-        """*op*'s template with its registers and fields filled in."""
+    def generic(self, op) -> list[str]:
+        """*op*'s template with its registers and fields filled in.  After
+        an op that calls out, ``vm.prev_loc`` is not known."""
         code = op.__code__
-        pieces, reads, writes = _parse(_TEMPLATES[id(code)], code.co_freevars)
+        pieces, calls_out = _parse(_TEMPLATES[id(code)], code.co_freevars)
+        if calls_out:
+            self.prev = None
         values = [cell.cell_contents for cell in op.__closure__]
         reg, field = self.reg, self.field
-        text = "".join([part if type(part) is str else
+        return "".join([part if type(part) is str else
                         (reg if part[0] else field)(values[part[1]])
-                        for part in pieces])
-        return (text.split("\n"), [values[k] for k in reads],
-                [values[k] for k in writes])
+                        for part in pieces]).split("\n")
 
-    def guard(self, values: dict):
+    def guard(self, values: dict) -> list[str]:
         """The guard on the map in ``coverage``, at a literal cell where
         ``vm.prev_loc`` is known."""
         location, prev = values["location"], self.prev
@@ -1808,71 +1761,27 @@ class _Writer:
             index, lines = "index", [f"index = {location} ^ vm.prev_loc"]
         else:
             index, lines = str(location ^ prev), []
-        return (lines + [f"if not (hits := coverage[{index}]): cells.append({index})",
-                         f"coverage[{index}] = _BUMP[hits]; vm.prev_loc = {self.prev}"],
-                [], [])
+        return lines + [f"if not (hits := coverage[{index}]): cells.append({index})",
+                        f"coverage[{index}] = _BUMP[hits]; vm.prev_loc = {self.prev}"]
 
-    def call(self, values: dict):
-        arity = sum(1 for field in values if field[0] == "a")
-        slots = [values[f"a{k}"] for k in range(arity)]
-        args = ", ".join(self.reg(slot) for slot in slots)
-        if "native" in values:
-            call = f"vm._call_native({self.field(values['native'])}, [{args}])"
-        else:
-            call = (f"_execute(vm, vm._code_for({self.field(values['callee'])}, "
-                    f"{arity}), [{args}])")
-        self.prev = None
-        d = values.get("d")
-        lines = [call if d is None else f"result = {call}",
-                 f"site.function = {values['function']!r}",
-                 f"site.block = {values['block']!r}"]
-        if d is None:
-            return lines, slots, []
-        return lines + [f"r{d} = 0 if result is None else result"], slots, [d]
-
-    def alloca_run(self, values: dict):
+    def alloca_run(self, values: dict) -> list[str]:
         """``_ALLOCA_RUN``, its pointers unrolled; on the exhausted-stack
-        path its allocas' own ops run over a dict of the registers they
-        use."""
-        frame, data, slots = values["frame"], values["data"], values["slots"]
-        written = [d for d, _ in slots] + [data]
+        path its allocas' own ops run over a dict holding the frame."""
+        frame, data = values["frame"], values["data"]
         lines = ["try:",
                  f" run = vm.memory.map_stack_run({self.field(values['layout'])})",
                  "except MemoryError:",
                  f" r = {{{frame}: r{frame}}}",
                  f" _map_allocas(vm, r, {self.field(values['allocas'])}, "
                  f"{values['each']})",
-                 " " + ", ".join(f"r{slot}" for slot in written) + " = "
-                 + ", ".join(f"r[{slot}]" for slot in written),
-                 "else:", f" r{frame}.append(run)", f" r{data} = run.data",
-                 " base = run.base"]
-        lines += [f" r{d} = base + {offset}" for d, offset in slots]
-        return lines, [frame], written
-
-    def observe(self, values: dict, call: str):
-        """A compare's tap: code with one runs only for a VM with an
-        observer, so the call has one."""
-        return ([f"if observer.active: {call}"],
-                [values[field] for field in ("a", "b", "v") if field in values], [])
-
-    def observe_icmp(self, values: dict):
-        inst, a, b = self.field(values["inst"]), values["a"], values["b"]
-        return self.observe(values, f"observer.observe_icmp(site, {inst}, "
-                            f"{self.reg(a)}, {self.reg(b)})")
-
-    def observe_switch(self, values: dict):
-        inst = self.field(values["inst"])
-        return self.observe(values, f"observer.observe_switch(site, {inst}, "
-                            f"{self.reg(values['v'])})")
+                 f"r{frame}.append(run)", f"r{data} = run.data", "base = run.base"]
+        return lines + [f"r{d} = base + {offset}" for d, offset in values["slots"]]
 
     def moves(self, move) -> tuple[list[str], bool]:
         """An edge's phi moves, and whether they can raise."""
-        return self.generic(move)[0], "raise" in _TEMPLATES[id(move.__code__)]
+        return self.generic(move), "raise" in _TEMPLATES[id(move.__code__)]
 
 
 # Forms a compiled function writes its own way: the guard on the map
-# loaded once per call, the compare taps on the observer loaded once
-# per call, and a run of allocas, whose pointers it unrolls.
-_WRITERS = {_COV_GUARD: _Writer.guard, _ALLOCA_RUN: _Writer.alloca_run,
-            _OBSERVE_ICMP: _Writer.observe_icmp,
-            _OBSERVE_SWITCH: _Writer.observe_switch}
+# loaded once per call, and a run of allocas, whose pointers it unrolls.
+_WRITERS = {_COV_GUARD: _Writer.guard, _ALLOCA_RUN: _Writer.alloca_run}

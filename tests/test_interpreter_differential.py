@@ -987,7 +987,8 @@ def test_recursion_past_the_freed_region_memory_keeps_its_verdicts():
 
 def test_memset_and_memcpy_into_run_allocas_reach_direct_loads():
     """``memset`` and ``memcpy`` into run allocas write the bytes their
-    direct loads read."""
+    direct loads read, also on a VM with profiling counts, which builds
+    the run by growth and reads its members at the same offsets."""
     module = Module("fill")
     i8, i32, i64 = int_type(8), int_type(32), int_type(64)
     bytes_ptr = pointer_type(i8)
@@ -1003,8 +1004,9 @@ def test_memset_and_memcpy_into_run_allocas_reach_direct_loads():
     b.call(memcpy, [b.bitcast(copied, bytes_ptr), b.bitcast(source, bytes_ptr),
                     b.i64(8)])
     b.ret(b.xor(b.zext(b.load(filled), i64), b.load(copied)))
-    _, outcome = run_both(module, f, [])
-    assert outcome == 0x41414141 ^ 0x1122334455667788
+    for counts in (False, True):
+        _, outcome = run_both(module, f, [], counts=counts)
+        assert outcome == 0x41414141 ^ 0x1122334455667788
 
 
 def test_fork_of_a_live_run_gives_the_child_private_bytes():
@@ -1069,7 +1071,8 @@ def test_scalar_loads_and_stores_match_reference_byte_for_byte():
     through GEPs (checked), then each is loaded back and stored to a
     global of its own.  Every global's bytes, ``bytes_written`` and the
     result match the reference's, for the codec sizes 1, 2, 4 and 8 and
-    for 3 and 16 bytes, which have none."""
+    for 3 and 16 bytes, which have none, with and without profiling
+    counts (a profiled VM grows the run one alloca at a time)."""
     module = Module("scalars")
     i8, i64 = int_type(8), int_type(64)
     types = [i8, int_type(16), int_type(32), i64, ArrayType(i8, 3),
@@ -1093,13 +1096,14 @@ def test_scalar_loads_and_stores_match_reference_byte_for_byte():
     args = [(0x5AA53CC396690FF0123456789ABCDEF011 << (8 * size)) | 0x0102030405060708
             if k % 2 else -0x0102030405060708090A0B0C0D0E0F10 - size
             for k, size in enumerate(sizes)]
-    vm, outcome = run_both(module, f, args)
-    assert outcome == 0
-    for arg, size in zip(args, sizes):
-        stored = (arg & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        for kind in ("g", "frame_copy", "global_copy", "checked_copy"):
-            assert vm.global_regions[f"{kind}{size}"].data == stored
-    assert vm.memory.bytes_written == 5 * sum(sizes)
+    for counts in (False, True):
+        vm, outcome = run_both(module, f, args, counts=counts)
+        assert outcome == 0
+        for arg, size in zip(args, sizes):
+            stored = (arg & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+            for kind in ("g", "frame_copy", "global_copy", "checked_copy"):
+                assert vm.global_regions[f"{kind}{size}"].data == stored
+        assert vm.memory.bytes_written == 5 * sum(sizes)
 
 
 SWEEP_SOURCE = r"""
@@ -1187,10 +1191,11 @@ def test_exhausted_stack_traps_stack_overflow(monkeypatch):
 def test_alloca_run_that_runs_the_stack_out_traps_on_its_alloca(monkeypatch):
     """A run of three allocas whose second does not fit the stack
     segment traps STACK_OVERFLOW on the second: the run gives back its
-    charge and counts, then maps one alloca at a time, so the count,
-    cost, ``Alloca`` count, live bases and freed-region FIFO are those
-    of instruction-at-a-time execution, with and without profiling
-    counts, and at every instruction limit up to the trap."""
+    charge, then maps one alloca at a time (as a VM with profiling
+    counts maps every run), so the count, cost, ``Alloca`` count, live
+    bases and freed-region FIFO are those of instruction-at-a-time
+    execution, with and without profiling counts, and at every
+    instruction limit up to the trap."""
     monkeypatch.setattr("repro.vm.memory.STACK_SIZE", SMALL_SEGMENT)
     module = Module("overrun")
     i32 = int_type(32)

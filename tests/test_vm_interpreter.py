@@ -6,10 +6,14 @@ import weakref
 
 import pytest
 
+from repro.execution import ClosureXExecutor
+from repro.fuzzing import Campaign, CampaignConfig
 from repro.ir import FunctionType, I32, IRBuilder, Module, int_type
 from repro.minic import compile_c
 from repro.runtime.replay import replay
+from repro.sim_os import Kernel
 from repro.targets import get_target
+from repro.telemetry import TelemetryConfig
 from repro.vm import (
     COVERAGE_MAP_SIZE,
     ExecutionLimitExceeded,
@@ -287,6 +291,32 @@ class TestCompiledFunctions:
         assert none == [] and "main" in compiled
         assert compiled_run == on_closures
         assert on_closures[0]["Call"] > 0 and on_closures[3].edge_trace
+
+    def test_profiling_changes_no_campaign_result(self, monkeypatch):
+        """A ClosureX campaign on giftext over 20 virtual ms (1,937 execs
+        at seed 1, past both batches of compiles) ends on the same state
+        digest, exec count and virtual time with VM profiling on as with
+        it off.  A profiled VM never runs compiled code: it runs every
+        segment an instruction at a time, so this pins the compiled
+        functions against that path over a whole campaign."""
+        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
+        compiled = counting_compiles(monkeypatch)
+
+        def finish(telemetry):
+            spec = get_target("giftext")
+            executor = ClosureXExecutor(
+                spec.build_closurex(), spec.image_bytes, Kernel())
+            campaign = Campaign(executor, spec.seeds, CampaignConfig(
+                budget_ns=20_000_000, seed=1, telemetry=telemetry))
+            campaign.run()
+            return ((campaign.state_digest(), campaign.execs,
+                     campaign.clock.now_ns), executor.opcode_counts)
+
+        plain, no_counts = finish(TelemetryConfig())
+        assert compiled and no_counts == {}
+        profiled, counts = finish(TelemetryConfig(enabled=True, profile_vm=True))
+        assert profiled == plain
+        assert counts["Call"] > 0
 
 
 class TestCoverage:
