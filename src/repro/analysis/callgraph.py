@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.dataflow import slot_escapes
 from repro.ir.instructions import (
     Alloca,
     BinOp,
@@ -116,14 +117,8 @@ class RootTracer:
             if not isinstance(inst, Alloca):
                 continue
             self._slot_values[id(inst)] = set()
-            for use in inst.uses:
-                user = use.user
-                if isinstance(user, Store) and use.index == 1:
-                    continue  # store *to* the slot
-                if isinstance(user, Load) and use.index == 0:
-                    continue  # load *from* the slot
-                # Address used any other way (GEP, call arg, stored as a
-                # value): contents are no longer tracked precisely.
+            # An escaping slot's contents are no longer tracked precisely.
+            if slot_escapes(inst):
                 self._slot_escapes.add(id(inst))
         for inst in self.function.instructions():
             if isinstance(inst, Store) and isinstance(inst.ptr, Alloca):

@@ -193,24 +193,29 @@ def reaching_stores(function: Function) -> DataflowResult:
     return ReachingDefinitions().run(function)
 
 
-def escaping_slots(function: Function) -> set[int]:
-    """``id()``s of allocas whose address is used beyond direct
-    load/store — passed to a call, GEP'd, stored *as a value* — so
-    their contents can be observed through an alias the reaching-defs
-    domain does not model."""
-    escaped: set[int] = set()
-    for inst in function.instructions():
-        if not isinstance(inst, Alloca):
+def slot_escapes(slot: Alloca) -> bool:
+    """Whether *slot*'s address is used beyond direct load/store —
+    passed to a call, GEP'd, stored *as a value* — so its contents can
+    be observed through an alias.  Every use of a slot that does not
+    escape is a load's pointer operand or a store's address operand."""
+    for use in slot.uses:
+        user = use.user
+        if isinstance(user, Store) and use.index == 1:
             continue
-        for use in inst.uses:
-            user = use.user
-            if isinstance(user, Store) and use.index == 1:
-                continue
-            if isinstance(user, Load) and use.index == 0:
-                continue
-            escaped.add(id(inst))
-            break
-    return escaped
+        if isinstance(user, Load) and use.index == 0:
+            continue
+        return True
+    return False
+
+
+def escaping_slots(function: Function) -> set[int]:
+    """``id()``s of the function's escaping allocas
+    (:func:`slot_escapes`), whose contents the reaching-defs domain
+    therefore does not model."""
+    return {
+        id(inst) for inst in function.instructions()
+        if isinstance(inst, Alloca) and slot_escapes(inst)
+    }
 
 
 def dead_slot_stores(function: Function) -> list[Store]:

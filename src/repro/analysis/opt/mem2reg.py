@@ -30,6 +30,7 @@ from repro.ir.module import BasicBlock, Function
 from repro.ir.types import IntType, PointerType
 from repro.ir.values import ConstantInt, ConstantNull, Value
 
+from repro.analysis.dataflow import slot_escapes
 from repro.analysis.opt.transforms import OptContext, Transform, TransformResult
 
 
@@ -41,18 +42,9 @@ def _promotable_slots(function: Function) -> list[Alloca]:
         if inst.count != 1 or not isinstance(inst.allocated_type,
                                              (IntType, PointerType)):
             continue
-        loads = 0
-        escaped = False
-        for use in inst.uses:
-            user = use.user
-            if isinstance(user, Store) and use.index == 1:
-                continue
-            if isinstance(user, Load) and use.index == 0:
-                loads += 1
-                continue
-            escaped = True  # GEP'd, passed to a call, stored as a value…
-            break
-        if not escaped and loads:
+        if slot_escapes(inst):
+            continue
+        if any(isinstance(use.user, Load) for use in inst.uses):
             slots.append(inst)
     return slots
 

@@ -15,7 +15,6 @@ from repro.execution.supervised import (
     RECOVERABLE_FAULTS,
     QuarantineRecord,
     SupervisedExecutor,
-    SupervisionPolicy,
     SupervisionStats,
 )
 from repro.execution.builder import MECHANISMS, build_executor
@@ -35,7 +34,6 @@ __all__ = [
     "QuarantineRecord",
     "RECOVERABLE_FAULTS",
     "SupervisedExecutor",
-    "SupervisionPolicy",
     "SupervisionStats",
     "build_executor",
     "call_target",

@@ -34,14 +34,10 @@ class ForkServerExecutor(Executor):
         module: Module,
         image_bytes: int,
         kernel: Kernel,
-        input_path: str = DEFAULT_INPUT_PATH,
-        entry: str = "main",
     ):
         super().__init__(kernel)
         self.module = module
         self.image_bytes = image_bytes
-        self.input_path = input_path
-        self.entry = entry
         self.fs = VirtualFS()
         self.parent: ProcessRecord | None = None
         self.parent_vm: VM | None = None
@@ -62,7 +58,7 @@ class ForkServerExecutor(Executor):
         # The child's fork cost scales with the parent's mapped memory:
         # the binary image plus its loaded data segments.
         self.footprint_bytes = self.image_bytes + parent_vm.memory.footprint_bytes()
-        argc, argv = parent_vm.setup_argv([self.module.name, self.input_path])
+        argc, argv = parent_vm.setup_argv([self.module.name, DEFAULT_INPUT_PATH])
         self.main_args = [argc, argv]
         try:
             self.channel.handshake()
@@ -92,11 +88,11 @@ class ForkServerExecutor(Executor):
             self.parent = self.parent_vm = None
             raise
 
-        self.fs.write_file(self.input_path, data)
+        self.fs.write_file(DEFAULT_INPUT_PATH, data)
         # Inherits the parent's image: no load cost charged.
         vm = self.parent_vm.fork(**self.vm_kwargs())
         vm.instruction_limit = self.exec_instruction_limit
-        entry_fn = self.module.get_function(self.entry)
+        entry_fn = self.module.get_function("main")
 
         status, return_code, trap = call_target(vm, entry_fn, self.main_args)
 

@@ -26,14 +26,10 @@ class FreshProcessExecutor(Executor):
         module: Module,
         image_bytes: int,
         kernel: Kernel,
-        input_path: str = DEFAULT_INPUT_PATH,
-        entry: str = "main",
     ):
         super().__init__(kernel)
         self.module = module
         self.image_bytes = image_bytes
-        self.input_path = input_path
-        self.entry = entry
         self.last_vm: VM | None = None
 
     def run(self, data: bytes) -> ExecResult:
@@ -42,13 +38,13 @@ class FreshProcessExecutor(Executor):
         record = self.kernel.spawn(self.module.name, self.image_bytes)
 
         fs = VirtualFS()
-        fs.write_file(self.input_path, data)
+        fs.write_file(DEFAULT_INPUT_PATH, data)
         vm = VM(self.module, fs=fs, **self.vm_kwargs())
         vm.load()
         vm.charge(vm.load_cost)
         vm.instruction_limit = self.exec_instruction_limit
-        argc, argv = vm.setup_argv([self.module.name, self.input_path])
-        entry_fn = self.module.get_function(self.entry)
+        argc, argv = vm.setup_argv([self.module.name, DEFAULT_INPUT_PATH])
+        entry_fn = self.module.get_function("main")
 
         # exit() in a fresh process is just termination.
         status, return_code, trap = call_target(vm, entry_fn, [argc, argv])

@@ -51,7 +51,6 @@ class NaivePersistentExecutor(Executor):
         module: Module,
         image_bytes: int,
         kernel: Kernel,
-        input_path: str = DEFAULT_INPUT_PATH,
     ):
         super().__init__(kernel)
         if not module.has_function(TARGET_MAIN):
@@ -61,7 +60,6 @@ class NaivePersistentExecutor(Executor):
             )
         self.module = module
         self.image_bytes = image_bytes
-        self.input_path = input_path
         self.fs = VirtualFS()
         self.vm: VM | None = None
         self.process: ProcessRecord | None = None
@@ -85,7 +83,7 @@ class NaivePersistentExecutor(Executor):
         if charge_load:
             self.vm.charge(self.vm.load_cost)
         self._argc, self._argv = self.vm.setup_argv(
-            [self.module.name, self.input_path]
+            [self.module.name, DEFAULT_INPUT_PATH]
         )
         self._baseline_globals = b"".join(
             self.vm.section_bytes(name)
@@ -110,7 +108,7 @@ class NaivePersistentExecutor(Executor):
         vm = self.vm
         start_ns = self.clock.now_ns
         self.kernel.charge_dispatch()
-        self.fs.write_file(self.input_path, data)
+        self.fs.write_file(DEFAULT_INPUT_PATH, data)
         vm.reset_coverage()
         vm.instruction_limit = vm.instructions_executed + self.exec_instruction_limit
         cost_before = vm.cost

@@ -18,10 +18,10 @@ stake here.  It wraps one of the four mechanisms and layers on:
 - **per-input quarantine**: an input that repeatedly kills the executor
   stops being executed and replays its last observed result;
 - **graceful degradation**: a ClosureX executor whose state restoration
-  fails ``restore_escalation_threshold`` consecutive times escalates to
-  a full respawn, and after ``degrade_after_escalations`` escalations
-  falls back to a forkserver-mode executor built by the caller's
-  ``fallback_factory``.
+  fails :data:`RESTORE_ESCALATION_THRESHOLD` consecutive times escalates
+  to a full respawn, and after :data:`DEGRADE_AFTER_ESCALATIONS`
+  escalations falls back to a forkserver-mode executor built by the
+  caller's ``fallback_factory``.
 
 Stats correctness: ``SupervisedExecutor.stats`` observes only the final
 result of each *logical* test case, so a retried execution is never
@@ -53,19 +53,21 @@ from repro.vm.interpreter import CoverageMap
 RECOVERABLE_FAULTS = (InjectedFault, PipeBroken, IntegrityFault)
 
 
-@dataclass
-class SupervisionPolicy:
-    """Knobs of the retry / quarantine / degradation ladder."""
-
-    max_retries: int = 4                   # faults tolerated per test case
-    backoff_base_ns: int = 50_000          # first retry backoff
-    backoff_cap_ns: int = 2_000_000        # exponential backoff ceiling
-    max_kills_per_input: int = 3           # executor kills before quarantine
-    restore_escalation_threshold: int = 3  # consecutive restore faults
-    degrade_after_escalations: int = 2     # escalations before fallback mode
-    # Budget an injected wedge leaves the target (must starve even the
-    # smallest simulated target, which runs in a few dozen instructions).
-    wedge_instruction_limit: int = 16
+#: Faults tolerated per test case (boot retries; a run gives up after
+#: twice this many voided attempts).
+MAX_RETRIES = 4
+#: First retry backoff, virtual ns; doubles per attempt up to the cap.
+BACKOFF_BASE_NS = 50_000
+BACKOFF_CAP_NS = 2_000_000
+#: Executor kills (hangs) of one input before it is quarantined.
+MAX_KILLS_PER_INPUT = 3
+#: Consecutive restore faults before a full respawn.
+RESTORE_ESCALATION_THRESHOLD = 3
+#: Escalations before falling back to the forkserver executor.
+DEGRADE_AFTER_ESCALATIONS = 2
+#: Budget an injected wedge leaves the target (must starve even the
+#: smallest simulated target, which runs in a few dozen instructions).
+WEDGE_INSTRUCTION_LIMIT = 16
 
 
 @dataclass
@@ -100,12 +102,14 @@ def _input_key(data: bytes) -> str:
 
 
 class SupervisedExecutor(Executor):
-    """Self-healing wrapper presenting the plain Executor interface."""
+    """Self-healing wrapper presenting the plain Executor interface.
+
+    The retry, quarantine and degradation ladder is fixed by this
+    module's constants (:data:`MAX_RETRIES` and the rest)."""
 
     def __init__(
         self,
         inner: Executor,
-        policy: SupervisionPolicy | None = None,
         injector: FaultInjector | None = None,
         fallback_factory=None,
     ):
@@ -114,7 +118,6 @@ class SupervisedExecutor(Executor):
         # setter below forwards to the wrapped executor.
         self.inner = inner
         super().__init__(inner.kernel)
-        self.policy = policy if policy is not None else SupervisionPolicy()
         self.injector = injector
         self.fallback_factory = fallback_factory
         self.supervision = SupervisionStats()
@@ -180,7 +183,7 @@ class SupervisedExecutor(Executor):
             except RECOVERABLE_FAULTS as fault:
                 attempt += 1
                 self._note_recovery(fault, attempt)
-                if attempt > self.policy.max_retries:
+                if attempt > MAX_RETRIES:
                     raise
                 self._charge_backoff(attempt)
 
@@ -206,13 +209,12 @@ class SupervisedExecutor(Executor):
             self.stats.observe(record.result)
             return record.result
 
-        policy = self.policy
         start_ns = self.clock.now_ns
         attempts = 0
         wedged = self.injector is not None and \
             self.injector.poll("wedge") is not None
         while True:
-            if attempts > 2 * policy.max_retries:
+            if attempts > 2 * MAX_RETRIES:
                 return self._give_up(key, data, start_ns)
             saved_limit = self.inner.exec_instruction_limit
             try:
@@ -220,7 +222,7 @@ class SupervisedExecutor(Executor):
                     # The injected wedge starves the target of its
                     # instruction budget — the watchdog will see a hang.
                     self.inner.exec_instruction_limit = \
-                        policy.wedge_instruction_limit
+                        WEDGE_INSTRUCTION_LIMIT
                 result = self.inner.run(data)
             except RECOVERABLE_FAULTS as fault:
                 attempts += 1
@@ -242,7 +244,7 @@ class SupervisedExecutor(Executor):
                     InjectedFault("wedge", "wedged", attempts), attempts
                 )
                 self._charge_backoff(attempts)
-                if kills >= policy.max_kills_per_input:
+                if kills >= MAX_KILLS_PER_INPUT:
                     return self._quarantine(key, data, result, "wedge")
                 continue
             wedged = False
@@ -261,7 +263,7 @@ class SupervisedExecutor(Executor):
             if result.is_hang:
                 kills = self._hang_kills.get(key, 0) + 1
                 self._hang_kills[key] = kills
-                if kills >= policy.max_kills_per_input:
+                if kills >= MAX_KILLS_PER_INPUT:
                     return self._quarantine(key, data, result, "hang")
 
             self._consecutive_restore_faults = 0
@@ -276,11 +278,11 @@ class SupervisedExecutor(Executor):
         if site == "restore":
             self._consecutive_restore_faults += 1
             if (self._consecutive_restore_faults
-                    >= self.policy.restore_escalation_threshold):
+                    >= RESTORE_ESCALATION_THRESHOLD):
                 self._consecutive_restore_faults = 0
                 self.supervision.escalations += 1
                 if (self.supervision.escalations
-                        >= self.policy.degrade_after_escalations
+                        >= DEGRADE_AFTER_ESCALATIONS
                         and self.fallback_factory is not None
                         and not self._degraded):
                     self._degrade()
@@ -328,10 +330,7 @@ class SupervisedExecutor(Executor):
 
     def _charge_backoff(self, attempt: int) -> None:
         """Capped exponential backoff, charged to the virtual clock."""
-        backoff = min(
-            self.policy.backoff_base_ns << (attempt - 1),
-            self.policy.backoff_cap_ns,
-        )
+        backoff = min(BACKOFF_BASE_NS << (attempt - 1), BACKOFF_CAP_NS)
         self.kernel.charge(backoff)
         self.supervision.backoff_ns += backoff
         self.supervision.retries += 1

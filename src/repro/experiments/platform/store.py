@@ -15,9 +15,9 @@ store's sha256 :meth:`ResultsStore.digest` — is a pure function of the
 spec.
 
 Durability is :mod:`repro.store`'s: each trial stream is an
-:class:`repro.store.AppendLog` (flushed line-by-line, fsynced on the
-configured cadence, torn-tail tolerant), the spec binding and resume
-truncation go through :func:`repro.store.atomic_write`, and the whole
+:class:`repro.store.AppendLog` (every line flushed and fsynced,
+torn-tail tolerant), the spec binding and resume truncation go
+through :func:`repro.store.atomic_write`, and the whole
 store therefore sits behind the disk-fault chaos seam — an ``ENOSPC``
 mid-append leaves a torn tail that reads ignore and the next
 successful append repairs, so a store that ran out of space resumes
@@ -39,23 +39,13 @@ class ResultsStore:
     """Filesystem-backed, append-only experiment results (see module
     docstring for the layout and durability story).
 
-    ``fsync_every`` batches the per-append ``os.fsync``: every append is
-    still *flushed* (so the OS sees a complete line and a crash of this
-    process alone loses nothing), but the disk barrier is paid only once
-    per ``fsync_every`` appends — and always for ``final`` records, so a
-    trial's completion is durable the moment it is recorded.  The
-    default of 1 preserves the original fsync-per-append guarantee.  A
-    power-loss-style torn tail after batched writes is already handled
-    by :meth:`read`'s valid-prefix rule, so batching trades at most
-    ``fsync_every - 1`` sample records of durability for throughput,
-    never stream validity.
+    Every append is flushed and fsynced before it returns, so each
+    sample, and a trial's completion, is durable the moment it is
+    recorded.
     """
 
-    def __init__(self, root: str, fsync_every: int = 1):
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
+    def __init__(self, root: str):
         self.root = root
-        self.fsync_every = fsync_every
         self.trials_dir = os.path.join(root, "trials")
         self.checkpoints_dir = os.path.join(root, "checkpoints")
         self._logs: dict[str, AppendLog] = {}
@@ -80,20 +70,9 @@ class ResultsStore:
     def _log(self, trial_id: str) -> AppendLog:
         log = self._logs.get(trial_id)
         if log is None:
-            log = AppendLog(
-                self.trial_path(trial_id), fsync_every=self.fsync_every
-            )
+            log = AppendLog(self.trial_path(trial_id))
             self._logs[trial_id] = log
         return log
-
-    @property
-    def _unsynced(self) -> dict[str, int]:
-        """Pending (flushed-but-unfsynced) append counts per trial —
-        the batching state the tests introspect, read off the
-        underlying logs."""
-        return {
-            trial_id: log._pending for trial_id, log in self._logs.items()
-        }
 
     # -- spec binding ---------------------------------------------------
 
@@ -119,17 +98,8 @@ class ResultsStore:
     # -- appends --------------------------------------------------------
 
     def append(self, trial_id: str, record: dict) -> None:
-        """Append one record to the trial's stream, flushed to disk and
-        fsynced on the configured cadence (see class docstring);
-        ``final`` records always take the barrier."""
-        self._log(trial_id).append(
-            record, sync=record.get("kind") == "final"
-        )
-
-    def sync(self, trial_id: str) -> None:
-        """Force the disk barrier for one trial's stream now (no-op when
-        nothing is pending since the last fsync)."""
-        self._log(trial_id).sync()
+        """Append one record to the trial's stream, flushed and fsynced."""
+        self._log(trial_id).append(record)
 
     # -- reads ----------------------------------------------------------
 

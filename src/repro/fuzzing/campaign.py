@@ -236,9 +236,7 @@ class Campaign:
         self.deadline_ns = self.start_ns + self.config.budget_ns
         if self.telemetry.enabled:
             self.reporter = CampaignReporter(
-                self,
-                out_dir=self.config.telemetry.report_dir,
-                interval_ns=self.config.telemetry.report_interval_ns,
+                self, out_dir=self.config.telemetry.report_dir,
             )
         tracer = self.telemetry.tracer
         with tracer.span("campaign.boot", mechanism=self.executor.mechanism):

@@ -21,7 +21,7 @@ Durability rides on :mod:`repro.store`'s framed-file stack:
   expected/actual CRC in the error — instead of surfacing as an
   arbitrary unpickling error or, worse, a subtly wrong resume;
 - **rotation** — each save shifts the previous checkpoint to
-  ``path.1`` (and so on up to *keep* generations), and loading falls
+  ``path.1`` (:data:`KEEP_GENERATIONS` files in all), and loading falls
   back through the generations to the newest file that passes magic +
   CRC + version, so one corrupted checkpoint costs an interval of
   progress, never the campaign.
@@ -53,8 +53,8 @@ from repro.store.io import generation_path as _generation_path
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_MAGIC = b"RPRCKPT1"
-#: Generations kept on disk by default: the live file plus ``path.1``.
-DEFAULT_KEEP = 2
+#: Generations kept on disk: the live file plus ``path.1``.
+KEEP_GENERATIONS = 2
 
 
 class CheckpointError(RuntimeError):
@@ -98,16 +98,16 @@ def capture_state(campaign) -> dict:
     }
 
 
-def save_checkpoint(campaign, path: str, keep: int = DEFAULT_KEEP) -> None:
+def save_checkpoint(campaign, path: str) -> None:
     """Atomically persist *campaign*'s state to *path*.
 
-    Keeps up to *keep* generations: the fresh file at *path*, the
-    previous one at ``path.1``, and so on.
+    Keeps :data:`KEEP_GENERATIONS` generations: the fresh file at
+    *path* and the previous one at ``path.1``.
     """
-    save_state(capture_state(campaign), path, keep=keep)
+    save_state(capture_state(campaign), path)
 
 
-def save_state(state: dict, path: str, keep: int = DEFAULT_KEEP) -> None:
+def save_state(state: dict, path: str) -> None:
     """Persist an arbitrary checkpoint state dict with the full
     ``RPRCKPT1`` durability stack (atomic write + parent-dir fsync,
     CRC framing, rotation — all via :mod:`repro.store`).  *state* must
@@ -116,7 +116,7 @@ def save_state(state: dict, path: str, keep: int = DEFAULT_KEEP) -> None:
     checkpoints share this framing.
     """
     body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    write_framed(path, CHECKPOINT_MAGIC, body, keep=max(1, keep))
+    write_framed(path, CHECKPOINT_MAGIC, body, keep=KEEP_GENERATIONS)
 
 
 def _load_one(path: str) -> dict:

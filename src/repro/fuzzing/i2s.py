@@ -91,12 +91,11 @@ class CmpObserver:
     and zero allocations.
     """
 
-    __slots__ = ("active", "records", "limit")
+    __slots__ = ("active", "records")
 
-    def __init__(self, limit: int = MAX_RECORDS_PER_EXEC):
+    def __init__(self):
         self.active = False
         self.records: list[tuple] = []
-        self.limit = limit
 
     def begin(self) -> None:
         """Arm the observer for the next execution."""
@@ -112,7 +111,7 @@ class CmpObserver:
 
     def observe_icmp(self, site, inst, lhs: int, rhs: int) -> None:
         """Record one ``icmp`` evaluation (called by the interpreter)."""
-        if len(self.records) >= self.limit:
+        if len(self.records) >= MAX_RECORDS_PER_EXEC:
             return
         operand_type = inst.lhs.type
         if not isinstance(operand_type, IntType):
@@ -124,14 +123,14 @@ class CmpObserver:
 
     def observe_switch(self, site, inst, value: int) -> None:
         """Record a ``switch`` dispatch as one eq-pair per case."""
-        if len(self.records) >= self.limit:
+        if len(self.records) >= MAX_RECORDS_PER_EXEC:
             return
         value_type = inst.value.type
         if not isinstance(value_type, IntType):
             return
         site_key = (site.function, site.block, "switch")
         for case_value, _block in inst.cases[:MAX_SWITCH_CASES]:
-            if len(self.records) >= self.limit:
+            if len(self.records) >= MAX_RECORDS_PER_EXEC:
                 return
             self.records.append(
                 (site_key, value_type.bits, value, case_value, "eq")
@@ -150,19 +149,16 @@ class AutoDictionary:
     mutator holds a reference to this object).
     """
 
-    def __init__(self, max_tokens: int = DICT_TOKENS,
-                 max_token_len: int = DICT_TOKEN_MAX_LEN):
-        self.max_tokens = max_tokens
-        self.max_token_len = max_token_len
+    def __init__(self):
         self.tokens: list[bytes] = []
         self._seen: set[bytes] = set()
 
     def add(self, token: bytes) -> bool:
         """Add one token; returns whether it was new and kept."""
         token = bytes(token)
-        if not 2 <= len(token) <= self.max_token_len:
+        if not 2 <= len(token) <= DICT_TOKEN_MAX_LEN:
             return False                # 1-byte tokens are plain havoc's job
-        if token in self._seen or len(self.tokens) >= self.max_tokens:
+        if token in self._seen or len(self.tokens) >= DICT_TOKENS:
             return False
         self._seen.add(token)
         self.tokens.append(token)

@@ -13,7 +13,8 @@ executor's exec loop:
    bug or an analysis bug — which a correctness-critical system must
    surface, not average away).
 3. **repair** — re-run exactly the leaking dimensions' restore sweeps
-   in place (:meth:`ClosureXHarness.repair_dimensions`) and re-check.
+   in place (:meth:`ClosureXHarness.repair_dimensions`), once, and
+   re-check.
 4. **escalate** — if the recheck still fails, or a shadow replay shows
    the persistent run diverging from fresh-process ground truth in
    status, return code, crash identity, coverage, output or the files
@@ -53,12 +54,10 @@ def _input_key(data: bytes) -> str:
 
 @dataclass
 class EscalationPolicy:
-    """Cadence and escalation knobs of the sentinel."""
+    """Check cadences of the sentinel."""
 
     digest_every: int = 1         # oracle check every Nth exec (0 = off)
     shadow_every: int = 64        # fresh-VM differential every Nth (0 = off)
-    max_repair_attempts: int = 1  # in-place repairs before escalating
-    quarantine_divergent: bool = True
 
 
 @dataclass
@@ -85,7 +84,12 @@ class SentinelStats:
 
 
 class IntegritySentinel:
-    """Runtime state-integrity verification for one ClosureX executor."""
+    """Runtime state-integrity verification for one ClosureX executor.
+
+    *policy* sets the two check cadences.  A leak gets one in-place
+    repair pass before it escalates, and an input whose shadow replay
+    diverges is always quarantined with its ground-truth result.
+    """
 
     def __init__(
         self,
@@ -186,24 +190,19 @@ class IntegritySentinel:
                 f"{','.join(contradictions)} clean — VM bug or analysis bug]"
             )
 
-        repaired = False
-        for _attempt in range(self.policy.max_repair_attempts):
-            repair_ns = harness.repair_dimensions(dimensions)
-            executor.kernel.charge(repair_ns)
-            self.stats.repairs += 1
-            self.stats.repair_ns += repair_ns
-            if telemetry.enabled:
-                telemetry.metrics.counter("integrity.repairs").inc()
-            recheck = self._oracle_check(executor)
-            if recheck.clean:
-                repaired = True
-                if telemetry.enabled and telemetry.tracer.enabled:
-                    telemetry.tracer.event(
-                        "integrity.repair",
-                        dimensions=",".join(dimensions),
-                        cost_ns=repair_ns,
-                    )
-                break
+        repair_ns = harness.repair_dimensions(dimensions)
+        executor.kernel.charge(repair_ns)
+        self.stats.repairs += 1
+        self.stats.repair_ns += repair_ns
+        if telemetry.enabled:
+            telemetry.metrics.counter("integrity.repairs").inc()
+        repaired = self._oracle_check(executor).clean
+        if repaired and telemetry.enabled and telemetry.tracer.enabled:
+            telemetry.tracer.event(
+                "integrity.repair",
+                dimensions=",".join(dimensions),
+                cost_ns=repair_ns,
+            )
 
         self.ledger.record(LeakEvent(
             exec_index=self.exec_index,
@@ -291,19 +290,18 @@ class IntegritySentinel:
                     persistent=iteration.status.value,
                     shadow=observation.status.value,
                 )
-        if self.policy.quarantine_divergent:
-            self.ledger.quarantine_input(
-                key, data,
-                ExecResult(
-                    status=observation.status,
-                    return_code=observation.return_code,
-                    trap=observation.trap,
-                    coverage=bytearray(observation.coverage),
-                    ns=observation.cost_ns,
-                    instructions=observation.instructions,
-                ),
-                at_ns=executor.clock.now_ns,
-            )
+        self.ledger.quarantine_input(
+            key, data,
+            ExecResult(
+                status=observation.status,
+                return_code=observation.return_code,
+                trap=observation.trap,
+                coverage=bytearray(observation.coverage),
+                ns=observation.cost_ns,
+                instructions=observation.instructions,
+            ),
+            at_ns=executor.clock.now_ns,
+        )
         self.ledger.record(LeakEvent(
             exec_index=self.exec_index,
             at_ns=executor.clock.now_ns,

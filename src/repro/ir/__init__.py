@@ -60,7 +60,6 @@ from repro.ir.values import (
     User,
     Value,
     ZeroInitializer,
-    const_i8,
     const_i32,
     const_i64,
     const_int,
@@ -81,7 +80,7 @@ __all__ = [
     "Type", "VoidType", "int_type", "pointer_type",
     "Argument", "Constant", "ConstantData", "ConstantInt", "ConstantNull",
     "GlobalValue", "GlobalVariable", "UndefValue", "Use", "User", "Value",
-    "ZeroInitializer", "const_i8", "const_i32", "const_i64", "const_int",
+    "ZeroInitializer", "const_i32", "const_i64", "const_int",
     "null_ptr",
     "IRParseError", "parse_module",
     "VerificationError", "verify_module",

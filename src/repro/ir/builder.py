@@ -28,7 +28,7 @@ from repro.ir.instructions import (
     Unreachable,
 )
 from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.types import IntType, PointerType, Type, int_type
+from repro.ir.types import IntType, Type, int_type
 from repro.ir.values import ConstantInt, Value
 
 
@@ -146,14 +146,6 @@ class IRBuilder:
         """GEP to a struct field: ``getelementptr %T, ptr, 0, field``."""
         return self.gep(base, [self.i64(0), self.i32(field_index)], name)
 
-    def array_gep(self, base: Value, index: Value, name: str = "") -> Value:
-        """GEP to an array element through a pointer-to-array."""
-        return self.gep(base, [self.i64(0), index], name)
-
-    def elem_ptr(self, base: Value, index: Value, name: str = "") -> Value:
-        """Pointer arithmetic: ``base + index`` scaled by pointee size."""
-        return self.gep(base, [index], name)
-
     # -- casts --------------------------------------------------------
 
     def cast(self, op: str, value: Value, to_type: Type, name: str = "") -> Value:
@@ -222,8 +214,3 @@ class IRBuilder:
 
     def append_block(self, name: str = "") -> BasicBlock:
         return self.function.append_block(name)
-
-    def ensure_pointer(self, value: Value) -> Value:
-        if not isinstance(value.type, PointerType):
-            raise TypeError(f"expected pointer, got {value.type}")
-        return value

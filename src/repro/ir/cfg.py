@@ -59,22 +59,6 @@ def _cached(function: Function, key: str, compute: Callable[[Function], object])
     return result
 
 
-def invalidate(function: Function) -> None:
-    """Explicitly drop cached CFG facts for *function*.
-
-    Equivalent to :meth:`Function.invalidate_cfg`.  All built-in
-    mutation paths — block insertion/removal (including
-    :meth:`Function.remove_block`), instruction insertion/removal, and
-    in-place terminator retargeting through the ``Br.target`` /
-    ``CondBr.if_true`` / ``CondBr.if_false`` / ``Switch.default``
-    property setters and :meth:`Switch.retarget_successor` — already
-    bump the epoch; this remains for callers mutating the CFG through
-    some back door (e.g. editing ``Switch.cases`` directly).
-    """
-    function.invalidate_cfg()
-    _CACHE.pop(function, None)
-
-
 # ---------------------------------------------------------------------------
 # basic CFG queries
 # ---------------------------------------------------------------------------

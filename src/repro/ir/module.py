@@ -141,12 +141,6 @@ class Function(GlobalValue):
         self.invalidate_cfg()
         return block
 
-    def insert_block_after(self, existing: BasicBlock, name: str = "") -> BasicBlock:
-        block = BasicBlock(self._unique_block_name(name), self)
-        self.blocks.insert(self.blocks.index(existing) + 1, block)
-        self.invalidate_cfg()
-        return block
-
     def remove_block(self, block: BasicBlock) -> BasicBlock:
         """Detach *block* from this function, bumping the CFG epoch.
 

@@ -29,16 +29,8 @@ class Type:
         return isinstance(self, VoidType)
 
     @property
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
-    @property
     def is_pointer(self) -> bool:
         return isinstance(self, PointerType)
-
-    @property
-    def is_aggregate(self) -> bool:
-        return isinstance(self, (ArrayType, StructType))
 
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__} {self}>"

@@ -310,9 +310,5 @@ def const_i64(value: int) -> ConstantInt:
     return const_int(64, value)
 
 
-def const_i8(value: int) -> ConstantInt:
-    return const_int(8, value)
-
-
 def null_ptr(pointee: Type) -> ConstantNull:
     return ConstantNull(pointer_type(pointee))

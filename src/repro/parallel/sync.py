@@ -22,7 +22,7 @@ Determinism invariants the protocol maintains:
   (:meth:`VirginMap.observe`, the campaigns' own novelty test), AFL's
   "interesting to the fleet" test;
 - **backpressure** — each worker receives at most
-  ``max_imports_per_sync`` inputs per barrier; the surplus stays
+  :data:`MAX_IMPORTS_PER_SYNC` inputs per barrier; the surplus stays
   queued in its outbox (FIFO) for later barriers, so a discovery burst
   delays — never reorders or drops — the exchange.
 
@@ -44,6 +44,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.fuzzing.corpus import QueueEntry, input_hash
 from repro.fuzzing.coverage import VirginMap, sparse_signature
+
+#: Imports one worker receives at one barrier (the backpressure cap).
+MAX_IMPORTS_PER_SYNC = 64
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,14 @@ class SyncStats:
 
 
 class SyncHub:
-    """The orchestrator-side merge point of the sync protocol."""
+    """The orchestrator-side merge point of the sync protocol.
 
-    def __init__(self, n_workers: int, max_imports_per_sync: int = 64,
-                 store=None):
+    Each :meth:`drain` hands a worker at most
+    :data:`MAX_IMPORTS_PER_SYNC` imports; the rest wait in its outbox.
+    """
+
+    def __init__(self, n_workers: int, store=None):
         self.n_workers = n_workers
-        self.max_imports_per_sync = max_imports_per_sync
         self.virgin = VirginMap()
         self.seen_hashes: set[str] = set()
         self.accepted: list[SyncCandidate] = []
@@ -192,7 +197,7 @@ class SyncHub:
         backpressure cap; the remainder stays queued in FIFO order)."""
         outbox = self.outboxes[shard_id]
         batch: list[bytes] = []
-        while outbox and len(batch) < self.max_imports_per_sync:
+        while outbox and len(batch) < MAX_IMPORTS_PER_SYNC:
             batch.append(self._payload(outbox.popleft()))
         self.stats.delivered += len(batch)
         self.stats.deferred += len(outbox)
@@ -211,7 +216,6 @@ class SyncHub:
     def snapshot_state(self) -> dict:
         return {
             "n_workers": self.n_workers,
-            "max_imports_per_sync": self.max_imports_per_sync,
             "virgin": self.virgin.to_sparse(),
             "seen_hashes": sorted(self.seen_hashes),
             "accepted": list(self.accepted),
@@ -222,8 +226,9 @@ class SyncHub:
 
     @classmethod
     def from_state(cls, state: dict, store=None) -> "SyncHub":
-        hub = cls(state["n_workers"], state["max_imports_per_sync"],
-                  store=store)
+        # Snapshots written before the import cap became a constant
+        # also hold "max_imports_per_sync" (always 64); it is ignored.
+        hub = cls(state["n_workers"], store=store)
         virgin = state["virgin"]
         # Checkpoints written before the hub's map went sparse hold all
         # of it (65,536 bytes, never a whole number of 3-byte cells).

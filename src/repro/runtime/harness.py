@@ -50,6 +50,8 @@ from repro.vm.libc import NATIVE_BASE_COST
 #: zero-cost" overhead.
 HOOK_OVERHEAD_NS = 6
 
+#: Where every mechanism writes the test case, and the path its argv
+#: names.
 DEFAULT_INPUT_PATH = "/fuzz/input"
 
 
@@ -99,7 +101,6 @@ def call_target(
 class HarnessConfig:
     """Tunables for one harness instance."""
 
-    input_path: str = DEFAULT_INPUT_PATH
     instruction_limit: int = 2_000_000       # per test case (hang detection)
     heap_budget: int = 64 << 20
     max_open_files: int | None = None
@@ -248,10 +249,10 @@ class ClosureXHarness:
         self.vm.load()
         if charge_load:
             self.vm.charge(self.vm.load_cost)
-        if not self.fs.exists(config.input_path):
-            self.fs.write_file(config.input_path, b"")
+        if not self.fs.exists(DEFAULT_INPUT_PATH):
+            self.fs.write_file(DEFAULT_INPUT_PATH, b"")
         self._argc, self._argv = self.vm.setup_argv(
-            [self.module.name, config.input_path]
+            [self.module.name, DEFAULT_INPUT_PATH]
         )
         self._target_main = self.module.get_function(TARGET_MAIN)
 
@@ -280,7 +281,7 @@ class ClosureXHarness:
             raise RuntimeError("harness not booted")
         vm = self.vm
         config = self.config
-        self.fs.write_file(config.input_path, data)
+        self.fs.write_file(DEFAULT_INPUT_PATH, data)
         vm.instruction_limit = vm.instructions_executed + config.instruction_limit
         # The fuzzer clears the shared coverage map before each run, as
         # AFL++ does; the time this takes is part of dispatch_ns.  The

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.ir.module import Module
 from repro.passes.rename_main import TARGET_MAIN
 from repro.runtime.harness import (
+    DEFAULT_INPUT_PATH,
     ClosureXHarness,
     HarnessConfig,
     IterationResult,
@@ -156,7 +157,7 @@ def replay(
         if pollution:
             raise ValueError("pollution needs a ClosureX build with target_main")
         fs = VirtualFS()
-        fs.write_file(config.input_path, data)
+        fs.write_file(DEFAULT_INPUT_PATH, data)
         vm = VM(module, fs=fs, heap_budget=config.heap_budget,
                 max_open_files=config.max_open_files)
         vm.load()
@@ -165,7 +166,7 @@ def replay(
             vm.boot_time = boot_time
         vm.instruction_limit = config.instruction_limit
         vm.trace_edges = trace
-        argc, argv = vm.setup_argv([module.name, config.input_path])
+        argc, argv = vm.setup_argv([module.name, DEFAULT_INPUT_PATH])
         iteration = IterationResult(*call_target(
             vm, module.get_function("main"), [argc, argv]))
         iteration.instructions = vm.instructions_executed

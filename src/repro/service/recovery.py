@@ -40,18 +40,18 @@ __all__ = [
 class JobJournal:
     """Append-only fsynced lifecycle journal (see module docstring).
 
-    A thin wrapper over :class:`repro.store.AppendLog` pinned to the
-    journal's protocol: every append is fsynced before it returns
+    A thin wrapper over :class:`repro.store.AppendLog`, which fsyncs
+    every append before it returns, as the journal's protocol needs
     (journal-before-ack).
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._log = AppendLog(path, fsync_every=1)
+        self._log = AppendLog(path)
 
     def append(self, record: dict) -> None:
         """Durably append one lifecycle record."""
-        self._log.append(record, sync=True)
+        self._log.append(record)
 
     def read(self) -> list[dict]:
         """All records (empty if absent); a torn tail is dropped, the

@@ -28,6 +28,10 @@ from dataclasses import dataclass, field
 from repro.execution import MECHANISMS
 from repro.targets import target_names
 
+#: The back-off hint, in ms, that a ``QUEUE_FULL`` or ``QUOTA_EXCEEDED``
+#: rejection carries.
+RETRY_AFTER_MS = 500
+
 
 class JobState(enum.Enum):
     """Lifecycle of one job inside the service."""
@@ -180,13 +184,11 @@ class JobScheduler:
     ``None``).
     """
 
-    def __init__(self, max_queued: int, faults=None,
-                 retry_after_ms: int = 500):
+    def __init__(self, max_queued: int, faults=None):
         if max_queued < 1:
             raise ValueError("max_queued must be >= 1")
         self.max_queued = max_queued
         self.faults = faults
-        self.retry_after_ms = retry_after_ms
         self.jobs: dict[str, JobRecord] = {}
         self.queue = None              # asyncio.Queue, set via bind()
         self._next_seq = 1
@@ -237,7 +239,7 @@ class JobScheduler:
         """The queue-bound admission gate (raises :class:`QueueFull`)."""
         depth = self.backlog()
         if depth >= self.max_queued:
-            raise QueueFull(depth, self.retry_after_ms)
+            raise QueueFull(depth, RETRY_AFTER_MS)
 
     # -- dispatch --------------------------------------------------------
 

@@ -31,7 +31,7 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.chaos.plan import FaultInjector, FaultPlan
-from repro.service import protocol
+from repro.service import protocol, scheduler
 from repro.service.protocol import (
     ProtocolError,
     ServiceError,
@@ -55,16 +55,19 @@ from repro.telemetry import (
     build_telemetry,
 )
 
+#: Wall-clock seconds between reconcile passes that re-enqueue lost
+#: dispatches (chaos ``queue-drop``).
+RECONCILE_S = 0.1
+
 
 @dataclass
 class ServicePolicy:
-    """The worker pool's robustness knobs (failure ladder + cadence)."""
+    """The worker pool's robustness knobs (failure ladder + cadence);
+    the ladder's backoff is fixed by :mod:`repro.service.worker_pool`."""
 
     slice_ns: int = 2_000_000          # virtual ns per cooperative slice
     checkpoint_every_slices: int = 2   # slice cadence of durable ckpts
     watchdog_s: float = 30.0           # wall-clock deadline per slice
-    backoff_base_s: float = 0.02       # ladder backoff: base * 2**strikes
-    backoff_cap_s: float = 0.5         # ... capped here
     restart_step_limit: int = 2        # strikes handled by rung 1
     max_respawns: int = 1              # rung-2 budget before quarantine
 
@@ -80,8 +83,6 @@ class ServiceConfig:
     max_queued: int = 8                 # backlog bound (backpressure)
     default_quota_ns: int = 2_000_000_000
     tenant_quotas: dict[str, int] = field(default_factory=dict)
-    retry_after_ms: int = 500
-    reconcile_s: float = 0.1            # queue-drop healing cadence
     chaos_plan: FaultPlan | None = None  # service-plane fault schedule
     trace_path: str | None = None       # JSONL trace of service events
     policy: ServicePolicy = field(default_factory=ServicePolicy)
@@ -115,10 +116,7 @@ class FuzzService:
         self.ledger = QuotaLedger(
             config.default_quota_ns, config.tenant_quotas
         )
-        self.scheduler = JobScheduler(
-            config.max_queued, faults=self.faults,
-            retry_after_ms=config.retry_after_ms,
-        )
+        self.scheduler = JobScheduler(config.max_queued, faults=self.faults)
         self.pool = WorkerPool(self)
         self.draining = False
         self.recovered_jobs = 0
@@ -258,7 +256,7 @@ class FuzzService:
     async def _reconcile_loop(self) -> None:
         """Periodically heal lost dispatches (chaos ``queue-drop``)."""
         while True:
-            await asyncio.sleep(self.config.reconcile_s)
+            await asyncio.sleep(RECONCILE_S)
             recovered = self.scheduler.reconcile()
             if recovered:
                 self.note_event(
@@ -430,7 +428,7 @@ class FuzzService:
             self.note_tenant(spec.tenant, "rejected_quota")
             raise ServiceError(
                 protocol.QUOTA_EXCEEDED, str(error),
-                retry_after_ms=self.config.retry_after_ms,
+                retry_after_ms=scheduler.RETRY_AFTER_MS,
             )
         # The durability point: fsynced before the client hears "yes".
         self.state.journal.append({

@@ -48,6 +48,11 @@ from repro.parallel import (
 from repro.service.recovery import poll_checkpoint_tear
 from repro.service.scheduler import JobRecord, JobState
 
+#: Wall-clock backoff between ladder rungs, in seconds: the base doubles
+#: per strike up to the cap.
+BACKOFF_BASE_S = 0.02
+BACKOFF_CAP_S = 0.5
+
 
 class StepFailure(RuntimeError):
     """One failed drive attempt (wedge, watchdog, infrastructure)."""
@@ -170,11 +175,7 @@ class WorkerPool:
                 return
 
     async def _backoff(self, strikes: int) -> None:
-        policy = self.service.config.policy
-        delay_s = min(
-            policy.backoff_base_s * (2 ** (strikes - 1)),
-            policy.backoff_cap_s,
-        )
+        delay_s = min(BACKOFF_BASE_S * (2 ** (strikes - 1)), BACKOFF_CAP_S)
         await asyncio.sleep(delay_s)
 
     def _poll_wedge(self) -> None:

@@ -85,19 +85,21 @@ class KernelStats:
 
 
 class Kernel:
-    """Process lifecycle + time accounting for one simulated machine."""
+    """Process lifecycle + time accounting for one simulated machine.
 
-    def __init__(self, costs: CostModel | None = None,
-                 clock: VirtualClock | None = None,
-                 tracer: Tracer | None = None,
-                 faults=None):
+    A kernel starts on its own clock at 0 ns, with the null tracer and
+    no fault injector; an executor's ``attach_telemetry`` and
+    ``attach_faults`` set ``tracer`` and ``faults``.
+    """
+
+    def __init__(self, costs: CostModel | None = None):
         self.costs = costs if costs is not None else DEFAULT_COSTS
-        self.clock = clock if clock is not None else VirtualClock()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.clock = VirtualClock()
+        self.tracer: Tracer = NULL_TRACER
         # Optional chaos hook (duck-typed: ``faults.poll(site)`` returns
         # an exception instance to raise, or None).  The kernel never
         # imports repro.chaos — the injection plane stays above it.
-        self.faults = faults
+        self.faults = None
         self.stats = KernelStats()
         # Running processes only: reaping one drops its record.
         self.processes: dict[int, ProcessRecord] = {}

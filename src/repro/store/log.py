@@ -6,10 +6,9 @@ per-owner reference logs — shares one durability story:
 
 - records are **canonical JSON** (sorted keys, no whitespace), one per
   line, so stream bytes are a pure function of the record sequence;
-- each append is flushed (a death of *this* process loses nothing) and
-  fsynced on a configurable cadence, with ``sync=True`` forcing the
-  barrier for records whose durability is part of a protocol (e.g. the
-  service's journal-before-ack rule);
+- each append is flushed and fsynced before it returns, so a record
+  survives the death of this process and of the machine (the
+  service's journal-before-ack rule relies on it);
 - a **torn tail** — a partial final line left by a crash or ``ENOSPC``
   mid-append — is *expected* damage: readers keep the valid prefix and
   drop the tail, and the next append repairs the file by truncating
@@ -56,33 +55,25 @@ class LogDamage:
 class AppendLog:
     """One torn-tail-tolerant JSONL stream (see module docstring).
 
-    ``fsync_every`` batches the per-append barrier exactly like the
-    experiment store always did: every append is flushed, the fsync is
-    paid once per *fsync_every* appends, and ``append(..., sync=True)``
-    forces it for protocol-critical records.
+    Every append is flushed and fsynced before it returns.
     """
 
-    def __init__(self, path: str, fsync_every: int = 1, faults=None):
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
+    def __init__(self, path: str, faults=None):
         self.path = os.fspath(path)
-        self.fsync_every = fsync_every
         self.faults = faults
-        self._pending = 0
         self._tail_checked = False
         os.makedirs(os.path.dirname(os.path.abspath(self.path)),
                     exist_ok=True)
 
     # -- writes ----------------------------------------------------------
 
-    def append(self, record: dict, sync: bool = False) -> None:
-        """Append one record, flushed always, fsynced on cadence or when
-        *sync* is set.  A failed append (injected or real) may leave a
-        torn tail; the next successful append repairs it first."""
+    def append(self, record: dict) -> None:
+        """Append one record, flushed and fsynced.  A failed append
+        (injected or real) may leave a torn tail; the next successful
+        append repairs it first."""
         if not self._tail_checked:
             self.repair_tail()
         line = (canonical_line(record) + "\n").encode("utf-8")
-        barrier = sync or self._pending + 1 >= self.fsync_every
         with open(self.path, "ab") as handle:
             fault = _poll(self.faults, "torn-write")
             if fault is not None:
@@ -101,22 +92,6 @@ class AppendLog:
                 )
             handle.write(line)
             handle.flush()
-            if barrier:
-                fault = _poll(self.faults, "eio-fsync")
-                if fault is not None:
-                    raise OSError(
-                        errno.EIO, "Input/output error in fsync (chaos)",
-                        self.path,
-                    )
-                os.fsync(handle.fileno())
-        self._pending = 0 if barrier else self._pending + 1
-
-    def sync(self) -> None:
-        """Force the disk barrier now (no-op when nothing is pending)."""
-        if not self._pending or not os.path.exists(self.path):
-            self._pending = 0
-            return
-        with open(self.path, "ab") as handle:
             fault = _poll(self.faults, "eio-fsync")
             if fault is not None:
                 raise OSError(
@@ -124,7 +99,6 @@ class AppendLog:
                     self.path,
                 )
             os.fsync(handle.fileno())
-        self._pending = 0
 
     def repair_tail(self) -> int:
         """Truncate a torn trailing segment back to the last newline,
@@ -148,7 +122,6 @@ class AppendLog:
             canonical_line(record) + "\n" for record in records
         ).encode("utf-8")
         atomic_write(self.path, body, faults=self.faults)
-        self._pending = 0
         self._tail_checked = True
 
     # -- reads -----------------------------------------------------------

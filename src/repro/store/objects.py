@@ -82,16 +82,14 @@ class CorpusStore:
     """Filesystem-backed content-addressed object store (see module
     docstring for layout and contracts).
 
-    ``replicate=False`` drops the mirror copy — half the disk, but
-    scrub can then only quarantine, never repair.  All writes go
-    through :func:`repro.store.io.atomic_write`, so the store inherits
-    the full durability stack and the disk-fault chaos seam.
+    Every object is mirrored, so scrub can repair rot in either copy
+    from the other.  All writes go through
+    :func:`repro.store.io.atomic_write`, so the store inherits the full
+    durability stack and the disk-fault chaos seam.
     """
 
-    def __init__(self, root: str, replicate: bool = True, faults=None,
-                 telemetry=NULL_TELEMETRY):
+    def __init__(self, root: str, faults=None, telemetry=NULL_TELEMETRY):
         self.root = os.fspath(root)
-        self.replicate = replicate
         self.faults = faults
         self.telemetry = telemetry
         self.objects_dir = os.path.join(self.root, "objects")
@@ -104,10 +102,11 @@ class CorpusStore:
         self._ref_logs: dict[str, AppendLog] = {}
         marker = os.path.join(self.root, STORE_MARKER)
         if not os.path.exists(marker):
+            # "replicate" stays in the schema: every store mirrors.
             atomic_write(
                 marker,
                 json.dumps(
-                    {"schema": STORE_SCHEMA, "replicate": replicate},
+                    {"schema": STORE_SCHEMA, "replicate": True},
                     sort_keys=True,
                 ).encode("utf-8"),
                 faults=faults,
@@ -156,7 +155,7 @@ class CorpusStore:
             atomic_write(path, data, faults=self.faults)
             self._count("store.objects.put")
             self._count("store.objects.bytes", len(data))
-        if self.replicate and not os.path.exists(self.mirror_path(digest)):
+        if not os.path.exists(self.mirror_path(digest)):
             atomic_write(self.mirror_path(digest), data, faults=self.faults)
         if owner is not None:
             self._reference(owner, digest)
@@ -349,7 +348,7 @@ class CorpusStore:
                     self._quarantine(digest)
                     quarantined.append(digest)
                 continue
-            if self.replicate and not self._replica_healthy(digest):
+            if not self._replica_healthy(digest):
                 if repair:
                     atomic_write(self.mirror_path(digest), data,
                                  faults=self.faults)
@@ -405,7 +404,7 @@ class CorpusStore:
             "owners": len(owners),
             "references": ref_total,
             "referenced_objects": len(self.referenced()),
-            "replicate": self.replicate,
+            "replicate": True,
         }
 
 

@@ -26,15 +26,16 @@ from repro.telemetry.tracer import (
 
 @dataclass
 class TelemetryConfig:
-    """Tunables for one campaign's observability."""
+    """Tunables for one campaign's observability.  The memory sink's
+    depth and the reporter's cadence are constants
+    (:data:`repro.telemetry.tracer.RING_CAPACITY`,
+    :data:`repro.telemetry.reporter.REPORT_INTERVAL_NS`)."""
 
     enabled: bool = False
     sink: str = "null"                  # "null" | "memory" | "jsonl"
     jsonl_path: str | None = None       # required when sink == "jsonl"
-    ring_capacity: int = 65536          # memory sink depth
     profile_vm: bool = False            # per-opcode / per-libc-call counts
     report_dir: str | None = None       # where fuzzer_stats/plot_data land
-    report_interval_ns: int = 5_000_000  # virtual ns between reporter updates
 
 
 class Telemetry:
@@ -85,7 +86,7 @@ def build_telemetry(config: TelemetryConfig | None, clock=None) -> Telemetry:
             raise ValueError("sink='jsonl' requires jsonl_path")
         sink = JSONLSink(config.jsonl_path)
     elif config.sink == "memory":
-        sink = RingBufferSink(config.ring_capacity)
+        sink = RingBufferSink()
     elif config.sink == "null":
         sink = NullSink()
     else:

@@ -10,8 +10,8 @@ on.  ``fuzzer_stats`` is rewritten in place at each update;
 column is monotonically increasing by construction (the virtual clock
 never goes backwards).
 
-The reporter is driven by the campaign loop at a configurable virtual
-interval (``TelemetryConfig.report_interval_ns``); it holds no wall
+The reporter is driven by the campaign loop at a fixed virtual
+interval (:data:`REPORT_INTERVAL_NS`); it holds no wall
 clocks and performs no I/O unless a ``report_dir`` was configured, so
 runs stay bit-for-bit reproducible.
 """
@@ -21,6 +21,9 @@ from __future__ import annotations
 import os
 
 from repro.vm.interpreter import COVERAGE_MAP_SIZE
+
+#: Virtual ns between two reporter updates.
+REPORT_INTERVAL_NS = 5_000_000
 
 PLOT_HEADER = (
     "# relative_time, cycles_done, cur_item, corpus_count, pending_total, "
@@ -53,11 +56,9 @@ def write_stats_files(out_dir: str, stats: dict[str, object],
 class CampaignReporter:
     """Periodic AFL-style stats materialisation for one campaign."""
 
-    def __init__(self, campaign, out_dir: str | None = None,
-                 interval_ns: int = 5_000_000):
+    def __init__(self, campaign, out_dir: str | None = None):
         self.campaign = campaign
         self.out_dir = out_dir
-        self.interval_ns = max(1, interval_ns)
         self.start_ns = campaign.clock.now_ns
         self.updates = 0
         self.plot_rows: list[str] = []
@@ -140,7 +141,7 @@ class CampaignReporter:
         stats = self.collect()
         self.plot_rows.append(self._plot_row(stats))
         self.updates += 1
-        self._next_ns = self.campaign.clock.now_ns + self.interval_ns
+        self._next_ns = self.campaign.clock.now_ns + REPORT_INTERVAL_NS
         if self.out_dir is not None:
             self._write_files(stats)
 

@@ -72,11 +72,15 @@ class NullSink:
         pass
 
 
-class RingBufferSink(NullSink):
-    """Keeps the most recent *capacity* events in memory."""
+#: Events a :class:`RingBufferSink` keeps (the ``memory`` sink's depth).
+RING_CAPACITY = 65536
 
-    def __init__(self, capacity: int = 65536):
-        self.events: deque[TraceEvent] = deque(maxlen=capacity)
+
+class RingBufferSink(NullSink):
+    """Keeps the most recent :data:`RING_CAPACITY` events in memory."""
+
+    def __init__(self):
+        self.events: deque[TraceEvent] = deque(maxlen=RING_CAPACITY)
         self.emitted = 0
 
     def emit(self, event: TraceEvent) -> None:

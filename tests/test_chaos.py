@@ -27,7 +27,7 @@ from repro.execution import (
     ForkServerExecutor,
     FreshProcessExecutor,
     SupervisedExecutor,
-    SupervisionPolicy,
+    supervised,
 )
 from repro.fuzzing import Campaign, CampaignConfig
 from repro.fuzzing.coverage import coverage_signature
@@ -77,11 +77,11 @@ def _module(kind="baseline"):
     return module
 
 
-def _supervised_forkserver(plan=None, policy=None):
+def _supervised_forkserver(plan=None):
     kernel = Kernel()
     inner = ForkServerExecutor(_module(), IMAGE, kernel)
     injector = FaultInjector(plan, clock=kernel.clock) if plan else None
-    executor = SupervisedExecutor(inner, policy=policy, injector=injector)
+    executor = SupervisedExecutor(inner, injector=injector)
     executor.boot()
     return executor
 
@@ -156,7 +156,8 @@ class TestFaultInjector:
 class TestKernelInjection:
     def test_spawn_fault_raises_and_burns_time(self):
         plan = FaultPlan([FaultSpec(FaultSite.SPAWN, 0)])
-        kernel = Kernel(faults=FaultInjector(plan))
+        kernel = Kernel()
+        kernel.faults = FaultInjector(plan)
         with pytest.raises(InjectedFault):
             kernel.spawn("prog", 1_000_000)
         assert kernel.stats.failed_spawns == 1
@@ -167,7 +168,8 @@ class TestKernelInjection:
 
     def test_fork_fault_raises(self):
         plan = FaultPlan([FaultSpec(FaultSite.FORK, 0)])
-        kernel = Kernel(faults=FaultInjector(plan))
+        kernel = Kernel()
+        kernel.faults = FaultInjector(plan)
         parent = kernel.spawn("prog", 1_000_000)
         with pytest.raises(InjectedFault):
             kernel.fork(parent, 1 << 20)
@@ -292,9 +294,9 @@ class TestSupervisedRecovery:
         assert chaotic.supervision.quarantined_inputs == 0
         assert chaotic.stats.execs == clean.stats.execs == len(inputs)
 
-    def test_genuine_hang_quarantine(self):
-        policy = SupervisionPolicy(max_kills_per_input=2)
-        executor = _supervised_forkserver(None, policy)
+    def test_genuine_hang_quarantine(self, monkeypatch):
+        monkeypatch.setattr(supervised, "MAX_KILLS_PER_INPUT", 2)
+        executor = _supervised_forkserver(None)
         executor.exec_instruction_limit = 20_000
         first = executor.run(b"Hang")
         assert first.is_hang
@@ -308,7 +310,7 @@ class TestSupervisedRecovery:
 
 
 class TestDegradationLadder:
-    def _supervised_closurex(self, n_restore_faults, policy):
+    def _supervised_closurex(self, n_restore_faults):
         kernel = Kernel()
         inner = ClosureXExecutor(_module("closurex"), IMAGE, kernel)
         plan = FaultPlan([
@@ -316,7 +318,7 @@ class TestDegradationLadder:
         ])
         injector = FaultInjector(plan, clock=kernel.clock)
         executor = SupervisedExecutor(
-            inner, policy=policy, injector=injector,
+            inner, injector=injector,
             fallback_factory=lambda: ForkServerExecutor(
                 _module(), IMAGE, kernel
             ),
@@ -324,11 +326,10 @@ class TestDegradationLadder:
         executor.boot()
         return executor
 
-    def test_restore_faults_escalate_then_degrade(self):
-        policy = SupervisionPolicy(
-            restore_escalation_threshold=2, degrade_after_escalations=2,
-        )
-        executor = self._supervised_closurex(4, policy)
+    def test_restore_faults_escalate_then_degrade(self, monkeypatch):
+        monkeypatch.setattr(supervised, "RESTORE_ESCALATION_THRESHOLD", 2)
+        monkeypatch.setattr(supervised, "DEGRADE_AFTER_ESCALATIONS", 2)
+        executor = self._supervised_closurex(4)
         assert executor.mechanism == "closurex"
         result = executor.run(b"hello")
         assert result.return_code == 1
@@ -338,9 +339,9 @@ class TestDegradationLadder:
         # Degraded mode keeps serving correct results.
         assert executor.run(b"X boom").is_crash
 
-    def test_below_threshold_restores_in_place(self):
-        policy = SupervisionPolicy(restore_escalation_threshold=3)
-        executor = self._supervised_closurex(1, policy)
+    def test_below_threshold_restores_in_place(self, monkeypatch):
+        monkeypatch.setattr(supervised, "RESTORE_ESCALATION_THRESHOLD", 3)
+        executor = self._supervised_closurex(1)
         result = executor.run(b"hello")
         assert result.return_code == 1
         assert executor.supervision.escalations == 0
@@ -480,20 +481,22 @@ class TestSupervisedStateRoundTrip:
         assert revived.injector.counters == golden.injector.counters
         assert revived.injector.armed == golden.injector.armed
 
-    def test_round_trip_preserves_quarantine_and_degradation(self):
+    def test_round_trip_preserves_quarantine_and_degradation(
+        self, monkeypatch
+    ):
         """Quarantine records and the degraded flag survive the disk
         hop: a quarantined input is replayed, not re-executed, after
         restore."""
         import pickle
 
-        policy = SupervisionPolicy(max_kills_per_input=1)
-        golden = _supervised_forkserver(None, policy)
+        monkeypatch.setattr(supervised, "MAX_KILLS_PER_INPUT", 1)
+        golden = _supervised_forkserver(None)
         golden.exec_instruction_limit = 20_000
         golden.run(b"Hang")                  # killed once -> quarantined
         assert golden.supervision.quarantined_inputs == 1
 
         snapshot = pickle.loads(pickle.dumps(golden.snapshot_state()))
-        revived = _supervised_forkserver(None, policy)
+        revived = _supervised_forkserver(None)
         revived.exec_instruction_limit = 20_000
         revived.restore_state(snapshot)
 
@@ -503,17 +506,17 @@ class TestSupervisedStateRoundTrip:
         assert revived.supervision.quarantined_inputs == 1
         assert revived.run(b"hello").return_code == 1
 
-    def test_resumed_quarantine_keeps_hang_ids(self, tmp_path):
+    def test_resumed_quarantine_keeps_hang_ids(self, tmp_path, monkeypatch):
         """A campaign checkpoint carries each quarantined hang's map with
         its cell list: after a resume, a quarantine hit names the hang
         the uninterrupted campaign named, not a new one."""
-        policy = SupervisionPolicy(max_kills_per_input=1)
+        monkeypatch.setattr(supervised, "MAX_KILLS_PER_INPUT", 1)
         config = CampaignConfig(budget_ns=20_000_000, seed=3,
                                 exec_instruction_limit=20_000)
 
         def executor():
             inner = ForkServerExecutor(_module(), IMAGE, Kernel())
-            return SupervisedExecutor(inner, policy=policy)
+            return SupervisedExecutor(inner)
 
         golden = Campaign(executor(), [b"hello", b"Hang"], config)
         golden.start()                       # the 'Hang' seed is quarantined

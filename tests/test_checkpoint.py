@@ -165,7 +165,7 @@ class TestCheckpointFile:
         path = str(tmp_path / "c.ckpt")
         campaign = _campaign(CampaignConfig(budget_ns=1, seed=1))
         for _ in range(4):
-            save_checkpoint(campaign, path, keep=2)
+            save_checkpoint(campaign, path)
         assert os.path.exists(path)
         assert os.path.exists(path + ".1")
         assert not os.path.exists(path + ".2")

@@ -5,12 +5,17 @@ docs/ link to them as the canonical snippets) and a program; this
 module runs each one in a subprocess exactly as the README tells a
 user to, and asserts it exits cleanly.  A doc snippet that stops
 working therefore fails CI instead of silently misleading readers.
+The "Fixed, not tunable" tables of docs/tuning.md are checked against
+the constants they name the same way.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -18,6 +23,7 @@ import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples"
+TUNING = REPO / "docs" / "tuning.md"
 
 #: script -> argv tail (sized down where the script takes a budget).
 RUNNABLE = {
@@ -78,3 +84,33 @@ def test_readme_quickstart_cli_digest_is_stable():
     digest = [line for line in first.stdout.splitlines()
               if line.startswith("digest:")]
     assert digest, first.stdout
+
+
+def _fixed_constants():
+    """``(module, constant, value)`` for each row of the tables that
+    follow a paragraph opening "Fixed, not tunable".  The paragraph
+    names the module; a row's constant may add submodules to it
+    (``sync.MAX_IMPORTS_PER_SYNC``)."""
+    blocks = TUNING.read_text(encoding="utf-8").split("\n\n")
+    for intro, table in zip(blocks, blocks[1:]):
+        if not intro.startswith("Fixed, not tunable"):
+            continue
+        module = re.search(r"`(repro(?:\.\w+)+)`", intro).group(1)
+        lines = table.strip().splitlines()
+        assert lines[0].replace(" ", "") == "|constant|value|effect|", intro
+        for row in lines[2:]:
+            constant, value = (
+                cell.strip().strip("`") for cell in row.split("|")[1:3]
+            )
+            yield module, constant, value
+
+
+def test_tuning_doc_fixed_constants_match_the_code():
+    """Every constant a "Fixed, not tunable" table documents has the
+    documented value, so changing one fails until the doc follows."""
+    rows = list(_fixed_constants())
+    assert rows
+    for module, constant, value in rows:
+        path, _, name = f"{module}.{constant}".rpartition(".")
+        actual = getattr(importlib.import_module(path), name)
+        assert actual == ast.literal_eval(value), (path, name, actual)

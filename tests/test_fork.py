@@ -16,6 +16,7 @@ from repro.execution import ForkServerExecutor
 from repro.fuzzing.mutators import HavocMutator
 from repro.minic import compile_c
 from repro.passes import PassManager, baseline_passes
+from repro.runtime import DEFAULT_INPUT_PATH
 from repro.sim_os import Kernel
 from repro.targets import get_target
 from repro.vm import VM
@@ -101,7 +102,7 @@ def test_child_equals_a_freshly_loaded_process(name):
     child = parent.fork()
     fresh = VM(module, fs=executor.fs)
     fresh.load()
-    argc, argv = fresh.setup_argv([module.name, executor.input_path])
+    argc, argv = fresh.setup_argv([module.name, DEFAULT_INPUT_PATH])
     assert executor.main_args == [argc, argv]
     assert process(child) == process(fresh)
     assert image(parent) == parked

@@ -200,18 +200,18 @@ class TestClassifyOnce:
         from repro.execution import (
             ClosureXExecutor,
             SupervisedExecutor,
-            SupervisionPolicy,
+            supervised,
         )
         from repro.fuzzing import coverage
         from repro.minic import compile_c
         from repro.passes import PassManager, closurex_passes
         from repro.sim_os import Kernel
 
+        monkeypatch.setattr(supervised, "MAX_RETRIES", 1)
         module = compile_c(ONCE_SOURCE, "classify-once")
         PassManager(closurex_passes(11)).run(module)
         executor = SupervisedExecutor(
             ClosureXExecutor(module, 400_000, Kernel()),
-            policy=SupervisionPolicy(max_retries=1),
         )
         campaign = Campaign(executor, [b"hello, world"], CampaignConfig(
             budget_ns=10_000_000_000, seed=1,

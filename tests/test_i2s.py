@@ -171,9 +171,10 @@ class TestCmpObserver:
         executor.shutdown()
         assert observer.records == []
 
-    def test_record_limit_caps_collection(self):
+    def test_record_limit_caps_collection(self, monkeypatch):
+        monkeypatch.setattr("repro.fuzzing.i2s.MAX_RECORDS_PER_EXEC", 2)
         executor = _executor()
-        executor.attach_cmp_observer(observer := CmpObserver(limit=2))
+        executor.attach_cmp_observer(observer := CmpObserver())
         executor.boot()
         observer.begin()
         executor.run(b"\x00\x00\x00\x00guarded!")
@@ -207,8 +208,9 @@ class TestCmpObserver:
 
 
 class TestAutoDictionary:
-    def test_rejects_single_byte_and_oversized_tokens(self):
-        d = AutoDictionary(max_token_len=4)
+    def test_rejects_single_byte_and_oversized_tokens(self, monkeypatch):
+        monkeypatch.setattr("repro.fuzzing.i2s.DICT_TOKEN_MAX_LEN", 4)
+        d = AutoDictionary()
         assert not d.add(b"x")
         assert not d.add(b"12345")
         assert d.add(b"ab")
@@ -245,8 +247,9 @@ class TestAutoDictionary:
         assert held == [b"new", b"tokens"]
         assert not d.add(b"new")        # dedup set restored too
 
-    def test_token_cap(self):
-        d = AutoDictionary(max_tokens=2)
+    def test_token_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.fuzzing.i2s.DICT_TOKENS", 2)
+        d = AutoDictionary()
         assert d.add(b"aa") and d.add(b"bb")
         assert not d.add(b"cc")
 

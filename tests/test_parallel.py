@@ -136,8 +136,9 @@ class TestSyncHub:
         assert hub.stats.accepted == 0
         assert hub.stats.duplicates == 1
 
-    def test_backpressure_cap_and_fifo_order(self):
-        hub = SyncHub(2, max_imports_per_sync=2)
+    def test_backpressure_cap_and_fifo_order(self, monkeypatch):
+        monkeypatch.setattr("repro.parallel.sync.MAX_IMPORTS_PER_SYNC", 2)
+        hub = SyncHub(2)
         cands = [
             _candidate(0, i, bytes([i]), {i: 1}) for i in range(5)
         ]
@@ -157,13 +158,15 @@ class TestSyncHub:
         assert hub.drain(1) == [b"a"]
 
     def test_snapshot_roundtrip(self):
-        hub = SyncHub(2, max_imports_per_sync=3)
+        hub = SyncHub(2)
         hub.register_seeds([b"seed"])
         hub.ingest([_report(0, [_candidate(0, 0, b"a", {5: 1})])])
-        clone = SyncHub.from_state(hub.snapshot_state())
+        state = hub.snapshot_state()
+        assert "max_imports_per_sync" not in state
+        # A snapshot from when the import cap was a parameter names it.
+        clone = SyncHub.from_state(dict(state, max_imports_per_sync=3))
         assert clone.seen_hashes == hub.seen_hashes
         assert clone.corpus_hashes() == hub.corpus_hashes()
-        assert clone.max_imports_per_sync == 3
         assert [list(b) for b in clone.outboxes] == [
             list(b) for b in hub.outboxes
         ]

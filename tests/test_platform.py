@@ -146,46 +146,11 @@ class TestStore:
         assert kept == 2
         assert [r["k"] for r in store.read("t1")] == [1, 2]
 
-    def test_fsync_every_batches_barriers_but_always_flushes(self, tmp_path):
-        """Satellite: ``fsync_every=N`` batches the expensive disk
-        barrier; every record is still *flushed* (visible to a reader)
-        immediately, and a ``final`` record forces the barrier."""
-        store = ResultsStore(str(tmp_path / "store"), fsync_every=3)
-        store.append("t1", {"kind": "sample", "k": 1, "clock_ns": 1})
-        store.append("t1", {"kind": "sample", "k": 2, "clock_ns": 2})
-        # Records are readable before any barrier fired.
-        assert [r["k"] for r in store.read("t1")] == [1, 2]
-        assert store._unsynced["t1"] == 2
-        store.append("t1", {"kind": "sample", "k": 3, "clock_ns": 3})
-        assert store._unsynced["t1"] == 0     # cadence barrier fired
-        store.append("t1", {"kind": "sample", "k": 4, "clock_ns": 4})
-        store.append("t1", {"kind": "final", "execs": 4})
-        assert store._unsynced["t1"] == 0     # final forces the barrier
-        assert store.completed("t1")
-
-    def test_fsync_every_validation_and_default(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultsStore(str(tmp_path / "bad"), fsync_every=0)
-        # Default preserves the original guarantee: barrier per record.
-        store = ResultsStore(str(tmp_path / "store"))
-        store.append("t1", {"kind": "sample", "k": 1})
-        assert store._unsynced["t1"] == 0
-
-    def test_sync_forces_pending_barrier(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "store"), fsync_every=10)
-        store.append("t1", {"kind": "sample", "k": 1})
-        assert store._unsynced["t1"] == 1
-        store.sync("t1")
-        assert store._unsynced["t1"] == 0
-        store.sync("t1")                      # no-op when clean
-        store.sync("missing")                 # unknown trial: no-op
-
     def test_torn_tail_after_batched_writes_resumes_cleanly(self, tmp_path):
-        """Satellite acceptance: a torn tail after a run of batched
-        (flushed-not-yet-fsynced) appends drops only the torn line; the
-        valid prefix stays consistent and truncate_after realigns it
-        exactly as with per-record fsync."""
-        store = ResultsStore(str(tmp_path / "store"), fsync_every=4)
+        """A torn tail after a run of appends drops only the torn line;
+        the valid prefix stays consistent and truncate_after realigns
+        it."""
+        store = ResultsStore(str(tmp_path / "store"))
         for k in range(1, 6):
             store.append(
                 "t1", {"kind": "sample", "k": k, "clock_ns": k * 10}
@@ -195,18 +160,18 @@ class TestStore:
         assert [r["k"] for r in store.read("t1")] == [1, 2, 3, 4, 5]
         kept = store.truncate_after("t1", 30)
         assert kept == 3
-        assert not store._unsynced.get("t1")   # batch state realigned
         # The stream keeps working after the realign.
         store.append("t1", {"kind": "sample", "k": 7, "clock_ns": 40})
         assert [r["k"] for r in store.read("t1")] == [1, 2, 3, 7]
 
     def test_reset_trial_clears_batch_state(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "store"), fsync_every=5)
+        """A reset trial's stream is gone and starts again empty."""
+        store = ResultsStore(str(tmp_path / "store"))
         store.append("t1", {"kind": "sample", "k": 1})
-        assert store._unsynced["t1"] == 1
         store.reset_trial("t1")
-        assert "t1" not in store._unsynced
         assert store.read("t1") == []
+        store.append("t1", {"kind": "sample", "k": 2})
+        assert [r["k"] for r in store.read("t1")] == [2]
 
     def test_bind_spec_rejects_mismatch(self, tmp_path):
         store = ResultsStore(str(tmp_path / "store"))

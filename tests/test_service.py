@@ -57,13 +57,17 @@ def direct_digest(target: str, seed: int, budget_ns: int) -> str:
     return campaign.state_digest()
 
 
+@pytest.fixture(autouse=True)
+def fast_ladder(monkeypatch):
+    """Millisecond ladder backoff and reconcile passes for in-process
+    servers (a served subprocess keeps the module's constants)."""
+    monkeypatch.setattr("repro.service.worker_pool.BACKOFF_BASE_S", 0.001)
+    monkeypatch.setattr("repro.service.worker_pool.BACKOFF_CAP_S", 0.01)
+    monkeypatch.setattr("repro.service.server.RECONCILE_S", 0.05)
+
+
 def fast_policy(**overrides) -> ServicePolicy:
-    defaults = dict(
-        slice_ns=1_000_000,
-        checkpoint_every_slices=2,
-        backoff_base_s=0.001,
-        backoff_cap_s=0.01,
-    )
+    defaults = dict(slice_ns=1_000_000, checkpoint_every_slices=2)
     defaults.update(overrides)
     return ServicePolicy(**defaults)
 
@@ -71,7 +75,6 @@ def fast_policy(**overrides) -> ServicePolicy:
 async def start_service(state_dir, **config_overrides):
     config_kwargs = dict(
         state_dir=str(state_dir), workers=2, policy=fast_policy(),
-        reconcile_s=0.05,
     )
     config_kwargs.update(config_overrides)
     service = FuzzService(ServiceConfig(**config_kwargs))
@@ -255,13 +258,14 @@ def test_service_multi_tenant_accounting_and_quota_rejection(tmp_path):
     assert by_tenant["big"]["quota_ns"] == 50_000_000
 
 
-def test_service_queue_full_backpressure(tmp_path):
+def test_service_queue_full_backpressure(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.service.scheduler.RETRY_AFTER_MS", 123)
+
     async def main():
         # No workers: the first job sits in the queue, making the
         # bound deterministic rather than a race with completion.
-        service, task = await start_service(
-            tmp_path, workers=0, max_queued=1, retry_after_ms=123,
-        )
+        service, task = await start_service(tmp_path, workers=0,
+                                            max_queued=1)
         client = await ServiceClient.connect(*service.endpoint)
         await client.call("submit", {
             "tenant": "t", "target": "md4c", "budget_ns": 6_000_000,

@@ -311,7 +311,8 @@ class TestForkserverChannel:
             channel.fork_roundtrip(1)
 
     def test_injected_drop_severs_handshake(self):
-        kernel = Kernel(faults=_OneShotPipeFault(at_occurrence=0))
+        kernel = Kernel()
+        kernel.faults = _OneShotPipeFault(at_occurrence=0)
         channel = ForkserverChannel(kernel)
         with pytest.raises(PipeBroken):
             channel.handshake()
@@ -321,7 +322,8 @@ class TestForkserverChannel:
         assert kernel.clock.now_ns == kernel.costs.pipe_handshake_ns
 
     def test_injected_drop_severs_roundtrip(self):
-        kernel = Kernel(faults=_OneShotPipeFault(at_occurrence=1))
+        kernel = Kernel()
+        kernel.faults = _OneShotPipeFault(at_occurrence=1)
         channel = ForkserverChannel(kernel)
         channel.handshake()
         with pytest.raises(PipeBroken):
@@ -329,7 +331,8 @@ class TestForkserverChannel:
         assert not channel.established
 
     def test_reset_gives_fresh_pipes_for_respawn(self):
-        kernel = Kernel(faults=_OneShotPipeFault(at_occurrence=0))
+        kernel = Kernel()
+        kernel.faults = _OneShotPipeFault(at_occurrence=0)
         channel = ForkserverChannel(kernel)
         with pytest.raises(PipeBroken):
             channel.handshake()

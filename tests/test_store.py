@@ -303,19 +303,22 @@ class TestAppendLog:
         assert exc.value.line_number == 2
         assert f"byte offset {offset}" in str(exc.value)
 
-    def test_fsync_batching(self, tmp_path):
-        log = AppendLog(str(tmp_path / "s.jsonl"), fsync_every=3)
-        log.append({"n": 1})
-        log.append({"n": 2})
-        assert log._pending == 2
-        log.append({"n": 3})             # the cadence barrier
-        assert log._pending == 0
-        log.append({"n": 4})
-        log.append({"n": 5}, sync=True)  # the forced barrier
-        assert log._pending == 0
-        log.append({"n": 6})
-        log.sync()
-        assert log._pending == 0
+    def test_every_append_fsyncs(self, tmp_path):
+        """N appends through a bare log, a results-store trial stream
+        and the service journal each take N fsync barriers."""
+        appends = 5
+        results = ResultsStore(str(tmp_path / "results"))
+        streams = {
+            "log": AppendLog(str(tmp_path / "s.jsonl")).append,
+            "results": lambda record: results.append("t1", record),
+            "journal": JobJournal(str(tmp_path / "journal.jsonl")).append,
+        }
+        for name, append in streams.items():
+            probe = FaultInjector(FaultPlan([]))  # counts polls, never fires
+            with disk_chaos(probe):
+                for n in range(appends):
+                    append({"kind": "sample", "n": n})
+            assert probe.counters.get("eio-fsync", 0) == appends, name
 
     def test_injected_tear_then_resume(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
@@ -359,7 +362,7 @@ class TestCheckpointDiagnostics:
         path = str(tmp_path / "c.ckpt")
         campaign = _campaign(CampaignConfig(budget_ns=1, seed=1))
         for _ in range(3):
-            save_checkpoint(campaign, path, keep=2)
+            save_checkpoint(campaign, path)
         assert os.path.exists(path) and os.path.exists(path + ".1")
         assert not any(is_temp_artifact(n) for n in os.listdir(tmp_path))
 
@@ -695,8 +698,8 @@ class TestFsck:
         tree = str(tmp_path)
         ckpt = os.path.join(tree, "campaign.ckpt")
         campaign = _campaign(CampaignConfig(budget_ns=1, seed=1))
-        save_checkpoint(campaign, ckpt, keep=2)
-        save_checkpoint(campaign, ckpt, keep=2)
+        save_checkpoint(campaign, ckpt)
+        save_checkpoint(campaign, ckpt)
         _flip_byte(ckpt)                       # live gen rots; .1 loadable
         log = AppendLog(os.path.join(tree, "journal.jsonl"))
         log.append({"n": 1})

@@ -130,8 +130,9 @@ class TestTracer:
         assert event.dur_ns == 400
         assert event.attrs["entry"] == 3
 
-    def test_ring_buffer_caps_capacity(self):
-        sink = RingBufferSink(capacity=4)
+    def test_ring_buffer_caps_capacity(self, monkeypatch):
+        monkeypatch.setattr("repro.telemetry.tracer.RING_CAPACITY", 4)
+        sink = RingBufferSink()
         tracer = Tracer(VirtualClock(), sink)
         for i in range(10):
             tracer.event("e", i=i)
@@ -296,11 +297,15 @@ class TestReporter:
         out_dir = str(tmp_path / f"out{seed}")
         campaign = _campaign(
             TelemetryConfig(enabled=True, sink="memory",
-                            report_dir=out_dir,
-                            report_interval_ns=500_000),
+                            report_dir=out_dir),
             seed=seed,
         )
-        result = campaign.run()
+        with pytest.MonkeyPatch.context() as patch:
+            # A report every 0.5 virtual ms: a short run plots many rows.
+            patch.setattr(
+                "repro.telemetry.reporter.REPORT_INTERVAL_NS", 500_000
+            )
+            result = campaign.run()
         return campaign, result, out_dir
 
     def test_fuzzer_stats_snapshot_is_valid(self, tmp_path):
