@@ -42,7 +42,7 @@ def test_minic_compile_latency(benchmark):
     assert module.instruction_count() > 100
 
 
-def test_closurex_pipeline_latency(benchmark):
+def test_closurex_build_latency(benchmark):
     spec = get_target("giftext")
 
     def build():

@@ -100,14 +100,9 @@ def _dynamic_instructions(module, seeds) -> int:
 
 def optimize_target(spec) -> dict:
     """Optimize one target's ClosureX build; returns the report dict."""
-    from repro.analysis.opt import optimize_module
-
     seeds = tuple(spec.seeds)
     baseline = spec.build_closurex()
-    module = spec.build_closurex()
-    report = optimize_module(
-        module, seeds=seeds, extra_allocators=spec.extra_allocators
-    )
+    module, report = spec.build_optimized()
     dynamic_before = _dynamic_instructions(baseline, seeds)
     dynamic_after = _dynamic_instructions(module, seeds)
     entry = report.to_dict()

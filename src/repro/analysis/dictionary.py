@@ -82,13 +82,18 @@ def _literal_int(value):
     return value if isinstance(value, ConstantInt) else None
 
 
-def mine_dictionary_tokens(module, max_token_len: int = 32) -> list[bytes]:
+def mine_dictionary_tokens(module) -> list[bytes]:
     """Harvest dictionary tokens from every function of *module*.
 
     Returns tokens in deterministic first-seen order (module function
     order, block order, instruction order), deduplicated, each between
-    2 and *max_token_len* bytes.
+    2 and :data:`repro.fuzzing.i2s.DICT_TOKEN_MAX_LEN` bytes.
     """
+    # The dynamic capture's cap, looked up at call time: loading
+    # repro.analysis must not load repro.fuzzing.
+    from repro.fuzzing import i2s
+
+    max_token_len = i2s.DICT_TOKEN_MAX_LEN
     tokens: list[bytes] = []
     seen: set[bytes] = set()
 

@@ -11,6 +11,7 @@ persistent modes.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 
 from repro.runtime.harness import IterationStatus
@@ -25,6 +26,12 @@ DEFAULT_EXEC_INSTRUCTION_LIMIT = 2_000_000
 def classify_trap(trap: VMTrap | None) -> str:
     """Stable label for a trap kind (metrics / trace attributes)."""
     return trap.kind.name.lower() if trap is not None else "none"
+
+
+def input_key(data: bytes) -> str:
+    """The key one input goes by in the supervisor's quarantine and the
+    integrity sentinel's ledger, so both layers name it identically."""
+    return hashlib.sha1(data).hexdigest()[:16]
 
 
 @dataclass

@@ -32,12 +32,11 @@ keep counting raw attempts.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.chaos.faults import InjectedFault
 from repro.chaos.plan import FaultInjector
-from repro.execution.common import ExecResult, Executor
+from repro.execution.common import ExecResult, Executor, input_key
 from repro.integrity.faults import IntegrityFault
 from repro.runtime.harness import IterationStatus
 from repro.sim_os.pipes import PipeBroken
@@ -95,10 +94,6 @@ class QuarantineRecord:
     reason: str
     at_ns: int
     kills: int
-
-
-def _input_key(data: bytes) -> str:
-    return hashlib.sha1(data).hexdigest()[:16]
 
 
 class SupervisedExecutor(Executor):
@@ -202,7 +197,7 @@ class SupervisedExecutor(Executor):
     # -- the supervised run loop ----------------------------------------
 
     def run(self, data: bytes) -> ExecResult:
-        key = _input_key(data)
+        key = input_key(data)
         record = self.quarantine.get(key)
         if record is not None:
             self.supervision.quarantine_hits += 1

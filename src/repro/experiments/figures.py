@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from repro.execution import build_executor
 from repro.experiments.config import ExperimentConfig, paper_scheduler
 from repro.experiments.stats import format_table, median, stddev
-from repro.passes.base import PassManager
 from repro.passes.global_pass import CLOSURE_GLOBAL_SECTION
-from repro.passes.pipelines import closurex_passes
 from repro.runtime.harness import ClosureXHarness
 from repro.sim_os import Kernel
 from repro.targets import get_target
@@ -136,9 +134,7 @@ class GlobalPassFigure:
 
 
 def run_global_pass_figure(target: str) -> GlobalPassFigure:
-    spec = get_target(target)
-    module = spec.compile()
-    PassManager(closurex_passes(spec.coverage_seed)).run(module)
+    module = get_target(target).build_closurex()
     relocated = [
         name for name, var in module.globals.items()
         if var.section == CLOSURE_GLOBAL_SECTION

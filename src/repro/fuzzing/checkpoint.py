@@ -44,12 +44,10 @@ thing resume cannot reconstruct; that mechanism is broken by design.)
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
 
 from repro.store.errors import FrameError
-from repro.store.framed import read_framed, write_framed
-from repro.store.io import generation_path as _generation_path
+from repro.store.framed import generations_on_disk, read_framed, write_framed
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_MAGIC = b"RPRCKPT1"
@@ -165,18 +163,12 @@ def load_checkpoint(path: str) -> dict:
     glance which files were consulted.
     """
     failures: list[str] = []
-    tried: list[str] = []
-    generation = 0
-    while True:
-        candidate = _generation_path(path, generation)
-        if generation > 0 and not os.path.exists(candidate):
-            break
-        tried.append(candidate)
+    tried = generations_on_disk(path)
+    for candidate in tried:
         try:
             return _load_one(candidate)
         except CheckpointError as error:
             failures.append(str(error))
-        generation += 1
     raise CheckpointError(
         f"no loadable checkpoint generation (tried {', '.join(tried)}): "
         + "; ".join(failures)

@@ -322,9 +322,7 @@ class I2SStage:
         """Mine dictionary tokens from the target's IR, exactly once."""
         from repro.analysis.dictionary import mine_dictionary_tokens
         added = 0
-        for token in mine_dictionary_tokens(
-            module, max_token_len=DICT_TOKEN_MAX_LEN
-        ):
+        for token in mine_dictionary_tokens(module):
             added += self.dictionary.add(token)
         self.static_mined = True
         return added

@@ -31,11 +31,10 @@ virtual clock — enabling the sentinel costs budget, never determinism.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.execution.common import ExecResult
+from repro.execution.common import ExecResult, input_key
 from repro.integrity.faults import IntegrityFault
 from repro.integrity.ledger import LeakEvent, LeakLedger
 from repro.integrity.oracle import IntegrityVerdict, RestoreOracle
@@ -44,12 +43,6 @@ from repro.runtime.replay import Observation, replay
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.execution.closurex import ClosureXExecutor
     from repro.runtime.harness import IterationResult
-
-
-def _input_key(data: bytes) -> str:
-    # Same key scheme as the supervisor's quarantine, so diagnostics
-    # from both layers name the same input identically.
-    return hashlib.sha1(data).hexdigest()[:16]
 
 
 @dataclass
@@ -119,7 +112,7 @@ class IntegritySentinel:
         self, executor: "ClosureXExecutor", data: bytes,
     ) -> ExecResult | None:
         """Ground-truth replay for inputs quarantined by divergence."""
-        record = self.ledger.quarantine.get(_input_key(data))
+        record = self.ledger.quarantine.get(input_key(data))
         if record is None:
             return None
         self.stats.quarantine_hits += 1
@@ -141,7 +134,7 @@ class IntegritySentinel:
         if policy.digest_every and self.exec_index % policy.digest_every == 0:
             verdict = self._oracle_check(executor)
             if not verdict.clean:
-                self._handle_leak(executor, _input_key(data), verdict)
+                self._handle_leak(executor, input_key(data), verdict)
         if policy.shadow_every and self.exec_index % policy.shadow_every == 0:
             self._shadow_check(executor, data, iteration)
 
@@ -276,7 +269,7 @@ class IntegritySentinel:
             return
 
         self.stats.divergences += 1
-        key = _input_key(data)
+        key = input_key(data)
         detail = (
             f"persistent run diverged from fresh-process ground truth: "
             f"{mismatch}"

@@ -3,8 +3,7 @@
 A :class:`Module` is the unit of compilation, linking, and pass
 execution: it owns global variables (with named sections), declared and
 defined functions, and named struct types.  Transformation passes
-operate module- or function-at-a-time, mirroring LLVM's ModulePass /
-FunctionPass split.
+operate on a whole module at a time, like LLVM's ModulePass.
 """
 
 from __future__ import annotations
@@ -289,9 +288,6 @@ class Module:
 
     def defined_functions(self) -> Iterator[Function]:
         return (f for f in self.functions.values() if not f.is_declaration)
-
-    def declarations(self) -> Iterator[Function]:
-        return (f for f in self.functions.values() if f.is_declaration)
 
     def instruction_count(self) -> int:
         return sum(f.instruction_count() for f in self.defined_functions())

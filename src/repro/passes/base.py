@@ -1,10 +1,11 @@
-"""Pass framework: module/function passes and the pass manager.
+"""Pass framework: the module pass base class and the pass manager.
 
 Mirrors LLVM's ``opt`` discipline: passes are small, composable
 transformations over a module; the manager runs them in order and
-(optionally) verifies the module after each one.  Every pass reports
-what it changed through a :class:`PassResult`, which the tests and the
-Figure 3-5 experiments use to assert the transformations happened.
+verifies the module, strict SSA included, after each one.  Every pass
+reports what it changed through a :class:`PassResult`, which the tests
+and the Figure 3-5 experiments use to assert the transformations
+happened.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.ir.module import Function, Module
+from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
@@ -44,37 +45,19 @@ class ModulePass:
         raise NotImplementedError
 
 
-class FunctionPass(ModulePass):
-    """Base class: transform one function at a time."""
-
-    name = "<function-pass>"
-
-    def run(self, module: Module) -> PassResult:
-        result = PassResult(self.name)
-        for function in list(module.defined_functions()):
-            self.run_on_function(function, module, result)
-        return result
-
-    def run_on_function(self, function: Function, module: Module,
-                        result: PassResult) -> None:
-        raise NotImplementedError
-
-
 class PassManager:
     """Runs a pipeline of passes over a module.
 
-    An optional telemetry tracer receives one ``pass.run`` event per
-    pass, carrying the wall-clock transform time (passes run at build
-    time, outside any virtual clock) and the pass's rewrite counts.
+    After every pass the module must verify, the SSA dominance
+    invariant included: a pass must never produce a def that fails to
+    dominate a use.  An optional telemetry tracer receives one
+    ``pass.run`` event per pass, carrying the wall-clock transform time
+    (passes run at build time, outside any virtual clock) and the
+    pass's rewrite counts.
     """
 
-    def __init__(self, passes: list[ModulePass], verify_each: bool = True,
-                 tracer: Tracer | None = None, strict_ssa: bool = True):
+    def __init__(self, passes: list[ModulePass], tracer: Tracer | None = None):
         self.passes = list(passes)
-        self.verify_each = verify_each
-        # Verify the SSA dominance invariant after every pass: passes
-        # must never produce a def that fails to dominate a use.
-        self.strict_ssa = strict_ssa
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.results: list[PassResult] = []
 
@@ -97,8 +80,7 @@ class PassManager:
                     wall_ns=wall_ns,
                     **{f"rewrites.{k}": v for k, v in result.details.items()},
                 )
-            if self.verify_each:
-                verify_module(module, strict_ssa=self.strict_ssa)
+            verify_module(module, strict_ssa=True)
         return self.results
 
     def result_for(self, pass_name: str) -> PassResult:

@@ -10,8 +10,9 @@ Each basic block gets a compile-time random location id; the injected
 
     map[cur ^ prev]++;  prev = cur >> 1;
 
-The id assignment is seeded deterministically from the module name so
-builds are reproducible.
+The id assignment is drawn from a seeded RNG, so builds are
+reproducible; a registered target's builds all take
+``TargetSpec.coverage_seed``, so their edge ids agree.
 """
 
 from __future__ import annotations
@@ -34,15 +35,13 @@ class CoveragePass(ModulePass):
 
     name = "CoveragePass"
 
-    def __init__(self, seed: int | None = None):
+    def __init__(self, seed: int):
         self.seed = seed
 
     def run(self, module: Module) -> PassResult:
         result = PassResult(self.name)
         guard = module.declare_function(COV_GUARD, FunctionType(VOID, [I32]))
-        rng = random.Random(
-            self.seed if self.seed is not None else _stable_seed(module.name)
-        )
+        rng = random.Random(self.seed)
         i32 = int_type(32)
         for function in module.defined_functions():
             if function.name == COV_GUARD:
@@ -64,13 +63,6 @@ class CoveragePass(ModulePass):
                 block.insert(index, call)
                 result.bump("blocks_instrumented")
         return result
-
-
-def _stable_seed(text: str) -> int:
-    seed = 0xCBF29CE484222325
-    for ch in text.encode():
-        seed = ((seed ^ ch) * 0x100000001B3) & ((1 << 64) - 1)
-    return seed
 
 
 def _first_non_phi_index(block) -> int:

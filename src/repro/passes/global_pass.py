@@ -25,18 +25,17 @@ CLOSURE_GLOBAL_SECTION = "closure_global_section"
 
 
 class GlobalPass(ModulePass):
-    """Table 3's globals pass: move writable globals into a dedicated
-    section the harness snapshots at boot and restores per iteration."""
+    """Table 3's globals pass: move writable globals into
+    :data:`CLOSURE_GLOBAL_SECTION`, which the harness snapshots at boot
+    and restores per iteration."""
 
     name = "GlobalPass"
 
-    def __init__(self, section: str = CLOSURE_GLOBAL_SECTION,
-                 restrict_to: set[str] | None = None):
-        self.section = section
-        # When set, only these writable globals are relocated.  Callers
-        # must pass a *proven* modified-set (PollutionReport with
-        # trusted_globals) — an under-approximation here breaks restore
-        # correctness.
+    def __init__(self, restrict_to: set[str] | None = None):
+        # When set, only these writable globals are relocated.  It must
+        # be a *proven* modified-set (closurex_passes takes it from a
+        # PollutionReport with trusted_globals) — an under-approximation
+        # here breaks restore correctness.
         self.restrict_to = restrict_to
 
     def run(self, module: Module) -> PassResult:
@@ -52,7 +51,7 @@ class GlobalPass(ModulePass):
                     result.details.get("globals_elided", 0) + 1
                 )
                 continue
-            if var.section != self.section:
-                var.set_section(self.section)
+            if var.section != CLOSURE_GLOBAL_SECTION:
+                var.set_section(CLOSURE_GLOBAL_SECTION)
                 result.bump("globals_relocated")
         return result

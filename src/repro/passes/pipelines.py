@@ -1,35 +1,27 @@
-"""Canonical pass pipelines for building fuzz targets.
+"""The three pass lists that instrument a fuzz target.
 
-- :func:`closurex_pipeline` — the full ClosureX instrumentation (the
-  five passes of the paper's Table 3) plus the shared coverage
-  instrumentation.
-- :func:`baseline_pipeline` — what an AFL++ build gets: coverage
+- :func:`closurex_passes` — the full ClosureX instrumentation (the five
+  passes of the paper's Table 3) plus the shared coverage
+  instrumentation; given a pollution report it elides the passes the
+  static classifier proves unnecessary.
+- :func:`baseline_passes` — what an AFL++ build gets: coverage
   instrumentation only; process management is the executor's job.
-- :func:`pollution_aware_pipeline` — ClosureX instrumentation guided by
-  the static pollution classifier: passes for provably-untouched state
-  dimensions are elided, and with a trusted report the GlobalPass
-  relocates only the globals the target can actually modify.
+- :func:`persistent_passes` — the naive persistent-mode foil.
 
-All pipelines take the *same* coverage seed so the baseline and
-ClosureX builds of a target share identical edge ids, keeping coverage
-numbers directly comparable (paper §5.3).  Skipping non-coverage passes
-cannot perturb edge ids: those passes never add or remove basic blocks,
-so the seeded id sequence is unchanged.
-
-Every pipeline accepts ``optimize=True`` to follow instrumentation with
-the validated IR optimizer (:mod:`repro.analysis.opt`): each transform
-must survive strict-SSA verification, a structural self-check, and —
-given ``optimize_seeds`` — differential replay proving bit-identical
-observations against the unoptimized module.  Off by default.
+A registered target becomes a module through
+:class:`repro.targets.TargetSpec`, which runs one of these lists and,
+when asked, the validated optimizer.  Every list takes the coverage
+seed, and a target's builds share one (``TargetSpec.coverage_seed``) so
+the baseline and ClosureX builds have identical edge ids, keeping
+coverage numbers directly comparable (paper §5.3).  Skipping
+non-coverage passes cannot perturb edge ids: those passes never add or
+remove basic blocks, so the seeded id sequence is unchanged.
 """
 
 from __future__ import annotations
 
-from repro.analysis.pollution import PollutionAnalyzer, PollutionReport
-from repro.ir.module import Module
-from repro.passes.base import ModulePass, PassManager, PassResult
-from repro.telemetry.metrics import NULL_METRICS, MetricsRegistry
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.analysis.pollution import PollutionReport
+from repro.passes.base import ModulePass
 from repro.passes.coverage import CoveragePass
 from repro.passes.exit_pass import ExitPass
 from repro.passes.file_pass import FilePass
@@ -48,19 +40,32 @@ PASS_TABLE: dict[str, str] = {
 
 
 def closurex_passes(
-    coverage_seed: int | None = None,
+    coverage_seed: int,
     extra_allocators: dict[str, str] | None = None,
     skip: set[str] | None = None,
+    report: PollutionReport | None = None,
 ) -> list[ModulePass]:
-    """The ClosureX pipeline; *skip* names passes to drop (ablations)."""
-    skip = skip or set()
+    """The ClosureX pipeline; *skip* names passes to drop (ablations).
+
+    A pollution *report* drops the passes of the state dimensions it
+    proves clean; when its modified-globals set is trusted (no
+    unknown-provenance stores), the GlobalPass relocates only the
+    globals the target can modify, shrinking the per-iteration
+    snapshot.
+    """
+    skip = set(skip or ())
+    restrict_to = None
+    if report is not None:
+        skip |= report.skip_passes()
+        if report.trusted_globals:
+            restrict_to = set(report.modified_globals)
     passes: list[ModulePass] = []
     for pass_ in (
         RenameMainPass(),
         ExitPass(),
         HeapPass(extra_allocators=extra_allocators),
         FilePass(),
-        GlobalPass(),
+        GlobalPass(restrict_to=restrict_to),
     ):
         if pass_.name not in skip:
             passes.append(pass_)
@@ -68,130 +73,13 @@ def closurex_passes(
     return passes
 
 
-def baseline_passes(coverage_seed: int | None = None) -> list[ModulePass]:
+def baseline_passes(coverage_seed: int) -> list[ModulePass]:
     """The AFL++-style build: coverage instrumentation only."""
     return [CoveragePass(coverage_seed)]
 
 
-def persistent_passes(coverage_seed: int | None = None) -> list[ModulePass]:
+def persistent_passes(coverage_seed: int) -> list[ModulePass]:
     """The *naive* persistent-mode build (the paper's incorrect foil):
     the loop needs a callable entry point, but no state tracking is
     injected — exit() still kills the process, leaks accumulate."""
     return [RenameMainPass(), CoveragePass(coverage_seed)]
-
-
-def pollution_aware_passes(
-    report: PollutionReport,
-    coverage_seed: int | None = None,
-    extra_allocators: dict[str, str] | None = None,
-) -> list[ModulePass]:
-    """The ClosureX pipeline minus the passes *report* proves unnecessary.
-
-    A clean dimension elides its pass outright; when the report's
-    modified-globals set is trusted (no unknown-provenance stores), the
-    GlobalPass additionally relocates only the globals the target can
-    modify, shrinking the per-iteration snapshot.
-    """
-    skip = report.skip_passes()
-    if report.trusted_globals:
-        global_pass = GlobalPass(restrict_to=set(report.modified_globals))
-    else:
-        global_pass = GlobalPass()
-    passes: list[ModulePass] = []
-    for pass_ in (
-        RenameMainPass(),
-        ExitPass(),
-        HeapPass(extra_allocators=extra_allocators),
-        FilePass(),
-        global_pass,
-    ):
-        if pass_.name not in skip:
-            passes.append(pass_)
-    passes.append(CoveragePass(coverage_seed))
-    return passes
-
-
-def optimize_build(
-    module: Module,
-    seeds: tuple[bytes, ...] = (),
-    extra_allocators: dict[str, str] | None = None,
-    metrics: MetricsRegistry = NULL_METRICS,
-    tracer: Tracer = NULL_TRACER,
-):
-    """Run the validated optimizer over an instrumented *module*.
-
-    Imported lazily: :mod:`repro.analysis.opt` replays modules through
-    the VM stack, which itself imports this module for pipeline
-    construction.  Returns the
-    :class:`~repro.analysis.opt.optimizer.OptimizationReport`.
-    """
-    from repro.analysis.opt import optimize_module
-
-    return optimize_module(
-        module, seeds=seeds, extra_allocators=extra_allocators,
-        metrics=metrics, tracer=tracer,
-    )
-
-
-def closurex_pipeline(
-    module: Module,
-    coverage_seed: int | None = None,
-    extra_allocators: dict[str, str] | None = None,
-    skip: set[str] | None = None,
-    optimize: bool = False,
-    optimize_seeds: tuple[bytes, ...] = (),
-) -> list[PassResult]:
-    """Instrument *module* in place for ClosureX execution."""
-    manager = PassManager(closurex_passes(coverage_seed, extra_allocators, skip))
-    results = manager.run(module)
-    if optimize:
-        optimize_build(module, optimize_seeds, extra_allocators)
-    return results
-
-
-def baseline_pipeline(
-    module: Module,
-    coverage_seed: int | None = None,
-    optimize: bool = False,
-    optimize_seeds: tuple[bytes, ...] = (),
-) -> list[PassResult]:
-    """Instrument *module* in place for baseline (AFL++) execution."""
-    manager = PassManager(baseline_passes(coverage_seed))
-    results = manager.run(module)
-    if optimize:
-        optimize_build(module, optimize_seeds)
-    return results
-
-
-def pollution_aware_pipeline(
-    module: Module,
-    coverage_seed: int | None = None,
-    extra_allocators: dict[str, str] | None = None,
-    report: PollutionReport | None = None,
-    metrics: MetricsRegistry = NULL_METRICS,
-    tracer: Tracer = NULL_TRACER,
-    optimize: bool = False,
-    optimize_seeds: tuple[bytes, ...] = (),
-) -> tuple[list[PassResult], PollutionReport]:
-    """Analyze then instrument *module* in place, eliding proven-clean passes.
-
-    Runs the :class:`PollutionAnalyzer` on the raw module (unless a
-    pre-computed *report* is supplied), builds the reduced pipeline, and
-    returns both the pass results and the report so callers can hand it
-    on to the runtime harness (which uses it to skip the matching
-    restore sweeps).
-    """
-    if report is None:
-        report = PollutionAnalyzer(
-            module, extra_allocators=extra_allocators,
-            metrics=metrics, tracer=tracer,
-        ).run()
-    manager = PassManager(
-        pollution_aware_passes(report, coverage_seed, extra_allocators),
-        tracer=tracer,
-    )
-    results = manager.run(module)
-    if optimize:
-        optimize_build(module, optimize_seeds, extra_allocators,
-                       metrics=metrics, tracer=tracer)
-    return results, report

@@ -107,9 +107,9 @@ class HarnessConfig:
     deferred_init_functions: tuple[str, ...] = ()
     rewind_init_handles: bool = True         # paper's fseek optimisation
     #: Static pollution classification of the target (from
-    #: TargetSpec.build_analyzed / pollution_aware_pipeline).  A clean
-    #: dimension lets restore_state skip the matching sweep entirely —
-    #: the analysis *proved* the sweep can never find anything.
+    #: TargetSpec.build_analyzed).  A clean dimension lets restore_state
+    #: skip the matching sweep entirely — the analysis *proved* the
+    #: sweep can never find anything.
     pollution: PollutionReport | None = None
 
 

@@ -408,9 +408,9 @@ class CorpusStore:
         }
 
 
-def open_store(root: str, **kwargs) -> CorpusStore:
+def open_store(root: str) -> CorpusStore:
     """Open an existing store, refusing a root that is not one."""
     marker = os.path.join(root, STORE_MARKER)
     if not os.path.exists(marker):
         raise StoreError(f"{root!r} is not a corpus store (no {STORE_MARKER})")
-    return CorpusStore(root, **kwargs)
+    return CorpusStore(root)

@@ -1,8 +1,9 @@
 """The ten benchmark targets (paper Table 4) plus the target framework.
 
-Importing this package does *not* compile anything; target sources are
-compiled lazily by :meth:`TargetSpec.build_baseline` /
-:meth:`TargetSpec.build_closurex` / :meth:`TargetSpec.build_persistent`.
+Importing this package does *not* compile anything.  A registered
+target becomes a module only through its :class:`TargetSpec`: the
+``build_*`` methods (baseline, ClosureX, naive persistent, optimized,
+analysis-guided) compile the source on demand and instrument it.
 """
 
 from repro.targets.framework import (

@@ -6,9 +6,11 @@ gates, record iteration, global state, dynamic allocation, early
 ``exit()`` paths), and — for the four programs where the paper found
 0-days — planted bugs whose types match Table 7's rows.
 
-A :class:`TargetSpec` compiles its source through the appropriate pass
-pipeline on demand; baseline and ClosureX builds share a coverage seed
-derived from the target name so their edge ids agree.
+A :class:`TargetSpec` is the one place a registered target becomes a
+module: each build compiles the source and runs one of the three pass
+lists of :mod:`repro.passes.pipelines` over it, then, when asked, the
+validated optimizer.  All builds of a target share a coverage seed
+derived from its name, so their edge ids agree.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ from functools import lru_cache
 
 from repro.analysis.pollution import PollutionAnalyzer, PollutionReport
 from repro.ir.module import Module
-from repro.ir.cfg import edge_count
 from repro.minic import compile_c
-from repro.passes.base import PassManager
+from repro.passes.base import ModulePass, PassManager
 from repro.passes.pipelines import (
     baseline_passes,
     closurex_passes,
     persistent_passes,
-    pollution_aware_pipeline,
 )
 from repro.vm.errors import TrapKind
 
@@ -73,28 +73,23 @@ class TargetSpec:
 
     def build_baseline(self, optimize: bool = False) -> Module:
         """AFL++-style build: coverage instrumentation only."""
-        module = self.compile()
-        PassManager(baseline_passes(self.coverage_seed)).run(module)
-        if optimize:
-            self._optimize(module)
-        return module
+        return self._build(baseline_passes(self.coverage_seed), optimize)
 
     def build_closurex(self, skip: set[str] | None = None,
                        optimize: bool = False) -> Module:
         """Full ClosureX instrumentation; *skip* drops passes (ablation)."""
-        module = self.compile()
-        manager = PassManager(
-            closurex_passes(self.coverage_seed, self.extra_allocators, skip)
+        return self._build(
+            closurex_passes(self.coverage_seed, self.extra_allocators, skip),
+            optimize,
         )
-        manager.run(module)
-        if optimize:
-            self._optimize(module)
-        return module
 
     def build_persistent(self, optimize: bool = False) -> Module:
         """Naive persistent-mode build (renamed entry, no tracking)."""
+        return self._build(persistent_passes(self.coverage_seed), optimize)
+
+    def _build(self, passes: list[ModulePass], optimize: bool) -> Module:
         module = self.compile()
-        PassManager(persistent_passes(self.coverage_seed)).run(module)
+        PassManager(passes).run(module)
         if optimize:
             self._optimize(module)
         return module
@@ -133,17 +128,15 @@ class TargetSpec:
         module *and* the report, which the runtime harness consumes to
         skip the matching restore sweeps."""
         module = self.compile()
-        _results, report = pollution_aware_pipeline(
-            module, self.coverage_seed, self.extra_allocators
-        )
+        report = PollutionAnalyzer(
+            module, extra_allocators=self.extra_allocators
+        ).run()
+        PassManager(closurex_passes(
+            self.coverage_seed, self.extra_allocators, report=report,
+        )).run(module)
         return module, report
 
     # -- metadata ---------------------------------------------------------
-
-    def static_edge_count(self) -> int:
-        """Size of this target's static CFG edge universe (coverage
-        denominator for Table 6)."""
-        return edge_count(self.build_baseline())
 
     def find_bug(self, identity: tuple[TrapKind, str, str]) -> PlantedBug | None:
         for bug in self.bugs:

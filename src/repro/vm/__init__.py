@@ -12,7 +12,7 @@ from repro.vm.errors import (
 from repro.vm.filesystem import FDTable, OpenFile, VirtualFS
 from repro.vm.heap import Heap, HeapStats
 from repro.vm.interpreter import COVERAGE_MAP_SIZE, VM, CoverageMap
-from repro.vm.libc import LIBC_SIGNATURES, NATIVES, declare_libc
+from repro.vm.libc import LIBC_SIGNATURES, NATIVES
 from repro.vm.memory import AddressSpace, MemoryRegion, Segment
 from repro.vm.snapshot import (
     NondetMask,
@@ -29,7 +29,7 @@ __all__ = [
     "FDTable", "OpenFile", "VirtualFS",
     "Heap", "HeapStats",
     "COVERAGE_MAP_SIZE", "CoverageMap", "VM",
-    "LIBC_SIGNATURES", "NATIVES", "declare_libc",
+    "LIBC_SIGNATURES", "NATIVES",
     "AddressSpace", "MemoryRegion", "Segment",
     "NondetMask", "ProgramSnapshot", "SnapshotDelta",
     "build_nondet_mask", "diff_snapshots", "take_snapshot",

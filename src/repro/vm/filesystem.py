@@ -63,9 +63,6 @@ class OpenFile:
     def writable(self) -> bool:
         return any(m in self.mode for m in ("w", "a", "+"))
 
-    def remaining(self) -> int:
-        return max(0, len(self.data) - self.position)
-
 
 class FDTable:
     """Per-process table of open FILE handles with an OS-style limit."""

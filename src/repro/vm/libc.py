@@ -7,8 +7,7 @@ real binary.  Each native is a Python callable
 heap, and FD table.
 
 This module also owns the canonical libc *signatures*
-(:data:`LIBC_SIGNATURES`) that front-ends use to declare functions,
-and :func:`declare_libc` to import them into a module.
+(:data:`LIBC_SIGNATURES`) that front-ends use to declare functions.
 
 Notable modelling choices:
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.ir.module import Module
 from repro.ir.types import FunctionType, I8_PTR, I32, I64, VOID
 from repro.vm.errors import (
     CrashSite,
@@ -119,12 +117,6 @@ NATIVE_BASE_COST: dict[str, int] = {
     "rand": 8,
     "srand": 5,
 }
-
-
-def declare_libc(module: Module, names: list[str] | None = None) -> None:
-    """Declare the requested libc symbols (all of them by default)."""
-    for name in names if names is not None else LIBC_SIGNATURES:
-        module.declare_function(name, LIBC_SIGNATURES[name])
 
 
 # ---------------------------------------------------------------------------

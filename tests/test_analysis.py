@@ -32,7 +32,7 @@ from repro.ir.values import ConstantInt
 from repro.ir.types import I32, FunctionType
 from repro.ir.verifier import VerificationError
 from repro.minic import compile_c
-from repro.passes import PassManager, closurex_passes
+from repro.passes import ModulePass, PassManager, PassResult, closurex_passes
 from repro.runtime.harness import ClosureXHarness, HarnessConfig
 from repro.targets import all_targets, get_target, target_names
 
@@ -205,8 +205,37 @@ join:
         verify_module(module, strict_ssa=True)
 
 
-def test_pass_manager_enforces_strict_ssa_by_default():
-    assert PassManager([]).strict_ssa is True
+def test_pass_manager_enforces_strict_ssa():
+    """A pass whose output breaks dominance fails the pass manager."""
+    module = parse_module("""
+; ModuleID = 'good'
+define i32 @f(i32 %a) {
+entry:
+  %c = icmp ne i32 %a, 0
+  br i1 %c, label %left, label %right
+left:
+  %x = add i32 %a, 1
+  br label %join
+right:
+  br label %join
+join:
+  %y = add i32 %a, 1
+  ret i32 %y
+}
+""")
+    blocks = {b.name: b for b in module.get_function("f").blocks}
+
+    class UseBeforeDef(ModulePass):
+        name = "UseBeforeDef"
+
+        def run(self, module):
+            # join's add now reads %x, which only the left arm defines.
+            x = blocks["left"].instructions[0]
+            blocks["join"].instructions[0].set_operand(0, x)
+            return PassResult(self.name, changed=True)
+
+    with pytest.raises(VerificationError, match="not dominated"):
+        PassManager([UseBeforeDef()]).run(module)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,12 @@ class TestStaticMining:
         second = mine_dictionary_tokens(_module())
         assert first == second
 
+    def test_shares_the_dictionary_token_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.fuzzing.i2s.DICT_TOKEN_MAX_LEN", 3)
+        tokens = mine_dictionary_tokens(_module())
+        assert tokens and all(2 <= len(token) <= 3 for token in tokens)
+        assert MAGIC_BE not in tokens
+
 
 class TestHavocDictionaryInvariance:
     def test_empty_dictionary_leaves_stream_byte_identical(self):

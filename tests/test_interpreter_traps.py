@@ -245,7 +245,7 @@ class TestStaleCode:
                 returned_constants(module)[0].set_operand(0, IRBuilder().i32(99))
                 return PassResult(self.name, changed=True)
 
-        PassManager([Rewrite()], verify_each=False).run(module)
+        PassManager([Rewrite()]).run(module)
         after, reference = replays(module)
         assert after == reference and after.return_code == 99 != before.return_code
 

@@ -226,7 +226,7 @@ class TestCoveragePass:
 
 
 class TestPipelines:
-    def test_closurex_pipeline_runs_all_passes(self):
+    def test_closurex_passes_run_in_order(self):
         module = fresh_module()
         results = PassManager(closurex_passes(1)).run(module)
         names = [r.pass_name for r in results]
