@@ -18,11 +18,10 @@ import tempfile
 
 from repro.execution import ForkServerExecutor
 from repro.fuzzing import Campaign, CampaignConfig
-from repro.fuzzing.corpus import input_hash
 from repro.minic import compile_c
 from repro.passes import PassManager, baseline_passes
 from repro.sim_os import Kernel
-from repro.store import CorpusStore, fsck_tree
+from repro.store import CorpusStore, fsck_tree, object_digest
 
 SOURCE = r"""
 int main(int argc, char **argv) {
@@ -86,7 +85,7 @@ def main():
     # afl-cmin: the cheapest subset whose coverage OR equals the full
     # corpus's.  Weight = exec cost x size, cheapest first.
     entries = [
-        (input_hash(e.data), e.coverage_signature,
+        (object_digest(e.data), e.coverage_signature,
          e.exec_ns * max(1, len(e.data)))
         for e in tenant_a.corpus.entries
     ]

@@ -4,7 +4,8 @@ The package layers on top of :mod:`repro.ir` (never the other way
 around — the IR stays import-light):
 
 - :mod:`repro.analysis.dataflow` — generic worklist solver plus
-  liveness, reaching definitions, and def-use chains.
+  liveness and reaching definitions, and the dead-store test they
+  give.
 - :mod:`repro.analysis.callgraph` — interprocedural call graph and
   per-function mod/ref + escape summaries.
 - :mod:`repro.analysis.pollution` — the ClosureX pollution classifier:
@@ -33,14 +34,11 @@ from repro.analysis.dataflow import (
     DataflowResult,
     Liveness,
     ReachingDefinitions,
-    alloca_slots,
     dead_slot_stores,
-    def_use_chains,
     escaping_slots,
     live_values,
     reaching_stores,
     stores_reaching,
-    unused_definitions,
 )
 from repro.analysis.dictionary import mine_dictionary_tokens
 from repro.analysis.lint import Diagnostic, Linter, Severity, lint_module
@@ -62,14 +60,11 @@ __all__ = [
     "DataflowResult",
     "Liveness",
     "ReachingDefinitions",
-    "alloca_slots",
     "dead_slot_stores",
-    "def_use_chains",
     "escaping_slots",
     "live_values",
     "reaching_stores",
     "stores_reaching",
-    "unused_definitions",
     "mine_dictionary_tokens",
     "Diagnostic",
     "Linter",

@@ -7,11 +7,9 @@ Block order comes from the cached reverse post-order in
 :mod:`repro.ir.cfg`, so a solve converges in few sweeps on reducible
 CFGs and reuses the CFG cache shared with the verifier and linter.
 
-Alongside the solver live two structural helpers that the pollution
-analyzer and the linter share: :func:`def_use_chains` (intra-function
-def→use edges, derived from the IR's use lists) and
-:func:`alloca_slots` (the alloca-form "variables" unoptimised MiniC
-codegen produces).
+Reaching definitions run over alloca slots, the "variables"
+unoptimised MiniC codegen produces; :func:`dead_slot_stores` is the
+one dead-store test that dead-store elimination and the linter share.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.ir import cfg
 from repro.ir.instructions import Alloca, Instruction, Load, Phi, Store
 from repro.ir.module import BasicBlock, Function
-from repro.ir.values import Argument, Value
+from repro.ir.values import Argument
 
 
 @dataclass
@@ -154,11 +152,6 @@ def live_values(function: Function) -> DataflowResult:
 # ---------------------------------------------------------------------------
 
 
-def alloca_slots(function: Function) -> list[Alloca]:
-    """The function's alloca-form variables, in definition order."""
-    return [inst for inst in function.instructions() if isinstance(inst, Alloca)]
-
-
 def _store_slot(inst: Instruction) -> Alloca | None:
     if isinstance(inst, Store) and isinstance(inst.ptr, Alloca):
         return inst.ptr
@@ -265,35 +258,3 @@ def stores_reaching(load: Load, solution: DataflowResult) -> set[Store]:
             reaching = {d for d in reaching if _store_slot(d) is not maybe_slot}
             reaching.add(inst)
     return {d for d in reaching if _store_slot(d) is slot}  # type: ignore[misc]
-
-
-# ---------------------------------------------------------------------------
-# def-use chains
-# ---------------------------------------------------------------------------
-
-
-def def_use_chains(function: Function) -> dict[Instruction, list[tuple[Instruction, int]]]:
-    """Map every instruction to its in-function uses ``(user, operand_index)``.
-
-    Derived from the IR's def-use edges (:class:`repro.ir.values.Use`),
-    restricted to users that are instructions of *function*.
-    """
-    chains: dict[Instruction, list[tuple[Instruction, int]]] = {}
-    members = {id(inst) for inst in function.instructions()}
-    for inst in function.instructions():
-        uses: list[tuple[Instruction, int]] = []
-        for use in inst.uses:
-            user = use.user
-            if isinstance(user, Instruction) and id(user) in members:
-                uses.append((user, use.index))
-        chains[inst] = uses
-    return chains
-
-
-def unused_definitions(function: Function) -> list[Instruction]:
-    """Non-void instructions whose result is never used (dead defs)."""
-    dead: list[Instruction] = []
-    for inst in function.instructions():
-        if not inst.type.is_void and inst.num_uses == 0:
-            dead.append(inst)
-    return dead

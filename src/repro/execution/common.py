@@ -78,11 +78,6 @@ class ExecutorStats:
         else:
             self.clean_exits += 1
 
-    def execs_per_virtual_second(self) -> float:
-        if self.total_ns == 0:
-            return 0.0
-        return self.execs / (self.total_ns / 1e9)
-
 
 class Executor:
     """Base class for the four execution mechanisms."""

@@ -284,10 +284,12 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [name for name in args.experiments
                if name not in ENTRY_POINTS]
     if unknown:
-        print(f"error: unknown experiment(s) {unknown}; "
-              f"choose from {', '.join(ENTRY_POINTS)}", file=sys.stderr)
-        return 2
-    config = ExperimentConfig()
+        return _error(f"unknown experiment(s) {unknown}; "
+                      f"choose from {', '.join(ENTRY_POINTS)}")
+    try:
+        config = ExperimentConfig()      # the REPRO_* sizing
+    except ValueError as error:
+        return _error(str(error))
     out = args.out or tempfile.mkdtemp(prefix="repro-paper-")
     for name in args.experiments:
         _description, runner = ENTRY_POINTS[name]

@@ -42,8 +42,17 @@ PAPER_SAMPLES = 16
 
 
 def _env_int(name: str, default: int) -> int:
+    """A positive integer from the environment (*default* when unset)."""
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < 1:
+        raise ValueError(f"{name} must be >= 1, got {number}")
+    return number
 
 
 def _env_targets() -> list[str]:

@@ -12,7 +12,7 @@ from repro.fuzzing.checkpoint import (
     save_checkpoint,
     save_state,
 )
-from repro.fuzzing.corpus import Corpus, QueueEntry, input_hash
+from repro.fuzzing.corpus import Corpus, QueueEntry
 from repro.fuzzing.i2s import (
     AutoDictionary,
     CmpObserver,
@@ -41,7 +41,7 @@ __all__ = [
     "Campaign", "CampaignConfig", "CampaignResult",
     "CheckpointError", "capture_state", "load_checkpoint",
     "save_checkpoint", "save_state",
-    "Corpus", "QueueEntry", "input_hash",
+    "Corpus", "QueueEntry",
     "AutoDictionary", "CmpObserver", "I2SStage", "StageStats",
     "operand_encodings", "replacement_patches",
     "VirginMap", "classify", "coverage_signature",

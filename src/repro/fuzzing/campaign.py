@@ -32,7 +32,7 @@ from repro.fuzzing.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.fuzzing.corpus import Corpus, QueueEntry, input_hash
+from repro.fuzzing.corpus import Corpus, QueueEntry
 from repro.fuzzing.coverage import VirginMap, coverage_signature
 from repro.fuzzing.i2s import (
     THROTTLE_MIN_EXECS,
@@ -42,6 +42,7 @@ from repro.fuzzing.i2s import (
 )
 from repro.fuzzing.mutators import HavocMutator, deterministic_mutations
 from repro.fuzzing.triage import CrashTriage
+from repro.store.objects import object_digest
 from repro.telemetry import CampaignReporter, TelemetryConfig, build_telemetry
 
 
@@ -122,13 +123,6 @@ class CampaignResult:
     @property
     def execs_per_second(self) -> float:
         return self.execs / (self.elapsed_ns / 1e9) if self.elapsed_ns else 0.0
-
-    def extrapolate_execs(self, horizon_ns: int) -> float:
-        """Scale observed throughput to a longer horizon (e.g. 24 h),
-        for reporting in the paper's 'test cases in 24 hours' units."""
-        if self.elapsed_ns == 0:
-            return 0.0
-        return self.execs * horizon_ns / self.elapsed_ns
 
 
 class Campaign:
@@ -295,8 +289,7 @@ class Campaign:
                     self._deterministic_stage(entry, deadline_ns)
                 self._stage_record("det", marker)
                 entry.det_done = True
-            if (self._i2s is not None
-                    and not getattr(entry, "i2s_done", False)
+            if (self._i2s is not None and not entry.i2s_done
                     and self.clock.now_ns < deadline_ns):
                 if self._i2s_throttled():
                     if self.telemetry.enabled:
@@ -371,7 +364,7 @@ class Campaign:
         correctness receipt."""
         h = hashlib.sha256()
         h.update(self.virgin.to_bytes())
-        for key in sorted(input_hash(e.data) for e in self.corpus.entries):
+        for key in sorted(object_digest(e.data) for e in self.corpus.entries):
             h.update(key.encode())
         for identity in sorted(
             (r.kind.value, r.function, r.identity[2])
@@ -420,9 +413,9 @@ class Campaign:
         the resume primitive: :meth:`resume` loads the dict from disk,
         the parallel orchestrator hands over the dict it captured at the
         last sync barrier when replacing a dead worker."""
-        if state.get("kind", "campaign") != "campaign":
+        if state["kind"] != "campaign":
             raise CheckpointError(
-                f"state is a {state.get('kind')!r} checkpoint, "
+                f"state is a {state['kind']!r} checkpoint, "
                 "not a single campaign"
             )
         if executor.mechanism != state["mechanism"]:
@@ -436,7 +429,7 @@ class Campaign:
             # its mutation stream diverges from the uninterrupted run.
             config = CampaignConfig(
                 budget_ns=state["budget_ns"], seed=state["seed"],
-                i2s_enabled=state.get("i2s") is not None,
+                i2s_enabled=state["i2s"] is not None,
             )
         campaign = cls(executor, seeds=[], config=config)
         campaign._resume_state = state
@@ -453,14 +446,10 @@ class Campaign:
         self.current_entry_id = state["current_entry_id"]
         self.rng.setstate(state["rng_state"])
         self.executor.restore_state(state["executor_state"])
-        # I2S stage state and per-stage accounts ride along in newer
-        # checkpoints; .get() keeps pre-I2S checkpoints loadable.
-        for name, stats in (state.get("stage_stats") or {}).items():
-            if name in self.stage_stats:
-                self.stage_stats[name] = dataclasses.replace(stats)
-        i2s_state = state.get("i2s")
-        if self._i2s is not None and i2s_state is not None:
-            self._i2s.restore(i2s_state)
+        for name, stats in state["stage_stats"].items():
+            self.stage_stats[name] = dataclasses.replace(stats)
+        if self._i2s is not None and state["i2s"] is not None:
+            self._i2s.restore(state["i2s"])
         # Re-register the resumed corpus with the store: the payloads
         # are usually already objects on disk (puts are idempotent), but
         # a resume under a fresh store root — or one whose objects were

@@ -49,7 +49,7 @@ import pickle
 from repro.store.errors import FrameError
 from repro.store.framed import generations_on_disk, read_framed, write_framed
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CHECKPOINT_MAGIC = b"RPRCKPT1"
 #: Generations kept on disk: the live file plus ``path.1``.
 KEEP_GENERATIONS = 2
@@ -62,7 +62,6 @@ class CheckpointError(RuntimeError):
 def capture_state(campaign) -> dict:
     """One consistent snapshot of everything resume needs."""
     executor = campaign.executor
-    sentinel = getattr(executor, "sentinel", None)
     return {
         "version": CHECKPOINT_VERSION,
         "kind": "campaign",
@@ -80,19 +79,11 @@ def capture_state(campaign) -> dict:
         "triage": campaign.triage,
         "executor_state": executor.snapshot_state(),
         # Input-to-state stage state + per-stage efficacy accounts.
-        # Both read back via .get() so pre-I2S checkpoints stay
-        # loadable (version stays 1: every added key is optional).
         "i2s": campaign._i2s.snapshot() if campaign._i2s else None,
         "stage_stats": {
             name: dataclasses.replace(stats)
             for name, stats in campaign.stage_stats.items()
         },
-        # Informational integrity summary (the full ledger rides inside
-        # executor_state): lets reports and humans see at a glance what
-        # the sentinel observed without unpickling executor internals.
-        "integrity": (
-            sentinel.ledger.summary() if sentinel is not None else None
-        ),
     }
 
 

@@ -9,23 +9,10 @@ average and its discovery depth.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
-from repro.fuzzing.coverage import hit_cells, sparse_signature
-
-
-def input_hash(data: bytes) -> str:
-    """Stable content identity of one corpus input — the dedup key the
-    multi-worker sync protocol exchanges instead of raw bytes.
-
-    sha256, deliberately identical to the corpus object store's
-    addressing (:func:`repro.store.object_digest`): an entry's content
-    hash *is* its store address, so hash-only corpus exchange can
-    resolve payloads straight from a shared :class:`~repro.store
-    .CorpusStore` without a translation table.
-    """
-    return hashlib.sha256(bytes(data)).hexdigest()
+from repro.fuzzing.coverage import hit_cells
+from repro.store.objects import object_digest
 
 
 @dataclass
@@ -42,16 +29,8 @@ class QueueEntry:
     favored: bool = False
     det_done: bool = False
     trim_done: bool = False
-    # Input-to-state stage ran once for this entry.  Old checkpoints
-    # predate the field; readers use getattr(entry, "i2s_done", False).
-    i2s_done: bool = False
+    i2s_done: bool = False        # input-to-state stage ran for it
     times_selected: int = 0
-
-    def __setstate__(self, state: dict) -> None:
-        # Old checkpoints hold dense signatures.
-        state["coverage_signature"] = sparse_signature(
-            state["coverage_signature"])
-        self.__dict__.update(state)
 
     @property
     def weight(self) -> int:
@@ -155,13 +134,10 @@ class Corpus:
         """Entries added since the previous call (discoveries to offer
         at the next sync barrier).  Advances the export cursor, so each
         entry is exported exactly once."""
-        # getattr: corpora unpickled from pre-parallel checkpoints lack
-        # the cursor; treat their whole queue as already exported.
-        cursor = getattr(self, "_export_cursor", len(self.entries))
-        fresh = self.entries[cursor:]
+        fresh = self.entries[self._export_cursor:]
         self._export_cursor = len(self.entries)
         return fresh
 
     def content_hashes(self) -> set[str]:
         """Hashes of every input currently queued (sync-import dedup)."""
-        return {input_hash(e.data) for e in self.entries}
+        return {object_digest(e.data) for e in self.entries}

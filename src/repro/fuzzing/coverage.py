@@ -15,10 +15,7 @@ A signature is sparse and canonical: the touched cells in ascending
 order as little-endian 16-bit words, then one bucket byte per cell,
 3 bytes per cell.  An exec touches a few dozen of the 65,536 cells,
 so classifying, observing and storing one costs microseconds and a
-few hundred bytes.  Checkpoints written before this encoding hold
-dense signatures (the whole classified map); 65,536 is not a multiple
-of 3, so :func:`sparse_signature` tells them apart by length and
-converts them on load.  The virgin map stays dense in memory, since
+few hundred bytes.  The virgin map stays dense in memory, since
 campaign digests hash its bytes, but pickles sparse: the cells
 something was seen in, encoded as a signature is (each cell's virgin
 byte in place of its bucket).
@@ -83,24 +80,14 @@ def coverage_signature(raw_map: bytearray | bytes) -> bytes:
     :meth:`VirginMap.observe` takes.
 
     Reads only the cells in the map's cell list.  A map that carries
-    none (a plain buffer, or a result restored from a checkpoint
-    written before maps kept one) is scanned for its nonzero cells.
+    none (a plain buffer, such as the sentinel's quarantined result
+    builds from an observation) is scanned for its nonzero cells.
     """
     try:
         cells = sorted(raw_map.cells)
     except AttributeError:
         cells = _touched(raw_map)
     return _encode(cells, classify(bytes([raw_map[cell] for cell in cells])))
-
-
-def sparse_signature(signature: bytes) -> bytes:
-    """*signature* in the sparse encoding: a dense one (a whole
-    classified map, as old checkpoints hold) is converted, a sparse one
-    returned as is."""
-    if len(signature) % 3 == 0:
-        return signature
-    cells = _touched(signature)
-    return _encode(cells, bytes([signature[cell] for cell in cells]))
 
 
 def dense_signature(signature: bytes) -> bytes:
@@ -151,12 +138,7 @@ class VirginMap:
 
     def __setstate__(self, state: dict) -> None:
         self.size = state["size"]
-        if "seen" in state:
-            self.virgin = VirginMap.from_sparse(state["seen"], self.size).virgin
-        else:
-            # Checkpoints written before the map pickled sparse hold it
-            # dense: a bytearray, or a numpy array in older ones.
-            self.virgin = bytearray(state["virgin"])
+        self.virgin = VirginMap.from_sparse(state["seen"], self.size).virgin
 
     def observe(self, signature: bytes) -> int:
         """Fold in one signature — an execution's, or a corpus entry's

@@ -45,9 +45,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.fuzzing.corpus import input_hash
 from repro.fuzzing.mutators import draw_below
 from repro.ir.types import IntType
+from repro.store.objects import object_digest
 
 #: Hard cap on records collected by one probe execution — keeps a
 #: compare-heavy exec (e.g. a long loop over ``icmp``) from ballooning
@@ -378,7 +378,7 @@ class I2SStage:
         locate uniquely.
         """
         rng = random.Random(
-            f"i2s-color:{self.config.seed}:{input_hash(entry.data)}"
+            f"i2s-color:{self.config.seed}:{object_digest(entry.data)}"
         )
         below = draw_below(rng)
         colored = bytearray(entry.data)

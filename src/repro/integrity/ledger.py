@@ -94,7 +94,7 @@ class LeakLedger:
         )
 
     def summary(self) -> dict:
-        """Compact picklable digest for checkpoints and reports."""
+        """Compact summary for reports."""
         return {
             "leaks": len(self.events),
             "by_dimension": dict(self.by_dimension),

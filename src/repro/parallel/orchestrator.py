@@ -100,8 +100,7 @@ class ParallelConfig:
     # repro.parallel.sync); None = payloads ride the wire as before.
     corpus_store_root: str | None = None
     # CampaignConfig field overrides every worker runs under, shaped
-    # like an experiment arm's ((field, value), ...).  A class-level
-    # default, so a fleet checkpoint pickled without the field reads ().
+    # like an experiment arm's ((field, value), ...).
     overrides: tuple[tuple[str, object], ...] = ()
     # Test hook: per-worker death rounds (replacement tests; maps
     # shard_id -> round_index, process transport only).

@@ -14,7 +14,7 @@ Determinism invariants the protocol maintains:
   entry_id)``, never by arrival time, so process scheduling cannot
   reorder the merge;
 - **dedup** — inputs are identified by content hash
-  (:func:`repro.fuzzing.corpus.input_hash`); an input seen once — as a
+  (:func:`repro.store.objects.object_digest`); an input seen once — as a
   seed, an accepted discovery, or a rejected duplicate — is never
   exchanged again;
 - **novelty** — a candidate joins the global corpus only if its
@@ -28,8 +28,8 @@ Determinism invariants the protocol maintains:
 
 With a shared :class:`repro.store.CorpusStore`, the exchange is
 **hash-only**: workers ``put`` payloads into the content-addressed
-store and offer candidates carrying just the sha256 digest (which *is*
-the store address, since ``input_hash`` uses the same hash); the hub
+store and offer candidates carrying just the sha256 digest (the
+content hash *is* the store address); the hub
 resolves payloads from the store only at delivery time.  Candidates,
 hub snapshots, and checkpoints then carry digests instead of input
 bytes — the payload crosses the process boundary zero times — and the
@@ -42,8 +42,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from repro.fuzzing.corpus import QueueEntry, input_hash
-from repro.fuzzing.coverage import VirginMap, sparse_signature
+from repro.fuzzing.corpus import QueueEntry
+from repro.fuzzing.coverage import VirginMap
+from repro.store.objects import object_digest
 
 #: Imports one worker receives at one barrier (the backpressure cap).
 MAX_IMPORTS_PER_SYNC = 64
@@ -65,14 +66,9 @@ class SyncCandidate:
     exec_ns: int
     digest: str = ""      # sha256 store address (hash-only exchange)
 
-    def __setstate__(self, state: dict) -> None:
-        # Old checkpoints hold dense signatures.
-        state["signature"] = sparse_signature(state["signature"])
-        self.__dict__.update(state)
-
     @property
     def hash(self) -> str:
-        return self.digest or input_hash(self.data)
+        return self.digest or object_digest(self.data)
 
     @classmethod
     def from_entry(cls, shard_id: int, entry: QueueEntry,
@@ -152,7 +148,7 @@ class SyncHub:
         """Mark the common seed corpus as already known: every worker
         starts from it, so rediscovering a seed is never interesting."""
         for seed in seeds:
-            self.seen_hashes.add(input_hash(seed))
+            self.seen_hashes.add(object_digest(seed))
 
     def ingest(self, reports: list[RoundReport]) -> int:
         """Fold one barrier's discoveries in; returns how many were
@@ -226,14 +222,8 @@ class SyncHub:
 
     @classmethod
     def from_state(cls, state: dict, store=None) -> "SyncHub":
-        # Snapshots written before the import cap became a constant
-        # also hold "max_imports_per_sync" (always 64); it is ignored.
         hub = cls(state["n_workers"], store=store)
-        virgin = state["virgin"]
-        # Checkpoints written before the hub's map went sparse hold all
-        # of it (65,536 bytes, never a whole number of 3-byte cells).
-        hub.virgin = (VirginMap.from_bytes(virgin) if len(virgin) % 3
-                      else VirginMap.from_sparse(virgin))
+        hub.virgin = VirginMap.from_sparse(state["virgin"])
         hub.seen_hashes = set(state["seen_hashes"])
         hub.accepted = list(state["accepted"])
         hub.outboxes = [deque(items) for items in state["outboxes"]]

@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 from repro.execution import Executor
 from repro.fuzzing import Campaign, CampaignResult
 from repro.fuzzing.checkpoint import capture_state
-from repro.fuzzing.corpus import input_hash
 from repro.parallel.sync import RoundReport, SyncCandidate
+from repro.store.objects import object_digest
 from repro.targets import get_target
 
 if TYPE_CHECKING:
@@ -118,7 +118,7 @@ class WorkerRuntime:
         # the export stream (restore replays this bookkeeping too,
         # because export cursors travel inside the corpus state).
         for entry in self.campaign.corpus.export_new():
-            self._known_hashes.add(input_hash(entry.data))
+            self._known_hashes.add(object_digest(entry.data))
         self._known_hashes |= self.campaign.corpus.content_hashes()
         return self._report(round_index=-1, imported=0, discoveries=[])
 
@@ -128,7 +128,7 @@ class WorkerRuntime:
         and report discoveries + a barrier state snapshot."""
         imported = 0
         for data in imports:
-            key = input_hash(data)
+            key = object_digest(data)
             if key in self._known_hashes:
                 continue
             self._known_hashes.add(key)
@@ -140,7 +140,7 @@ class WorkerRuntime:
         self.campaign.step_until(deadline_ns)
         discoveries = []
         for entry in self.campaign.corpus.export_new():
-            key = input_hash(entry.data)
+            key = object_digest(entry.data)
             if key in self._known_hashes:
                 continue
             self._known_hashes.add(key)

@@ -271,10 +271,6 @@ class ClosureXHarness:
         self.in_init_phase = False
         return self.vm
 
-    @property
-    def booted(self) -> bool:
-        return self.vm is not None
-
     def run_test_case(self, data: bytes, restore: bool = True) -> IterationResult:
         """Execute one test case in the persistent loop."""
         if self.vm is None or self.snapshot is None or self._target_main is None:

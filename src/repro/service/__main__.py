@@ -13,7 +13,10 @@ Subcommands:
 - ``shutdown`` — fast clean stop (in-flight jobs resume next serve).
 
 Clients find the server through ``<state-dir>/endpoint.json`` (written
-by ``serve`` once bound), or explicitly via ``--host``/``--port``.
+by ``serve`` once bound), or explicitly via ``--host``/``--port``.  A
+client that finds no server (no endpoint given or advertised, or none
+listening there) prints one ``error:`` line and exits 2; an error the
+server reports is ``error: {json}`` and exit status 1.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import json
 import sys
 
 from repro.chaos.plan import FaultPlan
-from repro.service.protocol import ServiceError, call_sync
-from repro.service.recovery import ServiceState
+from repro.service.protocol import ProtocolError, ServiceError, call_sync
+from repro.service.recovery import read_endpoint
 from repro.service.server import FuzzService, ServiceConfig, ServicePolicy
 
 
@@ -40,10 +43,10 @@ def _endpoint(args) -> tuple[str, int]:
     if args.host is not None and args.port is not None:
         return args.host, args.port
     if args.state_dir is None:
-        raise SystemExit(
+        raise ValueError(
             "need --state-dir (to read endpoint.json) or --host/--port"
         )
-    return ServiceState(args.state_dir).read_endpoint()
+    return read_endpoint(args.state_dir)
 
 
 def _parse_tenant_quotas(pairs: list[str]) -> dict[str, int]:
@@ -105,16 +108,29 @@ def _print(result: dict) -> None:
     print(json.dumps(result, indent=2, sort_keys=True))
 
 
+def _error(message: str) -> int:
+    """Report a server that cannot be reached as one ``error:`` line;
+    the exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _call(args, method: str, params: dict | None = None,
           on_notification=None) -> int:
-    host, port = _endpoint(args)
     try:
-        _print(call_sync(host, port, method, params, on_notification))
+        host, port = _endpoint(args)
+    except (OSError, ValueError, KeyError) as error:
+        return _error(f"no service endpoint: {error}")
+    try:
+        result = call_sync(host, port, method, params, on_notification)
     except ServiceError as error:
         payload = error.to_wire()
         print(f"error: {json.dumps(payload, sort_keys=True)}",
               file=sys.stderr)
         return 1
+    except (OSError, ProtocolError) as error:
+        return _error(f"no service at {host}:{port}: {error}")
+    _print(result)
     return 0
 
 

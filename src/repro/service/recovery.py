@@ -34,7 +34,11 @@ from repro.store.log import canonical_line
 
 __all__ = [
     "JobJournal", "ServiceState", "canonical_line", "poll_checkpoint_tear",
+    "read_endpoint",
 ]
+
+#: Where ``serve`` advertises its bound (host, port) in the state dir.
+ENDPOINT_FILE = "endpoint.json"
 
 
 class JobJournal:
@@ -63,6 +67,15 @@ class JobJournal:
         return self._log.read()
 
 
+def read_endpoint(state_dir: str) -> tuple[str, int]:
+    """The (host, port) a server over *state_dir* advertises.  Reads
+    that one file and creates nothing, so a client may pass any path."""
+    path = os.path.join(state_dir, ENDPOINT_FILE)
+    with open(path, "r", encoding="utf-8") as handle:
+        endpoint = json.load(handle)
+    return endpoint["host"], int(endpoint["port"])
+
+
 class ServiceState:
     """Layout of one service's state directory."""
 
@@ -79,7 +92,7 @@ class ServiceState:
     @property
     def endpoint_path(self) -> str:
         """Where ``serve`` advertises its bound (host, port)."""
-        return os.path.join(self.state_dir, "endpoint.json")
+        return os.path.join(self.state_dir, ENDPOINT_FILE)
 
     def write_endpoint(self, host: str, port: int) -> None:
         """Atomically advertise the listening endpoint for clients."""
@@ -87,12 +100,6 @@ class ServiceState:
             self.endpoint_path,
             json.dumps({"host": host, "port": port}).encode("utf-8"),
         )
-
-    def read_endpoint(self) -> tuple[str, int]:
-        """The advertised (host, port) pair."""
-        with open(self.endpoint_path, "r", encoding="utf-8") as handle:
-            endpoint = json.load(handle)
-        return endpoint["host"], int(endpoint["port"])
 
     # -- journal replay --------------------------------------------------
 

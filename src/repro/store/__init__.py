@@ -28,7 +28,6 @@ from repro.store.errors import (
 )
 from repro.store.framed import (
     frame,
-    load_newest,
     read_framed,
     write_framed,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "generation_path",
     "install_disk_faults",
     "is_temp_artifact",
-    "load_newest",
     "object_digest",
     "open_store",
     "read_framed",

@@ -9,9 +9,13 @@ python -m repro.store stats ROOT
 ``fsck`` walks a state tree validating every store artifact it finds
 (checkpoint generation families, append logs, corpus stores, temp
 residue, plain JSON) and exits **0** iff the tree is loadable — only
-unrepaired errors fail it; warnings are expected crash residue.  With
-``--repair`` everything fixable is fixed in place; ``--json`` writes
-the machine-readable report (the CI artifact).
+unrepaired errors fail it; warnings are expected crash residue.  Given
+a file, it checks that file (a checkpoint: its generation family) as
+the walk of its directory would.  With ``--repair`` everything fixable
+is fixed in place; ``--json`` writes the machine-readable report (the
+CI artifact).  A path that cannot be checked (a missing one for
+``fsck``, a non-store for ``scrub`` and ``stats``) is one ``error:``
+line and exit status 2.
 """
 
 from __future__ import annotations
@@ -25,8 +29,18 @@ from repro.store.fsck import fsck_tree
 from repro.store.objects import open_store
 
 
+def _error(message: str) -> int:
+    """Report a path that cannot be checked as one ``error:`` line; the
+    exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_fsck(args) -> int:
-    report = fsck_tree(args.root, repair=args.repair)
+    try:
+        report = fsck_tree(args.root, repair=args.repair)
+    except StoreError as error:
+        return _error(str(error))
     payload = report.to_json()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -49,8 +63,7 @@ def _cmd_scrub(args) -> int:
     try:
         store = open_store(args.root)
     except StoreError as error:
-        print(error, file=sys.stderr)
-        return 2
+        return _error(str(error))
     report = store.scrub(repair=not args.no_repair)
     print(
         f"scrub {args.root}: {report.checked} object(s) checked, "
@@ -64,8 +77,7 @@ def _cmd_stats(args) -> int:
     try:
         store = open_store(args.root)
     except StoreError as error:
-        print(error, file=sys.stderr)
-        return 2
+        return _error(str(error))
     print(json.dumps(store.stats(), indent=2, sort_keys=True))
     return 0
 

@@ -31,10 +31,10 @@ def frame(magic: bytes, body: bytes) -> bytes:
 
 
 def write_framed(path: str, magic: bytes, body: bytes,
-                 keep: int = 1, faults=None) -> None:
+                 keep: int = 1) -> None:
     """Atomically persist one framed file, keeping *keep* generations
     (the fresh file at *path*, the previous at ``path.1``, ...)."""
-    atomic_write(path, frame(magic, body), keep=keep, faults=faults)
+    atomic_write(path, frame(magic, body), keep=keep)
 
 
 def read_framed(path: str, magic: bytes) -> bytes:
@@ -93,23 +93,3 @@ def generations_on_disk(path: str) -> list[str]:
         generation += 1
     return found
 
-
-def load_newest(path: str, magic: bytes) -> tuple[bytes, str]:
-    """Body + path of the newest generation passing validation.
-
-    Falls back through ``path``, ``path.1``, ``path.2``, ...; raises a
-    :class:`FrameError` naming every generation tried with its
-    individual failure when none is loadable.
-    """
-    failures: list[str] = []
-    tried = generations_on_disk(path)
-    for candidate in tried:
-        try:
-            return read_framed(candidate, magic), candidate
-        except FrameError as error:
-            failures.append(str(error))
-    raise FrameError(
-        f"no loadable generation (tried {', '.join(tried)}): "
-        + "; ".join(failures),
-        path=path,
-    )

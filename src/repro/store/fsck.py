@@ -28,7 +28,10 @@ writes, because they all share the same small set of on-disk shapes:
 
 The exit-code contract (``python -m repro.store fsck``): **0** when
 every store is *loadable* — unrepaired errors are the only thing that
-fails the tree; warnings (expected crash residue) never do.
+fails the tree; warnings (expected crash residue) never do.  A file
+given in place of a tree gets the verdict walking its directory gives
+that file (a framed file: its whole generation family); a path that
+does not exist is a :class:`~repro.store.errors.StoreError`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.store.framed import read_framed
 from repro.store.io import is_temp_artifact
 from repro.store.log import AppendLog
 from repro.store.objects import STORE_MARKER, CorpusStore
-from repro.store.errors import FrameError
+from repro.store.errors import FrameError, StoreError
 
 #: Magics of framed-file species fsck knows how to validate.
 FRAMED_MAGICS = (b"RPRCKPT1",)
@@ -235,40 +238,65 @@ def _check_store(root: str, repair: bool, findings: list[Finding]) -> None:
         findings.append(finding)
 
 
+def _check_files(dirpath: str, names: list[str], repair: bool,
+                 findings: list[Finding],
+                 framed_groups: dict[str, dict[str, bytes]]) -> None:
+    """Check the files *names* of one directory that is not a corpus
+    store; framed files join their generation family in
+    *framed_groups*, checked once every family is complete."""
+    for name in sorted(names):
+        path = os.path.join(dirpath, name)
+        if is_temp_artifact(name):
+            finding = Finding(
+                path, "stray-temp", "warning",
+                "orphaned atomic-write temp file (crash residue)",
+            )
+            if repair:
+                os.remove(path)
+                finding.repaired = True
+            findings.append(finding)
+            continue
+        magic = _framed_magic(path)
+        if magic is not None:
+            base = _generation_base(path)
+            framed_groups.setdefault(base, {})[path] = magic
+            continue
+        if name.endswith(".jsonl"):
+            _check_log(path, repair, findings)
+        elif name.endswith(".json"):
+            _check_json(path, findings)
+
+
 def fsck_tree(root: str, repair: bool = False) -> FsckReport:
     """Walk *root*, validating every store artifact (see module
-    docstring); with *repair*, fix everything fixable in place."""
+    docstring); with *repair*, fix everything fixable in place.  A
+    file *root* is checked as the walk of its directory checks it, a
+    framed one with the rest of its generation family."""
+    if not os.path.exists(root):
+        raise StoreError(f"{root!r} does not exist")
     findings: list[Finding] = []
     stores = 0
     framed_groups: dict[str, dict[str, bytes]] = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        if STORE_MARKER in filenames:
-            stores += 1
-            _check_store(dirpath, repair, findings)
-            dirnames[:] = []  # the store check covers this subtree
-            continue
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            if is_temp_artifact(name):
-                finding = Finding(
-                    path, "stray-temp", "warning",
-                    "orphaned atomic-write temp file (crash residue)",
-                )
-                if repair:
-                    os.remove(path)
-                    finding.repaired = True
-                findings.append(finding)
+    if os.path.isfile(root):
+        directory, name = os.path.split(root)
+        names = [name]
+        if _framed_magic(root) is not None:
+            base = _generation_base(root)
+            names = [
+                sibling for sibling in os.listdir(directory or ".")
+                if _generation_base(os.path.join(directory, sibling)) == base
+            ]
+        _check_files(directory, names, repair, findings, framed_groups)
+    else:
+        for dirpath, dirnames, filenames in os.walk(root):
+            if STORE_MARKER in filenames:
+                stores += 1
+                _check_store(dirpath, repair, findings)
+                dirnames[:] = []  # the store check covers this subtree
                 continue
-            magic = _framed_magic(path)
-            if magic is not None:
-                base = _generation_base(path)
-                framed_groups.setdefault(base, {})[path] = magic
-                continue
-            if name.endswith(".jsonl"):
-                _check_log(path, repair, findings)
-            elif name.endswith(".json"):
-                _check_json(path, findings)
+            dirnames.sort()
+            _check_files(dirpath, filenames, repair, findings,
+                         framed_groups)
     for base, members in sorted(framed_groups.items()):
         _check_framed_group(base, members, repair, findings)
     return FsckReport(root=root, findings=findings, stores_scanned=stores)

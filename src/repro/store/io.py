@@ -16,7 +16,7 @@ object store — ultimately writes through the two primitives here:
 
 Because everything funnels through this module, the disk-fault half of
 the chaos plane (``FaultPlan.DISK_SITES``) needs exactly **one**
-injection seam: each primitive polls the duck-typed ``faults`` object
+injection seam: each primitive polls the process-wide injector
 (occurrence-indexed, like every other chaos site) and interprets the
 armed site:
 
@@ -35,11 +35,11 @@ armed site:
 
 The layering rule matches ``sim_os``/``vm``: this module never imports
 ``repro.chaos`` — it polls a duck-typed injector and raises what it is
-given — so fault *construction* stays in the chaos plane.  Injectors
-are either passed explicitly (``faults=``) or installed process-wide
-with :func:`install_disk_faults` / the :func:`disk_chaos` context
-manager, because a disk is process-wide state: every consumer in the
-process inherits the fault plan through this one seam.
+given — so fault *construction* stays in the chaos plane.  The injector
+is installed process-wide with :func:`install_disk_faults` / the
+:func:`disk_chaos` context manager, because a disk is process-wide
+state: every consumer in the process inherits the fault plan through
+this one seam.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _GLOBAL_FAULTS = None
 
 def install_disk_faults(injector) -> None:
     """Install a process-wide disk-fault injector (duck-typed: anything
-    with ``poll(site) -> fault | None``).  Every store primitive that is
-    not handed an explicit ``faults`` object polls this one."""
+    with ``poll(site) -> fault | None``).  Every store primitive polls
+    this one."""
     global _GLOBAL_FAULTS
     _GLOBAL_FAULTS = injector
 
@@ -81,12 +81,11 @@ def disk_chaos(injector):
         clear_disk_faults()
 
 
-def _poll(faults, site: str):
-    """One exercise of *site* against the effective injector."""
-    faults = faults if faults is not None else _GLOBAL_FAULTS
-    if faults is None:
+def _poll(site: str):
+    """One exercise of *site* against the process-wide injector."""
+    if _GLOBAL_FAULTS is None:
         return None
-    return faults.poll(site)
+    return _GLOBAL_FAULTS.poll(site)
 
 
 def fsync_dir(path: str) -> None:
@@ -137,8 +136,7 @@ def _flip_one_bit(path: str) -> None:
         handle.write(bytes([original[0] ^ 0x01]))
 
 
-def atomic_write(path: str, data: bytes, keep: int = 1,
-                 faults=None, fsync_parent: bool = True) -> None:
+def atomic_write(path: str, data: bytes, keep: int = 1) -> None:
     """Crash-consistently replace *path* with *data*.
 
     The sequence is temp file + file fsync + generation rotation +
@@ -160,12 +158,12 @@ def atomic_write(path: str, data: bytes, keep: int = 1,
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
-            fault = _poll(faults, "torn-write")
+            fault = _poll("torn-write")
             if fault is not None:
                 handle.write(data[: len(data) // 2])
                 handle.flush()
                 raise fault
-            fault = _poll(faults, "enospc")
+            fault = _poll("enospc")
             if fault is not None:
                 handle.write(data[: len(data) // 2])
                 handle.flush()
@@ -174,7 +172,7 @@ def atomic_write(path: str, data: bytes, keep: int = 1,
                 )
             handle.write(data)
             handle.flush()
-            fault = _poll(faults, "eio-fsync")
+            fault = _poll("eio-fsync")
             if fault is not None:
                 raise OSError(errno.EIO, "Input/output error in fsync (chaos)",
                               tmp)
@@ -187,14 +185,13 @@ def atomic_write(path: str, data: bytes, keep: int = 1,
         raise
     # An injected power cut (torn-write) propagates as the fault itself
     # and deliberately skips the cleanup above: crashes don't clean up.
-    fault = _poll(faults, "lost-rename")
+    fault = _poll("lost-rename")
     if fault is not None:
         raise fault
     rotate_generations(path, max(1, keep))
     os.replace(tmp, path)
-    if fsync_parent:
-        fsync_dir(directory)
-    fault = _poll(faults, "bit-flip")
+    fsync_dir(directory)
+    fault = _poll("bit-flip")
     if fault is not None:
         _flip_one_bit(path)
 

@@ -58,9 +58,8 @@ class AppendLog:
     Every append is flushed and fsynced before it returns.
     """
 
-    def __init__(self, path: str, faults=None):
+    def __init__(self, path: str):
         self.path = os.fspath(path)
-        self.faults = faults
         self._tail_checked = False
         os.makedirs(os.path.dirname(os.path.abspath(self.path)),
                     exist_ok=True)
@@ -75,13 +74,13 @@ class AppendLog:
             self.repair_tail()
         line = (canonical_line(record) + "\n").encode("utf-8")
         with open(self.path, "ab") as handle:
-            fault = _poll(self.faults, "torn-write")
+            fault = _poll("torn-write")
             if fault is not None:
                 handle.write(line[: len(line) // 2])
                 handle.flush()
                 self._tail_checked = False
                 raise fault
-            fault = _poll(self.faults, "enospc")
+            fault = _poll("enospc")
             if fault is not None:
                 handle.write(line[: len(line) // 2])
                 handle.flush()
@@ -92,7 +91,7 @@ class AppendLog:
                 )
             handle.write(line)
             handle.flush()
-            fault = _poll(self.faults, "eio-fsync")
+            fault = _poll("eio-fsync")
             if fault is not None:
                 raise OSError(
                     errno.EIO, "Input/output error in fsync (chaos)",
@@ -121,7 +120,7 @@ class AppendLog:
         body = "".join(
             canonical_line(record) + "\n" for record in records
         ).encode("utf-8")
-        atomic_write(self.path, body, faults=self.faults)
+        atomic_write(self.path, body)
         self._tail_checked = True
 
     # -- reads -----------------------------------------------------------

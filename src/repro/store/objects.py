@@ -20,8 +20,8 @@ Owners — one per campaign shard, tenant job, or experiment trial —
 reference objects through append-only logs, so liveness is refcounted:
 :meth:`CorpusStore.prune` removes objects no owner references,
 :meth:`CorpusStore.release` drops a whole owner.  Object digests
-deliberately use the same sha256 hex as the fuzzing plane's
-``input_hash``, so a corpus entry's content hash *is* its store
+are the fuzzing plane's content hash too (:func:`object_digest` is
+the one definition), so a corpus entry's content hash *is* its store
 address and the parallel SyncHub can exchange digests instead of
 payloads.
 
@@ -48,7 +48,6 @@ import os
 from repro.store.errors import ObjectCorruption, StoreError
 from repro.store.io import atomic_write, fsync_dir, is_temp_artifact
 from repro.store.log import AppendLog
-from repro.telemetry import NULL_TELEMETRY
 
 #: Written to the store root so ``fsck`` recognises store trees.
 STORE_MARKER = "corpus-store.json"
@@ -56,8 +55,9 @@ STORE_SCHEMA = "repro-corpus-store/1"
 
 
 def object_digest(data: bytes) -> str:
-    """The store address of a payload: its sha256 hex digest (equal to
-    the fuzzing plane's ``input_hash``)."""
+    """The store address of a payload: its sha256 hex digest, also the
+    content identity the fuzzing plane dedups and syncs corpus inputs
+    by."""
     return hashlib.sha256(data).hexdigest()
 
 
@@ -88,10 +88,8 @@ class CorpusStore:
     durability stack and the disk-fault chaos seam.
     """
 
-    def __init__(self, root: str, faults=None, telemetry=NULL_TELEMETRY):
+    def __init__(self, root: str):
         self.root = os.fspath(root)
-        self.faults = faults
-        self.telemetry = telemetry
         self.objects_dir = os.path.join(self.root, "objects")
         self.mirror_dir = os.path.join(self.root, "mirror")
         self.refs_dir = os.path.join(self.root, "refs")
@@ -109,7 +107,6 @@ class CorpusStore:
                     {"schema": STORE_SCHEMA, "replicate": True},
                     sort_keys=True,
                 ).encode("utf-8"),
-                faults=faults,
             )
 
     # -- paths -----------------------------------------------------------
@@ -129,13 +126,9 @@ class CorpusStore:
     def _ref_log(self, owner: str) -> AppendLog:
         log = self._ref_logs.get(owner)
         if log is None:
-            log = AppendLog(self.ref_log_path(owner), faults=self.faults)
+            log = AppendLog(self.ref_log_path(owner))
             self._ref_logs[owner] = log
         return log
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(name).inc(amount)
 
     # -- writes ----------------------------------------------------------
 
@@ -149,14 +142,10 @@ class CorpusStore:
         """
         digest = object_digest(data)
         path = self.object_path(digest)
-        if os.path.exists(path):
-            self._count("store.objects.dedup_hits")
-        else:
-            atomic_write(path, data, faults=self.faults)
-            self._count("store.objects.put")
-            self._count("store.objects.bytes", len(data))
+        if not os.path.exists(path):
+            atomic_write(path, data)
         if not os.path.exists(self.mirror_path(digest)):
-            atomic_write(self.mirror_path(digest), data, faults=self.faults)
+            atomic_write(self.mirror_path(digest), data)
         if owner is not None:
             self._reference(owner, digest)
         return digest
@@ -209,8 +198,7 @@ class CorpusStore:
             return None
         if object_digest(data) != digest:
             return None
-        atomic_write(self.object_path(digest), data, faults=self.faults)
-        self._count("store.scrub.repaired")
+        atomic_write(self.object_path(digest), data)
         return data
 
     def _quarantine(self, digest: str) -> None:
@@ -219,7 +207,6 @@ class CorpusStore:
         if os.path.exists(path):
             os.replace(path, os.path.join(self.quarantine_dir, digest))
             fsync_dir(self.quarantine_dir)
-        self._count("store.scrub.quarantined")
 
     # -- references ------------------------------------------------------
 
@@ -310,7 +297,6 @@ class CorpusStore:
             removed.append(digest)
         if removed:
             fsync_dir(self.objects_dir)
-            self._count("store.prune.removed", len(removed))
         return removed
 
     def _replica_healthy(self, digest: str) -> bool:
@@ -350,12 +336,10 @@ class CorpusStore:
                 continue
             if not self._replica_healthy(digest):
                 if repair:
-                    atomic_write(self.mirror_path(digest), data,
-                                 faults=self.faults)
+                    atomic_write(self.mirror_path(digest), data)
                     repaired.append(digest)
                 else:
                     degraded.append(digest)
-        self._count("store.scrub.checked", checked)
         return ScrubReport(
             checked, tuple(repaired), tuple(degraded), tuple(quarantined)
         )
@@ -384,7 +368,6 @@ class CorpusStore:
             if bits & ~covered:
                 selected.append(digest)
                 covered |= bits
-        self._count("store.distill.selected", len(selected))
         return selected
 
     # -- introspection ---------------------------------------------------

@@ -115,12 +115,6 @@ class TargetSpec:
             extra_allocators=self.extra_allocators,
         )
 
-    def analyze(self) -> PollutionReport:
-        """Pollution-classify the raw module (no instrumentation)."""
-        return PollutionAnalyzer(
-            self.compile(), extra_allocators=self.extra_allocators
-        ).run()
-
     def build_analyzed(self) -> tuple[Module, PollutionReport]:
         """Analysis-guided ClosureX build: passes for provably clean
         state dimensions are elided, and (with a trusted report) only

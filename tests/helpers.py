@@ -1,10 +1,8 @@
 """Shared test helpers: run inputs under executors, kill a checkpointing
-campaign mid-run, rewrite a checkpoint in the dense coverage format,
-craft crash inputs."""
+campaign mid-run, craft crash inputs."""
 
 from __future__ import annotations
 
-import pickle
 import struct
 
 from repro.execution import FreshProcessExecutor
@@ -40,54 +38,6 @@ def run_killed(campaign, halt_ns: int) -> None:
         if campaign.now_ns >= halt_ns:
             return
         campaign.checkpoint()
-
-
-class _DenseVirginMap:
-    """Pickles as a ``VirginMap`` did before it pickled sparse: its
-    ``__dict__``, the map dense."""
-
-    def __init__(self, virgin, dense):
-        self.state = {"size": virgin.size, "virgin": dense}
-
-    def __reduce__(self):
-        from repro.fuzzing.coverage import VirginMap
-        return object.__new__, (VirginMap,), self.state
-
-
-def as_dense_checkpoint(state: dict, virgin: str = "numpy") -> None:
-    """Rewrite a campaign or fleet checkpoint state in place as it was
-    pickled before coverage went sparse: every signature a dense 64 KiB
-    classified map, the hub's virgin map its 64 KiB of bytes, every
-    pickled virgin map dense, a numpy array (*virgin* ``"numpy"``, as
-    the oldest files hold) or a ``bytearray`` (``"bytearray"``)."""
-    import numpy as np
-    from repro.fuzzing.coverage import VirginMap, dense_signature
-
-    def dense(signature: bytes) -> bytes:
-        # Candidates are shared between the hub's accepted list and
-        # its outboxes: convert each once.
-        return (dense_signature(signature) if len(signature) % 3 == 0
-                else signature)
-
-    if state["kind"] == "campaign":
-        for entry in state["corpus"].entries:
-            entry.coverage_signature = dense(entry.coverage_signature)
-        old = state["virgin"]
-        dense_map = (np.frombuffer(old.to_bytes(), dtype=np.uint8).copy()
-                     if virgin == "numpy" else bytearray(old.to_bytes()))
-        state["virgin"] = _DenseVirginMap(old, dense_map)
-        return
-    hub = state["hub"]
-    hub["virgin"] = VirginMap.from_sparse(hub["virgin"]).to_bytes()
-    for candidate in hub["accepted"] + [c for box in hub["outboxes"]
-                                        for c in box]:
-        object.__setattr__(candidate, "signature", dense(candidate.signature))
-    barrier_states = []
-    for shard_state in state["barrier_states"]:
-        shard = pickle.loads(shard_state)
-        as_dense_checkpoint(shard, virgin)
-        barrier_states.append(pickle.dumps(shard))
-    state["barrier_states"] = barrier_states
 
 
 # ---------------------------------------------------------------------------

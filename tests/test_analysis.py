@@ -15,18 +15,15 @@ from repro.analysis import (
     Liveness,
     PollutionAnalyzer,
     Severity,
-    alloca_slots,
     analyze_pollution,
-    def_use_chains,
     lint_module,
     live_values,
     reaching_stores,
     stores_reaching,
     summarise_module,
-    unused_definitions,
 )
 from repro.ir import cfg, parse_module, print_module, verify_module
-from repro.ir.instructions import Br, Call, Load, Ret, Store
+from repro.ir.instructions import Alloca, Br, Call, Load, Ret, Store
 from repro.ir.module import BasicBlock
 from repro.ir.values import ConstantInt
 from repro.ir.types import I32, FunctionType
@@ -117,10 +114,10 @@ def test_liveness_across_branches():
     # The alloca slot for `r` is live into the join block (loaded there).
     preds = cfg.predecessors(function)
     join = next(b for b in function.blocks if len(preds[b]) > 1)
-    slots = alloca_slots(function)
-    r_slot = next(s for s in slots if any(
-        isinstance(u.user, Load) and u.user.parent is join for u in s.uses
-    ))
+    r_slot = next(s for s in function.instructions()
+                  if isinstance(s, Alloca) and any(
+                      isinstance(u.user, Load) and u.user.parent is join
+                      for u in s.uses))
     assert r_slot in solution.at_entry(join)
 
 
@@ -134,17 +131,6 @@ def test_reaching_definitions_kill_and_merge():
     # Both arms' stores to `r` merge at the join-block load.
     blocks = {d.parent for d in defs}
     assert len(defs) == 2 and join not in blocks
-
-
-def test_def_use_chains_and_unused_defs():
-    module = compile_c(DIAMOND, "t")
-    function = module.get_function("pick")
-    chains = def_use_chains(function)
-    for inst, uses in chains.items():
-        assert len(uses) == inst.num_uses or any(
-            use.user not in chains for use in inst.uses
-        )
-    assert unused_definitions(function) == []
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +384,7 @@ def test_target_roundtrip_verify_lint(name):
 @pytest.mark.parametrize("name", target_names())
 def test_target_pollution_report_is_conservative(name):
     spec = get_target(name)
-    report = spec.analyze()
+    report = spec.build_analyzed()[1]
     # Every dirty verdict must carry at least one reason.
     for dimension in report.dirty_dimensions():
         assert report.finding(dimension).reasons
@@ -412,7 +398,7 @@ def test_target_pollution_report_is_conservative(name):
 
 
 def test_md4c_is_provably_heap_clean():
-    report = get_target("md4c").analyze()
+    report = get_target("md4c").build_analyzed()[1]
     assert report.is_clean("heap")
     assert "HeapPass" in report.skip_passes()
     assert report.trusted_globals

@@ -8,7 +8,6 @@ virtual clock.
 """
 
 import os
-import pickle
 
 import pytest
 
@@ -22,16 +21,19 @@ from repro.fuzzing import (
     Campaign,
     CampaignConfig,
     CheckpointError,
+    capture_state,
     load_checkpoint,
     save_checkpoint,
     save_state,
 )
-from repro.fuzzing.checkpoint import CHECKPOINT_MAGIC
+from repro.fuzzing.__main__ import main as fuzzing_main
+from repro.fuzzing.checkpoint import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from repro.integrity import EscalationPolicy, IntegritySentinel
 from repro.minic import compile_c
+from repro.parallel import ParallelConfig, open_campaign
 from repro.passes import PassManager, baseline_passes, closurex_passes
 from repro.sim_os import Kernel
-from tests.helpers import as_dense_checkpoint, run_killed
+from tests.helpers import run_killed
 
 SOURCE = r"""
 int main(int argc, char **argv) {
@@ -279,37 +281,6 @@ class TestResume:
         replay = _fingerprint(resumed, resumed.run())
         assert replay == golden
 
-    def test_dense_format_checkpoint_resumes_bit_identically(self, tmp_path):
-        """A checkpoint pickled before coverage went sparse (dense
-        signatures, a dense virgin map: numpy, or a bytearray) resumes
-        to the uninterrupted run's digest."""
-        uninterrupted = _campaign(
-            CampaignConfig(budget_ns=BUDGET_NS, seed=7)
-        )
-        golden = _fingerprint(uninterrupted, uninterrupted.run())
-
-        path = str(tmp_path / "campaign.ckpt")
-        halted = _campaign(
-            CampaignConfig(
-                budget_ns=BUDGET_NS, seed=7,
-                checkpoint_path=path,
-                checkpoint_interval_ns=4_000_000,
-            )
-        )
-        run_killed(halted, BUDGET_NS * 6 // 10)
-        sparse = pickle.dumps(load_checkpoint(path))
-        for virgin in ("numpy", "bytearray"):
-            state = pickle.loads(sparse)
-            as_dense_checkpoint(state, virgin)
-            save_state(state, path)
-            entries = load_checkpoint(path)["corpus"].entries
-            assert all(len(e.coverage_signature) % 3 == 0 for e in entries)
-            assert os.path.getsize(path) > 65536 * (len(entries) + 1)
-
-            resumed = Campaign.resume(path, _executor())
-            assert _fingerprint(resumed, resumed.run()) == golden, virgin
-            assert resumed.state_digest() == uninterrupted.state_digest()
-
     def test_resume_continues_not_restarts(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")
         halted = _campaign(
@@ -397,14 +368,59 @@ class TestIntegrityInCheckpoint:
         )
         campaign.run()
         state = load_checkpoint(path)
-        summary = state["integrity"]
-        assert summary is not None
-        assert summary["leaks"] == 0 and summary["quarantined"] == 0
-        # The full sentinel state travels inside executor_state.
-        assert state["executor_state"]["inner"]["sentinel"] is not None
+        assert "integrity" not in state
+        # The sentinel's state, its ledger included, travels inside
+        # executor_state.
+        sentinel = state["executor_state"]["inner"]["sentinel"]
+        assert sentinel["stats"].checks > 0
+        assert sentinel["ledger"]["events"] == []
+        assert sentinel["ledger"]["quarantine"] == {}
 
-    def test_checkpoint_without_sentinel_has_null_summary(self, tmp_path):
-        path = str(tmp_path / "n.ckpt")
+
+class TestOlderVersionRefused:
+    """A checkpoint of the previous layout (``version`` 1) is refused,
+    not converted: loaders carry no converters, and each opener takes
+    the path it takes for any file that does not load."""
+
+    def test_load_names_both_versions(self, tmp_path):
+        assert CHECKPOINT_VERSION == 2
+        path = str(tmp_path / "c.ckpt")
         campaign = _campaign(CampaignConfig(budget_ns=1, seed=1))
-        save_checkpoint(campaign, path)
-        assert load_checkpoint(path)["integrity"] is None
+        save_state(dict(capture_state(campaign), version=1), path)
+        with pytest.raises(CheckpointError, match=r"version 1 != 2"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_open_campaign_starts_fresh(self, tmp_path, n_workers):
+        """Over a version-1 copy of a checkpoint the run itself wrote,
+        ``open_campaign`` opens fresh and reaches the digest of a run
+        that never had the file."""
+        def opened(path):
+            return open_campaign(ParallelConfig(
+                target="giftext", n_workers=n_workers, seed=3,
+                budget_ns=4_000_000, sync_every_ns=2_000_000,
+                checkpoint_path=path,
+            ))
+
+        def digest(campaign):
+            result = campaign.run()
+            return result.digest() if n_workers > 1 \
+                else campaign.state_digest()
+
+        written = str(tmp_path / "written.ckpt")
+        golden = digest(opened(written))
+        path = str(tmp_path / "older.ckpt")
+        save_state(dict(load_checkpoint(written), version=1), path)
+        campaign = opened(path)
+        assert not campaign.resumed
+        assert digest(campaign) == golden
+
+    def test_cli_resume_is_one_error_line(self, tmp_path, capsys):
+        path = str(tmp_path / "c.ckpt")
+        save_state({"version": 1, "kind": "campaign"}, path)
+        assert fuzzing_main(["--resume", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "version 1 != 2" in lines[0]

@@ -110,6 +110,28 @@ def test_bad_input_exits_2_with_one_error_line(main, argv, tmp_path, capsys):
     assert list((tmp_path / "empty").iterdir()) == []
 
 
+@pytest.mark.parametrize("name, value", [
+    ("REPRO_TRIALS", "0"), ("REPRO_BUDGET_MS", "-3"),
+    ("REPRO_BUDGET_MS", "abc"), ("REPRO_TARGETS", "nosuch"),
+])
+def test_unusable_sizing_exits_2_before_any_trial(name, value, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran under unusable sizing")
+
+    monkeypatch.setattr(
+        "repro.experiments.__main__.TrialScheduler.run", no_trials)
+    monkeypatch.setenv(name, value)
+    out = tmp_path / "paper"
+    assert experiments_main(["table5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert name in lines[0]
+    assert not out.exists()
+
+
 def test_fresh_checkpoint_run_never_loads_the_file_at_its_path(
         tmp_path, capsys):
     """A ``--checkpoint`` path already holding another run's checkpoint

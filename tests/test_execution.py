@@ -181,4 +181,3 @@ class TestCostOrdering:
         assert stats.normal_returns == 1
         assert stats.clean_exits == 1
         assert stats.crashes == 1
-        assert stats.execs_per_virtual_second() > 0

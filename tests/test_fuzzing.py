@@ -453,8 +453,3 @@ class TestCampaign:
         first = self._campaign(seed=1).run()
         second = self._campaign(seed=2).run()
         assert (first.execs, first.corpus_size) != (second.execs, second.corpus_size)
-
-    def test_extrapolation(self):
-        result = self._campaign().run()
-        doubled = result.extrapolate_execs(result.elapsed_ns * 2)
-        assert doubled == pytest.approx(result.execs * 2)

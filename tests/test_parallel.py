@@ -12,7 +12,6 @@ coordinated checkpoint.
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
@@ -161,10 +160,7 @@ class TestSyncHub:
         hub = SyncHub(2)
         hub.register_seeds([b"seed"])
         hub.ingest([_report(0, [_candidate(0, 0, b"a", {5: 1})])])
-        state = hub.snapshot_state()
-        assert "max_imports_per_sync" not in state
-        # A snapshot from when the import cap was a parameter names it.
-        clone = SyncHub.from_state(dict(state, max_imports_per_sync=3))
+        clone = SyncHub.from_state(hub.snapshot_state())
         assert clone.seen_hashes == hub.seen_hashes
         assert clone.corpus_hashes() == hub.corpus_hashes()
         assert [list(b) for b in clone.outboxes] == [
@@ -353,32 +349,6 @@ class TestCoordinatedCheckpoint:
         ), rounds=2)
         result = ParallelCampaign.resume(path).run()
         assert result.digest() == golden.digest()
-
-    def test_dense_format_checkpoint_resumes_bit_identically(
-        self, golden, tmp_path
-    ):
-        """A fleet checkpoint pickled before coverage went sparse (dense
-        signatures in the hub and the shards' barrier states, dense
-        virgin maps: the hub's bytes, and numpy arrays or bytearrays in
-        the shards) resumes to the uninterrupted run's digest."""
-        from repro.fuzzing.checkpoint import load_checkpoint, save_state
-        from tests.helpers import as_dense_checkpoint
-        path = str(tmp_path / "fleet.ckpt")
-        _dropped_at_barrier(_config(checkpoint_path=path), rounds=2)
-        sparse = pickle.dumps(load_checkpoint(path))
-        for virgin in ("numpy", "bytearray"):
-            state = pickle.loads(sparse)
-            assert state["hub"]["accepted"]
-            as_dense_checkpoint(state, virgin)
-            save_state(state, path)
-            assert len(load_checkpoint(path)["hub"]["virgin"]) == 65536
-            assert os.path.getsize(path) > 65536 * len(state["hub"]["accepted"])
-
-            resumed = ParallelCampaign.resume(path)
-            assert all(len(c.signature) % 3 == 0 for c in resumed.hub.accepted)
-            result = resumed.run()
-            assert result.resumed
-            assert result.digest() == golden.digest(), virgin
 
     def test_resume_rejects_mismatched_config(self, tmp_path):
         path = str(tmp_path / "fleet.ckpt")

@@ -23,7 +23,6 @@ from repro.fuzzing.coverage import (
     hit_cells,
     signature_bits,
     signature_id,
-    sparse_signature,
 )
 from repro.fuzzing.mutators import HavocMutator
 from repro.ir.types import IntType, StructType, int_type
@@ -212,9 +211,6 @@ class TestCoverageReaders:
         assert coverage_signature(bytearray(raw)) == signature
         assert coverage_signature(_guarded(raw, random.Random(seed))) == \
             signature
-        # An old checkpoint's dense signature converts to the same one.
-        assert sparse_signature(_old_dense(raw)) == signature
-        assert sparse_signature(signature) == signature
 
     @given(raw_maps, st.integers(0, 2**31),
            st.integers(3, pickle.HIGHEST_PROTOCOL))

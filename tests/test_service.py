@@ -13,6 +13,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -35,8 +36,9 @@ from repro.service import (
     ServiceError,
     ServicePolicy,
 )
+from repro.service.__main__ import main as service_main
 from repro.service.protocol import decode_frame, encode_frame
-from repro.service.recovery import JobJournal, ServiceState
+from repro.service.recovery import JobJournal, read_endpoint
 from repro.sim_os import Kernel
 from repro.targets import get_target
 
@@ -143,6 +145,61 @@ def test_protocol_frame_round_trip():
         decode_frame(b"not json")
     with pytest.raises(Exception):
         decode_frame(b"[1,2]")
+
+
+# -- the CLI client without a server --------------------------------------
+
+CLIENT_COMMANDS = {
+    "submit": ["submit", "--tenant", "t", "--target", "md4c",
+               "--budget-ns", "1000"],
+    "status": ["status"],
+    "watch": ["watch", "--job", "job-0001"],
+    "drain": ["drain"],
+    "shutdown": ["shutdown"],
+}
+
+
+def _closed_port() -> int:
+    """A localhost port nothing listens on (bound, then released)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("command", sorted(CLIENT_COMMANDS))
+def test_client_without_a_service_is_one_error_line(command, tmp_path,
+                                                    capsys):
+    """No endpoint file, an endpoint naming a closed port, and no
+    endpoint at all: each is one ``error:`` line and exit status 2,
+    and the client creates nothing in the state dir it was given."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    (stale / "endpoint.json").write_text(json.dumps(
+        {"host": "127.0.0.1", "port": _closed_port()}))
+    argv = CLIENT_COMMANDS[command]
+    for where in (["--state-dir", str(empty)], ["--state-dir", str(stale)],
+                  []):
+        assert service_main(argv + where) == 2, where
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert list(empty.iterdir()) == []
+    assert [p.name for p in stale.iterdir()] == ["endpoint.json"]
+
+
+def test_client_reports_a_service_error_as_json(monkeypatch, capsys):
+    def refuse(host, port, method, params, on_notification):
+        raise ServiceError("QUOTA_EXCEEDED", "over quota")
+
+    monkeypatch.setattr("repro.service.__main__.call_sync", refuse)
+    argv = CLIENT_COMMANDS["submit"] + ["--host", "127.0.0.1", "--port", "1"]
+    assert service_main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert json.loads(line[len("error: "):])["code"] == "QUOTA_EXCEEDED"
 
 
 def test_job_spec_validation():
@@ -691,11 +748,10 @@ def _serve(state_dir: str, chaos_seed: int | None = None,
 
 
 def _wait_endpoint(state_dir: str, timeout_s: float = 60.0):
-    state = ServiceState(state_dir)
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         try:
-            return state.read_endpoint()
+            return read_endpoint(state_dir)
         except (FileNotFoundError, json.JSONDecodeError, KeyError):
             time.sleep(0.05)
     raise AssertionError("server never advertised an endpoint")

@@ -40,7 +40,6 @@ from repro.fuzzing import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.fuzzing.corpus import input_hash
 from repro.fuzzing.coverage import coverage_signature, signature_bits
 from repro.minic import compile_c
 from repro.parallel import (
@@ -65,12 +64,12 @@ from repro.store import (
     disk_chaos,
     fsck_tree,
     is_temp_artifact,
-    load_newest,
     object_digest,
     open_store,
     read_framed,
     write_framed,
 )
+from repro.store.__main__ import main as store_main
 from tests.helpers import run_killed
 
 # ---------------------------------------------------------------------------
@@ -153,8 +152,9 @@ class TestAtomicWrite:
     def test_torn_write_models_power_cut(self, tmp_path):
         path = str(tmp_path / "f.bin")
         atomic_write(path, b"old-contents")
-        with pytest.raises(InjectedFault):
-            atomic_write(path, b"new-contents!", faults=_arm("torn-write", 0))
+        with disk_chaos(_arm("torn-write", 0)), \
+                pytest.raises(InjectedFault):
+            atomic_write(path, b"new-contents!")
         # Destination untouched; the torn temp survives like a real crash.
         assert open(path, "rb").read() == b"old-contents"
         torn = [n for n in os.listdir(tmp_path) if is_temp_artifact(n)]
@@ -166,8 +166,8 @@ class TestAtomicWrite:
     def test_enospc_is_a_real_errno(self, tmp_path):
         path = str(tmp_path / "f.bin")
         atomic_write(path, b"old")
-        with pytest.raises(OSError) as exc:
-            atomic_write(path, b"newer", faults=_arm("enospc", 0))
+        with disk_chaos(_arm("enospc", 0)), pytest.raises(OSError) as exc:
+            atomic_write(path, b"newer")
         assert exc.value.errno == errno.ENOSPC
         # A *reported* failure cleans its temp; the destination is intact.
         assert open(path, "rb").read() == b"old"
@@ -176,8 +176,9 @@ class TestAtomicWrite:
     def test_eio_on_fsync(self, tmp_path):
         path = str(tmp_path / "f.bin")
         atomic_write(path, b"old")
-        with pytest.raises(OSError) as exc:
-            atomic_write(path, b"newer", faults=_arm("eio-fsync", 0))
+        with disk_chaos(_arm("eio-fsync", 0)), \
+                pytest.raises(OSError) as exc:
+            atomic_write(path, b"newer")
         assert exc.value.errno == errno.EIO
         assert open(path, "rb").read() == b"old"
         assert not any(is_temp_artifact(n) for n in os.listdir(tmp_path))
@@ -185,8 +186,9 @@ class TestAtomicWrite:
     def test_lost_rename_leaves_old_file(self, tmp_path):
         path = str(tmp_path / "f.bin")
         atomic_write(path, b"old")
-        with pytest.raises(InjectedFault):
-            atomic_write(path, b"newer", faults=_arm("lost-rename", 0))
+        with disk_chaos(_arm("lost-rename", 0)), \
+                pytest.raises(InjectedFault):
+            atomic_write(path, b"newer")
         assert open(path, "rb").read() == b"old"
         # The fully written temp survives (crash inside the rename window).
         torn = [n for n in os.listdir(tmp_path) if is_temp_artifact(n)]
@@ -195,7 +197,8 @@ class TestAtomicWrite:
 
     def test_bit_flip_is_silent(self, tmp_path):
         path = str(tmp_path / "f.bin")
-        atomic_write(path, b"payload!", faults=_arm("bit-flip", 0))
+        with disk_chaos(_arm("bit-flip", 0)):
+            atomic_write(path, b"payload!")
         rotted = open(path, "rb").read()
         assert rotted != b"payload!"
         assert len(rotted) == len(b"payload!")
@@ -239,21 +242,6 @@ class TestFramed:
         assert re.search(r"byte offset \d+", message)
         assert re.search(r"expected [0-9a-f]{8}, actual [0-9a-f]{8}", message)
 
-    def test_load_newest_falls_back_a_generation(self, tmp_path):
-        path = str(tmp_path / "f.rec")
-        write_framed(path, MAGIC, b"gen-old", keep=2)
-        write_framed(path, MAGIC, b"gen-new", keep=2)
-        _flip_byte(path)
-        body, loaded_from = load_newest(path, MAGIC)
-        assert body == b"gen-old"
-        assert loaded_from == path + ".1"
-
-    def test_load_newest_with_nothing_loadable(self, tmp_path):
-        path = str(tmp_path / "f.rec")
-        write_framed(path, MAGIC, b"only", keep=1)
-        _flip_byte(path)
-        with pytest.raises(FrameError, match="no loadable generation"):
-            load_newest(path, MAGIC)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +310,13 @@ class TestAppendLog:
 
     def test_injected_tear_then_resume(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
-        log = AppendLog(path, faults=_arm("torn-write", 1))
-        log.append({"n": 1})
-        with pytest.raises(InjectedFault):
-            log.append({"n": 2})
-        # The failed append left a torn tail; the stream keeps working.
-        log.append({"n": 3})
+        log = AppendLog(path)
+        with disk_chaos(_arm("torn-write", 1)):
+            log.append({"n": 1})
+            with pytest.raises(InjectedFault):
+                log.append({"n": 2})
+            # The failed append left a torn tail; the stream keeps working.
+            log.append({"n": 3})
         assert AppendLog(path).read() == [{"n": 1}, {"n": 3}]
 
     def test_rewrite_replaces_stream(self, tmp_path):
@@ -427,8 +416,7 @@ class TestCorpusStore:
     def test_put_get_roundtrip_addresses_by_content(self, tmp_path):
         store = CorpusStore(str(tmp_path))
         digest = store.put(b"some input")
-        assert digest == object_digest(b"some input")
-        assert digest == input_hash(b"some input")   # store address == hash
+        assert digest == object_digest(b"some input")   # store address == hash
         assert store.get(digest) == b"some input"
         assert store.has(digest)
 
@@ -558,7 +546,7 @@ class TestCampaignWiring:
     def test_every_corpus_payload_is_stored(self, stored_run):
         root, stored, _ = stored_run
         store = CorpusStore(root)
-        hashes = {input_hash(e.data) for e in stored.corpus.entries}
+        hashes = {object_digest(e.data) for e in stored.corpus.entries}
         assert hashes
         assert hashes <= set(store.objects())
         assert hashes <= store.refs("tenant-a")
@@ -599,7 +587,7 @@ class TestCampaignWiring:
         store = CorpusStore(root)
         entries = [
             (
-                input_hash(e.data),
+                object_digest(e.data),
                 e.coverage_signature,
                 e.exec_ns * max(1, len(e.data)),
             )
@@ -640,7 +628,7 @@ class TestHashOnlySync:
         entry = stored.corpus.entries[0]
         candidate = SyncCandidate.from_entry(3, entry, store=store, owner="w3")
         assert candidate.data is None
-        assert candidate.digest == input_hash(entry.data)
+        assert candidate.digest == object_digest(entry.data)
         assert candidate.hash == candidate.digest
         assert store.get(candidate.digest) == entry.data
 
@@ -803,6 +791,36 @@ class TestFsck:
         # tree verifies clean again.
         _fsck("--repair")
         assert _fsck().returncode == 0
+
+    def test_cli_checks_a_file_as_its_directory_walk_does(
+            self, tmp_path, capsys):
+        """A checkpoint file gets the verdict the walk of its directory
+        gives its generation family; a missing path is one ``error:``
+        line and exit status 2."""
+        tree, ckpt, *_ = self._build_damaged_tree(tmp_path)
+        walked = [f.to_dict() for f in fsck_tree(tree).findings
+                  if f.path.startswith(ckpt)]
+        assert [f["kind"] for f in walked] == ["corrupt-generation"]
+        assert [f.to_dict() for f in fsck_tree(ckpt).findings] == walked
+        assert [f.to_dict() for f in fsck_tree(ckpt + ".1").findings] == \
+            walked
+        assert store_main(["fsck", ckpt]) == 0     # .1 still loads
+        assert "corrupt-generation" in capsys.readouterr().out
+        # A lone generation that fails its CRC leaves nothing to load.
+        lone = str(tmp_path / "lone" / "campaign.ckpt")
+        write_framed(lone, b"RPRCKPT1", b"z" * 64)
+        _flip_byte(lone)
+        assert store_main(["fsck", lone]) == 1
+        assert "checkpoint-unrecoverable" in capsys.readouterr().out
+        assert store_main(["fsck", str(tmp_path / "lone")]) == 1
+        capsys.readouterr()
+        for argv in (["fsck", str(tmp_path / "missing")],
+                     ["stats", tree], ["scrub", tree]):
+            assert store_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 # ---------------------------------------------------------------------------
