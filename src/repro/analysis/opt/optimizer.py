@@ -157,6 +157,7 @@ class Optimizer:
 
     def run(self) -> OptimizationReport:
         module = self.module
+        module.require_private("the optimizer")
         report = OptimizationReport(
             module=module.name,
             instructions_before=module.instruction_count(),

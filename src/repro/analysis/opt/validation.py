@@ -155,7 +155,7 @@ class ModuleCheckpoint:
     golden tests); the parse cost is only paid on the rare rejection
     path.  ``restore`` grafts the re-parsed functions, globals, and
     structs back into the *same* :class:`Module` object so references
-    held by the caller stay valid.
+    held by the caller stay valid; a shared build refuses that.
     """
 
     def __init__(self, module: Module):
@@ -163,8 +163,9 @@ class ModuleCheckpoint:
         self.text = print_module(module)
 
     def restore(self) -> None:
-        fresh = parse_module(self.text)
         module = self.module
+        module.require_private("ModuleCheckpoint.restore")
+        fresh = parse_module(self.text)
         module.functions = fresh.functions
         module.globals = fresh.globals
         module.structs = fresh.structs

@@ -5,6 +5,8 @@ requires.  Its keywords are exactly the knobs some driver varies."""
 
 from __future__ import annotations
 
+import functools
+
 from repro.chaos.plan import FaultInjector, FaultPlan
 from repro.execution.closurex import ClosureXExecutor
 from repro.execution.common import Executor
@@ -25,13 +27,15 @@ def build_executor(target_name: str, mechanism: str, kernel: Kernel,
                    sentinel_digest_every: int = 0,
                    sentinel_shadow_every: int = 0,
                    forkserver_fallback: bool = False) -> Executor:
-    """Instrument the target for *mechanism* and wrap it in an executor.
+    """Wrap the target's build for *mechanism* in an executor.
 
-    ``optimize`` runs the validated IR optimizer; a sentinel cadence
+    The build is the one :class:`~repro.targets.framework.TargetSpec`
+    shares with every executor of the process.  ``optimize`` takes the
+    build run through the validated IR optimizer; a sentinel cadence
     arms an integrity sentinel on ClosureX; ``supervised`` adds the
     self-healing ladder with a ``chaos_faults``-long fault plan seeded
     by ``chaos_seed`` and, with ``forkserver_fallback``, a forkserver
-    to degrade ClosureX to.
+    to degrade ClosureX to, built here on the first degrade.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -66,9 +70,7 @@ def build_executor(target_name: str, mechanism: str, kernel: Kernel,
             FaultPlan.generate(chaos_seed, chaos_faults), clock=kernel.clock
         )
     if forkserver_fallback and mechanism == "closurex":
-        def fallback() -> Executor:
-            return ForkServerExecutor(
-                spec.build_baseline(optimize=optimize), image, kernel
-            )
+        fallback = functools.partial(build_executor, target_name,
+                                     "forkserver", kernel, optimize)
     return SupervisedExecutor(executor, injector=injector,
                               fallback_factory=fallback)

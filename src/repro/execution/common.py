@@ -64,11 +64,9 @@ class ExecutorStats:
     clean_exits: int = 0
     normal_returns: int = 0
     respawns: int = 0
-    total_ns: int = 0
 
     def observe(self, result: ExecResult) -> None:
         self.execs += 1
-        self.total_ns += result.ns
         if result.status is IterationStatus.CRASH:
             self.crashes += 1
         elif result.status is IterationStatus.HANG:
@@ -150,6 +148,8 @@ class Executor:
         }
 
     def restore_state(self, state: dict) -> None:
+        # replace() copies the declared fields only: a checkpoint's
+        # stats may carry one since retired (total_ns).
         self.stats = dataclasses.replace(state["stats"])
         self.exec_instruction_limit = state["exec_instruction_limit"]
 

@@ -16,7 +16,6 @@ returned containers as read-only.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from typing import Callable
 
@@ -38,16 +37,13 @@ class _CacheEntry:
         self.results: dict[str, object] = {}
 
 
-_CACHE: "weakref.WeakKeyDictionary[Function, _CacheEntry]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _cached(function: Function, key: str, compute: Callable[[Function], object]):
-    entry = _CACHE.get(function)
+    # The entry hangs off the function: its results refer back to the
+    # function (a dominator tree, blocks), so a table keyed by functions
+    # would keep every function it ever saw alive.
+    entry = function.cfg_cache
     if entry is None or entry.epoch != function.cfg_epoch:
-        entry = _CacheEntry(function.cfg_epoch)
-        _CACHE[function] = entry
+        entry = function.cfg_cache = _CacheEntry(function.cfg_epoch)
     result = entry.results.get(key)
     if result is None:
         result = compute(function)

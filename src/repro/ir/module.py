@@ -93,6 +93,8 @@ class Function(GlobalValue):
         #: (predecessors, reachability, dominators) are recomputed only
         #: after a real mutation.
         self.cfg_epoch = 0
+        #: ``repro.ir.cfg``'s cache of the facts derived at one epoch.
+        self.cfg_cache: object | None = None
 
     def invalidate_cfg(self) -> None:
         """Invalidate cached CFG-derived analyses for this function.
@@ -209,7 +211,22 @@ class Module:
         #: code is redecoded when its ``cfg_epoch`` moves; a rewrite
         #: that leaves epochs alone (operand rewrites, moved globals)
         #: after the module may have run must set this back to None.
+        #: A registry build is shared by every executor of the process
+        #: (:class:`~repro.targets.framework.TargetSpec`), and so is its
+        #: decoded code: rewrite a private copy of it instead
+        #: (``parse_module(print_module(module))``).
         self.decoded: object | None = None
+        #: Set on a shared build: the in-place rewriters refuse it
+        #: (:meth:`require_private`).
+        self.shared = False
+
+    def require_private(self, rewrite: str) -> None:
+        """Refuse *rewrite* in place if this module is a shared build."""
+        if self.shared:
+            raise ValueError(
+                f"{rewrite} would rewrite the shared build of "
+                f"{self.name!r} in place; rewrite a private copy "
+                f"(parse_module(print_module(module)))")
 
     # -- struct types -------------------------------------------------
 

@@ -300,8 +300,9 @@ class ProcessTransport:
     """One spawned process per worker; commands over pipes.
 
     The spawn start method (never fork) keeps children independent of
-    the orchestrator's heap — each rebuilds its target from the
-    registry — which is both the portability-safe choice and what makes
+    the orchestrator's heap — each builds its own target from the
+    registry, where inline workers share the orchestrator process's
+    build — which is both the portability-safe choice and what makes
     worker state restoration honest.
 
     Failure handling: a worker that dies mid-round (crash, OOM-kill,

@@ -15,9 +15,12 @@ bit-identical results.
 
 The module is **spawn-safe**: :func:`worker_process_main` is a
 top-level function, :class:`WorkerConfig` is a plain picklable
-dataclass, and the target program is rebuilt from the registry by name
-inside the child — nothing unpicklable ever crosses the process
-boundary.
+dataclass, and a spawned worker builds the target program from the
+registry by name — nothing unpicklable ever crosses the process
+boundary.  Inline workers share their process's one build of the
+target, and with it the decoded code (see
+:class:`~repro.targets.framework.TargetSpec`); a spawned worker builds
+its own, one per process.
 """
 
 from __future__ import annotations

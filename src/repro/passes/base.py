@@ -62,6 +62,7 @@ class PassManager:
         self.results: list[PassResult] = []
 
     def run(self, module: Module) -> list[PassResult]:
+        module.require_private("PassManager.run")
         self.results = []
         for pass_ in self.passes:
             wall_start = time.perf_counter_ns()

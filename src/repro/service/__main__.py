@@ -15,8 +15,9 @@ Subcommands:
 Clients find the server through ``<state-dir>/endpoint.json`` (written
 by ``serve`` once bound), or explicitly via ``--host``/``--port``.  A
 client that finds no server (no endpoint given or advertised, or none
-listening there) prints one ``error:`` line and exits 2; an error the
-server reports is ``error: {json}`` and exit status 1.
+listening there) prints one ``error:`` line and exits 2, as ``serve``
+does given a ``--tenant-quota`` that is not ``NAME=VIRTUAL_NS``; an
+error the server reports is ``error: {json}`` and exit status 1.
 """
 
 from __future__ import annotations
@@ -50,18 +51,27 @@ def _endpoint(args) -> tuple[str, int]:
 
 
 def _parse_tenant_quotas(pairs: list[str]) -> dict[str, int]:
+    """Each ``NAME=VIRTUAL_NS`` pair as a quota; a ValueError names the
+    first pair that is not one."""
     quotas: dict[str, int] = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
-        if not name or not value:
-            raise SystemExit(
+        try:
+            if not name:
+                raise ValueError
+            quotas[name] = int(value)
+        except ValueError:
+            raise ValueError(
                 f"--tenant-quota wants NAME=VIRTUAL_NS, got {pair!r}"
-            )
-        quotas[name] = int(value)
+            ) from None
     return quotas
 
 
 def _cmd_serve(args) -> int:
+    try:
+        tenant_quotas = _parse_tenant_quotas(args.tenant_quota)
+    except ValueError as error:
+        return _error(str(error))
     chaos_plan = None
     if args.chaos_faults:
         chaos_plan = FaultPlan.generate(
@@ -75,7 +85,7 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         max_queued=args.max_queued,
         default_quota_ns=args.default_quota_ns,
-        tenant_quotas=_parse_tenant_quotas(args.tenant_quota),
+        tenant_quotas=tenant_quotas,
         chaos_plan=chaos_plan,
         trace_path=args.trace,
         policy=ServicePolicy(
@@ -109,8 +119,8 @@ def _print(result: dict) -> None:
 
 
 def _error(message: str) -> int:
-    """Report a server that cannot be reached as one ``error:`` line;
-    the exit status is 2."""
+    """Report a server that cannot be reached, or a malformed
+    ``serve`` option, as one ``error:`` line; the exit status is 2."""
     print(f"error: {message}", file=sys.stderr)
     return 2
 

@@ -11,6 +11,19 @@ module: each build compiles the source and runs one of the three pass
 lists of :mod:`repro.passes.pipelines` over it, then, when asked, the
 validated optimizer.  All builds of a target share a coverage seed
 derived from its name, so their edge ids agree.
+
+A spec makes each build once, keyed by flavour, ``skip`` and
+``optimize``, and hands the same module to every caller: a fleet's
+inline shards, each trial of the paper tables and the supervised
+fallback's forkserver share one module and, through
+``Module.decoded``, its decoded and compiled code, as the shards of an
+AFL++ fleet run one instrumented binary.  A shared build refuses the
+in-place rewriters (``PassManager.run``, the optimizer,
+``ModuleCheckpoint.restore``); :meth:`TargetSpec.compile` and
+:meth:`TargetSpec.build_analyzed` return private modules.  The builds
+live as long as the spec: a registered spec's for the process, a
+transient spec's until it is dropped.  A spawned worker process builds
+its own.
 """
 
 from __future__ import annotations
@@ -57,6 +70,10 @@ class TargetSpec:
     bugs: list[PlantedBug] = field(default_factory=list)
     extra_allocators: dict[str, str] | None = None
     description: str = ""
+    #: Each build made so far, by ``(flavour, skip, optimize)``: the
+    #: module and its optimization report (see :meth:`_build`).
+    _builds: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def coverage_seed(self) -> int:
@@ -68,41 +85,51 @@ class TargetSpec:
     # -- builds ---------------------------------------------------------
 
     def compile(self) -> Module:
-        """Compile the raw (uninstrumented) module."""
+        """Compile the raw (uninstrumented) module, a private one."""
         return compile_c(self.source, self.name)
 
     def build_baseline(self, optimize: bool = False) -> Module:
         """AFL++-style build: coverage instrumentation only."""
-        return self._build(baseline_passes(self.coverage_seed), optimize)
+        return self._build("baseline", frozenset(), optimize)[0]
 
     def build_closurex(self, skip: set[str] | None = None,
                        optimize: bool = False) -> Module:
         """Full ClosureX instrumentation; *skip* drops passes (ablation)."""
-        return self._build(
-            closurex_passes(self.coverage_seed, self.extra_allocators, skip),
-            optimize,
-        )
+        return self._build("closurex", frozenset(skip or ()), optimize)[0]
 
     def build_persistent(self, optimize: bool = False) -> Module:
         """Naive persistent-mode build (renamed entry, no tracking)."""
-        return self._build(persistent_passes(self.coverage_seed), optimize)
-
-    def _build(self, passes: list[ModulePass], optimize: bool) -> Module:
-        module = self.compile()
-        PassManager(passes).run(module)
-        if optimize:
-            self._optimize(module)
-        return module
+        return self._build("persistent", frozenset(), optimize)[0]
 
     def build_optimized(self):
-        """ClosureX build run through the validated optimizer.
-
-        Returns the module and the
+        """ClosureX build run through the validated optimizer: the
+        shared ``build_closurex(optimize=True)`` module and the
         :class:`~repro.analysis.opt.optimizer.OptimizationReport`
         describing what was applied, rejected, and replayed.
         """
-        module = self.build_closurex()
-        return module, self._optimize(module)
+        return self._build("closurex", frozenset(), True)
+
+    def _build(self, flavour: str, skip: frozenset[str], optimize: bool):
+        """The shared build of *flavour* and its optimization report
+        (None unless *optimize*), made on the first call."""
+        key = (flavour, skip, optimize)
+        build = self._builds.get(key)
+        if build is None:
+            module = self.compile()
+            PassManager(self._passes(flavour, skip)).run(module)
+            report = self._optimize(module) if optimize else None
+            module.shared = True
+            # Of two threads building at once, both get the first stored.
+            build = self._builds.setdefault(key, (module, report))
+        return build
+
+    def _passes(self, flavour: str, skip: frozenset[str]) -> list[ModulePass]:
+        if flavour == "closurex":
+            return closurex_passes(self.coverage_seed, self.extra_allocators,
+                                   skip)
+        if flavour == "baseline":
+            return baseline_passes(self.coverage_seed)
+        return persistent_passes(self.coverage_seed)
 
     def _optimize(self, module: Module):
         # Lazy import: repro.analysis.opt replays modules through the
@@ -119,8 +146,8 @@ class TargetSpec:
         """Analysis-guided ClosureX build: passes for provably clean
         state dimensions are elided, and (with a trusted report) only
         modified globals are relocated.  Returns the instrumented
-        module *and* the report, which the runtime harness consumes to
-        skip the matching restore sweeps."""
+        module, a private one, *and* the report, which the runtime
+        harness consumes to skip the matching restore sweeps."""
         module = self.compile()
         report = PollutionAnalyzer(
             module, extra_allocators=self.extra_allocators

@@ -15,7 +15,7 @@ inlined (it bumps a cell of the exec's :class:`CoverageMap` and lists
 each cell it moves off 0).  The decoded code hangs off the module
 (``Module.decoded``), shared by every VM with the same global layout;
 whatever rewrites a module in place after it may have run sets that
-back to ``None``.
+back to ``None``, and a shared build refuses such a rewrite.
 
 Each instruction form is one source template (``_BINOPS``, ``_LOAD``,
 ...): its closures come from a factory compiled from the template once
@@ -36,9 +36,12 @@ and the coverage guards index the map by a literal wherever
 ``vm.prev_loc`` is known.  A call that keeps profiling counts or
 traces edges runs on closures, and a group of segments that would
 cross the instruction limit runs an instruction at a time
-(:func:`_run_spilled`, given every register).  Code objects are cached
-per process by function source, so identical builds (a fleet's shards)
-compile each function once.  Compiled code looks checked memory and
+(:func:`_run_spilled`, given every register).  The executors of a
+process share one build of a target (a fleet's inline shards, the
+paper tables' trials), hence one decoded code whose compile batches
+count the runs of them all; code objects are also cached per process by
+function source, so two distinct builds of one program compile each
+function once.  Compiled code looks checked memory and
 natives up at run time (``vm.memory.read_int``, ``vm._call_native``),
 so wrappers on them see every call, and nothing in it refers back to
 the module's decoded code, which stays free of reference cycles:
@@ -542,8 +545,11 @@ class _ModuleCode:
         self.runs = runs + 1
 
     def compile_hot(self, entries: int) -> None:
+        # Over snapshots: a shared build's code serves every thread of
+        # the process, and another thread's _code_for may add a function
+        # while _compile runs.
         for functions in (self.plain, self.observed):
-            for code in functions.values():
+            for code in list(functions.values()):
                 code.compile_hot(entries)
 
 

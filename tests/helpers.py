@@ -1,4 +1,5 @@
-"""Shared test helpers: run inputs under executors, kill a checkpointing
+"""Shared test helpers: run inputs under executors, copy a shared
+build, record the decoded code a test runs, kill a checkpointing
 campaign mid-run, craft crash inputs."""
 
 from __future__ import annotations
@@ -7,8 +8,10 @@ import struct
 
 from repro.execution import FreshProcessExecutor
 from repro.execution.common import ExecResult
+from repro.ir import Module, parse_module, print_module
 from repro.sim_os import Kernel
 from repro.targets.framework import TargetSpec
+from repro.vm import interpreter
 
 
 def run_fresh(spec: TargetSpec, data: bytes) -> ExecResult:
@@ -21,6 +24,27 @@ def run_fresh(spec: TargetSpec, data: bytes) -> ExecResult:
 def run_fresh_module(module, image_bytes: int, data: bytes) -> ExecResult:
     executor = FreshProcessExecutor(module, image_bytes, Kernel())
     return executor.run(data)
+
+
+def private(module: Module) -> Module:
+    """A private copy of a (shared) build: code no earlier test decoded
+    or compiled, which counts its own runs and may be rewritten."""
+    return parse_module(print_module(module))
+
+
+def code_run(monkeypatch) -> set:
+    """Each decoded function (``_FunctionCode``) a VM looks up from here
+    on, to run it or a call of it."""
+    codes = set()
+    code_for = interpreter.VM._code_for
+
+    def recording(vm, function, nargs):
+        code = code_for(vm, function, nargs)
+        codes.add(code)
+        return code
+
+    monkeypatch.setattr(interpreter.VM, "_code_for", recording)
+    return codes
 
 
 def run_killed(campaign, halt_ns: int) -> None:

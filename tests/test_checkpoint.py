@@ -281,6 +281,28 @@ class TestResume:
         replay = _fingerprint(resumed, resumed.run())
         assert replay == golden
 
+    def test_checkpoint_with_a_retired_stats_field_resumes(self, tmp_path):
+        """A version-2 checkpoint whose executor stats still carry the
+        retired ``total_ns`` loads: restoring the stats copies the
+        declared fields only, and the resume is bit-identical."""
+        uninterrupted = _campaign(CampaignConfig(budget_ns=BUDGET_NS, seed=7))
+        golden = _fingerprint(uninterrupted, uninterrupted.run())
+        path = str(tmp_path / "campaign.ckpt")
+        halted = _campaign(CampaignConfig(
+            budget_ns=BUDGET_NS, seed=7, checkpoint_path=path,
+            checkpoint_interval_ns=4_000_000,
+        ))
+        run_killed(halted, BUDGET_NS * 6 // 10)
+        state = load_checkpoint(path)
+        stats = state["executor_state"]["stats"]
+        stats.total_ns = stats.execs * 1_000     # as older writers pickled it
+        save_state(state, path)
+        assert load_checkpoint(path)["executor_state"]["stats"].total_ns
+
+        resumed = Campaign.resume(path, _executor())
+        assert not hasattr(resumed.executor.stats, "total_ns")
+        assert _fingerprint(resumed, resumed.run()) == golden
+
     def test_resume_continues_not_restarts(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")
         halted = _campaign(

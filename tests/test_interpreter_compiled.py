@@ -8,17 +8,24 @@ interpreter (untraced replays, both instruction-limit sweeps, limits
 crossed after a call, at phis and at a checked load, traps in callees,
 undefined operands, every opcode and fold, the malformed-IR traps)
 hold for compiled functions as they do for closures.  Runs that keep
-profiling counts or trace edges run on closures here too.
+profiling counts or trace edges run on closures here too.  After each
+test the ``tier`` fixture checks that every function it ran was
+compiled.
 """
 
 import pytest
 
 from repro.vm import interpreter
+from tests.helpers import code_run
 from tests.test_interpreter_differential import *  # noqa: F401,F403
 from tests.test_interpreter_traps import *  # noqa: F401,F403
 
 
 @pytest.fixture(autouse=True)
 def tier(monkeypatch):
-    """Every function compiles when it is decoded."""
+    """Every function compiles when it is decoded, and every function
+    the test ran is compiled."""
     monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 0)
+    codes = code_run(monkeypatch)
+    yield
+    assert [code.name for code in codes if code.compiled is None] == []

@@ -30,7 +30,11 @@ reference VMs.
 
 Decoded code runs on closures here (nothing compiles);
 ``tests/test_interpreter_compiled.py`` runs every test again with
-every function compiled when it is decoded.
+every function compiled when it is decoded.  A target's build is
+shared by the whole process, and so is its decoded code, so each test
+runs a private copy of it, whose code no earlier test compiled; the
+``tier`` fixture checks after each test that the code it ran is of its
+tier.
 """
 
 import dataclasses
@@ -64,6 +68,7 @@ from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
 from repro.vm import VM, TrapKind, VMError, interpreter
 from repro.vm.memory import RED_ZONE, AddressSpace, stack_run
+from tests.helpers import code_run, private
 from tests.reference_interpreter import ReferenceVM
 
 MUTANTS = 20
@@ -73,8 +78,12 @@ BUILDS = [(name, False) for name in sorted(target_names())] + [
 
 @pytest.fixture(autouse=True)
 def tier(monkeypatch):
-    """Decoded code runs on closures: no module's code compiles."""
+    """Decoded code runs on closures: no module's code compiles, and no
+    function the test ran had compiled before it."""
     monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", sys.maxsize)
+    codes = code_run(monkeypatch)
+    yield
+    assert [code.name for code in codes if code.compiled is not None] == []
 
 
 def mutants(spec, count=MUTANTS, seed=11):
@@ -165,7 +174,7 @@ def sweep(module, function, args) -> tuple:
                          ids=[f"{n}{'-opt' if o else ''}" for n, o in BUILDS])
 def test_replays_match_reference(name, optimize, monkeypatch):
     spec = get_target(name)
-    module = spec.build_closurex(optimize=optimize)
+    module = private(spec.build_closurex(optimize=optimize))
     inputs = list(spec.seeds) + mutants(spec)
     pollution = inputs[-2:]
 
@@ -205,7 +214,7 @@ def test_replays_match_reference(name, optimize, monkeypatch):
 @pytest.mark.parametrize("name", ["zlib", "libpcap"])
 def test_forkserver_counts_and_compare_records_match(name, monkeypatch):
     spec = get_target(name)
-    module = spec.build_baseline()
+    module = private(spec.build_baseline())
     inputs = list(spec.seeds) + mutants(spec, count=12)
 
     def run_all():
@@ -245,8 +254,8 @@ def test_cell_lists_are_the_touched_cells(name, executor_class, monkeypatch):
     """Each exec's map lists its nonzero cells once each, in the same
     first-hit order on both interpreters."""
     spec = get_target(name)
-    module = (spec.build_closurex() if executor_class is ClosureXExecutor
-              else spec.build_baseline())
+    module = private(spec.build_closurex() if executor_class is ClosureXExecutor
+                     else spec.build_baseline())
     inputs = list(spec.seeds) + mutants(spec, count=12)
 
     def cell_lists():

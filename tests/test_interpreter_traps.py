@@ -9,7 +9,9 @@ require the next run to see the rewrite.
 
 Decoded code runs on closures here (nothing compiles);
 ``tests/test_interpreter_compiled.py`` runs every test again with
-every function compiled when it is decoded.
+every function compiled when it is decoded.  A test of a target runs a
+private copy of its shared build, and the ``tier`` fixture checks after
+each test that the code it ran is of its tier.
 """
 
 import sys
@@ -37,6 +39,7 @@ from repro.sim_os import Kernel
 from repro.targets import get_target
 from repro.vm import VM, VMTrap
 from repro.vm import interpreter
+from tests.helpers import code_run, private
 from tests.reference_interpreter import ReferenceVM
 
 i32 = int_type(32)
@@ -44,8 +47,12 @@ i32 = int_type(32)
 
 @pytest.fixture(autouse=True)
 def tier(monkeypatch):
-    """Decoded code runs on closures: no module's code compiles."""
+    """Decoded code runs on closures: no module's code compiles, and no
+    function the test ran had compiled before it."""
     monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", sys.maxsize)
+    codes = code_run(monkeypatch)
+    yield
+    assert [code.name for code in codes if code.compiled is not None] == []
 
 
 def outcome(vm_class, module, function, args):
@@ -251,7 +258,7 @@ class TestStaleCode:
 
     def test_forkserver_decodes_each_function_once(self, monkeypatch):
         spec = get_target("zlib")
-        module = spec.build_baseline()
+        module = private(spec.build_baseline())
         decodes = []
         decode = interpreter._decode
 

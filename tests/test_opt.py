@@ -11,6 +11,8 @@ optimize -> verify round trip over every built-in target.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import Severity, dead_slot_stores, lint_module
@@ -313,9 +315,11 @@ def test_observe_is_deterministic():
     seed = spec.seeds[0]
     assert replay(module, seed, boot_time=REPLAY_BOOT_TIME).matches(
         replay(module, seed, boot_time=REPLAY_BOOT_TIME))
-    # and a fresh build of the same target observes identically
-    assert replay(spec.build_closurex(), seed,
-                  boot_time=REPLAY_BOOT_TIME).matches(
+    # and a distinct build of the same target, by a spec of its own,
+    # observes identically
+    fresh = dataclasses.replace(spec).build_closurex()
+    assert fresh is not module
+    assert replay(fresh, seed, boot_time=REPLAY_BOOT_TIME).matches(
         replay(module, seed, boot_time=REPLAY_BOOT_TIME))
 
 

@@ -383,12 +383,13 @@ class TestCoordinatedCheckpoint:
         resumed = ParallelCampaign.resume(path)
         assert resumed.config.die_at_rounds == {}
 
-    def test_checkpoint_with_retired_config_fields_resumes(
+    def test_resume_tolerates_extra_and_missing_config_attributes(
         self, golden, tmp_path
     ):
-        """A checkpoint pickled before the unused fleet options were
-        deleted carries them in its config; it resumes to the same
-        digest."""
+        """A fleet checkpoint whose pickled ``ParallelConfig`` carries
+        attributes the class does not declare, and lacks one it does,
+        resumes: unpickling keeps the extra ones, the missing one reads
+        the class default, and the run reaches the same digest."""
         from repro.fuzzing.checkpoint import load_checkpoint, save_state
         path = str(tmp_path / "fleet.ckpt")
         _dropped_at_barrier(_config(checkpoint_path=path), rounds=1)

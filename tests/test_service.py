@@ -190,6 +190,24 @@ def test_client_without_a_service_is_one_error_line(command, tmp_path,
     assert [p.name for p in stale.iterdir()] == ["endpoint.json"]
 
 
+@pytest.mark.parametrize("pair", ["alice=lots", "alice", "=5", "alice="])
+def test_serve_with_a_bad_tenant_quota_is_one_error_line(pair, tmp_path,
+                                                         capsys):
+    """A ``--tenant-quota`` that is not ``NAME=VIRTUAL_NS`` is one
+    ``error:`` line naming it and exit status 2, before the server
+    touches its state dir."""
+    state = tmp_path / "svc"
+    argv = ["serve", "--state-dir", str(state), "--tenant-quota", "bob=5",
+            "--tenant-quota", pair]
+    assert service_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert repr(pair) in lines[0]
+    assert not state.exists()
+
+
 def test_client_reports_a_service_error_as_json(monkeypatch, capsys):
     def refuse(host, port, method, params, on_notification):
         raise ServiceError("QUOTA_EXCEEDED", "over quota")

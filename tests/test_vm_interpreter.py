@@ -23,6 +23,7 @@ from repro.vm import (
     VMTrap,
     interpreter,
 )
+from tests.helpers import private
 
 
 def make_vm(source: str, files: dict[str, bytes] | None = None) -> tuple[VM, Module]:
@@ -272,7 +273,7 @@ class TestCompiledFunctions:
 
         def observe(after_runs):
             monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", after_runs)
-            module = spec.build_baseline()
+            module = private(spec.build_baseline())
             replay(module, data)
             vm = VM(module, opcode_counts={}, libc_counts={})
             vm.load()
@@ -305,7 +306,7 @@ class TestCompiledFunctions:
         def finish(telemetry):
             spec = get_target("giftext")
             executor = ClosureXExecutor(
-                spec.build_closurex(), spec.image_bytes, Kernel())
+                private(spec.build_closurex()), spec.image_bytes, Kernel())
             campaign = Campaign(executor, spec.seeds, CampaignConfig(
                 budget_ns=20_000_000, seed=1, telemetry=telemetry))
             campaign.run()
