@@ -14,7 +14,9 @@ Sizing follows the usual environment knobs (``REPRO_BUDGET_MS``,
 :mod:`repro.experiments.config`), so CI-speed runs and full
 reproductions are the same command under different exports.  Tables
 5-7 and the timeline share the paper trials stored under ``--out``,
-which a killed run resumes from.
+which a killed run resumes from.  Unusable sizing, or an ``--out`` that
+cannot be created or written, is one ``error:`` line and exit status 2
+before any trial.
 
 ``python -m repro.experiments matrix`` runs any (mechanism x target x
 seed x config) matrix on the platform, from ``--demo``, a ``--spec``
@@ -238,6 +240,18 @@ def _error(message: str) -> int:
     return 2
 
 
+def _unusable_out(path: str) -> str | None:
+    """Why *path* cannot be an ``--out`` directory (it cannot be
+    created, or a file cannot be written in it), or None."""
+    try:
+        os.makedirs(path, exist_ok=True)
+        with tempfile.TemporaryFile(dir=path):
+            pass
+    except OSError as error:
+        return f"--out {path!r} cannot be created or written: {error}"
+    return None
+
+
 def matrix_main(argv: list[str]) -> int:
     args = build_matrix_parser().parse_args(argv)
     if args.report_only:
@@ -247,6 +261,8 @@ def matrix_main(argv: list[str]) -> int:
         # directory tree, and a report-only run must not.
         if not os.path.exists(os.path.join(args.out, "spec.json")):
             return _error(f"store {args.out!r} has no spec.json")
+        if problem := _unusable_out(args.out):
+            return _error(problem)
         store = ResultsStore(args.out)
     else:
         try:
@@ -256,6 +272,8 @@ def matrix_main(argv: list[str]) -> int:
         if args.print_spec:
             print(spec.canonical_json())
             return 0
+        if args.out and (problem := _unusable_out(args.out)):
+            return _error(problem)
         store = ResultsStore(
             args.out or tempfile.mkdtemp(prefix="repro-experiment-"))
         TrialScheduler(spec, store, log=None if args.quiet else print).run()
@@ -290,6 +308,8 @@ def main(argv: list[str] | None = None) -> int:
         config = ExperimentConfig()      # the REPRO_* sizing
     except ValueError as error:
         return _error(str(error))
+    if args.out and (problem := _unusable_out(args.out)):
+        return _error(problem)
     out = args.out or tempfile.mkdtemp(prefix="repro-paper-")
     for name in args.experiments:
         _description, runner = ENTRY_POINTS[name]

@@ -16,8 +16,10 @@ Clients find the server through ``<state-dir>/endpoint.json`` (written
 by ``serve`` once bound), or explicitly via ``--host``/``--port``.  A
 client that finds no server (no endpoint given or advertised, or none
 listening there) prints one ``error:`` line and exits 2, as ``serve``
-does given a ``--tenant-quota`` that is not ``NAME=VIRTUAL_NS``; an
-error the server reports is ``error: {json}`` and exit status 1.
+does, before it touches the state dir, given a ``--tenant-quota`` that
+is not ``NAME=VIRTUAL_NS`` or a ``--workers``, ``--max-queued``,
+``--slice-ns`` or ``--checkpoint-every-slices`` below 1; an error the
+server reports is ``error: {json}`` and exit status 1.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def _parse_tenant_quotas(pairs: list[str]) -> dict[str, int]:
 
 
 def _cmd_serve(args) -> int:
+    # Checked here, not in ServiceConfig: a library caller may run no
+    # workers, to hold jobs queued; a server would never drain them.
+    for flag in ("workers", "max_queued", "slice_ns",
+                 "checkpoint_every_slices"):
+        if getattr(args, flag) < 1:
+            return _error(f"--{flag.replace('_', '-')} must be >= 1, "
+                          f"got {getattr(args, flag)}")
     try:
         tenant_quotas = _parse_tenant_quotas(args.tenant_quota)
     except ValueError as error:
@@ -119,8 +128,9 @@ def _print(result: dict) -> None:
 
 
 def _error(message: str) -> int:
-    """Report a server that cannot be reached, or a malformed
-    ``serve`` option, as one ``error:`` line; the exit status is 2."""
+    """Report a server that cannot be reached, or a malformed or
+    unusable ``serve`` option, as one ``error:`` line; the exit status
+    is 2."""
     print(f"error: {message}", file=sys.stderr)
     return 2
 

@@ -132,6 +132,31 @@ def test_unusable_sizing_exits_2_before_any_trial(name, value, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["table5"], ["table6", "table7"],
+                                  ["matrix", "--demo"]])
+@pytest.mark.parametrize("where", ["a file", "under a file", "/dev/null/x"])
+def test_unusable_out_exits_2_before_any_trial(argv, where, tmp_path,
+                                               monkeypatch, capsys):
+    """An ``--out`` that cannot be created or written is one ``error:``
+    line naming it and exit status 2, and no trial runs."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran with an unusable --out")
+
+    monkeypatch.setattr(
+        "repro.experiments.__main__.TrialScheduler.run", no_trials)
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"not a directory")
+    out = {"a file": blocker, "under a file": blocker / "out",
+           "/dev/null/x": "/dev/null/x"}[where]
+    assert experiments_main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --out "), lines
+    assert repr(str(out)) in lines[0]
+    assert blocker.read_bytes() == b"not a directory"
+
+
 def test_fresh_checkpoint_run_never_loads_the_file_at_its_path(
         tmp_path, capsys):
     """A ``--checkpoint`` path already holding another run's checkpoint

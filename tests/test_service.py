@@ -208,6 +208,26 @@ def test_serve_with_a_bad_tenant_quota_is_one_error_line(pair, tmp_path,
     assert not state.exists()
 
 
+@pytest.mark.parametrize("option", [
+    "--workers", "--max-queued", "--slice-ns", "--checkpoint-every-slices"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_serve_with_sizing_below_1_is_one_error_line(option, value, tmp_path,
+                                                     capsys):
+    """A server with no workers never drains, one with no queue raises,
+    slices of 0 ns end every job unfuzzed, and a checkpoint every 0
+    slices quarantines every job: each is one ``error:`` line naming the
+    option and exit status 2, before the server touches its state dir."""
+    state = tmp_path / "svc"
+    assert service_main(["serve", "--state-dir", str(state),
+                         option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert option in lines[0]
+    assert not state.exists()
+
+
 def test_client_reports_a_service_error_as_json(monkeypatch, capsys):
     def refuse(host, port, method, params, on_notification):
         raise ServiceError("QUOTA_EXCEEDED", "over quota")
