@@ -58,6 +58,7 @@ from repro.experiments.platform import (
     TrialScheduler,
 )
 from repro.experiments.platform.spec import MS
+from repro.store.io import unwritable_output
 from repro.targets import target_names
 
 #: name -> (description, runner(config, target, out) -> renderable
@@ -240,18 +241,6 @@ def _error(message: str) -> int:
     return 2
 
 
-def _unusable_out(path: str) -> str | None:
-    """Why *path* cannot be an ``--out`` directory (it cannot be
-    created, or a file cannot be written in it), or None."""
-    try:
-        os.makedirs(path, exist_ok=True)
-        with tempfile.TemporaryFile(dir=path):
-            pass
-    except OSError as error:
-        return f"--out {path!r} cannot be created or written: {error}"
-    return None
-
-
 def matrix_main(argv: list[str]) -> int:
     args = build_matrix_parser().parse_args(argv)
     if args.report_only:
@@ -261,7 +250,7 @@ def matrix_main(argv: list[str]) -> int:
         # directory tree, and a report-only run must not.
         if not os.path.exists(os.path.join(args.out, "spec.json")):
             return _error(f"store {args.out!r} has no spec.json")
-        if problem := _unusable_out(args.out):
+        if problem := unwritable_output("--out", args.out, directory=True):
             return _error(problem)
         store = ResultsStore(args.out)
     else:
@@ -272,7 +261,8 @@ def matrix_main(argv: list[str]) -> int:
         if args.print_spec:
             print(spec.canonical_json())
             return 0
-        if args.out and (problem := _unusable_out(args.out)):
+        if args.out and (problem := unwritable_output(
+                "--out", args.out, directory=True)):
             return _error(problem)
         store = ResultsStore(
             args.out or tempfile.mkdtemp(prefix="repro-experiment-"))
@@ -308,7 +298,8 @@ def main(argv: list[str] | None = None) -> int:
         config = ExperimentConfig()      # the REPRO_* sizing
     except ValueError as error:
         return _error(str(error))
-    if args.out and (problem := _unusable_out(args.out)):
+    if args.out and (problem := unwritable_output(
+            "--out", args.out, directory=True)):
         return _error(problem)
     out = args.out or tempfile.mkdtemp(prefix="repro-paper-")
     for name in args.experiments:

@@ -26,7 +26,10 @@ The final line of output is ``digest: <sha256>`` — the campaign's
 :meth:`~repro.fuzzing.Campaign.state_digest`, or the fleet's
 :meth:`~repro.parallel.ParallelResult.digest`.  The same configuration
 always prints the same digest, and an interrupted run resumed from its
-checkpoint prints the digest of the never-interrupted run.
+checkpoint prints the digest of the never-interrupted run.  Bad input,
+a ``--checkpoint`` or ``--report-dir`` that cannot be created and
+written included, is one ``error:`` line and exit status 2, before the
+first exec.
 
 This entry point sits above both :mod:`repro.fuzzing` and
 :mod:`repro.parallel`; the fuzzing library never imports the fleet.
@@ -43,6 +46,7 @@ from repro.fuzzing.checkpoint import CheckpointError, load_checkpoint
 from repro.parallel import ParallelCampaign, ParallelConfig, open_campaign
 from repro.parallel.orchestrator import PARALLEL_CHECKPOINT_KIND
 from repro.sim_os import Kernel
+from repro.store.io import unwritable_output
 from repro.targets import target_names
 
 MS = 1_000_000  # virtual ns per virtual ms
@@ -137,6 +141,12 @@ def main(argv: list[str] | None = None) -> int:
                                   f"--workers > 1")
         if args.per_worker_reports and args.report_dir is None:
             return _error("--per-worker-reports needs --report-dir")
+        for option, path, directory in (
+                ("--checkpoint", args.checkpoint, False),
+                ("--report-dir", args.report_dir, True)):
+            if path is not None and (
+                    problem := unwritable_output(option, path, directory)):
+                return _error(problem)
         # Fresh, even over an existing --checkpoint file.  A lone
         # campaign runs the bare executor --resume rebuilds; a fleet
         # runs the supervised shard ladder.

@@ -17,9 +17,10 @@ by ``serve`` once bound), or explicitly via ``--host``/``--port``.  A
 client that finds no server (no endpoint given or advertised, or none
 listening there) prints one ``error:`` line and exits 2, as ``serve``
 does, before it touches the state dir, given a ``--tenant-quota`` that
-is not ``NAME=VIRTUAL_NS`` or a ``--workers``, ``--max-queued``,
-``--slice-ns`` or ``--checkpoint-every-slices`` below 1; an error the
-server reports is ``error: {json}`` and exit status 1.
+is not ``NAME=VIRTUAL_NS``, a ``--workers``, ``--max-queued``,
+``--default-quota-ns``, ``--slice-ns`` or ``--checkpoint-every-slices``
+below 1, or a ``--watchdog-s`` not above 0; an error the server reports
+is ``error: {json}`` and exit status 1.
 """
 
 from __future__ import annotations
@@ -72,11 +73,15 @@ def _parse_tenant_quotas(pairs: list[str]) -> dict[str, int]:
 def _cmd_serve(args) -> int:
     # Checked here, not in ServiceConfig: a library caller may run no
     # workers, to hold jobs queued; a server would never drain them.
-    for flag in ("workers", "max_queued", "slice_ns",
+    for flag in ("workers", "max_queued", "default_quota_ns", "slice_ns",
                  "checkpoint_every_slices"):
         if getattr(args, flag) < 1:
             return _error(f"--{flag.replace('_', '-')} must be >= 1, "
                           f"got {getattr(args, flag)}")
+    # A watchdog that allows a slice no time quarantines every job; the
+    # negated test refuses nan too.
+    if not args.watchdog_s > 0:
+        return _error(f"--watchdog-s must be > 0, got {args.watchdog_s}")
     try:
         tenant_quotas = _parse_tenant_quotas(args.tenant_quota)
     except ValueError as error:

@@ -14,8 +14,9 @@ a file, it checks that file (a checkpoint: its generation family) as
 the walk of its directory would.  With ``--repair`` everything fixable
 is fixed in place; ``--json`` writes the machine-readable report (the
 CI artifact).  A path that cannot be checked (a missing one for
-``fsck``, a non-store for ``scrub`` and ``stats``) is one ``error:``
-line and exit status 2.
+``fsck``, a non-store for ``scrub`` and ``stats``), or a ``--json``
+path that cannot be created and written, is one ``error:`` line and
+exit status 2, before the walk.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 
 from repro.store.errors import StoreError
 from repro.store.fsck import fsck_tree
+from repro.store.io import unwritable_output
 from repro.store.objects import open_store
 
 
@@ -37,6 +39,10 @@ def _error(message: str) -> int:
 
 
 def _cmd_fsck(args) -> int:
+    # Checked before the walk: --repair rewrites files, and a report
+    # that cannot be written would read as a tree that is not OK.
+    if args.json and (problem := unwritable_output("--json", args.json)):
+        return _error(problem)
     try:
         report = fsck_tree(args.root, repair=args.repair)
     except StoreError as error:

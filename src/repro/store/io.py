@@ -40,6 +40,10 @@ is installed process-wide with :func:`install_disk_faults` / the
 :func:`disk_chaos` context manager, because a disk is process-wide
 state: every consumer in the process inherits the fault plan through
 this one seam.
+
+:func:`unwritable_output` is the command lines' check, before they do
+any work, that an output path can be created and written; it polls no
+fault.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import tempfile
 
 #: Site names polled by this module (chaos' ``FaultPlan.DISK_SITES``).
 DISK_FAULT_SITES = (
@@ -200,3 +205,22 @@ def is_temp_artifact(name: str) -> bool:
     """Whether a file name is one of :func:`atomic_write`'s temp files
     (possibly orphaned by a crash in the rename window)."""
     return ".tmp-" in name or name.endswith(".tmp")
+
+
+def unwritable_output(option: str, path: str,
+                      directory: bool = False) -> str | None:
+    """Why a command line cannot write its output *option* at *path* (a
+    file there or, with *directory*, in the directory *path*), or None:
+    the directory it goes in is created with its parents, as the
+    writers create it, and a temporary file is written there and
+    dropped, so a command refuses an unusable path before any work."""
+    where = path if directory else os.path.dirname(os.path.abspath(path))
+    try:
+        if not directory and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.makedirs(where, exist_ok=True)
+        with tempfile.TemporaryFile(dir=where):
+            pass
+    except OSError as error:
+        return f"{option} {path!r} cannot be created or written: {error}"
+    return None

@@ -19,33 +19,27 @@ back to ``None``, and a shared build refuses such a rewrite.
 
 Each instruction form is one source template (``_BINOPS``, ``_LOAD``,
 ...): its closures come from a factory made from the template once per
-process.  Once a module's decoded code has served
-:data:`COMPILE_AFTER_RUNS` top-level runs (``VM.run_function`` at call
-depth 0: one exec, one replay), the next run first compiles each
-function with a block entered at least once per run so far, all of its
-blocks, to one Python function (:func:`_compile`); after the square of
-that many runs (the 65th), a second batch compiles the functions still
-on closures with a block entered at least once per two runs, functions
-first called since included.  The other functions keep their closures.
-In a compiled function the registers are Python locals, constants and
-laid-out global addresses are literals, each edge does its phi moves,
-a block entered over one edge only is written where that edge is
-taken and every other block is a test in one dispatch loop (hottest
-first), a block's phi charge folds into its first group's limit check,
-and the coverage guards index the map by a literal wherever
-``vm.prev_loc`` is known.  A call that keeps profiling counts or
-traces edges runs on closures, and a group of segments that would
-cross the instruction limit runs an instruction at a time
-(:func:`_run_spilled`, given every register).  The executors of a
-process share one build of a target (a fleet's inline shards, the
-paper tables' trials), hence one decoded code whose compile batches
-count the runs of them all.  Compiled code looks checked memory and
-natives up at run time (``vm.memory.read_int``, ``vm._call_native``),
-so wrappers on them see every call, and nothing in it refers back to
-the module's decoded code, which stays free of reference cycles:
-dropping it frees it by refcount.
-Code run fewer times (an optimizer candidate's replays, the seeds, a
-one-off replay) stays on closures.
+process.  A function runs two ways.  A call by a VM that keeps no
+profiling counts and traces no edges runs the function compiled, all of
+its blocks, to one Python function (:func:`_compile`), which its first
+such call makes; any other call (a profiled VM, a traced replay) runs
+every segment an instruction at a time on the closures
+(:func:`_run_exact`).  In a compiled function the registers are Python
+locals, constants and laid-out global addresses are literals, each edge
+does its phi moves, a block entered over one edge only is written where
+that edge is taken and every other block is a test in one dispatch
+loop (in index order), a block's phi charge folds into its first
+group's limit check, and the coverage guards index the map by a literal
+wherever ``vm.prev_loc`` is known.  A group of segments that would
+cross the instruction limit runs an instruction at a time too
+(:func:`_run_spilled`, given every register).  A compiled function's
+source depends on its decoded code alone, and the executors of a
+process share one build of a target (a fleet's inline shards, the paper
+tables' trials), hence one decoded code and its compiled functions.
+Compiled code looks checked memory and natives up at run time
+(``vm.memory.read_int``, ``vm._call_native``), so wrappers on them see
+every call, and nothing in it refers back to the module's decoded code,
+which stays free of reference cycles: dropping it frees it by refcount.
 
 A factory's source and a compiled function's become code objects in
 :func:`_code`, which calls ``compile()`` once per checkout, not once
@@ -80,8 +74,8 @@ the decoder knows.  Every other access goes through the address space's
 checked ``read_int``/``write_int``.  A frame's allocas are mapped and
 unmapped last-in-first-out (``AddressSpace.map_stack_run`` and
 ``unmap_frame``).  Every maximal run of consecutive allocas, one alone
-included (MiniC puts a function's at the top of its entry block), is
-one op, its segment's last: it maps the run as one stack object
+included (MiniC puts a function's at the top of its entry block), ends
+its segment, and a compiled function maps it there as one stack object
 (``AddressSpace.map_stack_run``, as the layout
 ``repro.vm.memory.stack_run`` computes places each alloca where mapping
 them one at a time would), then writes each alloca's pointer, the
@@ -104,10 +98,10 @@ built on.  A block runs as straight-line segments, each charged its
 cost and instruction count at once; a segment ends only at an
 instruction that can raise (a direct load or store cannot).  One path
 runs a segment an instruction at a time (:func:`_run_exact`): every
-segment of a VM that keeps profiling counts, a segment that would
-cross the instruction limit, and each segment of a compiled function's
-group that would, so traps, hangs, the clock and the counts land
-exactly where instruction-at-a-time execution puts them.
+segment of a call that does not run compiled, and each segment of a
+compiled function's group that would cross the instruction limit, so
+traps, hangs, the clock and the counts land exactly where
+instruction-at-a-time execution puts them.
 """
 
 from __future__ import annotations
@@ -199,19 +193,6 @@ _MAP_MASK = COVERAGE_MAP_SIZE - 1
 # The coverage callback the CoveragePass inserts; decoded code inlines it.
 COV_GUARD = "__cov_guard"
 
-# Top-level runs (``VM.run_function`` at call depth 0: one exec, one
-# replay) a module's decoded code serves on closures alone.  The next
-# run first compiles each function with a block entered at least that
-# many times, once per run on average: compiling code costs about what
-# running it several hundred times on closures does, so a function that
-# runs less than about once per exec does not pay it back.  A second
-# batch, after the square of that many runs, compiles the functions
-# still on closures with a block entered at least once per two runs:
-# paths that got hot later, and functions first called later.  Tests
-# set 0 (every function compiles when it is decoded) or a number no test
-# reaches (nothing compiles).
-COMPILE_AFTER_RUNS = 8
-
 # Per-process "boot time" sequence: each VM (process) observes a
 # different time(), reproducing the natural cross-process
 # non-determinism real programs get from time-seeded PRNGs.
@@ -260,9 +241,8 @@ class VM:
 
         # Optional telemetry: caller-owned per-opcode / per-libc-call
         # count dicts (shared across VMs so profiles survive respawns).
-        # A VM with either runs on closures, an instruction at a time
-        # (``_run_exact``); None keeps execution on its uninstrumented
-        # path.
+        # A VM with either runs an instruction at a time (``_run_exact``);
+        # None keeps execution on compiled code.
         self.opcode_counts = opcode_counts
         self.libc_counts = libc_counts
         # Optional input-to-state tap (``repro.fuzzing.i2s.CmpObserver``):
@@ -438,8 +418,6 @@ class VM:
         """Execute *function* with concrete integer arguments."""
         if function.is_declaration:
             return self._call_native(function.name, args)
-        if self._call_depth == 0:
-            self._module_code().count_run()
         return _execute(self, self._code_for(function, len(args)), list(args))
 
     def _call_native(self, name: str, args: list[int]) -> int | None:
@@ -477,11 +455,6 @@ class VM:
             decoded = functions[key] = _decode(
                 function, code.layout, observed,
                 min(nargs, len(function.args)))
-            # As count_run: a block compiles once the code served
-            # COMPILE_AFTER_RUNS runs and it was entered as often, which
-            # a function decoded now meets only when that is 0.
-            if code.runs > COMPILE_AFTER_RUNS:
-                decoded.compile_hot(COMPILE_AFTER_RUNS)
         return decoded
 
     def _attach_code(self) -> "_ModuleCode":
@@ -544,39 +517,15 @@ class VM:
 
 class _ModuleCode:
     """One module's decoded functions under one global layout: ``plain``
-    for VMs without a compare observer, ``observed`` for VMs with one,
-    and ``runs``, the top-level runs it served.  Nothing in it refers
-    back to it, so dropping it frees it at once."""
+    for VMs without a compare observer, ``observed`` for VMs with one.
+    Nothing in it refers back to it, so dropping it frees it at once."""
 
-    __slots__ = ("layout", "plain", "observed", "runs")
+    __slots__ = ("layout", "plain", "observed")
 
     def __init__(self, layout: dict[str, int]):
         self.layout = layout
         self.plain: dict[object, _FunctionCode] = {}
         self.observed: dict[object, _FunctionCode] = {}
-        self.runs = 0
-
-    def count_run(self) -> None:
-        """Count one top-level run.  The first after
-        :data:`COMPILE_AFTER_RUNS` compiles each function with a block
-        entered at least once per run so far; the first after its square
-        (the 65th) compiles each function still on closures with a block
-        entered at least once per two runs, functions decoded since
-        included."""
-        runs = self.runs
-        if runs == COMPILE_AFTER_RUNS:
-            self.compile_hot(runs)
-        elif runs == COMPILE_AFTER_RUNS * COMPILE_AFTER_RUNS:
-            self.compile_hot(runs // 2)
-        self.runs = runs + 1
-
-    def compile_hot(self, entries: int) -> None:
-        # Over snapshots: a shared build's code serves every thread of
-        # the process, and another thread's _code_for may add a function
-        # while _compile runs.
-        for functions in (self.plain, self.observed):
-            for code in list(functions.values()):
-                code.compile_hot(entries)
 
 
 class _FunctionCode:
@@ -594,26 +543,22 @@ class _FunctionCode:
     - ``phis`` is None or ``(moves, count, cost)``, where ``moves``
       maps the predecessor's block index (-1 on function entry) to the
       closure doing that edge's simultaneous phi assignment;
-    - each segment is ``(count, cost, ops, exact)``: its instruction
-      count and cost, its closures ``op(r, vm)`` (one for a run of
-      allocas), and the same per instruction as ``(cost, opcode,
-      is_guard, ops)`` for :func:`_run_exact` (one op per alloca);
+    - each segment is ``(count, cost, exact)``: its instruction count
+      and cost, and per instruction ``(cost, opcode, is_guard, ops)``,
+      its closures ``op(r, vm)`` for :func:`_run_exact` (a run of
+      allocas, one op each, ends its segment);
     - ``kind`` and ``x, y, z`` are the terminator: ``_BR`` (target),
       ``_CONDBR`` (condition slot, true and false targets),
       ``_SWITCH`` (value slot, case dict, default), ``_RET`` (value
       slot or None) or ``_TRAP`` (an UNREACHABLE trap's message).
 
-    ``entries`` counts each block's entries while the function runs on
-    closures; ``compiled`` is the whole function compiled to one Python
-    function (:func:`_compile`) once a block of it was entered often
-    enough, else None.  A function decoded after its module's code's
-    first batch of compiles waits for the second
-    (:meth:`_ModuleCode.count_run`), and one decoded after that never
-    compiles, unless :data:`COMPILE_AFTER_RUNS` is 0.
+    ``compiled`` is the whole function compiled to one Python function
+    (:func:`_compile`), made by its first call on a VM that keeps no
+    profiling counts and traces no edges; until then it is None.
     """
 
     __slots__ = ("name", "epoch", "nargs", "tail", "frame", "blocks",
-                 "checked", "entries", "compiled")
+                 "checked", "compiled")
 
     def __init__(self, name, epoch, nargs, tail, frame, blocks, checked):
         self.name = name
@@ -623,14 +568,7 @@ class _FunctionCode:
         self.frame = frame
         self.blocks = blocks
         self.checked = checked
-        self.entries = [0] * len(blocks)
         self.compiled: types.FunctionType | None = None
-
-    def compile_hot(self, entries: int) -> None:
-        """Compile the function if a block of it was entered at least
-        *entries* times."""
-        if self.compiled is None and max(self.entries) >= entries:
-            self.compiled = _compile(self)
 
 
 _BR, _CONDBR, _SWITCH, _RET, _TRAP = range(5)
@@ -641,20 +579,21 @@ _SIGNED = frozenset({"slt", "sle", "sgt", "sge"})
 
 
 def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
-    """Run decoded *code* on *vm* with *args*: its compiled function if
-    it has one and the VM keeps no profiling counts and traces no edges,
-    else the dispatch loop over its blocks' closures, in which a VM that
-    keeps profiling counts runs every segment an instruction at a
-    time."""
+    """Run decoded *code* on *vm* with *args*: its compiled function,
+    made on the first such call, if the VM keeps no profiling counts and
+    traces no edges, else the dispatch loop over its blocks, each
+    segment an instruction at a time."""
     if vm._call_depth >= vm.MAX_CALL_DEPTH:
         raise VMTrap(TrapKind.STACK_OVERFLOW,
                      f"call depth exceeded {vm.MAX_CALL_DEPTH}", vm.site)
     nargs = code.nargs
     if len(args) != nargs:
         args = (args + [None] * nargs)[:nargs]
-    run = code.compiled
-    if (run is not None and vm.opcode_counts is None
-            and vm.libc_counts is None and not vm.trace_edges):
+    opcode_counts = vm.opcode_counts
+    if opcode_counts is None and vm.libc_counts is None and not vm.trace_edges:
+        run = code.compiled
+        if run is None:
+            run = code.compiled = _compile(code)
         return run(vm, *args)
     vm._call_depth += 1
     site = vm.site
@@ -664,15 +603,9 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
     if frame is not None:
         r[frame] = []
     try:
-        blocks, entries = code.blocks, code.entries
-        limit = vm.instruction_limit
-        counting = vm.opcode_counts is not None or vm.libc_counts is not None
-        # Every segment's total exceeds -1: a profiled VM runs each one
-        # through _run_exact.
-        bound = -1 if counting else limit
+        blocks, limit = code.blocks, vm.instruction_limit
         prev, i = -1, 0
         while True:
-            entries[i] += 1
             name, phis, segments, kind, x, y, z = blocks[i]
             site.block = name
             if phis is not None:
@@ -680,17 +613,10 @@ def _execute(vm: VM, code: _FunctionCode, args: list) -> int | None:
                 moves[prev](r, vm)
                 vm.instructions_executed += count
                 vm.cost += cost
-                if counting and vm.opcode_counts is not None:
-                    vm.opcode_counts["Phi"] = vm.opcode_counts.get("Phi", 0) + count
-            for count, cost, ops, exact in segments:
-                total = vm.instructions_executed + count
-                if total > bound:
-                    _run_exact(vm, r, exact, limit)
-                    continue
-                vm.instructions_executed = total
-                vm.cost += cost
-                for op in ops:
-                    op(r, vm)
+                if opcode_counts is not None:
+                    opcode_counts["Phi"] = opcode_counts.get("Phi", 0) + count
+            for segment in segments:
+                _run_exact(vm, r, segment[2], limit)
             if kind == _CONDBR:
                 prev, i = i, (y if r[x] else z)
             elif kind == _BR:
@@ -756,7 +682,7 @@ def _run_spilled(vm: VM, group: tuple, limit: int, values: dict) -> NoReturn:
         if name[0] == "r" and name[1:].isdigit():
             r[int(name[1:])] = value
     for segment in segments:
-        _run_exact(vm, r, segment[3], limit)
+        _run_exact(vm, r, segment[2], limit)
     raise AssertionError("a group that crosses the limit returned")
 
 
@@ -959,12 +885,10 @@ class _Decoder:
         block = self.blocks[b]
         for phi in self.heads[b]:
             known |= 1 << self.slots[phi]
-        segments = []
-        ops, exact = [], []
+        segments, exact = [], []
         n = cost = 0
         terminator = (_TRAP, f"block %{block.name} fell through without "
                       "a terminator", None, None)
-        run: list = []          # a run of allocas so far, with their ops
         for inst in self.bodies[b]:
             checks: list[tuple[int, Value]] = []
             inst_ops, raises, guard, inst_cost, ends = self.instruction(
@@ -979,38 +903,22 @@ class _Decoder:
             if inst in self.slots:
                 known |= 1 << self.slots[inst]
             if type(inst) is Alloca:
-                # A run of allocas maps as one op, its segment's last;
-                # the instruction-at-a-time path keeps one op each.
-                run.append((inst, inst_ops[0]))
-                if inst not in self.ends:
-                    continue
-                inst_ops = [self.alloca_run(run)]
-                run = []
-            ops.extend(inst_ops)
+                # A run of allocas ends its segment at its last alloca,
+                # where a compiled function maps the run as one.
+                raises = inst in self.ends
             if ends is not None:
                 terminator = ends
             if raises or ends is not None:
-                segments.append((n, cost, tuple(ops), tuple(exact)))
-                ops, exact = [], []
+                segments.append((n, cost, tuple(exact)))
+                exact = []
                 n = cost = 0
         if n:
-            segments.append((n, cost, tuple(ops), tuple(exact)))
+            segments.append((n, cost, tuple(exact)))
         phis = None
         if self.heads[b]:
             count = len(self.heads[b])
             phis = (self.moves(b, known_out, preds), count, _INST_COST[Phi] * count)
         return (block.name, phis, tuple(segments)) + terminator
-
-    def alloca_run(self, run: list):
-        """The op mapping a run of allocas, given as ``(alloca, its own
-        op)`` pairs."""
-        data, layout = self.runs[run[-1][0]]
-        return _form(_ALLOCA_RUN)(
-            layout=layout, data=data,
-            slots=tuple(zip([self.slots[inst] for inst, _ in run],
-                            layout.offsets)),
-            frame=self.frame, each=_INST_COST[Alloca],
-            allocas=tuple(op for _, op in run))
 
     def moves(self, b: int, known_out: list, preds: list) -> dict:
         """Block *b*'s phi assignment per predecessor index."""
@@ -1196,8 +1104,9 @@ class _Decoder:
 # or its constant's literal, ``vm.site`` and ``vm.cmp_observer`` its
 # per-call locals, and each other field written as a literal, or bound
 # as a parameter of the function when it has no literal form (a callee,
-# an IR value, a case dict).  Two forms it writes its own way
-# (``_WRITERS``).
+# an IR value, a case dict).  It writes the guard its own way
+# (``_Writer.guard``), and a segment's run of allocas as one mapping
+# (``_Writer.allocas``).
 
 
 def _sign_bit(bits: int) -> int:
@@ -1440,33 +1349,18 @@ _ALLOCA = ("try:\n"
            "    raise VMTrap(TrapKind.STACK_OVERFLOW, {message}, vm.site) from None\n"
            "r[{d}] = run.base + {offset}\n"
            "r[{data}] = run.data")
-# A run of allocas, one alone included, charged as its segment's last
-# instructions, *each* ns apiece: one stack object as *layout* places
-# it, its buffer into ``data``, then for each ``(d, offset)`` of *slots*
-# its base plus the offset into ``d``.  A run that does not fit maps its
-# allocas one at a time (:func:`_map_allocas` of *allocas*, their
-# ``_ALLOCA`` closures), and one of them traps.
-_ALLOCA_RUN = ("try:\n"
-               "    run = vm.memory.map_stack_run({layout})\n"
-               "except MemoryError:\n"
-               "    _map_allocas(vm, r, {allocas}, {each})\n"
-               "r[{frame}].append(run)\n"
-               "r[{data}] = run.data\n"
-               "base = run.base\n"
-               "for d, offset in {slots}:\n"
-               "    r[d] = base + offset")
 
 
-def _map_allocas(vm: VM, r, allocas: tuple, each: int) -> NoReturn:
+def _map_allocas(vm: VM, r, allocas: tuple) -> NoReturn:
     """Map a run of allocas the stack segment cannot hold one at a time
     (*allocas*, their ``_ALLOCA`` ops over registers *r*), after giving
-    back the run's charge: each is charged *each* ns and counted as
+    back the run's charge: each is charged and counted as
     instruction-at-a-time execution does.  ``map_stack_run`` reserves
     the run's span from the aligned cursor, and one at a time they
     reserve the same span from the same start, so the one that does not
-    fit traps.  (A VM that keeps profiling counts maps every run this
-    way, in :func:`_run_exact`, and never gets here.)"""
-    count = len(allocas)
+    fit traps.  (Only a compiled function, which maps a run as one,
+    gets here.)"""
+    count, each = len(allocas), _INST_COST[Alloca]
     vm.instructions_executed -= count
     vm.cost -= each * count
     for alloca in allocas:
@@ -1609,8 +1503,9 @@ _NEST_LIMIT = 40
 
 def _compile(code: _FunctionCode) -> types.FunctionType:
     """*code* as one Python function ``(vm, *args)`` that runs a call
-    as :func:`_execute` does on closures, given *args* padded to
-    ``code.nargs`` and the call depth checked."""
+    of a VM keeping no profiling counts and tracing no edges as
+    :func:`_execute` runs it an instruction at a time, given *args*
+    padded to ``code.nargs`` and the call depth checked."""
     source, bound = _Writer(code).write()
     compiled = _code_const(_code(source, "<compiled function>"))
     return types.FunctionType(compiled, globals(), code.name, bound)
@@ -1679,7 +1574,7 @@ class _Writer:
     constant or a laid-out global's address; the frame's slot holds its
     runs of allocas.  The code of a block entered over one edge only is
     written where that edge is taken; every other block is a test of
-    ``b`` in the dispatch loop, hottest first, that an edge into it sets.
+    ``b`` in the dispatch loop, in index order, that an edge into it sets.
     Each edge does its phi moves.  The coverage map, its cells and the
     compare observer are loaded once per call.  ``prev`` is
     ``vm.prev_loc`` where the code being written knows it (after a
@@ -1695,11 +1590,11 @@ class _Writer:
         self.groups: list[tuple] = []
         self.bound: list = [self.groups]
         self.names: dict[int, str] = {}
-        self.guards = any(guard for block in blocks for segment in block[2]
-                          for _, _, guard, _ in segment[3])
+        exact = [entry for block in blocks for segment in block[2]
+                 for entry in segment[2]]
+        self.guards = any(guard for _, _, guard, _ in exact)
         self.observes = any(_TEMPLATES[id(op.__code__)] in _OBSERVES
-                            for block in blocks for segment in block[2]
-                            for op in segment[2])
+                            for *_, ops in exact for op in ops)
         # Edges into each block from blocks the entry reaches.
         self.edges = [0] * len(blocks)
         order, seen = [0], {0}
@@ -1724,7 +1619,7 @@ class _Writer:
             self.block(b, 0, 0)
             self.targets[b] = self.out
             k += 1
-        code, entries = self.code, self.code.entries
+        code = self.code
         lines = [(1, "vm._call_depth += 1"), (1, "site = vm.site"),
                  (1, f"site.function = {code.name!r}"),
                  (1, "limit = vm.instruction_limit")]
@@ -1741,7 +1636,7 @@ class _Writer:
         lines += [(2 + depth, text) for depth, text in entry]
         if self.targets:
             lines.append((2, "while True:"))
-            order = sorted(self.targets, key=lambda b: (-entries[b], b))
+            order = sorted(self.targets)
             for b in order[:-1]:
                 block = self.targets[b]
                 lines.append((3, f"if b == {b}:"))
@@ -1807,7 +1702,7 @@ class _Writer:
         # group fits under the limit each of its segments does.
         first = 0
         for k, segment in enumerate(segments):
-            _, opcode, guard, _ = segment[3][-1]
+            _, opcode, guard, _ = segment[2][-1]
             if k < len(segments) - 1 and (opcode != "Call" or guard):
                 continue
             self.group(segments[first:k + 1], count, cost, depth)
@@ -1850,20 +1745,24 @@ class _Writer:
         total = count + sum(segment[0] for segment in segments)
         self.line(depth, f"if vm.instructions_executed + {total} > limit: "
                   f"raise _Crossing({len(self.groups) - 1})")
-        for n, c, ops, _ in segments:
+        for n, c, exact in segments:
             self.line(depth, f"vm.instructions_executed += {n + count}; "
                       f"vm.cost += {c + cost}")
             count = cost = 0
-            for op in ops:
-                self.out += [(depth, text) for text in self.op(op)]
+            # A segment's allocas are one run, its last instructions.
+            allocas = [ops[0] for _, opcode, _, ops in exact if opcode == "Alloca"]
+            for *_, ops in exact[:len(exact) - len(allocas)]:
+                for op in ops:
+                    self.out += [(depth, text) for text in self.op(op)]
+            if allocas:
+                self.out += [(depth, text) for text in self.allocas(allocas)]
 
     # -- instructions --------------------------------------------------
 
     def op(self, op) -> list[str]:
         """*op*'s lines."""
-        writer = _WRITERS.get(_TEMPLATES[id(op.__code__)])
-        if writer is not None:
-            return writer(self, _fields(op)[1])
+        if _TEMPLATES[id(op.__code__)] == _COV_GUARD:
+            return self.guard(_fields(op)[1])
         return self.generic(op)
 
     def generic(self, op) -> list[str]:
@@ -1891,24 +1790,23 @@ class _Writer:
         return lines + [f"if not (hits := coverage[{index}]): cells.append({index})",
                         f"coverage[{index}] = _BUMP[hits]; vm.prev_loc = {self.prev}"]
 
-    def alloca_run(self, values: dict) -> list[str]:
-        """``_ALLOCA_RUN``, its pointers unrolled; on the exhausted-stack
-        path its allocas' own ops run over a dict holding the frame."""
-        frame, data = values["frame"], values["data"]
+    def allocas(self, allocas: list) -> list[str]:
+        """A run of allocas (their ``_ALLOCA`` ops) mapped as one, its
+        pointers unrolled; on the exhausted-stack path their own ops run
+        over a dict holding the frame."""
+        fields = [_fields(op)[1] for op in allocas]
+        last = fields[-1]
+        frame, data = last["frame"], last["data"]
         lines = ["try:",
-                 f" run = vm.memory.map_stack_run({self.field(values['layout'])})",
+                 f" run = vm.memory.map_stack_run({self.field(last['layout'])})",
                  "except MemoryError:",
                  f" r = {{{frame}: r{frame}}}",
-                 f" _map_allocas(vm, r, {self.field(values['allocas'])}, "
-                 f"{values['each']})",
+                 f" _map_allocas(vm, r, {self.field(tuple(allocas))})",
                  f"r{frame}.append(run)", f"r{data} = run.data", "base = run.base"]
-        return lines + [f"r{d} = base + {offset}" for d, offset in values["slots"]]
+        return lines + [f"r{values['d']} = base + {values['offset']}"
+                        for values in fields]
 
     def moves(self, move) -> tuple[list[str], bool]:
         """An edge's phi moves, and whether they can raise."""
         return self.generic(move), "raise" in _TEMPLATES[id(move.__code__)]
 
-
-# Forms a compiled function writes its own way: the guard on the map
-# loaded once per call, and a run of allocas, whose pointers it unrolls.
-_WRITERS = {_COV_GUARD: _Writer.guard, _ALLOCA_RUN: _Writer.alloca_run}

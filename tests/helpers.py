@@ -1,6 +1,6 @@
 """Shared test helpers: run inputs under executors, copy a shared
-build, record the decoded code a test runs, kill a checkpointing
-campaign mid-run, craft crash inputs."""
+build, record the decoded code a test runs, make every VM keep opcode
+counts, kill a checkpointing campaign mid-run, craft crash inputs."""
 
 from __future__ import annotations
 
@@ -28,23 +28,41 @@ def run_fresh_module(module, image_bytes: int, data: bytes) -> ExecResult:
 
 def private(module: Module) -> Module:
     """A private copy of a (shared) build: code no earlier test decoded
-    or compiled, which counts its own runs and may be rewritten."""
+    or compiled, which may be rewritten."""
     return parse_module(print_module(module))
 
 
-def code_run(monkeypatch) -> set:
+def code_run(monkeypatch) -> dict:
     """Each decoded function (``_FunctionCode``) a VM looks up from here
-    on, to run it or a call of it."""
-    codes = set()
+    on, to run it or a call of it, and whether a VM that keeps no
+    profiling counts and traces no edges, which runs compiled code,
+    looked it up."""
+    codes: dict = {}
     code_for = interpreter.VM._code_for
 
     def recording(vm, function, nargs):
         code = code_for(vm, function, nargs)
-        codes.add(code)
+        plain = (vm.opcode_counts is None and vm.libc_counts is None
+                 and not vm.trace_edges)
+        codes[code] = codes.get(code, False) or plain
         return code
 
     monkeypatch.setattr(interpreter.VM, "_code_for", recording)
     return codes
+
+
+def count_opcodes(monkeypatch) -> None:
+    """Give every VM made from here on opcode counts (a dict of its own
+    where it was given none), so that every call runs an instruction at
+    a time and nothing compiles."""
+    init = interpreter.VM.__init__
+
+    def counting(vm, *args, **kwargs):
+        init(vm, *args, **kwargs)
+        if vm.opcode_counts is None:
+            vm.opcode_counts = {}
+
+    monkeypatch.setattr(interpreter.VM, "__init__", counting)
 
 
 def run_killed(campaign, halt_ns: int) -> None:

@@ -1,11 +1,13 @@
-"""Tests for the analysis, experiments and fuzzing command lines.
+"""Tests for the analysis, experiments, fuzzing and store command lines.
 
 ``python -m repro.analysis`` is the lint gate with two subcommands,
 ``opt`` and ``integrity``; ``python -m repro.experiments`` runs the
 paper's entry points and, under ``matrix``, the experiment platform;
-``python -m repro.fuzzing`` runs one campaign or a fleet.  Each is
-driven in-process through its ``main(argv)``.  Bad input must exit 2
-with one ``error:`` line on stderr, never a traceback.
+``python -m repro.fuzzing`` runs one campaign or a fleet;
+``python -m repro.store fsck`` checks a state tree.  Each is driven
+in-process through its ``main(argv)``.  Bad input, an output path that
+cannot be created and written included, must exit 2 with one
+``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.analysis.__main__ import main as analysis_main
 from repro.experiments.__main__ import demo_spec
 from repro.experiments.__main__ import main as experiments_main
 from repro.fuzzing.__main__ import main as fuzzing_main
+from repro.store.__main__ import main as store_main
 
 
 class TestAnalysisCli:
@@ -89,6 +92,17 @@ class TestMatrixCli:
                     "--per-worker-reports"]),
     (fuzzing_main, ["--target", "giftext", "--budget-ms", "1",
                     "--workers", "2", "--per-worker-reports"]),
+    (fuzzing_main, ["--target", "giftext", "--checkpoint",
+                    "{tmp}/malformed.json/x.ckpt"]),
+    (fuzzing_main, ["--target", "giftext", "--checkpoint", "/dev/null/x.ckpt"]),
+    (fuzzing_main, ["--target", "giftext", "--workers", "2", "--report-dir",
+                    "{tmp}/malformed.json/x"]),
+    (fuzzing_main, ["--target", "giftext", "--workers", "2", "--report-dir",
+                    "/dev/null/x"]),
+    (store_main, ["fsck", "{tmp}/empty", "--repair", "--json",
+                  "{tmp}/malformed.json/x.json"]),
+    (store_main, ["fsck", "{tmp}/empty", "--repair", "--json",
+                  "/dev/null/x.json"]),
 ], ids=["opt-unknown-target", "matrix-missing-spec",
         "matrix-malformed-spec", "matrix-report-only-no-store",
         "fuzz-no-target", "fuzz-workers-0", "fuzz-i2s-fleet",
@@ -96,7 +110,10 @@ class TestMatrixCli:
         "fuzz-checkpoint-ms-0", "fuzz-resume-missing",
         "fuzz-fleet-flags-one-worker", "fuzz-processes-one-worker",
         "fuzz-report-dir-one-worker", "fuzz-per-worker-reports-one-worker",
-        "fuzz-per-worker-reports-no-report-dir"])
+        "fuzz-per-worker-reports-no-report-dir",
+        "fuzz-checkpoint-under-a-file", "fuzz-checkpoint-under-dev-null",
+        "fuzz-report-dir-under-a-file", "fuzz-report-dir-under-dev-null",
+        "fsck-json-under-a-file", "fsck-json-under-dev-null"])
 def test_bad_input_exits_2_with_one_error_line(main, argv, tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     (tmp_path / "malformed.json").write_text("{not json")

@@ -91,13 +91,11 @@ def fresh_code(monkeypatch, source: str = SOURCE):
     return namespace["make"](), calls
 
 
-@pytest.mark.parametrize("after_runs", [0, interpreter.COMPILE_AFTER_RUNS])
 def test_a_warm_process_compiles_nothing_and_computes_the_same(
-        after_runs, cache, monkeypatch):
+        cache, monkeypatch):
     """A private giftext build, its seeds' replays and a campaign, cold
     and then warm: the warm pass calls ``compile()`` zero times, writes
     no entry, and gives the same observations and campaign result."""
-    monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", after_runs)
     spec = get_target("giftext")
 
     def observe():

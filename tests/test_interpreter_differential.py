@@ -5,8 +5,8 @@ builds, replay their seeds and seeded havoc mutants after pollution
 inputs on both interpreters; every :class:`Observation` field must be
 equal, including the instruction count, the virtual cost, the edge
 trace and the end-of-run snapshot, and the decoded interpreter's
-untraced replays (compiled code, where it compiled) must equal the
-same but for the trace and snapshot.  Forkserver execs compare the
+untraced replays (compiled code, where the VM keeps no counts) must
+equal the same but for the trace and snapshot.  Forkserver execs compare the
 profiling counts and an armed compare observer's records, every exec's
 coverage map lists exactly its nonzero cells on both interpreters, an
 instruction-limit sweep pins the clock at every hang point of a loop
@@ -28,18 +28,18 @@ and the traps an exhausted stack or heap segment raises.  The
 forkserver legs check that the reference run's children really are
 reference VMs.
 
-Decoded code runs on closures here (nothing compiles);
-``tests/test_interpreter_compiled.py`` runs every test again with
-every function compiled when it is decoded.  A target's build is
-shared by the whole process, and so is its decoded code, so each test
-runs a private copy of it, whose code no earlier test compiled; the
-``tier`` fixture checks after each test that the code it ran is of its
-tier.
+Every VM keeps opcode counts here, so every call runs an instruction at
+a time and nothing compiles; ``tests/test_interpreter_compiled.py``
+runs every test again with VMs as the tests make them, so that a call
+by a VM that keeps no counts and traces no edges runs compiled code.
+A target's build is shared by the whole process, and so is its decoded
+code, so each test runs a private copy of it, whose code no earlier
+test compiled; the ``tier`` fixture checks after each test that the
+code it ran is of its tier.
 """
 
 import dataclasses
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -66,9 +66,9 @@ from repro.passes.coverage import COV_GUARD, CoveragePass
 from repro.runtime.replay import Observation, replay
 from repro.sim_os import Kernel
 from repro.targets import get_target, target_names
-from repro.vm import VM, TrapKind, VMError, interpreter
+from repro.vm import VM, TrapKind, VMError
 from repro.vm.memory import RED_ZONE, AddressSpace, stack_run
-from tests.helpers import code_run, private
+from tests.helpers import code_run, count_opcodes, private
 from tests.reference_interpreter import ReferenceVM
 
 MUTANTS = 20
@@ -78,9 +78,9 @@ BUILDS = [(name, False) for name in sorted(target_names())] + [
 
 @pytest.fixture(autouse=True)
 def tier(monkeypatch):
-    """Decoded code runs on closures: no module's code compiles, and no
-    function the test ran had compiled before it."""
-    monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", sys.maxsize)
+    """Every VM keeps opcode counts, and no function the test ran is
+    compiled."""
+    count_opcodes(monkeypatch)
     codes = code_run(monkeypatch)
     yield
     assert [code.name for code in codes if code.compiled is not None] == []
@@ -198,7 +198,8 @@ def test_replays_match_reference(name, optimize, monkeypatch):
         return observed
 
     decoded = observe_all()
-    # Untraced, the decoded replays run compiled code where it compiled.
+    # Untraced, a decoded replay whose VM keeps no counts runs compiled
+    # code.
     untraced = observe_all(trace=False)
     with monkeypatch.context() as patch:
         on_reference(patch)

@@ -7,14 +7,14 @@ the instruction-at-a-time reference.  The stale-code tests rewrite a
 module in place between runs, along every path that does so, and
 require the next run to see the rewrite.
 
-Decoded code runs on closures here (nothing compiles);
-``tests/test_interpreter_compiled.py`` runs every test again with
-every function compiled when it is decoded.  A test of a target runs a
-private copy of its shared build, and the ``tier`` fixture checks after
-each test that the code it ran is of its tier.
+Every VM keeps opcode counts here, so every call runs an instruction at
+a time and nothing compiles; ``tests/test_interpreter_compiled.py``
+runs every test again with VMs as the tests make them, so that a call
+by a VM that keeps no counts and traces no edges runs compiled code.
+A test of a target runs a private copy of its shared build, and the
+``tier`` fixture checks after each test that the code it ran is of its
+tier.
 """
-
-import sys
 
 import pytest
 
@@ -39,7 +39,7 @@ from repro.sim_os import Kernel
 from repro.targets import get_target
 from repro.vm import VM, VMTrap
 from repro.vm import interpreter
-from tests.helpers import code_run, private
+from tests.helpers import code_run, count_opcodes, private
 from tests.reference_interpreter import ReferenceVM
 
 i32 = int_type(32)
@@ -47,9 +47,9 @@ i32 = int_type(32)
 
 @pytest.fixture(autouse=True)
 def tier(monkeypatch):
-    """Decoded code runs on closures: no module's code compiles, and no
-    function the test ran had compiled before it."""
-    monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", sys.maxsize)
+    """Every VM keeps opcode counts, and no function the test ran is
+    compiled."""
+    count_opcodes(monkeypatch)
     codes = code_run(monkeypatch)
     yield
     assert [code.name for code in codes if code.compiled is not None] == []

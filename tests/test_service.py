@@ -208,15 +208,9 @@ def test_serve_with_a_bad_tenant_quota_is_one_error_line(pair, tmp_path,
     assert not state.exists()
 
 
-@pytest.mark.parametrize("option", [
-    "--workers", "--max-queued", "--slice-ns", "--checkpoint-every-slices"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_serve_with_sizing_below_1_is_one_error_line(option, value, tmp_path,
-                                                     capsys):
-    """A server with no workers never drains, one with no queue raises,
-    slices of 0 ns end every job unfuzzed, and a checkpoint every 0
-    slices quarantines every job: each is one ``error:`` line naming the
-    option and exit status 2, before the server touches its state dir."""
+def refused_serve(option, value, tmp_path, capsys) -> None:
+    """``serve`` given *option* at *value* prints one ``error:`` line
+    naming the option, exits 2, and leaves its state dir untouched."""
     state = tmp_path / "svc"
     assert service_main(["serve", "--state-dir", str(state),
                          option, value]) == 2
@@ -226,6 +220,29 @@ def test_serve_with_sizing_below_1_is_one_error_line(option, value, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert option in lines[0]
     assert not state.exists()
+
+
+@pytest.mark.parametrize("option", [
+    "--workers", "--max-queued", "--default-quota-ns", "--slice-ns",
+    "--checkpoint-every-slices"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_serve_with_sizing_below_1_is_one_error_line(option, value, tmp_path,
+                                                     capsys):
+    """A server with no workers never drains, one with no queue raises,
+    the quota ledger refuses a default quota below 1 ns, slices of 0 ns
+    end every job unfuzzed, and a checkpoint every 0 slices quarantines
+    every job: each is refused before the server touches its state
+    dir."""
+    refused_serve(option, value, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_serve_with_a_watchdog_not_above_0_is_one_error_line(value, tmp_path,
+                                                             capsys):
+    """Every slice outlasts a watchdog of no time, which would
+    quarantine every job: a ``--watchdog-s`` not above 0 is refused
+    before the server touches its state dir."""
+    refused_serve("--watchdog-s", value, tmp_path, capsys)
 
 
 def test_client_reports_a_service_error_as_json(monkeypatch, capsys):

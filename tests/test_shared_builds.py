@@ -5,7 +5,7 @@ and hands every caller the same module, hence, through
 ``Module.decoded``, the same decoded and compiled code: a fleet's
 inline shards, the paper tables' trials and the supervised fallback's
 forkserver.  These tests pin the share (one ``compile_c`` for a 4-shard
-fleet, each hot function compiled once), the refusal of in-place
+fleet, each function it runs compiled once), the refusal of in-place
 rewrites of a shared build, the optimized build's own module, and
 that threads running campaigns on one build reach the results each
 reaches alone.
@@ -42,8 +42,8 @@ def unbuilt(name):
 def test_inline_fleet_builds_its_target_once(mechanism, flavour,
                                              monkeypatch):
     """A 4-shard inline zlib fleet compiles zlib once, into one build,
-    and compiles each hot function of it once: the shards count their
-    runs on one decoded code."""
+    and compiles each function it runs once: the shards run one decoded
+    code."""
     spec = unbuilt("zlib")
     monkeypatch.setitem(framework._REGISTRY, "zlib", spec)
     compiles, compiled = [], []
@@ -138,7 +138,7 @@ def test_threads_on_one_build_reach_their_lone_results():
     """Three threads each run a giftext campaign on one shared build, as
     the service's fleet jobs do: each ends on the digest, exec count and
     virtual time it reaches alone on a build of its own, while all of
-    them decode into, and run compile batches over, one decoded code."""
+    them decode functions into, and compile them in, one decoded code."""
     spec = unbuilt("giftext")
     seeds = (1, 2, 3)
     alone = [campaign_result(spec, private(spec.build_closurex()), seed)
@@ -169,10 +169,9 @@ int main(int argc, char **argv) {
 
 
 def test_a_decode_during_a_compile_batch_joins_the_code(monkeypatch):
-    """A compile batch runs over a snapshot of the decoded functions: a
-    function another thread decodes into the same code while the batch
-    compiles (here, from inside ``_compile``) is added, not an error."""
-    monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
+    """A function another thread decodes into the same code while a
+    function compiles (here, from inside ``_compile``) is added, not an
+    error, and compiles only when a call runs it."""
     module = compile_c(UNCALLED, "uncalled")
     main, late = module.get_function("main"), module.get_function("late")
     compile_function = interpreter._compile

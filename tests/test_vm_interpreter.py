@@ -1,7 +1,6 @@
 """Unit tests for the interpreter engine and libc natives."""
 
 import gc
-import sys
 import weakref
 
 import pytest
@@ -136,23 +135,6 @@ int main(int argc, char **argv) {
 """
 
 
-# ``late`` is first called on a run after the 9th: its loop header is
-# entered 32 times then, its body 31.
-LATE_CALL = """
-int late(int x) {
-    int s = 0;
-    for (int k = 0; k < x; k++) { s = s + k; }
-    return s;
-}
-int main(int argc, char **argv) {
-    int total = 0;
-    for (int i = 0; i < 20; i++) { total = total + i; }
-    if (argc > 5) { total = total + late(argc * 5 + 1); }
-    return total;
-}
-"""
-
-
 def again(vm, args, site):
     """A native running ``helper`` again, one call deeper."""
     return vm.run_function(vm.module.get_function("helper"), args)
@@ -186,55 +168,37 @@ def counting_compiles(monkeypatch) -> list:
 
 
 class TestCompiledFunctions:
-    def test_nothing_compiles_before_the_ninth_run(self, monkeypatch):
-        """A module's code serves 8 top-level runs on closures (the 20
-        runs of ``helper`` through a native, one call deeper, do not
-        count).  The 9th first compiles each function with a block
-        entered at least 8 times, all of its blocks: ``main`` with the
-        inner loop no run entered yet, which a later run enters 30 times
-        on compiled code, compiling nothing more."""
-        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
+    def test_a_function_compiles_on_its_first_plain_call(self, monkeypatch):
+        """Each function compiles on its first call by a VM that keeps no
+        counts and traces no edges, once per build: ``helper`` (run
+        again one call deeper, through a native) and ``main`` on the
+        first run, and nothing on later runs, new VMs of the build, or
+        a run that first enters ``main``'s inner loop."""
         compiled = counting_compiles(monkeypatch)
         module = compile_c(HOT_LOOP, "hot")
         first = run_main(module)
-        for _ in range(7):
-            assert run_main(module) == first
-        assert compiled == [] and compiled_functions(module) == {}
-        assert run_main(module) == first
         assert sorted(compiled) == ["helper", "main"]
         assert sorted(compiled_functions(module)) == ["helper", "main"]
-        # Compiled code counts no block entries.
-        main = module.decoded.plain[module.get_function("main")]
-        entries = list(main.entries)
-        assert run_main(module, ["t"] * 6)[0] == first[0] + sum(range(30))
-        assert len(compiled) == 2 and main.entries == entries
-
-    def test_the_65th_run_compiles_what_got_hot_later(self, monkeypatch):
-        """At the start of the 65th top-level run, each function still on
-        closures with a block entered at least 32 times compiles, one
-        first called after the 9th run too: ``late``, whose loop header
-        was entered 32 times.  No run in between compiles anything."""
-        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
-        compiled = counting_compiles(monkeypatch)
-        module = compile_c(LATE_CALL, "late")
-        first = run_main(module)
-        for _ in range(8):
-            assert run_main(module) == first
-        assert compiled == ["main"]
-        assert run_main(module, ["t"] * 6)[0] == first[0] + sum(range(31))
-        for _ in range(54):
-            assert run_main(module) == first
-        assert compiled == ["main"]
-        late = module.decoded.plain[module.get_function("late")]
-        assert late.entries == [1, 32, 31, 31, 1] and late.compiled is None
         assert run_main(module) == first
-        assert compiled == ["main", "late"] and late.compiled is not None
+        assert run_main(module, ["t"] * 6)[0] == first[0] + sum(range(30))
+        assert sorted(compiled) == ["helper", "main"]
 
-    def test_dropping_decoded_code_frees_compiled_functions(self, monkeypatch):
+    def test_compiled_code_does_not_depend_on_earlier_runs(self, monkeypatch):
+        """Two builds of one program, driven first by different inputs
+        (only the second enters ``main``'s inner loop), compile every
+        function to the same code object."""
+        first, second = compile_c(HOT_LOOP, "hot"), compile_c(HOT_LOOP, "hot")
+        for _ in range(9):
+            run_main(first)
+            run_main(second, ["t"] * 6)
+        ones, twos = compiled_functions(first), compiled_functions(second)
+        assert sorted(ones) == sorted(twos) == ["helper", "main"]
+        assert all(ones[name].__code__ is twos[name].__code__ for name in ones)
+
+    def test_dropping_decoded_code_frees_compiled_functions(self):
         """Nothing in compiled code refers back to the module's decoded
         code, so dropping that frees every compiled function by refcount
         alone."""
-        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 0)
         module = compile_c(HOT_LOOP, "hot")
         run_main(module)
         refs = [weakref.ref(run) for run in compiled_functions(module).values()]
@@ -246,11 +210,10 @@ class TestCompiledFunctions:
         finally:
             gc.enable()
 
-    def test_modules_share_code_objects_not_callees(self, monkeypatch):
+    def test_modules_share_code_objects_not_callees(self):
         """Two builds of one program compile each function once: their
         compiled functions share code objects and bind their own
         callees."""
-        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 0)
         first, second = compile_c(HOT_LOOP, "hot"), compile_c(HOT_LOOP, "hot")
         assert run_main(first) == run_main(second)
         ones, twos = compiled_functions(first), compiled_functions(second)
@@ -264,43 +227,40 @@ class TestCompiledFunctions:
         assert binds(ones["main"], own) and binds(twos["main"], other)
         assert not binds(ones["main"], other) and not binds(twos["main"], own)
 
-    def test_counts_and_edge_traces_run_on_closures(self, monkeypatch):
-        """Once a module's functions compiled, a VM with profiling counts
-        and a traced replay run them on closures: the counts and the
-        edge trace are those of a build that never compiles."""
+    def test_counts_and_edge_traces_compile_nothing(self, monkeypatch):
+        """A VM with profiling counts and a traced replay run every
+        segment an instruction at a time: they compile nothing, and an
+        untraced replay that compiles ``main`` leaves their counts and
+        edge trace as they were."""
         spec = get_target("giftext")
         data = spec.seeds[0]
+        compiled = counting_compiles(monkeypatch)
+        module = private(spec.build_baseline())
 
-        def observe(after_runs):
-            monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", after_runs)
-            module = private(spec.build_baseline())
-            replay(module, data)
+        def observe():
             vm = VM(module, opcode_counts={}, libc_counts={})
             vm.load()
             vm.fs.write_file("/in", data)
             argc, argv = vm.setup_argv([module.name, "/in"])
             vm.run_function(module.get_function("main"), [argc, argv])
-            traced = replay(module, data, trace=True)
-            compiled = sorted(name for name, code in (
-                (f.name, module.decoded.plain.get(f)) for f in module.defined_functions())
-                if code is not None and code.compiled is not None)
             return (vm.opcode_counts, vm.libc_counts, vm.instructions_executed,
-                    traced), compiled
+                    replay(module, data, trace=True))
 
-        on_closures, none = observe(sys.maxsize)
-        compiled_run, compiled = observe(0)
-        assert none == [] and "main" in compiled
-        assert compiled_run == on_closures
-        assert on_closures[0]["Call"] > 0 and on_closures[3].edge_trace
+        exact = observe()
+        assert compiled == []
+        replay(module, data)
+        assert "main" in compiled
+        runs = list(compiled)
+        assert observe() == exact and compiled == runs
+        assert exact[0]["Call"] > 0 and exact[3].edge_trace
 
     def test_profiling_changes_no_campaign_result(self, monkeypatch):
         """A ClosureX campaign on giftext over 20 virtual ms (1,937 execs
-        at seed 1, past both batches of compiles) ends on the same state
-        digest, exec count and virtual time with VM profiling on as with
-        it off.  A profiled VM never runs compiled code: it runs every
-        segment an instruction at a time, so this pins the compiled
-        functions against that path over a whole campaign."""
-        monkeypatch.setattr(interpreter, "COMPILE_AFTER_RUNS", 8)
+        at seed 1) ends on the same state digest, exec count and virtual
+        time with VM profiling on as with it off.  A profiled VM never
+        runs compiled code: it runs every segment an instruction at a
+        time, so this pins the compiled functions against that path over
+        a whole campaign."""
         compiled = counting_compiles(monkeypatch)
 
         def finish(telemetry):
@@ -315,8 +275,9 @@ class TestCompiledFunctions:
 
         plain, no_counts = finish(TelemetryConfig())
         assert compiled and no_counts == {}
+        compiled.clear()
         profiled, counts = finish(TelemetryConfig(enabled=True, profile_vm=True))
-        assert profiled == plain
+        assert profiled == plain and compiled == []
         assert counts["Call"] > 0
 
 
